@@ -27,16 +27,6 @@ from .verify import (
     verify_identities,
 )
 
-_SUITE_DEFAULTS = {
-    "witt-images": {"precision": 6},
-    "lemma10": {"precision": 6},
-    "prop1-w12": {"precision": 5},
-    "lemma12": {},
-    "x12-identity": {"precision": 20},
-    "borcherds-structure": {"precision": 6},
-}
-
-
 def _fmt(value) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
@@ -183,12 +173,7 @@ def _run(args) -> int:
         suites = list(SUITES) if args.suite == "all" else [args.suite]
         ok = True
         for suite in suites:
-            kwargs = dict(_SUITE_DEFAULTS[suite])
-            if args.prec is not None:
-                kwargs["precision"] = args.prec
-            report = verify_identities(
-                suite, p=args.prime, registry=registry, **kwargs
-            )
+            report = verify_identities(suite, args.prime, args.prec, registry)
             _print_report(report, args.output)
             ok = ok and report.passed
         return 0 if ok else 1

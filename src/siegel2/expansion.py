@@ -11,9 +11,7 @@ checks.  Indices live in (1/scale)Z and are stored premultiplied by scale,
 so level-N expansions with fractional indices use scale = N.
 
 A ``modulus`` of p marks an expansion whose coefficients have been reduced
-to F_p residues; ring operations then stay in F_p.  Operations never
-extrapolate: results carry the minimum precision of their operands, which
-is exact because indices add componentwise with nonnegative m and n.
+to F_p residues; ring operations (from ``siegel2.series``) then stay in F_p.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ from fractions import Fraction
 from .errors import ConstructionError, NotPIntegral, PrecisionError
 from .qexp1 import DiagSeries
 from .rationals import normalize, reduce_mod_p
-
-_SCALARS = (int, Fraction)
+from .series import SCALARS, SparseSeries
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,7 @@ class BeyondPrecision:
             )
 
     def __gt__(self, other):
-        if isinstance(other, _SCALARS) and other <= self.bound:
+        if isinstance(other, SCALARS) and other <= self.bound:
             return True
         self._decidable(other)
         return True
@@ -90,47 +87,23 @@ class BeyondPrecision:
         return f"> {self.bound}"
 
 
-class SiegelExpansion:
+class SiegelExpansion(SparseSeries):
     """Exact truncated Fourier expansion of a degree-2 form."""
 
-    __slots__ = ("weight", "precision", "scale", "modulus", "coeffs")
+    __slots__ = ("scale", "modulus")
+    _RING = ("scale", "modulus")
 
     def __init__(self, weight, precision, coeffs=None, scale=1, modulus=None):
-        if precision < 0:
-            raise ValueError("precision must be >= 0")
         if scale < 1:
             raise ValueError("scale must be >= 1")
-        self.weight = weight
-        self.precision = precision
         self.scale = scale
         self.modulus = modulus
-        box = scale * precision
-        clean = {}
-        for (m, r, n), c in (coeffs or {}).items():
-            if not (0 <= m <= box and 0 <= n <= box):
-                raise ValueError(f"index {(m, r, n)} outside box [0..{box}]^2")
-            if 4 * m * n - r * r < 0:
-                raise ValueError(f"index {(m, r, n)} is not positive semi-definite")
-            if modulus is None:
-                c = normalize(c)
-            else:
-                c = c % modulus
-            if c:
-                clean[(m, r, n)] = c
-        self.coeffs = clean
+        super().__init__(precision, coeffs, weight, modulus)
 
     @classmethod
     def constant(cls, value, precision, weight=0, scale=1):
         """The constant expansion value * q^0."""
         return cls(weight, precision, {(0, 0, 0): value}, scale)
-
-    # -- basic access -----------------------------------------------------
-
-    def coeff(self, m: int, r: int, n: int):
-        box = self.scale * self.precision
-        if not (0 <= m <= box and 0 <= n <= box):
-            raise ValueError(f"index {(m, r, n)} is beyond precision {self.precision}")
-        return self.coeffs.get((m, r, n), 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -139,67 +112,25 @@ class SiegelExpansion:
         """Stored indices sorted by the (m, n, r) monomial order."""
         return sorted(self.coeffs, key=lambda k: (k[0], k[2], k[1]))
 
-    def truncate(self, precision: int) -> "SiegelExpansion":
-        if precision > self.precision:
-            raise PrecisionError(
-                f"cannot extend precision {self.precision} to {precision}"
-            )
-        box = self.scale * precision
-        kept = {
-            k: c for k, c in self.coeffs.items() if k[0] <= box and k[2] <= box
-        }
-        return SiegelExpansion(self.weight, precision, kept, self.scale, self.modulus)
-
     def with_weight(self, weight) -> "SiegelExpansion":
         return SiegelExpansion(weight, self.precision, self.coeffs, self.scale, self.modulus)
 
-    # -- ring structure ---------------------------------------------------
+    # -- the key shape ----------------------------------------------------
 
-    def _check_compatible(self, other):
-        if self.scale != other.scale:
-            raise ValueError(f"scale mismatch: {self.scale} vs {other.scale}")
-        if self.modulus != other.modulus:
-            raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
+    def _box(self, precision):
+        return self.scale * precision
 
-    def __add__(self, other):
-        if not isinstance(other, SiegelExpansion):
-            return NotImplemented
-        self._check_compatible(other)
-        prec = min(self.precision, other.precision)
-        box = self.scale * prec
-        out = {k: c for k, c in self.coeffs.items() if k[0] <= box and k[2] <= box}
-        for k, c in other.coeffs.items():
-            if k[0] <= box and k[2] <= box:
-                out[k] = out.get(k, 0) + c
-        weight = self.weight if self.weight == other.weight else None
-        return SiegelExpansion(weight, prec, out, self.scale, self.modulus)
+    def _kept(self, coeffs, box):
+        return {k: c for k, c in coeffs.items() if 0 <= k[0] <= box and 0 <= k[2] <= box}
 
-    def __neg__(self):
-        return self * -1
+    def _check_indices(self, coeffs, box):
+        for m, r, n in coeffs:
+            if not (0 <= m <= box and 0 <= n <= box):
+                raise ValueError(f"index {(m, r, n)} outside box [0..{box}]^2")
+            if 4 * m * n - r * r < 0:
+                raise ValueError(f"index {(m, r, n)} is not positive semi-definite")
 
-    def __sub__(self, other):
-        if not isinstance(other, SiegelExpansion):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            if other == 0:
-                return SiegelExpansion(
-                    self.weight, self.precision, {}, self.scale, self.modulus
-                )
-            return SiegelExpansion(
-                self.weight,
-                self.precision,
-                {k: c * other for k, c in self.coeffs.items()},
-                self.scale,
-                self.modulus,
-            )
-        if not isinstance(other, SiegelExpansion):
-            return NotImplemented
-        self._check_compatible(other)
-        prec = min(self.precision, other.precision)
-        box = self.scale * prec
+    def _product(self, other, box):
         # Group rows by (m, n) so the bound checks run once per block pair.
         out = {}
         get = out.get
@@ -219,27 +150,7 @@ class SiegelExpansion:
                         key = (m, r1 + r2, n)
                         prev = get(key)
                         out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        weight = None
-        if self.weight is not None and other.weight is not None:
-            weight = self.weight + other.weight
-        return SiegelExpansion(weight, prec, out, self.scale, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not supported")
-        result = SiegelExpansion.constant(1, self.precision, 0, self.scale)
-        if self.modulus is not None:
-            result = result.reduce_mod(self.modulus)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return out
 
     def _grouped(self):
         groups = {}
@@ -247,15 +158,8 @@ class SiegelExpansion:
             groups.setdefault((m, n), []).append((r, c))
         return groups
 
-    def __eq__(self, other):
-        if not isinstance(other, SiegelExpansion):
-            return NotImplemented
-        return (
-            self.scale == other.scale
-            and self.precision == other.precision
-            and self.modulus == other.modulus
-            and self.coeffs == other.coeffs
-        )
+    def _one(self):
+        return SiegelExpansion(0, self.precision, {(0, 0, 0): 1}, self.scale, self.modulus)
 
     def __repr__(self):
         mod = f", mod {self.modulus}" if self.modulus else ""
@@ -376,11 +280,6 @@ class SiegelExpansion:
                 out[(m, r, n)] = factor * c
         weight = None if self.weight is None else self.weight + 2
         return SiegelExpansion(weight, self.precision, out, self.scale, self.modulus)
-
-
-def symmetry_check(f: SiegelExpansion) -> list:
-    """Convenience wrapper: list of indices violating f's sign symmetries."""
-    return f.symmetry_violations()
 
 
 # -- the odd-weight determinant construction --------------------------------

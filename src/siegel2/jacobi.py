@@ -17,6 +17,7 @@ from math import gcd, isqrt
 
 from .errors import PrecisionError
 from .expansion import SiegelExpansion
+from .qexp1 import divisor_sigma
 from .rationals import (
     bernoulli,
     bernoulli_polynomial,
@@ -119,12 +120,8 @@ def cohen_h(r: int, N: int):
         if mu:
             chi = kronecker(D, d)
             if chi:
-                total += mu * chi * d ** (r - 1) * _divisor_power_sum(f // d, 2 * r - 1)
+                total += mu * chi * d ** (r - 1) * divisor_sigma(f // d, 2 * r - 1)
     return normalize(_l_value(r, D) * total)
-
-
-def _divisor_power_sum(n: int, t: int) -> int:
-    return sum(d**t for d in divisors(n))
 
 
 class JacobiForm1:
@@ -223,8 +220,7 @@ def jacobi_combine(terms) -> JacobiForm1:
                 if j <= n:
                     inner += fj * phi.coeff(d - 4 * j)
             total += coeff * inner
-        if total:
-            c[d] = normalize(total)
+        c[d] = total
     return JacobiForm1(weights.pop(), dmax, c)
 
 
@@ -261,8 +257,5 @@ def maass_lift(phi: JacobiForm1, precision: int, mode: str = "cusp") -> SiegelEx
                 total = 0
                 for d in divisors(g):
                     total += d ** (k - 1) * phi.coeff(disc // (d * d))
-                if total:
-                    value = normalize(factor * total)
-                    if value:
-                        coeffs[(m, r, n)] = value
+                coeffs[(m, r, n)] = factor * total
     return SiegelExpansion(k, precision, coeffs)

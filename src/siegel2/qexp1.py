@@ -7,10 +7,7 @@ series sum a(m, n) q1^m q2^n, the codomain of the diagonal-restriction
 operators acting on degree-2 expansions.  Tensor squares of one-variable
 forms land there via q ⊗ 1 -> q1 and 1 ⊗ q -> q2; the ``symmetry_sign``
 tag records invariance (+1) or anti-invariance (-1) under swapping the two
-tensor factors.
-
-All operations truncate to the minimum precision of their operands and
-never extrapolate.
+tensor factors.  Both take their ring operations from ``siegel2.series``.
 """
 
 from __future__ import annotations
@@ -19,8 +16,7 @@ from fractions import Fraction
 
 from .errors import PrecisionError
 from .rationals import bernoulli, divisors, normalize
-
-_SCALARS = (int, Fraction)
+from .series import SparseSeries
 
 
 def divisor_sigma(n: int, t: int = 1) -> int:
@@ -30,108 +26,39 @@ def divisor_sigma(n: int, t: int = 1) -> int:
     return sum(d**t for d in divisors(n))
 
 
-class QSeries1:
+class QSeries1(SparseSeries):
     """Truncated one-variable q-expansion with exact coefficients.
 
     ``coeffs`` maps n in [0..precision] to a nonzero rational; absent keys
     are zero.  ``weight`` is an informational tag (None when mixed).
-    ``quasi_flag`` marks the weight-2 Eisenstein series only.
+    ``quasi_flag`` marks the weight-2 Eisenstein series; truncations and
+    scalar multiples keep it, sums and products drop it.
     """
 
-    __slots__ = ("precision", "coeffs", "weight", "quasi_flag")
+    __slots__ = ("quasi_flag",)
+    _TAGS = ("quasi_flag",)
 
     def __init__(self, precision, coeffs=None, weight=0, quasi_flag=False):
-        if precision < 0:
-            raise ValueError("precision must be >= 0")
-        self.precision = precision
-        self.weight = weight
         self.quasi_flag = quasi_flag
-        clean = {}
-        for n, c in (coeffs or {}).items():
-            if not 0 <= n <= precision:
-                raise ValueError(f"index {n} outside [0..{precision}]")
-            c = normalize(c)
-            if c:
-                clean[n] = c
-        self.coeffs = clean
+        super().__init__(precision, coeffs, weight)
 
-    def coeff(self, n: int):
-        if not 0 <= n <= self.precision:
-            raise ValueError(f"coefficient {n} is beyond precision {self.precision}")
-        return self.coeffs.get(n, 0)
+    def _kept(self, coeffs, box):
+        return {n: c for n, c in coeffs.items() if 0 <= n <= box}
 
-    def truncate(self, precision: int) -> "QSeries1":
-        if precision > self.precision:
-            raise PrecisionError(
-                f"cannot extend precision {self.precision} to {precision}"
-            )
-        kept = {n: c for n, c in self.coeffs.items() if n <= precision}
-        return QSeries1(precision, kept, self.weight, self.quasi_flag)
-
-    def __add__(self, other):
-        if not isinstance(other, QSeries1):
-            return NotImplemented
-        prec = min(self.precision, other.precision)
-        out = {n: c for n, c in self.coeffs.items() if n <= prec}
-        for n, c in other.coeffs.items():
-            if n <= prec:
-                out[n] = out.get(n, 0) + c
-        weight = self.weight if self.weight == other.weight else None
-        return QSeries1(prec, out, weight)
-
-    def __neg__(self):
-        return QSeries1(self.precision, {n: -c for n, c in self.coeffs.items()}, self.weight)
-
-    def __sub__(self, other):
-        if not isinstance(other, QSeries1):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            if other == 0:
-                return QSeries1(self.precision, {}, self.weight)
-            return QSeries1(
-                self.precision,
-                {n: c * other for n, c in self.coeffs.items()},
-                self.weight,
-            )
-        if not isinstance(other, QSeries1):
-            return NotImplemented
-        prec = min(self.precision, other.precision)
+    def _product(self, other, box):
         out = {}
         for n1, c1 in self.coeffs.items():
-            if n1 > prec:
+            if n1 > box:
                 continue
             for n2, c2 in other.coeffs.items():
                 n = n1 + n2
-                if n > prec:
+                if n > box:
                     continue
                 out[n] = out.get(n, 0) + c1 * c2
-        weight = None
-        if self.weight is not None and other.weight is not None:
-            weight = self.weight + other.weight
-        return QSeries1(prec, out, weight)
+        return out
 
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not supported")
-        result = QSeries1(self.precision, {0: 1}, 0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries1):
-            return NotImplemented
-        return self.precision == other.precision and self.coeffs == other.coeffs
+    def _one(self):
+        return QSeries1(self.precision, {0: 1}, 0)
 
     def __repr__(self):
         return f"QSeries1(precision={self.precision}, weight={self.weight}, {len(self.coeffs)} terms)"
@@ -160,46 +87,49 @@ def delta1(precision: int) -> QSeries1:
     return QSeries1(precision, series.coeffs, weight=12)
 
 
-class DiagSeries:
+class DiagSeries(SparseSeries):
     """Truncated series sum a(m, n) q1^m q2^n with exact coefficients.
 
     ``symmetry_sign`` is +1 when a(m, n) = a(n, m) holds on the whole box,
     -1 when a(m, n) = -a(n, m), and None when unknown.
     """
 
-    __slots__ = ("precision", "coeffs", "weight", "symmetry_sign")
+    __slots__ = ("symmetry_sign",)
+    _TAGS = ("symmetry_sign",)
 
     def __init__(self, precision, coeffs=None, weight=0, symmetry_sign=None):
-        if precision < 0:
-            raise ValueError("precision must be >= 0")
-        self.precision = precision
-        self.weight = weight
         self.symmetry_sign = symmetry_sign
-        clean = {}
-        for (m, n), c in (coeffs or {}).items():
-            if not (0 <= m <= precision and 0 <= n <= precision):
-                raise ValueError(f"index {(m, n)} outside box [0..{precision}]^2")
-            c = normalize(c)
-            if c:
-                clean[(m, n)] = c
-        self.coeffs = clean
+        super().__init__(precision, coeffs, weight)
 
-    def coeff(self, m: int, n: int):
-        if not (0 <= m <= self.precision and 0 <= n <= self.precision):
-            raise ValueError(f"index {(m, n)} is beyond precision {self.precision}")
-        return self.coeffs.get((m, n), 0)
+    def _kept(self, coeffs, box):
+        return {k: c for k, c in coeffs.items() if 0 <= k[0] <= box and 0 <= k[1] <= box}
 
-    def truncate(self, precision: int) -> "DiagSeries":
-        if precision > self.precision:
-            raise PrecisionError(
-                f"cannot extend precision {self.precision} to {precision}"
-            )
-        kept = {
-            (m, n): c
-            for (m, n), c in self.coeffs.items()
-            if m <= precision and n <= precision
-        }
-        return DiagSeries(precision, kept, self.weight, self.symmetry_sign)
+    def _product(self, other, box):
+        out = {}
+        for (m1, n1), c1 in self.coeffs.items():
+            if m1 > box or n1 > box:
+                continue
+            for (m2, n2), c2 in other.coeffs.items():
+                m = m1 + m2
+                if m > box:
+                    continue
+                n = n1 + n2
+                if n > box:
+                    continue
+                key = (m, n)
+                out[key] = out.get(key, 0) + c1 * c2
+        return out
+
+    def _one(self):
+        return DiagSeries(self.precision, {(0, 0): 1}, 0, 1)
+
+    def _merged_tags(self, other, product):
+        a, b = self.symmetry_sign, other.symmetry_sign
+        if not product:
+            return {"symmetry_sign": a if a == b else None}
+        # Swap acts multiplicatively on tensor factors, so signs multiply.
+        known = a in (1, -1) and b in (1, -1)
+        return {"symmetry_sign": a * b if known else None}
 
     def symmetry_violations(self) -> list:
         """Index pairs where the declared swap symmetry fails (empty = pass)."""
@@ -210,86 +140,6 @@ class DiagSeries:
             if self.coeffs.get((n, m), 0) != self.symmetry_sign * c:
                 bad.append((m, n))
         return bad
-
-    def __add__(self, other):
-        if not isinstance(other, DiagSeries):
-            return NotImplemented
-        prec = min(self.precision, other.precision)
-        out = {k: c for k, c in self.coeffs.items() if k[0] <= prec and k[1] <= prec}
-        for k, c in other.coeffs.items():
-            if k[0] <= prec and k[1] <= prec:
-                out[k] = out.get(k, 0) + c
-        weight = self.weight if self.weight == other.weight else None
-        sign = self.symmetry_sign if self.symmetry_sign == other.symmetry_sign else None
-        return DiagSeries(prec, out, weight, sign)
-
-    def __neg__(self):
-        return DiagSeries(
-            self.precision,
-            {k: -c for k, c in self.coeffs.items()},
-            self.weight,
-            self.symmetry_sign,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, DiagSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            if other == 0:
-                return DiagSeries(self.precision, {}, self.weight, self.symmetry_sign)
-            return DiagSeries(
-                self.precision,
-                {k: c * other for k, c in self.coeffs.items()},
-                self.weight,
-                self.symmetry_sign,
-            )
-        if not isinstance(other, DiagSeries):
-            return NotImplemented
-        prec = min(self.precision, other.precision)
-        out = {}
-        for (m1, n1), c1 in self.coeffs.items():
-            if m1 > prec or n1 > prec:
-                continue
-            for (m2, n2), c2 in other.coeffs.items():
-                m = m1 + m2
-                if m > prec:
-                    continue
-                n = n1 + n2
-                if n > prec:
-                    continue
-                key = (m, n)
-                out[key] = out.get(key, 0) + c1 * c2
-        weight = None
-        if self.weight is not None and other.weight is not None:
-            weight = self.weight + other.weight
-        # Swap acts multiplicatively on tensor factors, so signs multiply.
-        sign = None
-        if self.symmetry_sign in (1, -1) and other.symmetry_sign in (1, -1):
-            sign = self.symmetry_sign * other.symmetry_sign
-        return DiagSeries(prec, out, weight, sign)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not supported")
-        result = DiagSeries(self.precision, {(0, 0): 1}, 0, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, DiagSeries):
-            return NotImplemented
-        return self.precision == other.precision and self.coeffs == other.coeffs
 
     def __repr__(self):
         return (

@@ -1,0 +1,160 @@
+"""The sparse truncated-series core shared by every series type.
+
+A series stores its nonzero coefficients in a dict from index keys to
+exact rationals, or to F_p residues when it carries a modulus, for the
+indices in a box fixed by its precision.  ``SparseSeries`` owns what does
+not depend on the key shape: coefficient cleaning, truncation, the ring
+operations and the weight-tag rules (a sum keeps a common weight and is
+untagged otherwise; a product adds weights).  Operations never
+extrapolate: results carry the minimum precision of their operands, which
+is exact because indices add componentwise and stay nonnegative.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .errors import PrecisionError
+from .rationals import normalize
+
+SCALARS = (int, Fraction)
+
+
+class SparseSeries:
+    """Base class of ``QSeries1``, ``DiagSeries`` and ``SiegelExpansion``.
+
+    A subclass fixes the key shape by providing the hooks below.  Hooks that
+    touch coefficients take a whole dict, so the hot loops stay inline.
+
+    * ``_box(precision)``: the largest index component kept at a precision;
+    * ``_kept(coeffs, box)``: the entries of a dict inside the box;
+    * ``_check_indices(coeffs, box)``: raise ValueError on an invalid key
+      (by default, on a key outside the box);
+    * ``_product(other, box)``: the coefficients of a product, cut to the box;
+    * ``_one()``: the identity at this series' precision;
+    * ``_merged_tags(other, product)``: the ``_TAGS`` of a sum or product.
+
+    Subclass constructors accept ``precision``, ``coeffs`` and ``weight``
+    as keywords, and the names in ``_RING`` and ``_TAGS`` too.
+    """
+
+    __slots__ = ("precision", "coeffs", "weight")
+
+    # Attributes naming the ring a series lives in.  Operands of + and *
+    # must agree on them, results inherit them and equality compares them.
+    _RING = ()
+    # The type's own tags, which truncation and scalar multiples keep.
+    _TAGS = ()
+
+    def __init__(self, precision, coeffs, weight, modulus=None):
+        if precision < 0:
+            raise ValueError("precision must be >= 0")
+        self.precision = precision
+        self.weight = weight
+        coeffs = coeffs or {}
+        self._check_indices(coeffs, self._box(precision))
+        if modulus is None:
+            self.coeffs = {k: v for k, c in coeffs.items() if (v := normalize(c))}
+        else:
+            self.coeffs = {k: v for k, c in coeffs.items() if (v := c % modulus)}
+
+    def _box(self, precision):
+        return precision
+
+    def _check_indices(self, coeffs, box):
+        kept = self._kept(coeffs, box)
+        if len(kept) < len(coeffs):
+            bad = next(k for k in coeffs if k not in kept)
+            raise ValueError(f"index {bad} outside the box [0..{box}]")
+
+    def _tags(self):
+        return {name: getattr(self, name) for name in self._TAGS}
+
+    def _merged_tags(self, other, product):
+        return {}
+
+    def _new(self, precision, coeffs, weight, tags):
+        """A series of this type and ring; ``tags`` are the type's own keywords."""
+        ring = {name: getattr(self, name) for name in self._RING}
+        return type(self)(precision=precision, coeffs=coeffs, weight=weight, **ring, **tags)
+
+    def _merged(self, other, product):
+        """Precision and type tags of a sum or product; the rings must agree."""
+        for name in self._RING:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine != theirs:
+                raise ValueError(f"{name} mismatch: {mine} vs {theirs}")
+        return min(self.precision, other.precision), self._merged_tags(other, product)
+
+    # -- access -------------------------------------------------------------
+
+    def coeff(self, *index):
+        key = index[0] if len(index) == 1 else index
+        if not self._kept({key: None}, self._box(self.precision)):
+            raise ValueError(f"index {key} is beyond precision {self.precision}")
+        return self.coeffs.get(key, 0)
+
+    def truncate(self, precision: int):
+        if precision > self.precision:
+            raise PrecisionError(
+                f"cannot extend precision {self.precision} to {precision}"
+            )
+        kept = self._kept(self.coeffs, self._box(precision))
+        return self._new(precision, kept, self.weight, self._tags())
+
+    # -- ring structure ---------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        prec, tags = self._merged(other, product=False)
+        box = self._box(prec)
+        out = self._kept(self.coeffs, box)
+        for k, c in other._kept(other.coeffs, box).items():
+            out[k] = out.get(k, 0) + c
+        weight = self.weight if self.weight == other.weight else None
+        return self._new(prec, out, weight, tags)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, SCALARS):
+            coeffs = {k: c * other for k, c in self.coeffs.items()}
+            return self._new(self.precision, coeffs, self.weight, self._tags())
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        prec, tags = self._merged(other, product=True)
+        weight = None
+        if self.weight is not None and other.weight is not None:
+            weight = self.weight + other.weight
+        return self._new(prec, self._product(other, self._box(prec)), weight, tags)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative powers are not supported")
+        result = self._one()
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.precision == other.precision
+            and self.coeffs == other.coeffs
+            and all(getattr(self, name) == getattr(other, name) for name in self._RING)
+        )

@@ -25,7 +25,6 @@ bundles the named suites exercised by the CLI:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isqrt
 
 from .errors import PrecisionError
@@ -119,10 +118,8 @@ def check_congruence(f: SiegelExpansion, g: SiegelExpansion, pp: PrimePower) -> 
     the report notes the truncation bound for the larger weight, so a
     passing check with enough precision is a theorem-backed verdict.
     """
-    if f.scale != g.scale:
-        raise ValueError(f"scale mismatch: {f.scale} vs {g.scale}")
-    prec = min(f.precision, g.precision)
-    diff = f.truncate(prec) - g.truncate(prec)
+    diff = f - g
+    prec = diff.precision
     report = check_vanishing(diff, pp, prec)
     weights = [w for w in (f.weight, g.weight) if w is not None]
     if weights:
@@ -215,7 +212,7 @@ def box_indices(precision: int, scale: int = 1) -> list:
 
 
 def _row_reduce(entries, p):
-    """Deterministic full row reduction, tracking the left kernel.
+    """Deterministic full row reduction over F_p, tracking the left kernel.
 
     Pivots take the first nonzero column with the smallest remaining row
     index.  Returns (rank, kernel_basis, echelon_rows); kernel vectors v
@@ -228,13 +225,9 @@ def _row_reduce(entries, p):
     ncols = len(rows[0]) if rows else 0
 
     def scaled(vec, factor):
-        if p is None:
-            return [v * factor for v in vec]
         return [v * factor % p for v in vec]
 
     def eliminated(vec, factor, pivot_vec):
-        if p is None:
-            return [a - factor * b for a, b in zip(vec, pivot_vec)]
         return [(a - factor * b) % p for a, b in zip(vec, pivot_vec)]
 
     for col in range(ncols):
@@ -247,7 +240,7 @@ def _row_reduce(entries, p):
             continue
         used[pivot] = True
         lead = rows[pivot][col]
-        inv = pow(lead, -1, p) if p is not None else 1 / Fraction(lead)
+        inv = pow(lead, -1, p)
         rows[pivot] = scaled(rows[pivot], inv)
         aug[pivot] = scaled(aug[pivot], inv)
         for i in range(nrows):
@@ -260,18 +253,15 @@ def _row_reduce(entries, p):
     return rank, kernel, rows
 
 
-def fp_rank(matrix: CoeffMatrix, p: int | None = None):
-    """Rank and left-kernel basis, over F_p (p prime) or exactly over Q.
+def fp_rank(matrix: CoeffMatrix, p: int):
+    """Rank and left-kernel basis over F_p (p prime).
 
     Kernel vectors give the vanishing combinations of the rows, i.e. the
     relations among the labelled forms on the chosen index set.
     """
-    if p is not None:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        entries = [[reduce_mod_p(e, p) for e in row] for row in matrix.entries]
-    else:
-        entries = matrix.entries
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    entries = [[reduce_mod_p(e, p) for e in row] for row in matrix.entries]
     rank, kernel, _ = _row_reduce(entries, p)
     return rank, kernel
 

@@ -1,0 +1,197 @@
+"""Property tests of the sparse series core over all three series types.
+
+Each test runs per kind: QSeries1, DiagSeries, and SiegelExpansion exact
+or reduced mod 5.  An example draws two or three series of that kind in
+one ring (SiegelExpansion at scale 1 or 2).  Sizes stay tiny so the whole
+module runs in a few seconds.
+"""
+
+from fractions import Fraction
+from itertools import product
+from math import isqrt
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from siegel2.expansion import SiegelExpansion
+from siegel2.qexp1 import DiagSeries, QSeries1
+
+KINDS = ("q", "diag", "siegel", "siegel-mod")
+MODULUS = 5
+SETTINGS = settings(max_examples=20, deadline=None)
+
+
+def box_keys(kind, box):
+    """Every valid index of a series of this kind inside the box."""
+    if kind == "q":
+        return list(range(box + 1))
+    if kind == "diag":
+        return list(product(range(box + 1), repeat=2))
+    keys = []
+    for m, n in product(range(box + 1), repeat=2):
+        rmax = isqrt(4 * m * n)
+        keys.extend((m, r, n) for r in range(-rmax, rmax + 1))
+    return keys
+
+
+def make(kind, precision, coeffs, weight, tag, scale):
+    if kind == "q":
+        return QSeries1(precision, coeffs, weight, quasi_flag=tag)
+    if kind == "diag":
+        return DiagSeries(precision, coeffs, weight, symmetry_sign=tag)
+    modulus = MODULUS if kind == "siegel-mod" else None
+    return SiegelExpansion(weight, precision, coeffs, scale, modulus)
+
+
+exact_scalars = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
+@st.composite
+def families(draw, kind, size=3):
+    """(scale, [series, ...]): series of one kind in one ring."""
+    scale = draw(st.sampled_from((1, 2))) if kind.startswith("siegel") else 1
+    top = {"q": 6, "diag": 3}.get(kind, 2 // scale)
+    coeff = st.integers(0, MODULUS - 1) if kind == "siegel-mod" else exact_scalars
+    tag = {"q": st.booleans(), "diag": st.sampled_from((None, 1, -1))}.get(kind, st.none())
+    members = []
+    for _ in range(size):
+        precision = draw(st.integers(0, top))
+        keys = box_keys(kind, scale * precision)
+        coeffs = draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=6))
+        weight = draw(st.sampled_from((None, 0, 1, 4)))
+        members.append(make(kind, precision, coeffs, weight, draw(tag), scale))
+    return scale, members
+
+
+def assert_canonical(kind, series):
+    """Stored coefficients are nonzero residues mod p, or rationals with
+    integral values stored as int."""
+    for v in series.coeffs.values():
+        if kind == "siegel-mod":
+            assert isinstance(v, int) and 0 < v < MODULUS
+        else:
+            assert v and not (isinstance(v, Fraction) and v.denominator == 1)
+
+
+def add_keys(k1, k2):
+    if isinstance(k1, int):
+        return k1 + k2
+    return tuple(a + b for a, b in zip(k1, k2))
+
+
+def naive_product(kind, scale, a, b):
+    """Pairwise convolution: every pair of terms whose index sum stays in the box."""
+    inside = set(box_keys(kind, scale * min(a.precision, b.precision)))
+    out = {}
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            key = add_keys(k1, k2)
+            if key in inside:
+                out[key] = out.get(key, 0) + c1 * c2
+    if kind == "siegel-mod":
+        out = {k: v % MODULUS for k, v in out.items()}
+    return {k: v for k, v in out.items() if v}
+
+
+by_kind = pytest.mark.parametrize("kind", KINDS)
+
+
+@by_kind
+@SETTINGS
+@given(data=st.data())
+def test_ring_laws(kind, data):
+    _, (a, b, c) = data.draw(families(kind))
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) + b == a.truncate(min(a.precision, b.precision))
+    assert (a - a).coeffs == {} and -(-a) == a
+    assert a**0 * a == a
+    assert a**3 == a * a * a
+    assert a**5 == a**2 * a**3
+    for result in (a + b, a - b, a * b, a * 3, a**2):
+        assert_canonical(kind, result)
+
+
+@by_kind
+@SETTINGS
+@given(data=st.data())
+def test_truncation_commutes_with_sum_and_product(kind, data):
+    _, (a, b) = data.draw(families(kind, size=2))
+    q = data.draw(st.integers(0, min(a.precision, b.precision)))
+    assert (a + b).truncate(q) == a.truncate(q) + b.truncate(q)
+    assert (a * b).truncate(q) == a.truncate(q) * b.truncate(q)
+
+
+@by_kind
+@SETTINGS
+@given(data=st.data())
+def test_product_matches_naive_convolution(kind, data):
+    scale, (a, b) = data.draw(families(kind, size=2))
+    got = a * b
+    assert got.coeffs == naive_product(kind, scale, a, b)
+    assert got.precision == min(a.precision, b.precision)
+
+
+@by_kind
+@SETTINGS
+@given(data=st.data(), scalar=exact_scalars)
+def test_weight_tags(kind, data, scalar):
+    _, (a, b) = data.draw(families(kind, size=2))
+    assert (a + b).weight == (a.weight if a.weight == b.weight else None)
+    assert (a - b).weight == (a.weight if a.weight == b.weight else None)
+    expected = None if a.weight is None or b.weight is None else a.weight + b.weight
+    assert (a * b).weight == expected
+    assert (a * scalar).weight == a.weight
+    assert a.truncate(0).weight == a.weight
+    assert (a**0).weight == 0
+
+
+@by_kind
+@SETTINGS
+@given(data=st.data())
+def test_type_tags(kind, data):
+    scale, (a, b) = data.draw(families(kind, size=2))
+    if kind == "diag":
+        s, t = a.symmetry_sign, b.symmetry_sign
+        assert (a + b).symmetry_sign == (s if s == t else None)
+        assert (a * b).symmetry_sign == (s * t if s and t else None)
+        assert (-a).symmetry_sign == s and a.truncate(0).symmetry_sign == s
+        assert (a**0).symmetry_sign == 1
+    elif kind == "q":
+        assert a.truncate(0).quasi_flag == a.quasi_flag
+        assert (a * 3).quasi_flag == a.quasi_flag == (-a).quasi_flag
+        assert not (a + b).quasi_flag and not (a * b).quasi_flag
+    else:
+        modulus = MODULUS if kind == "siegel-mod" else None
+        for result in (a + b, a * b, a * 2, a.truncate(0), a**2):
+            assert (result.scale, result.modulus) == (scale, modulus)
+
+
+def test_siegel_ring_mismatches_raise():
+    x = SiegelExpansion(4, 2, {(0, 0, 0): 1, (1, 1, 1): 2})
+    other_scale = SiegelExpansion(4, 1, {(0, 0, 0): 1}, scale=2)
+    reduced = x.reduce_mod(MODULUS)
+    for y in (other_scale, reduced):
+        for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+            with pytest.raises(ValueError, match="mismatch"):
+                op(x, y)
+            with pytest.raises(ValueError, match="mismatch"):
+                op(y, x)
+    assert x != other_scale and x != reduced
+
+
+def test_mixed_series_types_do_not_combine():
+    q = QSeries1(2, {0: 1})
+    d = DiagSeries(2, {(0, 0): 1})
+    with pytest.raises(TypeError):
+        _ = q + d
+    with pytest.raises(TypeError):
+        _ = q * d
+    assert q != d
