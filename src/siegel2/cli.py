@@ -151,7 +151,7 @@ def _run(args) -> int:
         bound = _parse_bound(args.bound) if args.bound else sturm_bound(exp.weight)
         report = check_vanishing(exp, pp, bound)
         print(f"{name}: {report.render()}")
-        if report.precision_note and "exceeds precision" in report.precision_note:
+        if report.exceeds_precision:
             return 2
         return 0 if report.verdict else 1
 

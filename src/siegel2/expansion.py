@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import ConstructionError, NotPIntegral, PrecisionError
 from .qexp1 import DiagSeries
@@ -132,8 +133,10 @@ class SiegelExpansion(SparseSeries):
 
     def _product(self, other, box):
         # Group rows by (m, n) so the bound checks run once per block pair.
-        out = {}
-        get = out.get
+        # Each output block accumulates in a list indexed by r + isqrt(4mn):
+        # a sum of positive semi-definite indices is one, so
+        # |r1 + r2| <= isqrt(4mn) and every index lands in range.
+        acc = {}
         blocks = other._grouped()
         for (m1, n1), rows1 in self._grouped().items():
             if m1 > box or n1 > box:
@@ -145,11 +148,20 @@ class SiegelExpansion(SparseSeries):
                 n = n1 + n2
                 if n > box:
                     continue
+                row = acc.get((m, n))
+                if row is None:
+                    row = acc[(m, n)] = [0] * (2 * isqrt(4 * m * n) + 1)
+                shift = len(row) // 2
                 for r1, c1 in rows1:
+                    base = shift + r1
                     for r2, c2 in rows2:
-                        key = (m, r1 + r2, n)
-                        prev = get(key)
-                        out[key] = c1 * c2 if prev is None else prev + c1 * c2
+                        row[base + r2] += c1 * c2
+        out = {}
+        for (m, n), row in acc.items():
+            shift = len(row) // 2
+            for i, c in enumerate(row):
+                if c:
+                    out[(m, i - shift, n)] = c
         return out
 
     def _grouped(self):
@@ -319,6 +331,9 @@ def wronskian35(f4, f6, f10, f12) -> SiegelExpansion:
     Rows are (k_i f_i), (theta_1 f_i), ((1/2) theta_12 f_i), (theta_2 f_i)
     over the four even generators; the result is rescaled by the unique
     rational constant making the coefficient at (2, -1, 3) equal to 1.
+    The determinant is linear in the theta_12 row, so it is computed with
+    the unhalved row, all of its products over Z; the final rescaling
+    absorbs the factor 2.
     """
     forms = (f4, f6, f10, f12)
     weights = tuple(f.weight for f in forms)
@@ -331,11 +346,10 @@ def wronskian35(f4, f6, f10, f12) -> SiegelExpansion:
     if prec < 3:
         raise PrecisionError("precision >= 3 is needed to normalise at (2, -1, 3)")
     forms = tuple(f.truncate(prec) for f in forms)
-    half = Fraction(1, 2)
     rows = [
         [k * f for k, f in zip(weights, forms)],
         [f.theta(1) for f in forms],
-        [f.theta(12) * half for f in forms],
+        [f.theta(12) for f in forms],
         [f.theta(2) for f in forms],
     ]
     det = _det4(rows)

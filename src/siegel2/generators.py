@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import qformat
-from .errors import ConstructionError, PrecisionError
+from .errors import ConstructionError, FormatError, PrecisionError
 from .expansion import SiegelExpansion, wronskian35
 from .jacobi import jacobi_combine, jacobi_eisenstein, maass_lift
 from .qexp1 import DiagSeries, diag_builder, eisenstein1
@@ -144,6 +144,13 @@ class GeneratorRegistry:
         return self.cache_dir / f"{name}.p{precision}.qexp"
 
     def _load(self, name: str, precision: int) -> SiegelExpansion | None:
+        """The smallest usable cache file at or above the precision, or None.
+
+        A file that does not parse, holds another generator or weight, or
+        falls short of the request in its header is skipped as a miss; the
+        rebuild at the requested precision replaces it when the file names
+        that precision.
+        """
         candidates = []
         if self.cache_dir.is_dir():
             for path in self.cache_dir.glob(f"{name}.p*.qexp"):
@@ -153,13 +160,18 @@ class GeneratorRegistry:
                     continue
                 if prec >= precision:
                     candidates.append((prec, path))
-        if not candidates:
-            return None
-        _, path = min(candidates)
-        stored_name, exp = qformat.parse_siegel(path.read_text(encoding="utf-8"))
-        if stored_name != name or exp.weight != GENERATOR_WEIGHTS[name]:
-            raise ConstructionError(f"cache file {path} does not hold {name}")
-        return exp
+        for _, path in sorted(candidates):
+            try:
+                stored_name, exp = qformat.parse_siegel(path.read_text(encoding="utf-8"))
+            except (FormatError, UnicodeDecodeError):
+                continue
+            if (
+                stored_name == name
+                and exp.weight == GENERATOR_WEIGHTS[name]
+                and exp.precision >= precision
+            ):
+                return exp
+        return None
 
     def _store(self, name: str, exp: SiegelExpansion) -> None:
         path = self._cache_path(name, exp.precision)
@@ -188,9 +200,12 @@ class GeneratorRegistry:
         key = (spec, precision)
         held = self._monomials.get(key)
         if held is None:
-            held = SiegelExpansion.constant(1, precision)
+            # Start from the first factor, not from a product by 1.
             for name, e in spec.exponents:
-                held = held * self.power(name, e, precision)
+                factor = self.power(name, e, precision)
+                held = factor if held is None else held * factor
+            if held is None:
+                held = SiegelExpansion.constant(1, precision)
             self._monomials[key] = held
         return held
 

@@ -3,24 +3,29 @@
 A holomorphic index-1 Jacobi form of even weight is determined by one
 coefficient c(D) per discriminant D = 4n - r^2 >= 0 with D = 0 or 3 mod 4,
 which is how ``JacobiForm1`` stores it.  The Eisenstein members are built
-from Cohen's numbers H(r, N), special values of quadratic L-functions
-computed exactly through generalized Bernoulli numbers.  ``maass_lift``
-turns an index-1 form into a degree-2 expansion by divisor sums over
-gcd(m, r, n); the cusp variant produces the weight-10 and weight-12
-generators, the Eisenstein variant the weight-4 and weight-6 ones.
+from Cohen's numbers H(r, N) (Eichler-Zagier, *The Theory of Jacobi
+Forms*, section 2), special values of quadratic L-functions computed
+exactly through generalized Bernoulli numbers.  Those come from integer
+power sums of the Kronecker character, so one L-value costs r + 1
+rational terms, and ``kronecker`` never factors its argument.
+``maass_lift`` turns an index-1 form into a degree-2 expansion by divisor
+sums over gcd(m, r, n); the cusp variant produces the weight-10 and
+weight-12 generators, the Eisenstein variant the weight-4 and weight-6
+ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cache
+from math import comb, gcd, isqrt
 
 from .errors import PrecisionError
 from .expansion import SiegelExpansion
 from .qexp1 import divisor_sigma
 from .rationals import (
     bernoulli,
-    bernoulli_polynomial,
+    bernoulli_polynomial,  # noqa: F401  perfbench/tracer.py rebinds it here
     divisors,
     factorize,
     normalize,
@@ -36,27 +41,38 @@ __all__ = [
 ]
 
 
+# (2/n) for odd n, indexed by n mod 8.
+_TWO_OVER = (0, 1, 0, -1, 0, -1, 0, 1)
+
+
 def kronecker(D: int, n: int) -> int:
-    """Kronecker symbol (D/n) of a discriminant, completely multiplicative in n."""
+    """Kronecker symbol (D/n) of a discriminant, completely multiplicative in n.
+
+    Binary Jacobi-symbol algorithm (H. Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 1.4.10): strip factors of 2, apply
+    quadratic reciprocity and reduce, without factoring n.
+    """
     if D % 4 not in (0, 1):
         raise ValueError(f"{D} is not a discriminant (need 0 or 1 mod 4)")
     if n < 1:
         raise ValueError("kronecker needs n >= 1")
-    result = 1
-    for q, e in factorize(n):
-        if q == 2:
-            if D % 2 == 0:
-                return 0
-            s = 1 if D % 8 in (1, 7) else -1
-        else:
-            s = pow(D, (q - 1) // 2, q)
-            if s == 0:
-                return 0
-            if s == q - 1:
-                s = -1
-        if e % 2:
-            result *= s
-    return result
+    a, b = D, n
+    if a % 2 == 0 and b % 2 == 0:
+        return 0
+    v = (b & -b).bit_length() - 1
+    b >>= v
+    k = _TWO_OVER[a & 7] if v % 2 else 1
+    while a:
+        v = (a & -a).bit_length() - 1
+        a >>= v
+        if v % 2:
+            k *= _TWO_OVER[b & 7]
+        # Reciprocity; for a < 0 the sign rule is the same in two's complement.
+        if a & b & 2:
+            k = -k
+        r = abs(a)
+        a, b = b % r, r
+    return k if b == 1 else 0
 
 
 def _moebius(n: int) -> int:
@@ -84,15 +100,27 @@ def _fundamental_split(d0: int) -> tuple[int, int]:
 
 
 def _l_value(r: int, D: int):
-    """L(1 - r, chi_D) for a fundamental discriminant D, via the generalized
-    Bernoulli number of the Kronecker character mod |D|."""
-    c = abs(D)
-    total = Fraction(0)
-    for a in range(1, c + 1):
+    """L(1 - r, chi_D) for a fundamental discriminant D.
+
+    The generalized Bernoulli number of the Kronecker character mod
+    f = |D| is B_{r,chi} = sum_j C(r, j) B_j f^(j-1) S_(r-j), with integer
+    power sums S_i = sum_{a <= f} chi(a) a^i (Washington, *Cyclotomic
+    Fields*, Prop. 4.1); then L(1 - r, chi) = -B_{r,chi} / r.
+    """
+    f = abs(D)
+    sums = [0] * (r + 1)
+    for a in range(1, f + 1):
         chi = kronecker(D, a)
         if chi:
-            total += chi * bernoulli_polynomial(r, Fraction(a, c))
-    b_chi = Fraction(c) ** (r - 1) * total
+            power = chi
+            for i in range(r + 1):
+                sums[i] += power
+                power *= a
+    b_chi = sum(
+        comb(r, j) * bernoulli(j) * Fraction(f) ** (j - 1) * sums[r - j]
+        for j in range(r + 1)
+        if j < 2 or j % 2 == 0
+    )
     return normalize(-b_chi / r)
 
 
@@ -171,10 +199,13 @@ class JacobiForm1:
         return f"JacobiForm1(weight={self.weight}, dmax={self.dmax}, {len(self.c)} terms)"
 
 
+@cache
 def jacobi_eisenstein(k: int, dmax: int) -> JacobiForm1:
     """Index-1 Eisenstein Jacobi form of weight k in {4, 6}, c(0) = 1.
 
     c(D) = H(k-1, D) / H(k-1, 0) for D > 0; these ratios are integers.
+    Results are memoised per (k, dmax) and shared between callers, which
+    must not modify them.
     """
     if k not in (4, 6):
         raise ValueError(f"jacobi_eisenstein supports k in {{4, 6}}, got {k}")

@@ -140,15 +140,18 @@ class SparseSeries:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers are not supported")
-        result = self._one()
+        if e == 0:
+            return self._one()
+        # Start from the first factor, not from a product by the identity.
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):

@@ -64,13 +64,18 @@ def sturm_bound(k: int, index_i: int = 1) -> int:
 
 @dataclass
 class SturmReport:
-    """Outcome of a vanishing or congruence check."""
+    """Outcome of a vanishing or congruence check.
+
+    ``exceeds_precision`` is set when the requested bound lies beyond the
+    expansion's precision, so the verdict only covers the computed box.
+    """
 
     bound_used: object
     prime_power: PrimePower
     verdict: bool
     violations: list
     precision_note: str | None = None
+    exceeds_precision: bool = False
 
     def render(self) -> str:
         lines = []
@@ -95,7 +100,8 @@ def check_vanishing(f: SiegelExpansion, pp: PrimePower, bound) -> SturmReport:
     if f.modulus is not None:
         raise ValueError("vanishing checks need exact coefficients")
     note = None
-    if bound > f.precision:
+    exceeds = bound > f.precision
+    if exceeds:
         note = (
             f"bound {bound} exceeds precision {f.precision}; "
             "the verdict only covers the computed box"
@@ -108,7 +114,7 @@ def check_vanishing(f: SiegelExpansion, pp: PrimePower, bound) -> SturmReport:
             val = p_valuation(f.coeffs[key], pp.p)
             if val < pp.nu:
                 violations.append((key, val))
-    return SturmReport(bound, pp, not violations, violations, note)
+    return SturmReport(bound, pp, not violations, violations, note, exceeds)
 
 
 def check_congruence(f: SiegelExpansion, g: SiegelExpansion, pp: PrimePower) -> SturmReport:

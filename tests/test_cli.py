@@ -50,6 +50,17 @@ def test_show_dump_is_byte_identical_on_warm_cache(capsys, cache):
     assert out1.startswith("%SIEGEL2-QEXP 1\nname X12\n")
 
 
+def test_show_rebuilds_a_garbage_cache_file(capsys, tmp_path, gens6):
+    path = tmp_path / "X6.p4.qexp"
+    path.write_text("garbage\n", encoding="utf-8")
+    code, out, _ = run(
+        capsys, "show", "--name", "X6", "--prec", "4", "--cache-dir", str(tmp_path)
+    )
+    want = dump_siegel(gens6["X6"].truncate(4), "X6")
+    assert code == 0 and out == want
+    assert path.read_text(encoding="utf-8") == want
+
+
 def test_build_command(capsys, tmp_path):
     code, out, _ = run(
         capsys, "build", "--name", "X4", "--prec", "2", "--cache-dir", str(tmp_path)

@@ -1,7 +1,6 @@
 import pytest
 
 from siegel2 import qformat
-from siegel2.errors import ConstructionError
 from siegel2.generators import (
     GENERATOR_WEIGHTS,
     GeneratorRegistry,
@@ -95,13 +94,42 @@ def test_monomial_spec_behaviour():
 
 def test_pin_suite_rejects_corrupted_cache(tmp_path):
     reg = GeneratorRegistry(tmp_path)
-    reg.generator("X4", 2)
+    good = reg.generator("X4", 2)
     path = tmp_path / "X4.p2.qexp"
     text = path.read_text(encoding="utf-8")
     path.write_text(text.replace("name X4", "name X6"), encoding="utf-8")
+    # A file holding another generator is never served: it is a miss,
+    # rebuilt and replaced.
     fresh = GeneratorRegistry(tmp_path)
-    with pytest.raises(ConstructionError):
-        fresh.generator("X4", 2)
+    assert fresh.generator("X4", 2) == good
+    assert path.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda text: b"garbage\n", id="bad-magic"),
+        pytest.param(lambda text: text.encode()[: len(text) // 2], id="truncated"),
+        pytest.param(lambda text: b"\xff\xfe" + text.encode(), id="not-utf8"),
+        pytest.param(lambda text: text.replace("weight 6", "weight 4").encode(), id="weight"),
+    ],
+)
+def test_bad_cache_file_is_a_miss_and_is_replaced(tmp_path, gens6, corrupt):
+    path = tmp_path / "X6.p4.qexp"
+    good = gens6["X6"].truncate(4)
+    text = qformat.dump_siegel(good, "X6")
+    path.write_bytes(corrupt(text))
+    assert GeneratorRegistry(tmp_path).generator("X6", 4) == good
+    assert path.read_text(encoding="utf-8") == text
+
+
+def test_cache_file_below_its_named_precision_is_a_miss(tmp_path, gens6):
+    # The name promises precision 9, the header holds 3.
+    short = qformat.dump_siegel(gens6["X4"].truncate(3), "X4")
+    (tmp_path / "X4.p9.qexp").write_text(short, encoding="utf-8")
+    assert GeneratorRegistry(tmp_path).generator("X4", 5) == gens6["X4"].truncate(5)
+    rebuilt = (tmp_path / "X4.p5.qexp").read_text(encoding="utf-8")
+    assert rebuilt == qformat.dump_siegel(gens6["X4"].truncate(5), "X4")
 
 
 def test_builds_below_the_leading_index_are_refused(tmp_path):

@@ -2,7 +2,10 @@
 
 The digests pin bytes the package produced before its three series classes
 shared one core: ``dump_siegel`` of each generator at precision 6, and the
-stdout of ``siegel2 verify --suite all``.  A mismatch means a change
+stdout of ``siegel2 verify --suite all``.  The precision-8 digests are the
+cache files pinned in ``perfbench/manifest.json`` (``warm_cache["8"]``),
+from the fraction-based builds that preceded the integer Cohen numbers and
+the row-indexed product kernel.  A mismatch means a change
 altered output; these digests must not be re-pinned to make a refactoring
 pass.
 """
@@ -11,6 +14,7 @@ import hashlib
 
 import pytest
 
+from siegel2 import GeneratorRegistry
 from siegel2.cli import main
 from siegel2.qformat import dump_siegel, save_atomic
 
@@ -23,6 +27,15 @@ DUMP_SHA256 = {
     "X16": "df2c8057ecfccca09e984b1ee3ad2fb0e4df1b6902d52aa53682a87036e4dc88",
     "X35": "2328deef543f0f5c01a420cd05b16b6a0b6721f2ebfc04f3bff2a7a22a8fda53",
 }
+DUMP8_SHA256 = {
+    "X4": "5fe2cd2729867eb2297ae44b29c989bca9336b960ecb8e8961d109bfc1071f7c",
+    "X6": "69b88a07a3387b425bb6d65894df64ecb0fb983d8ad9f2a921ac8481656d915b",
+    "X10": "6b83263acdf24e189fd69eccadaea88cdb152fb92c7ff235f1901d87bdc98712",
+    "X12": "9497f05c5b6a3100dec20ff6639e87615c3d5f979dfad2b20a8f5b29f5f1c75b",
+    "Y12": "13aea3402e2433a9628ef8df9744582070827bbe62065588f75e26981fb7457e",
+    "X16": "cbc0ae2983053e2703dc39e45d4eb0d7b4507b01ae10b9b0101e9a858b50f17e",
+    "X35": "e3c0af0ff5f6240eec6f5333bae9541eb8924d3ea1eeb6856ecafec8ed41b5b4",
+}
 VERIFY_ALL_SHA256 = "0d17ca2462f94dd9093d9369735b71ecdf1e1e0cfb224f795573b4aa8c097680"
 
 
@@ -33,6 +46,17 @@ def sha256(text: str) -> str:
 @pytest.mark.parametrize("name", sorted(DUMP_SHA256))
 def test_generator_dump_digest(gens6, name):
     assert sha256(dump_siegel(gens6[name], name)) == DUMP_SHA256[name]
+
+
+@pytest.fixture(scope="module")
+def registry8(tmp_path_factory):
+    return GeneratorRegistry(tmp_path_factory.mktemp("qexp-cache-8"))
+
+
+@pytest.mark.parametrize("name", sorted(DUMP8_SHA256))
+def test_generator_dump_digest_at_precision_8(registry8, name):
+    exp = registry8.generator(name, 8)
+    assert sha256(dump_siegel(exp, name)) == DUMP8_SHA256[name]
 
 
 def test_verify_all_stdout_digest(capsys, tmp_path, gens6):

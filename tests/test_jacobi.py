@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegel2.errors import PrecisionError
 from siegel2.jacobi import (
@@ -12,8 +15,8 @@ from siegel2.jacobi import (
     kronecker,
     maass_lift,
 )
-from siegel2.qexp1 import QSeries1, diag_builder, eisenstein1
-from siegel2.rationals import bernoulli, is_prime
+from siegel2.qexp1 import QSeries1, diag_builder, divisor_sigma, eisenstein1
+from siegel2.rationals import bernoulli, bernoulli_polynomial, divisors, factorize, is_prime
 
 
 def legendre_oracle(a, p):
@@ -52,6 +55,71 @@ def test_kronecker_multiplicative_in_n():
         d = rng.choice([-3, -4, -7, -8, 5, 8, 12, -20, 21])
         a, b = rng.randint(1, 40), rng.randint(1, 40)
         assert kronecker(d, a * b) == kronecker(d, a) * kronecker(d, b)
+
+
+def reference_kronecker(D, n):
+    """(D/n) from the factorisation of n: (D/2) from D mod 8, (D/q) by Euler."""
+    result = 1
+    for q, e in factorize(n):
+        if q == 2:
+            if D % 2 == 0:
+                return 0
+            s = 1 if D % 8 in (1, 7) else -1
+        else:
+            s = pow(D, (q - 1) // 2, q)
+            if s == 0:
+                return 0
+            if s == q - 1:
+                s = -1
+        if e % 2:
+            result *= s
+    return result
+
+
+@cache
+def reference_l_value(r, D):
+    """L(1 - r, chi_D) = -B_{r,chi}/r with B_{r,chi} = f^(r-1) sum chi(a) B_r(a/f)."""
+    f = abs(D)
+    total = sum(
+        reference_kronecker(D, a) * bernoulli_polynomial(r, Fraction(a, f))
+        for a in range(1, f + 1)
+    )
+    return -Fraction(f) ** (r - 1) * total / r
+
+
+def reference_cohen_h(r, N):
+    """H(r, N) for N > 0 from the Bernoulli-polynomial L-value."""
+    d0 = N if r % 2 == 0 else -N
+    if d0 % 4 in (2, 3):
+        return 0
+    core, f = (-1 if d0 < 0 else 1), 1
+    for q, e in factorize(abs(d0)):
+        core *= q ** (e % 2)
+        f *= q ** (e // 2)
+    if core % 4 != 1:
+        core, f = 4 * core, f // 2
+    total = 0
+    for d in divisors(f):
+        if all(e == 1 for _, e in factorize(d)):
+            mu = (-1) ** len(factorize(d))
+            chi = reference_kronecker(core, d)
+            total += mu * chi * d ** (r - 1) * divisor_sigma(f // d, 2 * r - 1)
+    return reference_l_value(r, core) * total
+
+
+discriminants = st.integers(-400, 400).filter(lambda d: d % 4 in (0, 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(D=discriminants, n=st.integers(1, 200))
+def test_kronecker_matches_factorisation_reference(D, n):
+    assert kronecker(D, n) == reference_kronecker(D, n)
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_cohen_h_matches_bernoulli_polynomial_formula(r):
+    for N in range(1, 401):
+        assert cohen_h(r, N) == reference_cohen_h(r, N), N
 
 
 def test_cohen_values():

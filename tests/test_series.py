@@ -3,7 +3,8 @@
 Each test runs per kind: QSeries1, DiagSeries, and SiegelExpansion exact
 or reduced mod 5.  An example draws two or three series of that kind in
 one ring (SiegelExpansion at scale 1 or 2).  Sizes stay tiny so the whole
-module runs in a few seconds.
+module runs in a few seconds.  Exact SiegelExpansions are also checked
+against their mod-p reductions and their text format.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from siegel2.expansion import SiegelExpansion
 from siegel2.qexp1 import DiagSeries, QSeries1
+from siegel2.qformat import dump_siegel, parse_siegel
 
 KINDS = ("q", "diag", "siegel", "siegel-mod")
 MODULUS = 5
@@ -172,6 +174,30 @@ def test_type_tags(kind, data):
         modulus = MODULUS if kind == "siegel-mod" else None
         for result in (a + b, a * b, a * 2, a.truncate(0), a**2):
             assert (result.scale, result.modulus) == (scale, modulus)
+
+
+@SETTINGS
+@given(data=st.data(), p=st.sampled_from((5, 7)))
+def test_reduce_mod_is_a_ring_homomorphism(data, p):
+    # Drawn denominators are at most 3, so every coefficient is p-integral.
+    _, (a, b) = data.draw(families("siegel", size=2))
+    assert (a * b).reduce_mod(p) == a.reduce_mod(p) * b.reduce_mod(p)
+    assert (a + b).reduce_mod(p) == a.reduce_mod(p) + b.reduce_mod(p)
+
+
+def test_reduce_mod_commutes_with_generator_products(gens6):
+    f, g = gens6["X10"], gens6["X35"]
+    for p in (2, 3, 7):
+        assert (f * g).reduce_mod(p) == f.reduce_mod(p) * g.reduce_mod(p)
+
+
+@SETTINGS
+@given(data=st.data(), weight=st.integers(-3, 40))
+def test_dump_parse_round_trip(data, weight):
+    _, (a,) = data.draw(families("siegel", size=1))
+    a = a.with_weight(weight)
+    name, parsed = parse_siegel(dump_siegel(a, "F"))
+    assert name == "F" and parsed == a and parsed.weight == weight
 
 
 def test_siegel_ring_mismatches_raise():

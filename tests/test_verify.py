@@ -57,6 +57,13 @@ def test_check_vanishing_flags_insufficient_precision(gens6):
     assert report.precision_note and "exceeds precision" in report.precision_note
 
 
+def test_exceeds_precision_is_a_structured_field(gens6):
+    x10 = gens6["X10"]
+    assert check_vanishing(x10, PrimePower(2), 9).exceeds_precision
+    assert not check_vanishing(x10, PrimePower(2), 6).exceeds_precision
+    assert not check_congruence(x10, gens6["X12"], PrimePower(2)).exceeds_precision
+
+
 def test_check_vanishing_higher_powers(gens6):
     x4 = gens6["X4"]
     # every positive-index coefficient of X4 is divisible by 48
