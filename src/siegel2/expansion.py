@@ -102,9 +102,9 @@ class SiegelExpansion(SparseSeries):
         super().__init__(precision, coeffs, weight, modulus)
 
     @classmethod
-    def constant(cls, value, precision, weight=0, scale=1):
+    def constant(cls, value, precision, weight=0, scale=1, modulus=None):
         """The constant expansion value * q^0."""
-        return cls(weight, precision, {(0, 0, 0): value}, scale)
+        return cls(weight, precision, {(0, 0, 0): value}, scale, modulus)
 
     def is_zero(self) -> bool:
         return not self.coeffs

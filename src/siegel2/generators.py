@@ -16,6 +16,8 @@ integer coefficients throughout, the sign symmetries, the declared
 diagonal-restriction images, and the declared leading term.  Builds are
 cached on disk in the text format and served at lower precision by
 truncation.  The cache directory defaults to $SIEGEL2_CACHE or ./cache.
+Monomials in the generators are formed over Z, or over F_p from the
+generators reduced mod p once per precision.
 """
 
 from __future__ import annotations
@@ -117,9 +119,16 @@ class GeneratorRegistry:
         if cache_dir is None:
             cache_dir = os.environ.get("SIEGEL2_CACHE", "cache")
         self.cache_dir = Path(cache_dir)
+        # The highest-precision expansion held per name, and the expansions
+        # served per (name, precision), each truncated once.
         self._forms: dict[str, SiegelExpansion] = {}
-        self._powers: dict[tuple[str, int, int], SiegelExpansion] = {}
-        self._monomials: dict[tuple[MonomialSpec, int], SiegelExpansion] = {}
+        self._served: dict[tuple[str, int], SiegelExpansion] = {}
+        # Generators reduced mod p, per (name, precision, p).
+        self._reduced: dict[tuple[str, int, int], SiegelExpansion] = {}
+        # Powers per (name, exponent, precision, modulus), modulus None over Z.
+        self._powers: dict[tuple[str, int, int, int | None], SiegelExpansion] = {}
+        # Monomials per (spec, precision) over Z and (spec, precision, p) mod p.
+        self._monomials: dict[tuple, SiegelExpansion] = {}
 
     # -- generators ---------------------------------------------------------
 
@@ -129,16 +138,19 @@ class GeneratorRegistry:
             raise ValueError(f"unknown generator {name!r}")
         if precision < 0:
             raise ValueError("precision must be >= 0")
+        served = self._served.get((name, precision))
+        if served is not None:
+            return served
         held = self._forms.get(name)
-        if held is not None and held.precision >= precision:
-            return held.truncate(precision)
-        loaded = self._load(name, precision)
-        if loaded is None:
-            loaded = _build(name, precision, self)
-            _pin(name, loaded)
-            self._store(name, loaded)
-        self._forms[name] = loaded
-        return loaded.truncate(precision)
+        if held is None or held.precision < precision:
+            held = self._load(name, precision)
+            if held is None:
+                held = _build(name, precision, self)
+                _pin(name, held)
+                self._store(name, held)
+            self._forms[name] = held
+        served = self._served[(name, precision)] = held.truncate(precision)
+        return served
 
     def _cache_path(self, name: str, precision: int) -> Path:
         return self.cache_dir / f"{name}.p{precision}.qexp"
@@ -147,9 +159,9 @@ class GeneratorRegistry:
         """The smallest usable cache file at or above the precision, or None.
 
         A file that does not parse, holds another generator or weight, or
-        falls short of the request in its header is skipped as a miss; the
-        rebuild at the requested precision replaces it when the file names
-        that precision.
+        falls short of the request in its header is a miss and is deleted,
+        so no later request parses it again; the rebuild at the requested
+        precision writes that precision's file.
         """
         candidates = []
         if self.cache_dir.is_dir():
@@ -164,6 +176,7 @@ class GeneratorRegistry:
             try:
                 stored_name, exp = qformat.parse_siegel(path.read_text(encoding="utf-8"))
             except (FormatError, UnicodeDecodeError):
+                path.unlink(missing_ok=True)
                 continue
             if (
                 stored_name == name
@@ -171,6 +184,7 @@ class GeneratorRegistry:
                 and exp.precision >= precision
             ):
                 return exp
+            path.unlink(missing_ok=True)
         return None
 
     def _store(self, name: str, exp: SiegelExpansion) -> None:
@@ -178,34 +192,65 @@ class GeneratorRegistry:
         qformat.save_atomic(path, qformat.dump_siegel(exp, name))
 
     # -- monomials ------------------------------------------------------------
+    #
+    # Over Z (modulus None) and over F_p (modulus p) the same code builds
+    # powers and monomials; mod p the factors are the generators reduced
+    # once per (name, precision, p), so every product stays in F_p.
 
-    def power(self, name: str, exponent: int, precision: int) -> SiegelExpansion:
-        """Cached generator power; the chain g, g^2, ... g^e is kept around
-        so nearby monomials reuse the intermediate products."""
-        if exponent == 0:
-            return SiegelExpansion.constant(1, precision)
-        if exponent == 1:
+    def _factor(self, name: str, precision: int, modulus: int | None) -> SiegelExpansion:
+        """The generator over Z, or reduced mod p once per (name, precision, p)."""
+        if modulus is None:
             return self.generator(name, precision)
-        key = (name, exponent, precision)
+        key = (name, precision, modulus)
+        held = self._reduced.get(key)
+        if held is None:
+            held = self.generator(name, precision).reduce_mod(modulus)
+            self._reduced[key] = held
+        return held
+
+    def power(
+        self, name: str, exponent: int, precision: int, modulus: int | None = None
+    ) -> SiegelExpansion:
+        """Cached generator power, over Z or mod ``modulus``; the chain g,
+        g^2, ... g^e is kept around so nearby monomials reuse the
+        intermediate products."""
+        if exponent == 0:
+            return SiegelExpansion.constant(1, precision, modulus=modulus)
+        if exponent == 1:
+            return self._factor(name, precision, modulus)
+        key = (name, exponent, precision, modulus)
         held = self._powers.get(key)
         if held is None:
-            held = self.power(name, exponent - 1, precision) * self.generator(
-                name, precision
+            held = self.power(name, exponent - 1, precision, modulus) * self._factor(
+                name, precision, modulus
             )
             self._powers[key] = held
         return held
 
     def monomial(self, spec: MonomialSpec, precision: int) -> SiegelExpansion:
         """Product expansion of a generator monomial at the given precision."""
-        key = (spec, precision)
+        return self._monomial(spec, precision, None)
+
+    def monomial_mod(self, spec: MonomialSpec, precision: int, p: int) -> SiegelExpansion:
+        """The monomial's expansion mod p, formed from the reduced generators.
+
+        Equal to ``monomial(spec, precision).reduce_mod(p)``, without the
+        products over Z.
+        """
+        return self._monomial(spec, precision, p)
+
+    def _monomial(
+        self, spec: MonomialSpec, precision: int, modulus: int | None
+    ) -> SiegelExpansion:
+        key = (spec, precision) if modulus is None else (spec, precision, modulus)
         held = self._monomials.get(key)
         if held is None:
             # Start from the first factor, not from a product by 1.
             for name, e in spec.exponents:
-                factor = self.power(name, e, precision)
+                factor = self.power(name, e, precision, modulus)
                 held = factor if held is None else held * factor
             if held is None:
-                held = SiegelExpansion.constant(1, precision)
+                held = SiegelExpansion.constant(1, precision, modulus=modulus)
             self._monomials[key] = held
         return held
 

@@ -96,13 +96,13 @@ def test_criterion_4_rank_certificates(registry):
     for k, p in _theorem1_grid():
         precision = max(sturm_bound(k), 5)
         rep = verify_theorem1_rank(k, p, precision, registry)
-        if not rep.passed:
+        if not (rep.passed and rep.rank_truncated == rep.dim_c == rep.rank_full):
             failures.append((k, p))
     _report(
         4,
         not failures,
-        f"rank(truncated at b_k) = rank(full box) for all {len(_theorem1_grid())} "
-        f"(k, p) pairs; failures: {failures}",
+        f"rank(truncated at b_k) = dim M_k = rank(full box) for all "
+        f"{len(_theorem1_grid())} (k, p) pairs; failures: {failures}",
     )
 
 

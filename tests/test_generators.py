@@ -1,6 +1,7 @@
 import pytest
 
 from siegel2 import qformat
+from siegel2.expansion import SiegelExpansion
 from siegel2.generators import (
     GENERATOR_WEIGHTS,
     GeneratorRegistry,
@@ -130,6 +131,56 @@ def test_cache_file_below_its_named_precision_is_a_miss(tmp_path, gens6):
     assert GeneratorRegistry(tmp_path).generator("X4", 5) == gens6["X4"].truncate(5)
     rebuilt = (tmp_path / "X4.p5.qexp").read_text(encoding="utf-8")
     assert rebuilt == qformat.dump_siegel(gens6["X4"].truncate(5), "X4")
+    # The rejected file is deleted, so no later request parses it again.
+    assert not (tmp_path / "X4.p9.qexp").exists()
+
+
+def test_each_precision_is_truncated_once(tmp_path, monkeypatch):
+    reg = GeneratorRegistry(tmp_path)
+    top = reg.generator("X4", 3)
+    calls = []
+    truncate = SiegelExpansion.truncate
+
+    def counted(self, precision):
+        calls.append(precision)
+        return truncate(self, precision)
+
+    monkeypatch.setattr(SiegelExpansion, "truncate", counted)
+    served = [reg.generator("X4", 2) for _ in range(3)]
+    assert calls == [2]
+    assert served[0] is served[1] is served[2] == top.truncate(2)
+    assert reg.generator("X4", 3) is top
+
+
+def test_monomial_mod_reduces_each_generator_once(registry, gens6, monkeypatch):
+    reg = GeneratorRegistry(registry.cache_dir)
+    reductions = []
+    reduce_mod = SiegelExpansion.reduce_mod
+
+    def counted(self, p):
+        reductions.append((self.weight, self.precision, p))
+        return reduce_mod(self, p)
+
+    monkeypatch.setattr(SiegelExpansion, "reduce_mod", counted)
+    specs = [
+        MonomialSpec.from_dict({"X4": 2, "X10": 1}),
+        MonomialSpec.from_dict({"X4": 1, "X6": 1, "X10": 1}),
+        MonomialSpec.from_dict({"X10": 2, "X35": 1}),
+    ]
+    for p in (2, 7):
+        for spec in specs:
+            got = reg.monomial_mod(spec, 5, p)
+            assert got.modulus == p and got.weight == spec.weight
+            assert got is reg.monomial_mod(spec, 5, p)
+    assert sorted(reductions) == sorted(
+        (w, 5, p) for p in (2, 7) for w in (4, 6, 10, 35)
+    )
+    monkeypatch.undo()
+    for spec in specs:
+        assert reg.monomial_mod(spec, 5, 3) == reg.monomial(spec, 5).reduce_mod(3)
+    one = reg.monomial_mod(MonomialSpec(), 2, 5)
+    assert one.coeffs == {(0, 0, 0): 1} and one.modulus == 5
+    assert reg.power("X6", 0, 2, 5) == one
 
 
 def test_builds_below_the_leading_index_are_refused(tmp_path):

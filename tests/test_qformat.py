@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegel2.errors import FormatError
 from siegel2.expansion import SiegelExpansion
@@ -75,6 +77,51 @@ def test_malformed_files_carry_line_numbers(mutate, lineno):
     with pytest.raises(FormatError) as info:
         parse_siegel("\n".join(lines) + "\n")
     assert info.value.lineno == lineno
+
+
+_tokens = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.text(alphabet="0123456789 -+_/.xe\t\r\u00e9", max_size=8),
+    st.sampled_from(["", "name", "weight", "scale", "precision", "entries", "9" * 5000]),
+)
+
+
+@st.composite
+def mutated_lines(draw):
+    """The sample file's lines after one to three line or token mutations."""
+    lines = dump_siegel(sample_expansion(), "sample").split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("token", "replace", "insert", "delete", "duplicate", "swap")))
+        if kind == "token":
+            parts = lines[at].split(" ")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(_tokens)
+            lines[at] = " ".join(parts)
+        elif kind == "replace":
+            lines[at] = " ".join(draw(st.lists(_tokens, max_size=6)))
+        elif kind == "insert":
+            lines.insert(at, " ".join(draw(st.lists(_tokens, max_size=6))))
+        elif kind == "delete" and len(lines) > 1:
+            del lines[at]
+        elif kind == "duplicate":
+            lines.insert(at, lines[at])
+        elif kind == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=mutated_lines())
+def test_mutated_files_parse_or_name_their_line(lines):
+    text = "\n".join(lines)
+    try:
+        name, exp = parse_siegel(text)
+    except FormatError as err:
+        assert 1 <= err.lineno <= len(lines) + 1
+        assert str(err).startswith(f"line {err.lineno}: ")
+    else:
+        assert parse_siegel(dump_siegel(exp, name)) == (name, exp)
 
 
 def test_truncated_file_rejected():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegel2.expansion import SiegelExpansion
+from siegel2.generators import GENERATOR_WEIGHTS, MonomialSpec
 from siegel2.qexp1 import DiagSeries, QSeries1
 from siegel2.qformat import dump_siegel, parse_siegel
 
@@ -189,6 +190,20 @@ def test_reduce_mod_commutes_with_generator_products(gens6):
     f, g = gens6["X10"], gens6["X35"]
     for p in (2, 3, 7):
         assert (f * g).reduce_mod(p) == f.reduce_mod(p) * g.reduce_mod(p)
+
+
+@SETTINGS
+@given(data=st.data(), p=st.sampled_from((2, 3, 5, 7)), precision=st.integers(0, 5))
+def test_monomial_mod_is_the_reduced_monomial(gens6, registry, data, p, precision):
+    # gens6 holds every generator at precision 6, so each request below is
+    # served by truncation, also under the leading index of X35.
+    exponents, budget = {}, 40
+    for name, weight in GENERATOR_WEIGHTS.items():
+        exponents[name] = e = data.draw(st.integers(0, budget // weight), label=name)
+        budget -= e * weight
+    spec = MonomialSpec.from_dict(exponents)
+    want = registry.monomial(spec, precision).reduce_mod(p)
+    assert registry.monomial_mod(spec, precision, p) == want
 
 
 @SETTINGS

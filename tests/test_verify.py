@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegel2.expansion import SiegelExpansion
 from siegel2.generators import MonomialSpec
@@ -7,12 +9,14 @@ from siegel2.verify import (
     GENSET_C,
     GENSET_INTEGRAL,
     CoeffMatrix,
+    Theorem1Report,
     box_indices,
     check_congruence,
     check_vanishing,
     fp_rank,
     matrix_from_forms,
     sharpness_witness,
+    streamed_ranks,
     sturm_bound,
     verify_identities,
     verify_theorem1_rank,
@@ -127,6 +131,78 @@ def test_theorem1_rank_examples(registry):
     report = verify_theorem1_rank(35, 3, 5, registry)
     assert report.passed and report.rank_full == 1
     assert report.monomials == ["X35"]
+
+
+def test_theorem1_pass_needs_the_dimension():
+    # Equal ranks below dim M_k are not a certificate.
+    report = Theorem1Report(12, 5, 1, 5, True, dim_c=3, rank_truncated=2, rank_full=2)
+    assert not report.passed
+    report.rank_truncated = report.rank_full = 3
+    assert report.passed
+    report.rank_full = 4
+    assert not report.passed
+
+
+def test_theorem1_rank_extended_grid(registry):
+    """Even weights 66..80 at p = 5, 7: 63 to 101 monomials, b_k up to 8."""
+    for k in range(66, 81, 2):
+        for p in (5, 7):
+            rep = verify_theorem1_rank(k, p, max(sturm_bound(k), 5), registry)
+            assert rep.passed, (k, p)
+            assert rep.rank_truncated == rep.rank_full == rep.dim_c == len(rep.monomials)
+
+
+def _ranks_by_fp_rank(entries, split, p):
+    ncols = len(entries[0]) if entries else 0
+    full = CoeffMatrix(list(range(len(entries))), list(range(ncols)), entries)
+    truncated = full.column_subset(lambda j: j < split)
+    return fp_rank(truncated, p)[0], fp_rank(full, p)[0]
+
+
+def _streamed(entries, split, p):
+    rows = [dict(enumerate(row)) for row in entries]
+    ncols = len(entries[0]) if entries else 0
+    return streamed_ranks(rows, range(split), range(split, ncols), p)
+
+
+@st.composite
+def matrices(draw):
+    """(entries, split, p), with zero rows, repeated rows and tall shapes."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ncols = draw(st.integers(0, 6))
+    row = st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)
+    entries = draw(st.lists(row, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "repeat", "multiple")))
+        at = draw(st.integers(0, len(entries)))
+        if kind == "zero" or not entries:
+            extra = [0] * ncols
+        else:
+            source = draw(st.sampled_from(entries))
+            factor = 1 if kind == "repeat" else draw(st.integers(-3, 3))
+            extra = [factor * x for x in source]
+        entries.insert(at, extra)
+    return entries, draw(st.integers(0, ncols)), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=matrices())
+def test_streamed_ranks_match_fp_rank(case):
+    entries, split, p = case
+    assert _streamed(entries, split, p) == _ranks_by_fp_rank(entries, split, p)
+
+
+def test_streamed_ranks_examples():
+    # p = 2, a zero row, a repeated row, and more rows than columns.
+    entries = [[1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    assert _streamed(entries, 1, 2) == (1, 2) == _ranks_by_fp_rank(entries, 1, 2)
+    assert _streamed(entries, 3, 3) == (3, 3)
+    assert _streamed([], 0, 5) == (0, 0)
+    assert _streamed([[0, 0], [0, 0]], 1, 7) == (0, 0)
+    # Full rank inside the split stops the elimination early.
+    assert _streamed([[1, 0, 5], [0, 1, 6]], 2, 5) == (2, 2)
+    with pytest.raises(ValueError):
+        _streamed(entries, 1, 4)
 
 
 def test_theorem1_rank_refuses_uncovered_cases(registry):
