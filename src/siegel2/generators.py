@@ -127,8 +127,8 @@ class GeneratorRegistry:
         self._reduced: dict[tuple[str, int, int], SiegelExpansion] = {}
         # Powers per (name, exponent, precision, modulus), modulus None over Z.
         self._powers: dict[tuple[str, int, int, int | None], SiegelExpansion] = {}
-        # Monomials per (spec, precision) over Z and (spec, precision, p) mod p.
-        self._monomials: dict[tuple, SiegelExpansion] = {}
+        # Monomials over Z per (spec, precision).
+        self._monomials: dict[tuple[MonomialSpec, int], SiegelExpansion] = {}
 
     # -- generators ---------------------------------------------------------
 
@@ -229,30 +229,32 @@ class GeneratorRegistry:
 
     def monomial(self, spec: MonomialSpec, precision: int) -> SiegelExpansion:
         """Product expansion of a generator monomial at the given precision."""
-        return self._monomial(spec, precision, None)
+        key = (spec, precision)
+        held = self._monomials.get(key)
+        if held is None:
+            held = self._monomials[key] = self._monomial(spec, precision, None)
+        return held
 
     def monomial_mod(self, spec: MonomialSpec, precision: int, p: int) -> SiegelExpansion:
         """The monomial's expansion mod p, formed from the reduced generators.
 
         Equal to ``monomial(spec, precision).reduce_mod(p)``, without the
-        products over Z.
+        products over Z.  Not memoised: each certificate asks for its own
+        (spec, precision, p) once.
         """
         return self._monomial(spec, precision, p)
 
     def _monomial(
         self, spec: MonomialSpec, precision: int, modulus: int | None
     ) -> SiegelExpansion:
-        key = (spec, precision) if modulus is None else (spec, precision, modulus)
-        held = self._monomials.get(key)
-        if held is None:
-            # Start from the first factor, not from a product by 1.
-            for name, e in spec.exponents:
-                factor = self.power(name, e, precision, modulus)
-                held = factor if held is None else held * factor
-            if held is None:
-                held = SiegelExpansion.constant(1, precision, modulus=modulus)
-            self._monomials[key] = held
-        return held
+        # Start from the first factor, not from a product by 1.
+        product = None
+        for name, e in spec.exponents:
+            factor = self.power(name, e, precision, modulus)
+            product = factor if product is None else product * factor
+        if product is None:
+            product = SiegelExpansion.constant(1, precision, modulus=modulus)
+        return product
 
 
 _DEFAULT_REGISTRY: GeneratorRegistry | None = None

@@ -479,16 +479,23 @@ def sharpness_witness(
     exp = registry.monomial(spec, b)
     pp = PrimePower(p)
     violations = []
+    # The leading index mod p is the first one in (m, n, r) order with a
+    # coefficient nonzero mod p; reduce_mod_p rejects non-p-integral ones.
+    lead = None
     for key in exp.support():
         m, _, n = key
+        c = exp.coeffs[key]
         if m <= b - 1 and n <= b - 1:
-            violations.append((key, p_valuation(exp.coeffs[key], p)))
-    lt = exp.reduce_mod(p).leading_term()
-    unit = lt.index == expected
+            violations.append((key, p_valuation(c, p)))
+        if reduce_mod_p(c, p) and lead is None:
+            lead = key
+    if lead is None:
+        raise ValueError(f"witness {spec} vanishes mod {p} on its box")
+    unit = lead == expected
     verdict = not violations and unit
     note = None
     if not unit:
-        note = f"leading term {lt.index} differs from expected {expected}"
+        note = f"leading term {lead} differs from expected {expected}"
     report = SturmReport(b - 1, pp, verdict, violations, note)
     return spec, report
 

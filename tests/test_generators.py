@@ -9,6 +9,7 @@ from siegel2.generators import (
     build_generator,
     monomial_eval,
 )
+from siegel2.verify import verify_theorem1_rank
 
 ALL_NAMES = tuple(GENERATOR_WEIGHTS)
 
@@ -171,7 +172,11 @@ def test_monomial_mod_reduces_each_generator_once(registry, gens6, monkeypatch):
         for spec in specs:
             got = reg.monomial_mod(spec, 5, p)
             assert got.modulus == p and got.weight == spec.weight
-            assert got is reg.monomial_mod(spec, 5, p)
+            # F_p monomials are not memoised: a repeat call forms the
+            # product again, from the reductions already held.
+            before = len(reductions)
+            assert got == reg.monomial_mod(spec, 5, p)
+            assert len(reductions) == before
     assert sorted(reductions) == sorted(
         (w, 5, p) for p in (2, 7) for w in (4, 6, 10, 35)
     )
@@ -181,6 +186,14 @@ def test_monomial_mod_reduces_each_generator_once(registry, gens6, monkeypatch):
     one = reg.monomial_mod(MonomialSpec(), 2, 5)
     assert one.coeffs == {(0, 0, 0): 1} and one.modulus == 5
     assert reg.power("X6", 0, 2, 5) == one
+
+
+def test_certificates_leave_no_fp_monomials_held(registry, gens6):
+    reg = GeneratorRegistry(registry.cache_dir)
+    report = verify_theorem1_rank(24, 5, 5, reg)
+    assert report.passed
+    assert all(len(key) == 2 for key in reg._monomials)
+    assert any(key[-1] == 5 for key in reg._powers)
 
 
 def test_builds_below_the_leading_index_are_refused(tmp_path):

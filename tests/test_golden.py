@@ -2,12 +2,13 @@
 
 The digests pin bytes the package produced before its three series classes
 shared one core: ``dump_siegel`` of each generator at precision 6, and the
-stdout of ``siegel2 verify --suite all``.  The precision-8 digests are the
-cache files pinned in ``perfbench/manifest.json`` (``warm_cache["8"]``),
-from the fraction-based builds that preceded the integer Cohen numbers and
-the row-indexed product kernel.  A mismatch means a change
-altered output; these digests must not be re-pinned to make a refactoring
-pass.
+stdout of ``siegel2 verify --suite all``.  The precision-8 and precision-10
+digests are the cache files pinned in ``perfbench/manifest.json``
+(``warm_cache["8"]`` and ``warm_cache["10"]``), from the fraction-based
+builds that preceded the integer Cohen numbers and the row-indexed product
+kernel; at precision 10 the products of the builds reach 83-bit
+coefficients.  A mismatch means a change altered output; these digests
+must not be re-pinned to make a refactoring pass.
 """
 
 import hashlib
@@ -36,6 +37,15 @@ DUMP8_SHA256 = {
     "X16": "cbc0ae2983053e2703dc39e45d4eb0d7b4507b01ae10b9b0101e9a858b50f17e",
     "X35": "e3c0af0ff5f6240eec6f5333bae9541eb8924d3ea1eeb6856ecafec8ed41b5b4",
 }
+DUMP10_SHA256 = {
+    "X4": "02a8d9472f4a2b7e6f73a43c8bbe6402a57cf54a9056492c21722106ca8bcb67",
+    "X6": "01e04686bb9ac96086693752646327f961426671272b8a81d362ed7aa021729a",
+    "X10": "bbc3a8621a9c26c5ea915bebba9a261dc94b075e85495594b72014531db67ae4",
+    "X12": "3d2b85c97f2a88d2c08d3e87e80658d2890cf9cf986d7c76683b3378c17cc8db",
+    "Y12": "3c063125ea4e39293565e7fe37bfe3f351939d62ae535006c5da992e45f31c3f",
+    "X16": "4f89f50e29bb39e53c55267dffc3a3230549894ff1514993518b5be266a2e5b3",
+    "X35": "744f45e408a68317ea9342c21b62308b102a9f2d7ba01aa31b2a32d3f134ccaa",
+}
 VERIFY_ALL_SHA256 = "0d17ca2462f94dd9093d9369735b71ecdf1e1e0cfb224f795573b4aa8c097680"
 
 
@@ -57,6 +67,17 @@ def registry8(tmp_path_factory):
 def test_generator_dump_digest_at_precision_8(registry8, name):
     exp = registry8.generator(name, 8)
     assert sha256(dump_siegel(exp, name)) == DUMP8_SHA256[name]
+
+
+@pytest.fixture(scope="module")
+def registry10(tmp_path_factory):
+    return GeneratorRegistry(tmp_path_factory.mktemp("qexp-cache-10"))
+
+
+@pytest.mark.parametrize("name", sorted(DUMP10_SHA256))
+def test_generator_dump_digest_at_precision_10(registry10, name):
+    exp = registry10.generator(name, 10)
+    assert sha256(dump_siegel(exp, name)) == DUMP10_SHA256[name]
 
 
 def test_verify_all_stdout_digest(capsys, tmp_path, gens6):

@@ -95,8 +95,9 @@ def naive_product(kind, scale, a, b):
             key = add_keys(k1, k2)
             if key in inside:
                 out[key] = out.get(key, 0) + c1 * c2
-    if kind == "siegel-mod":
-        out = {k: v % MODULUS for k, v in out.items()}
+    modulus = getattr(a, "modulus", None)
+    if modulus is not None:
+        out = {k: v % modulus for k, v in out.items()}
     return {k: v for k, v in out.items() if v}
 
 
@@ -140,6 +141,62 @@ def test_product_matches_naive_convolution(kind, data):
     got = a * b
     assert got.coeffs == naive_product(kind, scale, a, b)
     assert got.precision == min(a.precision, b.precision)
+
+
+# Products whose coefficients are far wider than the drawn ones above: the
+# packed Siegel product must size its slots for every coefficient width,
+# denominator and modulus.
+BIG = 2**200
+M61 = 2**61 - 1
+
+
+@st.composite
+def wide_siegel_pairs(draw):
+    """(scale, [a, b]): sparse operands with wide entries, or full boxes at
+    the largest magnitude of a bit length, so the slot sums are as large as
+    the box allows."""
+    scale = draw(st.sampled_from((1, 2)))
+    modulus = draw(st.sampled_from((None, M61)))
+    if modulus is None:
+        coeff = st.one_of(
+            st.integers(-BIG, BIG),
+            st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, 10**6)),
+        )
+    else:
+        coeff = st.integers(0, modulus - 1)
+    members = []
+    for _ in range(2):
+        precision = draw(st.integers(0, 3 // scale))
+        keys = box_keys("siegel", scale * precision)
+        if draw(st.booleans()):
+            top = modulus - 1 if modulus else 2 ** draw(st.integers(1, 200)) - 1
+            sign = draw(st.sampled_from((1, -1, None)))
+            coeffs = {k: (sign or draw(st.sampled_from((1, -1)))) * top for k in keys}
+        else:
+            coeffs = draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=8))
+        members.append(SiegelExpansion(4, precision, coeffs, scale, modulus))
+    return scale, members
+
+
+@SETTINGS
+@given(pair=wide_siegel_pairs())
+def test_wide_siegel_products_match_naive_convolution(pair):
+    scale, (a, b) = pair
+    got = a * b
+    assert got.coeffs == naive_product("siegel", scale, a, b)
+    for v in got.coeffs.values():
+        assert not (isinstance(v, Fraction) and v.denominator == 1)
+
+
+@pytest.mark.parametrize("modulus", (None, MODULUS, M61))
+def test_siegel_products_at_box_zero_and_with_zero(modulus):
+    value = Fraction(-BIG + 1, 999983) if modulus is None else M61 - 2
+    a = SiegelExpansion(4, 0, {(0, 0, 0): value}, modulus=modulus)
+    assert (a * a).coeffs == naive_product("siegel", 1, a, a) != {}
+    zero = SiegelExpansion(4, 2, {}, modulus=modulus)
+    full = SiegelExpansion(4, 2, {k: value for k in box_keys("siegel", 2)}, modulus=modulus)
+    assert (zero * full).coeffs == (full * zero).coeffs == {}
+    assert (full * a).coeffs == naive_product("siegel", 1, full, a)
 
 
 @by_kind

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegel2.errors import NotPIntegral
 from siegel2.expansion import SiegelExpansion
 from siegel2.generators import MonomialSpec
 from siegel2.rationals import PrimePower
@@ -247,6 +250,33 @@ def test_sharpness_witness_examples(registry):
     assert str(spec) == "X4" and report.verdict
     spec, report = sharpness_witness(45, 3, registry)
     assert str(spec) == "X10*X35" and report.verdict
+
+
+class OneExpansion:
+    """A registry stand-in that serves one expansion as every monomial."""
+
+    def __init__(self, exp):
+        self.exp = exp
+
+    def monomial(self, spec, precision):
+        return self.exp
+
+
+def test_sharpness_witness_reads_the_leading_index_mod_p():
+    # Weight 10 has b_k = 1 and expects its leading index at (1, -1, 1).
+    exp = SiegelExpansion(10, 1, {(1, -1, 1): 3, (1, 0, 1): 1, (1, 1, 1): 3})
+    _, report = sharpness_witness(10, 5, OneExpansion(exp))
+    assert report.verdict and report.precision_note is None
+    _, report = sharpness_witness(10, 3, OneExpansion(exp))
+    assert not report.verdict
+    assert report.precision_note == "leading term (1, 0, 1) differs from expected (1, -1, 1)"
+    with pytest.raises(ValueError, match="vanishes mod 3"):
+        sharpness_witness(10, 3, OneExpansion(SiegelExpansion(10, 1, {(1, 0, 1): 6})))
+    # A non-p-integral entry is rejected, also one after the leading index.
+    bad = SiegelExpansion(10, 1, {(1, -1, 1): 1, (1, 1, 1): Fraction(1, 3)})
+    with pytest.raises(NotPIntegral):
+        sharpness_witness(10, 3, OneExpansion(bad))
+    assert sharpness_witness(10, 5, OneExpansion(bad))[1].verdict
 
 
 def test_sharpness_witness_rejects_empty_spaces(registry):
