@@ -12,9 +12,7 @@ from .generators import (
     GENERATOR_WEIGHTS,
     GeneratorRegistry,
     MonomialSpec,
-    build_generator,
     default_registry,
-    monomial_eval,
 )
 from .jacobi import JacobiForm1, cohen_h, jacobi_combine, jacobi_eisenstein, kronecker, maass_lift
 from .qexp1 import DiagSeries, QSeries1, delta1, diag_builder, diag_tensor, divisor_sigma, eisenstein1

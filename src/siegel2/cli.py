@@ -55,12 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="generator cache directory (default: $SIEGEL2_CACHE or ./cache)",
     )
-    common.add_argument(
-        "--output",
-        choices=("text", "summary"),
-        default="text",
-        help="text prints every sub-check, summary only the RESULT lines",
-    )
     parser = argparse.ArgumentParser(
         prog="siegel2",
         description="Exact degree-2 Siegel modular form expansions, "
@@ -107,6 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", required=True, choices=SUITES + ("all",))
     p_ver.add_argument("--prime", type=int, default=None)
     p_ver.add_argument("--prec", type=int, default=None)
+    p_ver.add_argument(
+        "--output",
+        choices=("text", "summary"),
+        default="text",
+        help="text prints every sub-check, summary only the RESULT lines",
+    )
     return parser
 
 
@@ -119,7 +119,7 @@ def _print_report(report, output: str) -> None:
 
 
 def _run(args) -> int:
-    registry = GeneratorRegistry(args.cache_dir) if hasattr(args, "cache_dir") else None
+    registry = GeneratorRegistry(args.cache_dir)
 
     if args.command == "build":
         exp = registry.generator(args.name, args.prec)

@@ -268,16 +268,6 @@ def default_registry() -> GeneratorRegistry:
     return _DEFAULT_REGISTRY
 
 
-def build_generator(name: str, precision: int, registry=None) -> SiegelExpansion:
-    """Build (or fetch) a named generator at the given precision."""
-    return (registry or default_registry()).generator(name, precision)
-
-
-def monomial_eval(spec: MonomialSpec, precision: int, registry=None) -> SiegelExpansion:
-    """Evaluate a generator monomial at the given precision."""
-    return (registry or default_registry()).monomial(spec, precision)
-
-
 # -- builders ----------------------------------------------------------------
 
 

@@ -9,9 +9,11 @@ The truncation bound for weight k at level index i is
 divisible by p^nu" on exact expansions; ``verify_theorem1_rank`` certifies
 at desk scale that truncating at the bound loses no mod-p information, by
 showing in F_p that the weight-k monomials have rank dim M_k on the
-truncated box; ``sharpness_witness``
-produces a form showing the bound cannot be lowered.  ``verify_identities``
-bundles the named suites exercised by the CLI:
+truncated box; ``sharpness_witness`` produces a form showing the bound
+cannot be lowered.  Every rank, left kernel and canonical span over F_p
+comes from one echelon basis (``Echelon``); a left kernel is the
+complement of the column span.  ``verify_identities`` bundles the named
+suites exercised by the CLI:
 
 * witt-images          -- pinned diagonal-restriction images of the generators
 * lemma10              -- the mod-2/mod-3 congruences among the generators,
@@ -187,17 +189,9 @@ class CoeffMatrix:
     columns: list
     entries: list
 
-    def column_subset(self, keep) -> "CoeffMatrix":
-        idx = [j for j, col in enumerate(self.columns) if keep(col)]
-        return CoeffMatrix(
-            list(self.row_labels),
-            [self.columns[j] for j in idx],
-            [[row[j] for j in idx] for row in self.entries],
-        )
-
 
 def matrix_from_forms(labelled, indices) -> CoeffMatrix:
-    """Rows of Fourier coefficients at the given (m, r, n) indices."""
+    """Rows of Fourier coefficients at the given indices."""
     labels = [label for label, _ in labelled]
     entries = []
     for _, exp in labelled:
@@ -206,7 +200,7 @@ def matrix_from_forms(labelled, indices) -> CoeffMatrix:
 
 
 def box_indices(precision: int, scale: int = 1) -> list:
-    """Every semi-definite index in the box, sorted by (m, n, r)."""
+    """Every semi-definite index in the box, in (m, n, r) order."""
     out = []
     box = precision * scale
     for m in range(box + 1):
@@ -214,116 +208,116 @@ def box_indices(precision: int, scale: int = 1) -> list:
             rmax = isqrt(4 * m * n)
             for r in range(-rmax, rmax + 1):
                 out.append((m, r, n))
-    out.sort(key=lambda key: (key[0], key[2], key[1]))
     return out
 
 
-def _row_reduce(entries, p):
-    """Deterministic full row reduction over F_p, tracking the left kernel.
+class Echelon:
+    """Echelon basis of a subspace of F_p^dim, grown one vector at a time.
 
-    Pivots take the first nonzero column with the smallest remaining row
-    index.  Returns (rank, kernel_basis, echelon_rows); kernel vectors v
-    satisfy v * M = 0.
+    Each basis vector has a 1 at its pivot and 0 at the pivots of the
+    vectors added before it.  ``add`` skips a zero vector and a multiple of
+    a vector met before without sweeping it.
     """
-    nrows = len(entries)
-    rows = [list(r) for r in entries]
-    aug = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    used = [False] * nrows
-    ncols = len(rows[0]) if rows else 0
 
-    def scaled(vec, factor):
-        return [v * factor % p for v in vec]
+    def __init__(self, dim: int, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.dim = dim
+        self.p = p
+        self.basis = []  # (pivot, vector)
+        self._seen = set()  # vectors met so far, scaled to a leading 1
 
-    def eliminated(vec, factor, pivot_vec):
-        return [(a - factor * b) % p for a, b in zip(vec, pivot_vec)]
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
 
-    for col in range(ncols):
-        pivot = None
-        for i in range(nrows):
-            if not used[i] and rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        used[pivot] = True
-        lead = rows[pivot][col]
+    def add(self, vec) -> None:
+        p = self.p
+        vec = [x % p for x in vec]
+        lead = next((x for x in vec if x), 0)
+        if not lead:
+            return
         inv = pow(lead, -1, p)
-        rows[pivot] = scaled(rows[pivot], inv)
-        aug[pivot] = scaled(aug[pivot], inv)
-        for i in range(nrows):
-            if i != pivot and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = eliminated(rows[i], factor, rows[pivot])
-                aug[i] = eliminated(aug[i], factor, aug[pivot])
-    rank = sum(used)
-    kernel = [tuple(aug[i]) for i in range(nrows) if not used[i]]
-    return rank, kernel, rows
+        line = tuple(x * inv % p for x in vec)
+        if line in self._seen:
+            return
+        self._seen.add(line)
+        # Entries stay unreduced during the sweep: they are small integers.
+        for pivot, b in self.basis:
+            c = vec[pivot] % p
+            if c:
+                vec = [x - c * y for x, y in zip(vec, b)]
+        pivot = next((i for i, x in enumerate(vec) if x % p), None)
+        if pivot is not None:
+            inv = pow(vec[pivot], -1, p)
+            self.basis.append((pivot, [x * inv % p for x in vec]))
+
+    def reduced(self) -> tuple:
+        """The reduced echelon form in pivot order: the same for every spanning set."""
+        p = self.p
+        done = []  # (pivot, vector), 0 at every other pivot in done
+        for pivot, b in reversed(self.basis):
+            for q, r in done:
+                c = b[q]
+                b = [(x - c * y) % p for x, y in zip(b, r)]
+            done.append((pivot, b))
+        return tuple(tuple(b) for _, b in sorted(done))
+
+    def complement(self) -> list:
+        """A basis of the vectors v with v . w = 0 for every w in the span.
+
+        One vector per non-pivot coordinate j: e_j minus each reduced row's
+        entry at j placed at that row's pivot.
+        """
+        rows = self.reduced()
+        pivots = [row.index(1) for row in rows]  # a reduced row leads with 1
+        out = []
+        for j in sorted(set(range(self.dim)) - set(pivots)):
+            v = [0] * self.dim
+            v[j] = 1
+            for q, row in zip(pivots, rows):
+                v[q] = -row[j] % self.p
+            out.append(tuple(v))
+        return out
 
 
 def fp_rank(matrix: CoeffMatrix, p: int):
     """Rank and left-kernel basis over F_p (p prime).
 
     Kernel vectors give the vanishing combinations of the rows, i.e. the
-    relations among the labelled forms on the chosen index set.
+    relations among the labelled forms on the chosen index set.  The left
+    kernel is the complement of the column span.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    entries = [[reduce_mod_p(e, p) for e in row] for row in matrix.entries]
-    rank, kernel, _ = _row_reduce(entries, p)
-    return rank, kernel
+    basis = Echelon(len(matrix.entries), p)
+    for column in zip(*matrix.entries):
+        basis.add([reduce_mod_p(e, p) for e in column])
+    return basis.rank, basis.complement()
 
 
 def streamed_ranks(rows, inside, outside, p):
     """F_p ranks of the rows on the ``inside`` columns and on all columns.
 
-    ``rows`` are coefficient dicts keyed by column.  One elimination
-    streams the columns, ``inside`` first and then ``outside``: each
-    column, the vector of the rows' coefficients at its key, is reduced
-    against an echelon basis of the columns before it and joins the basis
-    when it is independent.  A column that is a multiple of one seen
-    before is skipped, and the elimination stops once the rank equals the
-    number of rows.
+    ``rows`` are coefficient dicts keyed by column.  The columns, ``inside``
+    first and then ``outside``, stream into one echelon basis of the column
+    span, and the elimination stops once the rank equals the number of rows.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    basis = []  # (pivot, vector): vector[pivot] == 1, 0 at earlier pivots
-    seen = set()  # columns met so far, scaled to a leading 1
-
-    def stream(columns):
+    basis = Echelon(len(rows), p)
+    ranks = []
+    for columns in (inside, outside):
         for key in columns:
-            if len(basis) == len(rows):
-                return
-            vec = [row.get(key, 0) % p for row in rows]
-            lead = next((x for x in vec if x), 0)
-            if not lead:
-                continue
-            inv = pow(lead, -1, p)
-            line = tuple(x * inv % p for x in vec)
-            if line in seen:
-                continue
-            seen.add(line)
-            # Entries stay unreduced during the sweep: they are small integers.
-            for pivot, b in basis:
-                c = vec[pivot] % p
-                if c:
-                    vec = [x - c * y for x, y in zip(vec, b)]
-            pivot = next((i for i, x in enumerate(vec) if x % p), None)
-            if pivot is not None:
-                inv = pow(vec[pivot], -1, p)
-                basis.append((pivot, [x * inv % p for x in vec]))
-
-    stream(inside)
-    rank_inside = len(basis)
-    stream(outside)
-    return rank_inside, len(basis)
+            if basis.rank == basis.dim:
+                break
+            basis.add([row.get(key, 0) for row in rows])
+        ranks.append(basis.rank)
+    return tuple(ranks)
 
 
 def span_canonical(vectors, p):
-    """Canonical form of the F_p span of the given vectors (frozenset of rows)."""
-    if not vectors:
-        return frozenset()
-    _, _, rows = _row_reduce([list(v) for v in vectors], p)
-    return frozenset(tuple(r) for r in rows if any(r))
+    """Canonical form of the F_p span of the given vectors: its reduced echelon form."""
+    basis = Echelon(len(vectors[0]) if vectors else 0, p)
+    for v in vectors:
+        basis.add(v)
+    return basis.reduced()
 
 
 # -- bound certificates ----------------------------------------------------
@@ -369,16 +363,14 @@ class Theorem1Report:
 
 
 def _certified_genset(k: int, p: int):
-    if k % 2 == 0:
-        if p >= 5:
-            return list(GENSET_C)
-        if k <= 16:
-            return list(GENSET_INTEGRAL)
+    # GENSET_INTEGRAL stops at weight 16, so p in {2, 3} stops at weight 16
+    # in even weight and at 35 + 16 in odd weight.
+    if p < 5 and k > (51 if k % 2 else 16):
         return None
-    if 35 <= k <= 51:
-        base = GENSET_C if p >= 5 else GENSET_INTEGRAL
-        return list(base) + ["X35"]
-    return None
+    if k % 2 and k < 35:
+        return None
+    base = list(GENSET_C if p >= 5 else GENSET_INTEGRAL)
+    return base + ["X35"] if k % 2 else base
 
 
 def verify_theorem1_rank(
@@ -389,8 +381,9 @@ def verify_theorem1_rank(
     The rows are all weight-k monomials in the generator sets whose span is
     known to cover the integral forms: the four classical generators for
     p >= 5, their integral completion through weight 16 for p in {2, 3},
-    and X35 times those for odd weights up to 51.  Outside that coverage
-    the report says so explicitly rather than passing on a proper subspace.
+    and X35 times those in odd weight (up to 51 for p in {2, 3}).  Outside
+    that coverage the report says so explicitly rather than passing on a
+    proper subspace.
     The monomials are formed mod p, and one streamed elimination gives
     both ranks (see ``streamed_ranks``).  dim M_k is the number of
     monomials in the classical generators (Igusa).
@@ -414,10 +407,6 @@ def verify_theorem1_rank(
     report.monomials = [str(m) for m in monomials]
     c_genset = list(GENSET_C) + (["X35"] if k % 2 else [])
     report.dim_c = len(weight_monomials(k, c_genset))
-    if not monomials:
-        report.rank_truncated = 0
-        report.rank_full = 0
-        return report
     rows = [registry.monomial_mod(spec, precision, p).coeffs for spec in monomials]
     inside, outside = [], []
     for key in box_indices(precision):
@@ -638,20 +627,15 @@ def _suite_prop1_w12(ps, B: int, registry, report: SuiteReport) -> None:
     labels = [str(m) for m in monomials]
     w2 = weight_monomials(2, GENSET_INTEGRAL)
     report.add(not w2, "prop1-w12.weight2-empty", "no weight-2 monomials")
-    indices = box_indices(B)
     diag_indices = [(m, n) for m in range(B + 1) for n in range(B + 1)]
     exact = [registry.monomial(spec, B) for spec in monomials]
-    forms = matrix_from_forms(list(zip(labels, exact)), indices)
-    witt_entries = []
-    for exp in exact:
-        image = exp.witt(0)
-        witt_entries.append([image.coeffs.get(key, 0) for key in diag_indices])
-    witt_matrix = CoeffMatrix(labels, diag_indices, witt_entries)
-    try:
-        x12_at = labels.index("X12")
-    except ValueError:
-        raise AssertionError("weight-12 monomials must include X12") from None
-    unit_x12 = tuple(1 if i == x12_at else 0 for i in range(len(labels)))
+    forms = matrix_from_forms(list(zip(labels, exact)), box_indices(B))
+    images = [(label, exp.witt(0)) for label, exp in zip(labels, exact)]
+    witt_matrix = matrix_from_forms(images, diag_indices)
+    truncated = matrix_from_forms(
+        images, [(m, n) for m, n in diag_indices if m <= 1 and n <= 1]
+    )
+    unit_x12 = tuple(int(label == "X12") for label in labels)
     for p in ps:
         _, relations = fp_rank(forms, p)
         _, witt_kernel = fp_rank(witt_matrix, p)
@@ -665,7 +649,6 @@ def _suite_prop1_w12(ps, B: int, registry, report: SuiteReport) -> None:
             f"restriction kernel = relations + F_{p}*X12 "
             f"(dim {len(witt_kernel)} = {len(relations)} + 1)",
         )
-        truncated = witt_matrix.column_subset(lambda key: key[0] <= 1 and key[1] <= 1)
         _, truncated_kernel = fp_rank(truncated, p)
         report.add(
             span_canonical(truncated_kernel, p) == want,
@@ -705,8 +688,7 @@ def _suite_lemma12(ps, report: SuiteReport) -> None:
             for lb, fb in basis[i + 1 :]:
                 rows.append((f"{la}|{lb}", diag_tensor(fa, fb) + diag_tensor(fb, fa)))
         columns = [(m, n) for m in range(cutoff + 1) for n in range(cutoff + 1)]
-        entries = [[series.coeffs.get(key, 0) for key in columns] for _, series in rows]
-        matrix = CoeffMatrix([label for label, _ in rows], columns, entries)
+        matrix = matrix_from_forms(rows, columns)
         for p in ps:
             rank, _ = fp_rank(matrix, p)
             report.add(

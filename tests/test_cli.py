@@ -185,6 +185,12 @@ def test_unknown_generator_rejected_by_argparse(capsys, cache):
     assert info.value.code == 2
 
 
+def test_output_is_an_option_of_verify_only(capsys, cache):
+    with pytest.raises(SystemExit) as info:
+        main(["show", "--name", "X4", "--output", "summary", "--cache-dir", str(cache)])
+    assert info.value.code == 2
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "siegel2", "sturm-bound", "--weight", "83"],

@@ -6,8 +6,6 @@ from siegel2.generators import (
     GENERATOR_WEIGHTS,
     GeneratorRegistry,
     MonomialSpec,
-    build_generator,
-    monomial_eval,
 )
 from siegel2.verify import verify_theorem1_rank
 
@@ -65,20 +63,20 @@ def test_cache_env_variable(tmp_path, monkeypatch):
 
 def test_build_generator_convenience(tmp_path):
     reg = GeneratorRegistry(tmp_path)
-    exp = build_generator("X6", 3, reg)
+    exp = reg.generator("X6", 3)
     assert exp.weight == 6 and exp.precision == 3
     with pytest.raises(ValueError):
-        build_generator("X99", 3, reg)
+        reg.generator("X99", 3)
 
 
 def test_monomial_eval(registry):
     spec = MonomialSpec.from_dict({"X10": 1, "X12": 1})
-    exp = monomial_eval(spec, 6, registry)
+    exp = registry.monomial(spec, 6)
     assert exp.weight == 22
     assert exp.leading_term().index == (2, -2, 2)
-    f39 = monomial_eval(MonomialSpec.from_dict({"X4": 1, "X35": 1}), 6, registry)
+    f39 = registry.monomial(MonomialSpec.from_dict({"X4": 1, "X35": 1}), 6)
     assert f39.leading_term().index == (2, -1, 3)
-    one = monomial_eval(MonomialSpec(), 4, registry)
+    one = registry.monomial(MonomialSpec(), 4)
     assert one.weight == 0 and one.coeffs == {(0, 0, 0): 1}
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from siegel2.verify import (
     fp_rank,
     matrix_from_forms,
     sharpness_witness,
+    span_canonical,
     streamed_ranks,
     sturm_bound,
     verify_identities,
@@ -155,10 +157,45 @@ def test_theorem1_rank_extended_grid(registry):
             assert rep.rank_truncated == rep.rank_full == rep.dim_c == len(rep.monomials)
 
 
+def test_theorem1_rank_odd_weights_past_51(registry):
+    """Odd weights 53..85 at p = 5, 7: X35 times the classical monomials, b_k up to 8."""
+    for k in range(53, 86, 2):
+        for p in (5, 7):
+            rep = verify_theorem1_rank(k, p, max(sturm_bound(k), 5), registry)
+            assert rep.passed, (k, p)
+            assert rep.rank_truncated == rep.rank_full == rep.dim_c == len(rep.monomials)
+
+
+def dense_rank(entries, p):
+    """Reference rank over F_p: Gaussian elimination on the rows, pivot by pivot."""
+    rows = [[x % p for x in row] for row in entries]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _forms(entries):
+    """(label, form) pairs for ``matrix_from_forms``; column j of row i is entries[i][j]."""
+    return [
+        (i, SimpleNamespace(coeffs=dict(enumerate(row)))) for i, row in enumerate(entries)
+    ]
+
+
 def _ranks_by_fp_rank(entries, split, p):
     ncols = len(entries[0]) if entries else 0
-    full = CoeffMatrix(list(range(len(entries))), list(range(ncols)), entries)
-    truncated = full.column_subset(lambda j: j < split)
+    truncated = matrix_from_forms(_forms(entries), range(split))
+    full = matrix_from_forms(_forms(entries), range(ncols))
     return fp_rank(truncated, p)[0], fp_rank(full, p)[0]
 
 
@@ -189,10 +226,31 @@ def matrices(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=matrices())
-def test_streamed_ranks_match_fp_rank(case):
+@given(case=matrices(), data=st.data())
+def test_streamed_ranks_match_fp_rank(case, data):
     entries, split, p = case
-    assert _streamed(entries, split, p) == _ranks_by_fp_rank(entries, split, p)
+    ncols = len(entries[0]) if entries else 0
+    want = dense_rank([row[:split] for row in entries], p), dense_rank(entries, p)
+    assert _streamed(entries, split, p) == want == _ranks_by_fp_rank(entries, split, p)
+    # Left kernel: nrows - rank independent vectors v with v * M = 0 mod p.
+    rank, kernel = fp_rank(matrix_from_forms(_forms(entries), range(ncols)), p)
+    assert len(kernel) == len(entries) - rank
+    for v in kernel:
+        for j in range(ncols):
+            assert sum(a * row[j] for a, row in zip(v, entries)) % p == 0
+    assert dense_rank(kernel, p) == len(kernel)
+    # Canonical span: the same for a shuffled, scaled and recombined copy.
+    copy = [list(row) for row in data.draw(st.permutations(entries))]
+    for i in range(len(copy)):
+        factor = data.draw(st.integers(1, p - 1))
+        copy[i] = [factor * x for x in copy[i]]
+        if len(copy) > 1:
+            j = data.draw(st.sampled_from([j for j in range(len(copy)) if j != i]))
+            c = data.draw(st.integers(-p, p))
+            copy[i] = [x + c * y for x, y in zip(copy[i], copy[j])]
+    canonical = span_canonical(entries, p)
+    assert span_canonical(copy, p) == canonical
+    assert len(canonical) == want[1]
 
 
 def test_streamed_ranks_examples():
@@ -232,8 +290,11 @@ def test_truncation_below_bound_is_not_injective(registry):
             (str(spec), registry.monomial(spec, 5).reduce_mod(p))
             for spec in monomials
         ]
-        full = matrix_from_forms(labelled, box_indices(5))
-        small = full.column_subset(lambda key: key[0] <= b - 1 and key[2] <= b - 1)
+        indices = box_indices(5)
+        full = matrix_from_forms(labelled, indices)
+        small = matrix_from_forms(
+            labelled, [key for key in indices if key[0] <= b - 1 and key[2] <= b - 1]
+        )
         rank_small, _ = fp_rank(small, p)
         rank_full, _ = fp_rank(full, p)
         assert rank_small < rank_full, (k, p)
