@@ -301,6 +301,18 @@ class SiegelExpansion(SparseSeries):
         return SiegelExpansion(weight, self.precision, out, self.scale, self.modulus)
 
 
+def box_indices(precision: int, scale: int = 1) -> list:
+    """Every semi-definite index in the box, in (m, n, r) order."""
+    out = []
+    box = precision * scale
+    for m in range(box + 1):
+        for n in range(box + 1):
+            rmax = isqrt(4 * m * n)
+            for r in range(-rmax, rmax + 1):
+                out.append((m, r, n))
+    return out
+
+
 def _integral(coeffs):
     """The coefficients times L, as integers, and L, the lcm of their denominators."""
     den = lcm(*{c.denominator for c in coeffs.values()})

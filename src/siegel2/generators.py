@@ -11,13 +11,16 @@ even part.  This module builds pinned normalisations of all seven:
 * X16      -- (X4 X12 - X6 X10)/12,
 * X35      -- the normalised theta-derivative determinant of X4, X6, X10, X12.
 
+Each generator fact is written once: the leading terms in ``_LEADING``,
+from which ``MonomialSpec.leading_index`` gives every monomial's, and the
+diagonal images in ``WITT_PINS``, which the ``witt-images`` suite reports.
 Every build must pass its pinning suite before it is served or cached:
-integer coefficients throughout, the sign symmetries, the declared
-diagonal-restriction images, and the declared leading term.  Builds are
-cached on disk in the text format and served at lower precision by
-truncation.  The cache directory defaults to $SIEGEL2_CACHE or ./cache.
-Monomials in the generators are formed over Z, or over F_p from the
-generators reduced mod p once per precision.
+integer coefficients throughout, the sign symmetries, the declared leading
+term, and its ``WITT_PINS`` rows.  Builds are cached on disk in the text
+format and served at lower precision by truncation.  The cache directory
+defaults to $SIEGEL2_CACHE or ./cache.  Monomials in the generators are
+formed over Z, or over F_p from the generators reduced mod p once per
+precision.
 """
 
 from __future__ import annotations
@@ -59,6 +62,23 @@ _MIN_PRECISION = {
     name: max(index[0], index[2]) for name, (index, _) in _LEADING.items()
 }
 
+# Declared Witt images, in the order the witt-images suite reports them:
+# (generator, Taylor order, image).  An image is a product of diag_builder
+# names and integers.  W(X35) = 0 is not listed: the odd-weight sign
+# symmetry, pinned first, implies it.
+WITT_PINS = (
+    ("X4", 0, "x4"),
+    ("X6", 0, "x6"),
+    ("X10", 0, "0"),
+    ("X12", 0, "12 x12"),
+    ("Y12", 0, "y12"),
+    ("X16", 0, "x4 x12"),
+    ("X10", 2, "x12"),
+    ("X12", 2, "x2 x12"),
+    ("X35", 1, "alpha36"),
+)
+WITT_LAYERS = ("restriction", "first-layer", "second-layer")
+
 
 @dataclass(frozen=True)
 class MonomialSpec:
@@ -92,6 +112,15 @@ class MonomialSpec:
     def weight(self) -> int:
         return sum(GENERATOR_WEIGHTS[name] * e for name, e in self.exponents)
 
+    @property
+    def leading_index(self) -> tuple:
+        """The product's leading index: leading terms add under the (m, n, r)
+        order, and every generator leads with coefficient 1."""
+        return tuple(
+            sum(_LEADING[name][0][i] * e for name, e in self.exponents)
+            for i in range(3)
+        )
+
     def times(self, name: str) -> "MonomialSpec":
         """The monomial multiplied by one more factor of ``name``."""
         d = dict(self.exponents)
@@ -123,9 +152,8 @@ class GeneratorRegistry:
         # served per (name, precision), each truncated once.
         self._forms: dict[str, SiegelExpansion] = {}
         self._served: dict[tuple[str, int], SiegelExpansion] = {}
-        # Generators reduced mod p, per (name, precision, p).
-        self._reduced: dict[tuple[str, int, int], SiegelExpansion] = {}
-        # Powers per (name, exponent, precision, modulus), modulus None over Z.
+        # Powers per (name, exponent, precision, modulus), modulus None over
+        # Z; mod p the first power is the generator reduced mod p.
         self._powers: dict[tuple[str, int, int, int | None], SiegelExpansion] = {}
         # Monomials over Z per (spec, precision).
         self._monomials: dict[tuple[MonomialSpec, int], SiegelExpansion] = {}
@@ -197,17 +225,6 @@ class GeneratorRegistry:
     # powers and monomials; mod p the factors are the generators reduced
     # once per (name, precision, p), so every product stays in F_p.
 
-    def _factor(self, name: str, precision: int, modulus: int | None) -> SiegelExpansion:
-        """The generator over Z, or reduced mod p once per (name, precision, p)."""
-        if modulus is None:
-            return self.generator(name, precision)
-        key = (name, precision, modulus)
-        held = self._reduced.get(key)
-        if held is None:
-            held = self.generator(name, precision).reduce_mod(modulus)
-            self._reduced[key] = held
-        return held
-
     def power(
         self, name: str, exponent: int, precision: int, modulus: int | None = None
     ) -> SiegelExpansion:
@@ -216,14 +233,17 @@ class GeneratorRegistry:
         intermediate products."""
         if exponent == 0:
             return SiegelExpansion.constant(1, precision, modulus=modulus)
-        if exponent == 1:
-            return self._factor(name, precision, modulus)
+        if exponent == 1 and modulus is None:
+            return self.generator(name, precision)
         key = (name, exponent, precision, modulus)
         held = self._powers.get(key)
         if held is None:
-            held = self.power(name, exponent - 1, precision, modulus) * self._factor(
-                name, precision, modulus
-            )
+            if exponent == 1:
+                held = self.generator(name, precision).reduce_mod(modulus)
+            else:
+                held = self.power(name, exponent - 1, precision, modulus) * self.power(
+                    name, 1, precision, modulus
+                )
             self._powers[key] = held
         return held
 
@@ -328,37 +348,21 @@ def _pin(name: str, exp: SiegelExpansion) -> None:
             f"{name}: leading term {lt.index} -> {lt.coefficient}, "
             f"expected {index} -> {value}"
         )
-    P = exp.precision
-    image = exp.witt(0)
-    if name in ("X4", "X6"):
-        _pin_equal(name, "restriction", image, diag_builder(f"x{exp.weight}", P))
-    elif name == "X10":
-        _pin_zero(name, "restriction", image)
-        _pin_equal(name, "second layer", exp.witt(2), diag_builder("x12", P))
-    elif name == "X12":
-        _pin_equal(name, "restriction", image, diag_builder("x12", P) * 12)
-        x2x12 = diag_builder("x2", P) * diag_builder("x12", P)
-        _pin_equal(name, "second layer", exp.witt(2), x2x12)
-    elif name == "Y12":
-        _pin_equal(name, "restriction", image, diag_builder("y12", P))
-    elif name == "X16":
-        x4x12 = diag_builder("x4", P) * diag_builder("x12", P)
-        _pin_equal(name, "restriction", image, x4x12)
-    elif name == "X35":
-        _pin_zero(name, "restriction", image)
-        _pin_equal(name, "first layer", exp.witt(1), diag_builder("alpha36", P))
+    for pinned, order, image in WITT_PINS:
+        if pinned != name:
+            continue
+        got, want = exp.witt(order), witt_image(image, exp.precision)
+        if got != want:
+            keys = sorted(set(got.coeffs) | set(want.coeffs))
+            witness = next(k for k in keys if got.coeffs.get(k) != want.coeffs.get(k))
+            raise ConstructionError(
+                f"{name}: {WITT_LAYERS[order]} image differs from its pin at {witness}"
+            )
 
 
-def _pin_equal(name: str, what: str, got: DiagSeries, want: DiagSeries) -> None:
-    if got != want:
-        keys = sorted(set(got.coeffs) | set(want.coeffs))
-        witness = next(k for k in keys if got.coeffs.get(k) != want.coeffs.get(k))
-        raise ConstructionError(
-            f"{name}: {what} image differs from its pin at {witness}"
-        )
-
-
-def _pin_zero(name: str, what: str, got: DiagSeries) -> None:
-    if got.coeffs:
-        witness = sorted(got.coeffs)[0]
-        raise ConstructionError(f"{name}: {what} image should vanish, got {witness}")
+def witt_image(text: str, precision: int) -> DiagSeries:
+    """The diagonal series a ``WITT_PINS`` image names, e.g. "12 x12" or "0"."""
+    image = DiagSeries(precision, {(0, 0): 1})
+    for token in text.split():
+        image = image * (int(token) if token.isdigit() else diag_builder(token, precision))
+    return image

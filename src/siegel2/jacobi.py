@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 from .errors import PrecisionError
-from .expansion import SiegelExpansion
+from .expansion import SiegelExpansion, box_indices
 from .qexp1 import divisor_sigma
 from .rationals import (
     bernoulli,
@@ -99,6 +99,7 @@ def _fundamental_split(d0: int) -> tuple[int, int]:
     return 4 * core, f // 2
 
 
+@cache
 def _l_value(r: int, D: int):
     """L(1 - r, chi_D) for a fundamental discriminant D.
 
@@ -275,18 +276,15 @@ def maass_lift(phi: JacobiForm1, precision: int, mode: str = "cusp") -> SiegelEx
         raise ValueError("cusp lift requires c(0) = 0")
     factor = 1 if mode == "cusp" else normalize(Fraction(-2 * k) / bernoulli(k))
     coeffs = {}
-    for m in range(precision + 1):
-        for n in range(precision + 1):
-            rmax = isqrt(4 * m * n)
-            for r in range(-rmax, rmax + 1):
-                if m == 0 and n == 0:
-                    if mode == "eisenstein":
-                        coeffs[(0, 0, 0)] = 1
-                    continue
-                disc = 4 * m * n - r * r
-                g = gcd(gcd(m, n), r)
-                total = 0
-                for d in divisors(g):
-                    total += d ** (k - 1) * phi.coeff(disc // (d * d))
-                coeffs[(m, r, n)] = factor * total
+    for m, r, n in box_indices(precision):
+        if m == 0 and n == 0:
+            if mode == "eisenstein":
+                coeffs[(0, 0, 0)] = 1
+            continue
+        disc = 4 * m * n - r * r
+        g = gcd(gcd(m, n), r)
+        total = 0
+        for d in divisors(g):
+            total += d ** (k - 1) * phi.coeff(disc // (d * d))
+        coeffs[(m, r, n)] = factor * total
     return SiegelExpansion(k, precision, coeffs)

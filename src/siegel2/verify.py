@@ -28,16 +28,18 @@ suites exercised by the CLI:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 
 from .errors import PrecisionError
-from .expansion import BeyondPrecision, SiegelExpansion
+from .expansion import BeyondPrecision, SiegelExpansion, box_indices
 from .generators import (
     GENERATOR_NAMES,
     GENERATOR_WEIGHTS,
+    WITT_LAYERS,
+    WITT_PINS,
     GeneratorRegistry,
     MonomialSpec,
     default_registry,
+    witt_image,
 )
 from .qexp1 import delta1, diag_builder, diag_tensor, eisenstein1
 from .rationals import PrimePower, is_prime, p_valuation, reduce_mod_p
@@ -199,18 +201,6 @@ def matrix_from_forms(labelled, indices) -> CoeffMatrix:
     return CoeffMatrix(labels, list(indices), entries)
 
 
-def box_indices(precision: int, scale: int = 1) -> list:
-    """Every semi-definite index in the box, in (m, n, r) order."""
-    out = []
-    box = precision * scale
-    for m in range(box + 1):
-        for n in range(box + 1):
-            rmax = isqrt(4 * m * n)
-            for r in range(-rmax, rmax + 1):
-                out.append((m, r, n))
-    return out
-
-
 class Echelon:
     """Echelon basis of a subspace of F_p^dim, grown one vector at a time.
 
@@ -367,8 +357,6 @@ def _certified_genset(k: int, p: int):
     # in even weight and at 35 + 16 in odd weight.
     if p < 5 and k > (51 if k % 2 else 16):
         return None
-    if k % 2 and k < 35:
-        return None
     base = list(GENSET_C if p >= 5 else GENSET_INTEGRAL)
     return base + ["X35"] if k % 2 else base
 
@@ -416,14 +404,6 @@ def verify_theorem1_rank(
 
 
 _EVEN_WITNESS = {0: {}, 2: {"X12": 1}, 4: {"X4": 1}, 6: {"X6": 1}, 8: {"X4": 2}}
-_ODD_WITNESS_FAMILY = {5: 35, 9: 39, 1: 41, 3: 43, 7: 47}
-_ODD_FACTORS = {
-    35: {},
-    39: {"X4": 1},
-    41: {"X6": 1},
-    43: {"X4": 2},
-    47: {"X12": 1},
-}
 
 
 def sharpness_witness(
@@ -432,39 +412,27 @@ def sharpness_witness(
     """A weight-k form, nonzero mod p, vanishing on the box of size b_k - 1.
 
     Even weights use powers of the weight-10 cusp form padded by X4, X6 or
-    X12; odd weights use the five X35-multiples whose leading terms step
-    along the diagonal.  The report certifies exact vanishing inside the
-    box and a unit leading coefficient mod p.
+    X12; an odd weight uses X35 times the even witness of weight k - 35
+    (X35 alone at k = 35).  The expected leading index is the sum of the
+    factors' leading indices.  The report certifies exact vanishing inside
+    the box and a unit leading coefficient mod p at that index.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     registry = registry or default_registry()
-    if k % 2 == 0:
-        if k < 4:
-            raise ValueError(f"no nonzero forms of weight {k}")
-        rho = k % 10
-        exponents = dict(_EVEN_WITNESS[rho])
-        power = k // 10 - (1 if rho == 2 else 0)
-        if power:
-            exponents["X10"] = power
-        b = sturm_bound(k)
-        expected = (b, -b, b)
-    else:
-        if k < 35 or k == 37:
-            raise ValueError(f"no nonzero forms of weight {k}")
-        family = _ODD_WITNESS_FAMILY[k % 10]
-        i = (k - family) // 10
-        exponents = dict(_ODD_FACTORS[family])
+    if k < (35 if k % 2 else 4) or k == 37:
+        raise ValueError(f"no nonzero forms of weight {k}")
+    even = k - 35 if k % 2 else k
+    exponents = dict(_EVEN_WITNESS[even % 10])
+    power = even // 10 - (1 if even % 10 == 2 else 0)
+    if power:
+        exponents["X10"] = power
+    if k % 2:
         exponents["X35"] = 1
-        if i:
-            exponents["X10"] = i
-        b = sturm_bound(k)
-        if family == 47:
-            expected = (3 + i, -2 - i, 4 + i)
-        else:
-            expected = (2 + i, -1 - i, 3 + i)
+    b = sturm_bound(k)
     spec = MonomialSpec.from_dict(exponents)
     assert spec.weight == k
+    expected = spec.leading_index
     exp = registry.monomial(spec, b)
     pp = PrimePower(p)
     violations = []
@@ -554,26 +522,12 @@ def _primes(p, default):
 
 
 def _suite_witt_images(B: int, registry, report: SuiteReport) -> None:
-    gens = {name: registry.generator(name, B) for name in GENERATOR_NAMES}
-    x2 = diag_builder("x2", B)
-    x4 = diag_builder("x4", B)
-    x6 = diag_builder("x6", B)
-    x12 = diag_builder("x12", B)
-    y12 = diag_builder("y12", B)
-    alpha36 = diag_builder("alpha36", B)
-    checks = [
-        ("restriction.X4", gens["X4"].witt(0) == x4, "W(X4) = x4"),
-        ("restriction.X6", gens["X6"].witt(0) == x6, "W(X6) = x6"),
-        ("restriction.X10", not gens["X10"].witt(0).coeffs, "W(X10) = 0"),
-        ("restriction.X12", gens["X12"].witt(0) == x12 * 12, "W(X12) = 12 x12"),
-        ("restriction.Y12", gens["Y12"].witt(0) == y12, "W(Y12) = y12"),
-        ("restriction.X16", gens["X16"].witt(0) == x4 * x12, "W(X16) = x4 x12"),
-        ("second-layer.X10", gens["X10"].witt(2) == x12, "W''(X10) = x12"),
-        ("second-layer.X12", gens["X12"].witt(2) == x2 * x12, "W''(X12) = x2 x12"),
-        ("first-layer.X35", gens["X35"].witt(1) == alpha36, "W'(X35) = alpha36"),
-    ]
-    for check_id, ok, detail in checks:
-        report.add(ok, f"witt-images.{check_id}", f"{detail} at B={B}")
+    for name, order, image in WITT_PINS:
+        report.add(
+            registry.generator(name, B).witt(order) == witt_image(image, B),
+            f"witt-images.{WITT_LAYERS[order]}.{name}",
+            "W" + "'" * order + f"({name}) = {image} at B={B}",
+        )
 
 
 def _x35_square_combination(p: int, B: int, registry) -> SiegelExpansion:
@@ -714,9 +668,8 @@ def _suite_x12_identity(P: int, report: SuiteReport) -> None:
 
 
 def _suite_borcherds(ps, B: int, registry, report: SuiteReport) -> None:
-    gens = {name: registry.generator(name, B) for name in GENERATOR_NAMES}
     for p in ps:
-        reduced = {name: gens[name].reduce_mod(p) for name in GENERATOR_NAMES}
+        reduced = {name: registry.power(name, 1, B, p) for name in GENERATOR_NAMES}
         for name in GENERATOR_NAMES:
             v = reduced[name].diagonal_vanishing_order()
             if isinstance(v, BeyondPrecision):

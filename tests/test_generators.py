@@ -1,11 +1,15 @@
 import pytest
 
 from siegel2 import qformat
+from siegel2.errors import ConstructionError
 from siegel2.expansion import SiegelExpansion
 from siegel2.generators import (
     GENERATOR_WEIGHTS,
+    WITT_LAYERS,
+    WITT_PINS,
     GeneratorRegistry,
     MonomialSpec,
+    _pin,
 )
 from siegel2.verify import verify_theorem1_rank
 
@@ -90,6 +94,35 @@ def test_monomial_spec_behaviour():
         MonomialSpec((("X4", 0),))
     with pytest.raises(ValueError):
         MonomialSpec.from_dict({"E8": 1})
+
+
+# Per Taylor order, a change to a precision-4 build that moves that Witt
+# image alone and keeps integrality, the sign symmetries and the leading term.
+WITT_PERTURBATIONS = {
+    0: {(2, 0, 2): 1},
+    1: {(3, 1, 4): 1, (4, -1, 3): 1, (3, -1, 4): -1, (4, 1, 3): -1},
+    2: {(2, 1, 2): 1, (2, -1, 2): 1, (2, 0, 2): -2},
+}
+
+
+@pytest.mark.parametrize(
+    "name, order, image",
+    WITT_PINS,
+    ids=[f"{WITT_LAYERS[order]}.{name}" for name, order, _ in WITT_PINS],
+)
+def test_each_witt_pin_rejects_a_build_that_moves_its_image(registry, name, order, image):
+    exp = registry.generator(name, 4)
+    _pin(name, exp)
+    coeffs = dict(exp.coeffs)
+    for key, delta in WITT_PERTURBATIONS[order].items():
+        coeffs[key] = coeffs.get(key, 0) + delta
+    bad = SiegelExpansion(exp.weight, exp.precision, coeffs)
+    assert not bad.symmetry_violations()
+    assert bad.leading_term() == exp.leading_term()
+    for layer in range(3):
+        assert (bad.witt(layer) != exp.witt(layer)) == (layer == order)
+    with pytest.raises(ConstructionError, match=f"^{name}: {WITT_LAYERS[order]} image"):
+        _pin(name, bad)
 
 
 def test_pin_suite_rejects_corrupted_cache(tmp_path):

@@ -267,14 +267,16 @@ def test_streamed_ranks_examples():
 
 
 def test_theorem1_rank_refuses_uncovered_cases(registry):
-    for k, p in ((20, 2), (18, 3), (53, 2), (33, 5)):
+    for k, p in ((20, 2), (18, 3), (53, 2)):
         report = verify_theorem1_rank(k, p, 5, registry)
         assert not report.certifiable
         assert not report.passed
         assert "not certifiable" in report.render()
-    # weight 37 is covered but empty: the zero space passes vacuously
-    report = verify_theorem1_rank(37, 5, 5, registry)
-    assert report.certifiable and report.passed and report.dim_c == 0
+    # odd weights below 35 and weight 37 are covered but empty: the zero
+    # space passes vacuously
+    for k, p in ((37, 5), (33, 5), (31, 2)):
+        report = verify_theorem1_rank(k, p, 5, registry)
+        assert report.certifiable and report.passed and report.dim_c == 0
     with pytest.raises(ValueError):
         verify_theorem1_rank(12, 4, 5, registry)
     with pytest.raises(ValueError):
@@ -338,6 +340,45 @@ def test_sharpness_witness_reads_the_leading_index_mod_p():
     with pytest.raises(NotPIntegral):
         sharpness_witness(10, 3, OneExpansion(bad))
     assert sharpness_witness(10, 5, OneExpansion(bad))[1].verdict
+
+
+# The hand-written witness tables and leading-index formulas that the
+# derived odd witnesses (X35 times an even witness) must reproduce.
+REFERENCE_EVEN = {0: {}, 2: {"X12": 1}, 4: {"X4": 1}, 6: {"X6": 1}, 8: {"X4": 2}}
+REFERENCE_ODD_FAMILY = {5: 35, 9: 39, 1: 41, 3: 43, 7: 47}
+REFERENCE_ODD_FACTORS = {35: {}, 39: {"X4": 1}, 41: {"X6": 1}, 43: {"X4": 2}, 47: {"X12": 1}}
+
+
+def reference_witness(k):
+    """The weight-k witness and its expected leading index, from the tables."""
+    if k % 2 == 0:
+        rho = k % 10
+        exponents = dict(REFERENCE_EVEN[rho])
+        power = k // 10 - (1 if rho == 2 else 0)
+        if power:
+            exponents["X10"] = power
+        b = sturm_bound(k)
+        return MonomialSpec.from_dict(exponents), (b, -b, b)
+    family = REFERENCE_ODD_FAMILY[k % 10]
+    i = (k - family) // 10
+    exponents = dict(REFERENCE_ODD_FACTORS[family], X35=1)
+    if i:
+        exponents["X10"] = i
+    index = (3 + i, -2 - i, 4 + i) if family == 47 else (2 + i, -1 - i, 3 + i)
+    return MonomialSpec.from_dict(exponents), index
+
+
+def test_witnesses_match_the_reference_tables():
+    for k in range(4, 201):
+        if k % 2 and (k < 35 or k == 37):
+            with pytest.raises(ValueError, match=f"no nonzero forms of weight {k}$"):
+                sharpness_witness(k, 5, OneExpansion(None))
+            continue
+        spec, index = reference_witness(k)
+        b = sturm_bound(k)
+        got, report = sharpness_witness(k, 5, OneExpansion(SiegelExpansion(k, b, {index: 1})))
+        assert got == spec, k
+        assert report.verdict and report.bound_used == b - 1, k
 
 
 def test_sharpness_witness_rejects_empty_spaces(registry):
