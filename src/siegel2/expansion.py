@@ -16,24 +16,23 @@ to F_p residues; ring operations (from ``siegel2.series``) then stay in F_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import ConstructionError, NotPIntegral, PrecisionError
 from .qexp1 import DiagSeries
 from .rationals import normalize, reduce_mod_p
+from .records import FrozenRecord
 from .series import SCALARS, SparseSeries
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
+class LeadingTerm(FrozenRecord):
     """Minimal-index nonzero coefficient under lexicographic (m, n, r) order."""
 
-    m: int
-    r: int
-    n: int
-    coefficient: object
+    __slots__ = ("m", "r", "n", "coefficient")
+
+    def __init__(self, m: int, r: int, n: int, coefficient):
+        self._set(m, r, n, coefficient)
 
     @property
     def index(self):
@@ -131,51 +130,21 @@ class SiegelExpansion(SparseSeries):
             if 4 * m * n - r * r < 0:
                 raise ValueError(f"index {(m, r, n)} is not positive semi-definite")
 
-    def _product(self, other, box):
-        # The r-axis of each (m, n) block is one integer with a slot of
-        # `width` bits per r, slot r + isqrt(4mn) holding the coefficient at
-        # r, so a block pair costs one big-integer multiply.  A sum of
-        # positive semi-definite indices is one, and by Cauchy-Schwarz
-        # isqrt(4mn) >= R1 + R2, so every product lands in range after a
-        # nonnegative shift.  An output coefficient sums at most
-        # (box+1)^2 (4 box + 1) products, so with `width` from _slot_width
-        # it stays below 2^(width-2) in absolute value and the signed slots
-        # decode exactly.  Fractions are scaled to integers by the lcm of
-        # their denominators, divided out again at decode.
-        ints1, den1 = _integral(self.coeffs)
-        ints2, den2 = _integral(other.coeffs)
-        width = _slot_width(ints1, ints2, box)
-        blocks = _packed(ints2, width)
-        acc = {}
-        for (m1, n1), (a, r1) in _packed(ints1, width).items():
-            if m1 > box or n1 > box:
-                continue
-            for (m2, n2), (b, r2) in blocks.items():
-                m = m1 + m2
-                if m > box:
-                    continue
-                n = n1 + n2
-                if n > box:
-                    continue
-                shift = width * (isqrt(4 * m * n) - r1 - r2)
-                acc[m, n] = acc.get((m, n), 0) + (a * b << shift)
-        den = den1 * den2
-        mask = (1 << width) - 1
-        half = 1 << (width - 1)
-        out = {}
-        for (m, n), x in acc.items():
-            top = isqrt(4 * m * n)
-            for r in range(-top, top + 1):
-                if not x:
-                    break
-                c = x & mask
-                x >>= width
-                if c >= half:
-                    c -= mask + 1
-                    x += 1
-                if c:
-                    out[m, r, n] = c if den == 1 else Fraction(c, den)
-        return out
+    def _rows(self, ints, width):
+        """Per (m, n) block, [sum of c * 2^(width * (r + R)), R] with R = isqrt(4mn)."""
+        blocks = {}
+        for (m, r, n), c in ints.items():
+            block = blocks.get((m, n))
+            if block is None:
+                top = isqrt(4 * m * n)
+                blocks[m, n] = [c << width * (r + top), top]
+            else:
+                block[0] += c << width * (r + block[1])
+        return blocks
+
+    def _slots(self, m, n, box):
+        top = isqrt(4 * m * n)
+        return [(m, r, n) for r in range(-top, top + 1)]
 
     def _one(self):
         return SiegelExpansion(0, self.precision, {(0, 0, 0): 1}, self.scale, self.modulus)
@@ -311,34 +280,6 @@ def box_indices(precision: int, scale: int = 1) -> list:
             for r in range(-rmax, rmax + 1):
                 out.append((m, r, n))
     return out
-
-
-def _integral(coeffs):
-    """The coefficients times L, as integers, and L, the lcm of their denominators."""
-    den = lcm(*{c.denominator for c in coeffs.values()})
-    if den == 1:
-        return coeffs, 1
-    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
-
-
-def _slot_width(ints1, ints2, box):
-    """Bits per r-slot that hold any coefficient of a product in the box, with sign."""
-    bits1 = max(map(abs, ints1.values()), default=0).bit_length()
-    bits2 = max(map(abs, ints2.values()), default=0).bit_length()
-    return bits1 + bits2 + ((box + 1) ** 2 * (4 * box + 1)).bit_length() + 2
-
-
-def _packed(coeffs, width):
-    """Per (m, n) block, [sum of c * 2^(width * (r + R)), R] with R = isqrt(4mn)."""
-    blocks = {}
-    for (m, r, n), c in coeffs.items():
-        block = blocks.get((m, n))
-        if block is None:
-            top = isqrt(4 * m * n)
-            blocks[m, n] = [c << width * (r + top), top]
-        else:
-            block[0] += c << width * (r + block[1])
-    return blocks
 
 
 # -- the odd-weight determinant construction --------------------------------

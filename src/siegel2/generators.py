@@ -26,7 +26,6 @@ precision.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from .errors import ConstructionError, FormatError, PrecisionError
 from .expansion import SiegelExpansion, wronskian35
 from .jacobi import jacobi_combine, jacobi_eisenstein, maass_lift
 from .qexp1 import DiagSeries, diag_builder, eisenstein1
+from .records import FrozenRecord
 
 GENERATOR_WEIGHTS = {
     "X4": 4,
@@ -80,19 +80,18 @@ WITT_PINS = (
 WITT_LAYERS = ("restriction", "first-layer", "second-layer")
 
 
-@dataclass(frozen=True)
-class MonomialSpec:
+class MonomialSpec(FrozenRecord):
     """A monomial in the named generators, e.g. X10^2 * X12.
 
     ``exponents`` holds (name, exponent) pairs with exponent >= 1, in the
     canonical generator order.  The empty monomial is the constant 1.
     """
 
-    exponents: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("exponents",)
 
-    def __post_init__(self):
+    def __init__(self, exponents: tuple[tuple[str, int], ...] = ()):
         seen = set()
-        for name, e in self.exponents:
+        for name, e in exponents:
             if name not in GENERATOR_WEIGHTS:
                 raise ValueError(f"unknown generator {name!r}")
             if e < 1:
@@ -101,8 +100,7 @@ class MonomialSpec:
                 raise ValueError(f"duplicate generator {name!r}")
             seen.add(name)
         order = {name: i for i, name in enumerate(GENERATOR_NAMES)}
-        ordered = tuple(sorted(self.exponents, key=lambda item: order[item[0]]))
-        object.__setattr__(self, "exponents", ordered)
+        self._set(tuple(sorted(exponents, key=lambda item: order[item[0]])))
 
     @classmethod
     def from_dict(cls, exponents: dict) -> "MonomialSpec":

@@ -45,20 +45,20 @@ class QSeries1(SparseSeries):
     def _kept(self, coeffs, box):
         return {n: c for n, c in coeffs.items() if 0 <= n <= box}
 
-    def _product(self, other, box):
-        out = {}
-        for n1, c1 in self.coeffs.items():
-            if n1 > box:
-                continue
-            for n2, c2 in other.coeffs.items():
-                n = n1 + n2
-                if n > box:
-                    continue
-                out[n] = out.get(n, 0) + c1 * c2
-        return out
+    def _rows(self, ints, width):
+        """The whole series as one row (0, 0), slot n holding a(n)."""
+        if not ints:
+            return {}
+        return {(0, 0): [sum(c << width * n for n, c in ints.items()), 0]}
+
+    def _slots(self, m, n, box):
+        return range(box + 1)
 
     def _one(self):
         return QSeries1(self.precision, {0: 1}, 0)
+
+    def _merged_tags(self, other, product):
+        return {"quasi_flag": False}
 
     def __repr__(self):
         return f"QSeries1(precision={self.precision}, weight={self.weight}, {len(self.coeffs)} terms)"
@@ -104,21 +104,19 @@ class DiagSeries(SparseSeries):
     def _kept(self, coeffs, box):
         return {k: c for k, c in coeffs.items() if 0 <= k[0] <= box and 0 <= k[1] <= box}
 
-    def _product(self, other, box):
-        out = {}
-        for (m1, n1), c1 in self.coeffs.items():
-            if m1 > box or n1 > box:
-                continue
-            for (m2, n2), c2 in other.coeffs.items():
-                m = m1 + m2
-                if m > box:
-                    continue
-                n = n1 + n2
-                if n > box:
-                    continue
-                key = (m, n)
-                out[key] = out.get(key, 0) + c1 * c2
-        return out
+    def _rows(self, ints, width):
+        """Row (m, 0) per m, slot n holding a(m, n)."""
+        rows = {}
+        for (m, n), c in ints.items():
+            row = rows.get((m, 0))
+            if row is None:
+                rows[m, 0] = [c << width * n, 0]
+            else:
+                row[0] += c << width * n
+        return rows
+
+    def _slots(self, m, n, box):
+        return [(m, j) for j in range(box + 1)]
 
     def _one(self):
         return DiagSeries(self.precision, {(0, 0): 1}, 0, 1)

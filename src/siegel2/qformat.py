@@ -22,7 +22,6 @@ identical bytes.
 from __future__ import annotations
 
 import os
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -124,10 +123,12 @@ def _parse_entry_tail(reader: _Reader, parts: list[str]):
         raise FormatError(reader.lineno, f"denominator {den} must be >= 1")
     if num == 0:
         raise FormatError(reader.lineno, "zero entries must be omitted")
+    if den == 1:
+        return num
     frac = Fraction(num, den)
     if frac.numerator != num or frac.denominator != den:
         raise FormatError(reader.lineno, f"{num}/{den} is not in lowest terms")
-    return num if den == 1 else frac
+    return frac
 
 
 def parse_siegel(text: str) -> tuple[str, SiegelExpansion]:
@@ -166,7 +167,8 @@ def parse_siegel(text: str) -> tuple[str, SiegelExpansion]:
         last_key = key
         coeffs[(m, r, n)] = _parse_entry_tail(reader, parts)
     _expect_end(reader)
-    return name, SiegelExpansion(weight, precision, coeffs, scale)
+    # Every key and coefficient was checked above, line by line.
+    return name, SiegelExpansion._unchecked(precision, coeffs, weight, scale=scale, modulus=None)
 
 
 def parse_diag(text: str) -> tuple[str, DiagSeries]:
@@ -212,6 +214,10 @@ def _expect_end(reader: _Reader) -> None:
 
 def save_atomic(path: Path, text: str) -> None:
     """Write text to path via a same-directory temp file and atomic rename."""
+    # Imported here so that read-side CLI calls, which never write, do not
+    # pay for importing tempfile (with shutil and random).
+    import tempfile
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")

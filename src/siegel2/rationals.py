@@ -9,11 +9,11 @@ anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import NotPIntegral
+from .records import FrozenRecord
 
 __all__ = [
     "INFINITY",
@@ -125,18 +125,17 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(FrozenRecord):
     """A congruence modulus p^nu with p prime and nu >= 1."""
 
-    p: int
-    nu: int = 1
+    __slots__ = ("p", "nu")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.nu < 1:
+    def __init__(self, p: int, nu: int = 1):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if nu < 1:
             raise ValueError("prime-power exponent must be >= 1")
+        self._set(p, nu)
 
     def __str__(self):
         return str(self.p) if self.nu == 1 else f"{self.p}^{self.nu}"

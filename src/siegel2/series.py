@@ -13,6 +13,7 @@ is exact because indices add componentwise and stay nonnegative.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 
 from .errors import PrecisionError
 from .rationals import normalize
@@ -30,9 +31,10 @@ class SparseSeries:
     * ``_kept(coeffs, box)``: the entries of a dict inside the box;
     * ``_check_indices(coeffs, box)``: raise ValueError on an invalid key
       (by default, on a key outside the box);
-    * ``_product(other, box)``: the coefficients of a product, cut to the box;
+    * ``_rows(ints, width)`` and ``_slots(m, n, box)``: the packed layout
+      of integer coefficients that ``_product`` multiplies;
     * ``_one()``: the identity at this series' precision;
-    * ``_merged_tags(other, product)``: the ``_TAGS`` of a sum or product.
+    * ``_merged_tags(other, product)``: every ``_TAGS`` value of a sum or product.
 
     Subclass constructors accept ``precision``, ``coeffs`` and ``weight``
     as keywords, and the names in ``_RING`` and ``_TAGS`` too.
@@ -45,6 +47,8 @@ class SparseSeries:
     _RING = ()
     # The type's own tags, which truncation and scalar multiples keep.
     _TAGS = ()
+    # The p of a series of F_p residues; SiegelExpansion sets it per instance.
+    modulus = None
 
     def __init__(self, precision, coeffs, weight, modulus=None):
         if precision < 0:
@@ -73,10 +77,25 @@ class SparseSeries:
     def _merged_tags(self, other, product):
         return {}
 
+    def _ring(self):
+        return {name: getattr(self, name) for name in self._RING}
+
     def _new(self, precision, coeffs, weight, tags):
         """A series of this type and ring; ``tags`` are the type's own keywords."""
-        ring = {name: getattr(self, name) for name in self._RING}
-        return type(self)(precision=precision, coeffs=coeffs, weight=weight, **ring, **tags)
+        return type(self)(precision=precision, coeffs=coeffs, weight=weight, **self._ring(), **tags)
+
+    @classmethod
+    def _unchecked(cls, precision, coeffs, weight, **attrs):
+        """A series built without the constructor's checks, for coefficients
+        known to be clean on keys known to be valid: products, truncations
+        and parsed files.  ``attrs`` sets every name in ``_RING`` and ``_TAGS``."""
+        series = object.__new__(cls)
+        series.precision = precision
+        series.coeffs = coeffs
+        series.weight = weight
+        for name, value in attrs.items():
+            setattr(series, name, value)
+        return series
 
     def _merged(self, other, product):
         """Precision and type tags of a sum or product; the rings must agree."""
@@ -100,7 +119,7 @@ class SparseSeries:
                 f"cannot extend precision {self.precision} to {precision}"
             )
         kept = self._kept(self.coeffs, self._box(precision))
-        return self._new(precision, kept, self.weight, self._tags())
+        return self._unchecked(precision, kept, self.weight, **self._ring(), **self._tags())
 
     # -- ring structure ---------------------------------------------------
 
@@ -133,9 +152,65 @@ class SparseSeries:
         weight = None
         if self.weight is not None and other.weight is not None:
             weight = self.weight + other.weight
-        return self._new(prec, self._product(other, self._box(prec)), weight, tags)
+        coeffs = self._product(other, self._box(prec))
+        return self._unchecked(prec, coeffs, weight, **self._ring(), **tags)
 
     __rmul__ = __mul__
+
+    def _product(self, other, box):
+        """The clean coefficients of a product, cut to the box.
+
+        ``_rows`` packs a series into rows keyed (m, n), each one integer
+        with ``width`` bits per slot, as [integer, isqrt(4mn)].  Slot j of
+        row (m, n) holds the j-th key of ``_slots(m, n, box)``: the index
+        (m, j - isqrt(4mn), n) of a SiegelExpansion; (m, j) of a DiagSeries,
+        whose rows are (m, 0); j of a QSeries1, one row (0, 0).  Two rows
+        multiply into their sum row with one big-integer multiply, shifted
+        up by isqrt(4mn) - isqrt(4 m1 n1) - isqrt(4 m2 n2) slots, which
+        Cauchy-Schwarz keeps nonnegative.  No output coefficient sums more
+        than (box+1)^2 (4 box + 1) products, so with ``_slot_width`` every
+        slot stays below 2^(width-2) in absolute value and the signed slots
+        decode exactly.  Fractions are scaled to integers by the lcm of
+        their denominators, divided out again at decode.
+        """
+        ints1, den1 = _integral(self.coeffs)
+        ints2, den2 = _integral(other.coeffs)
+        width = _slot_width(ints1, ints2, box)
+        rows2 = self._rows(ints2, width).items()
+        acc = {}
+        for (m1, n1), (a, top1) in self._rows(ints1, width).items():
+            if m1 > box or n1 > box:
+                continue
+            for (m2, n2), (b, top2) in rows2:
+                m = m1 + m2
+                if m > box:
+                    continue
+                n = n1 + n2
+                if n > box:
+                    continue
+                shift = width * (isqrt(4 * m * n) - top1 - top2)
+                acc[m, n] = acc.get((m, n), 0) + (a * b << shift)
+        mask = (1 << width) - 1
+        half = 1 << (width - 1)
+        out = {}
+        for (m, n), x in acc.items():
+            for key in self._slots(m, n, box):
+                if not x:
+                    break
+                c = x & mask
+                x >>= width
+                if c >= half:
+                    c -= mask + 1
+                    x += 1
+                if c:
+                    out[key] = c
+        modulus = self.modulus
+        if modulus is not None:
+            return {k: v for k, c in out.items() if (v := c % modulus)}
+        den = den1 * den2
+        if den != 1:
+            return {k: normalize(Fraction(c, den)) for k, c in out.items()}
+        return out
 
     def __pow__(self, e: int):
         if e < 0:
@@ -161,3 +236,18 @@ class SparseSeries:
             and self.coeffs == other.coeffs
             and all(getattr(self, name) == getattr(other, name) for name in self._RING)
         )
+
+
+def _integral(coeffs):
+    """The coefficients times L, as integers, and L, the lcm of their denominators."""
+    den = lcm(*{c.denominator for c in coeffs.values()})
+    if den == 1:
+        return coeffs, 1
+    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+
+
+def _slot_width(ints1, ints2, box):
+    """Bits per slot that hold any coefficient of a product in the box, with sign."""
+    bits1 = max(map(abs, ints1.values()), default=0).bit_length()
+    bits2 = max(map(abs, ints2.values()), default=0).bit_length()
+    return bits1 + bits2 + ((box + 1) ** 2 * (4 * box + 1)).bit_length() + 2

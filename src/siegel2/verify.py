@@ -27,8 +27,6 @@ suites exercised by the CLI:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import PrecisionError
 from .expansion import BeyondPrecision, SiegelExpansion, box_indices
 from .generators import (
@@ -43,6 +41,7 @@ from .generators import (
 )
 from .qexp1 import delta1, diag_builder, diag_tensor, eisenstein1
 from .rationals import PrimePower, is_prime, p_valuation, reduce_mod_p
+from .records import Record
 
 GENSET_C = ("X4", "X6", "X10", "X12")
 GENSET_INTEGRAL = ("X4", "X6", "X10", "X12", "Y12", "X16")
@@ -67,20 +66,28 @@ def sturm_bound(k: int, index_i: int = 1) -> int:
     return (ki - 5) // 10
 
 
-@dataclass
-class SturmReport:
+class SturmReport(Record):
     """Outcome of a vanishing or congruence check.
 
     ``exceeds_precision`` is set when the requested bound lies beyond the
     expansion's precision, so the verdict only covers the computed box.
     """
 
-    bound_used: object
-    prime_power: PrimePower
-    verdict: bool
-    violations: list
-    precision_note: str | None = None
-    exceeds_precision: bool = False
+    __slots__ = (
+        "bound_used", "prime_power", "verdict", "violations", "precision_note",
+        "exceeds_precision",
+    )
+
+    def __init__(
+        self, bound_used, prime_power: PrimePower, verdict: bool, violations: list,
+        precision_note: str | None = None, exceeds_precision: bool = False,
+    ):
+        self.bound_used = bound_used
+        self.prime_power = prime_power
+        self.verdict = verdict
+        self.violations = violations
+        self.precision_note = precision_note
+        self.exceeds_precision = exceeds_precision
 
     def render(self) -> str:
         lines = []
@@ -183,13 +190,15 @@ def weight_monomials(k: int, genset) -> list[MonomialSpec]:
 # -- exact linear algebra ------------------------------------------------------
 
 
-@dataclass
-class CoeffMatrix:
+class CoeffMatrix(Record):
     """Labelled coefficient matrix: one row per form, one column per index."""
 
-    row_labels: list
-    columns: list
-    entries: list
+    __slots__ = ("row_labels", "columns", "entries")
+
+    def __init__(self, row_labels: list, columns: list, entries: list):
+        self.row_labels = row_labels
+        self.columns = columns
+        self.entries = entries
 
 
 def matrix_from_forms(labelled, indices) -> CoeffMatrix:
@@ -313,20 +322,29 @@ def span_canonical(vectors, p):
 # -- bound certificates ----------------------------------------------------
 
 
-@dataclass
-class Theorem1Report:
+class Theorem1Report(Record):
     """Desk-scale injectivity certificate for truncation at the bound."""
 
-    weight: int
-    prime: int
-    bound: int
-    precision: int
-    certifiable: bool
-    reason: str | None = None
-    monomials: list = field(default_factory=list)
-    dim_c: int | None = None
-    rank_truncated: int | None = None
-    rank_full: int | None = None
+    __slots__ = (
+        "weight", "prime", "bound", "precision", "certifiable", "reason", "monomials",
+        "dim_c", "rank_truncated", "rank_full",
+    )
+
+    def __init__(
+        self, weight: int, prime: int, bound: int, precision: int, certifiable: bool,
+        reason: str | None = None, monomials: list | None = None, dim_c: int | None = None,
+        rank_truncated: int | None = None, rank_full: int | None = None,
+    ):
+        self.weight = weight
+        self.prime = prime
+        self.bound = bound
+        self.precision = precision
+        self.certifiable = certifiable
+        self.reason = reason
+        self.monomials = [] if monomials is None else monomials
+        self.dim_c = dim_c
+        self.rank_truncated = rank_truncated
+        self.rank_full = rank_full
 
     @property
     def passed(self) -> bool:
@@ -460,12 +478,14 @@ def sharpness_witness(
 # -- identity suites ---------------------------------------------------------
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(Record):
     """Itemised PASS/FAIL/SKIP lines with a machine-readable summary."""
 
-    suite: str
-    lines: list = field(default_factory=list)
+    __slots__ = ("suite", "lines")
+
+    def __init__(self, suite: str, lines: list | None = None):
+        self.suite = suite
+        self.lines = [] if lines is None else lines
 
     def add(self, ok: bool, check_id: str, detail: str = "") -> None:
         self.lines.append(("PASS" if ok else "FAIL", check_id, detail))

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +201,20 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "7"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Every CLI call pays for its imports; -S keeps site hooks out of the count.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import siegel2.cli, sys; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

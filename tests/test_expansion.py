@@ -12,7 +12,7 @@ from siegel2.expansion import (
     wronskian35,
 )
 from siegel2.generators import MonomialSpec
-from siegel2.qexp1 import diag_builder
+from siegel2.qexp1 import DiagSeries, QSeries1, diag_builder
 
 GEN_NAMES = ("X4", "X6", "X10", "X12", "Y12", "X16", "X35")
 
@@ -44,6 +44,9 @@ def test_ring_examples(registry, gens6):
     assert (x4 * x12).coeff(1, 0, 1) == 10
     lt = (x10 * x12).leading_term()
     assert lt.index == (2, -2, 2) and lt.coefficient == 1
+    assert (lt.m, lt.r, lt.n) == lt.index
+    assert lt == (x12 * x10).leading_term() and hash(lt) == hash((x12 * x10).leading_term())
+    assert lt != x10.leading_term()
     assert (x4 * 0).is_zero()
     assert (x4 * x12).weight == 16
     assert (x4 + x4).coeff(0, 0, 1) == 480
@@ -67,10 +70,16 @@ def test_precision_and_scale_rules(gens6):
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        SiegelExpansion(4, 2, {(1, 3, 1): 1})
-    with pytest.raises(ValueError):
-        SiegelExpansion(4, 2, {(3, 0, 1): 1})
+    # Products and parsed files skip these checks; the constructor keeps them.
+    for modulus in (None, 5):
+        with pytest.raises(ValueError, match="not positive semi-definite"):
+            SiegelExpansion(4, 2, {(1, 3, 1): 1}, modulus=modulus)
+        with pytest.raises(ValueError, match="outside box"):
+            SiegelExpansion(4, 2, {(3, 0, 1): 1}, modulus=modulus)
+    with pytest.raises(ValueError, match="outside the box"):
+        DiagSeries(2, {(0, 3): 1})
+    with pytest.raises(ValueError, match="outside the box"):
+        QSeries1(2, {-1: 1})
     exp = SiegelExpansion(4, 2, {(1, 0, 1): Fraction(4, 2), (1, 1, 1): 0})
     assert exp.coeffs == {(1, 0, 1): 2}
 

@@ -96,6 +96,19 @@ def test_monomial_spec_behaviour():
         MonomialSpec.from_dict({"E8": 1})
 
 
+def test_monomial_spec_is_a_frozen_dict_key():
+    # Equal exponents in any order are one key, as the registry's memo needs.
+    spec = MonomialSpec((("X12", 1), ("X10", 2)))
+    same = MonomialSpec.from_dict({"X10": 2, "X12": 1})
+    assert spec == same and hash(spec) == hash(same)
+    assert spec.exponents == (("X10", 2), ("X12", 1))
+    held = {(spec, 6): "held"}
+    assert held[same, 6] == "held" and (MonomialSpec(), 6) not in held
+    assert spec != MonomialSpec.from_dict({"X10": 1, "X12": 1}) and spec != spec.exponents
+    with pytest.raises(AttributeError):
+        spec.exponents = ()
+
+
 # Per Taylor order, a change to a precision-4 build that moves that Witt
 # image alone and keeps integrality, the sign symmetries and the leading term.
 WITT_PERTURBATIONS = {

@@ -120,6 +120,12 @@ def test_prime_power_validation():
         PrimePower(4)
     with pytest.raises(ValueError):
         PrimePower(5, 0)
+    assert pp == PrimePower(3, 2) and hash(pp) == hash(PrimePower(3, 2))
+    assert pp != PrimePower(3) and pp != PrimePower(2, 2) and pp != (3, 2)
+    assert PrimePower(7) == PrimePower(7, nu=1) and (pp.p, pp.nu) == (3, 2)
+    assert {pp: 1}[PrimePower(3, 2)] == 1
+    with pytest.raises(AttributeError):
+        pp.nu = 3
 
 
 def test_small_number_theory_helpers():

@@ -144,19 +144,29 @@ def test_product_matches_naive_convolution(kind, data):
 
 
 # Products whose coefficients are far wider than the drawn ones above: the
-# packed Siegel product must size its slots for every coefficient width,
-# denominator and modulus.
+# packed product must size its slots for every coefficient width,
+# denominator and modulus, in the row layout of every series type.
 BIG = 2**200
 M61 = 2**61 - 1
+PACKED_KINDS = ("q", "diag", "siegel")
+
+
+def packed_operand(kind, precision, coeffs, scale=1, modulus=None):
+    """A weight-4 operand; only SiegelExpansion takes a scale or a modulus."""
+    if kind == "siegel":
+        return SiegelExpansion(4, precision, coeffs, scale, modulus)
+    return make(kind, precision, coeffs, 4, None, scale)
 
 
 @st.composite
-def wide_siegel_pairs(draw):
-    """(scale, [a, b]): sparse operands with wide entries, or full boxes at
-    the largest magnitude of a bit length, so the slot sums are as large as
-    the box allows."""
-    scale = draw(st.sampled_from((1, 2)))
-    modulus = draw(st.sampled_from((None, M61)))
+def wide_pairs(draw):
+    """(kind, scale, [a, b]): sparse operands with wide entries, or full
+    boxes at the largest magnitude of a bit length, so the slot sums are as
+    large as the box allows."""
+    kind = draw(st.sampled_from(PACKED_KINDS))
+    siegel = kind == "siegel"
+    scale = draw(st.sampled_from((1, 2))) if siegel else 1
+    modulus = draw(st.sampled_from((None, M61))) if siegel else None
     if modulus is None:
         coeff = st.one_of(
             st.integers(-BIG, BIG),
@@ -164,26 +174,27 @@ def wide_siegel_pairs(draw):
         )
     else:
         coeff = st.integers(0, modulus - 1)
+    largest = {"q": 6, "diag": 3}.get(kind, 3 // scale)
     members = []
     for _ in range(2):
-        precision = draw(st.integers(0, 3 // scale))
-        keys = box_keys("siegel", scale * precision)
+        precision = draw(st.integers(0, largest))
+        keys = box_keys(kind, scale * precision)
         if draw(st.booleans()):
             top = modulus - 1 if modulus else 2 ** draw(st.integers(1, 200)) - 1
             sign = draw(st.sampled_from((1, -1, None)))
             coeffs = {k: (sign or draw(st.sampled_from((1, -1)))) * top for k in keys}
         else:
             coeffs = draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=8))
-        members.append(SiegelExpansion(4, precision, coeffs, scale, modulus))
-    return scale, members
+        members.append(packed_operand(kind, precision, coeffs, scale, modulus))
+    return kind, scale, members
 
 
 @SETTINGS
-@given(pair=wide_siegel_pairs())
+@given(pair=wide_pairs())
 def test_wide_siegel_products_match_naive_convolution(pair):
-    scale, (a, b) = pair
+    kind, scale, (a, b) = pair
     got = a * b
-    assert got.coeffs == naive_product("siegel", scale, a, b)
+    assert got.coeffs == naive_product(kind, scale, a, b)
     for v in got.coeffs.values():
         assert not (isinstance(v, Fraction) and v.denominator == 1)
 
@@ -191,12 +202,16 @@ def test_wide_siegel_products_match_naive_convolution(pair):
 @pytest.mark.parametrize("modulus", (None, MODULUS, M61))
 def test_siegel_products_at_box_zero_and_with_zero(modulus):
     value = Fraction(-BIG + 1, 999983) if modulus is None else M61 - 2
-    a = SiegelExpansion(4, 0, {(0, 0, 0): value}, modulus=modulus)
-    assert (a * a).coeffs == naive_product("siegel", 1, a, a) != {}
-    zero = SiegelExpansion(4, 2, {}, modulus=modulus)
-    full = SiegelExpansion(4, 2, {k: value for k in box_keys("siegel", 2)}, modulus=modulus)
-    assert (zero * full).coeffs == (full * zero).coeffs == {}
-    assert (full * a).coeffs == naive_product("siegel", 1, full, a)
+    # Only SiegelExpansion carries a modulus; the exact case runs every kind.
+    kinds = PACKED_KINDS if modulus is None else ("siegel",)
+    for kind in kinds:
+        a = packed_operand(kind, 0, {box_keys(kind, 0)[0]: value}, modulus=modulus)
+        assert (a * a).coeffs == naive_product(kind, 1, a, a) != {}
+        zero = packed_operand(kind, 2, {}, modulus=modulus)
+        full = packed_operand(kind, 2, {k: value for k in box_keys(kind, 2)}, modulus=modulus)
+        assert (zero * full).coeffs == (full * zero).coeffs == {}
+        assert (full * a).coeffs == naive_product(kind, 1, full, a)
+        assert (full * full).coeffs == naive_product(kind, 1, full, full)
 
 
 @by_kind
