@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import FormatError, PrecisionError
 from .generators import GENERATOR_NAMES, GeneratorRegistry
-from .qformat import dump_siegel, parse_siegel
+from .qformat import decode, dump_siegel, parse_siegel
 from .rationals import PrimePower
 from .verify import (
     SUITES,
@@ -42,10 +42,10 @@ def _parse_bound(text: str) -> Fraction:
 
 def _load_file(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    return parse_siegel(text)
+    return parse_siegel(decode(data))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -163,14 +163,15 @@ class SiegelExpansion(SparseSeries):
         if self.modulus is not None:
             raise ValueError("expansion is already reduced")
         out = {}
-        for key in self.support():
+        for key, c in self.coeffs.items():
             try:
-                out[key] = reduce_mod_p(self.coeffs[key], p)
+                if (v := reduce_mod_p(c, p)):
+                    out[key] = v
             except NotPIntegral:
-                raise NotPIntegral(
-                    f"coefficient at {key} = {self.coeffs[key]} is not {p}-integral"
-                ) from None
-        return SiegelExpansion(self.weight, self.precision, out, self.scale, modulus=p)
+                raise NotPIntegral(f"coefficient at {key} = {c} is not {p}-integral") from None
+        return SiegelExpansion._unchecked(
+            self.precision, out, self.weight, scale=self.scale, modulus=p
+        )
 
     def symmetry_violations(self) -> list:
         """Indices violating the weight-driven sign symmetries (empty = pass)."""

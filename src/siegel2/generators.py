@@ -200,8 +200,8 @@ class GeneratorRegistry:
                     candidates.append((prec, path))
         for _, path in sorted(candidates):
             try:
-                stored_name, exp = qformat.parse_siegel(path.read_text(encoding="utf-8"))
-            except (FormatError, UnicodeDecodeError):
+                stored_name, exp = qformat.parse_siegel(qformat.decode(path.read_bytes()))
+            except FormatError:
                 path.unlink(missing_ok=True)
                 continue
             if (

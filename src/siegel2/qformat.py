@@ -29,187 +29,148 @@ from .errors import FormatError
 from .expansion import SiegelExpansion
 from .qexp1 import DiagSeries
 
-MAGIC_SIEGEL = "%SIEGEL2-QEXP 1"
-MAGIC_DIAG = "%DIAG-QEXP 1"
+# Each format as data: its magic line, its tag header and the number of
+# index integers on an entry line.
+_SIEGEL = ("%SIEGEL2-QEXP 1", "scale", 3)
+_DIAG = ("%DIAG-QEXP 1", "symmetry", 2)
+
+_SYMMETRY = {"+1": 1, "-1": -1, "none": None}
+_MINIMUM = {"scale": 1, "precision": 0, "entries": 0}
 
 
-def _num_den(c) -> tuple[int, int]:
-    if isinstance(c, Fraction):
-        return c.numerator, c.denominator
-    return c, 1
+def decode(data: bytes) -> str:
+    """File bytes as text with LF line ends; FormatError names the line of
+    the first byte that is not UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _dump(fmt, name: str, series, tag, keys) -> str:
+    """The canonical text of a series in one format, entries in the order of keys."""
+    magic, tag_field, arity = fmt
+    if series.weight is None:
+        raise ValueError("cannot serialise a series without a weight tag")
+    lines = [
+        magic,
+        f"name {name}",
+        f"weight {series.weight}",
+        f"{tag_field} {tag}",
+        f"precision {series.precision}",
+        f"entries {len(keys)}",
+    ]
+    row = " ".join(["%d"] * (arity + 2))
+    for key in keys:
+        c = series.coeffs[key]
+        if type(c) is int:
+            lines.append(row % (*key, c, 1))
+        else:
+            lines.append(row % (*key, c.numerator, c.denominator))
+    return "\n".join(lines) + "\n"
 
 
 def dump_siegel(exp: SiegelExpansion, name: str) -> str:
     """Serialise an exact expansion to the canonical text form."""
     if exp.modulus is not None:
         raise ValueError("mod-p expansions are not serialised")
-    if exp.weight is None:
-        raise ValueError("cannot serialise an expansion without a weight tag")
-    keys = sorted(exp.coeffs, key=lambda k: (k[0], k[2], k[1]))
-    lines = [
-        MAGIC_SIEGEL,
-        f"name {name}",
-        f"weight {exp.weight}",
-        f"scale {exp.scale}",
-        f"precision {exp.precision}",
-        f"entries {len(keys)}",
-    ]
-    for m, r, n in keys:
-        num, den = _num_den(exp.coeffs[(m, r, n)])
-        lines.append(f"{m} {r} {n} {num} {den}")
-    return "\n".join(lines) + "\n"
+    return _dump(_SIEGEL, name, exp, exp.scale, exp.support())
 
 
 def dump_diag(series: DiagSeries, name: str) -> str:
     """Serialise a diagonal series to the canonical text form."""
-    if series.weight is None:
-        raise ValueError("cannot serialise a series without a weight tag")
-    sym = {1: "+1", -1: "-1", None: "none"}[series.symmetry_sign]
-    keys = sorted(series.coeffs)
-    lines = [
-        MAGIC_DIAG,
-        f"name {name}",
-        f"weight {series.weight}",
-        f"symmetry {sym}",
-        f"precision {series.precision}",
-        f"entries {len(keys)}",
-    ]
-    for m, n in keys:
-        num, den = _num_den(series.coeffs[(m, n)])
-        lines.append(f"{m} {n} {num} {den}")
-    return "\n".join(lines) + "\n"
+    sign = {1: "+1", -1: "-1", None: "none"}[series.symmetry_sign]
+    return _dump(_DIAG, name, series, sign, sorted(series.coeffs))
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.lines = text.split("\n")
-        self.pos = 0
+def _read(text: str, fmt):
+    """Name, weight, tag, precision and coefficients of a file in one format.
 
-    def next_line(self) -> str:
-        if self.pos >= len(self.lines):
-            raise FormatError(self.pos + 1, "unexpected end of file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    @property
-    def lineno(self) -> int:
-        return self.pos
-
-
-def _read_header(reader: _Reader, field: str) -> str:
-    line = reader.next_line()
-    parts = line.split(" ", 1)
-    if len(parts) != 2 or parts[0] != field:
-        raise FormatError(reader.lineno, f"expected header '{field} ...', got {line!r}")
-    return parts[1]
-
-
-def _read_int_header(reader: _Reader, field: str) -> int:
-    value = _read_header(reader, field)
-    try:
-        return int(value)
-    except ValueError:
-        raise FormatError(reader.lineno, f"{field} must be an integer") from None
-
-
-def _parse_entry_tail(reader: _Reader, parts: list[str]):
-    try:
-        num = int(parts[-2])
-        den = int(parts[-1])
-    except ValueError:
-        raise FormatError(reader.lineno, "malformed numerator/denominator") from None
-    if den < 1:
-        raise FormatError(reader.lineno, f"denominator {den} must be >= 1")
-    if num == 0:
-        raise FormatError(reader.lineno, "zero entries must be omitted")
-    if den == 1:
-        return num
-    frac = Fraction(num, den)
-    if frac.numerator != num or frac.denominator != den:
-        raise FormatError(reader.lineno, f"{num}/{den} is not in lowest terms")
-    return frac
+    Every header and entry line is checked as it is read; FormatError
+    carries the number of the first bad line.
+    """
+    magic, tag, arity = fmt
+    lines = text.split("\n")
+    if lines[0] != magic:
+        raise FormatError(1, f"bad magic, expected {magic!r}")
+    head = {}
+    for lineno, field in enumerate(("name", "weight", tag, "precision", "entries"), 2):
+        if lineno > len(lines):
+            raise FormatError(lineno, "unexpected end of file")
+        line = lines[lineno - 1]
+        label, sep, value = line.partition(" ")
+        if not sep or label != field:
+            raise FormatError(lineno, f"expected header '{field} ...', got {line!r}")
+        if field == "symmetry":
+            if value not in _SYMMETRY:
+                raise FormatError(lineno, f"bad symmetry {value!r}")
+            value = _SYMMETRY[value]
+        elif field != "name":
+            try:
+                value = int(value)
+            except ValueError:
+                raise FormatError(lineno, f"{field} must be an integer") from None
+            low = _MINIMUM.get(field)
+            if low is not None and value < low:
+                raise FormatError(lineno, f"{field} must be >= {low}")
+        head[field] = value
+    box = head.get("scale", 1) * head["precision"]
+    entries = head["entries"]
+    body = lines[6 : 6 + entries]
+    coeffs = {}
+    last = (-1,)
+    for lineno, line in enumerate(body, 7):
+        parts = line.split()
+        if len(parts) != arity + 2:
+            raise FormatError(lineno, f"expected {arity + 2} fields, got {line!r}")
+        try:
+            if arity == 3:
+                m, r, n, num, den = map(int, parts)
+                key = (m, r, n)
+            else:
+                m, n, num, den = map(int, parts)
+                r = 0
+                key = (m, n)
+        except ValueError:
+            raise FormatError(lineno, f"malformed integer in {line!r}") from None
+        if not (0 <= m <= box and 0 <= n <= box):
+            raise FormatError(lineno, f"index {key} outside the box")
+        if 4 * m * n < r * r:
+            raise FormatError(lineno, f"index {key} not semi-definite")
+        order = (m, n, r)
+        if order <= last:
+            raise FormatError(lineno, "entries not in strictly ascending (m, n, r) order")
+        last = order
+        if den < 1:
+            raise FormatError(lineno, f"denominator {den} must be >= 1")
+        if num == 0:
+            raise FormatError(lineno, "zero entries must be omitted")
+        if den == 1:
+            coeffs[key] = num
+        else:
+            c = coeffs[key] = Fraction(num, den)
+            if c.denominator != den:
+                raise FormatError(lineno, f"{num}/{den} is not in lowest terms")
+    if len(body) < entries:
+        raise FormatError(len(lines) + 1, "unexpected end of file")
+    for lineno, line in enumerate(lines[6 + entries :], 7 + entries):
+        if line.strip():
+            raise FormatError(lineno, "trailing data after the declared entries")
+    return head["name"], head["weight"], head[tag], head["precision"], coeffs
 
 
 def parse_siegel(text: str) -> tuple[str, SiegelExpansion]:
     """Parse the degree-2 text format; FormatError carries the bad line."""
-    reader = _Reader(text)
-    if reader.next_line() != MAGIC_SIEGEL:
-        raise FormatError(1, f"bad magic, expected {MAGIC_SIEGEL!r}")
-    name = _read_header(reader, "name")
-    weight = _read_int_header(reader, "weight")
-    scale = _read_int_header(reader, "scale")
-    precision = _read_int_header(reader, "precision")
-    entries = _read_int_header(reader, "entries")
-    if scale < 1:
-        raise FormatError(reader.lineno, "scale must be >= 1")
-    if precision < 0:
-        raise FormatError(reader.lineno, "precision must be >= 0")
-    box = scale * precision
-    coeffs = {}
-    last_key = None
-    for _ in range(entries):
-        line = reader.next_line()
-        parts = line.split()
-        if len(parts) != 5:
-            raise FormatError(reader.lineno, f"expected 'm r n num den', got {line!r}")
-        try:
-            m, r, n = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FormatError(reader.lineno, "malformed index") from None
-        if not (0 <= m <= box and 0 <= n <= box):
-            raise FormatError(reader.lineno, f"index {(m, r, n)} outside the box")
-        if 4 * m * n - r * r < 0:
-            raise FormatError(reader.lineno, f"index {(m, r, n)} not semi-definite")
-        key = (m, n, r)
-        if last_key is not None and key <= last_key:
-            raise FormatError(reader.lineno, "entries not sorted ascending by (m, n, r)")
-        last_key = key
-        coeffs[(m, r, n)] = _parse_entry_tail(reader, parts)
-    _expect_end(reader)
-    # Every key and coefficient was checked above, line by line.
+    name, weight, scale, precision, coeffs = _read(text, _SIEGEL)
     return name, SiegelExpansion._unchecked(precision, coeffs, weight, scale=scale, modulus=None)
 
 
 def parse_diag(text: str) -> tuple[str, DiagSeries]:
-    """Parse the diagonal-series text format."""
-    reader = _Reader(text)
-    if reader.next_line() != MAGIC_DIAG:
-        raise FormatError(1, f"bad magic, expected {MAGIC_DIAG!r}")
-    name = _read_header(reader, "name")
-    weight = _read_int_header(reader, "weight")
-    sym_text = _read_header(reader, "symmetry")
-    if sym_text not in ("+1", "-1", "none"):
-        raise FormatError(reader.lineno, f"bad symmetry {sym_text!r}")
-    sym = {"+1": 1, "-1": -1, "none": None}[sym_text]
-    precision = _read_int_header(reader, "precision")
-    entries = _read_int_header(reader, "entries")
-    coeffs = {}
-    last_key = None
-    for _ in range(entries):
-        line = reader.next_line()
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError(reader.lineno, f"expected 'm n num den', got {line!r}")
-        try:
-            m, n = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(reader.lineno, "malformed index") from None
-        if not (0 <= m <= precision and 0 <= n <= precision):
-            raise FormatError(reader.lineno, f"index {(m, n)} outside the box")
-        key = (m, n)
-        if last_key is not None and key <= last_key:
-            raise FormatError(reader.lineno, "entries not sorted ascending by (m, n)")
-        last_key = key
-        coeffs[key] = _parse_entry_tail(reader, parts)
-    _expect_end(reader)
-    return name, DiagSeries(precision, coeffs, weight, sym)
-
-
-def _expect_end(reader: _Reader) -> None:
-    while reader.pos < len(reader.lines):
-        if reader.next_line().strip():
-            raise FormatError(reader.lineno, "trailing data after the declared entries")
+    """Parse the diagonal-series text format; FormatError carries the bad line."""
+    name, weight, sign, precision, coeffs = _read(text, _DIAG)
+    return name, DiagSeries._unchecked(precision, coeffs, weight, symmetry_sign=sign)
 
 
 def save_atomic(path: Path, text: str) -> None:

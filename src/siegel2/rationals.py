@@ -202,6 +202,8 @@ def p_valuation(x, p: int):
 
 def reduce_mod_p(x, p: int) -> int:
     """Image of a p-integral rational in F_p, inverting the denominator mod p."""
+    if type(x) is int:
+        return x % p
     if isinstance(x, Fraction):
         if x.denominator % p == 0:
             raise NotPIntegral(f"{x} is not {p}-integral")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import PrecisionError
-from .rationals import normalize
+from .rationals import normalize, reduce_mod_p
 
 SCALARS = (int, Fraction)
 
@@ -60,7 +60,11 @@ class SparseSeries:
         if modulus is None:
             self.coeffs = {k: v for k, c in coeffs.items() if (v := normalize(c))}
         else:
-            self.coeffs = {k: v for k, c in coeffs.items() if (v := c % modulus)}
+            self.coeffs = {
+                k: v
+                for k, c in coeffs.items()
+                if (v := c % modulus if type(c) is int else reduce_mod_p(c, modulus))
+            }
 
     def _box(self, precision):
         return precision

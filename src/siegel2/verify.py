@@ -453,19 +453,15 @@ def sharpness_witness(
     expected = spec.leading_index
     exp = registry.monomial(spec, b)
     pp = PrimePower(p)
-    violations = []
-    # The leading index mod p is the first one in (m, n, r) order with a
-    # coefficient nonzero mod p; reduce_mod_p rejects non-p-integral ones.
-    lead = None
-    for key in exp.support():
-        m, _, n = key
-        c = exp.coeffs[key]
-        if m <= b - 1 and n <= b - 1:
-            violations.append((key, p_valuation(c, p)))
-        if reduce_mod_p(c, p) and lead is None:
-            lead = key
-    if lead is None:
+    violations = [
+        (key, p_valuation(exp.coeffs[key], p))
+        for key in exp.support()
+        if key[0] < b and key[2] < b
+    ]
+    reduced = exp.reduce_mod(p)
+    if reduced.is_zero():
         raise ValueError(f"witness {spec} vanishes mod {p} on its box")
+    lead = reduced.leading_term().index
     unit = lead == expected
     verdict = not violations and unit
     note = None

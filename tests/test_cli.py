@@ -167,6 +167,17 @@ def test_malformed_file_reports_line(capsys, tmp_path, cache):
     assert "line 8" in err
 
 
+def test_file_with_bad_bytes_reports_line(capsys, tmp_path, cache):
+    bad = tmp_path / "bad.qexp"
+    data = (cache / "X4.p6.qexp").read_bytes().split(b"\n")
+    data[8] += b"\xff"
+    bad.write_bytes(b"\n".join(data))
+    code, _, err = run(capsys, "check", "--file", str(bad), "--prime", "2",
+                       "--cache-dir", str(cache))
+    assert code == 2
+    assert "line 9" in err
+
+
 def test_missing_file_is_a_usage_error(capsys, cache):
     code, _, err = run(capsys, "check", "--file", "nope.qexp", "--prime", "2",
                        "--cache-dir", str(cache))

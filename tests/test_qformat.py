@@ -56,40 +56,84 @@ def test_entries_are_sorted_canonically():
     assert keys == sorted(keys, key=lambda k: (k[0], k[2], k[1]))
 
 
+def sample_diag():
+    coeffs = {(0, 0): 1, (0, 1): Fraction(3, 7), (1, 0): Fraction(3, 7), (1, 1): 1}
+    return DiagSeries(1, coeffs, weight=10, symmetry_sign=1)
+
+
+# Per format: a sample series, its writer and reader, its tag header and the
+# entry line of (m, r, n, num, den); a diagonal entry line has no r.
+FORMATS = {
+    "siegel": (
+        sample_expansion,
+        dump_siegel,
+        parse_siegel,
+        "scale",
+        lambda m, r, n, num, den: f"{m} {r} {n} {num} {den}",
+    ),
+    "diag": (
+        sample_diag,
+        dump_diag,
+        parse_diag,
+        "symmetry",
+        lambda m, r, n, num, den: f"{m} {n} {num} {den}",
+    ),
+}
+
+
+# Each mutation runs on both samples.  The diagonal sample has precision 1,
+# so the diagonal form of the index (2, 9, 2), which is not semi-definite,
+# lies outside its box: both fail on line 8.
 @pytest.mark.parametrize(
     "mutate, lineno",
     [
-        (lambda lines: lines.__setitem__(0, "%SIEGEL-QEXP 9"), 1),
-        (lambda lines: lines.__setitem__(1, "label sample"), 2),
-        (lambda lines: lines.__setitem__(3, "scale zero"), 4),
-        (lambda lines: lines.__setitem__(6, "1 1 1 1 1"), 8),
-        (lambda lines: lines.__setitem__(7, "1 1 1 2 4"), 8),
-        (lambda lines: lines.__setitem__(7, "1 1 1 0 1"), 8),
-        (lambda lines: lines.__setitem__(7, "1 1 1 5 -1"), 8),
-        (lambda lines: lines.__setitem__(7, "9 0 9 1 1"), 8),
-        (lambda lines: lines.__setitem__(7, "2 9 2 1 1"), 8),
-        (lambda lines: lines.append("1 0 1 3 1"), 11),
+        (lambda lines, tag, entry: lines.__setitem__(0, "%SIEGEL-QEXP 9"), 1),
+        (lambda lines, tag, entry: lines.__setitem__(1, "label sample"), 2),
+        (lambda lines, tag, entry: lines.__setitem__(3, f"{tag} zero"), 4),
+        (lambda lines, tag, entry: lines.__setitem__(6, entry(1, 1, 1, 1, 1)), 8),
+        (lambda lines, tag, entry: lines.__setitem__(7, entry(1, 1, 1, 2, 4)), 8),
+        (lambda lines, tag, entry: lines.__setitem__(7, entry(1, 1, 1, 0, 1)), 8),
+        (lambda lines, tag, entry: lines.__setitem__(7, entry(1, 1, 1, 5, -1)), 8),
+        (lambda lines, tag, entry: lines.__setitem__(7, entry(9, 0, 9, 1, 1)), 8),
+        (lambda lines, tag, entry: lines.__setitem__(7, entry(2, 9, 2, 1, 1)), 8),
+        (lambda lines, tag, entry: lines.append(entry(1, 0, 1, 3, 1)), 11),
+        pytest.param(
+            lambda lines, tag, entry: lines.__setitem__(3, f"{tag} 0"), 4, id="tag-zero"
+        ),
+        pytest.param(
+            lambda lines, tag, entry: lines.__setitem__(4, "precision -1"),
+            5,
+            id="negative-precision",
+        ),
+        pytest.param(
+            lambda lines, tag, entry: lines.__setitem__(5, "entries -1"),
+            6,
+            id="negative-entries",
+        ),
     ],
 )
 def test_malformed_files_carry_line_numbers(mutate, lineno):
-    lines = dump_siegel(sample_expansion(), "sample").strip().split("\n")
-    mutate(lines)
-    with pytest.raises(FormatError) as info:
-        parse_siegel("\n".join(lines) + "\n")
-    assert info.value.lineno == lineno
+    for sample, dump, parse, tag, entry in FORMATS.values():
+        lines = dump(sample(), "sample").strip().split("\n")
+        mutate(lines, tag, entry)
+        with pytest.raises(FormatError) as info:
+            parse("\n".join(lines) + "\n")
+        assert info.value.lineno == lineno
 
 
 _tokens = st.one_of(
     st.integers(-(10**6), 10**6).map(str),
     st.text(alphabet="0123456789 -+_/.xe\t\r\u00e9", max_size=8),
-    st.sampled_from(["", "name", "weight", "scale", "precision", "entries", "9" * 5000]),
+    st.sampled_from(
+        ["", "name", "weight", "scale", "symmetry", "precision", "entries", "9" * 5000]
+    ),
 )
 
 
 @st.composite
-def mutated_lines(draw):
-    """The sample file's lines after one to three line or token mutations."""
-    lines = dump_siegel(sample_expansion(), "sample").split("\n")
+def mutated_lines(draw, text):
+    """The lines of a sample file after one to three line or token mutations."""
+    lines = text.split("\n")
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from(("token", "replace", "insert", "delete", "duplicate", "swap")))
@@ -111,17 +155,19 @@ def mutated_lines(draw):
     return lines
 
 
-@settings(max_examples=300, deadline=None)
-@given(lines=mutated_lines())
-def test_mutated_files_parse_or_name_their_line(lines):
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_mutated_files_parse_or_name_their_line(data):
+    sample, dump, parse, _, _ = FORMATS[data.draw(st.sampled_from(sorted(FORMATS)))]
+    lines = data.draw(mutated_lines(dump(sample(), "sample")))
     text = "\n".join(lines)
     try:
-        name, exp = parse_siegel(text)
+        name, series = parse(text)
     except FormatError as err:
         assert 1 <= err.lineno <= len(lines) + 1
         assert str(err).startswith(f"line {err.lineno}: ")
     else:
-        assert parse_siegel(dump_siegel(exp, name)) == (name, exp)
+        assert parse(dump(series, name)) == (name, series)
 
 
 def test_truncated_file_rejected():

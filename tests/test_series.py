@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegel2.errors import NotPIntegral
 from siegel2.expansion import SiegelExpansion
 from siegel2.generators import GENERATOR_WEIGHTS, MonomialSpec
 from siegel2.qexp1 import DiagSeries, QSeries1
@@ -308,3 +309,12 @@ def test_mixed_series_types_do_not_combine():
     with pytest.raises(TypeError):
         _ = q * d
     assert q != d
+
+
+def test_mod_p_series_reduce_rational_coefficients():
+    half = SiegelExpansion(4, 2, {(0, 0, 0): Fraction(1, 2)}, modulus=5)
+    assert half.coeffs == {(0, 0, 0): 3}
+    assert (half * 2).coeffs == {(0, 0, 0): 1}
+    assert (half * Fraction(2, 3)).coeffs == {(0, 0, 0): 2}
+    with pytest.raises(NotPIntegral):
+        SiegelExpansion(4, 2, {(0, 0, 0): Fraction(1, 5)}, modulus=5)

@@ -158,8 +158,8 @@ def test_theorem1_rank_extended_grid(registry):
 
 
 def test_theorem1_rank_odd_weights_past_51(registry):
-    """Odd weights 53..85 at p = 5, 7: X35 times the classical monomials, b_k up to 8."""
-    for k in range(53, 86, 2):
+    """Odd weights 53..99 at p = 5, 7: X35 times the classical monomials, b_k up to 9."""
+    for k in range(53, 100, 2):
         for p in (5, 7):
             rep = verify_theorem1_rank(k, p, max(sturm_bound(k), 5), registry)
             assert rep.passed, (k, p)
