@@ -45,7 +45,10 @@ def _load_file(path: str):
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    return parse_siegel(decode(data))
+    try:
+        return parse_siegel(decode(data))
+    except FormatError as exc:
+        raise FormatError(exc.lineno, exc.message, path) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

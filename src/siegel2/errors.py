@@ -14,8 +14,11 @@ class ConstructionError(RuntimeError):
 
 
 class FormatError(ValueError):
-    """A q-expansion file violates the text format; carries the offending line."""
+    """A q-expansion file violates the text format; carries the offending
+    line, and the file's path where the reader knows it."""
 
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, lineno: int, message: str, path=None):
+        where = f"line {lineno}" if path is None else f"{path}: line {lineno}"
+        super().__init__(f"{where}: {message}")
         self.lineno = lineno
+        self.message = message

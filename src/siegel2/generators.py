@@ -265,14 +265,14 @@ class GeneratorRegistry:
     def _monomial(
         self, spec: MonomialSpec, precision: int, modulus: int | None
     ) -> SiegelExpansion:
-        # Start from the first factor, not from a product by 1.
-        product = None
-        for name, e in spec.exponents:
-            factor = self.power(name, e, precision, modulus)
-            product = factor if product is None else product * factor
-        if product is None:
-            product = SiegelExpansion.constant(1, precision, modulus=modulus)
-        return product
+        # One packed product of all the factor powers.  X35 and the cusp
+        # forms go first: their partial products have small supports.
+        factors = [
+            self.power(name, e, precision, modulus) for name, e in reversed(spec.exponents)
+        ]
+        if not factors:
+            return SiegelExpansion.constant(1, precision, modulus=modulus)
+        return SiegelExpansion._product(factors)
 
 
 _DEFAULT_REGISTRY: GeneratorRegistry | None = None

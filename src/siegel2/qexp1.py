@@ -13,6 +13,7 @@ tensor factors.  Both take their ring operations from ``siegel2.series``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .errors import PrecisionError
 from .rationals import bernoulli, divisors, normalize
@@ -57,7 +58,7 @@ class QSeries1(SparseSeries):
     def _one(self):
         return QSeries1(self.precision, {0: 1}, 0)
 
-    def _merged_tags(self, other, product):
+    def _merged_tags(self, others, product):
         return {"quasi_flag": False}
 
     def __repr__(self):
@@ -121,13 +122,14 @@ class DiagSeries(SparseSeries):
     def _one(self):
         return DiagSeries(self.precision, {(0, 0): 1}, 0, 1)
 
-    def _merged_tags(self, other, product):
-        a, b = self.symmetry_sign, other.symmetry_sign
+    def _merged_tags(self, others, product):
+        signs = [self.symmetry_sign, *(other.symmetry_sign for other in others)]
         if not product:
-            return {"symmetry_sign": a if a == b else None}
+            return {"symmetry_sign": signs[0] if len(set(signs)) == 1 else None}
         # Swap acts multiplicatively on tensor factors, so signs multiply.
-        known = a in (1, -1) and b in (1, -1)
-        return {"symmetry_sign": a * b if known else None}
+        if any(sign not in (1, -1) for sign in signs):
+            return {"symmetry_sign": None}
+        return {"symmetry_sign": prod(signs)}
 
     def symmetry_violations(self) -> list:
         """Index pairs where the declared swap symmetry fails (empty = pass)."""

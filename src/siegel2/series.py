@@ -34,7 +34,8 @@ class SparseSeries:
     * ``_rows(ints, width)`` and ``_slots(m, n, box)``: the packed layout
       of integer coefficients that ``_product`` multiplies;
     * ``_one()``: the identity at this series' precision;
-    * ``_merged_tags(other, product)``: every ``_TAGS`` value of a sum or product.
+    * ``_merged_tags(others, product)``: every ``_TAGS`` value of a sum or
+      product of this series and ``others``.
 
     Subclass constructors accept ``precision``, ``coeffs`` and ``weight``
     as keywords, and the names in ``_RING`` and ``_TAGS`` too.
@@ -78,7 +79,7 @@ class SparseSeries:
     def _tags(self):
         return {name: getattr(self, name) for name in self._TAGS}
 
-    def _merged_tags(self, other, product):
+    def _merged_tags(self, others, product):
         return {}
 
     def _ring(self):
@@ -101,13 +102,16 @@ class SparseSeries:
             setattr(series, name, value)
         return series
 
-    def _merged(self, other, product):
-        """Precision and type tags of a sum or product; the rings must agree."""
-        for name in self._RING:
-            mine, theirs = getattr(self, name), getattr(other, name)
-            if mine != theirs:
-                raise ValueError(f"{name} mismatch: {mine} vs {theirs}")
-        return min(self.precision, other.precision), self._merged_tags(other, product)
+    def _merged(self, others, product):
+        """Precision and type tags of a sum or product of this series and
+        ``others``; the rings must agree."""
+        for other in others:
+            for name in self._RING:
+                mine, theirs = getattr(self, name), getattr(other, name)
+                if mine != theirs:
+                    raise ValueError(f"{name} mismatch: {mine} vs {theirs}")
+        precision = min(self.precision, *(other.precision for other in others))
+        return precision, self._merged_tags(others, product)
 
     # -- access -------------------------------------------------------------
 
@@ -130,7 +134,7 @@ class SparseSeries:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        prec, tags = self._merged(other, product=False)
+        prec, tags = self._merged([other], product=False)
         box = self._box(prec)
         out = self._kept(self.coeffs, box)
         for k, c in other._kept(other.coeffs, box).items():
@@ -152,17 +156,14 @@ class SparseSeries:
             return self._new(self.precision, coeffs, self.weight, self._tags())
         if not isinstance(other, type(self)):
             return NotImplemented
-        prec, tags = self._merged(other, product=True)
-        weight = None
-        if self.weight is not None and other.weight is not None:
-            weight = self.weight + other.weight
-        coeffs = self._product(other, self._box(prec))
-        return self._unchecked(prec, coeffs, weight, **self._ring(), **tags)
+        return self._product((self, other))
 
     __rmul__ = __mul__
 
-    def _product(self, other, box):
-        """The clean coefficients of a product, cut to the box.
+    @staticmethod
+    def _product(factors):
+        """The product of one or more series of one type and ring; one
+        factor is its own product.
 
         ``_rows`` packs a series into rows keyed (m, n), each one integer
         with ``width`` bits per slot, as [integer, isqrt(4mn)].  Slot j of
@@ -171,34 +172,53 @@ class SparseSeries:
         whose rows are (m, 0); j of a QSeries1, one row (0, 0).  Two rows
         multiply into their sum row with one big-integer multiply, shifted
         up by isqrt(4mn) - isqrt(4 m1 n1) - isqrt(4 m2 n2) slots, which
-        Cauchy-Schwarz keeps nonnegative.  No output coefficient sums more
-        than (box+1)^2 (4 box + 1) products, so with ``_slot_width`` every
-        slot stays below 2^(width-2) in absolute value and the signed slots
-        decode exactly.  Fractions are scaled to integers by the lcm of
-        their denominators, divided out again at decode.
+        Cauchy-Schwarz keeps nonnegative.  Each factor is packed once, at
+        the ``_slot_width`` of the whole product, and the partial products
+        stay packed, as rows in the box, until the last factor is in; only
+        then are the signed slots decoded.  (A QSeries1 or DiagSeries row
+        also keeps the slots past the box that it gathers; they only add
+        into higher slots, so the decode never reads them.)  Fractions are
+        scaled to integers by the lcm of their denominators; the product of
+        the lcms is divided out at decode, and F_p residues are reduced there.
         """
-        ints1, den1 = _integral(self.coeffs)
-        ints2, den2 = _integral(other.coeffs)
-        width = _slot_width(ints1, ints2, box)
-        rows2 = self._rows(ints2, width).items()
-        acc = {}
-        for (m1, n1), (a, top1) in self._rows(ints1, width).items():
-            if m1 > box or n1 > box:
-                continue
-            for (m2, n2), (b, top2) in rows2:
-                m = m1 + m2
-                if m > box:
+        first = factors[0]
+        if len(factors) == 1:
+            return first
+        prec, tags = first._merged(factors[1:], product=True)
+        weights = [f.weight for f in factors]
+        weight = None if None in weights else sum(weights)
+        box = first._box(prec)
+        ints, den = [], 1
+        for f in factors:
+            scaled, f_den = _integral(f.coeffs)
+            ints.append(scaled)
+            den *= f_den
+        width = _slot_width(ints, box)
+        acc = first._rows(ints[0], width)
+        for scaled in ints[1:]:
+            rows2 = first._rows(scaled, width).items()
+            partial, acc = acc, {}
+            for (m1, n1), (a, top1) in partial.items():
+                if m1 > box or n1 > box:
                     continue
-                n = n1 + n2
-                if n > box:
-                    continue
-                shift = width * (isqrt(4 * m * n) - top1 - top2)
-                acc[m, n] = acc.get((m, n), 0) + (a * b << shift)
+                for (m2, n2), (b, top2) in rows2:
+                    m = m1 + m2
+                    if m > box:
+                        continue
+                    n = n1 + n2
+                    if n > box:
+                        continue
+                    row = acc.get((m, n))
+                    if row is None:
+                        top = isqrt(4 * m * n)
+                        acc[m, n] = [a * b << width * (top - top1 - top2), top]
+                    else:
+                        row[0] += a * b << width * (row[1] - top1 - top2)
         mask = (1 << width) - 1
         half = 1 << (width - 1)
         out = {}
-        for (m, n), x in acc.items():
-            for key in self._slots(m, n, box):
+        for (m, n), (x, _) in acc.items():
+            for key in first._slots(m, n, box):
                 if not x:
                     break
                 c = x & mask
@@ -208,13 +228,12 @@ class SparseSeries:
                     x += 1
                 if c:
                     out[key] = c
-        modulus = self.modulus
+        modulus = first.modulus
         if modulus is not None:
-            return {k: v for k, c in out.items() if (v := c % modulus)}
-        den = den1 * den2
-        if den != 1:
-            return {k: normalize(Fraction(c, den)) for k, c in out.items()}
-        return out
+            out = {k: v for k, c in out.items() if (v := c % modulus)}
+        elif den != 1:
+            out = {k: normalize(Fraction(c, den)) for k, c in out.items()}
+        return first._unchecked(prec, out, weight, **first._ring(), **tags)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -250,8 +269,17 @@ def _integral(coeffs):
     return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
 
 
-def _slot_width(ints1, ints2, box):
-    """Bits per slot that hold any coefficient of a product in the box, with sign."""
-    bits1 = max(map(abs, ints1.values()), default=0).bit_length()
-    bits2 = max(map(abs, ints2.values()), default=0).bit_length()
-    return bits1 + bits2 + ((box + 1) ** 2 * (4 * box + 1)).bit_length() + 2
+def _slot_width(ints, box):
+    """Bits per slot that hold any coefficient of the product of ``ints`` in
+    the box, with sign.
+
+    The box holds at most N = (box+1)^2 (4 box + 1) indices, so a
+    coefficient in it sums at most N^(n-1) products of n factor
+    coefficients, and this width keeps it below 2^(width-2) in absolute
+    value.  Partial products need no bound of their own: a packed row is
+    the exact value at 2^width of its polynomial in the slots, evaluation
+    respects products, and only the final product is decoded.
+    """
+    bits = sum(max(map(abs, c.values()), default=0).bit_length() for c in ints)
+    count = ((box + 1) ** 2 * (4 * box + 1)).bit_length()
+    return bits + (len(ints) - 1) * count + 2

@@ -167,6 +167,18 @@ def test_malformed_file_reports_line(capsys, tmp_path, cache):
     assert "line 8" in err
 
 
+def test_malformed_file_is_named(capsys, tmp_path, cache):
+    bad = tmp_path / "second.qexp"
+    lines = (cache / "X4.p6.qexp").read_text(encoding="utf-8").split("\n")
+    lines[7] = "1 1 1 4 2"
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    code, _, err = run(capsys, "congruent", "--a", str(cache / "X4.p6.qexp"),
+                       "--b", str(bad), "--prime", "2", "--cache-dir", str(cache))
+    assert code == 2
+    assert f"{bad}: line 8" in err
+    assert "X4.p6.qexp" not in err
+
+
 def test_file_with_bad_bytes_reports_line(capsys, tmp_path, cache):
     bad = tmp_path / "bad.qexp"
     data = (cache / "X4.p6.qexp").read_bytes().split(b"\n")

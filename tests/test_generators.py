@@ -11,7 +11,7 @@ from siegel2.generators import (
     MonomialSpec,
     _pin,
 )
-from siegel2.verify import verify_theorem1_rank
+from siegel2.verify import GENSET_INTEGRAL, verify_theorem1_rank, weight_monomials
 
 ALL_NAMES = tuple(GENERATOR_WEIGHTS)
 
@@ -230,6 +230,23 @@ def test_monomial_mod_reduces_each_generator_once(registry, gens6, monkeypatch):
     one = reg.monomial_mod(MonomialSpec(), 2, 5)
     assert one.coeffs == {(0, 0, 0): 1} and one.modulus == 5
     assert reg.power("X6", 0, 2, 5) == one
+
+
+def test_monomial_mod_is_the_folded_product_of_its_powers(registry, gens6):
+    """One packed product per monomial equals the left fold of binary
+    products, for every monomial of weight <= 40 in the integral generators
+    and X35."""
+    genset = GENSET_INTEGRAL + ("X35",)
+    specs = [spec for k in range(41) for spec in weight_monomials(k, genset)]
+    assert len(specs) > 100
+    for p in (2, 3, 5, 7):
+        for spec in specs:
+            folded = SiegelExpansion.constant(1, 5, modulus=p)
+            for name, e in spec.exponents:
+                folded = folded * registry.power(name, e, 5, p)
+            got = registry.monomial_mod(spec, 5, p)
+            assert got == folded, (str(spec), p)
+            assert got.weight == spec.weight
 
 
 def test_certificates_leave_no_fp_monomials_held(registry, gens6):

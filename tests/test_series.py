@@ -20,6 +20,7 @@ from siegel2.expansion import SiegelExpansion
 from siegel2.generators import GENERATOR_WEIGHTS, MonomialSpec
 from siegel2.qexp1 import DiagSeries, QSeries1
 from siegel2.qformat import dump_siegel, parse_siegel
+from siegel2.series import SparseSeries
 
 KINDS = ("q", "diag", "siegel", "siegel-mod")
 MODULUS = 5
@@ -160,8 +161,8 @@ def packed_operand(kind, precision, coeffs, scale=1, modulus=None):
 
 
 @st.composite
-def wide_pairs(draw):
-    """(kind, scale, [a, b]): sparse operands with wide entries, or full
+def wide_factors(draw, counts=st.just(2)):
+    """(kind, scale, factors): sparse operands with wide entries, or full
     boxes at the largest magnitude of a bit length, so the slot sums are as
     large as the box allows."""
     kind = draw(st.sampled_from(PACKED_KINDS))
@@ -177,7 +178,7 @@ def wide_pairs(draw):
         coeff = st.integers(0, modulus - 1)
     largest = {"q": 6, "diag": 3}.get(kind, 3 // scale)
     members = []
-    for _ in range(2):
+    for _ in range(draw(counts)):
         precision = draw(st.integers(0, largest))
         keys = box_keys(kind, scale * precision)
         if draw(st.booleans()):
@@ -191,13 +192,48 @@ def wide_pairs(draw):
 
 
 @SETTINGS
-@given(pair=wide_pairs())
+@given(pair=wide_factors())
 def test_wide_siegel_products_match_naive_convolution(pair):
     kind, scale, (a, b) = pair
     got = a * b
     assert got.coeffs == naive_product(kind, scale, a, b)
     for v in got.coeffs.values():
         assert not (isinstance(v, Fraction) and v.denominator == 1)
+
+
+def folded_product(kind, scale, factors):
+    """The left fold of naive convolutions, each partial product cut to the box."""
+    folded = factors[0]
+    for factor in factors[1:]:
+        coeffs = naive_product(kind, scale, folded, factor)
+        precision = min(folded.precision, factor.precision)
+        folded = packed_operand(kind, precision, coeffs, scale, getattr(factor, "modulus", None))
+    return folded
+
+
+@SETTINGS
+@given(family=wide_factors(st.integers(1, 5)))
+def test_products_of_one_to_five_factors_match_folded_convolution(family):
+    kind, scale, factors = family
+    got = SparseSeries._product(factors)
+    assert got == folded_product(kind, scale, factors)
+    assert got.weight == 4 * len(factors)
+    for v in got.coeffs.values():
+        assert not (isinstance(v, Fraction) and v.denominator == 1)
+
+
+@pytest.mark.parametrize(
+    "kind, scale, modulus",
+    [("q", 1, None), ("diag", 1, None), ("siegel", 1, None), ("siegel", 2, None), ("siegel", 1, M61)],
+)
+def test_five_full_boxes_of_one_sign(kind, scale, modulus):
+    """As many products per slot as five factors allow: on a Siegel box of 3,
+    2285 of them, more than a width with one count term for all of them holds."""
+    precision = {"q": 6, "diag": 3}.get(kind, 3 // scale)
+    value = M61 - 1 if modulus else 2**64 - 1
+    full = {k: value for k in box_keys(kind, scale * precision)}
+    factors = [packed_operand(kind, precision, full, scale, modulus) for _ in range(5)]
+    assert SparseSeries._product(factors) == folded_product(kind, scale, factors)
 
 
 @pytest.mark.parametrize("modulus", (None, MODULUS, M61))

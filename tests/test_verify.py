@@ -149,8 +149,8 @@ def test_theorem1_pass_needs_the_dimension():
 
 
 def test_theorem1_rank_extended_grid(registry):
-    """Even weights 66..80 at p = 5, 7: 63 to 101 monomials, b_k up to 8."""
-    for k in range(66, 81, 2):
+    """Even weights 66..100 at p = 5, 7: 63 to 182 monomials, b_k up to 10."""
+    for k in range(66, 101, 2):
         for p in (5, 7):
             rep = verify_theorem1_rank(k, p, max(sturm_bound(k), 5), registry)
             assert rep.passed, (k, p)
