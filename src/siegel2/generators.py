@@ -49,6 +49,10 @@ GENERATOR_NAMES = tuple(GENERATOR_WEIGHTS)
 
 # Declared leading terms (index, coefficient) used as build pins.  A build
 # must reach at least the leading index, else the pin cannot be checked.
+# The m of the leading index is the generator's layer l, and the pins imply
+# a(m, r, n) = 0 wherever min(m, n) < l: the leading-term pin clears every
+# row m < l, and the pinned swap symmetry a(n, r, m) = +-a(m, r, n) then
+# clears every column n < l.  ``MonomialSpec.layer`` reads it from here.
 _LEADING = {
     "X4": ((0, 0, 0), 1),
     "X6": ((0, 0, 0), 1),
@@ -118,6 +122,12 @@ class MonomialSpec(FrozenRecord):
             sum(_LEADING[name][0][i] * e for name, e in self.exponents)
             for i in range(3)
         )
+
+    @property
+    def layer(self) -> int:
+        """The sum of the factors' layers, the m of the leading index: the
+        product vanishes wherever min(m, n) is below it."""
+        return self.leading_index[0]
 
     def times(self, name: str) -> "MonomialSpec":
         """The monomial multiplied by one more factor of ``name``."""
@@ -332,7 +342,11 @@ def _build(name: str, precision: int, registry: GeneratorRegistry) -> SiegelExpa
 
 
 def _pin(name: str, exp: SiegelExpansion) -> None:
-    """Fail loudly unless the build satisfies every pinned identity."""
+    """Fail loudly unless the build satisfies every pinned identity.
+
+    The symmetry and leading-term pins together also pin the layer: the
+    build vanishes wherever min(m, n) is below its leading m (see ``_LEADING``).
+    """
     for key, c in exp.coeffs.items():
         if not isinstance(c, int):
             raise ConstructionError(f"{name}: non-integral coefficient {c} at {key}")

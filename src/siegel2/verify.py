@@ -12,8 +12,25 @@ showing in F_p that the weight-k monomials have rank dim M_k on the
 truncated box; ``sharpness_witness`` produces a form showing the bound
 cannot be lowered.  Every rank, left kernel and canonical span over F_p
 comes from one echelon basis (``Echelon``); a left kernel is the
-complement of the column span.  ``verify_identities`` bundles the named
-suites exercised by the CLI:
+complement of the column span.
+
+The certificate proves its rank by layers first.  A generator of layer l
+(the m of its leading index: 0 for X4, X6 and Y12, 1 for X10, X12 and X16,
+2 for X35) vanishes wherever min(m, n) < l, so a monomial of layer j, the
+sum of its factors' layers, vanishes there too, and its row m = j is the
+product of its factors' rows m = l.  Order the matrix rows by layer and its
+columns by t = min(m, n): the rows of layer j vanish on every column
+t < j, so the matrix is block upper triangular, and a combination of rows
+that vanishes on the box also vanishes on block j of its lowest layer j
+with a nonzero coefficient.  Block j is the layer-j rows on the columns
+(j, r, n), j <= n <= b_k.  When every block has full rank, so do the rows
+on the box b_k, and then on the whole box.  At p >= 5, where the monomials
+number dim M_k, that is the certificate, formed from leading rows alone
+(``layered_full_rank``).  A block short of full rank proves nothing, so
+then, and at p in {2, 3}, the monomials are formed on the whole box and
+one elimination gives the exact ranks.
+
+``verify_identities`` bundles the named suites exercised by the CLI:
 
 * witt-images          -- pinned diagonal-restriction images of the generators
 * lemma10              -- the mod-2/mod-3 congruences among the generators,
@@ -27,7 +44,9 @@ suites exercised by the CLI:
 
 from __future__ import annotations
 
-from .errors import PrecisionError
+from math import isqrt
+
+from .errors import ConstructionError, PrecisionError
 from .expansion import BeyondPrecision, SiegelExpansion, box_indices
 from .generators import (
     GENERATOR_NAMES,
@@ -187,6 +206,21 @@ def weight_monomials(k: int, genset) -> list[MonomialSpec]:
     return out
 
 
+def igusa_dimension(k: int) -> int:
+    """dim M_k in level 1 (Igusa): the number of monomials of weight k in
+    X4, X6, X10 and X12, and in odd weight X35 times those of weight k - 35."""
+    if k % 2:
+        k -= 35
+    if k < 0:
+        return 0
+    ways = [1] + [0] * k
+    for name in GENSET_C:
+        w = GENERATOR_WEIGHTS[name]
+        for total in range(w, k + 1):
+            ways[total] += ways[total - w]
+    return ways[k]
+
+
 # -- exact linear algebra ------------------------------------------------------
 
 
@@ -322,6 +356,69 @@ def span_canonical(vectors, p):
 # -- bound certificates ----------------------------------------------------
 
 
+def leading_rows(monomials, bound: int, precision: int, p: int, registry) -> list:
+    """Each monomial's row m = layer, cut to n <= bound, mod p.
+
+    A factor's row m = l is cut from ``registry.power(name, 1, precision,
+    p)``, and a monomial's row is one product of its factors' row powers,
+    which are kept per call as a chain g, g^2, ..., as ``power`` keeps
+    them.  A reduced generator with a nonzero coefficient where min(m, n)
+    is below its layer raises ConstructionError: the rows are the layer
+    rows only if the generators vanish there.
+    """
+    powers = {}
+
+    def power(name, e):
+        held = powers.get((name, e))
+        if held is None:
+            if e == 1:
+                held = _leading_row(name, registry.power(name, 1, precision, p), bound)
+            else:
+                held = power(name, e - 1) * power(name, 1)
+            powers[name, e] = held
+        return held
+
+    return [
+        SiegelExpansion._product([power(name, e) for name, e in reversed(spec.exponents)])
+        if spec.exponents
+        else SiegelExpansion.constant(1, bound, modulus=p)
+        for spec in monomials
+    ]
+
+
+def _leading_row(name: str, reduced: SiegelExpansion, bound: int) -> SiegelExpansion:
+    layer = MonomialSpec.from_dict({name: 1}).layer
+    row = {}
+    for (m, r, n), c in reduced.coeffs.items():
+        if min(m, n) < layer:
+            raise ConstructionError(
+                f"{name}: nonzero mod {reduced.modulus} at {(m, r, n)}, below its layer {layer}"
+            )
+        if m == layer and n <= bound:
+            row[m, r, n] = c
+    return SiegelExpansion._unchecked(
+        bound, row, reduced.weight, scale=1, modulus=reduced.modulus
+    )
+
+
+def layered_full_rank(monomials, bound: int, precision: int, p: int, registry) -> bool:
+    """Whether the monomials' leading rows prove full F_p rank on the box
+    m, n <= bound: every block j, the layer-j rows on the columns (j, r, n)
+    with j <= n <= bound, has full rank (see the module docstring)."""
+    blocks = {}
+    for spec, row in zip(monomials, leading_rows(monomials, bound, precision, p, registry)):
+        blocks.setdefault(spec.layer, []).append(row.coeffs)
+    for j, rows in blocks.items():
+        columns = [
+            (j, r, n)
+            for n in range(j, bound + 1)
+            for r in range(-isqrt(4 * j * n), isqrt(4 * j * n) + 1)
+        ]
+        if streamed_ranks(rows, columns, (), p)[0] < len(rows):
+            return False
+    return True
+
+
 class Theorem1Report(Record):
     """Desk-scale injectivity certificate for truncation at the bound."""
 
@@ -390,9 +487,11 @@ def verify_theorem1_rank(
     and X35 times those in odd weight (up to 51 for p in {2, 3}).  Outside
     that coverage the report says so explicitly rather than passing on a
     proper subspace.
-    The monomials are formed mod p, and one streamed elimination gives
-    both ranks (see ``streamed_ranks``).  dim M_k is the number of
-    monomials in the classical generators (Igusa).
+    At p >= 5 the ranks are proved from the monomials' leading rows, block
+    by layer (``layered_full_rank``).  Otherwise, and when a block falls
+    short, the monomials are formed mod p on the whole box, and one
+    streamed elimination gives both ranks (see ``streamed_ranks``).
+    dim M_k is counted by ``igusa_dimension``.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -411,8 +510,11 @@ def verify_theorem1_rank(
         raise ValueError(f"precision {precision} is below the bound {b}")
     monomials = weight_monomials(k, genset)
     report.monomials = [str(m) for m in monomials]
-    c_genset = list(GENSET_C) + (["X35"] if k % 2 else [])
-    report.dim_c = len(weight_monomials(k, c_genset))
+    report.dim_c = igusa_dimension(k)
+    # At p >= 5 the monomials are the classical ones and number dim M_k.
+    if p >= 5 and layered_full_rank(monomials, b, precision, p, registry):
+        report.rank_truncated = report.rank_full = len(monomials)
+        return report
     rows = [registry.monomial_mod(spec, precision, p).coeffs for spec in monomials]
     inside, outside = [], []
     for key in box_indices(precision):

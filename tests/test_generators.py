@@ -88,7 +88,9 @@ def test_monomial_spec_behaviour():
     spec = MonomialSpec.from_dict({"X12": 1, "X10": 2})
     assert str(spec) == "X10^2*X12"
     assert spec.weight == 32
-    assert str(MonomialSpec()) == "1"
+    assert spec.layer == 3 == spec.leading_index[0]
+    assert MonomialSpec.from_dict({"X4": 2, "Y12": 1, "X35": 1}).layer == 2
+    assert str(MonomialSpec()) == "1" and MonomialSpec().layer == 0
     assert MonomialSpec.from_dict({"X4": 0}) == MonomialSpec()
     with pytest.raises(ValueError):
         MonomialSpec((("X4", 0),))
@@ -135,6 +137,25 @@ def test_each_witt_pin_rejects_a_build_that_moves_its_image(registry, name, orde
     for layer in range(3):
         assert (bad.witt(layer) != exp.witt(layer)) == (layer == order)
     with pytest.raises(ConstructionError, match=f"^{name}: {WITT_LAYERS[order]} image"):
+        _pin(name, bad)
+
+
+@pytest.mark.parametrize(
+    "name, layer, key",
+    [("X10", 1, (0, 0, 1)), ("X12", 1, (0, 0, 2)), ("X16", 1, (0, 0, 1)), ("X35", 2, (1, 1, 2))],
+)
+def test_pins_reject_a_symmetric_build_nonzero_below_its_layer(gens6, name, layer, key):
+    """The leading-term and symmetry pins imply vanishing where min(m, n) < layer."""
+    exp = gens6[name]
+    assert MonomialSpec.from_dict({name: 1}).layer == layer > min(key[0], key[2])
+    sign = -1 if exp.weight % 2 else 1
+    m, r, n = key
+    coeffs = dict(exp.coeffs)
+    for index, c in {(m, r, n): 1, (m, -r, n): sign, (n, r, m): sign, (n, -r, m): 1}.items():
+        coeffs[index] = c
+    bad = SiegelExpansion(exp.weight, exp.precision, coeffs)
+    assert not bad.symmetry_violations()
+    with pytest.raises(ConstructionError, match=f"^{name}: leading term"):
         _pin(name, bad)
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegel2.errors import NotPIntegral
+from siegel2 import qformat, verify
+from siegel2.errors import ConstructionError, NotPIntegral
 from siegel2.expansion import SiegelExpansion
-from siegel2.generators import MonomialSpec
+from siegel2.generators import GeneratorRegistry, MonomialSpec
 from siegel2.rationals import PrimePower
 from siegel2.verify import (
     GENSET_C,
@@ -18,6 +19,9 @@ from siegel2.verify import (
     check_congruence,
     check_vanishing,
     fp_rank,
+    igusa_dimension,
+    layered_full_rank,
+    leading_rows,
     matrix_from_forms,
     sharpness_witness,
     span_canonical,
@@ -149,8 +153,11 @@ def test_theorem1_pass_needs_the_dimension():
 
 
 def test_theorem1_rank_extended_grid(registry):
-    """Even weights 66..100 at p = 5, 7: 63 to 182 monomials, b_k up to 10."""
-    for k in range(66, 101, 2):
+    """Even weights 66..140 at p = 5, 7: 63 to 437 monomials, b_k up to 14."""
+    # Built once at the top precision; every lower one is served by truncation.
+    for name in GENSET_C:
+        registry.generator(name, 14)
+    for k in range(66, 141, 2):
         for p in (5, 7):
             rep = verify_theorem1_rank(k, p, max(sturm_bound(k), 5), registry)
             assert rep.passed, (k, p)
@@ -164,6 +171,91 @@ def test_theorem1_rank_odd_weights_past_51(registry):
             rep = verify_theorem1_rank(k, p, max(sturm_bound(k), 5), registry)
             assert rep.passed, (k, p)
             assert rep.rank_truncated == rep.rank_full == rep.dim_c == len(rep.monomials)
+
+
+def test_igusa_dimension_counts_the_classical_monomials():
+    for k in range(120):
+        c_genset = GENSET_C + (("X35",) if k % 2 else ())
+        assert igusa_dimension(k) == len(weight_monomials(k, c_genset)), k
+    assert [igusa_dimension(k) for k in (4, 10, 12, 35, 37, 39, 100)] == [1, 2, 3, 1, 0, 1, 182]
+
+
+def test_leading_rows_are_the_layer_rows_of_the_monomials(registry):
+    """For every monomial of weight <= 60 in X4, X6, X10, X12 and X35, the
+    product of leading rows is row m = layer of the whole monomial mod p."""
+    genset = GENSET_C + ("X35",)
+    count = 0
+    for k in range(61):
+        b = sturm_bound(k)
+        precision = max(b, 5)
+        specs = weight_monomials(k, genset)
+        for p in (5, 7):
+            rows = leading_rows(specs, b, precision, p, registry)
+            for spec, row in zip(specs, rows):
+                whole = registry.monomial_mod(spec, precision, p)
+                want = {
+                    key: c
+                    for key, c in whole.coeffs.items()
+                    if key[0] == spec.layer and key[2] <= b
+                }
+                assert row.coeffs == want, (str(spec), p)
+                assert all(min(key[0], key[2]) >= spec.layer for key in whole.coeffs)
+                count += 1
+    assert count == 2 * 535
+
+
+def test_full_rank_blocks_form_no_whole_monomial(registry, monkeypatch):
+    """At p >= 5 full-rank blocks are the whole certificate; p = 2 still
+    forms every monomial on the whole box."""
+    formed = []
+    monomial_mod = GeneratorRegistry.monomial_mod
+
+    def counted(self, spec, precision, p):
+        formed.append((str(spec), p))
+        return monomial_mod(self, spec, precision, p)
+
+    monkeypatch.setattr(GeneratorRegistry, "monomial_mod", counted)
+    for k, p in ((40, 5), (41, 7), (64, 7)):
+        assert verify_theorem1_rank(k, p, max(sturm_bound(k), 5), registry).passed
+    assert formed == []
+    assert verify_theorem1_rank(16, 2, 5, registry).passed
+    assert len(formed) == len(weight_monomials(16, GENSET_INTEGRAL))
+
+
+def test_a_block_kernel_falls_back_to_the_full_elimination(registry, monkeypatch):
+    """A duplicated monomial gives its block a kernel; the certificate then
+    forms the whole monomials, and its ranks are the dense reference ranks."""
+    k, p, precision = 24, 5, 5
+    b = sturm_bound(k)
+    monomials = weight_monomials(k, GENSET_C)
+    assert layered_full_rank(monomials, b, precision, p, registry)
+    doubled = monomials + [monomials[-1]]
+    assert not layered_full_rank(doubled, b, precision, p, registry)
+    monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: doubled)
+    report = verify_theorem1_rank(k, p, precision, registry)
+    indices = box_indices(precision)
+    entries = [
+        [registry.monomial(spec, precision).coeffs.get(key, 0) for key in indices]
+        for spec in doubled
+    ]
+    inside = [j for j, (m, _, n) in enumerate(indices) if m <= b and n <= b]
+    assert report.rank_truncated == dense_rank([[row[j] for j in inside] for row in entries], p)
+    assert report.rank_full == dense_rank(entries, p) == len(monomials)
+    assert len(report.monomials) == len(doubled) == report.dim_c + 1
+
+
+def test_a_generator_nonzero_below_its_layer_fails_the_certificate(tmp_path, gens6):
+    """Cache files are served without pins, so the leading rows check the
+    layer themselves: X10 with a(0, 0, 1) = a(1, 0, 0) = 1 is refused."""
+    x10 = gens6["X10"].truncate(5)
+    coeffs = dict(x10.coeffs)
+    coeffs[0, 0, 1] = coeffs[1, 0, 0] = 1
+    bad = SiegelExpansion(10, 5, coeffs)
+    assert not bad.symmetry_violations()
+    (tmp_path / "X10.p5.qexp").write_text(qformat.dump_siegel(bad, "X10"), encoding="utf-8")
+    registry = GeneratorRegistry(tmp_path)
+    with pytest.raises(ConstructionError, match="X10: .* below its layer 1"):
+        verify_theorem1_rank(20, 5, 5, registry)
 
 
 def dense_rank(entries, p):
