@@ -271,12 +271,11 @@ class SiegelExpansion(SparseSeries):
         return SiegelExpansion(weight, self.precision, out, self.scale, self.modulus)
 
 
-def box_indices(precision: int, scale: int = 1) -> list:
-    """Every semi-definite index in the box, in (m, n, r) order."""
+def box_indices(precision: int) -> list:
+    """Every semi-definite index in the box m, n <= precision, in (m, n, r) order."""
     out = []
-    box = precision * scale
-    for m in range(box + 1):
-        for n in range(box + 1):
+    for m in range(precision + 1):
+        for n in range(precision + 1):
             rmax = isqrt(4 * m * n)
             for r in range(-rmax, rmax + 1):
                 out.append((m, r, n))

@@ -19,8 +19,8 @@ integer coefficients throughout, the sign symmetries, the declared leading
 term, and its ``WITT_PINS`` rows.  Builds are cached on disk in the text
 format and served at lower precision by truncation.  The cache directory
 defaults to $SIEGEL2_CACHE or ./cache.  Monomials in the generators are
-formed over Z, or over F_p from the generators reduced mod p once per
-precision.
+formed over Z; the certificates in ``verify`` read the generators reduced
+mod p once per precision (``GeneratorRegistry.power`` with a modulus).
 """
 
 from __future__ import annotations
@@ -169,7 +169,9 @@ class GeneratorRegistry:
     # -- generators ---------------------------------------------------------
 
     def generator(self, name: str, precision: int) -> SiegelExpansion:
-        """The named generator, complete to the requested precision."""
+        """The named generator, complete to the requested precision.  A request
+        above the held precision is a fresh build, and the lower builds are
+        wasted: ask for the top precision first."""
         if name not in GENERATOR_WEIGHTS:
             raise ValueError(f"unknown generator {name!r}")
         if precision < 0:
@@ -228,19 +230,16 @@ class GeneratorRegistry:
         qformat.save_atomic(path, qformat.dump_siegel(exp, name))
 
     # -- monomials ------------------------------------------------------------
-    #
-    # Over Z (modulus None) and over F_p (modulus p) the same code builds
-    # powers and monomials; mod p the factors are the generators reduced
-    # once per (name, precision, p), so every product stays in F_p.
 
     def power(
         self, name: str, exponent: int, precision: int, modulus: int | None = None
     ) -> SiegelExpansion:
-        """Cached generator power, over Z or mod ``modulus``; the chain g,
+        """Cached generator power g^e, e >= 1, over Z or mod ``modulus``; mod p
+        the generator is reduced once per (name, precision, p).  The chain g,
         g^2, ... g^e is kept around so nearby monomials reuse the
         intermediate products."""
-        if exponent == 0:
-            return SiegelExpansion.constant(1, precision, modulus=modulus)
+        if exponent < 1:
+            raise ValueError("exponents must be >= 1")
         if exponent == 1 and modulus is None:
             return self.generator(name, precision)
         key = (name, exponent, precision, modulus)
@@ -260,29 +259,13 @@ class GeneratorRegistry:
         key = (spec, precision)
         held = self._monomials.get(key)
         if held is None:
-            held = self._monomials[key] = self._monomial(spec, precision, None)
+            # One packed product of all the factor powers.  X35 and the cusp
+            # forms go first: their partial products have small supports.
+            factors = [self.power(name, e, precision) for name, e in reversed(spec.exponents)]
+            held = self._monomials[key] = SiegelExpansion._product(
+                factors or [SiegelExpansion.constant(1, precision)]
+            )
         return held
-
-    def monomial_mod(self, spec: MonomialSpec, precision: int, p: int) -> SiegelExpansion:
-        """The monomial's expansion mod p, formed from the reduced generators.
-
-        Equal to ``monomial(spec, precision).reduce_mod(p)``, without the
-        products over Z.  Not memoised: each certificate asks for its own
-        (spec, precision, p) once.
-        """
-        return self._monomial(spec, precision, p)
-
-    def _monomial(
-        self, spec: MonomialSpec, precision: int, modulus: int | None
-    ) -> SiegelExpansion:
-        # One packed product of all the factor powers.  X35 and the cusp
-        # forms go first: their partial products have small supports.
-        factors = [
-            self.power(name, e, precision, modulus) for name, e in reversed(spec.exponents)
-        ]
-        if not factors:
-            return SiegelExpansion.constant(1, precision, modulus=modulus)
-        return SiegelExpansion._product(factors)
 
 
 _DEFAULT_REGISTRY: GeneratorRegistry | None = None

@@ -14,21 +14,20 @@ cannot be lowered.  Every rank, left kernel and canonical span over F_p
 comes from one echelon basis (``Echelon``); a left kernel is the
 complement of the column span.
 
-The certificate proves its rank by layers first.  A generator of layer l
-(the m of its leading index: 0 for X4, X6 and Y12, 1 for X10, X12 and X16,
-2 for X35) vanishes wherever min(m, n) < l, so a monomial of layer j, the
-sum of its factors' layers, vanishes there too, and its row m = j is the
-product of its factors' rows m = l.  Order the matrix rows by layer and its
-columns by t = min(m, n): the rows of layer j vanish on every column
-t < j, so the matrix is block upper triangular, and a combination of rows
-that vanishes on the box also vanishes on block j of its lowest layer j
-with a nonzero coefficient.  Block j is the layer-j rows on the columns
-(j, r, n), j <= n <= b_k.  When every block has full rank, so do the rows
-on the box b_k, and then on the whole box.  At p >= 5, where the monomials
-number dim M_k, that is the certificate, formed from leading rows alone
-(``layered_full_rank``).  A block short of full rank proves nothing, so
-then, and at p in {2, 3}, the monomials are formed on the whole box and
-one elimination gives the exact ranks.
+The certificate is one argument for every prime.  From above: each
+monomial is an integral weight-k form, and M_k(Z) is a lattice of rank
+dim M_k whose reduction mod p has kernel p M_k(Z), so the monomials' F_p
+rank is at most dim M_k on any box.  From below, by layers: a generator of
+layer l (the m of its leading index: 0 for X4, X6 and Y12, 1 for X10, X12
+and X16, 2 for X35) vanishes wherever min(m, n) < l, so a monomial of
+layer j, the sum of its factors' layers, vanishes there too, and its row
+m = j is the product of its factors' rows m = l.  With rows ordered by
+layer and columns by t = min(m, n), the matrix is block upper triangular,
+so its rank on the box b_k is at least the sum over j of the rank of block
+j, the layer-j rows on the columns (j, r, n), j <= n <= b_k.  That sum
+needs only leading rows (``layered_rank``); when it is dim M_k, so are the
+truncated and the full rank.  Any other sum proves nothing, and one
+elimination of the whole monomials gives the exact ranks.
 
 ``verify_identities`` bundles the named suites exercised by the CLI:
 
@@ -65,14 +64,16 @@ from .records import Record
 GENSET_C = ("X4", "X6", "X10", "X12")
 GENSET_INTEGRAL = ("X4", "X6", "X10", "X12", "Y12", "X16")
 
-SUITES = (
-    "witt-images",
-    "lemma10",
-    "prop1-w12",
-    "lemma12",
-    "x12-identity",
-    "borcherds-structure",
-)
+# Each suite with the precision it reads when none is given (lemma12 reads none).
+_SUITE_PRECISION = {
+    "witt-images": 6,
+    "lemma10": 6,
+    "prop1-w12": 5,
+    "lemma12": None,
+    "x12-identity": 20,
+    "borcherds-structure": 6,
+}
+SUITES = tuple(_SUITE_PRECISION)
 
 
 def sturm_bound(k: int, index_i: int = 1) -> int:
@@ -401,22 +402,22 @@ def _leading_row(name: str, reduced: SiegelExpansion, bound: int) -> SiegelExpan
     )
 
 
-def layered_full_rank(monomials, bound: int, precision: int, p: int, registry) -> bool:
-    """Whether the monomials' leading rows prove full F_p rank on the box
-    m, n <= bound: every block j, the layer-j rows on the columns (j, r, n)
-    with j <= n <= bound, has full rank (see the module docstring)."""
+def layered_rank(monomials, bound: int, precision: int, p: int, registry) -> int:
+    """The sum over layers j of the F_p rank of block j, the layer-j leading
+    rows on the columns (j, r, n) with j <= n <= bound: a lower bound on the
+    monomials' F_p rank on the box m, n <= bound (see the module docstring)."""
     blocks = {}
     for spec, row in zip(monomials, leading_rows(monomials, bound, precision, p, registry)):
         blocks.setdefault(spec.layer, []).append(row.coeffs)
+    total = 0
     for j, rows in blocks.items():
         columns = [
             (j, r, n)
             for n in range(j, bound + 1)
             for r in range(-isqrt(4 * j * n), isqrt(4 * j * n) + 1)
         ]
-        if streamed_ranks(rows, columns, (), p)[0] < len(rows):
-            return False
-    return True
+        total += streamed_ranks(rows, columns, (), p)[0]
+    return total
 
 
 class Theorem1Report(Record):
@@ -486,12 +487,13 @@ def verify_theorem1_rank(
     p >= 5, their integral completion through weight 16 for p in {2, 3},
     and X35 times those in odd weight (up to 51 for p in {2, 3}).  Outside
     that coverage the report says so explicitly rather than passing on a
-    proper subspace.
-    At p >= 5 the ranks are proved from the monomials' leading rows, block
-    by layer (``layered_full_rank``).  Otherwise, and when a block falls
-    short, the monomials are formed mod p on the whole box, and one
-    streamed elimination gives both ranks (see ``streamed_ranks``).
-    dim M_k is counted by ``igusa_dimension``.
+    proper subspace.  dim M_k is counted by ``igusa_dimension``.
+    The proof (see the module docstring) rests on one premise: every
+    monomial is an integral weight-k form that vanishes below its layer.
+    ``_pin`` checks that on builds, but cache files are served unpinned, so
+    ``leading_rows`` refuses a generator nonzero mod p below its layer.  A
+    layer sum (``layered_rank``) of dim M_k proves both ranks; any other sum
+    runs ``streamed_ranks`` on the Z monomials mod p on the whole box.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -511,11 +513,10 @@ def verify_theorem1_rank(
     monomials = weight_monomials(k, genset)
     report.monomials = [str(m) for m in monomials]
     report.dim_c = igusa_dimension(k)
-    # At p >= 5 the monomials are the classical ones and number dim M_k.
-    if p >= 5 and layered_full_rank(monomials, b, precision, p, registry):
-        report.rank_truncated = report.rank_full = len(monomials)
+    if layered_rank(monomials, b, precision, p, registry) == report.dim_c:
+        report.rank_truncated = report.rank_full = report.dim_c
         return report
-    rows = [registry.monomial_mod(spec, precision, p).coeffs for spec in monomials]
+    rows = [registry.monomial(spec, precision).reduce_mod(p).coeffs for spec in monomials]
     inside, outside = [], []
     for key in box_indices(precision):
         (inside if key[0] <= b and key[2] <= b else outside).append(key)
@@ -616,18 +617,19 @@ def verify_identities(
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     registry = registry or default_registry()
     report = SuiteReport(suite)
+    precision = _SUITE_PRECISION[suite] if precision is None else precision
     if suite == "witt-images":
-        _suite_witt_images(precision or 6, registry, report)
+        _suite_witt_images(precision, registry, report)
     elif suite == "lemma10":
-        _suite_lemma10(_primes(p, (2, 3)), precision or 6, registry, report)
+        _suite_lemma10(_primes(p, (2, 3)), precision, registry, report)
     elif suite == "prop1-w12":
-        _suite_prop1_w12(_primes(p, (2, 3)), precision or 5, registry, report)
+        _suite_prop1_w12(_primes(p, (2, 3)), precision, registry, report)
     elif suite == "lemma12":
         _suite_lemma12(_primes(p, (2, 3, 5)), report)
     elif suite == "x12-identity":
-        _suite_x12_identity(precision or 20, report)
+        _suite_x12_identity(precision, report)
     elif suite == "borcherds-structure":
-        _suite_borcherds(_primes(p, (2, 3, 5)), precision or 6, registry, report)
+        _suite_borcherds(_primes(p, (2, 3, 5)), precision, registry, report)
     return report
 
 

@@ -119,6 +119,21 @@ def test_verify_command_summary(capsys, cache):
     assert out.strip() == "RESULT x12-identity 1/1"
 
 
+def test_verify_prec_zero_is_taken_as_given(capsys, tmp_path):
+    """An explicit --prec 0 is a precision, not a missing option."""
+    code, out, _ = run(
+        capsys, "verify", "--suite", "x12-identity", "--prec", "0",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 0 and "at P=0" in out
+    code, out, err = run(
+        capsys, "verify", "--suite", "witt-images", "--prec", "0",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: X10 needs precision >= 1 to pin its leading term\n"
+
+
 def test_verify_suite_with_prime(capsys, cache):
     code, out, _ = run(
         capsys, "verify", "--suite", "borcherds-structure", "--prime", "5",

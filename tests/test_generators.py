@@ -218,7 +218,9 @@ def test_each_precision_is_truncated_once(tmp_path, monkeypatch):
     assert reg.generator("X4", 3) is top
 
 
-def test_monomial_mod_reduces_each_generator_once(registry, gens6, monkeypatch):
+def test_power_reduces_each_generator_once(registry, gens6, monkeypatch):
+    """``power(name, 1, P, p)`` reduces a generator once per (name, P, p),
+    and the certificates read their generators through it."""
     reg = GeneratorRegistry(registry.cache_dir)
     reductions = []
     reduce_mod = SiegelExpansion.reduce_mod
@@ -228,53 +230,47 @@ def test_monomial_mod_reduces_each_generator_once(registry, gens6, monkeypatch):
         return reduce_mod(self, p)
 
     monkeypatch.setattr(SiegelExpansion, "reduce_mod", counted)
-    specs = [
-        MonomialSpec.from_dict({"X4": 2, "X10": 1}),
-        MonomialSpec.from_dict({"X4": 1, "X6": 1, "X10": 1}),
-        MonomialSpec.from_dict({"X10": 2, "X35": 1}),
-    ]
+    names = ("X4", "X6", "X10", "X35")
+    held = {}
     for p in (2, 7):
-        for spec in specs:
-            got = reg.monomial_mod(spec, 5, p)
-            assert got.modulus == p and got.weight == spec.weight
-            # F_p monomials are not memoised: a repeat call forms the
-            # product again, from the reductions already held.
-            before = len(reductions)
-            assert got == reg.monomial_mod(spec, 5, p)
-            assert len(reductions) == before
+        for name in names:
+            held[name, p] = got = reg.power(name, 1, 5, p)
+            assert got.modulus == p and got.weight == GENERATOR_WEIGHTS[name]
+            assert got is reg.power(name, 1, 5, p)
     assert sorted(reductions) == sorted(
-        (w, 5, p) for p in (2, 7) for w in (4, 6, 10, 35)
+        (GENERATOR_WEIGHTS[name], 5, p) for p in (2, 7) for name in names
     )
+    # X35 times X4, X6 and X10: the certificate reduces nothing again.
+    assert verify_theorem1_rank(45, 7, 5, reg).passed
+    assert len(reductions) == 2 * len(names)
     monkeypatch.undo()
-    for spec in specs:
-        assert reg.monomial_mod(spec, 5, 3) == reg.monomial(spec, 5).reduce_mod(3)
-    one = reg.monomial_mod(MonomialSpec(), 2, 5)
-    assert one.coeffs == {(0, 0, 0): 1} and one.modulus == 5
-    assert reg.power("X6", 0, 2, 5) == one
+    for (name, p), got in held.items():
+        assert got == reg.generator(name, 5).reduce_mod(p)
+    with pytest.raises(ValueError):
+        reg.power("X6", 0, 2, 5)
 
 
-def test_monomial_mod_is_the_folded_product_of_its_powers(registry, gens6):
+def test_monomial_is_the_folded_product_of_its_powers(registry, gens6):
     """One packed product per monomial equals the left fold of binary
     products, for every monomial of weight <= 40 in the integral generators
     and X35."""
     genset = GENSET_INTEGRAL + ("X35",)
     specs = [spec for k in range(41) for spec in weight_monomials(k, genset)]
     assert len(specs) > 100
-    for p in (2, 3, 5, 7):
-        for spec in specs:
-            folded = SiegelExpansion.constant(1, 5, modulus=p)
-            for name, e in spec.exponents:
-                folded = folded * registry.power(name, e, 5, p)
-            got = registry.monomial_mod(spec, 5, p)
-            assert got == folded, (str(spec), p)
-            assert got.weight == spec.weight
+    for spec in specs:
+        folded = SiegelExpansion.constant(1, 5)
+        for name, e in spec.exponents:
+            folded = folded * registry.power(name, e, 5)
+        got = registry.monomial(spec, 5)
+        assert got == folded, str(spec)
+        assert got.weight == spec.weight
 
 
 def test_certificates_leave_no_fp_monomials_held(registry, gens6):
     reg = GeneratorRegistry(registry.cache_dir)
     report = verify_theorem1_rank(24, 5, 5, reg)
     assert report.passed
-    assert all(len(key) == 2 for key in reg._monomials)
+    assert reg._monomials == {}
     assert any(key[-1] == 5 for key in reg._powers)
 
 

@@ -20,7 +20,7 @@ from siegel2.verify import (
     check_vanishing,
     fp_rank,
     igusa_dimension,
-    layered_full_rank,
+    layered_rank,
     leading_rows,
     matrix_from_forms,
     sharpness_witness,
@@ -192,7 +192,7 @@ def test_leading_rows_are_the_layer_rows_of_the_monomials(registry):
         for p in (5, 7):
             rows = leading_rows(specs, b, precision, p, registry)
             for spec, row in zip(specs, rows):
-                whole = registry.monomial_mod(spec, precision, p)
+                whole = registry.monomial(spec, precision).reduce_mod(p)
                 want = {
                     key: c
                     for key, c in whole.coeffs.items()
@@ -204,44 +204,85 @@ def test_leading_rows_are_the_layer_rows_of_the_monomials(registry):
     assert count == 2 * 535
 
 
-def test_full_rank_blocks_form_no_whole_monomial(registry, monkeypatch):
-    """At p >= 5 full-rank blocks are the whole certificate; p = 2 still
-    forms every monomial on the whole box."""
-    formed = []
-    monomial_mod = GeneratorRegistry.monomial_mod
-
-    def counted(self, spec, precision, p):
-        formed.append((str(spec), p))
-        return monomial_mod(self, spec, precision, p)
-
-    monkeypatch.setattr(GeneratorRegistry, "monomial_mod", counted)
-    for k, p in ((40, 5), (41, 7), (64, 7)):
-        assert verify_theorem1_rank(k, p, max(sturm_bound(k), 5), registry).passed
-    assert formed == []
-    assert verify_theorem1_rank(16, 2, 5, registry).passed
-    assert len(formed) == len(weight_monomials(16, GENSET_INTEGRAL))
-
-
-def test_a_block_kernel_falls_back_to_the_full_elimination(registry, monkeypatch):
-    """A duplicated monomial gives its block a kernel; the certificate then
-    forms the whole monomials, and its ranks are the dense reference ranks."""
-    k, p, precision = 24, 5, 5
-    b = sturm_bound(k)
-    monomials = weight_monomials(k, GENSET_C)
-    assert layered_full_rank(monomials, b, precision, p, registry)
-    doubled = monomials + [monomials[-1]]
-    assert not layered_full_rank(doubled, b, precision, p, registry)
-    monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: doubled)
-    report = verify_theorem1_rank(k, p, precision, registry)
+def _box_matrix(registry, specs, precision, b):
+    """The Z monomials' coefficients on the whole box and on the box b."""
     indices = box_indices(precision)
-    entries = [
+    full = [
         [registry.monomial(spec, precision).coeffs.get(key, 0) for key in indices]
-        for spec in doubled
+        for spec in specs
     ]
     inside = [j for j, (m, _, n) in enumerate(indices) if m <= b and n <= b]
-    assert report.rank_truncated == dense_rank([[row[j] for j in inside] for row in entries], p)
-    assert report.rank_full == dense_rank(entries, p) == len(monomials)
-    assert len(report.monomials) == len(doubled) == report.dim_c + 1
+    return [[row[j] for j in inside] for row in full], full
+
+
+def test_layer_sums_prove_the_rank_at_2_and_3(registry):
+    """At every covered p in {2, 3} weight the layer sum is dim M_k, which is
+    the dense rank of the Z monomials, reduced mod p, on the box b_k."""
+    for p in (2, 3):
+        for k in list(range(0, 17, 2)) + list(range(35, 52, 2)):
+            b = sturm_bound(k)
+            precision = max(b, 5)
+            specs = weight_monomials(k, GENSET_INTEGRAL + (("X35",) if k % 2 else ()))
+            truncated, _ = _box_matrix(registry, specs, precision, b)
+            got = layered_rank(specs, b, precision, p, registry)
+            assert got == igusa_dimension(k) == dense_rank(truncated, p), (k, p)
+
+
+def test_full_rank_blocks_form_no_whole_monomial(registry, monkeypatch):
+    """A layer sum of dim M_k is the whole certificate at every prime: no
+    certificate forms a monomial on the whole box."""
+    formed = []
+    monomial = GeneratorRegistry.monomial
+
+    def counted(self, spec, precision):
+        formed.append(str(spec))
+        return monomial(self, spec, precision)
+
+    monkeypatch.setattr(GeneratorRegistry, "monomial", counted)
+    for k, p in ((16, 2), (51, 3), (40, 5), (41, 7), (64, 7)):
+        assert verify_theorem1_rank(k, p, max(sturm_bound(k), 5), registry).passed
+    assert formed == []
+
+
+def test_a_block_kernel_still_passes_by_layers(registry, monkeypatch):
+    """A duplicated monomial gives its block a kernel, but the layer sum
+    still reaches dim M_k, and the ranks are the dense reference ranks."""
+    k, p, precision = 24, 5, 5
+    b = sturm_bound(k)
+    doubled = weight_monomials(k, GENSET_C)
+    doubled.append(doubled[-1])
+    assert layered_rank(doubled, b, precision, p, registry) == igusa_dimension(k)
+    monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: doubled)
+    report = verify_theorem1_rank(k, p, precision, registry)
+    truncated, full = _box_matrix(registry, doubled, precision, b)
+    assert report.passed and len(report.monomials) == report.dim_c + 1
+    assert report.rank_truncated == dense_rank(truncated, p) == report.dim_c
+    assert report.rank_full == dense_rank(full, p) == report.dim_c
+
+
+def test_a_short_layer_sum_falls_back_to_the_full_elimination(registry, monkeypatch):
+    """A dropped monomial leaves the layer sum short of dim M_k; the
+    certificate then eliminates the whole monomials, its ranks are the
+    dense reference ranks, and it fails."""
+    k, p, precision = 24, 5, 5
+    b = sturm_bound(k)
+    dropped = weight_monomials(k, GENSET_C)[1:]
+    assert layered_rank(dropped, b, precision, p, registry) == igusa_dimension(k) - 1
+    monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: dropped)
+    report = verify_theorem1_rank(k, p, precision, registry)
+    truncated, full = _box_matrix(registry, dropped, precision, b)
+    assert report.rank_truncated == dense_rank(truncated, p)
+    assert report.rank_full == dense_rank(full, p) == report.dim_c - 1
+    assert not report.passed and report.render().startswith("FAIL theorem1 k=24 p=5")
+    # One box below b_k (where the witness X4*X10^2 vanishes) the truncated
+    # rank falls below the full one, and each is its dense reference rank.
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "sturm_bound", lambda k: b - 1)
+    report = verify_theorem1_rank(k, p, precision, registry)
+    truncated, full = _box_matrix(registry, weight_monomials(k, GENSET_C), precision, b - 1)
+    assert report.rank_truncated == dense_rank(truncated, p) < report.dim_c
+    assert report.rank_full == dense_rank(full, p) == report.dim_c
+    assert not report.passed
 
 
 def test_a_generator_nonzero_below_its_layer_fails_the_certificate(tmp_path, gens6):
