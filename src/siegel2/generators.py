@@ -14,13 +14,12 @@ even part.  This module builds pinned normalisations of all seven:
 Each generator fact is written once: the leading terms in ``_LEADING``,
 from which ``MonomialSpec.leading_index`` gives every monomial's, and the
 diagonal images in ``WITT_PINS``, which the ``witt-images`` suite reports.
-Every build must pass its pinning suite before it is served or cached:
-integer coefficients throughout, the sign symmetries, the declared leading
-term, and its ``WITT_PINS`` rows.  Builds are cached on disk in the text
-format and served at lower precision by truncation.  The cache directory
-defaults to $SIEGEL2_CACHE or ./cache.  Monomials in the generators are
-formed over Z; the certificates in ``verify`` read the generators reduced
-mod p once per precision (``GeneratorRegistry.power`` with a modulus).
+Every expansion the registry serves, built or loaded from disk, is a
+truncation of one that passed its pinning suite: integer coefficients
+throughout, the sign symmetries, the declared leading term, and its
+``WITT_PINS`` rows.  Builds are cached on disk in the text format and
+served at lower precision by truncation.  The cache directory defaults to
+$SIEGEL2_CACHE or ./cache.  Monomials in the generators are formed over Z.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import qformat
-from .errors import ConstructionError, FormatError, PrecisionError
+from .errors import ConstructionError
 from .expansion import SiegelExpansion, wronskian35
 from .jacobi import jacobi_combine, jacobi_eisenstein, maass_lift
 from .qexp1 import DiagSeries, diag_builder, eisenstein1
@@ -47,8 +46,9 @@ GENERATOR_WEIGHTS = {
 }
 GENERATOR_NAMES = tuple(GENERATOR_WEIGHTS)
 
-# Declared leading terms (index, coefficient) used as build pins.  A build
-# must reach at least the leading index, else the pin cannot be checked.
+# Declared leading terms (index, coefficient) used as pins.  A pinned
+# expansion must reach at least the leading index, else the pin cannot be
+# checked: ``_MIN_PRECISION`` is the floor of every build and cache file.
 # The m of the leading index is the generator's layer l, and the pins imply
 # a(m, r, n) = 0 wherever min(m, n) < l: the leading-term pin clears every
 # row m < l, and the pinned swap symmetry a(n, r, m) = +-a(m, r, n) then
@@ -147,9 +147,10 @@ class GeneratorRegistry:
     """Named, pinned, disk-cached generator expansions and their monomials.
 
     A cached entry at precision B serves any request at precision <= B by
-    truncation, both in memory and from disk.  Writes go through a temp
-    file and an atomic rename, so concurrent builders of the same entry
-    can race and still leave identical bytes.
+    truncation, both in memory and from disk; every entry, built or loaded,
+    has passed ``_pin`` at a precision of at least ``_MIN_PRECISION``.
+    Writes go through a temp file and an atomic rename, so concurrent
+    builders of the same entry can race and still leave identical bytes.
     """
 
     def __init__(self, cache_dir=None):
@@ -160,18 +161,20 @@ class GeneratorRegistry:
         # served per (name, precision), each truncated once.
         self._forms: dict[str, SiegelExpansion] = {}
         self._served: dict[tuple[str, int], SiegelExpansion] = {}
-        # Powers per (name, exponent, precision, modulus), modulus None over
-        # Z; mod p the first power is the generator reduced mod p.
-        self._powers: dict[tuple[str, int, int, int | None], SiegelExpansion] = {}
+        # Powers over Z per (name, exponent, precision), exponent >= 2.
+        self._powers: dict[tuple[str, int, int], SiegelExpansion] = {}
         # Monomials over Z per (spec, precision).
         self._monomials: dict[tuple[MonomialSpec, int], SiegelExpansion] = {}
 
     # -- generators ---------------------------------------------------------
 
     def generator(self, name: str, precision: int) -> SiegelExpansion:
-        """The named generator, complete to the requested precision.  A request
-        above the held precision is a fresh build, and the lower builds are
-        wasted: ask for the top precision first."""
+        """The named generator, complete to the requested precision: the
+        truncation of an expansion that passed its pins.  A request below the
+        leading index is served from one held, loaded or built at that floor
+        (``_MIN_PRECISION``).  A request above the held precision is a fresh
+        load or build, and the lower builds are wasted: ask for the top
+        precision first."""
         if name not in GENERATOR_WEIGHTS:
             raise ValueError(f"unknown generator {name!r}")
         if precision < 0:
@@ -181,9 +184,10 @@ class GeneratorRegistry:
             return served
         held = self._forms.get(name)
         if held is None or held.precision < precision:
-            held = self._load(name, precision)
+            floor = max(precision, _MIN_PRECISION[name])
+            held = self._load(name, floor)
             if held is None:
-                held = _build(name, precision, self)
+                held = _build(name, floor, self)
                 _pin(name, held)
                 self._store(name, held)
             self._forms[name] = held
@@ -194,12 +198,13 @@ class GeneratorRegistry:
         return self.cache_dir / f"{name}.p{precision}.qexp"
 
     def _load(self, name: str, precision: int) -> SiegelExpansion | None:
-        """The smallest usable cache file at or above the precision, or None.
+        """The smallest usable cache file at or above the precision, pinned,
+        or None.
 
-        A file that does not parse, holds another generator or weight, or
-        falls short of the request in its header is a miss and is deleted,
-        so no later request parses it again; the rebuild at the requested
-        precision writes that precision's file.
+        A file that does not parse, holds another generator or weight, falls
+        short of the request in its header, or fails its pins is a miss and
+        is deleted, so no later request reads it again; the next candidate
+        is tried, and the rebuild writes the built precision's file.
         """
         candidates = []
         if self.cache_dir.is_dir():
@@ -213,15 +218,17 @@ class GeneratorRegistry:
         for _, path in sorted(candidates):
             try:
                 stored_name, exp = qformat.parse_siegel(qformat.decode(path.read_bytes()))
-            except FormatError:
-                path.unlink(missing_ok=True)
-                continue
-            if (
-                stored_name == name
-                and exp.weight == GENERATOR_WEIGHTS[name]
-                and exp.precision >= precision
-            ):
-                return exp
+                if (
+                    stored_name == name
+                    and exp.weight == GENERATOR_WEIGHTS[name]
+                    and exp.precision >= precision
+                ):
+                    _pin(name, exp)
+                    return exp
+            except (ValueError, ConstructionError):
+                # A FormatError is a ValueError, and so are the pins' refusals
+                # of the zero expansion and of a scale other than 1.
+                pass
             path.unlink(missing_ok=True)
         return None
 
@@ -231,26 +238,18 @@ class GeneratorRegistry:
 
     # -- monomials ------------------------------------------------------------
 
-    def power(
-        self, name: str, exponent: int, precision: int, modulus: int | None = None
-    ) -> SiegelExpansion:
-        """Cached generator power g^e, e >= 1, over Z or mod ``modulus``; mod p
-        the generator is reduced once per (name, precision, p).  The chain g,
-        g^2, ... g^e is kept around so nearby monomials reuse the
-        intermediate products."""
+    def power(self, name: str, exponent: int, precision: int) -> SiegelExpansion:
+        """Cached generator power g^e over Z, e >= 1.  The chain g, g^2, ...
+        g^e is kept around so nearby monomials reuse the intermediate
+        products."""
         if exponent < 1:
             raise ValueError("exponents must be >= 1")
-        if exponent == 1 and modulus is None:
+        if exponent == 1:
             return self.generator(name, precision)
-        key = (name, exponent, precision, modulus)
+        key = (name, exponent, precision)
         held = self._powers.get(key)
         if held is None:
-            if exponent == 1:
-                held = self.generator(name, precision).reduce_mod(modulus)
-            else:
-                held = self.power(name, exponent - 1, precision, modulus) * self.power(
-                    name, 1, precision, modulus
-                )
+            held = self.power(name, exponent - 1, precision) * self.generator(name, precision)
             self._powers[key] = held
         return held
 
@@ -283,10 +282,6 @@ def default_registry() -> GeneratorRegistry:
 
 
 def _build(name: str, precision: int, registry: GeneratorRegistry) -> SiegelExpansion:
-    if precision < _MIN_PRECISION[name]:
-        raise PrecisionError(
-            f"{name} needs precision >= {_MIN_PRECISION[name]} to pin its leading term"
-        )
     dmax = 4 * precision * precision
     if name in ("X4", "X6"):
         k = GENERATOR_WEIGHTS[name]

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import ConstructionError, PrecisionError
+from .errors import PrecisionError
 from .expansion import BeyondPrecision, SiegelExpansion, box_indices
 from .generators import (
     GENERATOR_NAMES,
@@ -131,6 +131,8 @@ def check_vanishing(f: SiegelExpansion, pp: PrimePower, bound) -> SturmReport:
     """
     if f.modulus is not None:
         raise ValueError("vanishing checks need exact coefficients")
+    if bound < 0:
+        raise ValueError(f"bound {bound} is below 0")
     note = None
     exceeds = bound > f.precision
     if exceeds:
@@ -360,12 +362,11 @@ def span_canonical(vectors, p):
 def leading_rows(monomials, bound: int, precision: int, p: int, registry) -> list:
     """Each monomial's row m = layer, cut to n <= bound, mod p.
 
-    A factor's row m = l is cut from ``registry.power(name, 1, precision,
-    p)``, and a monomial's row is one product of its factors' row powers,
-    which are kept per call as a chain g, g^2, ..., as ``power`` keeps
-    them.  A reduced generator with a nonzero coefficient where min(m, n)
-    is below its layer raises ConstructionError: the rows are the layer
-    rows only if the generators vanish there.
+    A factor's row m = l is cut from ``registry.generator(name,
+    precision)`` and reduced mod p, and a monomial's row is one product of
+    its factors' row powers, which are kept per call as a chain g, g^2,
+    ..., as ``power`` keeps them.  The rows are the layer rows because the
+    registry serves only pinned generators, which vanish below their layer.
     """
     powers = {}
 
@@ -373,7 +374,7 @@ def leading_rows(monomials, bound: int, precision: int, p: int, registry) -> lis
         held = powers.get((name, e))
         if held is None:
             if e == 1:
-                held = _leading_row(name, registry.power(name, 1, precision, p), bound)
+                held = _leading_row(name, registry.generator(name, precision), bound, p)
             else:
                 held = power(name, e - 1) * power(name, 1)
             powers[name, e] = held
@@ -387,19 +388,10 @@ def leading_rows(monomials, bound: int, precision: int, p: int, registry) -> lis
     ]
 
 
-def _leading_row(name: str, reduced: SiegelExpansion, bound: int) -> SiegelExpansion:
+def _leading_row(name: str, gen: SiegelExpansion, bound: int, p: int) -> SiegelExpansion:
     layer = MonomialSpec.from_dict({name: 1}).layer
-    row = {}
-    for (m, r, n), c in reduced.coeffs.items():
-        if min(m, n) < layer:
-            raise ConstructionError(
-                f"{name}: nonzero mod {reduced.modulus} at {(m, r, n)}, below its layer {layer}"
-            )
-        if m == layer and n <= bound:
-            row[m, r, n] = c
-    return SiegelExpansion._unchecked(
-        bound, row, reduced.weight, scale=1, modulus=reduced.modulus
-    )
+    row = {key: c for key, c in gen.coeffs.items() if key[0] == layer and key[2] <= bound}
+    return SiegelExpansion._unchecked(bound, row, gen.weight, scale=1, modulus=None).reduce_mod(p)
 
 
 def layered_rank(monomials, bound: int, precision: int, p: int, registry) -> int:
@@ -489,9 +481,8 @@ def verify_theorem1_rank(
     that coverage the report says so explicitly rather than passing on a
     proper subspace.  dim M_k is counted by ``igusa_dimension``.
     The proof (see the module docstring) rests on one premise: every
-    monomial is an integral weight-k form that vanishes below its layer.
-    ``_pin`` checks that on builds, but cache files are served unpinned, so
-    ``leading_rows`` refuses a generator nonzero mod p below its layer.  A
+    monomial is an integral weight-k form that vanishes below its layer,
+    which the registry's pins guarantee for every generator it serves.  A
     layer sum (``layered_rank``) of dim M_k proves both ranks; any other sum
     runs ``streamed_ranks`` on the Z monomials mod p on the whole box.
     """
@@ -789,7 +780,7 @@ def _suite_x12_identity(P: int, report: SuiteReport) -> None:
 
 def _suite_borcherds(ps, B: int, registry, report: SuiteReport) -> None:
     for p in ps:
-        reduced = {name: registry.power(name, 1, B, p) for name in GENERATOR_NAMES}
+        reduced = {name: registry.generator(name, B).reduce_mod(p) for name in GENERATOR_NAMES}
         for name in GENERATOR_NAMES:
             v = reduced[name].diagonal_vanishing_order()
             if isinstance(v, BeyondPrecision):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -89,6 +90,15 @@ def test_check_command(capsys, cache, tmp_path):
     assert code == 2
 
 
+def test_check_refuses_a_negative_bound(capsys, cache):
+    code, out, err = run(
+        capsys, "check", "--file", str(cache / "X10.p6.qexp"), "--prime", "2",
+        "--bound", "-1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: bound -1 is below 0\n"
+
+
 def test_congruent_command(capsys, cache):
     code, out, _ = run(
         capsys, "congruent", "--a", str(cache / "X12.p6.qexp"),
@@ -126,12 +136,29 @@ def test_verify_prec_zero_is_taken_as_given(capsys, tmp_path):
         "--cache-dir", str(tmp_path),
     )
     assert code == 0 and "at P=0" in out
-    code, out, err = run(
-        capsys, "verify", "--suite", "witt-images", "--prec", "0",
-        "--cache-dir", str(tmp_path),
-    )
-    assert code == 2 and out == ""
-    assert err == "error: X10 needs precision >= 1 to pin its leading term\n"
+
+
+# sha256 of ``show --name X35 --prec 1`` stdout, as perfbench/manifest.json
+# pins it against a warm cache at precision 8.
+X35_AT_1_SHA256 = "1d69c7fb91357d973ee49e0d3a747302ffb7faaf3c02dce94ef0873a935c4f48"
+
+
+def test_requests_below_the_leading_index_do_not_depend_on_the_cache(
+    capsys, tmp_path, cache
+):
+    """Below a generator's leading index the registry serves the truncation
+    of a pinned expansion, whether the cache is empty or warm."""
+    empty = tmp_path / "empty"
+    witt = ("verify", "--suite", "witt-images", "--prec", "0")
+    show = ("show", "--name", "X35", "--prec", "1")
+    got = {}
+    for argv in (witt, show):
+        got[argv] = code, out, _ = run(capsys, *argv, "--cache-dir", str(empty))
+        assert code == 0
+        assert run(capsys, *argv, "--cache-dir", str(cache))[:2] == (code, out)
+    assert got[witt][1].endswith("RESULT witt-images 9/9\n")
+    out = got[show][1]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == X35_AT_1_SHA256
 
 
 def test_verify_suite_with_prime(capsys, cache):

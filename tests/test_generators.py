@@ -1,5 +1,6 @@
 import pytest
 
+import siegel2.generators as gmod
 from siegel2 import qformat
 from siegel2.errors import ConstructionError
 from siegel2.expansion import SiegelExpansion
@@ -11,7 +12,12 @@ from siegel2.generators import (
     MonomialSpec,
     _pin,
 )
-from siegel2.verify import GENSET_INTEGRAL, verify_theorem1_rank, weight_monomials
+from siegel2.verify import (
+    GENSET_INTEGRAL,
+    verify_identities,
+    verify_theorem1_rank,
+    weight_monomials,
+)
 
 ALL_NAMES = tuple(GENERATOR_WEIGHTS)
 
@@ -47,8 +53,6 @@ def test_cache_round_trip(tmp_path, registry, gens6):
     assert name == "X12" and parsed == exp
     # a fresh registry must serve from disk without rebuilding
     reg2 = GeneratorRegistry(tmp_path)
-    import siegel2.generators as gmod
-
     original = gmod._build
     gmod._build = lambda *a, **k: (_ for _ in ()).throw(AssertionError("rebuilt"))
     try:
@@ -218,36 +222,19 @@ def test_each_precision_is_truncated_once(tmp_path, monkeypatch):
     assert reg.generator("X4", 3) is top
 
 
-def test_power_reduces_each_generator_once(registry, gens6, monkeypatch):
-    """``power(name, 1, P, p)`` reduces a generator once per (name, P, p),
-    and the certificates read their generators through it."""
+def test_powers_are_held_over_z_only(registry, gens6):
+    """``power`` serves g^1 as the generator itself and holds each g^e,
+    e >= 2, once per (name, e, precision), over Z; exponent 0 raises."""
     reg = GeneratorRegistry(registry.cache_dir)
-    reductions = []
-    reduce_mod = SiegelExpansion.reduce_mod
-
-    def counted(self, p):
-        reductions.append((self.weight, self.precision, p))
-        return reduce_mod(self, p)
-
-    monkeypatch.setattr(SiegelExpansion, "reduce_mod", counted)
-    names = ("X4", "X6", "X10", "X35")
-    held = {}
-    for p in (2, 7):
-        for name in names:
-            held[name, p] = got = reg.power(name, 1, 5, p)
-            assert got.modulus == p and got.weight == GENERATOR_WEIGHTS[name]
-            assert got is reg.power(name, 1, 5, p)
-    assert sorted(reductions) == sorted(
-        (GENERATOR_WEIGHTS[name], 5, p) for p in (2, 7) for name in names
-    )
-    # X35 times X4, X6 and X10: the certificate reduces nothing again.
-    assert verify_theorem1_rank(45, 7, 5, reg).passed
-    assert len(reductions) == 2 * len(names)
-    monkeypatch.undo()
-    for (name, p), got in held.items():
-        assert got == reg.generator(name, 5).reduce_mod(p)
+    names = ("X4", "X10", "X35")
+    for name in names:
+        assert reg.power(name, 1, 5) is reg.generator(name, 5)
+        cube = reg.power(name, 3, 5)
+        assert cube is reg.power(name, 3, 5)
+        assert cube == gens6[name].truncate(5) ** 3 and cube.modulus is None
+    assert set(reg._powers) == {(name, e, 5) for name in names for e in (2, 3)}
     with pytest.raises(ValueError):
-        reg.power("X6", 0, 2, 5)
+        reg.power("X6", 0, 2)
 
 
 def test_monomial_is_the_folded_product_of_its_powers(registry, gens6):
@@ -267,19 +254,76 @@ def test_monomial_is_the_folded_product_of_its_powers(registry, gens6):
 
 
 def test_certificates_leave_no_fp_monomials_held(registry, gens6):
+    """Passing certificates at p = 2, 5 and 7, in even and odd weight, form
+    no monomial and leave no expansion mod p in any registry memo; nor does
+    the borcherds-structure suite, which reduces its generators itself."""
     reg = GeneratorRegistry(registry.cache_dir)
-    report = verify_theorem1_rank(24, 5, 5, reg)
-    assert report.passed
+    for k, p in ((24, 5), (16, 2), (45, 7)):
+        assert verify_theorem1_rank(k, p, 5, reg).passed
     assert reg._monomials == {}
-    assert any(key[-1] == 5 for key in reg._powers)
+    assert verify_identities("borcherds-structure", 5, 4, reg).passed
+    memos = (reg._forms, reg._served, reg._powers, reg._monomials)
+    assert reg._served and all(exp.modulus is None for memo in memos for exp in memo.values())
 
 
-def test_builds_below_the_leading_index_are_refused(tmp_path):
+def test_requests_below_the_leading_index_are_built_at_the_floor(tmp_path, gens6):
+    """On an empty registry a request below the leading index builds at the
+    precision that pins it and serves the truncation."""
     reg = GeneratorRegistry(tmp_path)
-    from siegel2.errors import PrecisionError
+    low = reg.generator("X35", 2)
+    assert (tmp_path / "X35.p3.qexp").is_file()
+    assert not (tmp_path / "X35.p2.qexp").exists()
+    assert low == reg.generator("X35", 3).truncate(2) == gens6["X35"].truncate(2)
+    other = GeneratorRegistry(tmp_path / "other")
+    assert other.generator("X10", 0) == gens6["X10"].truncate(0)
+    assert sorted(path.name for path in other.cache_dir.iterdir()) == ["X10.p1.qexp"]
+    assert other.generator("X4", 0).coeffs == {(0, 0, 0): 1}
 
-    with pytest.raises(PrecisionError):
-        reg.generator("X35", 2)
-    with pytest.raises(PrecisionError):
-        reg.generator("X10", 0)
-    assert reg.generator("X4", 0).coeffs == {(0, 0, 0): 1}
+
+def _flip_one_sign(coeffs):
+    key = min(k for k, c in coeffs.items() if k[1] and c)
+    coeffs[key] = -coeffs[key]
+
+
+def _nonzero_below_the_layer(coeffs):
+    coeffs[0, 0, 1] = coeffs[1, 0, 0] = 1
+
+
+def _double_the_leading_coefficient(coeffs):
+    coeffs[1, -1, 1] *= 2
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [None, _flip_one_sign, _nonzero_below_the_layer, _double_the_leading_coefficient],
+    ids=["clean", "flipped-sign", "below-layer", "leading-doubled"],
+)
+def test_a_cache_file_that_fails_its_pins_is_deleted_and_rebuilt(
+    tmp_path, gens6, monkeypatch, corrupt
+):
+    """A well-formed X10.p6 file is pinned on load: a clean one serves a
+    request at P = 5 by truncation, with no build; a corrupted one is
+    deleted, and the rebuild at P = 5 writes the bytes of a fresh build."""
+    fresh_dir, cache_dir = tmp_path / "fresh", tmp_path / "cache"
+    fresh = GeneratorRegistry(fresh_dir).generator("X10", 5)
+    coeffs = dict(gens6["X10"].coeffs)
+    if corrupt is not None:
+        corrupt(coeffs)
+    cache_dir.mkdir()
+    stored = cache_dir / "X10.p6.qexp"
+    stored.write_text(qformat.dump_siegel(SiegelExpansion(10, 6, coeffs), "X10"), encoding="utf-8")
+    builds = []
+    build = gmod._build
+
+    def counted(name, precision, registry):
+        builds.append((name, precision))
+        return build(name, precision, registry)
+
+    monkeypatch.setattr(gmod, "_build", counted)
+    assert GeneratorRegistry(cache_dir).generator("X10", 5) == fresh
+    rebuilt = cache_dir / "X10.p5.qexp"
+    if corrupt is None:
+        assert builds == [] and stored.exists() and not rebuilt.exists()
+    else:
+        assert builds == [("X10", 5)] and not stored.exists()
+        assert rebuilt.read_bytes() == (fresh_dir / "X10.p5.qexp").read_bytes()

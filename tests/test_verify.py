@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegel2 import qformat, verify
-from siegel2.errors import ConstructionError, NotPIntegral
+from siegel2.errors import NotPIntegral
 from siegel2.expansion import SiegelExpansion
 from siegel2.generators import GeneratorRegistry, MonomialSpec
 from siegel2.rationals import PrimePower
@@ -285,18 +285,20 @@ def test_a_short_layer_sum_falls_back_to_the_full_elimination(registry, monkeypa
     assert not report.passed
 
 
-def test_a_generator_nonzero_below_its_layer_fails_the_certificate(tmp_path, gens6):
-    """Cache files are served without pins, so the leading rows check the
-    layer themselves: X10 with a(0, 0, 1) = a(1, 0, 0) = 1 is refused."""
+def test_a_cached_generator_nonzero_below_its_layer_is_rebuilt(tmp_path, registry, gens6):
+    """The registry pins what it loads: a cached X10 with a(0, 0, 1) =
+    a(1, 0, 0) = 1 is a miss, and the certificate passes on the rebuilt X10."""
     x10 = gens6["X10"].truncate(5)
     coeffs = dict(x10.coeffs)
     coeffs[0, 0, 1] = coeffs[1, 0, 0] = 1
     bad = SiegelExpansion(10, 5, coeffs)
     assert not bad.symmetry_violations()
-    (tmp_path / "X10.p5.qexp").write_text(qformat.dump_siegel(bad, "X10"), encoding="utf-8")
-    registry = GeneratorRegistry(tmp_path)
-    with pytest.raises(ConstructionError, match="X10: .* below its layer 1"):
-        verify_theorem1_rank(20, 5, 5, registry)
+    path = tmp_path / "X10.p5.qexp"
+    path.write_text(qformat.dump_siegel(bad, "X10"), encoding="utf-8")
+    report = verify_theorem1_rank(20, 5, 5, GeneratorRegistry(tmp_path))
+    assert report.passed
+    assert report.render() == verify_theorem1_rank(20, 5, 5, registry).render()
+    assert path.read_text(encoding="utf-8") == qformat.dump_siegel(x10, "X10")
 
 
 def dense_rank(entries, p):
