@@ -16,6 +16,7 @@ to F_p residues; ring operations (from ``siegel2.series``) then stay in F_p.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import isqrt
 
@@ -23,7 +24,7 @@ from .errors import ConstructionError, NotPIntegral, PrecisionError
 from .qexp1 import DiagSeries
 from .rationals import normalize, reduce_mod_p
 from .records import FrozenRecord
-from .series import SCALARS, SparseSeries
+from .series import SCALARS, SparseSeries, _accumulate, _bits, _decoded, _integral, _slot_width
 
 
 class LeadingTerm(FrozenRecord):
@@ -284,33 +285,85 @@ def box_indices(precision: int) -> list:
 
 # -- the odd-weight determinant construction --------------------------------
 
-_LAPLACE = (
-    # (columns for rows 0-1, complementary columns for rows 2-3, sign)
-    ((0, 1), (2, 3), 1),
-    ((0, 2), (1, 3), -1),
-    ((0, 3), (1, 2), 1),
-    ((1, 2), (0, 3), 1),
-    ((1, 3), (0, 2), -1),
-    ((2, 3), (0, 1), 1),
-)
+def _cross(m1, n1, m2, n2):
+    """The block weight of the (theta_1, theta_2) minor."""
+    return m1 * n2 - m2 * n1
 
 
-def _det4(a):
-    """Determinant of a 4x4 matrix over any commutative ring.
+def theta_determinant(forms) -> SiegelExpansion:
+    """det of the 4x4 matrix with rows (k f), (theta_1 f), (theta_12 f),
+    (theta_2 f) over four exact scale-1 expansions f, k being each weight tag.
 
-    Laplace expansion along the first two rows: six 2x2 minors against
-    their complements, 30 multiplications instead of 72.
+    Laplace expansion on the row pairs (0, 2) and (1, 3): with {b, d} the
+    complement of the columns {a, c},
+
+        det = sum_{a<c} (-1)^(a+c) A_ac W_bd,
+
+    A_ac the (k, theta_12) minor of columns a, c and W_bd the (theta_1,
+    theta_2) minor of columns b, d.  Both come from shared block passes
+    (``series._accumulate``) over each column's packed rows F_c and
+    Q_c = theta_12 F_c.  One pass over F_a x F_c feeds S_ac = f_a f_c with
+    weight 1 and W_ac with the block weight m1 n2 - m2 n1, which is that
+    minor exactly, since theta_1 multiplies a block (m, n) by m and theta_2
+    by n.  One pass over F_a x Q_c gives T_ac = f_a theta_12 f_c, and the
+    product rule theta_12(f g) = f theta_12 g + g theta_12 f gives
+
+        A_ac = k_a f_a theta_12 f_c - k_c f_c theta_12 f_a
+             = (k_a + k_c) T_ac - k_c theta_12(S_ac).
+
+    The six products A_ac W_bd go into one packed accumulator, decoded once:
+    18 passes where a Laplace expansion by products takes 30.  Forms with
+    denominators are scaled to integers by their lcm, each column once,
+    and the product of the lcms is divided out at the end.
+
+    Slot widths follow ``_slot_width``.  The first stage adds bits(2 box^2)
+    to the width of a two-factor product of the F_c: it bounds the W weight
+    |m1 n2 - m2 n1| <= box^2, and the theta_12 factor |r| <= 2 box of T.
+    The final stage adds bits(6) for its six terms to the widest of the
+    six products A_ac W_bd.
     """
-    def minor(i, j, k, l):
-        return a[i][k] * a[j][l] - a[i][l] * a[j][k]
-
-    total = None
-    for (c1, c2), (d1, d2), sign in _LAPLACE:
-        term = minor(0, 1, c1, c2) * minor(2, 3, d1, d2)
-        if sign < 0:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    forms = tuple(forms)
+    for f in forms:
+        if f.scale != 1 or f.modulus is not None:
+            raise ValueError("the determinant needs exact scale-1 expansions")
+    prec = min(f.precision for f in forms)
+    box = prec
+    weights = [f.weight for f in forms]
+    ints, den = [], 1
+    for f in forms:
+        scaled, f_den = _integral(f.coeffs)
+        ints.append(scaled)
+        den *= f_den
+    pack, slots = forms[0]._rows, forms[0]._slots
+    top = max(map(_bits, ints))
+    width = _slot_width([top, top], box) + (2 * box * box).bit_length()
+    F = [pack(scaled, width) for scaled in ints]
+    Q = [pack({k: k[1] * c for k, c in scaled.items() if k[1]}, width) for scaled in ints]
+    pairs = list(itertools.combinations(range(4), 2))
+    A, W = {}, {}
+    for a, c in pairs:
+        S_acc, W_acc, T_acc = {}, {}, {}
+        _accumulate(F[a], F[c], box, width, [(S_acc, None), (W_acc, _cross)])
+        _accumulate(F[a], Q[c], box, width, [(T_acc, None)])
+        S = _decoded(S_acc, width, slots, box)
+        T = _decoded(T_acc, width, slots, box)
+        ka, kc = weights[a], weights[c]
+        sign = -1 if (a + c) % 2 else 1
+        minor = {}
+        for key in S.keys() | T.keys():
+            if (v := sign * ((ka + kc) * T.get(key, 0) - kc * key[1] * S.get(key, 0))):
+                minor[key] = v
+        A[a, c] = minor
+        W[a, c] = _decoded(W_acc, width, slots, box)
+    terms = [(A[a, c], W[tuple(j for j in range(4) if j not in (a, c))]) for a, c in pairs]
+    width = max(_slot_width([_bits(x), _bits(y)], box) for x, y in terms) + (6).bit_length()
+    acc = {}
+    for x, y in terms:
+        _accumulate(pack(x, width), pack(y, width), box, width, [(acc, None)])
+    det = _decoded(acc, width, slots, box)
+    if den != 1:
+        det = {k: normalize(Fraction(c, den)) for k, c in det.items()}
+    return SiegelExpansion._unchecked(prec, det, sum(weights) + 6, scale=1, modulus=None)
 
 
 def wronskian35(f4, f6, f10, f12) -> SiegelExpansion:
@@ -319,32 +372,25 @@ def wronskian35(f4, f6, f10, f12) -> SiegelExpansion:
     Rows are (k_i f_i), (theta_1 f_i), ((1/2) theta_12 f_i), (theta_2 f_i)
     over the four even generators; the result is rescaled by the unique
     rational constant making the coefficient at (2, -1, 3) equal to 1.
-    The determinant is linear in the theta_12 row, so it is computed with
-    the unhalved row, all of its products over Z; the final rescaling
-    absorbs the factor 2.
+    The determinant is linear in the theta_12 row, so
+    ``theta_determinant`` computes it with the unhalved row; the final
+    rescaling absorbs the factor 2.  It splits the rows (0, 2) | (1, 3),
+    gets the (k, theta_12) minors from the product rule
+    theta_12(f g) = f theta_12 g + g theta_12 f, and forms the whole
+    determinant in 18 shared block passes with slot widths bounded as in
+    ``_slot_width``, plus bits(2 box^2) and bits(6) for its two stages.
     """
     forms = (f4, f6, f10, f12)
     weights = tuple(f.weight for f in forms)
     if weights != (4, 6, 10, 12):
         raise ValueError(f"expected weights (4, 6, 10, 12), got {weights}")
-    for f in forms:
-        if f.scale != 1 or f.modulus is not None:
-            raise ValueError("the determinant needs exact scale-1 expansions")
     prec = min(f.precision for f in forms)
     if prec < 3:
         raise PrecisionError("precision >= 3 is needed to normalise at (2, -1, 3)")
-    forms = tuple(f.truncate(prec) for f in forms)
-    rows = [
-        [k * f for k, f in zip(weights, forms)],
-        [f.theta(1) for f in forms],
-        [f.theta(12) for f in forms],
-        [f.theta(2) for f in forms],
-    ]
-    det = _det4(rows)
+    det = theta_determinant(f.truncate(prec) for f in forms)
     pivot = det.coeff(2, -1, 3)
     if pivot == 0:
         raise ConstructionError(
             "determinant vanishes at (2, -1, 3); cannot normalise"
         )
-    scaled = det * (1 / Fraction(pivot))
-    return scaled.with_weight(35)
+    return SiegelExpansion(35, prec, {key: Fraction(c, pivot) for key, c in det.coeffs.items()})

@@ -7,7 +7,9 @@ from Cohen's numbers H(r, N) (Eichler-Zagier, *The Theory of Jacobi
 Forms*, section 2), special values of quadratic L-functions computed
 exactly through generalized Bernoulli numbers.  Those come from integer
 power sums of the Kronecker character, so one L-value costs r + 1
-rational terms, and ``kronecker`` never factors its argument.
+rational terms.  The character values come from a smallest-prime-factor
+sieve, so ``kronecker`` is called only at primes and never factors its
+argument.
 ``maass_lift`` turns an index-1 form into a degree-2 expansion by divisor
 sums over gcd(m, r, n); the cusp variant produces the weight-10 and
 weight-12 generators, the Eisenstein variant the weight-4 and weight-6
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 from .errors import PrecisionError
 from .expansion import SiegelExpansion, box_indices
@@ -99,6 +101,26 @@ def _fundamental_split(d0: int) -> tuple[int, int]:
     return 4 * core, f // 2
 
 
+def _character(D: int) -> list:
+    """chi_D(a) = (D/a) for a = 1..|D|, calling ``kronecker`` only at primes.
+
+    A sieve fills the smallest prime factor q of each a, and chi_D, being
+    completely multiplicative, gives chi_D(a) = chi_D(q) chi_D(a/q).
+    """
+    f = abs(D)
+    spf = list(range(f + 1))
+    for q in range(2, isqrt(f) + 1):
+        if spf[q] == q:
+            for a in range(q * q, f + 1, q):
+                if spf[a] == a:
+                    spf[a] = q
+    chi = [0, 1] + [0] * (f - 1)
+    for a in range(2, f + 1):
+        q = spf[a]
+        chi[a] = kronecker(D, a) if q == a else chi[q] * chi[a // q]
+    return chi[1:]
+
+
 @cache
 def _l_value(r: int, D: int):
     """L(1 - r, chi_D) for a fundamental discriminant D.
@@ -106,12 +128,13 @@ def _l_value(r: int, D: int):
     The generalized Bernoulli number of the Kronecker character mod
     f = |D| is B_{r,chi} = sum_j C(r, j) B_j f^(j-1) S_(r-j), with integer
     power sums S_i = sum_{a <= f} chi(a) a^i (Washington, *Cyclotomic
-    Fields*, Prop. 4.1); then L(1 - r, chi) = -B_{r,chi} / r.
+    Fields*, Prop. 4.1); then L(1 - r, chi) = -B_{r,chi} / r.  The
+    character values come from ``_character``, which calls ``kronecker``
+    only at the primes up to f.
     """
     f = abs(D)
     sums = [0] * (r + 1)
-    for a in range(1, f + 1):
-        chi = kronecker(D, a)
+    for a, chi in enumerate(_character(D), 1):
         if chi:
             power = chi
             for i in range(r + 1):

@@ -32,7 +32,8 @@ class SparseSeries:
     * ``_check_indices(coeffs, box)``: raise ValueError on an invalid key
       (by default, on a key outside the box);
     * ``_rows(ints, width)`` and ``_slots(m, n, box)``: the packed layout
-      of integer coefficients that ``_product`` multiplies;
+      of integer coefficients that ``_accumulate`` multiplies and
+      ``_decoded`` reads back;
     * ``_one()``: the identity at this series' precision;
     * ``_merged_tags(others, product)``: every ``_TAGS`` value of a sum or
       product of this series and ``others``.
@@ -170,14 +171,11 @@ class SparseSeries:
         row (m, n) holds the j-th key of ``_slots(m, n, box)``: the index
         (m, j - isqrt(4mn), n) of a SiegelExpansion; (m, j) of a DiagSeries,
         whose rows are (m, 0); j of a QSeries1, one row (0, 0).  Two rows
-        multiply into their sum row with one big-integer multiply, shifted
-        up by isqrt(4mn) - isqrt(4 m1 n1) - isqrt(4 m2 n2) slots, which
-        Cauchy-Schwarz keeps nonnegative.  Each factor is packed once, at
-        the ``_slot_width`` of the whole product, and the partial products
+        multiply into their sum row with one big-integer multiply (see
+        ``_accumulate``).  Each factor is packed once, at the
+        ``_slot_width`` of the whole product, and the partial products
         stay packed, as rows in the box, until the last factor is in; only
-        then are the signed slots decoded.  (A QSeries1 or DiagSeries row
-        also keeps the slots past the box that it gathers; they only add
-        into higher slots, so the decode never reads them.)  Fractions are
+        then are the signed slots decoded (``_decoded``).  Fractions are
         scaled to integers by the lcm of their denominators; the product of
         the lcms is divided out at decode, and F_p residues are reduced there.
         """
@@ -193,41 +191,12 @@ class SparseSeries:
             scaled, f_den = _integral(f.coeffs)
             ints.append(scaled)
             den *= f_den
-        width = _slot_width(ints, box)
+        width = _slot_width([_bits(scaled) for scaled in ints], box)
         acc = first._rows(ints[0], width)
         for scaled in ints[1:]:
-            rows2 = first._rows(scaled, width).items()
             partial, acc = acc, {}
-            for (m1, n1), (a, top1) in partial.items():
-                if m1 > box or n1 > box:
-                    continue
-                for (m2, n2), (b, top2) in rows2:
-                    m = m1 + m2
-                    if m > box:
-                        continue
-                    n = n1 + n2
-                    if n > box:
-                        continue
-                    row = acc.get((m, n))
-                    if row is None:
-                        top = isqrt(4 * m * n)
-                        acc[m, n] = [a * b << width * (top - top1 - top2), top]
-                    else:
-                        row[0] += a * b << width * (row[1] - top1 - top2)
-        mask = (1 << width) - 1
-        half = 1 << (width - 1)
-        out = {}
-        for (m, n), (x, _) in acc.items():
-            for key in first._slots(m, n, box):
-                if not x:
-                    break
-                c = x & mask
-                x >>= width
-                if c >= half:
-                    c -= mask + 1
-                    x += 1
-                if c:
-                    out[key] = c
+            _accumulate(partial, first._rows(scaled, width), box, width, [(acc, None)])
+        out = _decoded(acc, width, first._slots, box)
         modulus = first.modulus
         if modulus is not None:
             out = {k: v for k, c in out.items() if (v := c % modulus)}
@@ -269,17 +238,78 @@ def _integral(coeffs):
     return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
 
 
-def _slot_width(ints, box):
-    """Bits per slot that hold any coefficient of the product of ``ints`` in
-    the box, with sign.
+def _bits(ints) -> int:
+    """The bit length of the largest absolute value in a dict of integers."""
+    return max(map(abs, ints.values()), default=0).bit_length()
+
+
+def _slot_width(bits, box):
+    """Bits per slot that hold, with sign, any coefficient in the box of a
+    product of factors whose largest coefficients have the bit lengths ``bits``.
 
     The box holds at most N = (box+1)^2 (4 box + 1) indices, so a
     coefficient in it sums at most N^(n-1) products of n factor
     coefficients, and this width keeps it below 2^(width-2) in absolute
     value.  Partial products need no bound of their own: a packed row is
     the exact value at 2^width of its polynomial in the slots, evaluation
-    respects products, and only the final product is decoded.
+    respects products, and only the final product is decoded.  A caller
+    that weights or sums products adds the bit length of the largest
+    weight or of the number of terms.
     """
-    bits = sum(max(map(abs, c.values()), default=0).bit_length() for c in ints)
     count = ((box + 1) ** 2 * (4 * box + 1)).bit_length()
-    return bits + (len(ints) - 1) * count + 2
+    return sum(bits) + (len(bits) - 1) * count + 2
+
+
+def _accumulate(rows1, rows2, box, width, targets):
+    """Add every block product of ``rows1`` x ``rows2`` that lands in the box
+    into each target.
+
+    Rows are packed as ``_rows`` packs them, at ``width`` bits per slot.  A
+    target is (acc, weight): acc is a dict of packed rows, and weight is
+    None for 1 or a function of the block keys (m1, n1, m2, n2) that scales
+    the block product.  Rows (m1, n1) and (m2, n2) multiply into row
+    (m1 + m2, n1 + n2) with one big-integer multiply, shifted up by
+    isqrt(4mn) - isqrt(4 m1 n1) - isqrt(4 m2 n2) slots, which
+    Cauchy-Schwarz keeps nonnegative.  (A QSeries1 or DiagSeries row also
+    keeps the slots past the box that it gathers; they only add into higher
+    slots, so the decode never reads them.)
+    """
+    rows2 = rows2.items()
+    for (m1, n1), (a, top1) in rows1.items():
+        if m1 > box or n1 > box:
+            continue
+        for (m2, n2), (b, top2) in rows2:
+            m = m1 + m2
+            if m > box:
+                continue
+            n = n1 + n2
+            if n > box:
+                continue
+            ab = a * b
+            for acc, weight in targets:
+                x = ab if weight is None else weight(m1, n1, m2, n2) * ab
+                row = acc.get((m, n))
+                if row is None:
+                    top = isqrt(4 * m * n)
+                    acc[m, n] = [x << width * (top - top1 - top2), top]
+                else:
+                    row[0] += x << width * (row[1] - top1 - top2)
+
+
+def _decoded(acc, width, slots, box):
+    """The nonzero signed slots of packed rows, keyed by ``slots(m, n, box)``."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out = {}
+    for (m, n), (x, _) in acc.items():
+        for key in slots(m, n, box):
+            if not x:
+                break
+            c = x & mask
+            x >>= width
+            if c >= half:
+                c -= mask + 1
+                x += 1
+            if c:
+                out[key] = c
+    return out

@@ -603,9 +603,15 @@ def verify_identities(
     precision: int | None = None,
     registry: GeneratorRegistry | None = None,
 ) -> SuiteReport:
-    """Run one of the named identity suites; see the module docstring."""
+    """Run one of the named identity suites; see the module docstring.
+
+    A prime is checked before any suite runs, also for the suites that do
+    not read it.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if p is not None and not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     registry = registry or default_registry()
     report = SuiteReport(suite)
     precision = _SUITE_PRECISION[suite] if precision is None else precision
@@ -625,11 +631,7 @@ def verify_identities(
 
 
 def _primes(p, default):
-    if p is None:
-        return list(default)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return [p]
+    return list(default) if p is None else [p]
 
 
 def _suite_witt_images(B: int, registry, report: SuiteReport) -> None:

@@ -170,6 +170,15 @@ def test_verify_suite_with_prime(capsys, cache):
     assert "p5" in out and "p2" not in out
 
 
+@pytest.mark.parametrize("suite", ["witt-images", "x12-identity", "all"])
+def test_verify_refuses_a_composite_prime_before_any_suite_runs(capsys, cache, suite):
+    code, out, err = run(
+        capsys, "verify", "--suite", suite, "--prime", "4", "--cache-dir", str(cache),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: 4 is not prime\n"
+
+
 def test_verify_all_aggregates(capsys, cache):
     code, out, _ = run(
         capsys, "verify", "--suite", "all", "--output", "summary",

@@ -1,14 +1,16 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegel2.errors import NotPIntegral, PrecisionError
 from siegel2.expansion import (
     BeyondPrecision,
     SiegelExpansion,
-    _det4,
+    box_indices,
+    theta_determinant,
     wronskian35,
 )
 from siegel2.generators import MonomialSpec
@@ -18,25 +20,61 @@ GEN_NAMES = ("X4", "X6", "X10", "X12", "Y12", "X16", "X35")
 
 
 def permutation_det(matrix):
-    total = 0
+    """The Leibniz sum over the 24 permutations, formed with ``__mul__`` and ``+``."""
+    total = None
     for perm in itertools.permutations(range(4)):
-        sign = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = sign
-        for i in range(4):
-            term *= matrix[i][perm[i]]
-        total += term
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        term = matrix[0][perm[0]] * matrix[1][perm[1]] * matrix[2][perm[2]] * matrix[3][perm[3]]
+        if inversions % 2:
+            term = -term
+        total = term if total is None else total + term
     return total
 
 
-def test_det4_against_permutation_oracle():
-    rng = random.Random(3)
-    for _ in range(60):
-        matrix = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-        assert _det4(matrix) == permutation_det(matrix)
+def theta_matrix(forms):
+    return [
+        [f.weight * f for f in forms],
+        [f.theta(1) for f in forms],
+        [f.theta(12) for f in forms],
+        [f.theta(2) for f in forms],
+    ]
+
+
+def test_theta_determinant_of_the_generators_against_permutation_oracle(gens6):
+    forms = [gens6[name].truncate(5) for name in ("X4", "X6", "X10", "X12")]
+    got = theta_determinant(forms)
+    assert got == permutation_det(theta_matrix(forms))
+    assert got.precision == 5 and not got.is_zero()
+
+
+@st.composite
+def theta_columns(draw):
+    """Four scale-1 expansions on a small box, integral or with denominators:
+    no symmetry, any weight tag."""
+    precision = draw(st.integers(0, 3))
+    forms = []
+    for _ in range(4):
+        own = precision + draw(st.integers(0, 1))
+        keys = box_indices(own)
+        if draw(st.booleans()):
+            top = 2 ** draw(st.integers(1, 90)) - 1
+            sign = draw(st.sampled_from((1, -1, None)))
+            coeffs = {k: sign or draw(st.sampled_from((1, -1))) for k in keys}
+            coeffs = {k: top * c for k, c in coeffs.items()}
+        else:
+            coeff = st.integers(-(2**70), 2**70)
+            if draw(st.booleans()):
+                coeff = st.builds(Fraction, coeff, st.integers(1, 12))
+            coeffs = draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=12))
+        weight = draw(st.integers(-40, 40))
+        forms.append(SiegelExpansion(weight, own, coeffs))
+    return forms
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms=theta_columns())
+def test_theta_determinant_against_permutation_oracle(forms):
+    assert theta_determinant(forms) == permutation_det(theta_matrix(forms))
 
 
 def test_ring_examples(registry, gens6):

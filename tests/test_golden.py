@@ -7,8 +7,10 @@ digests are the cache files pinned in ``perfbench/manifest.json``
 (``warm_cache["8"]`` and ``warm_cache["10"]``), from the fraction-based
 builds that preceded the integer Cohen numbers and the row-indexed product
 kernel; at precision 10 the products of the builds reach 83-bit
-coefficients.  A mismatch means a change altered output; these digests
-must not be re-pinned to make a refactoring pass.
+coefficients.  The precision-12 digest of X35 was computed with the
+Laplace determinant of 30 two-factor products that preceded the shared
+block passes of ``theta_determinant``.  A mismatch means a change altered
+output; these digests must not be re-pinned to make a refactoring pass.
 """
 
 import hashlib
@@ -46,6 +48,9 @@ DUMP10_SHA256 = {
     "X16": "4f89f50e29bb39e53c55267dffc3a3230549894ff1514993518b5be266a2e5b3",
     "X35": "744f45e408a68317ea9342c21b62308b102a9f2d7ba01aa31b2a32d3f134ccaa",
 }
+DUMP12_SHA256 = {
+    "X35": "63b3117a6f4b9ca4ec24889abcba7107c6a8e366c624f653d3c39634049f820b",
+}
 VERIFY_ALL_SHA256 = "0d17ca2462f94dd9093d9369735b71ecdf1e1e0cfb224f795573b4aa8c097680"
 
 
@@ -78,6 +83,12 @@ def registry10(tmp_path_factory):
 def test_generator_dump_digest_at_precision_10(registry10, name):
     exp = registry10.generator(name, 10)
     assert sha256(dump_siegel(exp, name)) == DUMP10_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(DUMP12_SHA256))
+def test_generator_dump_digest_at_precision_12(tmp_path, name):
+    exp = GeneratorRegistry(tmp_path).generator(name, 12)
+    assert sha256(dump_siegel(exp, name)) == DUMP12_SHA256[name]
 
 
 def test_verify_all_stdout_digest(capsys, tmp_path, gens6):

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegel2 import jacobi
 from siegel2.errors import PrecisionError
 from siegel2.jacobi import (
     JacobiForm1,
+    _character,
+    _l_value,
     cohen_h,
     jacobi_combine,
     jacobi_eisenstein,
@@ -120,6 +124,47 @@ def test_kronecker_matches_factorisation_reference(D, n):
 def test_cohen_h_matches_bernoulli_polynomial_formula(r):
     for N in range(1, 401):
         assert cohen_h(r, N) == reference_cohen_h(r, N), N
+
+
+def direct_l_value(r, D):
+    """L(1 - r, chi_D) from the power sums, calling kronecker at every a <= |D|."""
+    f = abs(D)
+    sums = [0] * (r + 1)
+    for a in range(1, f + 1):
+        chi = kronecker(D, a)
+        for i in range(r + 1):
+            sums[i] += chi * a**i
+    b_chi = sum(
+        comb(r, j) * bernoulli(j) * Fraction(f) ** (j - 1) * sums[r - j]
+        for j in range(r + 1)
+        if j < 2 or j % 2 == 0
+    )
+    return -b_chi / r
+
+
+def is_fundamental(D):
+    squarefree = lambda n: all(e == 1 for _, e in factorize(abs(n)))
+    if D % 4 == 1:
+        return squarefree(D)
+    return D % 4 == 0 and (D // 4) % 4 in (2, 3) and squarefree(D // 4)
+
+
+def test_sieved_l_values_match_the_direct_kronecker_loop(monkeypatch):
+    # |D| <= 576 covers dmax = 4 P^2 at P = 12.
+    fundamental = [D for D in range(-576, 577) if is_fundamental(D)]
+    assert len(fundamental) > 300
+    for D in fundamental:
+        assert _character(D) == [kronecker(D, a) for a in range(1, abs(D) + 1)], D
+        for r in (3, 5):
+            assert _l_value(r, D) == direct_l_value(r, D), (r, D)
+    called = []
+    monkeypatch.setattr(
+        jacobi, "kronecker", lambda D, n: called.append(n) or kronecker(D, n)
+    )
+    for D in (-575, -4 * 143, 17 * 29, 4 * 121 + 1):
+        called.clear()
+        jacobi._character(D)
+        assert called == [q for q in range(2, abs(D) + 1) if is_prime(q)], D
 
 
 def test_cohen_values():
