@@ -24,7 +24,8 @@ from .errors import ConstructionError, NotPIntegral, PrecisionError
 from .qexp1 import DiagSeries
 from .rationals import normalize, reduce_mod_p
 from .records import FrozenRecord
-from .series import SCALARS, SparseSeries, _accumulate, _bits, _decoded, _integral, _slot_width
+from .series import SCALARS, SparseSeries, _accumulate, _bits, _decoded
+from .series import _integral, _rational, _slot_width
 
 
 class LeadingTerm(FrozenRecord):
@@ -313,30 +314,26 @@ def theta_determinant(forms) -> SiegelExpansion:
 
     The six products A_ac W_bd go into one packed accumulator, decoded once:
     18 passes where a Laplace expansion by products takes 30.  Forms with
-    denominators are scaled to integers by their lcm, each column once,
-    and the product of the lcms is divided out at the end.
+    denominators are scaled to integers as ``_product`` scales its factors,
+    each column once (``_integral``), and the product of the lcms is
+    divided out at the end (``_rational``).
 
     Slot widths follow ``_slot_width``.  The first stage adds bits(2 box^2)
-    to the width of a two-factor product of the F_c: it bounds the W weight
-    |m1 n2 - m2 n1| <= box^2, and the theta_12 factor |r| <= 2 box of T.
-    The final stage adds bits(6) for its six terms to the widest of the
-    six products A_ac W_bd.
+    to the width of a product of two columns, counted from the two largest
+    supports: it bounds the W weight |m1 n2 - m2 n1| <= box^2, and the
+    theta_12 factor |r| <= 2 box of T.  The final stage adds bits(6) for its
+    six terms to the widest of the six products A_ac W_bd.
     """
     forms = tuple(forms)
     for f in forms:
         if f.scale != 1 or f.modulus is not None:
             raise ValueError("the determinant needs exact scale-1 expansions")
-    prec = min(f.precision for f in forms)
-    box = prec
+    box = prec = min(f.precision for f in forms)
     weights = [f.weight for f in forms]
-    ints, den = [], 1
-    for f in forms:
-        scaled, f_den = _integral(f.coeffs)
-        ints.append(scaled)
-        den *= f_den
+    ints, den = _integral(forms)
     pack, slots = forms[0]._rows, forms[0]._slots
     top = max(map(_bits, ints))
-    width = _slot_width([top, top], box) + (2 * box * box).bit_length()
+    width = _slot_width([top, top], sorted(map(len, ints))[-2:]) + (2 * box * box).bit_length()
     F = [pack(scaled, width) for scaled in ints]
     Q = [pack({k: k[1] * c for k, c in scaled.items() if k[1]}, width) for scaled in ints]
     pairs = list(itertools.combinations(range(4), 2))
@@ -356,13 +353,12 @@ def theta_determinant(forms) -> SiegelExpansion:
         A[a, c] = minor
         W[a, c] = _decoded(W_acc, width, slots, box)
     terms = [(A[a, c], W[tuple(j for j in range(4) if j not in (a, c))]) for a, c in pairs]
-    width = max(_slot_width([_bits(x), _bits(y)], box) for x, y in terms) + (6).bit_length()
+    width = max(_slot_width([_bits(x), _bits(y)], [len(x), len(y)]) for x, y in terms)
+    width += (6).bit_length()
     acc = {}
     for x, y in terms:
         _accumulate(pack(x, width), pack(y, width), box, width, [(acc, None)])
-    det = _decoded(acc, width, slots, box)
-    if den != 1:
-        det = {k: normalize(Fraction(c, den)) for k, c in det.items()}
+    det = _rational(_decoded(acc, width, slots, box), den, None)
     return SiegelExpansion._unchecked(prec, det, sum(weights) + 6, scale=1, modulus=None)
 
 
@@ -374,11 +370,7 @@ def wronskian35(f4, f6, f10, f12) -> SiegelExpansion:
     rational constant making the coefficient at (2, -1, 3) equal to 1.
     The determinant is linear in the theta_12 row, so
     ``theta_determinant`` computes it with the unhalved row; the final
-    rescaling absorbs the factor 2.  It splits the rows (0, 2) | (1, 3),
-    gets the (k, theta_12) minors from the product rule
-    theta_12(f g) = f theta_12 g + g theta_12 f, and forms the whole
-    determinant in 18 shared block passes with slot widths bounded as in
-    ``_slot_width``, plus bits(2 box^2) and bits(6) for its two stages.
+    rescaling absorbs the factor 2.
     """
     forms = (f4, f6, f10, f12)
     weights = tuple(f.weight for f in forms)

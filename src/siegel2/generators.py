@@ -19,7 +19,8 @@ truncation of one that passed its pinning suite: integer coefficients
 throughout, the sign symmetries, the declared leading term, and its
 ``WITT_PINS`` rows.  Builds are cached on disk in the text format and
 served at lower precision by truncation.  The cache directory defaults to
-$SIEGEL2_CACHE or ./cache.  Monomials in the generators are formed over Z.
+$SIEGEL2_CACHE or ./cache.  Monomials in the generators are formed over Z,
+each one packed product of powers from a chain g, g^2, ... per generator.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .expansion import SiegelExpansion, wronskian35
 from .jacobi import jacobi_combine, jacobi_eisenstein, maass_lift
 from .qexp1 import DiagSeries, diag_builder, eisenstein1
 from .records import FrozenRecord
+from .series import chain_power
 
 GENERATOR_WEIGHTS = {
     "X4": 4,
@@ -161,8 +163,8 @@ class GeneratorRegistry:
         # served per (name, precision), each truncated once.
         self._forms: dict[str, SiegelExpansion] = {}
         self._served: dict[tuple[str, int], SiegelExpansion] = {}
-        # Powers over Z per (name, exponent, precision), exponent >= 2.
-        self._powers: dict[tuple[str, int, int], SiegelExpansion] = {}
+        # Power chains [g, g^2, ...] over Z per (name, precision).
+        self._powers: dict[tuple[str, int], list[SiegelExpansion]] = {}
         # Monomials over Z per (spec, precision).
         self._monomials: dict[tuple[MonomialSpec, int], SiegelExpansion] = {}
 
@@ -239,19 +241,9 @@ class GeneratorRegistry:
     # -- monomials ------------------------------------------------------------
 
     def power(self, name: str, exponent: int, precision: int) -> SiegelExpansion:
-        """Cached generator power g^e over Z, e >= 1.  The chain g, g^2, ...
-        g^e is kept around so nearby monomials reuse the intermediate
-        products."""
-        if exponent < 1:
-            raise ValueError("exponents must be >= 1")
-        if exponent == 1:
-            return self.generator(name, precision)
-        key = (name, exponent, precision)
-        held = self._powers.get(key)
-        if held is None:
-            held = self.power(name, exponent - 1, precision) * self.generator(name, precision)
-            self._powers[key] = held
-        return held
+        """The generator power g^e over Z, e >= 1, from the chain g, g^2, ...
+        held per (name, precision) (``series.chain_power``); g^1 is the generator."""
+        return chain_power(self._powers, (name, precision), self.generator, exponent)
 
     def monomial(self, spec: MonomialSpec, precision: int) -> SiegelExpansion:
         """Product expansion of a generator monomial at the given precision."""

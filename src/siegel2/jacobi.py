@@ -9,7 +9,8 @@ exactly through generalized Bernoulli numbers.  Those come from integer
 power sums of the Kronecker character, so one L-value costs r + 1
 rational terms.  The character values come from a smallest-prime-factor
 sieve, so ``kronecker`` is called only at primes and never factors its
-argument.
+argument.  ``jacobi_combine`` multiplies a form by f(tau) as one ``QSeries1``
+product in q^(1/4), the one packed product of ``siegel2.series``.
 ``maass_lift`` turns an index-1 form into a degree-2 expansion by divisor
 sums over gcd(m, r, n); the cusp variant produces the weight-10 and
 weight-12 generators, the Eisenstein variant the weight-4 and weight-6
@@ -24,7 +25,7 @@ from math import comb, gcd, isqrt
 
 from .errors import PrecisionError
 from .expansion import SiegelExpansion, box_indices
-from .qexp1 import divisor_sigma
+from .qexp1 import QSeries1, divisor_sigma
 from .rationals import (
     bernoulli,
     bernoulli_polynomial,  # noqa: F401  perfbench/tracer.py rebinds it here
@@ -246,9 +247,10 @@ def jacobi_combine(terms) -> JacobiForm1:
 
     Each term is (coefficient, f, phi) with f a one-variable expansion in q
     and phi an index-1 Jacobi form; multiplying by f(tau) preserves the
-    index, so the product is again stored by discriminant.  All terms must
-    produce the same weight, and every f must reach q-precision
-    floor(dmax/4) + 1.
+    index, and c(D) = sum_j f_j c(D - 4j) makes each term one ``QSeries1``
+    product f(x^4) * sum_D c(D) x^D in x = q^(1/4), every phi cut to the
+    smallest dmax of the terms.  All terms must produce the same weight,
+    and every f must reach q-precision floor(dmax/4) + 1.
     """
     if not terms:
         raise ValueError("need at least one term")
@@ -259,24 +261,13 @@ def jacobi_combine(terms) -> JacobiForm1:
     need = dmax // 4 + 1
     for _, f, _ in terms:
         if f.precision < need:
-            raise PrecisionError(
-                f"series precision {f.precision} < {need} required for dmax {dmax}"
-            )
-    c = {}
-    for d in range(dmax + 1):
-        if d % 4 not in (0, 3):
-            continue
-        r = 0 if d % 4 == 0 else 1
-        n = (d + r * r) // 4
-        total = 0
-        for coeff, f, phi in terms:
-            inner = 0
-            for j, fj in f.coeffs.items():
-                if j <= n:
-                    inner += fj * phi.coeff(d - 4 * j)
-            total += coeff * inner
-        c[d] = total
-    return JacobiForm1(weights.pop(), dmax, c)
+            raise PrecisionError(f"series precision {f.precision} < {need} required for dmax {dmax}")
+    total = QSeries1(dmax)
+    for coeff, f, phi in terms:
+        fx = QSeries1(dmax, {4 * j: c for j, c in f.coeffs.items() if 4 * j <= dmax})
+        cut = QSeries1(dmax, {d: c for d, c in phi.c.items() if d <= dmax})
+        total = total + fx * cut * coeff
+    return JacobiForm1(weights.pop(), dmax, total.coeffs)
 
 
 def maass_lift(phi: JacobiForm1, precision: int, mode: str = "cusp") -> SiegelExpansion:

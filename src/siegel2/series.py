@@ -13,7 +13,7 @@ is exact because indices add componentwise and stay nonnegative.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 from .errors import PrecisionError
 from .rationals import normalize, reduce_mod_p
@@ -164,7 +164,7 @@ class SparseSeries:
     @staticmethod
     def _product(factors):
         """The product of one or more series of one type and ring; one
-        factor is its own product.
+        factor is its own product.  Every product of series is formed here.
 
         ``_rows`` packs a series into rows keyed (m, n), each one integer
         with ``width`` bits per slot, as [integer, isqrt(4mn)].  Slot j of
@@ -176,8 +176,9 @@ class SparseSeries:
         ``_slot_width`` of the whole product, and the partial products
         stay packed, as rows in the box, until the last factor is in; only
         then are the signed slots decoded (``_decoded``).  Fractions are
-        scaled to integers by the lcm of their denominators; the product of
-        the lcms is divided out at decode, and F_p residues are reduced there.
+        scaled to integers by the lcm of their denominators (``_integral``);
+        the product of the lcms is divided out at decode, and F_p residues
+        are reduced there (``_rational``).
         """
         first = factors[0]
         if len(factors) == 1:
@@ -186,39 +187,21 @@ class SparseSeries:
         weights = [f.weight for f in factors]
         weight = None if None in weights else sum(weights)
         box = first._box(prec)
-        ints, den = [], 1
-        for f in factors:
-            scaled, f_den = _integral(f.coeffs)
-            ints.append(scaled)
-            den *= f_den
-        width = _slot_width([_bits(scaled) for scaled in ints], box)
+        ints, den = _integral(factors)
+        width = _slot_width(list(map(_bits, ints)), list(map(len, ints)))
         acc = first._rows(ints[0], width)
         for scaled in ints[1:]:
             partial, acc = acc, {}
             _accumulate(partial, first._rows(scaled, width), box, width, [(acc, None)])
-        out = _decoded(acc, width, first._slots, box)
-        modulus = first.modulus
-        if modulus is not None:
-            out = {k: v for k, c in out.items() if (v := c % modulus)}
-        elif den != 1:
-            out = {k: normalize(Fraction(c, den)) for k, c in out.items()}
+        out = _rational(_decoded(acc, width, first._slots, box), den, first.modulus)
         return first._unchecked(prec, out, weight, **first._ring(), **tags)
 
     def __pow__(self, e: int):
+        """self^e as one ``_product`` of e copies: packed once per copy and
+        decoded once, with no intermediate powers."""
         if e < 0:
             raise ValueError("negative powers are not supported")
-        if e == 0:
-            return self._one()
-        # Start from the first factor, not from a product by the identity.
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return self._product([self] * e) if e else self._one()
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -230,12 +213,48 @@ class SparseSeries:
         )
 
 
-def _integral(coeffs):
-    """The coefficients times L, as integers, and L, the lcm of their denominators."""
-    den = lcm(*{c.denominator for c in coeffs.values()})
-    if den == 1:
-        return coeffs, 1
-    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+def chain_power(chains, key, first, e: int):
+    """g^e from the chain [g, g^2, ...] held in ``chains`` under ``key``,
+    which starts as [first(*key)] and grows one product g^(i+1) = g^i * g
+    at a time, so each power is formed once.
+
+    The registry holds a chain over Z per (name, precision), and
+    ``verify.leading_rows`` one over F_p per call.  The chain is not
+    replaced by one ``_product`` of e copies of g, as ``**`` forms a lone
+    power: every monomial would form its powers anew, and F_p residues stay
+    narrow only when reduced between multiplies.  Without the chain, the
+    k = 140, p = 5 certificate took about 3.5x as long.
+    """
+    if e < 1:
+        raise ValueError("exponents must be >= 1")
+    chain = chains.get(key)
+    if chain is None:
+        chain = chains[key] = [first(*key)]
+    while len(chain) < e:
+        chain.append(chain[-1] * chain[0])
+    return chain[e - 1]
+
+
+def _integral(factors):
+    """Each factor's coefficients times L, as integers, L the lcm of that
+    factor's denominators, and the product of the L."""
+    ints, den = [], 1
+    for f in factors:
+        d = lcm(*{c.denominator for c in f.coeffs.values()})
+        ints.append(f.coeffs if d == 1 else {
+            k: c.numerator * (d // c.denominator) for k, c in f.coeffs.items()
+        })
+        den *= d
+    return ints, den
+
+
+def _rational(out, den, modulus):
+    """Decoded integer coefficients over ``den``, or reduced mod ``modulus``."""
+    if modulus is not None:
+        return {k: v for k, c in out.items() if (v := c % modulus)}
+    if den != 1:
+        return {k: normalize(Fraction(c, den)) for k, c in out.items()}
+    return out
 
 
 def _bits(ints) -> int:
@@ -243,21 +262,22 @@ def _bits(ints) -> int:
     return max(map(abs, ints.values()), default=0).bit_length()
 
 
-def _slot_width(bits, box):
-    """Bits per slot that hold, with sign, any coefficient in the box of a
-    product of factors whose largest coefficients have the bit lengths ``bits``.
+def _slot_width(bits, sizes):
+    """Bits per slot that hold, with sign, any coefficient of a product of
+    factors whose largest coefficients have the bit lengths ``bits`` and
+    whose supports have the sizes ``sizes``.
 
-    The box holds at most N = (box+1)^2 (4 box + 1) indices, so a
-    coefficient in it sums at most N^(n-1) products of n factor
-    coefficients, and this width keeps it below 2^(width-2) in absolute
-    value.  Partial products need no bound of their own: a packed row is
-    the exact value at 2^width of its polynomial in the slots, evaluation
-    respects products, and only the final product is decoded.  A caller
-    that weights or sums products adds the bit length of the largest
-    weight or of the number of terms.
+    A product coefficient sums products of one coefficient per factor whose
+    indices add up to its index.  The indices in all factors but one fix
+    the last, so it has at most T terms, T the product of all sizes but the
+    largest, and this width keeps it below 2^(width-2) in absolute value.
+    Partial products need no bound of their own: a packed row is the exact
+    value at 2^width of its polynomial in the slots, evaluation respects
+    products, and only the final product is decoded.  A caller that weights
+    or sums products adds the bit length of the largest weight or of the
+    number of terms.
     """
-    count = ((box + 1) ** 2 * (4 * box + 1)).bit_length()
-    return sum(bits) + (len(bits) - 1) * count + 2
+    return sum(bits) + prod(sorted(sizes)[:-1]).bit_length() + 2
 
 
 def _accumulate(rows1, rows2, box, width, targets):

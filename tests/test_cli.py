@@ -138,6 +138,21 @@ def test_verify_prec_zero_is_taken_as_given(capsys, tmp_path):
     assert code == 0 and "at P=0" in out
 
 
+def test_prop1_w12_skips_a_box_that_does_not_separate_weight_12(capsys, cache):
+    """On the box B = 0 the four weight-12 monomials have F_p rank 1 <
+    dim M_12 = 3, so the kernel there is not the relation space: both
+    sub-checks of each prime are skipped, naming the rank.  From B = 1 on
+    the rank is 3 and every check runs."""
+    argv = ("verify", "--suite", "prop1-w12", "--cache-dir", str(cache), "--prec")
+    code, out, _ = run(capsys, *argv, "0")
+    assert code == 0 and out.endswith("RESULT prop1-w12 1/1\n")
+    for p in (2, 3):
+        for check in ("kernel", "truncated-kernel"):
+            assert f"SKIP prop1-w12.p{p}.{check} F_{p} rank 1 < dim M_12 = 3" in out
+    code, out, _ = run(capsys, *argv, "1")
+    assert code == 0 and "SKIP" not in out and out.endswith("RESULT prop1-w12 5/5\n")
+
+
 # sha256 of ``show --name X35 --prec 1`` stdout, as perfbench/manifest.json
 # pins it against a warm cache at precision 8.
 X35_AT_1_SHA256 = "1d69c7fb91357d973ee49e0d3a747302ffb7faaf3c02dce94ef0873a935c4f48"

@@ -222,17 +222,31 @@ def test_each_precision_is_truncated_once(tmp_path, monkeypatch):
     assert reg.generator("X4", 3) is top
 
 
-def test_powers_are_held_over_z_only(registry, gens6):
-    """``power`` serves g^1 as the generator itself and holds each g^e,
-    e >= 2, once per (name, e, precision), over Z; exponent 0 raises."""
+def test_powers_are_held_over_z_only(registry, gens6, monkeypatch):
+    """``power`` serves g^1 as the generator itself and every g^e from one
+    chain per (name, precision): each power is formed once, by one
+    product, and no held power has a modulus; exponent 0 raises."""
     reg = GeneratorRegistry(registry.cache_dir)
     names = ("X4", "X10", "X35")
+    formed = []
+    mul = SiegelExpansion.__mul__
+
+    def counted(self, other):
+        formed.append(self.weight)
+        return mul(self, other)
+
+    monkeypatch.setattr(SiegelExpansion, "__mul__", counted)
     for name in names:
         assert reg.power(name, 1, 5) is reg.generator(name, 5)
         cube = reg.power(name, 3, 5)
-        assert cube is reg.power(name, 3, 5)
-        assert cube == gens6[name].truncate(5) ** 3 and cube.modulus is None
-    assert set(reg._powers) == {(name, e, 5) for name in names for e in (2, 3)}
+        square = reg.power(name, 2, 5)
+        assert cube is reg.power(name, 3, 5) and square is reg.power(name, 2, 5)
+        g = gens6[name].truncate(5)
+        assert square == g**2 and cube == g**3
+    # g^2 and g^3 once per name, whatever the order of the requests.
+    assert len(formed) == 2 * len(names)
+    assert set(reg._powers) == {(name, 5) for name in names}
+    assert all(g.modulus is None for chain in reg._powers.values() for g in chain)
     with pytest.raises(ValueError):
         reg.power("X6", 0, 2)
 
@@ -262,8 +276,9 @@ def test_certificates_leave_no_fp_monomials_held(registry, gens6):
         assert verify_theorem1_rank(k, p, 5, reg).passed
     assert reg._monomials == {}
     assert verify_identities("borcherds-structure", 5, 4, reg).passed
-    memos = (reg._forms, reg._served, reg._powers, reg._monomials)
-    assert reg._served and all(exp.modulus is None for memo in memos for exp in memo.values())
+    held = [*reg._forms.values(), *reg._served.values(), *reg._monomials.values()]
+    held += [g for chain in reg._powers.values() for g in chain]
+    assert reg._served and all(exp.modulus is None for exp in held)
 
 
 def test_requests_below_the_leading_index_are_built_at_the_floor(tmp_path, gens6):

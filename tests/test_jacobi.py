@@ -238,6 +238,60 @@ def test_jacobi_combine_identity_and_errors():
         jacobi_combine([(1, QSeries1(1, {0: 1}), e41)])
 
 
+def combine_oracle(terms, dmax):
+    """The per-discriminant convolution c(D) = sum coeff sum_j f_j c(D - 4j)
+    over the terms, for 0 <= D <= dmax."""
+    c = {}
+    for d in range(dmax + 1):
+        if d % 4 not in (0, 3):
+            continue
+        r = 0 if d % 4 == 0 else 1
+        n = (d + r * r) // 4
+        total = 0
+        for coeff, f, phi in terms:
+            inner = 0
+            for j, fj in f.coeffs.items():
+                if j <= n:
+                    inner += fj * phi.coeff(d - 4 * j)
+            total += coeff * inner
+        c[d] = total
+    return c
+
+
+scalars = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@st.composite
+def combine_terms(draw):
+    """One to three terms of result weight 12, whose Jacobi forms have
+    different dmax, with series reaching the smallest dmax."""
+    phis = []
+    for _ in range(draw(st.integers(1, 3))):
+        dmax = draw(st.integers(0, 40))
+        classes = [d for d in range(dmax + 1) if d % 4 in (0, 3)]
+        c = draw(st.dictionaries(st.sampled_from(classes), scalars, max_size=12))
+        phis.append(JacobiForm1(draw(st.sampled_from((4, 6, 8))), dmax, c))
+    need = min(phi.dmax for phi in phis) // 4 + 1
+    terms = []
+    for phi in phis:
+        prec = draw(st.integers(need, need + 3))
+        f = draw(st.dictionaries(st.integers(0, prec), scalars, max_size=8))
+        terms.append((draw(scalars), QSeries1(prec, f, weight=12 - phi.weight), phi))
+    return terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=combine_terms())
+def test_jacobi_combine_matches_the_per_discriminant_convolution(terms):
+    dmax = min(phi.dmax for _, _, phi in terms)
+    got = jacobi_combine(terms)
+    assert got.weight == 12 and got.dmax == dmax
+    assert got == JacobiForm1(12, dmax, combine_oracle(terms, dmax))
+
+
 def test_maass_lift_cusp_examples():
     lift = maass_lift(_phi10(36), 3, "cusp")
     assert lift.coeff(1, 1, 1) == 1
