@@ -270,14 +270,15 @@ def _slot_width(bits, sizes):
     A product coefficient sums products of one coefficient per factor whose
     indices add up to its index.  The indices in all factors but one fix
     the last, so it has at most T terms, T the product of all sizes but the
-    largest, and this width keeps it below 2^(width-2) in absolute value.
-    Partial products need no bound of their own: a packed row is the exact
-    value at 2^width of its polynomial in the slots, evaluation respects
+    largest, and this width keeps it below 2^(width-1) in absolute value,
+    which is all ``_decoded`` needs to read a signed slot.  Partial
+    products need no bound of their own: a packed row is the exact value
+    at 2^width of its polynomial in the slots, evaluation respects
     products, and only the final product is decoded.  A caller that weights
     or sums products adds the bit length of the largest weight or of the
     number of terms.
     """
-    return sum(bits) + prod(sorted(sizes)[:-1]).bit_length() + 2
+    return sum(bits) + prod(sorted(sizes)[:-1]).bit_length() + 1
 
 
 def _accumulate(rows1, rows2, box, width, targets):

@@ -10,7 +10,8 @@ divisible by p^nu" on exact expansions; ``verify_theorem1_rank`` certifies
 at desk scale that truncating at the bound loses no mod-p information, by
 showing in F_p that the weight-k monomials have rank dim M_k on the
 truncated box; ``sharpness_witness`` produces a form showing the bound
-cannot be lowered.  Every rank, left kernel and canonical span over F_p
+cannot be lowered, read from its leading row mod p on the certificate's
+premise (below).  Every rank, left kernel and canonical span over F_p
 comes from one echelon basis (``Echelon``); a left kernel is the
 complement of the column span.
 
@@ -65,18 +66,6 @@ from .series import chain_power
 
 GENSET_C = ("X4", "X6", "X10", "X12")
 GENSET_INTEGRAL = ("X4", "X6", "X10", "X12", "Y12", "X16")
-
-# Each suite with the precision it reads when none is given (lemma12 reads none).
-_SUITE_PRECISION = {
-    "witt-images": 6,
-    "lemma10": 6,
-    "prop1-w12": 5,
-    "lemma12": None,
-    "x12-identity": 20,
-    "borcherds-structure": 6,
-}
-SUITES = tuple(_SUITE_PRECISION)
-
 
 def sturm_bound(k: int, index_i: int = 1) -> int:
     """Truncation bound for weight k and level index i (default level 1)."""
@@ -516,13 +505,18 @@ _EVEN_WITNESS = {0: {}, 2: {"X12": 1}, 4: {"X4": 1}, 6: {"X6": 1}, 8: {"X4": 2}}
 def sharpness_witness(
     k: int, p: int, registry: GeneratorRegistry | None = None
 ) -> tuple[MonomialSpec, SturmReport]:
-    """A weight-k form, nonzero mod p, vanishing on the box of size b_k - 1.
+    """A weight-k form, nonzero mod p, vanishing mod p on the box of size b_k - 1.
 
     Even weights use powers of the weight-10 cusp form padded by X4, X6 or
     X12; an odd weight uses X35 times the even witness of weight k - 35
-    (X35 alone at k = 35).  The expected leading index is the sum of the
-    factors' leading indices.  The report certifies exact vanishing inside
-    the box and a unit leading coefficient mod p at that index.
+    (X35 alone at k = 35).  The witness rests on the certificate's premise:
+    a monomial vanishes below its layer j (see the module docstring).  In
+    even weight j = b_k, so the box b_k - 1 lies wholly below the layer; in
+    odd weight j = b_k - 1, so the leading row m = j is the only row inside
+    the box.  Only that row is computed, n <= b_k, mod p (``leading_rows``):
+    its nonzero entries inside the box are the violations, and its leading
+    term must sit at the expected index, the sum of the factors' leading
+    indices, for a unit leading coefficient mod p.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -540,24 +534,14 @@ def sharpness_witness(
     spec = MonomialSpec.from_dict(exponents)
     assert spec.weight == k
     expected = spec.leading_index
-    exp = registry.monomial(spec, b)
-    pp = PrimePower(p)
-    violations = [
-        (key, p_valuation(exp.coeffs[key], p))
-        for key in exp.support()
-        if key[0] < b and key[2] < b
-    ]
-    reduced = exp.reduce_mod(p)
-    if reduced.is_zero():
+    row = leading_rows([spec], b, b, p, registry)[0]
+    if row.is_zero():
         raise ValueError(f"witness {spec} vanishes mod {p} on its box")
-    lead = reduced.leading_term().index
+    violations = [(key, 0) for key in row.support() if key[0] < b and key[2] < b]
+    lead = row.leading_term().index
     unit = lead == expected
-    verdict = not violations and unit
-    note = None
-    if not unit:
-        note = f"leading term {lead} differs from expected {expected}"
-    report = SturmReport(b - 1, pp, verdict, violations, note)
-    return spec, report
+    note = None if unit else f"leading term {lead} differs from expected {expected}"
+    return spec, SturmReport(b - 1, PrimePower(p), not violations and unit, violations, note)
 
 
 # -- identity suites ---------------------------------------------------------
@@ -601,35 +585,28 @@ def verify_identities(
     """Run one of the named identity suites; see the module docstring.
 
     A prime is checked before any suite runs, also for the suites that do
-    not read it.
+    not read it.  A suite stated only for its default primes reports any
+    other prime as one SKIP that names them.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     if p is not None and not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    registry = registry or default_registry()
+    default_precision, primes, stated, runner = _SUITES[suite]
     report = SuiteReport(suite)
-    precision = _SUITE_PRECISION[suite] if precision is None else precision
-    if suite == "witt-images":
-        _suite_witt_images(precision, registry, report)
-    elif suite == "lemma10":
-        _suite_lemma10(_primes(p, (2, 3)), precision, registry, report)
-    elif suite == "prop1-w12":
-        _suite_prop1_w12(_primes(p, (2, 3)), precision, registry, report)
-    elif suite == "lemma12":
-        _suite_lemma12(_primes(p, (2, 3, 5)), report)
-    elif suite == "x12-identity":
-        _suite_x12_identity(precision, report)
-    elif suite == "borcherds-structure":
-        _suite_borcherds(_primes(p, (2, 3, 5)), precision, registry, report)
+    if p is not None and stated and p not in primes:
+        report.skip(f"{suite}.p{p}", f"stated for p in {{{', '.join(map(str, primes))}}}")
+        return report
+    runner(
+        list(primes) if p is None else [p],
+        default_precision if precision is None else precision,
+        registry or default_registry(),
+        report,
+    )
     return report
 
 
-def _primes(p, default):
-    return list(default) if p is None else [p]
-
-
-def _suite_witt_images(B: int, registry, report: SuiteReport) -> None:
+def _suite_witt_images(ps, B: int, registry, report: SuiteReport) -> None:
     for name, order, image in WITT_PINS:
         report.add(
             registry.generator(name, B).witt(order) == witt_image(image, B),
@@ -644,6 +621,7 @@ def _x35_square_combination(p: int, B: int, registry) -> SiegelExpansion:
 
     if p == 2:
         return mono(X10=2, Y12=2, X16=2) + mono(X10=6)
+    # p = 3, the only other prime lemma10 is stated for
     return (
         2 * mono(X10=1, X16=4)
         + mono(X10=1, Y12=2, X16=3)
@@ -747,7 +725,7 @@ def _modform1_monomial_basis(k: int, precision: int):
     return out
 
 
-def _suite_lemma12(ps, report: SuiteReport) -> None:
+def _suite_lemma12(ps, B, registry, report: SuiteReport) -> None:
     for k in range(4, 25, 2):
         cutoff = k // 12
         basis = _modform1_monomial_basis(k, cutoff)
@@ -767,7 +745,7 @@ def _suite_lemma12(ps, report: SuiteReport) -> None:
             )
 
 
-def _suite_x12_identity(P: int, report: SuiteReport) -> None:
+def _suite_x12_identity(ps, P: int, registry, report: SuiteReport) -> None:
     e4cube = eisenstein1(4, P) ** 3
     e6square = eisenstein1(6, P) ** 2
     x4 = diag_builder("x4", P)
@@ -821,3 +799,17 @@ def _order_check(report: SuiteReport, check_id: str, detail: str, predicate) -> 
         report.add(predicate(), check_id, detail)
     except PrecisionError:
         report.skip(check_id, f"{detail} (insufficient precision)")
+
+
+# Each suite: the precision it reads when none is given (lemma12 reads
+# none), the primes it reads when none is given, whether it is stated only
+# for those primes, and its runner(primes, precision, registry, report).
+_SUITES = {
+    "witt-images": (6, (), False, _suite_witt_images),
+    "lemma10": (6, (2, 3), True, _suite_lemma10),
+    "prop1-w12": (5, (2, 3), True, _suite_prop1_w12),
+    "lemma12": (None, (2, 3, 5), False, _suite_lemma12),
+    "x12-identity": (20, (), False, _suite_x12_identity),
+    "borcherds-structure": (6, (2, 3, 5), False, _suite_borcherds),
+}
+SUITES = tuple(_SUITES)

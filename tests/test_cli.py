@@ -185,6 +185,18 @@ def test_verify_suite_with_prime(capsys, cache):
     assert "p5" in out and "p2" not in out
 
 
+@pytest.mark.parametrize("suite, checks", [("lemma10", 4), ("prop1-w12", 3)])
+def test_a_suite_stated_for_2_and_3_skips_every_other_prime(capsys, cache, suite, checks):
+    """Lemma 10 and proposition 1 are stated for p in {2, 3}: at p = 5 no
+    check runs, and the one SKIP names that scope."""
+    argv = ("verify", "--suite", suite, "--cache-dir", str(cache), "--prime")
+    code, out, _ = run(capsys, *argv, "5")
+    assert code == 0
+    assert out == f"SKIP {suite}.p5 stated for p in {{2, 3}}\nRESULT {suite} 0/0\n"
+    code, out, _ = run(capsys, *argv, "3")
+    assert code == 0 and "SKIP" not in out and out.endswith(f"RESULT {suite} {checks}/{checks}\n")
+
+
 @pytest.mark.parametrize("suite", ["witt-images", "x12-identity", "all"])
 def test_verify_refuses_a_composite_prime_before_any_suite_runs(capsys, cache, suite):
     code, out, err = run(

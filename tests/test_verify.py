@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from siegel2 import qformat, verify
 from siegel2.errors import NotPIntegral
 from siegel2.expansion import SiegelExpansion
-from siegel2.generators import GeneratorRegistry, MonomialSpec
-from siegel2.rationals import PrimePower
+from siegel2.generators import _LEADING, GENERATOR_WEIGHTS, GeneratorRegistry, MonomialSpec
+from siegel2.rationals import PrimePower, p_valuation
 from siegel2.verify import (
     GENSET_C,
     GENSET_INTEGRAL,
     CoeffMatrix,
+    SturmReport,
     Theorem1Report,
     box_indices,
     check_congruence,
@@ -450,31 +451,90 @@ def test_sharpness_witness_examples(registry):
     assert str(spec) == "X10*X35" and report.verdict
 
 
-class OneExpansion:
-    """A registry stand-in that serves one expansion as every monomial."""
+def test_witnesses_form_no_monomial_and_no_power(registry, monkeypatch):
+    """A witness is read from one leading row mod p: it forms no whole-box
+    monomial and no Z power, up to X10^20 at weight 200."""
+
+    def refuse(*args):
+        raise AssertionError("a witness formed a Z monomial or power")
+
+    monkeypatch.setattr(GeneratorRegistry, "monomial", refuse)
+    monkeypatch.setattr(GeneratorRegistry, "power", refuse)
+    cases = (
+        (4, 7, "X4"), (22, 5, "X10*X12"), (35, 3, "X35"), (47, 2, "X12*X35"), (200, 5, "X10^20")
+    )
+    for k, p, name in cases:
+        spec, report = sharpness_witness(k, p, registry)
+        assert str(spec) == name
+        assert report.render() == f"PASS box<={sturm_bound(k) - 1} mod {p}"
+
+
+def whole_monomial_witness(k, p, registry):
+    """The oracle: the witness of ``reference_witness`` formed over Z on the
+    whole box b_k, scanned for nonzero coefficients inside the box b_k - 1,
+    and reduced mod p on the whole box for its leading term."""
+    spec, _ = reference_witness(k)
+    b = sturm_bound(k)
+    exp = registry.monomial(spec, b)
+    violations = [
+        (key, p_valuation(exp.coeffs[key], p))
+        for key in exp.support()
+        if key[0] < b and key[2] < b
+    ]
+    reduced = exp.reduce_mod(p)
+    if reduced.is_zero():
+        raise ValueError(f"witness {spec} vanishes mod {p} on its box")
+    lead = reduced.leading_term().index
+    unit = lead == spec.leading_index
+    note = None if unit else f"leading term {lead} differs from expected {spec.leading_index}"
+    return spec, SturmReport(b - 1, PrimePower(p), not violations and unit, violations, note)
+
+
+def test_row_witnesses_match_the_whole_monomial_oracle(registry):
+    # Highest weight first, so each generator is built once at its top precision.
+    for k in range(100, 3, -1):
+        if k % 2 and (k < 35 or k == 37):
+            continue
+        for p in (2, 3, 5, 7, 11):
+            spec, report = sharpness_witness(k, p, registry)
+            want_spec, want = whole_monomial_witness(k, p, registry)
+            assert spec == want_spec and report == want, (k, p)
+            assert report.render() == want.render(), (k, p)
+
+
+class OneGenerator:
+    """A registry stand-in that serves one expansion as every generator."""
 
     def __init__(self, exp):
         self.exp = exp
 
-    def monomial(self, spec, precision):
+    def generator(self, name, precision):
         return self.exp
 
 
 def test_sharpness_witness_reads_the_leading_index_mod_p():
     # Weight 10 has b_k = 1 and expects its leading index at (1, -1, 1).
     exp = SiegelExpansion(10, 1, {(1, -1, 1): 3, (1, 0, 1): 1, (1, 1, 1): 3})
-    _, report = sharpness_witness(10, 5, OneExpansion(exp))
+    _, report = sharpness_witness(10, 5, OneGenerator(exp))
     assert report.verdict and report.precision_note is None
-    _, report = sharpness_witness(10, 3, OneExpansion(exp))
+    _, report = sharpness_witness(10, 3, OneGenerator(exp))
     assert not report.verdict
     assert report.precision_note == "leading term (1, 0, 1) differs from expected (1, -1, 1)"
     with pytest.raises(ValueError, match="vanishes mod 3"):
-        sharpness_witness(10, 3, OneExpansion(SiegelExpansion(10, 1, {(1, 0, 1): 6})))
+        sharpness_witness(10, 3, OneGenerator(SiegelExpansion(10, 1, {(1, 0, 1): 6})))
     # A non-p-integral entry is rejected, also one after the leading index.
     bad = SiegelExpansion(10, 1, {(1, -1, 1): 1, (1, 1, 1): Fraction(1, 3)})
     with pytest.raises(NotPIntegral):
-        sharpness_witness(10, 3, OneExpansion(bad))
-    assert sharpness_witness(10, 5, OneExpansion(bad))[1].verdict
+        sharpness_witness(10, 3, OneGenerator(bad))
+    assert sharpness_witness(10, 5, OneGenerator(bad))[1].verdict
+
+
+class LeadingTerms:
+    """A registry stand-in that serves each generator as its leading term alone."""
+
+    def generator(self, name, precision):
+        index, coefficient = _LEADING[name]
+        return SiegelExpansion(GENERATOR_WEIGHTS[name], precision, {index: coefficient})
 
 
 # The hand-written witness tables and leading-index formulas that the
@@ -507,13 +567,12 @@ def test_witnesses_match_the_reference_tables():
     for k in range(4, 201):
         if k % 2 and (k < 35 or k == 37):
             with pytest.raises(ValueError, match=f"no nonzero forms of weight {k}$"):
-                sharpness_witness(k, 5, OneExpansion(None))
+                sharpness_witness(k, 5, LeadingTerms())
             continue
         spec, index = reference_witness(k)
-        b = sturm_bound(k)
-        got, report = sharpness_witness(k, 5, OneExpansion(SiegelExpansion(k, b, {index: 1})))
-        assert got == spec, k
-        assert report.verdict and report.bound_used == b - 1, k
+        got, report = sharpness_witness(k, 5, LeadingTerms())
+        assert got == spec and got.leading_index == index, k
+        assert report.verdict and report.bound_used == sturm_bound(k) - 1, k
 
 
 def test_sharpness_witness_rejects_empty_spaces(registry):
