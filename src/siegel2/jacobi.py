@@ -276,8 +276,8 @@ def maass_lift(phi: JacobiForm1, precision: int, mode: str = "cusp") -> SiegelEx
     Coefficients are divisor sums a(m, r, n) = sum_{d | gcd(m, r, n)}
     d^(k-1) c((4mn - r^2)/d^2), with gcd(0, 0, n) = n so the singular rows
     come out right.  The cusp mode (c(0) = 0) keeps them zero; the
-    Eisenstein mode rescales by -2k/B_k and sets the constant term to 1,
-    which makes the singular rows the weight-k divisor sums.
+    Eisenstein mode (c(0) = 1) rescales by -2k/B_k and sets the constant
+    term to 1, which makes the singular rows the weight-k divisor sums.
     """
     k = phi.weight
     if mode not in ("cusp", "eisenstein"):
@@ -286,8 +286,9 @@ def maass_lift(phi: JacobiForm1, precision: int, mode: str = "cusp") -> SiegelEx
         raise PrecisionError(
             f"need discriminants up to {4 * precision * precision}, have {phi.dmax}"
         )
-    if mode == "cusp" and phi.coeff(0) != 0:
-        raise ValueError("cusp lift requires c(0) = 0")
+    constant = 0 if mode == "cusp" else 1
+    if phi.coeff(0) != constant:
+        raise ValueError(f"{mode} lift requires c(0) = {constant}")
     factor = 1 if mode == "cusp" else normalize(Fraction(-2 * k) / bernoulli(k))
     coeffs = {}
     for m, r, n in box_indices(precision):

@@ -27,8 +27,9 @@ layer and columns by t = min(m, n), the matrix is block upper triangular,
 so its rank on the box b_k is at least the sum over j of the rank of block
 j, the layer-j rows on the columns (j, r, n), j <= n <= b_k.  That sum
 needs only leading rows (``layered_rank``); when it is dim M_k, so are the
-truncated and the full rank.  Any other sum proves nothing, and one
-elimination of the whole monomials gives the exact ranks.
+truncated and the full rank, whatever integral rows were taken.  Any other
+sum proves nothing: at p >= 5 one elimination of the whole monomials gives
+the exact ranks; at p in {2, 3} the certificate is a SKIP naming short layers.
 
 ``verify_identities`` bundles the named suites exercised by the CLI:
 
@@ -45,6 +46,7 @@ elimination of the whole monomials gives the exact ranks.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import isqrt
 
 from .errors import PrecisionError
@@ -378,22 +380,22 @@ def leading_rows(monomials, bound: int, precision: int, p: int, registry) -> lis
     ]
 
 
-def layered_rank(monomials, bound: int, precision: int, p: int, registry) -> int:
-    """The sum over layers j of the F_p rank of block j, the layer-j leading
-    rows on the columns (j, r, n) with j <= n <= bound: a lower bound on the
-    monomials' F_p rank on the box m, n <= bound (see the module docstring)."""
+def layered_rank(monomials, bound: int, precision: int, p: int, registry) -> dict:
+    """The F_p rank of each block j, ``{j: rank}``, the layer-j leading rows
+    on the columns (j, r, n), j <= n <= bound; their sum is a lower bound on
+    the monomials' F_p rank on the box m, n <= bound (module docstring)."""
     blocks = {}
     for spec, row in zip(monomials, leading_rows(monomials, bound, precision, p, registry)):
         blocks.setdefault(spec.layer, []).append(row.coeffs)
-    total = 0
+    ranks = {}
     for j, rows in blocks.items():
         columns = [
             (j, r, n)
             for n in range(j, bound + 1)
             for r in range(-isqrt(4 * j * n), isqrt(4 * j * n) + 1)
         ]
-        total += streamed_ranks(rows, columns, (), p)[0]
-    return total
+        ranks[j] = streamed_ranks(rows, columns, (), p)[0]
+    return ranks
 
 
 class Theorem1Report(Record):
@@ -444,52 +446,44 @@ class Theorem1Report(Record):
         )
 
 
-def _certified_genset(k: int, p: int):
-    # GENSET_INTEGRAL stops at weight 16, so p in {2, 3} stops at weight 16
-    # in even weight and at 35 + 16 in odd weight.
-    if p < 5 and k > (51 if k % 2 else 16):
-        return None
-    base = list(GENSET_C if p >= 5 else GENSET_INTEGRAL)
-    return base + ["X35"] if k % 2 else base
-
-
 def verify_theorem1_rank(
     k: int, p: int, precision: int, registry: GeneratorRegistry | None = None
 ) -> Theorem1Report:
     """Certify rank(truncated at the bound) = dim M_k = rank(full box) mod p.
 
-    The rows are all weight-k monomials in the generator sets whose span is
-    known to cover the integral forms: the four classical generators for
-    p >= 5, their integral completion through weight 16 for p in {2, 3},
-    and X35 times those in odd weight (up to 51 for p in {2, 3}).  Outside
-    that coverage the report says so explicitly rather than passing on a
-    proper subspace.  dim M_k is counted by ``igusa_dimension``.
-    The proof (see the module docstring) rests on one premise: every
-    monomial is an integral weight-k form that vanishes below its layer,
-    which the registry's pins guarantee for every generator it serves.  A
-    layer sum (``layered_rank``) of dim M_k proves both ranks; any other sum
-    runs ``streamed_ranks`` on the Z monomials mod p on the whole box.
+    The rows are the weight-k monomials in ``GENSET_C`` (p >= 5) or
+    ``GENSET_INTEGRAL`` (p in {2, 3}), times X35 in odd weight.  Each is an
+    integral weight-k form that vanishes below its layer, by the registry's
+    pins, so a layer sum (``layered_rank``) of dim M_k proves both ranks by
+    the bound from above, for any such rows (module docstring).  A short
+    sum proves nothing: at p >= 5 ``streamed_ranks`` eliminates the Z
+    monomials mod p on the whole box; at p in {2, 3}, where the integral
+    generators are not known to span M_k mod p, it is a SKIP naming each
+    layer j whose rank differs from its number of layer-j GENSET_C rows.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     registry = registry or default_registry()
     b = sturm_bound(k)
-    report = Theorem1Report(k, p, b, precision, certifiable=True)
-    genset = _certified_genset(k, p)
-    if genset is None:
-        report.certifiable = False
-        report.reason = (
-            f"monomial span over the constructible generators does not cover "
-            f"weight {k} mod {p}"
-        )
-        return report
     if precision < b:
         raise ValueError(f"precision {precision} is below the bound {b}")
-    monomials = weight_monomials(k, genset)
+    odd = ("X35",) if k % 2 else ()
+    monomials = weight_monomials(k, (GENSET_C if p >= 5 else GENSET_INTEGRAL) + odd)
+    report = Theorem1Report(k, p, b, precision, certifiable=True)
     report.monomials = [str(m) for m in monomials]
     report.dim_c = igusa_dimension(k)
-    if layered_rank(monomials, b, precision, p, registry) == report.dim_c:
+    ranks = layered_rank(monomials, b, precision, p, registry)
+    if sum(ranks.values()) == report.dim_c:
         report.rank_truncated = report.rank_full = report.dim_c
+        return report
+    if p < 5:
+        # Every layer has a target: Y12 and X16 share weight and layer with X6^2 and X6*X10.
+        targets = Counter(spec.layer for spec in weight_monomials(k, GENSET_C + odd))
+        report.certifiable = False
+        report.reason = ", ".join(
+            f"layer {j}: rank {ranks.get(j, 0)} of {targets[j]}"
+            for j in sorted(targets) if ranks.get(j, 0) != targets[j]
+        )
         return report
     rows = [registry.monomial(spec, precision).reduce_mod(p).coeffs for spec in monomials]
     inside, outside = [], []

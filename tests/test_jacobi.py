@@ -348,3 +348,16 @@ def test_jacobi_form_validation():
         JacobiForm1(4, 8, {12: 1, -3: 2})
     form = JacobiForm1(4, 8, {0: 1, 3: Fraction(4, 2)})
     assert form.coeff(3) == 2
+
+
+def test_eisenstein_lift_refuses_a_constant_term_other_than_1():
+    """The Eisenstein mode sets a(0, 0, 0) = 1 but scales every other
+    coefficient by c(0): lifts of 2*E_{4,1}, or of E_{4,1} without c(0),
+    would give constant term 1 and a(0, 0, 1) = 480 or 0, no modular form."""
+    e41 = jacobi_eisenstein(4, 36)
+    doubled = JacobiForm1(4, 36, {d: 2 * c for d, c in e41.c.items()})
+    headless = JacobiForm1(4, 36, {d: c for d, c in e41.c.items() if d})
+    for phi in (doubled, headless):
+        with pytest.raises(ValueError, match=r"eisenstein lift requires c\(0\) = 1"):
+            maass_lift(phi, 3, "eisenstein")
+    assert maass_lift(e41, 3, "eisenstein").coeff(0, 0, 1) == 240

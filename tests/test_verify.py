@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 from types import SimpleNamespace
 
 import pytest
@@ -216,17 +218,66 @@ def _box_matrix(registry, specs, precision, b):
     return [[row[j] for j in inside] for row in full], full
 
 
+# The weights past 16 and 51 whose layer sums reach dim M_k at p = 2 and 3.
+COVERED_PAST_THE_GENERATORS = (20, 22, 26, 32, 55, 57, 61, 67)
+
+
 def test_layer_sums_prove_the_rank_at_2_and_3(registry):
     """At every covered p in {2, 3} weight the layer sum is dim M_k, which is
-    the dense rank of the Z monomials, reduced mod p, on the box b_k."""
+    the dense rank of the Z monomials, reduced mod p, on the box b_k and on
+    the whole box."""
     for p in (2, 3):
-        for k in list(range(0, 17, 2)) + list(range(35, 52, 2)):
+        weights = list(range(0, 17, 2)) + list(range(35, 52, 2))
+        for k in weights + list(COVERED_PAST_THE_GENERATORS):
             b = sturm_bound(k)
             precision = max(b, 5)
             specs = weight_monomials(k, GENSET_INTEGRAL + (("X35",) if k % 2 else ()))
-            truncated, _ = _box_matrix(registry, specs, precision, b)
-            got = layered_rank(specs, b, precision, p, registry)
+            truncated, full = _box_matrix(registry, specs, precision, b)
+            got = sum(layered_rank(specs, b, precision, p, registry).values())
             assert got == igusa_dimension(k) == dense_rank(truncated, p), (k, p)
+            assert dense_rank(full, p) == got, (k, p)
+
+
+def test_layer_ranks_decide_coverage_at_2_and_3(registry):
+    """At p in {2, 3}, even k in 18..60 and odd k in 53..95, a weight is a
+    PASS exactly when each layer's block of leading rows has the dense rank
+    of its target, the number of layer-j monomials in GENSET_C (and X35).
+    Every other weight is a SKIP that names each short layer."""
+    for name in GENSET_INTEGRAL + ("X35",):
+        registry.generator(name, 9)  # the top precision first, then truncations
+    for p in (2, 3):
+        for k in list(range(18, 61, 2)) + list(range(53, 96, 2)):
+            b = sturm_bound(k)
+            precision = max(b, 5)
+            odd = ("X35",) if k % 2 else ()
+            specs = weight_monomials(k, GENSET_INTEGRAL + odd)
+            rows = leading_rows(specs, b, precision, p, registry)
+            targets = Counter(spec.layer for spec in weight_monomials(k, GENSET_C + odd))
+            # Y12 and X16 share weight and layer with X6^2 and X6*X10.
+            assert {spec.layer for spec in specs} == targets.keys(), (k, p)
+            short = []
+            for j in sorted(targets):
+                columns = [
+                    (j, r, n)
+                    for n in range(j, b + 1)
+                    for r in range(-isqrt(4 * j * n), isqrt(4 * j * n) + 1)
+                ]
+                block = [
+                    [row.coeffs.get(key, 0) for key in columns]
+                    for spec, row in zip(specs, rows)
+                    if spec.layer == j
+                ]
+                rank = dense_rank(block, p)
+                assert rank <= targets[j], (k, p, j)
+                if rank < targets[j]:
+                    short.append(f"layer {j}: rank {rank} of {targets[j]}")
+            report = verify_theorem1_rank(k, p, precision, registry)
+            if k in COVERED_PAST_THE_GENERATORS:
+                assert not short and report.passed, (k, p)
+                assert report.rank_truncated == report.rank_full == report.dim_c
+            else:
+                assert short and not report.certifiable and not report.passed, (k, p)
+                assert report.reason == ", ".join(short), (k, p)
 
 
 def test_full_rank_blocks_form_no_whole_monomial(registry, monkeypatch):
@@ -252,7 +303,7 @@ def test_a_block_kernel_still_passes_by_layers(registry, monkeypatch):
     b = sturm_bound(k)
     doubled = weight_monomials(k, GENSET_C)
     doubled.append(doubled[-1])
-    assert layered_rank(doubled, b, precision, p, registry) == igusa_dimension(k)
+    assert sum(layered_rank(doubled, b, precision, p, registry).values()) == igusa_dimension(k)
     monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: doubled)
     report = verify_theorem1_rank(k, p, precision, registry)
     truncated, full = _box_matrix(registry, doubled, precision, b)
@@ -268,7 +319,7 @@ def test_a_short_layer_sum_falls_back_to_the_full_elimination(registry, monkeypa
     k, p, precision = 24, 5, 5
     b = sturm_bound(k)
     dropped = weight_monomials(k, GENSET_C)[1:]
-    assert layered_rank(dropped, b, precision, p, registry) == igusa_dimension(k) - 1
+    assert sum(layered_rank(dropped, b, precision, p, registry).values()) == igusa_dimension(k) - 1
     monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: dropped)
     report = verify_theorem1_rank(k, p, precision, registry)
     truncated, full = _box_matrix(registry, dropped, precision, b)
@@ -284,6 +335,32 @@ def test_a_short_layer_sum_falls_back_to_the_full_elimination(registry, monkeypa
     assert report.rank_truncated == dense_rank(truncated, p) < report.dim_c
     assert report.rank_full == dense_rank(full, p) == report.dim_c
     assert not report.passed
+
+
+def test_a_short_layer_sum_at_2_is_a_skip_without_whole_monomials(registry, monkeypatch):
+    """At p = 2 the integral generators are not known to span M_k, so a
+    short layer sum is no counterexample: with X16 dropped at k = 16 the
+    certificate is a SKIP naming the short layer, and it forms no monomial
+    on the whole box."""
+    k, p, precision = 16, 2, 5
+    dropped = weight_monomials(k, GENSET_INTEGRAL)[1:]
+    assert str(weight_monomials(k, GENSET_INTEGRAL)[0]) == "X16"
+
+    def refuse(*args):
+        raise AssertionError("a short layer sum at p = 2 formed a whole-box monomial")
+
+    def without_x16(k, genset):
+        return dropped if "Y12" in genset else weight_monomials(k, genset)
+
+    monkeypatch.setattr(verify, "weight_monomials", without_x16)
+    monkeypatch.setattr(GeneratorRegistry, "monomial", refuse)
+    report = verify_theorem1_rank(k, p, precision, registry)
+    assert not report.certifiable and not report.passed
+    assert report.rank_truncated is report.rank_full is None
+    assert report.render() == (
+        "SKIP theorem1 k=16 p=2: not certifiable with available generators "
+        "(layer 1: rank 1 of 2)"
+    )
 
 
 def test_a_cached_generator_nonzero_below_its_layer_is_rebuilt(tmp_path, registry, gens6):
@@ -403,11 +480,15 @@ def test_streamed_ranks_examples():
 
 
 def test_theorem1_rank_refuses_uncovered_cases(registry):
-    for k, p in ((20, 2), (18, 3), (53, 2)):
+    report = verify_theorem1_rank(20, 2, 5, registry)
+    assert report.passed and report.render().startswith("PASS theorem1 k=20 p=2")
+    for k, p, reason in ((18, 3, "layer 1: rank 1 of 2"), (53, 2, "layer 3: rank 1 of 2")):
         report = verify_theorem1_rank(k, p, 5, registry)
         assert not report.certifiable
         assert not report.passed
-        assert "not certifiable" in report.render()
+        assert report.render() == (
+            f"SKIP theorem1 k={k} p={p}: not certifiable with available generators ({reason})"
+        )
     # odd weights below 35 and weight 37 are covered but empty: the zero
     # space passes vacuously
     for k, p in ((37, 5), (33, 5), (31, 2)):
@@ -417,6 +498,8 @@ def test_theorem1_rank_refuses_uncovered_cases(registry):
         verify_theorem1_rank(12, 4, 5, registry)
     with pytest.raises(ValueError):
         verify_theorem1_rank(40, 5, 3, registry)
+    with pytest.raises(ValueError):
+        verify_theorem1_rank(60, 2, 5, registry)  # b_60 = 6, short weights included
 
 
 def test_truncation_below_bound_is_not_injective(registry):
