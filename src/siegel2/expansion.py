@@ -225,7 +225,8 @@ class SiegelExpansion(SparseSeries):
 
         order 0 sums a(m, r, n) over r; order 1 takes (1/2) sum r a(m, r, n);
         order 2 takes (1/2) sum r^2 a(m, r, n).  Requires scale 1 and exact
-        coefficients.
+        coefficients.  The image has parallel weight k + order; the sign
+        symmetries of weight k make it satisfy a(n, m) = (-1)^k a(m, n).
         """
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
@@ -243,15 +244,8 @@ class SiegelExpansion(SparseSeries):
             sums[key] = sums.get(key, 0) + c
         if order:
             sums = {k: normalize(Fraction(v, 2)) for k, v in sums.items() if v}
-        sign = None
-        if self.weight is not None:
-            even = self.weight % 2 == 0
-            if order in (0, 2) and even:
-                sign = 1
-            elif order == 1 and not even:
-                sign = -1
         weight = None if self.weight is None else self.weight + order
-        return DiagSeries(self.precision, sums, weight, sign)
+        return DiagSeries(self.precision, sums, weight)
 
     def theta(self, direction: int) -> "SiegelExpansion":
         """Normalised derivative along tau_1 (1), tau_12 (12) or tau_2 (2).

@@ -5,15 +5,16 @@ coefficients: the home of the classical Eisenstein series e2, e4, e6 and of
 the discriminant cusp form.  ``DiagSeries`` is a truncated two-variable
 series sum a(m, n) q1^m q2^n, the codomain of the diagonal-restriction
 operators acting on degree-2 expansions.  Tensor squares of one-variable
-forms land there via q ⊗ 1 -> q1 and 1 ⊗ q -> q2; the ``symmetry_sign``
-tag records invariance (+1) or anti-invariance (-1) under swapping the two
-tensor factors.  Both take their ring operations from ``siegel2.series``.
+forms land there via q ⊗ 1 -> q1 and 1 ⊗ q -> q2.  A diagonal series is
+weight-tagged with its parallel weight: the k of a form of weight (k, k).
+Invariance (+1) or anti-invariance (-1) under swapping q1 and q2 is a
+property of the coefficients, checked by ``symmetry_violations``, not a
+tag.  Both take their ring operations from ``siegel2.series``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 
 from .errors import PrecisionError
 from .rationals import bernoulli, divisors, normalize
@@ -32,16 +33,9 @@ class QSeries1(SparseSeries):
 
     ``coeffs`` maps n in [0..precision] to a nonzero rational; absent keys
     are zero.  ``weight`` is an informational tag (None when mixed).
-    ``quasi_flag`` marks the weight-2 Eisenstein series; truncations and
-    scalar multiples keep it, sums and products drop it.
     """
 
-    __slots__ = ("quasi_flag",)
-    _TAGS = ("quasi_flag",)
-
-    def __init__(self, precision, coeffs=None, weight=0, quasi_flag=False):
-        self.quasi_flag = quasi_flag
-        super().__init__(precision, coeffs, weight)
+    __slots__ = ()
 
     def _kept(self, coeffs, box):
         return {n: c for n, c in coeffs.items() if 0 <= n <= box}
@@ -58,9 +52,6 @@ class QSeries1(SparseSeries):
     def _one(self):
         return QSeries1(self.precision, {0: 1}, 0)
 
-    def _merged_tags(self, others, product):
-        return {"quasi_flag": False}
-
     def __repr__(self):
         return f"QSeries1(precision={self.precision}, weight={self.weight}, {len(self.coeffs)} terms)"
 
@@ -69,7 +60,7 @@ def eisenstein1(k: int, precision: int) -> QSeries1:
     """Degree-1 Eisenstein series e_k, k in {2, 4, 6}, constant term 1.
 
     e_k = 1 - (2k/B_k) sum_{n>=1} sigma_{k-1}(n) q^n.  The k = 2 series is
-    only quasi-modular; it is flagged but otherwise an ordinary series.
+    only quasi-modular, but it is an ordinary series here.
     """
     if k not in (2, 4, 6):
         raise ValueError(f"eisenstein1 supports k in {{2, 4, 6}}, got {k}")
@@ -77,7 +68,7 @@ def eisenstein1(k: int, precision: int) -> QSeries1:
     coeffs = {0: 1}
     for n in range(1, precision + 1):
         coeffs[n] = factor * divisor_sigma(n, k - 1)
-    return QSeries1(precision, coeffs, weight=k, quasi_flag=(k == 2))
+    return QSeries1(precision, coeffs, weight=k)
 
 
 def delta1(precision: int) -> QSeries1:
@@ -89,18 +80,9 @@ def delta1(precision: int) -> QSeries1:
 
 
 class DiagSeries(SparseSeries):
-    """Truncated series sum a(m, n) q1^m q2^n with exact coefficients.
+    """Truncated series sum a(m, n) q1^m q2^n with exact coefficients."""
 
-    ``symmetry_sign`` is +1 when a(m, n) = a(n, m) holds on the whole box,
-    -1 when a(m, n) = -a(n, m), and None when unknown.
-    """
-
-    __slots__ = ("symmetry_sign",)
-    _TAGS = ("symmetry_sign",)
-
-    def __init__(self, precision, coeffs=None, weight=0, symmetry_sign=None):
-        self.symmetry_sign = symmetry_sign
-        super().__init__(precision, coeffs, weight)
+    __slots__ = ()
 
     def _kept(self, coeffs, box):
         return {k: c for k, c in coeffs.items() if 0 <= k[0] <= box and 0 <= k[1] <= box}
@@ -120,47 +102,31 @@ class DiagSeries(SparseSeries):
         return [(m, j) for j in range(box + 1)]
 
     def _one(self):
-        return DiagSeries(self.precision, {(0, 0): 1}, 0, 1)
+        return DiagSeries(self.precision, {(0, 0): 1}, 0)
 
-    def _merged_tags(self, others, product):
-        signs = [self.symmetry_sign, *(other.symmetry_sign for other in others)]
-        if not product:
-            return {"symmetry_sign": signs[0] if len(set(signs)) == 1 else None}
-        # Swap acts multiplicatively on tensor factors, so signs multiply.
-        if any(sign not in (1, -1) for sign in signs):
-            return {"symmetry_sign": None}
-        return {"symmetry_sign": prod(signs)}
-
-    def symmetry_violations(self) -> list:
-        """Index pairs where the declared swap symmetry fails (empty = pass)."""
-        if self.symmetry_sign not in (1, -1):
-            return []
+    def symmetry_violations(self, sign: int) -> list:
+        """Index pairs (m, n) where a(n, m) = sign * a(m, n) fails (empty = pass)."""
         bad = []
         for (m, n), c in sorted(self.coeffs.items()):
-            if self.coeffs.get((n, m), 0) != self.symmetry_sign * c:
+            if self.coeffs.get((n, m), 0) != sign * c:
                 bad.append((m, n))
         return bad
 
     def __repr__(self):
-        return (
-            f"DiagSeries(precision={self.precision}, weight={self.weight}, "
-            f"sign={self.symmetry_sign}, {len(self.coeffs)} terms)"
-        )
+        return f"DiagSeries(precision={self.precision}, weight={self.weight}, {len(self.coeffs)} terms)"
 
 
 def diag_tensor(f: QSeries1, g: QSeries1) -> DiagSeries:
-    """Tensor product a(m, n) = f_m g_n of two equal-precision series."""
+    """Tensor product a(m, n) = f_m g_n of two equal-precision series, of
+    parallel weight f.weight when f and g share it and untagged otherwise."""
     if f.precision != g.precision:
         raise PrecisionError("tensor factors must have equal precision")
     out = {}
     for m, cf in f.coeffs.items():
         for n, cg in g.coeffs.items():
             out[(m, n)] = cf * cg
-    sign = 1 if f.coeffs == g.coeffs else None
-    weight = None
-    if f.weight is not None and g.weight is not None:
-        weight = f.weight + g.weight
-    return DiagSeries(f.precision, out, weight, sign)
+    weight = f.weight if f.weight == g.weight else None
+    return DiagSeries(f.precision, out, weight)
 
 
 _DIAG_BUILDERS = ("x2", "x4", "x6", "x12", "y12", "alpha36")
@@ -180,16 +146,15 @@ def diag_builder(name: str, precision: int) -> DiagSeries:
     e4cube = eisenstein1(4, precision) ** 3
     if name == "y12":
         series = diag_tensor(e4cube, delta) + diag_tensor(delta, e4cube)
-        return _stamped(series, 1, weight=24)
+        return _stamped(series, 1, weight=12)
     # alpha36 = x12^2 (delta ⊗ e4^3 - e4^3 ⊗ delta), anti-invariant under swap
     x12 = diag_tensor(delta, delta)
     series = (x12 * x12) * (diag_tensor(delta, e4cube) - diag_tensor(e4cube, delta))
-    return _stamped(series, -1, weight=72)
+    return _stamped(series, -1, weight=36)
 
 
 def _stamped(series: DiagSeries, sign: int, weight) -> DiagSeries:
-    out = DiagSeries(series.precision, series.coeffs, weight, sign)
-    bad = out.symmetry_violations()
+    bad = series.symmetry_violations(sign)
     if bad:
         raise ArithmeticError(f"builder produced asymmetric series, e.g. at {bad[0]}")
-    return out
+    return DiagSeries(series.precision, series.coeffs, weight)

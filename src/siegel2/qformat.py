@@ -1,6 +1,6 @@
-"""Bit-exact text formats for expansions and diagonal series.
+"""Bit-exact text format for degree-2 expansions.
 
-Degree-2 expansions (magic ``%SIEGEL2-QEXP 1``)::
+An expansion file (magic ``%SIEGEL2-QEXP 1``) reads::
 
     %SIEGEL2-QEXP 1
     name X12
@@ -12,11 +12,8 @@ Degree-2 expansions (magic ``%SIEGEL2-QEXP 1``)::
     ...
 
 Entry lines are sorted strictly ascending by (m, n, r), fractions are in
-lowest terms with denominator >= 1, zero entries are omitted.  Diagonal
-series use magic ``%DIAG-QEXP 1``, a ``symmetry`` header (+1, -1 or none)
-in place of ``scale``, and entry lines ``m n numerator denominator``.
-Files are UTF-8 with LF line endings; identical data serialises to
-identical bytes.
+lowest terms with denominator >= 1, zero entries are omitted.  Files are
+UTF-8 with LF line endings; identical data serialises to identical bytes.
 """
 
 from __future__ import annotations
@@ -27,14 +24,8 @@ from pathlib import Path
 
 from .errors import FormatError
 from .expansion import SiegelExpansion
-from .qexp1 import DiagSeries
 
-# Each format as data: its magic line, its tag header and the number of
-# index integers on an entry line.
-_SIEGEL = ("%SIEGEL2-QEXP 1", "scale", 3)
-_DIAG = ("%DIAG-QEXP 1", "symmetry", 2)
-
-_SYMMETRY = {"+1": 1, "-1": -1, "none": None}
+_MAGIC = "%SIEGEL2-QEXP 1"
 _MINIMUM = {"scale": 1, "precision": 0, "entries": 0}
 
 
@@ -49,65 +40,48 @@ def decode(data: bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _dump(fmt, name: str, series, tag, keys) -> str:
-    """The canonical text of a series in one format, entries in the order of keys."""
-    magic, tag_field, arity = fmt
-    if series.weight is None:
-        raise ValueError("cannot serialise a series without a weight tag")
-    lines = [
-        magic,
-        f"name {name}",
-        f"weight {series.weight}",
-        f"{tag_field} {tag}",
-        f"precision {series.precision}",
-        f"entries {len(keys)}",
-    ]
-    row = " ".join(["%d"] * (arity + 2))
-    for key in keys:
-        c = series.coeffs[key]
-        if type(c) is int:
-            lines.append(row % (*key, c, 1))
-        else:
-            lines.append(row % (*key, c.numerator, c.denominator))
-    return "\n".join(lines) + "\n"
-
-
 def dump_siegel(exp: SiegelExpansion, name: str) -> str:
     """Serialise an exact expansion to the canonical text form."""
     if exp.modulus is not None:
         raise ValueError("mod-p expansions are not serialised")
-    return _dump(_SIEGEL, name, exp, exp.scale, exp.support())
+    if exp.weight is None:
+        raise ValueError("cannot serialise a series without a weight tag")
+    keys = exp.support()
+    lines = [
+        _MAGIC,
+        f"name {name}",
+        f"weight {exp.weight}",
+        f"scale {exp.scale}",
+        f"precision {exp.precision}",
+        f"entries {len(keys)}",
+    ]
+    for key in keys:
+        c = exp.coeffs[key]
+        if type(c) is int:
+            lines.append("%d %d %d %d %d" % (*key, c, 1))
+        else:
+            lines.append("%d %d %d %d %d" % (*key, c.numerator, c.denominator))
+    return "\n".join(lines) + "\n"
 
 
-def dump_diag(series: DiagSeries, name: str) -> str:
-    """Serialise a diagonal series to the canonical text form."""
-    sign = {1: "+1", -1: "-1", None: "none"}[series.symmetry_sign]
-    return _dump(_DIAG, name, series, sign, sorted(series.coeffs))
-
-
-def _read(text: str, fmt):
-    """Name, weight, tag, precision and coefficients of a file in one format.
+def parse_siegel(text: str) -> tuple[str, SiegelExpansion]:
+    """Parse the degree-2 text format.
 
     Every header and entry line is checked as it is read; FormatError
     carries the number of the first bad line.
     """
-    magic, tag, arity = fmt
     lines = text.split("\n")
-    if lines[0] != magic:
-        raise FormatError(1, f"bad magic, expected {magic!r}")
+    if lines[0] != _MAGIC:
+        raise FormatError(1, f"bad magic, expected {_MAGIC!r}")
     head = {}
-    for lineno, field in enumerate(("name", "weight", tag, "precision", "entries"), 2):
+    for lineno, field in enumerate(("name", "weight", "scale", "precision", "entries"), 2):
         if lineno > len(lines):
             raise FormatError(lineno, "unexpected end of file")
         line = lines[lineno - 1]
         label, sep, value = line.partition(" ")
         if not sep or label != field:
             raise FormatError(lineno, f"expected header '{field} ...', got {line!r}")
-        if field == "symmetry":
-            if value not in _SYMMETRY:
-                raise FormatError(lineno, f"bad symmetry {value!r}")
-            value = _SYMMETRY[value]
-        elif field != "name":
+        if field != "name":
             try:
                 value = int(value)
             except ValueError:
@@ -116,25 +90,20 @@ def _read(text: str, fmt):
             if low is not None and value < low:
                 raise FormatError(lineno, f"{field} must be >= {low}")
         head[field] = value
-    box = head.get("scale", 1) * head["precision"]
+    box = head["scale"] * head["precision"]
     entries = head["entries"]
     body = lines[6 : 6 + entries]
     coeffs = {}
     last = (-1,)
     for lineno, line in enumerate(body, 7):
         parts = line.split()
-        if len(parts) != arity + 2:
-            raise FormatError(lineno, f"expected {arity + 2} fields, got {line!r}")
+        if len(parts) != 5:
+            raise FormatError(lineno, f"expected 5 fields, got {line!r}")
         try:
-            if arity == 3:
-                m, r, n, num, den = map(int, parts)
-                key = (m, r, n)
-            else:
-                m, n, num, den = map(int, parts)
-                r = 0
-                key = (m, n)
+            m, r, n, num, den = map(int, parts)
         except ValueError:
             raise FormatError(lineno, f"malformed integer in {line!r}") from None
+        key = (m, r, n)
         if not (0 <= m <= box and 0 <= n <= box):
             raise FormatError(lineno, f"index {key} outside the box")
         if 4 * m * n < r * r:
@@ -158,19 +127,10 @@ def _read(text: str, fmt):
     for lineno, line in enumerate(lines[6 + entries :], 7 + entries):
         if line.strip():
             raise FormatError(lineno, "trailing data after the declared entries")
-    return head["name"], head["weight"], head[tag], head["precision"], coeffs
-
-
-def parse_siegel(text: str) -> tuple[str, SiegelExpansion]:
-    """Parse the degree-2 text format; FormatError carries the bad line."""
-    name, weight, scale, precision, coeffs = _read(text, _SIEGEL)
-    return name, SiegelExpansion._unchecked(precision, coeffs, weight, scale=scale, modulus=None)
-
-
-def parse_diag(text: str) -> tuple[str, DiagSeries]:
-    """Parse the diagonal-series text format; FormatError carries the bad line."""
-    name, weight, sign, precision, coeffs = _read(text, _DIAG)
-    return name, DiagSeries._unchecked(precision, coeffs, weight, symmetry_sign=sign)
+    exp = SiegelExpansion._unchecked(
+        head["precision"], coeffs, head["weight"], scale=head["scale"], modulus=None
+    )
+    return head["name"], exp
 
 
 def save_atomic(path: Path, text: str) -> None:

@@ -5,7 +5,8 @@ exact rationals, or to F_p residues when it carries a modulus, for the
 indices in a box fixed by its precision.  ``SparseSeries`` owns what does
 not depend on the key shape: coefficient cleaning, truncation, the ring
 operations and the weight-tag rules (a sum keeps a common weight and is
-untagged otherwise; a product adds weights).  Operations never
+untagged otherwise; a product adds weights).  A series carries no other
+tag than its weight and the attributes naming its ring.  Operations never
 extrapolate: results carry the minimum precision of their operands, which
 is exact because indices add componentwise and stay nonnegative.
 """
@@ -34,12 +35,10 @@ class SparseSeries:
     * ``_rows(ints, width)`` and ``_slots(m, n, box)``: the packed layout
       of integer coefficients that ``_accumulate`` multiplies and
       ``_decoded`` reads back;
-    * ``_one()``: the identity at this series' precision;
-    * ``_merged_tags(others, product)``: every ``_TAGS`` value of a sum or
-      product of this series and ``others``.
+    * ``_one()``: the identity at this series' precision.
 
     Subclass constructors accept ``precision``, ``coeffs`` and ``weight``
-    as keywords, and the names in ``_RING`` and ``_TAGS`` too.
+    as keywords, and the names in ``_RING`` too.
     """
 
     __slots__ = ("precision", "coeffs", "weight")
@@ -47,12 +46,10 @@ class SparseSeries:
     # Attributes naming the ring a series lives in.  Operands of + and *
     # must agree on them, results inherit them and equality compares them.
     _RING = ()
-    # The type's own tags, which truncation and scalar multiples keep.
-    _TAGS = ()
     # The p of a series of F_p residues; SiegelExpansion sets it per instance.
     modulus = None
 
-    def __init__(self, precision, coeffs, weight, modulus=None):
+    def __init__(self, precision, coeffs=None, weight=0, modulus=None):
         if precision < 0:
             raise ValueError("precision must be >= 0")
         self.precision = precision
@@ -77,24 +74,18 @@ class SparseSeries:
             bad = next(k for k in coeffs if k not in kept)
             raise ValueError(f"index {bad} outside the box [0..{box}]")
 
-    def _tags(self):
-        return {name: getattr(self, name) for name in self._TAGS}
-
-    def _merged_tags(self, others, product):
-        return {}
-
     def _ring(self):
         return {name: getattr(self, name) for name in self._RING}
 
-    def _new(self, precision, coeffs, weight, tags):
-        """A series of this type and ring; ``tags`` are the type's own keywords."""
-        return type(self)(precision=precision, coeffs=coeffs, weight=weight, **self._ring(), **tags)
+    def _new(self, precision, coeffs, weight):
+        """A series of this type and ring."""
+        return type(self)(precision=precision, coeffs=coeffs, weight=weight, **self._ring())
 
     @classmethod
     def _unchecked(cls, precision, coeffs, weight, **attrs):
         """A series built without the constructor's checks, for coefficients
         known to be clean on keys known to be valid: products, truncations
-        and parsed files.  ``attrs`` sets every name in ``_RING`` and ``_TAGS``."""
+        and parsed files.  ``attrs`` sets every name in ``_RING``."""
         series = object.__new__(cls)
         series.precision = precision
         series.coeffs = coeffs
@@ -103,16 +94,15 @@ class SparseSeries:
             setattr(series, name, value)
         return series
 
-    def _merged(self, others, product):
-        """Precision and type tags of a sum or product of this series and
-        ``others``; the rings must agree."""
+    def _merged(self, others):
+        """Precision of a sum or product of this series and ``others``; the
+        rings must agree."""
         for other in others:
             for name in self._RING:
                 mine, theirs = getattr(self, name), getattr(other, name)
                 if mine != theirs:
                     raise ValueError(f"{name} mismatch: {mine} vs {theirs}")
-        precision = min(self.precision, *(other.precision for other in others))
-        return precision, self._merged_tags(others, product)
+        return min(self.precision, *(other.precision for other in others))
 
     # -- access -------------------------------------------------------------
 
@@ -128,20 +118,20 @@ class SparseSeries:
                 f"cannot extend precision {self.precision} to {precision}"
             )
         kept = self._kept(self.coeffs, self._box(precision))
-        return self._unchecked(precision, kept, self.weight, **self._ring(), **self._tags())
+        return self._unchecked(precision, kept, self.weight, **self._ring())
 
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        prec, tags = self._merged([other], product=False)
+        prec = self._merged([other])
         box = self._box(prec)
         out = self._kept(self.coeffs, box)
         for k, c in other._kept(other.coeffs, box).items():
             out[k] = out.get(k, 0) + c
         weight = self.weight if self.weight == other.weight else None
-        return self._new(prec, out, weight, tags)
+        return self._new(prec, out, weight)
 
     def __neg__(self):
         return self * -1
@@ -154,7 +144,7 @@ class SparseSeries:
     def __mul__(self, other):
         if isinstance(other, SCALARS):
             coeffs = {k: c * other for k, c in self.coeffs.items()}
-            return self._new(self.precision, coeffs, self.weight, self._tags())
+            return self._new(self.precision, coeffs, self.weight)
         if not isinstance(other, type(self)):
             return NotImplemented
         return self._product((self, other))
@@ -183,7 +173,7 @@ class SparseSeries:
         first = factors[0]
         if len(factors) == 1:
             return first
-        prec, tags = first._merged(factors[1:], product=True)
+        prec = first._merged(factors[1:])
         weights = [f.weight for f in factors]
         weight = None if None in weights else sum(weights)
         box = first._box(prec)
@@ -194,7 +184,7 @@ class SparseSeries:
             partial, acc = acc, {}
             _accumulate(partial, first._rows(scaled, width), box, width, [(acc, None)])
         out = _rational(_decoded(acc, width, first._slots, box), den, first.modulus)
-        return first._unchecked(prec, out, weight, **first._ring(), **tags)
+        return first._unchecked(prec, out, weight, **first._ring())
 
     def __pow__(self, e: int):
         """self^e as one ``_product`` of e copies: packed once per copy and

@@ -221,23 +221,19 @@ def igusa_dimension(k: int) -> int:
 
 
 class CoeffMatrix(Record):
-    """Labelled coefficient matrix: one row per form, one column per index."""
+    """Coefficient matrix: one row per form, one column per index."""
 
-    __slots__ = ("row_labels", "columns", "entries")
+    __slots__ = ("columns", "entries")
 
-    def __init__(self, row_labels: list, columns: list, entries: list):
-        self.row_labels = row_labels
+    def __init__(self, columns: list, entries: list):
         self.columns = columns
         self.entries = entries
 
 
-def matrix_from_forms(labelled, indices) -> CoeffMatrix:
-    """Rows of Fourier coefficients at the given indices."""
-    labels = [label for label, _ in labelled]
-    entries = []
-    for _, exp in labelled:
-        entries.append([exp.coeffs.get(key, 0) for key in indices])
-    return CoeffMatrix(labels, list(indices), entries)
+def matrix_from_forms(forms, indices) -> CoeffMatrix:
+    """Rows of Fourier coefficients at the given indices, one per form."""
+    entries = [[exp.coeffs.get(key, 0) for key in indices] for exp in forms]
+    return CoeffMatrix(list(indices), entries)
 
 
 class Echelon:
@@ -314,7 +310,7 @@ def fp_rank(matrix: CoeffMatrix, p: int):
     """Rank and left-kernel basis over F_p (p prime).
 
     Kernel vectors give the vanishing combinations of the rows, i.e. the
-    relations among the labelled forms on the chosen index set.  The left
+    relations among the forms on the chosen index set.  The left
     kernel is the complement of the column span.
     """
     basis = Echelon(len(matrix.entries), p)
@@ -663,8 +659,8 @@ def _suite_prop1_w12(ps, B: int, registry, report: SuiteReport) -> None:
     report.add(not w2, "prop1-w12.weight2-empty", "no weight-2 monomials")
     diag_indices = [(m, n) for m in range(B + 1) for n in range(B + 1)]
     exact = [registry.monomial(spec, B) for spec in monomials]
-    forms = matrix_from_forms(list(zip(labels, exact)), box_indices(B))
-    images = [(label, exp.witt(0)) for label, exp in zip(labels, exact)]
+    forms = matrix_from_forms(exact, box_indices(B))
+    images = [exp.witt(0) for exp in exact]
     witt_matrix = matrix_from_forms(images, diag_indices)
     truncated = matrix_from_forms(
         images, [(m, n) for m, n in diag_indices if m <= 1 and n <= 1]
@@ -713,8 +709,7 @@ def _modform1_monomial_basis(k: int, precision: int):
         elif rem % 4 == 2 and rem >= 6:
             a, b = (rem - 6) // 4, 1
         if a is not None:
-            series = (e4**a) * (e6**b) * (delta**c)
-            out.append((f"e4^{a}*e6^{b}*d^{c}", series))
+            out.append((e4**a) * (e6**b) * (delta**c))
         c += 1
     return out
 
@@ -724,10 +719,10 @@ def _suite_lemma12(ps, B, registry, report: SuiteReport) -> None:
         cutoff = k // 12
         basis = _modform1_monomial_basis(k, cutoff)
         rows = []
-        for i, (la, fa) in enumerate(basis):
-            rows.append((f"{la}|{la}", diag_tensor(fa, fa)))
-            for lb, fb in basis[i + 1 :]:
-                rows.append((f"{la}|{lb}", diag_tensor(fa, fb) + diag_tensor(fb, fa)))
+        for i, fa in enumerate(basis):
+            rows.append(diag_tensor(fa, fa))
+            for fb in basis[i + 1 :]:
+                rows.append(diag_tensor(fa, fb) + diag_tensor(fb, fa))
         columns = [(m, n) for m in range(cutoff + 1) for n in range(cutoff + 1)]
         matrix = matrix_from_forms(rows, columns)
         for p in ps:

@@ -171,6 +171,10 @@ def test_witt_examples(gens6):
         assert gens6[name].witt(1).coeffs == {}
     assert gens6["X35"].witt(0).coeffs == {}
     assert gens6["X35"].witt(2).coeffs == {}
+    # swap symmetry: a(n, r, m) = (-1)^k a(m, r, n) makes every layer (-1)^k-symmetric
+    for g in gens6.values():
+        for order in range(3):
+            assert g.witt(order).symmetry_violations((-1) ** g.weight) == []
 
 
 def test_witt_product_rules(gens6):

@@ -11,6 +11,7 @@ from siegel2.generators import (
     GeneratorRegistry,
     MonomialSpec,
     _pin,
+    witt_image,
 )
 from siegel2.verify import (
     GENSET_INTEGRAL,
@@ -26,6 +27,13 @@ def test_integrality_and_weights(gens6):
     for name, exp in gens6.items():
         assert exp.weight == GENERATOR_WEIGHTS[name]
         assert all(isinstance(c, int) for c in exp.coeffs.values()), name
+
+
+def test_witt_pins_agree_on_the_parallel_weight(gens6):
+    for name, order, image in WITT_PINS:
+        if image != "0":
+            got = gens6[name].witt(order)
+            assert got.weight == witt_image(image, 6).weight == gens6[name].weight + order
 
 
 def test_known_coefficients(gens6):

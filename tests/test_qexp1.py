@@ -4,6 +4,7 @@ import pytest
 
 from siegel2.errors import PrecisionError
 from siegel2.qexp1 import (
+    _stamped,
     delta1,
     diag_builder,
     diag_tensor,
@@ -40,8 +41,6 @@ def test_eisenstein_normalisations():
     assert eisenstein1(6, 4).coeff(1) == -504
     for k in (2, 4, 6):
         assert eisenstein1(k, 4).coeff(0) == 1
-    assert eisenstein1(2, 4).quasi_flag
-    assert not eisenstein1(4, 4).quasi_flag
     with pytest.raises(ValueError):
         eisenstein1(8, 4)
 
@@ -99,8 +98,10 @@ def test_diag_tensor_examples():
     assert diag_tensor(e4, e4).coeff(0, 1) == 240
     t = diag_tensor(d, e4**3)
     assert all(t.coeff(0, n) == 0 for n in range(prec + 1))
-    assert diag_tensor(d, d).symmetry_sign == 1
-    assert t.symmetry_sign is None
+    assert diag_tensor(d, d).symmetry_violations(1) == []
+    assert t.symmetry_violations(1) and t.symmetry_violations(-1)
+    assert diag_tensor(d, d).weight == t.weight == 12
+    assert diag_tensor(d, e4).weight is None
     with pytest.raises(PrecisionError):
         diag_tensor(delta1(3), delta1(4))
 
@@ -114,11 +115,24 @@ def test_diag_builders():
     alpha = diag_builder("alpha36", 8)
     assert all(alpha.coeff(m, m) == 0 for m in range(9))
     assert alpha.coeff(3, 2) == 1 and alpha.coeff(2, 3) == -1
-    assert alpha.symmetry_sign == -1
-    for name in ("x2", "x4", "x6", "x12", "y12", "alpha36"):
-        assert diag_builder(name, 5).symmetry_violations() == []
+    weights = {"x2": 2, "x4": 4, "x6": 6, "x12": 12, "y12": 12, "alpha36": 36}
+    for name, weight in weights.items():
+        series = diag_builder(name, 5)
+        sign = -1 if name == "alpha36" else 1
+        assert series.symmetry_violations(sign) == []
+        assert series.symmetry_violations(-sign) != []
+        assert series.weight == weight
     with pytest.raises(ValueError):
         diag_builder("x8", 5)
+
+
+def test_stamped_refuses_an_asymmetric_series():
+    d = delta1(4)
+    e4cube = eisenstein1(4, 4) ** 3
+    with pytest.raises(ArithmeticError, match="asymmetric series, e.g. at \\(1, 0\\)"):
+        _stamped(diag_tensor(d, e4cube), 1, 12)
+    with pytest.raises(ArithmeticError):
+        _stamped(diag_tensor(d, e4cube) + diag_tensor(e4cube, d), -1, 12)
 
 
 def test_diag_ring_and_signs():
@@ -126,13 +140,13 @@ def test_diag_ring_and_signs():
     y12 = diag_builder("y12", 8)
     alpha = diag_builder("alpha36", 8)
     prod = x12 * alpha
-    assert prod.symmetry_sign == -1
-    assert prod.symmetry_violations() == []
-    assert (alpha * alpha).symmetry_sign == 1
+    assert prod.symmetry_violations(-1) == []
+    assert (alpha * alpha).symmetry_violations(1) == []
     assert (y12 + y12 * -1).coeffs == {}
     mixed = x12 + alpha
-    assert mixed.symmetry_sign is None
-    assert (x12 * y12).symmetry_violations() == []
+    assert mixed.symmetry_violations(1) and mixed.symmetry_violations(-1)
+    assert (x12 * y12).symmetry_violations(1) == []
+    assert prod.weight == 48 and mixed.weight is None
 
 
 def test_diag_mul_matches_tensor_of_products():

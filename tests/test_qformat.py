@@ -6,14 +6,7 @@ from hypothesis import strategies as st
 
 from siegel2.errors import FormatError
 from siegel2.expansion import SiegelExpansion
-from siegel2.qexp1 import DiagSeries, diag_builder
-from siegel2.qformat import (
-    dump_diag,
-    dump_siegel,
-    parse_diag,
-    parse_siegel,
-    save_atomic,
-)
+from siegel2.qformat import dump_siegel, parse_siegel, save_atomic
 
 
 def sample_expansion():
@@ -39,16 +32,6 @@ def test_siegel_round_trip_with_scale():
     assert back.scale == 2 and back == exp
 
 
-def test_diag_round_trip():
-    series = diag_builder("alpha36", 5)
-    text = dump_diag(series, "alpha36")
-    name, back = parse_diag(text)
-    assert name == "alpha36"
-    assert back == series and back.symmetry_sign == -1
-    plain = DiagSeries(3, {(0, 1): Fraction(1, 2)}, weight=7)
-    assert parse_diag(dump_diag(plain, "t"))[1].symmetry_sign is None
-
-
 def test_entries_are_sorted_canonically():
     text = dump_siegel(sample_expansion(), "s")
     rows = [line for line in text.strip().split("\n")[6:]]
@@ -56,76 +39,39 @@ def test_entries_are_sorted_canonically():
     assert keys == sorted(keys, key=lambda k: (k[0], k[2], k[1]))
 
 
-def sample_diag():
-    coeffs = {(0, 0): 1, (0, 1): Fraction(3, 7), (1, 0): Fraction(3, 7), (1, 1): 1}
-    return DiagSeries(1, coeffs, weight=10, symmetry_sign=1)
-
-
-# Per format: a sample series, its writer and reader, its tag header and the
-# entry line of (m, r, n, num, den); a diagonal entry line has no r.
-FORMATS = {
-    "siegel": (
-        sample_expansion,
-        dump_siegel,
-        parse_siegel,
-        "scale",
-        lambda m, r, n, num, den: f"{m} {r} {n} {num} {den}",
-    ),
-    "diag": (
-        sample_diag,
-        dump_diag,
-        parse_diag,
-        "symmetry",
-        lambda m, r, n, num, den: f"{m} {n} {num} {den}",
-    ),
-}
-
-
-# Each mutation runs on both samples.  The diagonal sample has precision 1,
-# so the diagonal form of the index (2, 9, 2), which is not semi-definite,
-# lies outside its box: both fail on line 8.
 @pytest.mark.parametrize(
     "mutate, lineno",
     [
-        (lambda lines, tag, entry: lines.__setitem__(0, "%SIEGEL-QEXP 9"), 1),
-        (lambda lines, tag, entry: lines.__setitem__(1, "label sample"), 2),
-        (lambda lines, tag, entry: lines.__setitem__(3, f"{tag} zero"), 4),
-        (lambda lines, tag, entry: lines.__setitem__(6, entry(1, 1, 1, 1, 1)), 8),
-        (lambda lines, tag, entry: lines.__setitem__(7, entry(1, 1, 1, 2, 4)), 8),
-        (lambda lines, tag, entry: lines.__setitem__(7, entry(1, 1, 1, 0, 1)), 8),
-        (lambda lines, tag, entry: lines.__setitem__(7, entry(1, 1, 1, 5, -1)), 8),
-        (lambda lines, tag, entry: lines.__setitem__(7, entry(9, 0, 9, 1, 1)), 8),
-        (lambda lines, tag, entry: lines.__setitem__(7, entry(2, 9, 2, 1, 1)), 8),
-        (lambda lines, tag, entry: lines.append(entry(1, 0, 1, 3, 1)), 11),
+        (lambda lines: lines.__setitem__(0, "%SIEGEL-QEXP 9"), 1),
+        (lambda lines: lines.__setitem__(1, "label sample"), 2),
+        (lambda lines: lines.__setitem__(3, "scale zero"), 4),
+        (lambda lines: lines.__setitem__(6, "1 1 1 1 1"), 8),
+        (lambda lines: lines.__setitem__(7, "1 1 1 2 4"), 8),
+        (lambda lines: lines.__setitem__(7, "1 1 1 0 1"), 8),
+        (lambda lines: lines.__setitem__(7, "1 1 1 5 -1"), 8),
+        (lambda lines: lines.__setitem__(7, "9 0 9 1 1"), 8),
+        (lambda lines: lines.__setitem__(7, "2 9 2 1 1"), 8),
+        (lambda lines: lines.append("1 0 1 3 1"), 11),
+        pytest.param(lambda lines: lines.__setitem__(3, "scale 0"), 4, id="tag-zero"),
         pytest.param(
-            lambda lines, tag, entry: lines.__setitem__(3, f"{tag} 0"), 4, id="tag-zero"
+            lambda lines: lines.__setitem__(4, "precision -1"), 5, id="negative-precision"
         ),
-        pytest.param(
-            lambda lines, tag, entry: lines.__setitem__(4, "precision -1"),
-            5,
-            id="negative-precision",
-        ),
-        pytest.param(
-            lambda lines, tag, entry: lines.__setitem__(5, "entries -1"),
-            6,
-            id="negative-entries",
-        ),
+        pytest.param(lambda lines: lines.__setitem__(5, "entries -1"), 6, id="negative-entries"),
     ],
 )
 def test_malformed_files_carry_line_numbers(mutate, lineno):
-    for sample, dump, parse, tag, entry in FORMATS.values():
-        lines = dump(sample(), "sample").strip().split("\n")
-        mutate(lines, tag, entry)
-        with pytest.raises(FormatError) as info:
-            parse("\n".join(lines) + "\n")
-        assert info.value.lineno == lineno
+    lines = dump_siegel(sample_expansion(), "sample").strip().split("\n")
+    mutate(lines)
+    with pytest.raises(FormatError) as info:
+        parse_siegel("\n".join(lines) + "\n")
+    assert info.value.lineno == lineno
 
 
 _tokens = st.one_of(
     st.integers(-(10**6), 10**6).map(str),
     st.text(alphabet="0123456789 -+_/.xe\t\r\u00e9", max_size=8),
     st.sampled_from(
-        ["", "name", "weight", "scale", "symmetry", "precision", "entries", "9" * 5000]
+        ["", "name", "weight", "scale", "precision", "entries", "9" * 5000]
     ),
 )
 
@@ -158,16 +104,15 @@ def mutated_lines(draw, text):
 @settings(max_examples=600, deadline=None)
 @given(data=st.data())
 def test_mutated_files_parse_or_name_their_line(data):
-    sample, dump, parse, _, _ = FORMATS[data.draw(st.sampled_from(sorted(FORMATS)))]
-    lines = data.draw(mutated_lines(dump(sample(), "sample")))
+    lines = data.draw(mutated_lines(dump_siegel(sample_expansion(), "sample")))
     text = "\n".join(lines)
     try:
-        name, series = parse(text)
+        name, series = parse_siegel(text)
     except FormatError as err:
         assert 1 <= err.lineno <= len(lines) + 1
         assert str(err).startswith(f"line {err.lineno}: ")
     else:
-        assert parse(dump(series, name)) == (name, series)
+        assert parse_siegel(dump_siegel(series, name)) == (name, series)
 
 
 def test_truncated_file_rejected():

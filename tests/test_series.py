@@ -40,11 +40,11 @@ def box_keys(kind, box):
     return keys
 
 
-def make(kind, precision, coeffs, weight, tag, scale):
+def make(kind, precision, coeffs, weight, scale):
     if kind == "q":
-        return QSeries1(precision, coeffs, weight, quasi_flag=tag)
+        return QSeries1(precision, coeffs, weight)
     if kind == "diag":
-        return DiagSeries(precision, coeffs, weight, symmetry_sign=tag)
+        return DiagSeries(precision, coeffs, weight)
     modulus = MODULUS if kind == "siegel-mod" else None
     return SiegelExpansion(weight, precision, coeffs, scale, modulus)
 
@@ -61,14 +61,13 @@ def families(draw, kind, size=3):
     scale = draw(st.sampled_from((1, 2))) if kind.startswith("siegel") else 1
     top = {"q": 6, "diag": 3}.get(kind, 2 // scale)
     coeff = st.integers(0, MODULUS - 1) if kind == "siegel-mod" else exact_scalars
-    tag = {"q": st.booleans(), "diag": st.sampled_from((None, 1, -1))}.get(kind, st.none())
     members = []
     for _ in range(size):
         precision = draw(st.integers(0, top))
         keys = box_keys(kind, scale * precision)
         coeffs = draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=6))
         weight = draw(st.sampled_from((None, 0, 1, 4)))
-        members.append(make(kind, precision, coeffs, weight, draw(tag), scale))
+        members.append(make(kind, precision, coeffs, weight, scale))
     return scale, members
 
 
@@ -157,7 +156,7 @@ def packed_operand(kind, precision, coeffs, scale=1, modulus=None):
     """A weight-4 operand; only SiegelExpansion takes a scale or a modulus."""
     if kind == "siegel":
         return SiegelExpansion(4, precision, coeffs, scale, modulus)
-    return make(kind, precision, coeffs, 4, None, scale)
+    return make(kind, precision, coeffs, 4, scale)
 
 
 @st.composite
@@ -269,20 +268,12 @@ def test_weight_tags(kind, data, scalar):
 @SETTINGS
 @given(data=st.data())
 def test_type_tags(kind, data):
+    """Results keep the operands' type and ring, the only tags besides the weight."""
     scale, (a, b) = data.draw(families(kind, size=2))
-    if kind == "diag":
-        s, t = a.symmetry_sign, b.symmetry_sign
-        assert (a + b).symmetry_sign == (s if s == t else None)
-        assert (a * b).symmetry_sign == (s * t if s and t else None)
-        assert (-a).symmetry_sign == s and a.truncate(0).symmetry_sign == s
-        assert (a**0).symmetry_sign == 1
-    elif kind == "q":
-        assert a.truncate(0).quasi_flag == a.quasi_flag
-        assert (a * 3).quasi_flag == a.quasi_flag == (-a).quasi_flag
-        assert not (a + b).quasi_flag and not (a * b).quasi_flag
-    else:
-        modulus = MODULUS if kind == "siegel-mod" else None
-        for result in (a + b, a * b, a * 2, a.truncate(0), a**2):
+    modulus = MODULUS if kind == "siegel-mod" else None
+    for result in (a + b, a * b, a * 2, -a, a.truncate(0), a**0, a**2):
+        assert type(result) is type(a)
+        if kind.startswith("siegel"):
             assert (result.scale, result.modulus) == (scale, modulus)
 
 

@@ -120,16 +120,14 @@ def test_weight_monomials():
 
 
 def test_fp_rank_examples(gens6):
-    identity = CoeffMatrix(["a", "b", "c"], [0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    identity = CoeffMatrix([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     rank, kernel = fp_rank(identity, 2)
     assert rank == 3 and kernel == []
     indices = box_indices(6)
-    rows = matrix_from_forms(
-        [("X12", gens6["X12"]), ("X10", gens6["X10"])], indices
-    )
+    rows = matrix_from_forms([gens6["X12"], gens6["X10"]], indices)
     rank, kernel = fp_rank(rows, 2)
     assert rank == 1 and kernel == [(1, 1)]
-    zero = CoeffMatrix(["z"], [0, 1], [[0, 0]])
+    zero = CoeffMatrix([0, 1], [[0, 0]])
     assert fp_rank(zero, 5) == (0, [(1,)])
 
 
@@ -399,10 +397,8 @@ def dense_rank(entries, p):
 
 
 def _forms(entries):
-    """(label, form) pairs for ``matrix_from_forms``; column j of row i is entries[i][j]."""
-    return [
-        (i, SimpleNamespace(coeffs=dict(enumerate(row)))) for i, row in enumerate(entries)
-    ]
+    """Forms for ``matrix_from_forms``; column j of row i is entries[i][j]."""
+    return [SimpleNamespace(coeffs=dict(enumerate(row))) for row in entries]
 
 
 def _ranks_by_fp_rank(entries, split, p):
@@ -507,14 +503,11 @@ def test_truncation_below_bound_is_not_injective(registry):
     for k, p in ((10, 2), (22, 5), (12, 3)):
         b = sturm_bound(k)
         monomials = weight_monomials(k, GENSET_C if p >= 5 else GENSET_INTEGRAL)
-        labelled = [
-            (str(spec), registry.monomial(spec, 5).reduce_mod(p))
-            for spec in monomials
-        ]
+        forms = [registry.monomial(spec, 5).reduce_mod(p) for spec in monomials]
         indices = box_indices(5)
-        full = matrix_from_forms(labelled, indices)
+        full = matrix_from_forms(forms, indices)
         small = matrix_from_forms(
-            labelled, [key for key in indices if key[0] <= b - 1 and key[2] <= b - 1]
+            forms, [key for key in indices if key[0] <= b - 1 and key[2] <= b - 1]
         )
         rank_small, _ = fp_rank(small, p)
         rank_full, _ = fp_rank(full, p)
