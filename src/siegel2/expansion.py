@@ -114,9 +114,6 @@ class SiegelExpansion(SparseSeries):
         """Stored indices sorted by the (m, n, r) monomial order."""
         return sorted(self.coeffs, key=lambda k: (k[0], k[2], k[1]))
 
-    def with_weight(self, weight) -> "SiegelExpansion":
-        return SiegelExpansion(weight, self.precision, self.coeffs, self.scale, self.modulus)
-
     # -- the key shape ----------------------------------------------------
 
     def _box(self, precision):
@@ -198,25 +195,19 @@ class SiegelExpansion(SparseSeries):
         m, n, r = min((m, n, r) for (m, r, n) in self.coeffs)
         return LeadingTerm(m, r, n, self.coeffs[(m, r, n)])
 
-    def diagonal_vanishing_order(self, p: int | None = None):
-        """Size of the largest vanishing box of the mod-p reduction.
+    def diagonal_vanishing_order(self):
+        """Size of the largest vanishing box of a reduced expansion.
 
-        Returns min over the mod-p support of max(m, n)/scale, or a
-        ``BeyondPrecision`` sentinel when the reduction vanishes on the
-        whole computed box.
+        Returns min over the F_p support of max(m, n)/scale, or a
+        ``BeyondPrecision`` sentinel when the expansion vanishes on the
+        whole computed box.  An exact expansion is refused: reduce it first.
         """
         if self.modulus is None:
-            if p is None:
-                raise ValueError("a prime is required for an unreduced expansion")
-            red = self.reduce_mod(p)
-        else:
-            if p is not None and p != self.modulus:
-                raise ValueError(f"expansion is reduced mod {self.modulus}, not {p}")
-            red = self
-        if not red.coeffs:
-            return BeyondPrecision(red.precision)
-        smallest = min(max(m, n) for (m, r, n) in red.coeffs)
-        return normalize(Fraction(smallest, red.scale))
+            raise ValueError("the vanishing order needs an expansion reduced mod p")
+        if not self.coeffs:
+            return BeyondPrecision(self.precision)
+        smallest = min(max(m, n) for (m, r, n) in self.coeffs)
+        return normalize(Fraction(smallest, self.scale))
 
     # -- operators ----------------------------------------------------------
 

@@ -5,8 +5,8 @@ generated in low weight by X4, X6 (Eisenstein), the cusp forms X10, X12,
 and the integral companions Y12 and X16; the odd part is X35 times the
 even part.  This module builds pinned normalisations of all seven:
 
-* X4, X6   -- Eisenstein-mode lifts of the index-1 Jacobi Eisenstein series,
-* X10, X12 -- cusp-mode lifts of the index-1 cusp forms with c(3) = 1,
+* X4, X6   -- Maass lifts of (-2k/B_k) E_{k,1}, whose constant term is 1,
+* X10, X12 -- Maass lifts of the index-1 cusp forms with c(3) = 1,
 * Y12      -- (X4^3 - X6^2)/1728 + 144 X12,
 * X16      -- (X4 X12 - X6 X10)/12,
 * X35      -- the normalised theta-derivative determinant of X4, X6, X10, X12.
@@ -32,8 +32,9 @@ from pathlib import Path
 from . import qformat
 from .errors import ConstructionError
 from .expansion import SiegelExpansion, wronskian35
-from .jacobi import jacobi_combine, jacobi_eisenstein, maass_lift
+from .jacobi import JacobiForm1, jacobi_combine, jacobi_eisenstein, maass_lift
 from .qexp1 import DiagSeries, diag_builder, eisenstein1
+from .rationals import bernoulli, normalize
 from .records import FrozenRecord
 from .series import chain_power
 
@@ -277,9 +278,11 @@ def _build(name: str, precision: int, registry: GeneratorRegistry) -> SiegelExpa
     dmax = 4 * precision * precision
     if name in ("X4", "X6"):
         k = GENERATOR_WEIGHTS[name]
-        return maass_lift(jacobi_eisenstein(k, dmax), precision, "eisenstein")
+        scale = normalize(Fraction(-2 * k) / bernoulli(k))
+        phi = JacobiForm1(k, dmax, {d: scale * c for d, c in jacobi_eisenstein(k, dmax).c.items()})
+        return maass_lift(phi, precision)
     if name in ("X10", "X12"):
-        qprec = dmax // 4 + 1
+        qprec = dmax // 4
         e4 = eisenstein1(4, qprec)
         e6 = eisenstein1(6, qprec)
         e41 = jacobi_eisenstein(4, dmax)
@@ -289,18 +292,18 @@ def _build(name: str, precision: int, registry: GeneratorRegistry) -> SiegelExpa
             phi = jacobi_combine([(c, e6, e41), (-c, e4, e61)])
         else:
             phi = jacobi_combine([(c, e4 * e4, e41), (-c, e6, e61)])
-        return maass_lift(phi, precision, "cusp")
+        return maass_lift(phi, precision)
     if name == "Y12":
         x4 = registry.generator("X4", precision)
         x6 = registry.generator("X6", precision)
         x12 = registry.generator("X12", precision)
-        return ((x4**3 - x6**2) * Fraction(1, 1728) + 144 * x12).with_weight(12)
+        return (x4**3 - x6**2) * Fraction(1, 1728) + 144 * x12
     if name == "X16":
         x4 = registry.generator("X4", precision)
         x6 = registry.generator("X6", precision)
         x10 = registry.generator("X10", precision)
         x12 = registry.generator("X12", precision)
-        return ((x4 * x12 - x6 * x10) * Fraction(1, 12)).with_weight(16)
+        return (x4 * x12 - x6 * x10) * Fraction(1, 12)
     if name == "X35":
         return wronskian35(
             registry.generator("X4", precision),

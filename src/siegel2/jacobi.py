@@ -11,10 +11,10 @@ rational terms.  The character values come from a smallest-prime-factor
 sieve, so ``kronecker`` is called only at primes and never factors its
 argument.  ``jacobi_combine`` multiplies a form by f(tau) as one ``QSeries1``
 product in q^(1/4), the one packed product of ``siegel2.series``.
-``maass_lift`` turns an index-1 form into a degree-2 expansion by divisor
-sums over gcd(m, r, n); the cusp variant produces the weight-10 and
-weight-12 generators, the Eisenstein variant the weight-4 and weight-6
-ones.
+``maass_lift`` is the linear Maass lift V of Eichler-Zagier, which turns an
+index-1 form into a degree-2 expansion by divisor sums over gcd(m, r, n);
+it lifts the Eisenstein forms to the weight-4 and weight-6 generators and
+the cusp forms to the weight-10 and weight-12 ones.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def jacobi_combine(terms) -> JacobiForm1:
     index, and c(D) = sum_j f_j c(D - 4j) makes each term one ``QSeries1``
     product f(x^4) * sum_D c(D) x^D in x = q^(1/4), every phi cut to the
     smallest dmax of the terms.  All terms must produce the same weight,
-    and every f must reach q-precision floor(dmax/4) + 1.
+    and every f must reach q-precision floor(dmax/4), the last f_j read.
     """
     if not terms:
         raise ValueError("need at least one term")
@@ -258,7 +258,7 @@ def jacobi_combine(terms) -> JacobiForm1:
     if len(weights) > 1:
         raise ValueError(f"mixed result weights {sorted(weights)}")
     dmax = min(phi.dmax for _, _, phi in terms)
-    need = dmax // 4 + 1
+    need = dmax // 4
     for _, f, _ in terms:
         if f.precision < need:
             raise PrecisionError(f"series precision {f.precision} < {need} required for dmax {dmax}")
@@ -270,36 +270,28 @@ def jacobi_combine(terms) -> JacobiForm1:
     return JacobiForm1(weights.pop(), dmax, total.coeffs)
 
 
-def maass_lift(phi: JacobiForm1, precision: int, mode: str = "cusp") -> SiegelExpansion:
-    """Arithmetic lift of an index-1 Jacobi form to a degree-2 expansion.
+def maass_lift(phi: JacobiForm1, precision: int) -> SiegelExpansion:
+    """The Maass lift V of an index-1 Jacobi form to a degree-2 expansion.
 
-    Coefficients are divisor sums a(m, r, n) = sum_{d | gcd(m, r, n)}
-    d^(k-1) c((4mn - r^2)/d^2), with gcd(0, 0, n) = n so the singular rows
-    come out right.  The cusp mode (c(0) = 0) keeps them zero; the
-    Eisenstein mode (c(0) = 1) rescales by -2k/B_k and sets the constant
-    term to 1, which makes the singular rows the weight-k divisor sums.
+    Eichler-Zagier, *The Theory of Jacobi Forms*, section 6, Theorem 6.2:
+    a(0, 0, 0) = -(B_k/2k) c(0), and every other coefficient is the divisor
+    sum a(m, r, n) = sum_{d | gcd(m, r, n)} d^(k-1) c((4mn - r^2)/d^2), with
+    gcd(0, 0, n) = n, so the singular rows are sigma_{k-1}(n) c(0).  Every
+    coefficient is linear in the c(D), so the lift is linear in phi.
     """
     k = phi.weight
-    if mode not in ("cusp", "eisenstein"):
-        raise ValueError(f"unknown lift mode {mode!r}")
     if phi.dmax < 4 * precision * precision:
         raise PrecisionError(
             f"need discriminants up to {4 * precision * precision}, have {phi.dmax}"
         )
-    constant = 0 if mode == "cusp" else 1
-    if phi.coeff(0) != constant:
-        raise ValueError(f"{mode} lift requires c(0) = {constant}")
-    factor = 1 if mode == "cusp" else normalize(Fraction(-2 * k) / bernoulli(k))
-    coeffs = {}
+    coeffs = {(0, 0, 0): normalize(-Fraction(bernoulli(k), 2 * k) * phi.coeff(0))}
     for m, r, n in box_indices(precision):
         if m == 0 and n == 0:
-            if mode == "eisenstein":
-                coeffs[(0, 0, 0)] = 1
             continue
         disc = 4 * m * n - r * r
         g = gcd(gcd(m, n), r)
         total = 0
         for d in divisors(g):
             total += d ** (k - 1) * phi.coeff(disc // (d * d))
-        coeffs[(m, r, n)] = factor * total
+        coeffs[(m, r, n)] = total
     return SiegelExpansion(k, precision, coeffs)

@@ -75,8 +75,7 @@ def delta1(precision: int) -> QSeries1:
     """The weight-12 discriminant cusp form (e4^3 - e6^2)/1728, leading term q."""
     e4 = eisenstein1(4, precision)
     e6 = eisenstein1(6, precision)
-    series = (e4**3 - e6**2) * Fraction(1, 1728)
-    return QSeries1(precision, series.coeffs, weight=12)
+    return (e4**3 - e6**2) * Fraction(1, 1728)
 
 
 class DiagSeries(SparseSeries):
@@ -146,15 +145,16 @@ def diag_builder(name: str, precision: int) -> DiagSeries:
     e4cube = eisenstein1(4, precision) ** 3
     if name == "y12":
         series = diag_tensor(e4cube, delta) + diag_tensor(delta, e4cube)
-        return _stamped(series, 1, weight=12)
+        return _stamped(series, 1)
     # alpha36 = x12^2 (delta ⊗ e4^3 - e4^3 ⊗ delta), anti-invariant under swap
     x12 = diag_tensor(delta, delta)
     series = (x12 * x12) * (diag_tensor(delta, e4cube) - diag_tensor(e4cube, delta))
-    return _stamped(series, -1, weight=36)
+    return _stamped(series, -1)
 
 
-def _stamped(series: DiagSeries, sign: int, weight) -> DiagSeries:
+def _stamped(series: DiagSeries, sign: int) -> DiagSeries:
+    """The series, once checked to satisfy a(n, m) = sign * a(m, n)."""
     bad = series.symmetry_violations(sign)
     if bad:
         raise ArithmeticError(f"builder produced asymmetric series, e.g. at {bad[0]}")
-    return DiagSeries(series.precision, series.coeffs, weight)
+    return series

@@ -398,12 +398,12 @@ class Theorem1Report(Record):
     """Desk-scale injectivity certificate for truncation at the bound."""
 
     __slots__ = (
-        "weight", "prime", "bound", "precision", "certifiable", "reason", "monomials",
+        "weight", "prime", "bound", "precision", "reason", "monomials",
         "dim_c", "rank_truncated", "rank_full",
     )
 
     def __init__(
-        self, weight: int, prime: int, bound: int, precision: int, certifiable: bool,
+        self, weight: int, prime: int, bound: int, precision: int,
         reason: str | None = None, monomials: list | None = None, dim_c: int | None = None,
         rank_truncated: int | None = None, rank_full: int | None = None,
     ):
@@ -411,12 +411,16 @@ class Theorem1Report(Record):
         self.prime = prime
         self.bound = bound
         self.precision = precision
-        self.certifiable = certifiable
         self.reason = reason
         self.monomials = [] if monomials is None else monomials
         self.dim_c = dim_c
         self.rank_truncated = rank_truncated
         self.rank_full = rank_full
+
+    @property
+    def certifiable(self) -> bool:
+        """No reason to skip: the generators can certify this weight and prime."""
+        return self.reason is None
 
     @property
     def passed(self) -> bool:
@@ -465,7 +469,7 @@ def verify_theorem1_rank(
         raise ValueError(f"precision {precision} is below the bound {b}")
     odd = ("X35",) if k % 2 else ()
     monomials = weight_monomials(k, (GENSET_C if p >= 5 else GENSET_INTEGRAL) + odd)
-    report = Theorem1Report(k, p, b, precision, certifiable=True)
+    report = Theorem1Report(k, p, b, precision)
     report.monomials = [str(m) for m in monomials]
     report.dim_c = igusa_dimension(k)
     ranks = layered_rank(monomials, b, precision, p, registry)
@@ -475,7 +479,6 @@ def verify_theorem1_rank(
     if p < 5:
         # Every layer has a target: Y12 and X16 share weight and layer with X6^2 and X6*X10.
         targets = Counter(spec.layer for spec in weight_monomials(k, GENSET_C + odd))
-        report.certifiable = False
         report.reason = ", ".join(
             f"layer {j}: rank {ranks.get(j, 0)} of {targets[j]}"
             for j in sorted(targets) if ranks.get(j, 0) != targets[j]

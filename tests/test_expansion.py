@@ -210,10 +210,12 @@ def test_leading_term_multiplicative(gens6):
 
 def test_vanishing_order_examples(gens6):
     for p in (2, 3, 5):
-        assert gens6["X10"].diagonal_vanishing_order(p) == 1
-        assert gens6["X35"].diagonal_vanishing_order(p) == 3
-    zero = gens6["X4"] * 0
-    sentinel = zero.diagonal_vanishing_order(5)
+        assert gens6["X10"].reduce_mod(p).diagonal_vanishing_order() == 1
+        assert gens6["X35"].reduce_mod(p).diagonal_vanishing_order() == 3
+    with pytest.raises(ValueError):
+        gens6["X10"].diagonal_vanishing_order()
+    zero = gens6["X4"].reduce_mod(5) * 0
+    sentinel = zero.diagonal_vanishing_order()
     assert isinstance(sentinel, BeyondPrecision)
     assert sentinel > 6
     assert sentinel >= 2

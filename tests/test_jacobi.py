@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from siegel2 import jacobi
 from siegel2.errors import PrecisionError
+from siegel2.generators import MonomialSpec
 from siegel2.jacobi import (
     JacobiForm1,
     _character,
@@ -194,7 +195,7 @@ def test_jacobi_eisenstein_coefficients():
 
 
 def _phi10(dmax):
-    qprec = dmax // 4 + 1
+    qprec = dmax // 4
     c = Fraction(1, 144)
     return jacobi_combine(
         [
@@ -205,7 +206,7 @@ def _phi10(dmax):
 
 
 def _phi12(dmax):
-    qprec = dmax // 4 + 1
+    qprec = dmax // 4
     c = Fraction(1, 144)
     e4 = eisenstein1(4, qprec)
     return jacobi_combine(
@@ -236,6 +237,18 @@ def test_jacobi_combine_identity_and_errors():
         )
     with pytest.raises(PrecisionError):
         jacobi_combine([(1, QSeries1(1, {0: 1}), e41)])
+
+
+def test_jacobi_combine_reads_q_precision_dmax_over_4():
+    """c(D) for D <= dmax reads f_j only for 4j <= dmax, so q-precision
+    dmax // 4 suffices and one less is refused."""
+    for dmax in (12, 15, 36, 39, 400):
+        e41 = jacobi_eisenstein(4, dmax)
+        q = dmax // 4
+        got = jacobi_combine([(1, eisenstein1(6, q), e41)])
+        assert got == jacobi_combine([(1, eisenstein1(6, q + 1), e41)])
+        with pytest.raises(PrecisionError):
+            jacobi_combine([(1, eisenstein1(6, q - 1), e41)])
 
 
 def combine_oracle(terms, dmax):
@@ -274,7 +287,7 @@ def combine_terms(draw):
         classes = [d for d in range(dmax + 1) if d % 4 in (0, 3)]
         c = draw(st.dictionaries(st.sampled_from(classes), scalars, max_size=12))
         phis.append(JacobiForm1(draw(st.sampled_from((4, 6, 8))), dmax, c))
-    need = min(phi.dmax for phi in phis) // 4 + 1
+    need = min(phi.dmax for phi in phis) // 4
     terms = []
     for phi in phis:
         prec = draw(st.integers(need, need + 3))
@@ -293,16 +306,19 @@ def test_jacobi_combine_matches_the_per_discriminant_convolution(terms):
 
 
 def test_maass_lift_cusp_examples():
-    lift = maass_lift(_phi10(36), 3, "cusp")
+    lift = maass_lift(_phi10(36), 3)
     assert lift.coeff(1, 1, 1) == 1
     assert lift.coeff(1, 0, 1) == -2
     assert all(lift.coeff(0, 0, n) == 0 for n in range(4))
-    lift12 = maass_lift(_phi12(36), 3, "cusp")
+    lift12 = maass_lift(_phi12(36), 3)
     assert lift12.coeff(1, 0, 1) == 10
 
 
 def test_maass_lift_eisenstein_examples():
-    lift = maass_lift(jacobi_eisenstein(4, 36), 3, "eisenstein")
+    lift = maass_lift(jacobi_eisenstein(4, 36), 3)
+    assert lift.coeff(0, 0, 0) == Fraction(1, 240)
+    assert lift.coeff(0, 0, 1) == 1
+    lift = 240 * lift
     assert lift.coeff(0, 0, 0) == 1
     assert lift.coeff(1, 0, 1) == 30240
     assert lift.coeff(1, 1, 1) == 13440
@@ -313,15 +329,14 @@ def test_maass_lift_eisenstein_examples():
 def test_maass_lift_divisor_sum_structure():
     for k in (4, 6):
         phi = jacobi_eisenstein(k, 36)
-        lift = maass_lift(phi, 3, "eisenstein")
-        factor = -2 * k / bernoulli(k)
-        want = factor * (phi.coeff(12) + 2 ** (k - 1) * phi.coeff(3))
+        lift = maass_lift(phi, 3)
+        want = phi.coeff(12) + 2 ** (k - 1) * phi.coeff(3)
         assert lift.coeff(2, 2, 2) == want
 
 
 def test_maass_lift_restriction_pins():
     for k in (4, 6):
-        lift = maass_lift(jacobi_eisenstein(k, 4 * 16), 4, "eisenstein")
+        lift = -2 * k / bernoulli(k) * maass_lift(jacobi_eisenstein(k, 4 * 16), 4)
         assert lift.witt(0) == diag_builder(f"x{k}", 4)
         e_k = eisenstein1(k, 4)
         for n in range(5):
@@ -333,12 +348,8 @@ def test_maass_lift_restriction_pins():
 
 def test_maass_lift_errors():
     e41 = jacobi_eisenstein(4, 8)
-    with pytest.raises(ValueError):
-        maass_lift(e41, 1, "cusp")
     with pytest.raises(PrecisionError):
-        maass_lift(e41, 4, "eisenstein")
-    with pytest.raises(ValueError):
-        maass_lift(e41, 1, "klingen")
+        maass_lift(e41, 4)
 
 
 def test_jacobi_form_validation():
@@ -350,14 +361,34 @@ def test_jacobi_form_validation():
     assert form.coeff(3) == 2
 
 
-def test_eisenstein_lift_refuses_a_constant_term_other_than_1():
-    """The Eisenstein mode sets a(0, 0, 0) = 1 but scales every other
-    coefficient by c(0): lifts of 2*E_{4,1}, or of E_{4,1} without c(0),
-    would give constant term 1 and a(0, 0, 1) = 480 or 0, no modular form."""
+def test_maass_lift_is_linear():
+    """V(2 E_{4,1}) = 2 V(E_{4,1}), the constant term included."""
     e41 = jacobi_eisenstein(4, 36)
     doubled = JacobiForm1(4, 36, {d: 2 * c for d, c in e41.c.items()})
-    headless = JacobiForm1(4, 36, {d: c for d, c in e41.c.items() if d})
-    for phi in (doubled, headless):
-        with pytest.raises(ValueError, match=r"eisenstein lift requires c\(0\) = 1"):
-            maass_lift(phi, 3, "eisenstein")
-    assert maass_lift(e41, 3, "eisenstein").coeff(0, 0, 1) == 240
+    assert maass_lift(doubled, 3) == 2 * maass_lift(e41, 3)
+
+
+def test_maass_lift_of_a_form_with_constant_term_3(registry):
+    """3 e6 E_{4,1} - phi_{10,1} has c(0) = 3; its lift has constant term
+    -(B_10/20) * 3 = -1/88 and lies in M_10, spanned by X4*X6 and X10: it
+    is -1/88 X4*X6 + 9061/11 X10, so the three have rank 2."""
+    precision, dmax = 6, 144
+    q = dmax // 4
+    phi = jacobi_combine(
+        [
+            (3, eisenstein1(6, q), jacobi_eisenstein(4, dmax)),
+            (-1, QSeries1(q, {0: 1}), _phi10(dmax)),
+        ]
+    )
+    assert phi.weight == 10 and phi.coeff(0) == 3
+    lift = maass_lift(phi, precision)
+    assert lift.coeff(0, 0, 0) == Fraction(-1, 88)
+    x4x6 = registry.monomial(MonomialSpec.from_dict({"X4": 1, "X6": 1}), precision)
+    x10 = registry.generator("X10", precision)
+    assert lift == Fraction(-1, 88) * x4x6 + Fraction(9061, 11) * x10
+
+
+def test_scaled_eisenstein_lifts_are_the_generators(registry):
+    for k, name in ((4, "X4"), (6, "X6")):
+        lift = maass_lift(jacobi_eisenstein(k, 144), 6)
+        assert -2 * k / bernoulli(k) * lift == registry.generator(name, 6)

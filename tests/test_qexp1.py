@@ -65,6 +65,7 @@ def test_ring_operations():
     e6 = eisenstein1(6, prec)
     d = delta1(prec)
     assert e4**3 - e6**2 == d * 1728
+    assert d.weight == 12
     assert (d * 0).coeffs == {}
     assert (e4**3).coeff(1) == 720
     assert (e4 * e4).weight == 8
@@ -130,9 +131,9 @@ def test_stamped_refuses_an_asymmetric_series():
     d = delta1(4)
     e4cube = eisenstein1(4, 4) ** 3
     with pytest.raises(ArithmeticError, match="asymmetric series, e.g. at \\(1, 0\\)"):
-        _stamped(diag_tensor(d, e4cube), 1, 12)
+        _stamped(diag_tensor(d, e4cube), 1)
     with pytest.raises(ArithmeticError):
-        _stamped(diag_tensor(d, e4cube) + diag_tensor(e4cube, d), -1, 12)
+        _stamped(diag_tensor(d, e4cube) + diag_tensor(e4cube, d), -1)
 
 
 def test_diag_ring_and_signs():

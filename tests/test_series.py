@@ -318,7 +318,7 @@ def test_fp_product_is_the_reduced_monomial(gens6, registry, data, p, precision)
 @given(data=st.data(), weight=st.integers(-3, 40))
 def test_dump_parse_round_trip(data, weight):
     _, (a,) = data.draw(families("siegel", size=1))
-    a = a.with_weight(weight)
+    a = SiegelExpansion(weight, a.precision, a.coeffs, a.scale, a.modulus)
     name, parsed = parse_siegel(dump_siegel(a, "F"))
     assert name == "F" and parsed == a and parsed.weight == weight
 

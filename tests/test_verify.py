@@ -145,12 +145,24 @@ def test_theorem1_rank_examples(registry):
 
 def test_theorem1_pass_needs_the_dimension():
     # Equal ranks below dim M_k are not a certificate.
-    report = Theorem1Report(12, 5, 1, 5, True, dim_c=3, rank_truncated=2, rank_full=2)
-    assert not report.passed
+    report = Theorem1Report(12, 5, 1, 5, dim_c=3, rank_truncated=2, rank_full=2)
+    assert report.certifiable and not report.passed
     report.rank_truncated = report.rank_full = 3
     assert report.passed
+    assert report.render() == (
+        "PASS theorem1 k=12 p=5 rank<=b_k 3 == rank<=B 3 (0 monomials, dim_C = 3, b_k=1, B=5)"
+    )
     report.rank_full = 4
     assert not report.passed
+    assert report.render() == (
+        "FAIL theorem1 k=12 p=5 rank<=b_k 3 == rank<=B 4 (0 monomials, dim_C = 3, b_k=1, B=5)"
+    )
+    # A reason is what makes a report a SKIP.
+    report.reason = "layer 1: rank 1 of 2"
+    assert not report.certifiable and not report.passed
+    assert report.render() == (
+        "SKIP theorem1 k=12 p=5: not certifiable with available generators (layer 1: rank 1 of 2)"
+    )
 
 
 def test_theorem1_rank_extended_grid(registry):
