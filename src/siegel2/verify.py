@@ -26,10 +26,14 @@ m = j is the product of its factors' rows m = l.  With rows ordered by
 layer and columns by t = min(m, n), the matrix is block upper triangular,
 so its rank on the box b_k is at least the sum over j of the rank of block
 j, the layer-j rows on the columns (j, r, n), j <= n <= b_k.  That sum
-needs only leading rows (``layered_rank``); when it is dim M_k, so are the
-truncated and the full rank, whatever integral rows were taken.  Any other
-sum proves nothing: at p >= 5 one elimination of the whole monomials gives
-the exact ranks; at p in {2, 3} the certificate is a SKIP naming short layers.
+needs only leading rows (``layered_rank``), read at precision b_k: a
+generator's layer is at most a tenth of its weight, and X35's 2 is 1.5
+below that, so a layer in weight k is at most k/10, or (k - 15)/10 in odd
+weight, and so at most b_k.  When the sum is dim M_k, so is the rank on
+the box b_k, and on any larger box, whatever integral rows were taken.
+Any other sum proves nothing: at p >= 5 one elimination of the monomials
+on the box b_k gives the exact rank; at p in {2, 3} it is a SKIP naming
+short layers.
 
 ``verify_identities`` bundles the named suites exercised by the CLI:
 
@@ -46,7 +50,6 @@ the exact ranks; at p in {2, 3} the certificate is a SKIP naming short layers.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import isqrt
 
 from .errors import PrecisionError
@@ -202,19 +205,20 @@ def weight_monomials(k: int, genset) -> list[MonomialSpec]:
     return out
 
 
-def igusa_dimension(k: int) -> int:
-    """dim M_k in level 1 (Igusa): the number of monomials of weight k in
-    X4, X6, X10 and X12, and in odd weight X35 times those of weight k - 35."""
-    if k % 2:
-        k -= 35
-    if k < 0:
-        return 0
-    ways = [1] + [0] * k
-    for name in GENSET_C:
-        w = GENERATOR_WEIGHTS[name]
-        for total in range(w, k + 1):
-            ways[total] += ways[total - w]
-    return ways[k]
+def layer_dimensions(k: int) -> dict:
+    """dim M_k (Igusa) by layer, ``{j: count}``: the layer-j monomials of weight
+    k in X4, X6, X10 and X12, times X35 (layer 2) in odd weight.  X10^c X12^d
+    has layer j = c + d and weight 10j + 2d; the rest r is X4^a X6^b in
+    r//12 + 1 ways, or r//12 when r = 2 mod 12."""
+    odd = k % 2
+    k -= 35 * odd
+    counts = {}
+    for j in range(k // 10 + 1):
+        rests = (k - 10 * j - 2 * d for d in range(j + 1))
+        count = sum(r // 12 + (r % 12 != 2) for r in rests if r >= 0)
+        if count:
+            counts[j + 2 * odd] = count
+    return counts
 
 
 # -- exact linear algebra ------------------------------------------------------
@@ -319,22 +323,16 @@ def fp_rank(matrix: CoeffMatrix, p: int):
     return basis.rank, basis.complement()
 
 
-def streamed_ranks(rows, inside, outside, p):
-    """F_p ranks of the rows on the ``inside`` columns and on all columns.
-
-    ``rows`` are coefficient dicts keyed by column.  The columns, ``inside``
-    first and then ``outside``, stream into one echelon basis of the column
-    span, and the elimination stops once the rank equals the number of rows.
-    """
+def streamed_rank(rows, columns, p):
+    """F_p rank of the rows, coefficient dicts keyed by column, on the given
+    columns: they stream into one echelon basis of the column span, and the
+    elimination stops once the rank equals the number of rows."""
     basis = Echelon(len(rows), p)
-    ranks = []
-    for columns in (inside, outside):
-        for key in columns:
-            if basis.rank == basis.dim:
-                break
-            basis.add([row.get(key, 0) for row in rows])
-        ranks.append(basis.rank)
-    return tuple(ranks)
+    for key in columns:
+        if basis.rank == basis.dim:
+            break
+        basis.add([row.get(key, 0) for row in rows])
+    return basis.rank
 
 
 def span_canonical(vectors, p):
@@ -348,21 +346,24 @@ def span_canonical(vectors, p):
 # -- bound certificates ----------------------------------------------------
 
 
-def leading_rows(monomials, bound: int, precision: int, p: int, registry) -> list:
+def leading_rows(monomials, bound: int, p: int, registry) -> list:
     """Each monomial's row m = layer, cut to n <= bound, mod p.
 
-    A factor's row m = l is cut from ``registry.generator(name,
-    precision)`` and reduced mod p, and a monomial's row is one product of
-    its factors' row powers, from a chain g, g^2, ... per factor held for
-    the call (``series.chain_power``) and reduced mod p at every step.  The
-    rows are the layer rows because the registry serves only pinned
-    generators, which vanish below their layer.
+    A factor's row m = l is cut from ``registry.generator(name, bound)``
+    and reduced mod p, and a monomial's row is one product of its factors'
+    row powers, from a chain g, g^2, ... per factor held for the call
+    (``series.chain_power``) and reduced mod p at every step.  That
+    truncation holds row l when l <= bound, as at bound = b_k in weight k:
+    there every layer is at most k/10, or (k - 15)/10 in odd weight, where
+    X35 brings layer 2 for weight 35 (module docstring).  The rows are the
+    layer rows because the registry serves only pinned generators, which
+    vanish below their layer.
     """
     chains = {}
 
     def leading_row(name):
         layer = MonomialSpec.from_dict({name: 1}).layer
-        gen = registry.generator(name, precision)
+        gen = registry.generator(name, bound)
         row = {key: c for key, c in gen.coeffs.items() if key[0] == layer and key[2] <= bound}
         return SiegelExpansion._unchecked(bound, row, gen.weight, scale=1, modulus=None).reduce_mod(p)
 
@@ -376,12 +377,12 @@ def leading_rows(monomials, bound: int, precision: int, p: int, registry) -> lis
     ]
 
 
-def layered_rank(monomials, bound: int, precision: int, p: int, registry) -> dict:
+def layered_rank(monomials, bound: int, p: int, registry) -> dict:
     """The F_p rank of each block j, ``{j: rank}``, the layer-j leading rows
     on the columns (j, r, n), j <= n <= bound; their sum is a lower bound on
     the monomials' F_p rank on the box m, n <= bound (module docstring)."""
     blocks = {}
-    for spec, row in zip(monomials, leading_rows(monomials, bound, precision, p, registry)):
+    for spec, row in zip(monomials, leading_rows(monomials, bound, p, registry)):
         blocks.setdefault(spec.layer, []).append(row.coeffs)
     ranks = {}
     for j, rows in blocks.items():
@@ -390,7 +391,7 @@ def layered_rank(monomials, bound: int, precision: int, p: int, registry) -> dic
             for n in range(j, bound + 1)
             for r in range(-isqrt(4 * j * n), isqrt(4 * j * n) + 1)
         ]
-        ranks[j] = streamed_ranks(rows, columns, (), p)[0]
+        ranks[j] = streamed_rank(rows, columns, p)
     return ranks
 
 
@@ -398,14 +399,13 @@ class Theorem1Report(Record):
     """Desk-scale injectivity certificate for truncation at the bound."""
 
     __slots__ = (
-        "weight", "prime", "bound", "precision", "reason", "monomials",
-        "dim_c", "rank_truncated", "rank_full",
+        "weight", "prime", "bound", "precision", "reason", "monomials", "dim_c", "rank_truncated",
     )
 
     def __init__(
         self, weight: int, prime: int, bound: int, precision: int,
         reason: str | None = None, monomials: list | None = None, dim_c: int | None = None,
-        rank_truncated: int | None = None, rank_full: int | None = None,
+        rank_truncated: int | None = None,
     ):
         self.weight = weight
         self.prime = prime
@@ -415,7 +415,6 @@ class Theorem1Report(Record):
         self.monomials = [] if monomials is None else monomials
         self.dim_c = dim_c
         self.rank_truncated = rank_truncated
-        self.rank_full = rank_full
 
     @property
     def certifiable(self) -> bool:
@@ -424,42 +423,45 @@ class Theorem1Report(Record):
 
     @property
     def passed(self) -> bool:
-        """The truncated rank is dim M_k, and the full box adds nothing."""
+        """The rank on the box b_k is dim M_k."""
         return (
             self.certifiable
             and self.rank_truncated is not None
-            and self.rank_truncated == self.dim_c == self.rank_full
+            and self.rank_truncated == self.dim_c
         )
 
+    @property
+    def rank_full(self) -> int | None:
+        """The rank on the box B: dim M_k on a PASS, by the bound from above, else unknown."""
+        return self.dim_c if self.passed else None
+
     def render(self) -> str:
+        head = f"theorem1 k={self.weight} p={self.prime}"
         if not self.certifiable:
-            return (
-                f"SKIP theorem1 k={self.weight} p={self.prime}: "
-                f"not certifiable with available generators ({self.reason})"
-            )
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status} theorem1 k={self.weight} p={self.prime} "
-            f"rank<=b_k {self.rank_truncated} == rank<=B {self.rank_full} "
-            f"({len(self.monomials)} monomials, dim_C = {self.dim_c}, "
-            f"b_k={self.bound}, B={self.precision})"
-        )
+            return f"SKIP {head}: not certifiable with available generators ({self.reason})"
+        rank, dim, count = self.rank_truncated, self.dim_c, len(self.monomials)
+        box = f"b_k={self.bound}, B={self.precision})"
+        if not self.passed:
+            return f"FAIL {head} rank<=b_k {rank} < dim_C = {dim} ({count} monomials, {box}"
+        ranks = f"rank<=b_k {rank} == rank<=B {self.rank_full}"
+        return f"PASS {head} {ranks} ({count} monomials, dim_C = {dim}, {box}"
 
 
 def verify_theorem1_rank(
     k: int, p: int, precision: int, registry: GeneratorRegistry | None = None
 ) -> Theorem1Report:
-    """Certify rank(truncated at the bound) = dim M_k = rank(full box) mod p.
+    """Certify rank(truncated at the bound) = dim M_k mod p.
 
     The rows are the weight-k monomials in ``GENSET_C`` (p >= 5) or
-    ``GENSET_INTEGRAL`` (p in {2, 3}), times X35 in odd weight.  Each is an
-    integral weight-k form that vanishes below its layer, by the registry's
-    pins, so a layer sum (``layered_rank``) of dim M_k proves both ranks by
-    the bound from above, for any such rows (module docstring).  A short
-    sum proves nothing: at p >= 5 ``streamed_ranks`` eliminates the Z
-    monomials mod p on the whole box; at p in {2, 3}, where the integral
-    generators are not known to span M_k mod p, it is a SKIP naming each
-    layer j whose rank differs from its number of layer-j GENSET_C rows.
+    ``GENSET_INTEGRAL`` (p in {2, 3}), times X35 in odd weight, read at
+    precision b_k, which holds every layer; B need only reach b_k.  Each is
+    an integral weight-k form that vanishes below its layer, by the
+    registry's pins, so a layer sum (``layered_rank``) of dim M_k proves the
+    rank on the box b_k, and on the box B by the bound from above (module
+    docstring).  A short sum proves nothing: at p >= 5 ``streamed_rank``
+    eliminates the Z monomials mod p on the box b_k; at p in {2, 3}, where
+    the integral generators are not known to span M_k mod p, it is a SKIP
+    naming each layer j whose rank differs from ``layer_dimensions(k)[j]``.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -471,24 +473,21 @@ def verify_theorem1_rank(
     monomials = weight_monomials(k, (GENSET_C if p >= 5 else GENSET_INTEGRAL) + odd)
     report = Theorem1Report(k, p, b, precision)
     report.monomials = [str(m) for m in monomials]
-    report.dim_c = igusa_dimension(k)
-    ranks = layered_rank(monomials, b, precision, p, registry)
+    targets = layer_dimensions(k)
+    report.dim_c = sum(targets.values())
+    ranks = layered_rank(monomials, b, p, registry)
     if sum(ranks.values()) == report.dim_c:
-        report.rank_truncated = report.rank_full = report.dim_c
+        report.rank_truncated = report.dim_c
         return report
     if p < 5:
         # Every layer has a target: Y12 and X16 share weight and layer with X6^2 and X6*X10.
-        targets = Counter(spec.layer for spec in weight_monomials(k, GENSET_C + odd))
         report.reason = ", ".join(
-            f"layer {j}: rank {ranks.get(j, 0)} of {targets[j]}"
-            for j in sorted(targets) if ranks.get(j, 0) != targets[j]
+            f"layer {j}: rank {ranks.get(j, 0)} of {n}"
+            for j, n in sorted(targets.items()) if ranks.get(j, 0) != n
         )
         return report
-    rows = [registry.monomial(spec, precision).reduce_mod(p).coeffs for spec in monomials]
-    inside, outside = [], []
-    for key in box_indices(precision):
-        (inside if key[0] <= b and key[2] <= b else outside).append(key)
-    report.rank_truncated, report.rank_full = streamed_ranks(rows, inside, outside, p)
+    rows = [registry.monomial(spec, b).reduce_mod(p).coeffs for spec in monomials]
+    report.rank_truncated = streamed_rank(rows, box_indices(b), p)
     return report
 
 
@@ -527,7 +526,7 @@ def sharpness_witness(
     spec = MonomialSpec.from_dict(exponents)
     assert spec.weight == k
     expected = spec.leading_index
-    row = leading_rows([spec], b, b, p, registry)[0]
+    row = leading_rows([spec], b, p, registry)[0]
     if row.is_zero():
         raise ValueError(f"witness {spec} vanishes mod {p} on its box")
     violations = [(key, 0) for key in row.support() if key[0] < b and key[2] < b]
@@ -669,7 +668,7 @@ def _suite_prop1_w12(ps, B: int, registry, report: SuiteReport) -> None:
         images, [(m, n) for m, n in diag_indices if m <= 1 and n <= 1]
     )
     unit_x12 = tuple(int(label == "X12") for label in labels)
-    dim = igusa_dimension(12)
+    dim = sum(layer_dimensions(12).values())
     for p in ps:
         rank, relations = fp_rank(forms, p)
         if rank < dim:

@@ -304,12 +304,15 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.strip() == "7"
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
+def test_cli_import_leaves_out_costly_modules():
     # Every CLI call pays for its imports; -S keeps site hooks out of the count.
+    # numpy would cost about 150 ms and 14 MB a call; qformat.save_atomic
+    # imports tempfile only when it writes.
     src = Path(__file__).resolve().parent.parent / "src"
+    costly = ("dataclasses", "inspect", "numpy", "tempfile")
     code = (
         "import siegel2.cli, sys; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        f"print(' '.join(m for m in {costly!r} if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -22,13 +22,13 @@ from siegel2.verify import (
     check_congruence,
     check_vanishing,
     fp_rank,
-    igusa_dimension,
+    layer_dimensions,
     layered_rank,
     leading_rows,
     matrix_from_forms,
     sharpness_witness,
     span_canonical,
-    streamed_ranks,
+    streamed_rank,
     sturm_bound,
     verify_identities,
     verify_theorem1_rank,
@@ -144,18 +144,17 @@ def test_theorem1_rank_examples(registry):
 
 
 def test_theorem1_pass_needs_the_dimension():
-    # Equal ranks below dim M_k are not a certificate.
-    report = Theorem1Report(12, 5, 1, 5, dim_c=3, rank_truncated=2, rank_full=2)
-    assert report.certifiable and not report.passed
-    report.rank_truncated = report.rank_full = 3
-    assert report.passed
+    # A rank below dim M_k is not a certificate, and says nothing of the box B.
+    report = Theorem1Report(12, 5, 1, 5, dim_c=3, rank_truncated=2)
+    assert report.certifiable and not report.passed and report.rank_full is None
+    assert report.render() == (
+        "FAIL theorem1 k=12 p=5 rank<=b_k 2 < dim_C = 3 (0 monomials, b_k=1, B=5)"
+    )
+    # Rank dim M_k on the box b_k is a PASS, and the bound from above caps the box B.
+    report.rank_truncated = 3
+    assert report.passed and report.rank_full == 3
     assert report.render() == (
         "PASS theorem1 k=12 p=5 rank<=b_k 3 == rank<=B 3 (0 monomials, dim_C = 3, b_k=1, B=5)"
-    )
-    report.rank_full = 4
-    assert not report.passed
-    assert report.render() == (
-        "FAIL theorem1 k=12 p=5 rank<=b_k 3 == rank<=B 4 (0 monomials, dim_C = 3, b_k=1, B=5)"
     )
     # A reason is what makes a report a SKIP.
     report.reason = "layer 1: rank 1 of 2"
@@ -186,11 +185,15 @@ def test_theorem1_rank_odd_weights_past_51(registry):
             assert rep.rank_truncated == rep.rank_full == rep.dim_c == len(rep.monomials)
 
 
-def test_igusa_dimension_counts_the_classical_monomials():
-    for k in range(120):
+def test_layer_dimensions_count_the_classical_monomials():
+    for k in range(160):
         c_genset = GENSET_C + (("X35",) if k % 2 else ())
-        assert igusa_dimension(k) == len(weight_monomials(k, c_genset)), k
-    assert [igusa_dimension(k) for k in (4, 10, 12, 35, 37, 39, 100)] == [1, 2, 3, 1, 0, 1, 182]
+        want = Counter(spec.layer for spec in weight_monomials(k, c_genset))
+        assert layer_dimensions(k) == dict(want), k
+    dims = [sum(layer_dimensions(k).values()) for k in (4, 10, 12, 35, 37, 39, 100)]
+    assert dims == [1, 2, 3, 1, 0, 1, 182]
+    assert layer_dimensions(24) == {0: 3, 1: 3, 2: 2}
+    assert layer_dimensions(45) == {2: 1, 3: 1}
 
 
 def test_leading_rows_are_the_layer_rows_of_the_monomials(registry):
@@ -203,7 +206,7 @@ def test_leading_rows_are_the_layer_rows_of_the_monomials(registry):
         precision = max(b, 5)
         specs = weight_monomials(k, genset)
         for p in (5, 7):
-            rows = leading_rows(specs, b, precision, p, registry)
+            rows = leading_rows(specs, b, p, registry)
             for spec, row in zip(specs, rows):
                 whole = registry.monomial(spec, precision).reduce_mod(p)
                 want = {
@@ -243,8 +246,8 @@ def test_layer_sums_prove_the_rank_at_2_and_3(registry):
             precision = max(b, 5)
             specs = weight_monomials(k, GENSET_INTEGRAL + (("X35",) if k % 2 else ()))
             truncated, full = _box_matrix(registry, specs, precision, b)
-            got = sum(layered_rank(specs, b, precision, p, registry).values())
-            assert got == igusa_dimension(k) == dense_rank(truncated, p), (k, p)
+            got = sum(layered_rank(specs, b, p, registry).values())
+            assert got == sum(layer_dimensions(k).values()) == dense_rank(truncated, p), (k, p)
             assert dense_rank(full, p) == got, (k, p)
 
 
@@ -261,7 +264,7 @@ def test_layer_ranks_decide_coverage_at_2_and_3(registry):
             precision = max(b, 5)
             odd = ("X35",) if k % 2 else ()
             specs = weight_monomials(k, GENSET_INTEGRAL + odd)
-            rows = leading_rows(specs, b, precision, p, registry)
+            rows = leading_rows(specs, b, p, registry)
             targets = Counter(spec.layer for spec in weight_monomials(k, GENSET_C + odd))
             # Y12 and X16 share weight and layer with X6^2 and X6*X10.
             assert {spec.layer for spec in specs} == targets.keys(), (k, p)
@@ -313,7 +316,7 @@ def test_a_block_kernel_still_passes_by_layers(registry, monkeypatch):
     b = sturm_bound(k)
     doubled = weight_monomials(k, GENSET_C)
     doubled.append(doubled[-1])
-    assert sum(layered_rank(doubled, b, precision, p, registry).values()) == igusa_dimension(k)
+    assert sum(layered_rank(doubled, b, p, registry).values()) == sum(layer_dimensions(k).values())
     monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: doubled)
     report = verify_theorem1_rank(k, p, precision, registry)
     truncated, full = _box_matrix(registry, doubled, precision, b)
@@ -324,27 +327,29 @@ def test_a_block_kernel_still_passes_by_layers(registry, monkeypatch):
 
 def test_a_short_layer_sum_falls_back_to_the_full_elimination(registry, monkeypatch):
     """A dropped monomial leaves the layer sum short of dim M_k; the
-    certificate then eliminates the whole monomials, its ranks are the
-    dense reference ranks, and it fails."""
+    certificate then eliminates the whole monomials on the box b_k, its
+    rank is the dense reference rank there, and it fails."""
     k, p, precision = 24, 5, 5
     b = sturm_bound(k)
+    dim = sum(layer_dimensions(k).values())
     dropped = weight_monomials(k, GENSET_C)[1:]
-    assert sum(layered_rank(dropped, b, precision, p, registry).values()) == igusa_dimension(k) - 1
+    assert sum(layered_rank(dropped, b, p, registry).values()) == dim - 1
     monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: dropped)
     report = verify_theorem1_rank(k, p, precision, registry)
-    truncated, full = _box_matrix(registry, dropped, precision, b)
-    assert report.rank_truncated == dense_rank(truncated, p)
-    assert report.rank_full == dense_rank(full, p) == report.dim_c - 1
-    assert not report.passed and report.render().startswith("FAIL theorem1 k=24 p=5")
+    truncated, _ = _box_matrix(registry, dropped, precision, b)
+    assert report.rank_truncated == dense_rank(truncated, p) == dim - 1
+    assert not report.passed and report.rank_full is None
+    assert report.render() == (
+        "FAIL theorem1 k=24 p=5 rank<=b_k 7 < dim_C = 8 (7 monomials, b_k=2, B=5)"
+    )
     # One box below b_k (where the witness X4*X10^2 vanishes) the truncated
-    # rank falls below the full one, and each is its dense reference rank.
+    # rank falls below dim M_k, and it is its dense reference rank.
     monkeypatch.undo()
     monkeypatch.setattr(verify, "sturm_bound", lambda k: b - 1)
     report = verify_theorem1_rank(k, p, precision, registry)
-    truncated, full = _box_matrix(registry, weight_monomials(k, GENSET_C), precision, b - 1)
+    truncated, _ = _box_matrix(registry, weight_monomials(k, GENSET_C), precision, b - 1)
     assert report.rank_truncated == dense_rank(truncated, p) < report.dim_c
-    assert report.rank_full == dense_rank(full, p) == report.dim_c
-    assert not report.passed
+    assert not report.passed and report.rank_full is None
 
 
 def test_a_short_layer_sum_at_2_is_a_skip_without_whole_monomials(registry, monkeypatch):
@@ -386,7 +391,54 @@ def test_a_cached_generator_nonzero_below_its_layer_is_rebuilt(tmp_path, registr
     report = verify_theorem1_rank(20, 5, 5, GeneratorRegistry(tmp_path))
     assert report.passed
     assert report.render() == verify_theorem1_rank(20, 5, 5, registry).render()
-    assert path.read_text(encoding="utf-8") == qformat.dump_siegel(x10, "X10")
+    # The certificate reads X10 at b_20 = 2: the bad file is deleted and the
+    # rebuild is written at that precision.
+    assert not path.exists()
+    rebuilt = tmp_path / "X10.p2.qexp"
+    assert rebuilt.read_text(encoding="utf-8") == qformat.dump_siegel(x10.truncate(2), "X10")
+
+
+def test_certificates_and_witnesses_ask_the_registry_at_b_k(registry, monkeypatch):
+    """Every generator and monomial a certificate or a witness reads is at
+    precision b_k, whatever the box B: on the layer path, on the p >= 5
+    fallback, and for the witness's leading row."""
+    asked = []
+    generator, monomial = GeneratorRegistry.generator, GeneratorRegistry.monomial
+
+    def generator_at(self, name, precision):
+        asked.append(precision)
+        return generator(self, name, precision)
+
+    def monomial_at(self, spec, precision):
+        asked.append(precision)
+        return monomial(self, spec, precision)
+
+    monkeypatch.setattr(GeneratorRegistry, "generator", generator_at)
+    monkeypatch.setattr(GeneratorRegistry, "monomial", monomial_at)
+    for k, p in ((20, 2), (51, 3), (40, 5), (41, 7)):
+        b = sturm_bound(k)
+        del asked[:]
+        assert verify_theorem1_rank(k, p, 9, registry).passed
+        assert asked and set(asked) == {b}, (k, p)
+        del asked[:]
+        assert sharpness_witness(k, p, registry)[1].verdict
+        assert asked and set(asked) == {b}, (k, p)
+    dropped = weight_monomials(24, GENSET_C)[1:]
+    monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: dropped)
+    del asked[:]
+    assert not verify_theorem1_rank(24, 5, 9, registry).passed
+    assert sharpness_witness(24, 5, registry)[1].verdict
+    assert asked and set(asked) == {2}
+
+
+def test_a_certificate_on_an_empty_cache_writes_only_b_k(tmp_path, registry):
+    """A certificate with B = 9 on an empty cache builds each generator at
+    b_40 = 4 and writes nothing above it."""
+    report = verify_theorem1_rank(40, 5, 9, GeneratorRegistry(tmp_path))
+    assert report.passed
+    assert report.render() == verify_theorem1_rank(40, 5, 9, registry).render()
+    written = sorted(path.name for path in tmp_path.glob("*.qexp"))
+    assert written == ["X10.p4.qexp", "X12.p4.qexp", "X4.p4.qexp", "X6.p4.qexp"]
 
 
 def dense_rank(entries, p):
@@ -421,9 +473,10 @@ def _ranks_by_fp_rank(entries, split, p):
 
 
 def _streamed(entries, split, p):
+    """``streamed_rank`` on the first ``split`` columns and on all columns."""
     rows = [dict(enumerate(row)) for row in entries]
     ncols = len(entries[0]) if entries else 0
-    return streamed_ranks(rows, range(split), range(split, ncols), p)
+    return streamed_rank(rows, range(split), p), streamed_rank(rows, range(ncols), p)
 
 
 @st.composite
