@@ -7,8 +7,11 @@ stored explicitly; the weight tag k drives the sign symmetries
     a(m, -r, n) = (-1)^k a(m, r, n),      a(n, r, m) = (-1)^k a(m, r, n),
 
 which every honestly constructed form satisfies and ``symmetry_violations``
-checks.  Indices live in (1/scale)Z and are stored premultiplied by scale,
-so level-N expansions with fractional indices use scale = N.
+checks.  Products and the theta determinant do not trust the tag: they
+read the swap sign from the coefficients (``_parity``), and when every
+operand has one they form only the blocks m <= n.  Indices live in
+(1/scale)Z and are stored premultiplied by scale, so level-N expansions
+with fractional indices use scale = N.
 
 A ``modulus`` of p marks an expansion whose coefficients have been reduced
 to F_p residues; ring operations (from ``siegel2.series``) then stay in F_p.
@@ -25,7 +28,7 @@ from .qexp1 import DiagSeries
 from .rationals import normalize, reduce_mod_p
 from .records import FrozenRecord
 from .series import SCALARS, SparseSeries, _accumulate, _bits, _decoded
-from .series import _integral, _rational, _slot_width
+from .series import _integral, _rational, _slot_width, _swap_signs
 
 
 class LeadingTerm(FrozenRecord):
@@ -144,6 +147,29 @@ class SiegelExpansion(SparseSeries):
     def _slots(self, m, n, box):
         top = isqrt(4 * m * n)
         return [(m, r, n) for r in range(-top, top + 1)]
+
+    def _parity(self, ints):
+        """The swap sign s, a(n, r, m) = s a(m, r, n) at every index (mod p
+        over F_p), read from the coefficients: +1, -1 (+1 when both hold,
+        as for zero or at p = 2) or None.  Rows cut from a form, such as
+        ``verify.leading_rows``, have none whatever their weight tag.  One
+        pass tests both signs and stops at the first index that fails both.
+        It runs from the last key: a row m = l, n <= b, read in (m, n, r)
+        order or decoded from a product, ends off the diagonal, where its
+        mirror is missing, so a row fails at the first step."""
+        get, p = ints.get, self.modulus
+        plus = minus = True
+        for (m, r, n), c in reversed(ints.items()):
+            d = get((n, r, m), 0)
+            if p is None:
+                plus = plus and d == c
+                minus = minus and d == -c
+            else:
+                plus = plus and (d - c) % p == 0
+                minus = minus and (d + c) % p == 0
+            if not (plus or minus):
+                return None
+        return 1 if plus else -1
 
     def _one(self):
         return SiegelExpansion(0, self.precision, {(0, 0, 0): 1}, self.scale, self.modulus)
@@ -303,6 +329,20 @@ def theta_determinant(forms) -> SiegelExpansion:
     each column once (``_integral``), and the product of the lcms is
     divided out at the end (``_rational``).
 
+    When all four columns have a swap sign s_c, a(n, r, m) = s_c a(m, r, n)
+    (``_parity``), every pass forms only the blocks m <= n, and the blocks
+    m > n follow by the swap, which fixes r, exchanges theta_1 and theta_2,
+    and so negates W:
+
+        S_ac, T_ac, A_ac    s_a s_c
+        W_ac                -s_a s_c
+        det                 -s_1 s_2 s_3 s_4
+
+    The last is -1 for X4, X6, X10 and X12, as weight 35 requires.  A and W
+    are mirrored to the whole box before the last stage, whose slot width
+    reads their whole supports.  If any column has no sign, every pass
+    runs the whole box.
+
     Slot widths follow ``_slot_width``.  The first stage adds bits(2 box^2)
     to the width of a product of two columns, counted from the two largest
     supports: it bounds the W weight |m1 n2 - m2 n1| <= box^2, and the
@@ -317,6 +357,8 @@ def theta_determinant(forms) -> SiegelExpansion:
     weights = [f.weight for f in forms]
     ints, den = _integral(forms)
     pack, slots = forms[0]._rows, forms[0]._slots
+    signs = _swap_signs(forms[0], ints)
+    fold = signs is not None
     top = max(map(_bits, ints))
     width = _slot_width([top, top], sorted(map(len, ints))[-2:]) + (2 * box * box).bit_length()
     F = [pack(scaled, width) for scaled in ints]
@@ -325,25 +367,30 @@ def theta_determinant(forms) -> SiegelExpansion:
     A, W = {}, {}
     for a, c in pairs:
         S_acc, W_acc, T_acc = {}, {}, {}
-        _accumulate(F[a], F[c], box, width, [(S_acc, None), (W_acc, _cross)])
-        _accumulate(F[a], Q[c], box, width, [(T_acc, None)])
+        _accumulate(F[a], F[c], box, width, [(S_acc, None), (W_acc, _cross)], fold)
+        _accumulate(F[a], Q[c], box, width, [(T_acc, None)], fold)
         S = _decoded(S_acc, width, slots, box)
         T = _decoded(T_acc, width, slots, box)
         ka, kc = weights[a], weights[c]
         sign = -1 if (a + c) % 2 else 1
+        swap = signs[a] * signs[c] if fold else None
         minor = {}
         for key in S.keys() | T.keys():
             if (v := sign * ((ka + kc) * T.get(key, 0) - kc * key[1] * S.get(key, 0))):
                 minor[key] = v
+                m, r, n = key
+                if fold and m < n:
+                    minor[n, r, m] = swap * v
         A[a, c] = minor
-        W[a, c] = _decoded(W_acc, width, slots, box)
+        W[a, c] = _decoded(W_acc, width, slots, box, -swap if fold else None)
     terms = [(A[a, c], W[tuple(j for j in range(4) if j not in (a, c))]) for a, c in pairs]
     width = max(_slot_width([_bits(x), _bits(y)], [len(x), len(y)]) for x, y in terms)
     width += (6).bit_length()
     acc = {}
     for x, y in terms:
-        _accumulate(pack(x, width), pack(y, width), box, width, [(acc, None)])
-    det = _rational(_decoded(acc, width, slots, box), den, None)
+        _accumulate(pack(x, width), pack(y, width), box, width, [(acc, None)], fold)
+    swap = -signs[0] * signs[1] * signs[2] * signs[3] if fold else None
+    det = _rational(_decoded(acc, width, slots, box, swap), den, None)
     return SiegelExpansion._unchecked(prec, det, sum(weights) + 6, scale=1, modulus=None)
 
 

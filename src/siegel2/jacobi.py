@@ -24,7 +24,7 @@ from functools import cache
 from math import comb, gcd, isqrt
 
 from .errors import PrecisionError
-from .expansion import SiegelExpansion, box_indices
+from .expansion import SiegelExpansion
 from .qexp1 import QSeries1, divisor_sigma
 from .rationals import (
     bernoulli,
@@ -278,6 +278,10 @@ def maass_lift(phi: JacobiForm1, precision: int) -> SiegelExpansion:
     sum a(m, r, n) = sum_{d | gcd(m, r, n)} d^(k-1) c((4mn - r^2)/d^2), with
     gcd(0, 0, n) = n, so the singular rows are sigma_{k-1}(n) c(0).  Every
     coefficient is linear in the c(D), so the lift is linear in phi.
+
+    The sum reads only 4mn - r^2 and gcd(m, r, n), which m <-> n and
+    r -> -r both keep, so it is formed once per orbit, at m <= n and
+    r >= 0, and written to the up to four indices of the orbit.
     """
     k = phi.weight
     if phi.dmax < 4 * precision * precision:
@@ -285,13 +289,13 @@ def maass_lift(phi: JacobiForm1, precision: int) -> SiegelExpansion:
             f"need discriminants up to {4 * precision * precision}, have {phi.dmax}"
         )
     coeffs = {(0, 0, 0): normalize(-Fraction(bernoulli(k), 2 * k) * phi.coeff(0))}
-    for m, r, n in box_indices(precision):
-        if m == 0 and n == 0:
-            continue
-        disc = 4 * m * n - r * r
-        g = gcd(gcd(m, n), r)
-        total = 0
-        for d in divisors(g):
-            total += d ** (k - 1) * phi.coeff(disc // (d * d))
-        coeffs[(m, r, n)] = total
+    for m in range(precision + 1):
+        for n in range(max(m, 1), precision + 1):
+            g_mn = gcd(m, n)
+            for r in range(isqrt(4 * m * n) + 1):
+                disc = 4 * m * n - r * r
+                total = 0
+                for d in divisors(gcd(g_mn, r)):
+                    total += d ** (k - 1) * phi.coeff(disc // (d * d))
+                coeffs[m, r, n] = coeffs[m, -r, n] = coeffs[n, r, m] = coeffs[n, -r, m] = total
     return SiegelExpansion(k, precision, coeffs)

@@ -9,10 +9,18 @@ untagged otherwise; a product adds weights).  A series carries no other
 tag than its weight and the attributes naming its ring.  Operations never
 extrapolate: results carry the minimum precision of their operands, which
 is exact because indices add componentwise and stay nonnegative.
+
+Products of swap-symmetric series form half the box.  The swap
+(m, r, n) -> (n, r, m) of a degree-2 index is additive and maps the box to
+itself, so if every factor has a(n, r, m) = s a(m, r, n) for a sign s, the
+product has it for the product of the signs.  A series' sign is read from
+its coefficients (``_parity``), never from its weight tag, and a product
+with one factor that has none runs the whole box.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt, lcm, prod
 
@@ -35,6 +43,8 @@ class SparseSeries:
     * ``_rows(ints, width)`` and ``_slots(m, n, box)``: the packed layout
       of integer coefficients that ``_accumulate`` multiplies and
       ``_decoded`` reads back;
+    * ``_parity(ints)``: the sign s with a(n, r, m) = s a(m, r, n) on every
+      key of a dict of integer coefficients, or None (the default);
     * ``_one()``: the identity at this series' precision.
 
     Subclass constructors accept ``precision``, ``coeffs`` and ``weight``
@@ -67,6 +77,9 @@ class SparseSeries:
 
     def _box(self, precision):
         return precision
+
+    def _parity(self, ints):
+        return None
 
     def _check_indices(self, coeffs, box):
         kept = self._kept(coeffs, box)
@@ -162,13 +175,21 @@ class SparseSeries:
         (m, j - isqrt(4mn), n) of a SiegelExpansion; (m, j) of a DiagSeries,
         whose rows are (m, 0); j of a QSeries1, one row (0, 0).  Two rows
         multiply into their sum row with one big-integer multiply (see
-        ``_accumulate``).  Each factor is packed once, at the
-        ``_slot_width`` of the whole product, and the partial products
-        stay packed, as rows in the box, until the last factor is in; only
-        then are the signed slots decoded (``_decoded``).  Fractions are
-        scaled to integers by the lcm of their denominators (``_integral``);
-        the product of the lcms is divided out at decode, and F_p residues
-        are reduced there (``_rational``).
+        ``_accumulate``).  Each distinct factor is packed once, at the
+        ``_slot_width`` of the whole product, so a power packs its base
+        once; the partial products stay packed, as rows in the box, until
+        the last factor is in; only then are the signed slots decoded
+        (``_decoded``).  Fractions are scaled to integers by the lcm of
+        their denominators (``_integral``); the product of the lcms is
+        divided out at decode, and F_p residues are reduced there
+        (``_rational``).
+
+        When every factor has a swap sign (``_parity``) and some factor has
+        a block off the diagonal, each pass forms only the blocks m <= n, and the partial product is mirrored while
+        still packed: rows (m, n) and (n, m) share their slot layout, as
+        isqrt(4mn) is symmetric, so row (n, m) is row (m, n) times the
+        running sign.  The final decode writes each block m < n to its
+        mirror keys too, and F_p reduces a mirrored -c there.
         """
         first = factors[0]
         if len(factors) == 1:
@@ -179,16 +200,24 @@ class SparseSeries:
         box = first._box(prec)
         ints, den = _integral(factors)
         width = _slot_width(list(map(_bits, ints)), list(map(len, ints)))
-        acc = first._rows(ints[0], width)
-        for scaled in ints[1:]:
+        packed = _packed(first, ints, width)
+        signs = _swap_signs(first, ints)
+        # Diagonal blocks multiply into diagonal blocks: nothing to mirror.
+        fold = signs is not None and any(m != n for rows in packed for m, n in rows)
+        acc, sign = packed[0], signs[0] if fold else None
+        for i in range(1, len(ints)):
             partial, acc = acc, {}
-            _accumulate(partial, first._rows(scaled, width), box, width, [(acc, None)])
-        out = _rational(_decoded(acc, width, first._slots, box), den, first.modulus)
-        return first._unchecked(prec, out, weight, **first._ring())
+            _accumulate(partial, packed[i], box, width, [(acc, None)], fold)
+            if fold:
+                sign *= signs[i]
+                if i < len(ints) - 1:
+                    _mirror(acc, sign)
+        out = _decoded(acc, width, first._slots, box, sign)
+        return first._unchecked(prec, _rational(out, den, first.modulus), weight, **first._ring())
 
     def __pow__(self, e: int):
-        """self^e as one ``_product`` of e copies: packed once per copy and
-        decoded once, with no intermediate powers."""
+        """self^e as one ``_product`` of e copies: packed once and decoded
+        once, with no intermediate powers."""
         if e < 0:
             raise ValueError("negative powers are not supported")
         return self._product([self] * e) if e else self._one()
@@ -227,15 +256,52 @@ def chain_power(chains, key, first, e: int):
 
 def _integral(factors):
     """Each factor's coefficients times L, as integers, L the lcm of that
-    factor's denominators, and the product of the L."""
+    factor's denominators, and the product of the L.  F_p residues are
+    integers already.  A factor repeated in the list is scaled once, so its
+    entries are one dict."""
     ints, den = [], 1
     for f in factors:
-        d = lcm(*{c.denominator for c in f.coeffs.values()})
-        ints.append(f.coeffs if d == 1 else {
-            k: c.numerator * (d // c.denominator) for k, c in f.coeffs.items()
-        })
+        d = 1 if f.modulus is not None else lcm(*{c.denominator for c in f.coeffs.values()})
+        if d == 1:
+            scaled = f.coeffs
+        else:
+            for seen, scaled in zip(factors, ints):
+                if seen is f:
+                    break
+            else:
+                scaled = {k: c.numerator * (d // c.denominator) for k, c in f.coeffs.items()}
+        ints.append(scaled)
         den *= d
     return ints, den
+
+
+def _packed(series, ints, width):
+    """Each factor's rows (``series._rows``), a repeated factor packed once."""
+    packed = []
+    for scaled in ints:
+        for seen, rows in zip(ints, packed):
+            if seen is scaled:
+                break
+        else:
+            rows = series._rows(scaled, width)
+        packed.append(rows)
+    return packed
+
+
+def _swap_signs(series, ints):
+    """Each factor's swap sign (``series._parity``), a repeated factor read
+    once, or None as soon as one factor has none."""
+    signs = []
+    for scaled in ints:
+        for seen, sign in zip(ints, signs):
+            if seen is scaled:
+                break
+        else:
+            sign = series._parity(scaled)
+            if sign is None:
+                return None
+        signs.append(sign)
+    return signs
 
 
 def _rational(out, den, modulus):
@@ -271,7 +337,7 @@ def _slot_width(bits, sizes):
     return sum(bits) + prod(sorted(sizes)[:-1]).bit_length() + 1
 
 
-def _accumulate(rows1, rows2, box, width, targets):
+def _accumulate(rows1, rows2, box, width, targets, fold=False):
     """Add every block product of ``rows1`` x ``rows2`` that lands in the box
     into each target.
 
@@ -284,12 +350,22 @@ def _accumulate(rows1, rows2, box, width, targets):
     Cauchy-Schwarz keeps nonnegative.  (A QSeries1 or DiagSeries row also
     keeps the slots past the box that it gathers; they only add into higher
     slots, so the decode never reads them.)
+
+    With ``fold``, only the blocks m <= n of the targets are formed, for
+    operands with swap signs (``_product``).  That is m2 - n2 <= n1 - m1,
+    so ``rows2`` is sorted by m2 - n2 once and each row of ``rows1`` meets
+    a bisected prefix of it; without the fold it meets all of ``rows2``,
+    and the inner loop tests nothing more in either case.
     """
-    rows2 = rows2.items()
+    if fold:
+        rows2 = sorted(rows2.items(), key=lambda item: item[0][0] - item[0][1])
+        skews = [m2 - n2 for (m2, n2), _ in rows2]
+    else:
+        rows2 = rows2.items()
     for (m1, n1), (a, top1) in rows1.items():
         if m1 > box or n1 > box:
             continue
-        for (m2, n2), (b, top2) in rows2:
+        for (m2, n2), (b, top2) in rows2[:bisect_right(skews, n1 - m1)] if fold else rows2:
             m = m1 + m2
             if m > box:
                 continue
@@ -307,8 +383,21 @@ def _accumulate(rows1, rows2, box, width, targets):
                     row[0] += x << width * (row[1] - top1 - top2)
 
 
-def _decoded(acc, width, slots, box):
-    """The nonzero signed slots of packed rows, keyed by ``slots(m, n, box)``."""
+def _mirror(rows, sign):
+    """Add to the packed blocks m <= n of a series with swap sign ``sign``
+    their mirrors: row (n, m) is row (m, n) times the sign."""
+    for (m, n), (x, top) in list(rows.items()):
+        if m < n:
+            rows[n, m] = [x if sign == 1 else -x, top]
+
+
+def _decoded(acc, width, slots, box, sign=None):
+    """The nonzero signed slots of packed rows, keyed by ``slots(m, n, box)``.
+
+    With a ``sign``, the rows hold the blocks m <= n of a series with that
+    swap sign, and each block m < n is also written, times the sign, to the
+    keys ``slots(n, m, box)`` of its mirror.
+    """
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     out = {}
@@ -323,4 +412,10 @@ def _decoded(acc, width, slots, box):
                 x += 1
             if c:
                 out[key] = c
+    if sign is not None:
+        for m, n in acc:
+            if m < n:
+                for key, image in zip(slots(m, n, box), slots(n, m, box)):
+                    if key in out:
+                        out[image] = sign * out[key]
     return out

@@ -47,18 +47,37 @@ def test_theta_determinant_of_the_generators_against_permutation_oracle(gens6):
     assert got.precision == 5 and not got.is_zero()
 
 
+def swap_symmetric(coeffs, sign):
+    """The entries at m <= n, mirrored: a(n, r, m) = sign * a(m, r, n)."""
+    out = {}
+    for (m, r, n), c in coeffs.items():
+        if m < n:
+            out[m, r, n], out[n, r, m] = c, sign * c
+        elif m == n and sign == 1:
+            out[m, r, n] = c
+    return out
+
+
 @st.composite
 def theta_columns(draw):
-    """Four scale-1 expansions on a small box, integral or with denominators:
-    no symmetry, any weight tag."""
-    precision = draw(st.integers(0, 3))
+    """Four scale-1 expansions on a small box, integral or with denominators,
+    any weight tag.  Half the draws are generic: every column a full box of
+    random signs at precision 3, the smallest box on which a swap-symmetric
+    determinant with mixed signs reads its mirrored blocks; the rest mix
+    sparse columns and full boxes of one sign.  Half the draws are
+    swap-symmetric, each column with its own sign, save at most one column
+    with none; the rest have no symmetry."""
+    generic = draw(st.booleans())
+    precision = 3 if generic else draw(st.integers(0, 3))
+    symmetric = draw(st.booleans())
+    unsigned = draw(st.one_of(st.none(), st.integers(0, 3))) if symmetric else None
     forms = []
-    for _ in range(4):
+    for i in range(4):
         own = precision + draw(st.integers(0, 1))
         keys = box_indices(own)
-        if draw(st.booleans()):
+        if generic or draw(st.booleans()):
             top = 2 ** draw(st.integers(1, 90)) - 1
-            sign = draw(st.sampled_from((1, -1, None)))
+            sign = None if generic else draw(st.sampled_from((1, -1, None)))
             coeffs = {k: sign or draw(st.sampled_from((1, -1))) for k in keys}
             coeffs = {k: top * c for k, c in coeffs.items()}
         else:
@@ -66,6 +85,8 @@ def theta_columns(draw):
             if draw(st.booleans()):
                 coeff = st.builds(Fraction, coeff, st.integers(1, 12))
             coeffs = draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=12))
+        if symmetric and i != unsigned:
+            coeffs = swap_symmetric(coeffs, draw(st.sampled_from((1, -1))))
         weight = draw(st.integers(-40, 40))
         forms.append(SiegelExpansion(weight, own, coeffs))
     return forms
@@ -251,6 +272,15 @@ def test_leading_terms_of_reduced_monomials(registry):
                     lt = exp.leading_term()
                     assert lt.index == (a + c, -a, a + b + c), (p, a, b, c)
                     assert lt.coefficient % p != 0
+
+
+def test_wronskian35_of_the_generators_folds_every_pass(registry, accumulate_folds):
+    """X4-X12 are swap-symmetric, so all 18 block passes form half the box."""
+    forms = [registry.generator(name, 5) for name in ("X4", "X6", "X10", "X12")]
+    x35 = registry.generator("X35", 5)
+    accumulate_folds.clear()
+    assert wronskian35(*forms) == x35
+    assert accumulate_folds == [True] * 18
 
 
 def test_wronskian_validation(gens6):

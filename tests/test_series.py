@@ -159,11 +159,26 @@ def packed_operand(kind, precision, coeffs, scale=1, modulus=None):
     return make(kind, precision, coeffs, 4, scale)
 
 
+def swap_symmetric(coeffs, sign):
+    """The entries at m <= n, mirrored: a(n, r, m) = sign * a(m, r, n)."""
+    out = {}
+    for (m, r, n), c in coeffs.items():
+        if m < n:
+            out[m, r, n], out[n, r, m] = c, sign * c
+        elif m == n and sign == 1:
+            out[m, r, n] = c
+    return out
+
+
 @st.composite
 def wide_factors(draw, counts=st.just(2)):
     """(kind, scale, factors): sparse operands with wide entries, or full
     boxes at the largest magnitude of a bit length, so the slot sums are as
-    large as the box allows."""
+    large as the box allows.  Half the Siegel families are swap-symmetric,
+    each factor with its own sign, save at most one factor with none; their
+    factors reach precision 1 at least and are full boxes more often, so
+    that products of three or more factors, whose partial products are
+    mirrored, are seldom zero off the diagonal."""
     kind = draw(st.sampled_from(PACKED_KINDS))
     siegel = kind == "siegel"
     scale = draw(st.sampled_from((1, 2))) if siegel else 1
@@ -176,16 +191,21 @@ def wide_factors(draw, counts=st.just(2)):
     else:
         coeff = st.integers(0, modulus - 1)
     largest = {"q": 6, "diag": 3}.get(kind, 3 // scale)
+    count = draw(counts)
+    symmetric = siegel and draw(st.booleans())
+    unsigned = draw(st.one_of(st.none(), st.integers(0, count - 1))) if symmetric else None
     members = []
-    for _ in range(draw(counts)):
-        precision = draw(st.integers(0, largest))
+    for i in range(count):
+        precision = draw(st.integers(int(symmetric), largest))
         keys = box_keys(kind, scale * precision)
-        if draw(st.booleans()):
+        if draw(st.booleans()) or symmetric and draw(st.booleans()):
             top = modulus - 1 if modulus else 2 ** draw(st.integers(1, 200)) - 1
             sign = draw(st.sampled_from((1, -1, None)))
             coeffs = {k: (sign or draw(st.sampled_from((1, -1)))) * top for k in keys}
         else:
             coeffs = draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=8))
+        if symmetric and i != unsigned:
+            coeffs = swap_symmetric(coeffs, draw(st.sampled_from((1, -1))))
         members.append(packed_operand(kind, precision, coeffs, scale, modulus))
     return kind, scale, members
 
@@ -210,7 +230,7 @@ def folded_product(kind, scale, factors):
     return folded
 
 
-@SETTINGS
+@settings(max_examples=200, deadline=None)
 @given(family=wide_factors(st.integers(1, 5)))
 def test_products_of_one_to_five_factors_match_folded_convolution(family):
     kind, scale, factors = family
@@ -219,6 +239,18 @@ def test_products_of_one_to_five_factors_match_folded_convolution(family):
     assert got.weight == 4 * len(factors)
     for v in got.coeffs.values():
         assert not (isinstance(v, Fraction) and v.denominator == 1)
+
+
+def test_products_fold_only_when_every_factor_has_a_swap_sign(registry, accumulate_folds):
+    """X10's leading row is tagged weight 10 but has no swap sign, so its
+    product with X4 takes the whole-box pass; X10 * X4 folds."""
+    x4, x10 = registry.generator("X4", 5), registry.generator("X10", 5)
+    row = SiegelExpansion(10, 5, {k: c for k, c in x10.coeffs.items() if k[0] == 1})
+    accumulate_folds.clear()
+    assert (row * x4).coeffs == naive_product("siegel", 1, row, x4)
+    assert accumulate_folds == [False]
+    assert (x10 * x4).coeffs == naive_product("siegel", 1, x10, x4)
+    assert accumulate_folds == [False, True]
 
 
 @pytest.mark.parametrize(
