@@ -164,8 +164,10 @@ class GeneratorRegistry:
         # served per (name, precision), each truncated once.
         self._forms: dict[str, SiegelExpansion] = {}
         self._served: dict[tuple[str, int], SiegelExpansion] = {}
-        # Power chains [g, g^2, ...] over Z per (name, precision).
+        # Power chains [g, g^2, ...] over Z per (name, precision), and of
+        # leading rows mod p per (name, b_k, p) (``verify.leading_rows``).
         self._powers: dict[tuple[str, int], list[SiegelExpansion]] = {}
+        self._rows: dict[tuple[str, int, int], list[SiegelExpansion]] = {}
         # Monomials over Z per (spec, precision).
         self._monomials: dict[tuple[MonomialSpec, int], SiegelExpansion] = {}
 

@@ -2,19 +2,24 @@
 
 A holomorphic index-1 Jacobi form of even weight is determined by one
 coefficient c(D) per discriminant D = 4n - r^2 >= 0 with D = 0 or 3 mod 4,
-which is how ``JacobiForm1`` stores it.  The Eisenstein members are built
-from Cohen's numbers H(r, N) (Eichler-Zagier, *The Theory of Jacobi
-Forms*, section 2), special values of quadratic L-functions computed
-exactly through generalized Bernoulli numbers.  Those come from integer
-power sums of the Kronecker character, so one L-value costs r + 1
-rational terms.  The character values come from a smallest-prime-factor
-sieve, so ``kronecker`` is called only at primes and never factors its
-argument.  ``jacobi_combine`` multiplies a form by f(tau) as one ``QSeries1``
-product in q^(1/4), the one packed product of ``siegel2.series``.
-``maass_lift`` is the linear Maass lift V of Eichler-Zagier, which turns an
-index-1 form into a degree-2 expansion by divisor sums over gcd(m, r, n);
-it lifts the Eisenstein forms to the weight-4 and weight-6 generators and
-the cusp forms to the weight-10 and weight-12 ones.
+which is how ``JacobiForm1`` stores it.  The Eisenstein members come from
+short integer q-series products: E_{4,1} is the theta series of E8 along a
+root, and the heat operator takes it to E_{6,1} (``jacobi_eisenstein``).
+``jacobi_combine`` multiplies a form by f(tau) as one ``QSeries1`` product
+in q^(1/4), the one packed product of ``siegel2.series``.  ``maass_lift``
+is the linear Maass lift V of Eichler-Zagier, which turns an index-1 form
+into a degree-2 expansion by divisor sums over gcd(m, r, n); it lifts the
+Eisenstein forms to the weight-4 and weight-6 generators and the cusp
+forms to the weight-10 and weight-12 ones.
+
+Cohen's numbers H(r, N) (Eichler-Zagier, *The Theory of Jacobi Forms*,
+section 2) give the same Eisenstein coefficients as H(k-1, D) / H(k-1, 0),
+and ``cohen_h`` computes them exactly as an independent oracle; no build
+reads them.  They are special values of quadratic L-functions, computed
+through generalized Bernoulli numbers from integer power sums of the
+Kronecker character, so one L-value costs r + 1 rational terms.  The
+character values come from a smallest-prime-factor sieve, so
+``kronecker`` is called only at primes and never factors its argument.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from math import comb, gcd, isqrt
 
 from .errors import PrecisionError
 from .expansion import SiegelExpansion
-from .qexp1 import QSeries1, divisor_sigma
+from .qexp1 import QSeries1, divisor_sigma, eisenstein1
 from .rationals import (
     bernoulli,
     bernoulli_polynomial,  # noqa: F401  perfbench/tracer.py rebinds it here
@@ -226,20 +231,81 @@ class JacobiForm1:
 
 @cache
 def jacobi_eisenstein(k: int, dmax: int) -> JacobiForm1:
-    """Index-1 Eisenstein Jacobi form of weight k in {4, 6}, c(0) = 1.
+    """Index-1 Eisenstein Jacobi form E_{k,1} of weight k in {4, 6}, c(0) = 1.
 
-    c(D) = H(k-1, D) / H(k-1, 0) for D > 0; these ratios are integers.
+    E_{4,1} is the theta series of E8 along a root (``_e8_theta``): it is a
+    Jacobi form of weight 4 and index 1 with c(0) = 1, and J_{4,1} is
+    one-dimensional.  E_{6,1} comes from it by the heat operator: the
+    Serre-type derivative L - ((2k - 1)/6) e2, L acting on q^n zeta^r as
+    D = 4n - r^2, maps J_{k,1} to J_{k+2,1} (Eichler-Zagier, *The Theory of
+    Jacobi Forms*, section 3), J_{6,1} is one-dimensional, and the image of
+    E_{4,1} has constant term -7/6, so
+
+        c6(D) = sum_j e2_j c4(D - 4j) - (6/7) D c4(D),
+
+    the sum being one ``jacobi_combine``.  Both agree with the Cohen-number
+    ratios H(k-1, D) / H(k-1, 0) (``cohen_h``), which no build reads.
     Results are memoised per (k, dmax) and shared between callers, which
     must not modify them.
     """
     if k not in (4, 6):
         raise ValueError(f"jacobi_eisenstein supports k in {{4, 6}}, got {k}")
-    h0 = cohen_h(k - 1, 0)
-    c = {0: 1}
-    for d in range(3, dmax + 1):
-        if d % 4 in (0, 3):
-            c[d] = normalize(Fraction(cohen_h(k - 1, d)) / h0)
-    return JacobiForm1(k, dmax, c)
+    e41 = _e8_theta(dmax)
+    if k == 4:
+        return e41
+    first = jacobi_combine([(1, eisenstein1(2, dmax // 4), e41)])
+    c = {d: first.coeff(d) - Fraction(6 * d * c4, 7) for d, c4 in e41.c.items()}
+    return JacobiForm1(6, dmax, c)
+
+
+@cache
+def _e8_theta(dmax: int) -> JacobiForm1:
+    """E_{4,1} to dmax, as the theta series of E8 along a root.
+
+    In the D8+ model of E8 take the root v = e1 + e2; then
+    sum_{x in E8} q^(x.x/2) zeta^(x.v) = 1/2 sum_{i=2,3,4} theta_i(tau, z)^2
+    theta_i(tau)^6, with theta_3(tau, z) = sum_{n in Z} q^(n^2/2) zeta^n,
+    theta_4 the same with (-1)^n, theta_2 the same over n in Z + 1/2, and
+    theta_i(tau) = theta_i(tau, 0).  c(4n) is its coefficient at q^n zeta^0
+    and c(4n - 1) at q^n zeta^1.  In x = q^(1/2):
+
+    * the theta_4 terms are the theta_3 terms at tau + 1, so the two
+      together are twice the even powers of x in theta_3(tau, z)^2
+      theta_3^6, whose zeta^0 and zeta^1 parts are sum_{a in Z} x^(2a^2)
+      and sum_{a in Z} x^(2a^2 - 2a + 1) times theta_3^6;
+    * theta_2(tau)^6 = 64 q^(3/4) s^6 with s = sum_{j >= 0} q^(j(j+1)/2), and
+      the zeta^0 and zeta^1 parts of theta_2(tau, z)^2 are
+      sum_{j in Z} q^(j^2 + j + 1/4) and sum_{j in Z} q^(j^2 + 1/4), so
+      these terms are 32 q s^6 times sum_j q^(j^2 + j) or sum_j q^(j^2).
+
+    Every part is one ``QSeries1`` product.
+    """
+    top = (dmax + 1) // 4  # the largest n with 4n - 1 <= dmax
+    # The series in x are read at x^(2n), those in q at q^(n - 1).
+    half, prec = 2 * top, max(top - 1, 0)
+
+    def over_z(precision, exponent):
+        """sum_{j in Z} t^exponent(j), cut to the precision; each exponent
+        below is at least |j| - 1, so |j| <= precision + 1 meets them all."""
+        coeffs = {}
+        for j in range(-precision - 1, precision + 2):
+            if (e := exponent(j)) <= precision:
+                coeffs[e] = coeffs.get(e, 0) + 1
+        return QSeries1(precision, coeffs)
+
+    theta3_6 = over_z(half, lambda a: a * a) ** 6
+    even0 = (over_z(half, lambda a: 2 * a * a) * theta3_6).coeffs
+    even1 = (over_z(half, lambda a: 2 * a * a - 2 * a + 1) * theta3_6).coeffs
+    s6 = QSeries1(prec, {t: 1 for j in range(prec + 1) if (t := j * (j + 1) // 2) <= prec}) ** 6
+    odd0 = (over_z(prec, lambda j: j * j + j) * s6).coeffs
+    odd1 = (over_z(prec, lambda j: j * j) * s6).coeffs
+    c = {}
+    for n in range(top + 1):
+        if 4 * n <= dmax:
+            c[4 * n] = even0.get(2 * n, 0) + 32 * odd0.get(n - 1, 0)
+        if n:
+            c[4 * n - 1] = even1.get(2 * n, 0) + 32 * odd1.get(n - 1, 0)
+    return JacobiForm1(4, dmax, c)
 
 
 def jacobi_combine(terms) -> JacobiForm1:

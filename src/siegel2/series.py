@@ -237,8 +237,9 @@ def chain_power(chains, key, first, e: int):
     which starts as [first(*key)] and grows one product g^(i+1) = g^i * g
     at a time, so each power is formed once.
 
-    The registry holds a chain over Z per (name, precision), and
-    ``verify.leading_rows`` one over F_p per call.  The chain is not
+    The registry holds a chain over Z per (name, precision), and one of
+    leading rows over F_p per (name, b_k, p) for ``verify.leading_rows``,
+    so certificates and witnesses at one b_k and p share it.  The chain is not
     replaced by one ``_product`` of e copies of g, as ``**`` forms a lone
     power: every monomial would form its powers anew, and F_p residues stay
     narrow only when reduced between multiplies.  Without the chain, the
@@ -402,7 +403,11 @@ def _decoded(acc, width, slots, box, sign=None):
     half = 1 << (width - 1)
     out = {}
     for (m, n), (x, _) in acc.items():
-        for key in slots(m, n, box):
+        keys = slots(m, n, box)
+        # Slots past the keys are never read, and carries only move up, so
+        # dropping them first keeps each shift as short as the row read.
+        x &= (1 << width * len(keys)) - 1
+        for key in keys:
             if not x:
                 break
             c = x & mask

@@ -350,31 +350,38 @@ def leading_rows(monomials, bound: int, p: int, registry) -> list:
     """Each monomial's row m = layer, cut to n <= bound, mod p.
 
     A factor's row m = l is cut from ``registry.generator(name, bound)``
-    and reduced mod p, and a monomial's row is one product of its factors'
-    row powers, from a chain g, g^2, ... per factor held for the call
-    (``series.chain_power``) and reduced mod p at every step.  That
-    truncation holds row l when l <= bound, as at bound = b_k in weight k:
-    there every layer is at most k/10, or (k - 15)/10 in odd weight, where
-    X35 brings layer 2 for weight 35 (module docstring).  The rows are the
-    layer rows because the registry serves only pinned generators, which
-    vanish below their layer.
-    """
-    chains = {}
+    and reduced mod p.  That truncation holds row l when l <= bound, as at
+    bound = b_k in weight k: there every layer is at most k/10, or
+    (k - 15)/10 in odd weight, where X35 brings layer 2 for weight 35
+    (module docstring).  The rows are the layer rows because the registry
+    serves only pinned generators, which vanish below their layer.
 
-    def leading_row(name):
+    A monomial's row is one product of its factors' row powers, each from
+    a chain g, g^2, ... that the registry holds per (name, bound, p)
+    (``series.chain_power``), reduced mod p at every step, so certificates
+    and witnesses at one b_k and p share it.  A factor whose row is the
+    constant 1, as X4's is mod 5 and X6's mod 7, is left out of the product.
+    """
+
+    def leading_row(name, bound, p):
         layer = MonomialSpec.from_dict({name: 1}).layer
         gen = registry.generator(name, bound)
         row = {key: c for key, c in gen.coeffs.items() if key[0] == layer and key[2] <= bound}
         return SiegelExpansion._unchecked(bound, row, gen.weight, scale=1, modulus=None).reduce_mod(p)
 
-    return [
-        SiegelExpansion._product(
-            [chain_power(chains, (name,), leading_row, e) for name, e in reversed(spec.exponents)]
+    def row(spec):
+        factors = []
+        for name, e in reversed(spec.exponents):
+            key = (name, bound, p)
+            if chain_power(registry._rows, key, leading_row, 1).coeffs != {(0, 0, 0): 1}:
+                factors.append(chain_power(registry._rows, key, leading_row, e))
+        return (
+            SiegelExpansion._product(factors)
+            if factors
+            else SiegelExpansion.constant(1, bound, modulus=p)
         )
-        if spec.exponents
-        else SiegelExpansion.constant(1, bound, modulus=p)
-        for spec in monomials
-    ]
+
+    return [row(spec) for spec in monomials]
 
 
 def layered_rank(monomials, bound: int, p: int, registry) -> dict:

@@ -277,8 +277,9 @@ def test_monomial_is_the_folded_product_of_its_powers(registry, gens6):
 
 def test_certificates_leave_no_fp_monomials_held(registry, gens6):
     """Passing certificates at p = 2, 5 and 7, in even and odd weight, form
-    no monomial and leave no expansion mod p in any registry memo; nor does
-    the borcherds-structure suite, which reduces its generators itself."""
+    no monomial and leave no expansion mod p in any registry memo but the
+    leading-row chains; nor does the borcherds-structure suite, which
+    reduces its generators itself."""
     reg = GeneratorRegistry(registry.cache_dir)
     for k, p in ((24, 5), (16, 2), (45, 7)):
         assert verify_theorem1_rank(k, p, 5, reg).passed
@@ -287,6 +288,7 @@ def test_certificates_leave_no_fp_monomials_held(registry, gens6):
     held = [*reg._forms.values(), *reg._served.values(), *reg._monomials.values()]
     held += [g for chain in reg._powers.values() for g in chain]
     assert reg._served and all(exp.modulus is None for exp in held)
+    assert reg._rows and all(row.modulus == p for (_, _, p), chain in reg._rows.items() for row in chain)
 
 
 def test_requests_below_the_leading_index_are_built_at_the_floor(tmp_path, gens6):

@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegel2 import jacobi
+from siegel2.e8 import e8_pair_counts
 from siegel2.errors import PrecisionError
-from siegel2.generators import MonomialSpec
+from siegel2.generators import GeneratorRegistry, MonomialSpec
 from siegel2.jacobi import (
     JacobiForm1,
     _character,
@@ -192,6 +193,43 @@ def test_jacobi_eisenstein_coefficients():
         e41.coeff(21)
     with pytest.raises(ValueError):
         jacobi_eisenstein(8, 4)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_eisenstein_series_are_the_cohen_ratios(k):
+    """c(D) = H(k-1, D) / H(k-1, 0) at every D <= 784, which is dmax at P = 14."""
+    got = jacobi_eisenstein(k, 784)
+    h0 = cohen_h(k - 1, 0)
+    want = {d: Fraction(cohen_h(k - 1, d)) / h0 for d in range(785) if d % 4 in (0, 3)}
+    assert got.weight == k and got.dmax == 784
+    assert got.c == want
+
+
+def test_e41_counts_e8_vectors_along_a_root():
+    """c(4n - r^2) of E_{4,1} is the number of E8 vectors y with y.y = 2n and
+    y.x = r for a root x, the pair count at (1, r, n) over the 240 roots."""
+    counts = e8_pair_counts(1, 3)
+    e41 = jacobi_eisenstein(4, 12)
+    for n in range(4):
+        for r in range(-isqrt(4 * n), isqrt(4 * n) + 1):
+            assert 240 * e41.coeff(4 * n - r * r) == counts.get((1, r, n), 0), (r, n)
+
+
+def test_cold_builds_read_no_cohen_numbers(tmp_path, monkeypatch):
+    """With the Eisenstein memos cleared, building X4, X6, X10 and X12 on an
+    empty cache calls ``cohen_h`` zero times."""
+    jacobi_eisenstein.cache_clear()
+    jacobi._e8_theta.cache_clear()
+    calls = []
+    monkeypatch.setattr(jacobi, "cohen_h", lambda r, N: calls.append((r, N)) or cohen_h(r, N))
+    reg = GeneratorRegistry(tmp_path)
+    for name in ("X4", "X6", "X10", "X12"):
+        reg.generator(name, 3)
+    assert sorted(path.name for path in tmp_path.glob("*.qexp")) == [
+        "X10.p3.qexp", "X12.p3.qexp", "X4.p3.qexp", "X6.p3.qexp"
+    ]
+    assert calls == []
+    assert jacobi.cohen_h(3, 3) == Fraction(-2, 9) and calls == [(3, 3)]
 
 
 def _phi10(dmax):

@@ -7,6 +7,7 @@ module runs in a few seconds.  Exact SiegelExpansions are also checked
 against their mod-p reductions and their text format.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -239,6 +240,25 @@ def test_products_of_one_to_five_factors_match_folded_convolution(family):
     assert got.weight == 4 * len(factors)
     for v in got.coeffs.values():
         assert not (isinstance(v, Fraction) and v.denominator == 1)
+
+
+def test_long_qseries_products_past_the_box_match_folded_convolution():
+    """A QSeries1 product row keeps every slot its factors reach, past the
+    box too; products of three to five signed, wide factors of 60 terms,
+    some reaching past the product's box, equal the folded convolution."""
+    rng = random.Random(22)
+    for count in (3, 4, 5):
+        factors = []
+        for _ in range(count):
+            precision = rng.randint(40, 60)
+            coeffs = {
+                n: rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 90))
+                for n in range(precision + 1)
+            }
+            factors.append(QSeries1(precision, coeffs, weight=4))
+        got = SparseSeries._product(factors)
+        assert got.precision == min(f.precision for f in factors)
+        assert got == folded_product("q", 1, factors)
 
 
 def test_products_fold_only_when_every_factor_has_a_swap_sign(registry, accumulate_folds):

@@ -220,6 +220,39 @@ def test_leading_rows_are_the_layer_rows_of_the_monomials(registry):
     assert count == 2 * 535
 
 
+def test_leading_rows_hold_their_chains_and_skip_constant_rows(registry, monkeypatch):
+    """X4's row 0 is 1 mod 5, so no product takes it as a factor and X4^2's
+    row is the constant 1; the rows are those of the whole monomials; and a
+    second call on the same registry reads no generator."""
+    reg = GeneratorRegistry(registry.cache_dir)
+    b, p = 4, 5
+    specs = [
+        MonomialSpec.from_dict(exponents)
+        for exponents in ({"X4": 2}, {"X4": 1, "X10": 2}, {"X4": 3, "X6": 1, "X10": 1})
+    ]
+    one = SiegelExpansion.constant(1, b, modulus=p)
+    factors, product = [], SiegelExpansion._product
+
+    def spy(series):
+        factors.extend(series)
+        return product(series)
+
+    monkeypatch.setattr(SiegelExpansion, "_product", staticmethod(spy))
+    rows = leading_rows(specs, b, p, reg)
+    assert factors and one not in factors
+    assert rows[0] == one
+    for spec, row in zip(specs, rows):
+        whole = registry.monomial(spec, b).reduce_mod(p)
+        assert row.coeffs == {k: c for k, c in whole.coeffs.items() if k[0] == spec.layer}
+    asked = []
+    generator = GeneratorRegistry.generator
+    monkeypatch.setattr(
+        GeneratorRegistry, "generator", lambda self, *args: asked.append(args) or generator(self, *args)
+    )
+    assert leading_rows(specs, b, p, reg) == rows
+    assert asked == []
+
+
 def _box_matrix(registry, specs, precision, b):
     """The Z monomials' coefficients on the whole box and on the box b."""
     indices = box_indices(precision)
@@ -417,17 +450,22 @@ def test_certificates_and_witnesses_ask_the_registry_at_b_k(registry, monkeypatc
     monkeypatch.setattr(GeneratorRegistry, "monomial", monomial_at)
     for k, p in ((20, 2), (51, 3), (40, 5), (41, 7)):
         b = sturm_bound(k)
+        # A registry holds the leading-row chains it has formed, and a call
+        # that finds them reads nothing, so each call gets a fresh registry
+        # over the same cache.
         del asked[:]
-        assert verify_theorem1_rank(k, p, 9, registry).passed
+        assert verify_theorem1_rank(k, p, 9, GeneratorRegistry(registry.cache_dir)).passed
         assert asked and set(asked) == {b}, (k, p)
         del asked[:]
-        assert sharpness_witness(k, p, registry)[1].verdict
+        assert sharpness_witness(k, p, GeneratorRegistry(registry.cache_dir))[1].verdict
         assert asked and set(asked) == {b}, (k, p)
     dropped = weight_monomials(24, GENSET_C)[1:]
     monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: dropped)
     del asked[:]
-    assert not verify_theorem1_rank(24, 5, 9, registry).passed
-    assert sharpness_witness(24, 5, registry)[1].verdict
+    assert not verify_theorem1_rank(24, 5, 9, GeneratorRegistry(registry.cache_dir)).passed
+    assert asked and set(asked) == {2}
+    del asked[:]
+    assert sharpness_witness(24, 5, GeneratorRegistry(registry.cache_dir))[1].verdict
     assert asked and set(asked) == {2}
 
 
@@ -644,10 +682,12 @@ def test_row_witnesses_match_the_whole_monomial_oracle(registry):
 
 
 class OneGenerator:
-    """A registry stand-in that serves one expansion as every generator."""
+    """A registry stand-in that serves one expansion as every generator,
+    with the registry's memo of leading-row chains."""
 
     def __init__(self, exp):
         self.exp = exp
+        self._rows = {}
 
     def generator(self, name, precision):
         return self.exp
@@ -671,7 +711,11 @@ def test_sharpness_witness_reads_the_leading_index_mod_p():
 
 
 class LeadingTerms:
-    """A registry stand-in that serves each generator as its leading term alone."""
+    """A registry stand-in that serves each generator as its leading term
+    alone, with the registry's memo of leading-row chains."""
+
+    def __init__(self):
+        self._rows = {}
 
     def generator(self, name, precision):
         index, coefficient = _LEADING[name]
