@@ -28,7 +28,7 @@ from .qexp1 import DiagSeries
 from .rationals import normalize, reduce_mod_p
 from .records import FrozenRecord
 from .series import SCALARS, SparseSeries, _accumulate, _bits, _decoded
-from .series import _integral, _rational, _slot_width, _swap_signs
+from .series import _operands, _rational, _slot_width
 
 
 class LeadingTerm(FrozenRecord):
@@ -152,7 +152,7 @@ class SiegelExpansion(SparseSeries):
         """The swap sign s, a(n, r, m) = s a(m, r, n) at every index (mod p
         over F_p), read from the coefficients: +1, -1 (+1 when both hold,
         as for zero or at p = 2) or None.  Rows cut from a form, such as
-        ``verify.leading_rows``, have none whatever their weight tag.  One
+        ``GeneratorRegistry.row_power``'s, have none whatever their weight tag.  One
         pass tests both signs and stops at the first index that fails both.
         It runs from the last key: a row m = l, n <= b, read in (m, n, r)
         order or decoded from a product, ends off the diagonal, where its
@@ -170,9 +170,6 @@ class SiegelExpansion(SparseSeries):
             if not (plus or minus):
                 return None
         return 1 if plus else -1
-
-    def _one(self):
-        return SiegelExpansion(0, self.precision, {(0, 0, 0): 1}, self.scale, self.modulus)
 
     def __repr__(self):
         mod = f", mod {self.modulus}" if self.modulus else ""
@@ -325,9 +322,9 @@ def theta_determinant(forms) -> SiegelExpansion:
 
     The six products A_ac W_bd go into one packed accumulator, decoded once:
     18 passes where a Laplace expansion by products takes 30.  Forms with
-    denominators are scaled to integers as ``_product`` scales its factors,
-    each column once (``_integral``), and the product of the lcms is
-    divided out at the end (``_rational``).
+    denominators are scaled to integers as ``_product`` scales its factors
+    (``_operands``), and the product of the lcms is divided out at the end
+    (``_rational``).
 
     When all four columns have a swap sign s_c, a(n, r, m) = s_c a(m, r, n)
     (``_parity``), every pass forms only the blocks m <= n, and the blocks
@@ -355,10 +352,11 @@ def theta_determinant(forms) -> SiegelExpansion:
             raise ValueError("the determinant needs exact scale-1 expansions")
     box = prec = min(f.precision for f in forms)
     weights = [f.weight for f in forms]
-    ints, den = _integral(forms)
+    ints, signs, index, den = _operands(forms)
     pack, slots = forms[0]._rows, forms[0]._slots
-    signs = _swap_signs(forms[0], ints)
     fold = signs is not None
+    ints = [ints[i] for i in index]
+    signs = [signs[i] for i in index] if fold else None
     top = max(map(_bits, ints))
     width = _slot_width([top, top], sorted(map(len, ints))[-2:]) + (2 * box * box).bit_length()
     F = [pack(scaled, width) for scaled in ints]

@@ -20,7 +20,8 @@ throughout, the sign symmetries, the declared leading term, and its
 ``WITT_PINS`` rows.  Builds are cached on disk in the text format and
 served at lower precision by truncation.  The cache directory defaults to
 $SIEGEL2_CACHE or ./cache.  Monomials in the generators are formed over Z,
-each one packed product of powers from a chain g, g^2, ... per generator.
+each one packed product of powers from a chain g, g^2, ... per generator,
+and the leading rows mod p of the certificates from such chains too.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .jacobi import JacobiForm1, jacobi_combine, jacobi_eisenstein, maass_lift
 from .qexp1 import DiagSeries, diag_builder, eisenstein1
 from .rationals import bernoulli, normalize
 from .records import FrozenRecord
-from .series import chain_power
 
 GENERATOR_WEIGHTS = {
     "X4": 4,
@@ -164,10 +164,9 @@ class GeneratorRegistry:
         # served per (name, precision), each truncated once.
         self._forms: dict[str, SiegelExpansion] = {}
         self._served: dict[tuple[str, int], SiegelExpansion] = {}
-        # Power chains [g, g^2, ...] over Z per (name, precision), and of
-        # leading rows mod p per (name, b_k, p) (``verify.leading_rows``).
-        self._powers: dict[tuple[str, int], list[SiegelExpansion]] = {}
-        self._rows: dict[tuple[str, int, int], list[SiegelExpansion]] = {}
+        # Power chains [g, g^2, ...] per (name, precision, p): of generators
+        # over Z (p None, ``power``) and of leading rows mod p (``row_power``).
+        self._chains: dict[tuple[str, int, int | None], list[SiegelExpansion]] = {}
         # Monomials over Z per (spec, precision).
         self._monomials: dict[tuple[MonomialSpec, int], SiegelExpansion] = {}
 
@@ -244,9 +243,39 @@ class GeneratorRegistry:
     # -- monomials ------------------------------------------------------------
 
     def power(self, name: str, exponent: int, precision: int) -> SiegelExpansion:
-        """The generator power g^e over Z, e >= 1, from the chain g, g^2, ...
-        held per (name, precision) (``series.chain_power``); g^1 is the generator."""
-        return chain_power(self._powers, (name, precision), self.generator, exponent)
+        """The generator power g^e over Z, e >= 1; g^1 is the generator (``_chain``)."""
+        return self._chain(name, exponent, precision, None)
+
+    def row_power(self, name: str, exponent: int, bound: int, p: int) -> SiegelExpansion:
+        """The power r^e mod p, e >= 1, of the generator's leading row r: row
+        m = l of ``generator(name, bound)``, l its layer (``_LEADING``),
+        reduced mod p (``_chain``).  ``verify.leading_rows`` multiplies them."""
+        return self._chain(name, exponent, bound, p)
+
+    def _chain(self, name, e, precision, p):
+        """g^e from the chain [g, g^2, ...] held per (name, precision, p) and
+        grown by one product g^i * g at a time, so each power is formed once.
+
+        The chain is not replaced by one ``_product`` of e copies of g, as
+        ``**`` forms a lone power: every monomial would form its powers anew,
+        and F_p residues stay narrow only when reduced between multiplies.
+        Without the chain, the k = 140, p = 5 certificate took about 3.5x as
+        long.
+        """
+        if e < 1:
+            raise ValueError("exponents must be >= 1")
+        chain = self._chains.get((name, precision, p))
+        if chain is None:
+            g = self.generator(name, precision)
+            if p is not None:
+                layer = _LEADING[name][0][0]
+                row = {k: c for k, c in g.coeffs.items() if k[0] == layer and k[2] <= precision}
+                g = SiegelExpansion._unchecked(precision, row, g.weight, scale=1, modulus=None)
+                g = g.reduce_mod(p)
+            chain = self._chains[name, precision, p] = [g]
+        while len(chain) < e:
+            chain.append(chain[-1] * chain[0])
+        return chain[e - 1]
 
     def monomial(self, spec: MonomialSpec, precision: int) -> SiegelExpansion:
         """Product expansion of a generator monomial at the given precision."""

@@ -49,9 +49,6 @@ class QSeries1(SparseSeries):
     def _slots(self, m, n, box):
         return range(box + 1)
 
-    def _one(self):
-        return QSeries1(self.precision, {0: 1}, 0)
-
     def __repr__(self):
         return f"QSeries1(precision={self.precision}, weight={self.weight}, {len(self.coeffs)} terms)"
 
@@ -100,9 +97,6 @@ class DiagSeries(SparseSeries):
     def _slots(self, m, n, box):
         return [(m, j) for j in range(box + 1)]
 
-    def _one(self):
-        return DiagSeries(self.precision, {(0, 0): 1}, 0)
-
     def symmetry_violations(self, sign: int) -> list:
         """Index pairs (m, n) where a(n, m) = sign * a(m, n) fails (empty = pass)."""
         bad = []
@@ -133,7 +127,8 @@ _DIAG_BUILDERS = ("x2", "x4", "x6", "x12", "y12", "alpha36")
 
 def diag_builder(name: str, precision: int) -> DiagSeries:
     """Named tensor-square series: x2, x4, x6 (Eisenstein squares),
-    x12 (discriminant square), y12, and the antisymmetric alpha36."""
+    x12 (discriminant square), y12, and the antisymmetric alpha36, each
+    with its swap sign by construction, as the truncated box is swap-invariant."""
     if name not in _DIAG_BUILDERS:
         raise ValueError(f"unknown diagonal builder {name!r}")
     if name in ("x2", "x4", "x6"):
@@ -144,17 +139,8 @@ def diag_builder(name: str, precision: int) -> DiagSeries:
         return diag_tensor(delta, delta)
     e4cube = eisenstein1(4, precision) ** 3
     if name == "y12":
-        series = diag_tensor(e4cube, delta) + diag_tensor(delta, e4cube)
-        return _stamped(series, 1)
+        return diag_tensor(e4cube, delta) + diag_tensor(delta, e4cube)
     # alpha36 = x12^2 (delta ⊗ e4^3 - e4^3 ⊗ delta), anti-invariant under swap
     x12 = diag_tensor(delta, delta)
-    series = (x12 * x12) * (diag_tensor(delta, e4cube) - diag_tensor(e4cube, delta))
-    return _stamped(series, -1)
+    return (x12 * x12) * (diag_tensor(delta, e4cube) - diag_tensor(e4cube, delta))
 
-
-def _stamped(series: DiagSeries, sign: int) -> DiagSeries:
-    """The series, once checked to satisfy a(n, m) = sign * a(m, n)."""
-    bad = series.symmetry_violations(sign)
-    if bad:
-        raise ArithmeticError(f"builder produced asymmetric series, e.g. at {bad[0]}")
-    return series

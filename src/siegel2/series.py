@@ -44,8 +44,7 @@ class SparseSeries:
       of integer coefficients that ``_accumulate`` multiplies and
       ``_decoded`` reads back;
     * ``_parity(ints)``: the sign s with a(n, r, m) = s a(m, r, n) on every
-      key of a dict of integer coefficients, or None (the default);
-    * ``_one()``: the identity at this series' precision.
+      key of a dict of integer coefficients, or None (the default).
 
     Subclass constructors accept ``precision``, ``coeffs`` and ``weight``
     as keywords, and the names in ``_RING`` too.
@@ -180,7 +179,7 @@ class SparseSeries:
         once; the partial products stay packed, as rows in the box, until
         the last factor is in; only then are the signed slots decoded
         (``_decoded``).  Fractions are scaled to integers by the lcm of
-        their denominators (``_integral``); the product of the lcms is
+        their denominators (``_operands``); the product of the lcms is
         divided out at decode, and F_p residues are reduced there
         (``_rational``).
 
@@ -198,19 +197,19 @@ class SparseSeries:
         weights = [f.weight for f in factors]
         weight = None if None in weights else sum(weights)
         box = first._box(prec)
-        ints, den = _integral(factors)
-        width = _slot_width(list(map(_bits, ints)), list(map(len, ints)))
-        packed = _packed(first, ints, width)
-        signs = _swap_signs(first, ints)
+        ints, signs, index, den = _operands(factors)
+        bits = list(map(_bits, ints))
+        width = _slot_width([bits[i] for i in index], [len(ints[i]) for i in index])
+        packed = [first._rows(scaled, width) for scaled in ints]
         # Diagonal blocks multiply into diagonal blocks: nothing to mirror.
         fold = signs is not None and any(m != n for rows in packed for m, n in rows)
-        acc, sign = packed[0], signs[0] if fold else None
-        for i in range(1, len(ints)):
+        acc, sign = packed[index[0]], signs[index[0]] if fold else None
+        for step, i in enumerate(index[1:], 2):
             partial, acc = acc, {}
             _accumulate(partial, packed[i], box, width, [(acc, None)], fold)
             if fold:
                 sign *= signs[i]
-                if i < len(ints) - 1:
+                if step < len(index):
                     _mirror(acc, sign)
         out = _decoded(acc, width, first._slots, box, sign)
         return first._unchecked(prec, _rational(out, den, first.modulus), weight, **first._ring())
@@ -222,6 +221,10 @@ class SparseSeries:
             raise ValueError("negative powers are not supported")
         return self._product([self] * e) if e else self._one()
 
+    def _one(self):
+        """The identity of this series' ring at its precision, of weight 0."""
+        return self._new(self.precision, {self._slots(0, 0, 0)[0]: 1}, 0)
+
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -232,77 +235,35 @@ class SparseSeries:
         )
 
 
-def chain_power(chains, key, first, e: int):
-    """g^e from the chain [g, g^2, ...] held in ``chains`` under ``key``,
-    which starts as [first(*key)] and grows one product g^(i+1) = g^i * g
-    at a time, so each power is formed once.
+def _operands(factors):
+    """The integer operands of a product, each distinct factor read once.
 
-    The registry holds a chain over Z per (name, precision), and one of
-    leading rows over F_p per (name, b_k, p) for ``verify.leading_rows``,
-    so certificates and witnesses at one b_k and p share it.  The chain is not
-    replaced by one ``_product`` of e copies of g, as ``**`` forms a lone
-    power: every monomial would form its powers anew, and F_p residues stay
-    narrow only when reduced between multiplies.  Without the chain, the
-    k = 140, p = 5 certificate took about 3.5x as long.
+    Returns (ints, signs, index, den).  ``ints`` holds each distinct factor's
+    coefficients times L, as integers, L the lcm of its denominators; F_p
+    residues are integers already.  ``signs`` holds each distinct factor's
+    swap sign (``_parity``), or is None from the first factor that has none,
+    whose successors are not read.  ``index`` gives each position's factor in
+    ``ints``, and ``den`` is the product of the L over the positions, repeats
+    included.  Factors are told apart by identity, so a power reads its base
+    once.
     """
-    if e < 1:
-        raise ValueError("exponents must be >= 1")
-    chain = chains.get(key)
-    if chain is None:
-        chain = chains[key] = [first(*key)]
-    while len(chain) < e:
-        chain.append(chain[-1] * chain[0])
-    return chain[e - 1]
-
-
-def _integral(factors):
-    """Each factor's coefficients times L, as integers, L the lcm of that
-    factor's denominators, and the product of the L.  F_p residues are
-    integers already.  A factor repeated in the list is scaled once, so its
-    entries are one dict."""
-    ints, den = [], 1
+    ints, signs, index, lcms, seen, den = [], [], [], [], {}, 1
     for f in factors:
-        d = 1 if f.modulus is not None else lcm(*{c.denominator for c in f.coeffs.values()})
-        if d == 1:
-            scaled = f.coeffs
-        else:
-            for seen, scaled in zip(factors, ints):
-                if seen is f:
-                    break
+        i = seen.get(id(f))
+        if i is None:
+            i = seen[id(f)] = len(ints)
+            d = 1 if f.modulus is not None else lcm(*{c.denominator for c in f.coeffs.values()})
+            ints.append(
+                f.coeffs if d == 1 else {k: c.numerator * (d // c.denominator) for k, c in f.coeffs.items()}
+            )
+            lcms.append(d)
+            if signs is not None and (sign := f._parity(ints[-1])) is not None:
+                signs.append(sign)
             else:
-                scaled = {k: c.numerator * (d // c.denominator) for k, c in f.coeffs.items()}
-        ints.append(scaled)
-        den *= d
-    return ints, den
-
-
-def _packed(series, ints, width):
-    """Each factor's rows (``series._rows``), a repeated factor packed once."""
-    packed = []
-    for scaled in ints:
-        for seen, rows in zip(ints, packed):
-            if seen is scaled:
-                break
-        else:
-            rows = series._rows(scaled, width)
-        packed.append(rows)
-    return packed
-
-
-def _swap_signs(series, ints):
-    """Each factor's swap sign (``series._parity``), a repeated factor read
-    once, or None as soon as one factor has none."""
-    signs = []
-    for scaled in ints:
-        for seen, sign in zip(ints, signs):
-            if seen is scaled:
-                break
-        else:
-            sign = series._parity(scaled)
-            if sign is None:
-                return None
-        signs.append(sign)
-    return signs
+                signs = None
+        index.append(i)
+        den *= lcms[i]
+    return ints, signs, index, den
 
 
 def _rational(out, den, modulus):

@@ -67,7 +67,6 @@ from .generators import (
 from .qexp1 import delta1, diag_builder, diag_tensor, eisenstein1
 from .rationals import PrimePower, is_prime, p_valuation, reduce_mod_p
 from .records import Record
-from .series import chain_power
 
 GENSET_C = ("X4", "X6", "X10", "X12")
 GENSET_INTEGRAL = ("X4", "X6", "X10", "X12", "Y12", "X16")
@@ -349,39 +348,28 @@ def span_canonical(vectors, p):
 def leading_rows(monomials, bound: int, p: int, registry) -> list:
     """Each monomial's row m = layer, cut to n <= bound, mod p.
 
-    A factor's row m = l is cut from ``registry.generator(name, bound)``
-    and reduced mod p.  That truncation holds row l when l <= bound, as at
-    bound = b_k in weight k: there every layer is at most k/10, or
-    (k - 15)/10 in odd weight, where X35 brings layer 2 for weight 35
-    (module docstring).  The rows are the layer rows because the registry
-    serves only pinned generators, which vanish below their layer.
-
-    A monomial's row is one product of its factors' row powers, each from
-    a chain g, g^2, ... that the registry holds per (name, bound, p)
-    (``series.chain_power``), reduced mod p at every step, so certificates
-    and witnesses at one b_k and p share it.  A factor whose row is the
-    constant 1, as X4's is mod 5 and X6's mod 7, is left out of the product.
+    A monomial's row is one product of its factors' leading-row powers mod p
+    (``registry.row_power``), each cut from ``registry.generator(name,
+    bound)``.  That truncation holds row l when l <= bound, as at bound = b_k
+    in weight k: there every layer is at most k/10, or (k - 15)/10 in odd
+    weight, where X35 brings layer 2 for weight 35 (module docstring).  The
+    rows are the layer rows because the registry serves only pinned
+    generators, which vanish below their layer.  The registry holds each row
+    power in a chain per (name, bound, p), so certificates and witnesses at
+    one b_k and p share it.  A factor whose row is the constant 1, as X4's
+    is mod 5 and X6's mod 7, is left out of the product.
     """
-
-    def leading_row(name, bound, p):
-        layer = MonomialSpec.from_dict({name: 1}).layer
-        gen = registry.generator(name, bound)
-        row = {key: c for key, c in gen.coeffs.items() if key[0] == layer and key[2] <= bound}
-        return SiegelExpansion._unchecked(bound, row, gen.weight, scale=1, modulus=None).reduce_mod(p)
-
-    def row(spec):
-        factors = []
-        for name, e in reversed(spec.exponents):
-            key = (name, bound, p)
-            if chain_power(registry._rows, key, leading_row, 1).coeffs != {(0, 0, 0): 1}:
-                factors.append(chain_power(registry._rows, key, leading_row, e))
-        return (
-            SiegelExpansion._product(factors)
-            if factors
-            else SiegelExpansion.constant(1, bound, modulus=p)
+    rows = []
+    for spec in monomials:
+        factors = [
+            registry.row_power(name, e, bound, p)
+            for name, e in reversed(spec.exponents)
+            if registry.row_power(name, 1, bound, p).coeffs != {(0, 0, 0): 1}
+        ]
+        rows.append(
+            SiegelExpansion._product(factors) if factors else SiegelExpansion.constant(1, bound, modulus=p)
         )
-
-    return [row(spec) for spec in monomials]
+    return rows
 
 
 def layered_rank(monomials, bound: int, p: int, registry) -> dict:
@@ -463,10 +451,11 @@ def verify_theorem1_rank(
     ``GENSET_INTEGRAL`` (p in {2, 3}), times X35 in odd weight, read at
     precision b_k, which holds every layer; B need only reach b_k.  Each is
     an integral weight-k form that vanishes below its layer, by the
-    registry's pins, so a layer sum (``layered_rank``) of dim M_k proves the
-    rank on the box b_k, and on the box B by the bound from above (module
-    docstring).  A short sum proves nothing: at p >= 5 ``streamed_rank``
-    eliminates the Z monomials mod p on the box b_k; at p in {2, 3}, where
+    registry's pins, so a layer sum (``layered_rank``, over the leading rows
+    from ``registry.row_power``) of dim M_k proves the rank on the box b_k,
+    and on the box B by the bound from above (module docstring).  A short
+    sum proves nothing: at p >= 5 ``streamed_rank`` eliminates the Z
+    monomials mod p (``registry.monomial``) on the box b_k; at p in {2, 3}, where
     the integral generators are not known to span M_k mod p, it is a SKIP
     naming each layer j whose rank differs from ``layer_dimensions(k)[j]``.
     """

@@ -230,12 +230,18 @@ def test_each_precision_is_truncated_once(tmp_path, monkeypatch):
     assert reg.generator("X4", 3) is top
 
 
-def test_powers_are_held_over_z_only(registry, gens6, monkeypatch):
-    """``power`` serves g^1 as the generator itself and every g^e from one
-    chain per (name, precision): each power is formed once, by one
-    product, and no held power has a modulus; exponent 0 raises."""
+@pytest.mark.parametrize("p", [None, 5], ids=["Z", "F5"])
+def test_powers_are_held_in_one_chain(registry, gens6, monkeypatch, p):
+    """``power`` (p None) and ``row_power`` serve every g^e from one chain
+    per (name, precision, p): a repeat call returns the same object, each
+    new power is one product, over Z or mod p, and exponent 0 raises.  g^1
+    is the generator over Z and its leading row, reduced, mod p."""
     reg = GeneratorRegistry(registry.cache_dir)
     names = ("X4", "X10", "X35")
+
+    def power(name, e):
+        return reg.power(name, e, 5) if p is None else reg.row_power(name, e, 5, p)
+
     formed = []
     mul = SiegelExpansion.__mul__
 
@@ -245,18 +251,23 @@ def test_powers_are_held_over_z_only(registry, gens6, monkeypatch):
 
     monkeypatch.setattr(SiegelExpansion, "__mul__", counted)
     for name in names:
-        assert reg.power(name, 1, 5) is reg.generator(name, 5)
-        cube = reg.power(name, 3, 5)
-        square = reg.power(name, 2, 5)
-        assert cube is reg.power(name, 3, 5) and square is reg.power(name, 2, 5)
         g = gens6[name].truncate(5)
-        assert square == g**2 and cube == g**3
+        if p is None:
+            assert power(name, 1) is reg.generator(name, 5)
+        else:
+            layer = MonomialSpec.from_dict({name: 1}).layer
+            row = {k: c for k, c in g.reduce_mod(p).coeffs.items() if k[0] == layer}
+            g = SiegelExpansion(g.weight, 5, row, modulus=p)
+        cube = power(name, 3)
+        square = power(name, 2)
+        assert cube is power(name, 3) and square is power(name, 2)
+        assert power(name, 1) == g and square == g**2 and cube == g**3
     # g^2 and g^3 once per name, whatever the order of the requests.
     assert len(formed) == 2 * len(names)
-    assert set(reg._powers) == {(name, 5) for name in names}
-    assert all(g.modulus is None for chain in reg._powers.values() for g in chain)
+    assert set(reg._chains) == {(name, 5, p) for name in names}
+    assert all(g.modulus == p for chain in reg._chains.values() for g in chain)
     with pytest.raises(ValueError):
-        reg.power("X6", 0, 2)
+        power("X6", 0)
 
 
 def test_monomial_is_the_folded_product_of_its_powers(registry, gens6):
@@ -286,9 +297,10 @@ def test_certificates_leave_no_fp_monomials_held(registry, gens6):
     assert reg._monomials == {}
     assert verify_identities("borcherds-structure", 5, 4, reg).passed
     held = [*reg._forms.values(), *reg._served.values(), *reg._monomials.values()]
-    held += [g for chain in reg._powers.values() for g in chain]
     assert reg._served and all(exp.modulus is None for exp in held)
-    assert reg._rows and all(row.modulus == p for (_, _, p), chain in reg._rows.items() for row in chain)
+    chains = reg._chains.items()
+    assert any(p for (_, _, p), _ in chains)
+    assert all(g.modulus == p for (_, _, p), chain in chains for g in chain)
 
 
 def test_requests_below_the_leading_index_are_built_at_the_floor(tmp_path, gens6):

@@ -4,7 +4,6 @@ import pytest
 
 from siegel2.errors import PrecisionError
 from siegel2.qexp1 import (
-    _stamped,
     delta1,
     diag_builder,
     diag_tensor,
@@ -125,15 +124,6 @@ def test_diag_builders():
         assert series.weight == weight
     with pytest.raises(ValueError):
         diag_builder("x8", 5)
-
-
-def test_stamped_refuses_an_asymmetric_series():
-    d = delta1(4)
-    e4cube = eisenstein1(4, 4) ** 3
-    with pytest.raises(ArithmeticError, match="asymmetric series, e.g. at \\(1, 0\\)"):
-        _stamped(diag_tensor(d, e4cube), 1)
-    with pytest.raises(ArithmeticError):
-        _stamped(diag_tensor(d, e4cube) + diag_tensor(e4cube, d), -1)
 
 
 def test_diag_ring_and_signs():

@@ -261,16 +261,25 @@ def test_long_qseries_products_past_the_box_match_folded_convolution():
         assert got == folded_product("q", 1, factors)
 
 
-def test_products_fold_only_when_every_factor_has_a_swap_sign(registry, accumulate_folds):
+def test_products_fold_only_when_every_factor_has_a_swap_sign(
+    registry, accumulate_folds, monkeypatch
+):
     """X10's leading row is tagged weight 10 but has no swap sign, so its
-    product with X4 takes the whole-box pass; X10 * X4 folds."""
+    product with X4 takes the whole-box pass, and X4's sign is not read;
+    X10 * X4 folds, and a power reads its base's sign once."""
     x4, x10 = registry.generator("X4", 5), registry.generator("X10", 5)
     row = SiegelExpansion(10, 5, {k: c for k, c in x10.coeffs.items() if k[0] == 1})
+    reads, parity = [], SiegelExpansion._parity
+    monkeypatch.setattr(
+        SiegelExpansion, "_parity", lambda self, ints: reads.append(ints) or parity(self, ints)
+    )
     accumulate_folds.clear()
     assert (row * x4).coeffs == naive_product("siegel", 1, row, x4)
-    assert accumulate_folds == [False]
+    assert accumulate_folds == [False] and len(reads) == 1
     assert (x10 * x4).coeffs == naive_product("siegel", 1, x10, x4)
-    assert accumulate_folds == [False, True]
+    assert accumulate_folds == [False, True] and len(reads) == 3
+    assert (x10**3).coeffs == naive_product("siegel", 1, x10 * x10, x10)
+    assert len(reads) == 5  # x10**3 and x10 * x10 each read X10's sign once
 
 
 @pytest.mark.parametrize(

@@ -681,13 +681,12 @@ def test_row_witnesses_match_the_whole_monomial_oracle(registry):
             assert report.render() == want.render(), (k, p)
 
 
-class OneGenerator:
-    """A registry stand-in that serves one expansion as every generator,
-    with the registry's memo of leading-row chains."""
+class OneGenerator(GeneratorRegistry):
+    """A registry that serves one expansion as every generator."""
 
     def __init__(self, exp):
+        super().__init__()
         self.exp = exp
-        self._rows = {}
 
     def generator(self, name, precision):
         return self.exp
@@ -710,12 +709,8 @@ def test_sharpness_witness_reads_the_leading_index_mod_p():
     assert sharpness_witness(10, 5, OneGenerator(bad))[1].verdict
 
 
-class LeadingTerms:
-    """A registry stand-in that serves each generator as its leading term
-    alone, with the registry's memo of leading-row chains."""
-
-    def __init__(self):
-        self._rows = {}
+class LeadingTerms(GeneratorRegistry):
+    """A registry that serves each generator as its leading term alone."""
 
     def generator(self, name, precision):
         index, coefficient = _LEADING[name]
