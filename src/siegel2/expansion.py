@@ -31,6 +31,10 @@ from .series import SCALARS, SparseSeries, _accumulate, _bits, _decoded
 from .series import _operands, _rational, _slot_width
 
 
+# The slot keys per block (m, n), from ``SiegelExpansion._slots``.
+_SLOTS: dict[tuple[int, int], list] = {}
+
+
 class LeadingTerm(FrozenRecord):
     """Minimal-index nonzero coefficient under lexicographic (m, n, r) order."""
 
@@ -145,8 +149,14 @@ class SiegelExpansion(SparseSeries):
         return blocks
 
     def _slots(self, m, n, box):
-        top = isqrt(4 * m * n)
-        return [(m, r, n) for r in range(-top, top + 1)]
+        """The keys (m, r, n) of block (m, n), one list per block for the
+        process, so every decoded product and every row cut from it share
+        their key tuples."""
+        keys = _SLOTS.get((m, n))
+        if keys is None:
+            top = isqrt(4 * m * n)
+            keys = _SLOTS[m, n] = [(m, r, n) for r in range(-top, top + 1)]
+        return keys
 
     def _parity(self, ints):
         """The swap sign s, a(n, r, m) = s a(m, r, n) at every index (mod p

