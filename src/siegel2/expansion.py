@@ -31,8 +31,19 @@ from .series import SCALARS, SparseSeries, _accumulate, _bits, _decoded
 from .series import _operands, _rational, _slot_width
 
 
-# The slot keys per block (m, n), from ``SiegelExpansion._slots``.
+# The slot keys per block (m, n), from ``_block_keys``.
 _SLOTS: dict[tuple[int, int], list] = {}
+
+
+def _block_keys(m: int, n: int) -> list:
+    """The keys (m, r, n), |r| <= isqrt(4mn), of block (m, n) in slot order,
+    one list per block for the process, so every decoded product and every
+    row cut from it share their key tuples."""
+    keys = _SLOTS.get((m, n))
+    if keys is None:
+        top = isqrt(4 * m * n)
+        keys = _SLOTS[m, n] = [(m, r, n) for r in range(-top, top + 1)]
+    return keys
 
 
 class LeadingTerm(FrozenRecord):
@@ -149,14 +160,7 @@ class SiegelExpansion(SparseSeries):
         return blocks
 
     def _slots(self, m, n, box):
-        """The keys (m, r, n) of block (m, n), one list per block for the
-        process, so every decoded product and every row cut from it share
-        their key tuples."""
-        keys = _SLOTS.get((m, n))
-        if keys is None:
-            top = isqrt(4 * m * n)
-            keys = _SLOTS[m, n] = [(m, r, n) for r in range(-top, top + 1)]
-        return keys
+        return _block_keys(m, n)
 
     def _parity(self, ints):
         """The swap sign s, a(n, r, m) = s a(m, r, n) at every index (mod p

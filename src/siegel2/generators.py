@@ -21,20 +21,22 @@ throughout, the sign symmetries, the declared leading term, and its
 served at lower precision by truncation.  The cache directory defaults to
 $SIEGEL2_CACHE or ./cache.  Monomials in the generators are formed over Z,
 each one packed product of powers from a chain g, g^2, ... per generator.
-The leading rows mod p of the certificates come from such chains too, and
-the registry holds each one, per unit-free monomial and prime, at the
-largest bound asked (``GeneratorRegistry.leading_row``).
+The leading rows mod p of the certificates come from such chains too; at
+p in {2, 3, 5, 7}, where X4's or X6's row is 1 mod p, the registry holds
+each one, per unit-free monomial, at the largest bound asked
+(``GeneratorRegistry.leading_row``).
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import qformat
 from .errors import ConstructionError
-from .expansion import SiegelExpansion, wronskian35
+from .expansion import SiegelExpansion, _block_keys, wronskian35
 from .jacobi import JacobiForm1, jacobi_combine, jacobi_eisenstein, maass_lift
 from .qexp1 import DiagSeries, diag_builder, eisenstein1
 from .rationals import bernoulli, normalize
@@ -72,6 +74,12 @@ _MIN_PRECISION = {
 }
 # The coefficients of a leading row that is the constant 1.
 _UNIT = {(0, 0, 0): 1}
+# The generators whose leading row is 1 mod some p, with the q coefficient c
+# of that row: X4's row m = 0 is the Eisenstein series
+# E4 = 1 + 240 sum sigma_3(n) q^n and X6's is E6 = 1 - 504 sum sigma_5(n) q^n,
+# so mod p the row is the constant 1 at every bound >= 1 exactly when p | c.
+# ``leading_row`` holds rows only at these p.
+_UNIT_ROWS = {"X4": 240, "X6": -504}
 
 # Declared Witt images, in the order the witt-images suite reports them:
 # (generator, Taylor order, image).  An image is a product of diag_builder
@@ -154,15 +162,16 @@ class GeneratorRegistry:
     builders of the same entry can race and still leave identical bytes.
 
     The registry also holds the certificates' leading rows mod p
-    (``leading_row``), one per unit-free monomial and prime, at the largest
-    bound asked.  A factor whose row is the constant 1 mod p, as X4's is mod
-    5 (240 = 5 * 48) and X6's mod 7 (504 = 7 * 72), leaves the row as it
-    is, so X4^a * M shares M's row at p = 5; and the row at a bound b is
-    the cut n <= b of the row at any larger bound.  Held rows grow with the
-    distinct unit-free monomials asked, not with the weights: one registry
-    certifying k = 150..209 at p in {5, 7} held 10,221 rows with 2.29
-    million entries, about 82 MB of dict tables, and peaked at 132 MB of
-    RSS (2-vCPU host, Python 3.11).
+    (``leading_row``) at the primes where some generator's row is the
+    constant 1: X4's is mod p | 240 and X6's mod p | 504, so p in {2, 3, 5,
+    7}.  Such a factor leaves the row as it is, so X4^a * M shares M's row
+    at p = 5, in every weight; and the row at a bound b is the cut n <= b of
+    the row at any larger bound.  One row is held per unit-free monomial and
+    prime, at the largest bound asked, packed as one byte per slot.  Held
+    rows grow with the distinct unit-free monomials asked, not with the
+    weights: one registry certifying k = 150..209 at p in {5, 7} held 10,221
+    rows with 4.75 million slots, 7 MB with their keys.  At other primes no
+    row is shared between weights, and each is formed anew.
     """
 
     def __init__(self, cache_dir=None):
@@ -179,8 +188,8 @@ class GeneratorRegistry:
         # Monomials over Z per (spec, precision).
         self._monomials: dict[tuple[MonomialSpec, int], SiegelExpansion] = {}
         # Leading rows mod p per (unit-free exponents, p), at the largest
-        # bound asked (``leading_row``).
-        self._rows: dict[tuple[tuple, int], SiegelExpansion] = {}
+        # bound asked, as (bound, weight, packed slots) (``leading_row``).
+        self._rows: dict[tuple[tuple, int], tuple[int, int, bytes]] = {}
 
     # -- generators ---------------------------------------------------------
 
@@ -304,16 +313,19 @@ class GeneratorRegistry:
 
     def leading_row(self, spec: MonomialSpec, bound: int, p: int) -> SiegelExpansion:
         """The monomial's row m = layer mod p, cut to n <= bound: the product
-        of its factors' leading rows (``row_power``), held per unit-free
-        monomial and prime.
+        of its factors' leading rows (``row_power``).
 
-        A factor whose row at (bound, p) is the constant 1 is dropped, and
-        the row is keyed by the remaining exponents and p, with no weight
-        and no bound in the key.  Its weight tag is that of the remaining
-        factors, so it is not the monomial's weight when a factor was
-        dropped.  One row is held per key, at the largest bound asked, as
-        ``generator`` holds one expansion per name, and a smaller bound b is
-        served by ``truncate(b)``: every factor row is a cut of the same
+        A factor whose row at (bound, p) is the constant 1 is dropped, read
+        from the generator as every factor row is.  The weight tag is that
+        of the remaining factors, so it is not the monomial's weight when a
+        factor was dropped.  At a prime where no generator's row is the
+        constant 1 at any bound >= 1 (``_UNIT_ROWS``), no row is shared
+        between weights, and the row is formed anew, one ``_product`` of the
+        chain powers.  Elsewhere it is held per unit-free monomial and
+        prime, keyed by the remaining exponents and p, with no weight and no
+        bound in the key.  One row is held per key, at the largest bound
+        asked, as ``generator`` holds one expansion per name, and a smaller
+        bound b is served by its cut: every factor row is a cut of the same
         generator, and n adds under products with n >= 0, so the row at b is
         the cut n <= b of the row at any b' >= b.  A new row is one
         ``_product``: of its layer-0 and positive-layer parts, each held
@@ -323,24 +335,46 @@ class GeneratorRegistry:
             item for item in spec.exponents
             if self.row_power(item[0], 1, bound, p).coeffs != _UNIT
         )
+        if all(c % p for c in _UNIT_ROWS.values()):
+            return self._formed(exponents, bound, p)
         return self._row(exponents, bound, p)
 
+    def _formed(self, exponents, bound, p):
+        """The product of the chain powers of ``exponents``."""
+        if not exponents:
+            return SiegelExpansion.constant(1, bound, modulus=p)
+        factors = [self.row_power(name, e, bound, p) for name, e in reversed(exponents)]
+        return SiegelExpansion._product(factors)
+
     def _row(self, exponents, bound, p):
-        """``leading_row`` of the unit-free ``exponents``."""
+        """``leading_row`` of the unit-free ``exponents``.
+
+        A held row is packed as one byte per slot (p <= 7) over the blocks
+        (l, n), l <= n <= its bound, l the layer, where the row lives: the
+        factors vanish below their layers.  The slots of the blocks n <= b
+        come first, so the cut to b is a prefix."""
+        layer = sum(_LEADING[name][0][0] * e for name, e in exponents)
         held = self._rows.get((exponents, p))
-        if held is None or held.precision < bound:
-            flat = tuple(item for item in exponents if _LEADING[item[0]][0][0] == 0)
-            raised = tuple(item for item in exponents if _LEADING[item[0]][0][0])
-            if flat and raised:
-                factors = [self._row(raised, bound, p), self._row(flat, bound, p)]
-            else:
-                factors = [self.row_power(name, e, bound, p) for name, e in reversed(exponents)]
-            held = self._rows[exponents, p] = (
-                SiegelExpansion._product(factors)
-                if factors
-                else SiegelExpansion.constant(1, bound, modulus=p)
-            )
-        return held if held.precision == bound else held.truncate(bound)
+        if held is not None and held[0] >= bound:
+            _, weight, slots = held
+            coeffs = {key: c for key, c in zip(_row_keys(layer, bound), slots) if c}
+            return SiegelExpansion._unchecked(bound, coeffs, weight, scale=1, modulus=p)
+        flat = tuple(item for item in exponents if _LEADING[item[0]][0][0] == 0)
+        raised = tuple(item for item in exponents if _LEADING[item[0]][0][0])
+        if flat and raised:
+            row = SiegelExpansion._product([self._row(raised, bound, p), self._row(flat, bound, p)])
+        else:
+            row = self._formed(exponents, bound, p)
+        get = row.coeffs.get
+        slots = bytes(get(key, 0) for key in _row_keys(layer, bound))
+        assert len(slots) - slots.count(0) == len(row.coeffs)
+        self._rows[exponents, p] = (bound, row.weight, slots)
+        return row
+
+
+def _row_keys(layer, bound):
+    """The keys of the blocks (layer, n), layer <= n <= bound, in slot order."""
+    return chain.from_iterable(_block_keys(layer, n) for n in range(layer, bound + 1))
 
 
 _DEFAULT_REGISTRY: GeneratorRegistry | None = None

@@ -369,17 +369,18 @@ def leading_rows(monomials, bound: int, p: int, registry) -> list:
     weight 35 (module docstring).  The rows are the layer rows because the
     registry serves only pinned generators, which vanish below their layer.
 
-    The registry forms each row once per unit-free monomial and prime.  A
-    factor whose row is the constant 1, as X4's is mod 5 (240 = 5 * 48) and
-    X6's mod 7 (504 = 7 * 72), leaves the product as it is, so X4^a * M has
-    M's row at p = 5, in every weight.  And the row at a bound b is the cut
+    At p in {2, 3, 5, 7} the registry forms each row once per unit-free
+    monomial.  A factor whose row is the constant 1, as X4's is mod p | 240
+    and X6's mod p | 504, leaves the product as it is, so X4^a * M has M's
+    row at p = 5, in every weight.  And the row at a bound b is the cut
     n <= b of the row at any larger bound, since every factor row is a cut
     of the same generator and n adds under products with n >= 0, so a
     certificate at a lower b_k cuts the rows a higher one formed.  A row's
-    weight tag is that of the factors left, not the monomial's weight.  The
-    held rows grow with the distinct unit-free monomials asked: 10,221 rows
-    and a peak RSS of 132 MB for one registry certifying k = 150..209 at p
-    in {5, 7} (``GeneratorRegistry``).
+    weight tag there is that of the factors left, not the monomial's
+    weight.  The held rows grow with the distinct unit-free monomials
+    asked: 10,221 rows, 7 MB with their keys, for one registry certifying
+    k = 150..209 at p in {5, 7} (``GeneratorRegistry``).  At any other p no
+    row is shared between weights, and each is formed anew.
     """
     return [registry.leading_row(spec, bound, p) for spec in monomials]
 

@@ -304,7 +304,9 @@ def test_certificates_leave_no_fp_monomials_held(registry, gens6):
     chains = reg._chains.items()
     assert any(p for (_, _, p), _ in chains)
     assert all(g.modulus == p for (_, _, p), chain in chains for g in chain)
-    assert reg._rows and all(row.modulus == p for (_, p), row in reg._rows.items())
+    # The held leading rows are packed slots, not expansions.
+    assert {p for _, p in reg._rows} == {2, 5, 7}
+    assert all(type(slots) is bytes for _, _, slots in reg._rows.values())
 
 
 def test_leading_rows_are_held_once_at_the_largest_bound(registry):
@@ -326,16 +328,47 @@ def test_leading_rows_are_held_once_at_the_largest_bound(registry):
     assert low.coeffs == want(3) and low.precision == 3
     assert low.weight == 26 != spec.weight
     assert set(reg._rows) == {key, ((("X6", 1),), p), ((("X10", 2),), p)}
+    assert reg._rows[key][:2] == (3, 26)
     high = reg.leading_row(spec, 5, p)
-    assert high.coeffs == want(5) and reg._rows[key] is high
-    for bound in (3, 4):
+    assert high.coeffs == want(5) and high.weight == 26
+    held = reg._rows[key]
+    assert held[:2] == (5, 26)
+    for bound in (3, 4, 5):
         cut = reg.leading_row(spec, bound, p)
-        assert cut.coeffs == want(bound) and cut.precision == bound
-        assert cut == high.truncate(bound) and reg._rows[key] is high
-    assert reg.leading_row(MonomialSpec.from_dict({"X6": 1, "X10": 2}), 5, p) is high
+        assert cut.coeffs == want(bound) and cut.precision == bound and cut.weight == 26
+        assert cut == high.truncate(bound) and reg._rows[key] is held
+    assert reg.leading_row(MonomialSpec.from_dict({"X6": 1, "X10": 2}), 5, p) == high
+    assert reg._rows[key] is held
     assert reg.leading_row(MonomialSpec.from_dict({"X4": 3}), 5, p) == SiegelExpansion.constant(
         1, 5, modulus=p
     )
+
+
+def test_unit_rows_are_the_constant_rows(registry, gens6):
+    """``_UNIT_ROWS`` names exactly the generator rows that are the constant
+    1 mod p, at every bound from 1 to 6 and p up to 13."""
+    reg = GeneratorRegistry(registry.cache_dir)
+    for name in GENERATOR_WEIGHTS:
+        reg.generator(name, 6)  # the top precision first, then truncations
+        for p in (2, 3, 5, 7, 11, 13):
+            unit = name in gmod._UNIT_ROWS and gmod._UNIT_ROWS[name] % p == 0
+            for bound in range(1, 7):
+                row = reg.row_power(name, 1, bound, p)
+                assert (row.coeffs == {(0, 0, 0): 1}) == unit, (name, p, bound)
+
+
+def test_leading_rows_are_formed_anew_where_no_row_is_a_unit(registry):
+    """At p = 11 no generator row is 1, so no row is shared between weights:
+    the registry holds none, and each row is one product of chain powers."""
+    reg = GeneratorRegistry(registry.cache_dir)
+    for k in (24, 45):
+        assert verify_theorem1_rank(k, 11, 5, reg).passed
+    assert reg._rows == {}
+    spec = MonomialSpec.from_dict({"X4": 2, "X6": 1, "X10": 2})
+    whole = registry.monomial(spec, 5).reduce_mod(11)
+    row = reg.leading_row(spec, 4, 11)
+    assert row.coeffs == {k: c for k, c in whole.coeffs.items() if k[0] == 2 and k[2] <= 4}
+    assert row.weight == spec.weight and reg._rows == {}
 
 
 def test_slot_keys_are_shared():

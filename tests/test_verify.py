@@ -297,23 +297,27 @@ def test_a_row_is_formed_once_per_unit_free_monomial(registry, monkeypatch):
     assert sturm_bound(60) == b
     assert verify_theorem1_rank(60, p, b, reg).passed
     held = {spec: reg.leading_row(spec, b, p) for spec in weight_monomials(60, GENSET_C)}
+    before = dict(reg._rows)
     calls, product = [], SiegelExpansion._product
 
     def spy(series):
-        out = product(series)
-        calls.append((len(series), out))
-        return out
+        calls.append(len(series))
+        return product(series)
 
     monkeypatch.setattr(SiegelExpansion, "_product", staticmethod(spy))
     assert verify_theorem1_rank(64, p, b, reg).passed
-    formed = {id(out) for _, out in calls}
-    assert calls and all(size <= 2 for size, _ in calls)
+    assert calls and all(size <= 2 for size in calls)
+    # Each M's held row is the one formed at k = 60, not formed again, and
+    # no row is held under a key with X4.
+    assert all(reg._rows[key] is record for key, record in before.items())
+    assert all(name != "X4" for exponents, _ in reg._rows for name, _ in exponents)
+    del calls[:]
     for spec, row in held.items():
         exponents = dict(spec.exponents)
         exponents["X4"] = exponents.get("X4", 0) + 1
-        assert reg.leading_row(MonomialSpec.from_dict(exponents), b, p) is row, str(spec)
-        assert id(row) not in formed
-    del calls[:]
+        served = reg.leading_row(MonomialSpec.from_dict(exponents), b, p)
+        assert served == row and served.weight == row.weight, str(spec)
+    assert calls == []
     assert verify_theorem1_rank(64, p, b, reg).passed
     assert calls == []
 
