@@ -21,9 +21,14 @@ throughout, the sign symmetries, the declared leading term, and its
 served at lower precision by truncation.  The cache directory defaults to
 $SIEGEL2_CACHE or ./cache.  Monomials in the generators are formed over Z,
 each one packed product of powers from a chain g, g^2, ... per generator.
-The leading rows mod p of the certificates come from such chains too; at
-p in {2, 3, 5, 7}, where X4's or X6's row is 1 mod p, the registry holds
-each one, per unit-free monomial, at the largest bound asked
+
+The certificates and witnesses read no whole box.  Their leading rows mod
+p, row m = layer of a monomial, are products of the generators' leading
+Fourier-Jacobi rows, which ``_lifted_row`` forms over Z from the lift
+formula and, for X35, its determinant over the rows m <= 1: no generator
+is built, loaded, pinned or cached for them.  At p in {2, 3, 5, 7}, where
+X4's or X6's row is 1 mod p, the registry holds each monomial's row, per
+unit-free monomial, at the largest bound asked
 (``GeneratorRegistry.leading_row``).
 """
 
@@ -38,7 +43,7 @@ from . import qformat
 from .errors import ConstructionError
 from .expansion import SiegelExpansion, _block_keys, wronskian35
 from .jacobi import JacobiForm1, jacobi_combine, jacobi_eisenstein, maass_lift
-from .qexp1 import DiagSeries, diag_builder, eisenstein1
+from .qexp1 import DiagSeries, delta1, diag_builder, eisenstein1
 from .rationals import bernoulli, normalize
 from .records import FrozenRecord
 
@@ -161,17 +166,22 @@ class GeneratorRegistry:
     Writes go through a temp file and an atomic rename, so concurrent
     builders of the same entry can race and still leave identical bytes.
 
-    The registry also holds the certificates' leading rows mod p
-    (``leading_row``) at the primes where some generator's row is the
-    constant 1: X4's is mod p | 240 and X6's mod p | 504, so p in {2, 3, 5,
-    7}.  Such a factor leaves the row as it is, so X4^a * M shares M's row
-    at p = 5, in every weight; and the row at a bound b is the cut n <= b of
-    the row at any larger bound.  One row is held per unit-free monomial and
-    prime, at the largest bound asked, packed as one byte per slot.  Held
-    rows grow with the distinct unit-free monomials asked, not with the
-    weights: one registry certifying k = 150..209 at p in {5, 7} held 10,221
-    rows with 4.75 million slots, 7 MB with their keys.  At other primes no
-    row is shared between weights, and each is formed anew.
+    The certificates' rows come from no cached or pinned expansion.  The
+    registry holds each generator's leading row over Z (``generator_row``),
+    formed from the lift formula at the largest bound asked, and the
+    certificates' leading rows mod p (``leading_row``), products of those,
+    at the primes where some generator's row is the constant 1: X4's is
+    mod p | 240 and X6's mod p | 504, so p in {2, 3, 5, 7}.  Such a factor
+    leaves the row as it is, so X4^a * M shares M's row at p = 5, in every
+    weight; and the row at a bound b is the cut n <= b of the row at any
+    larger bound.  One row is held per unit-free monomial and prime, at the
+    largest bound asked, packed as one byte per slot.  Held rows grow with
+    the distinct unit-free monomials asked, not with the weights: one
+    registry certifying k = 150..209 at p in {5, 7} held 10,221 rows with
+    4.75 million slots, 7 MB with their keys.  At other primes no row is
+    shared between weights, and each is formed anew.  ``build``, ``show``,
+    the suites and the certificates' p >= 5 fallback read the pinned
+    generators (``generator``, ``monomial``).
     """
 
     def __init__(self, cache_dir=None):
@@ -190,6 +200,9 @@ class GeneratorRegistry:
         # Leading rows mod p per (unit-free exponents, p), at the largest
         # bound asked, as (bound, weight, packed slots) (``leading_row``).
         self._rows: dict[tuple[tuple, int], tuple[int, int, bytes]] = {}
+        # The generators' leading rows over Z per name, at the largest bound
+        # asked (``generator_row``).
+        self._lifted: dict[str, SiegelExpansion] = {}
 
     # -- generators ---------------------------------------------------------
 
@@ -267,10 +280,21 @@ class GeneratorRegistry:
         """The generator power g^e over Z, e >= 1; g^1 is the generator (``_chain``)."""
         return self._chain(name, exponent, precision, None)
 
+    def generator_row(self, name: str, bound: int) -> SiegelExpansion:
+        """The generator's leading row over Z: row m = l, l its layer
+        (``_LEADING``), to n <= bound, formed from the lift formula
+        (``_lifted_row``), with no whole box built, loaded or pinned.  One
+        row is held per name, at the largest bound asked, floored at
+        ``_MIN_PRECISION`` as ``generator`` is; a smaller bound is its cut."""
+        held = self._lifted.get(name)
+        if held is None or held.precision < bound:
+            held = self._lifted[name] = _lifted_row(name, max(bound, _MIN_PRECISION[name]))
+        return held if held.precision == bound else held.truncate(bound)
+
     def row_power(self, name: str, exponent: int, bound: int, p: int) -> SiegelExpansion:
-        """The power r^e mod p, e >= 1, of the generator's leading row r: row
-        m = l of ``generator(name, bound)``, l its layer (``_LEADING``),
-        reduced mod p (``_chain``).  ``leading_row`` multiplies them."""
+        """The power r^e mod p, e >= 1, of the generator's leading row r
+        (``generator_row``) reduced mod p (``_chain``).  ``leading_row``
+        multiplies them."""
         return self._chain(name, exponent, bound, p)
 
     def _chain(self, name, e, precision, p):
@@ -287,12 +311,10 @@ class GeneratorRegistry:
             raise ValueError("exponents must be >= 1")
         chain = self._chains.get((name, precision, p))
         if chain is None:
-            g = self.generator(name, precision)
-            if p is not None:
-                layer = _LEADING[name][0][0]
-                row = {k: c for k, c in g.coeffs.items() if k[0] == layer and k[2] <= precision}
-                g = SiegelExpansion._unchecked(precision, row, g.weight, scale=1, modulus=None)
-                g = g.reduce_mod(p)
+            if p is None:
+                g = self.generator(name, precision)
+            else:
+                g = self.generator_row(name, precision).reduce_mod(p)
             chain = self._chains[name, precision, p] = [g]
         while len(chain) < e:
             chain.append(chain[-1] * chain[0])
@@ -316,7 +338,7 @@ class GeneratorRegistry:
         of its factors' leading rows (``row_power``).
 
         A factor whose row at (bound, p) is the constant 1 is dropped, read
-        from the generator as every factor row is.  The weight tag is that
+        from its ``generator_row`` as every factor row is.  The weight tag is that
         of the remaining factors, so it is not the monomial's weight when a
         factor was dropped.  At a prime where no generator's row is the
         constant 1 at any bound >= 1 (``_UNIT_ROWS``), no row is shared
@@ -324,9 +346,9 @@ class GeneratorRegistry:
         chain powers.  Elsewhere it is held per unit-free monomial and
         prime, keyed by the remaining exponents and p, with no weight and no
         bound in the key.  One row is held per key, at the largest bound
-        asked, as ``generator`` holds one expansion per name, and a smaller
+        asked, as ``generator_row`` holds one row per name, and a smaller
         bound b is served by its cut: every factor row is a cut of the same
-        generator, and n adds under products with n >= 0, so the row at b is
+        generator row, and n adds under products with n >= 0, so the row at b is
         the cut n <= b of the row at any b' >= b.  A new row is one
         ``_product``: of its layer-0 and positive-layer parts, each held
         under its own key, when it has both, else of its chain powers.
@@ -391,25 +413,78 @@ def default_registry() -> GeneratorRegistry:
 # -- builders ----------------------------------------------------------------
 
 
-def _build(name: str, precision: int, registry: GeneratorRegistry) -> SiegelExpansion:
-    dmax = 4 * precision * precision
+def _jacobi(name: str, dmax: int) -> JacobiForm1:
+    """The index-1 Jacobi form of X4, X6, X10, X12 or X16 to dmax: the form
+    whose Maass lift the generator is, or for X16 its row m = 1,
+    (E4 phi12 - E6 phi10)/12, which is row 1 of (X4 X12 - X6 X10)/12, since
+    the rows 0 of X10 and X12 are 0."""
     if name in ("X4", "X6"):
         k = GENERATOR_WEIGHTS[name]
         scale = normalize(Fraction(-2 * k) / bernoulli(k))
-        phi = JacobiForm1(k, dmax, {d: scale * c for d, c in jacobi_eisenstein(k, dmax).c.items()})
-        return maass_lift(phi, precision)
-    if name in ("X10", "X12"):
-        qprec = dmax // 4
-        e4 = eisenstein1(4, qprec)
-        e6 = eisenstein1(6, qprec)
-        e41 = jacobi_eisenstein(4, dmax)
-        e61 = jacobi_eisenstein(6, dmax)
-        c = Fraction(1, 144)
-        if name == "X10":
-            phi = jacobi_combine([(c, e6, e41), (-c, e4, e61)])
-        else:
-            phi = jacobi_combine([(c, e4 * e4, e41), (-c, e6, e61)])
-        return maass_lift(phi, precision)
+        return JacobiForm1(k, dmax, {d: scale * c for d, c in jacobi_eisenstein(k, dmax).c.items()})
+    e4 = eisenstein1(4, dmax // 4)
+    e6 = eisenstein1(6, dmax // 4)
+    if name == "X16":
+        c = Fraction(1, 12)
+        return jacobi_combine([(c, e4, _jacobi("X12", dmax)), (-c, e6, _jacobi("X10", dmax))])
+    e41 = jacobi_eisenstein(4, dmax)
+    e61 = jacobi_eisenstein(6, dmax)
+    c = Fraction(1, 144)
+    if name == "X10":
+        return jacobi_combine([(c, e6, e41), (-c, e4, e61)])
+    return jacobi_combine([(c, e4 * e4, e41), (-c, e6, e61)])
+
+
+def _lifted_row(name: str, bound: int) -> SiegelExpansion:
+    """The generator's row m = l over Z, l its layer, to n <= bound, from
+    the lift formula: no whole box is built.
+
+    * X4, X6, X10 and X12 are Maass lifts, and their row l is row l of the
+      lift (``maass_lift`` with ``rows`` = l).  Row 0 of X4 and X6 is
+      sigma_{k-1}(n) c(0), the Eisenstein series E4 or E6; row 1 of X10
+      and X12 is a(1, r, n) = c(4n - r^2), as gcd(1, r, n) = 1.
+    * Y12 = (X4^3 - X6^2)/1728 + 144 X12, and X12's row 0 is 0, so Y12's
+      row 0 is (E4^3 - E6^2)/1728 = Delta.
+    * X16 = (X4 X12 - X6 X10)/12 has row 1 (E4 phi12 - E6 phi10)/12
+      (``_jacobi``), lifted as row 1 above.
+    * X35, of layer 2, is the determinant ``wronskian35`` of X4, X6, X10
+      and X12: a sum of products of one entry per column, each entry
+      k f, theta_1 f, theta_12 f or theta_2 f of that column's form f.
+      The theta operators scale each coefficient in place, and m adds
+      under products and is never negative, so row m of such a product
+      is a sum of products of the rows m_c of the columns, with
+      m_1 + ... + m_4 = m.  The columns X10 and X12 have no row 0, so
+      m_c >= 1 for both: the rows m < 2 of the determinant are 0, and row
+      2 reads only row 0 of X4 and X6 and row 1 of X10 and X12.  So row 2
+      is that of the same determinant over the strips m <= 1 of the four
+      lifts, formed from c(D), D <= 4 bound, as for X10 and X12 (the strip
+      argument).  A strip has rows without mirrors, so ``_parity`` finds no
+      swap sign and nothing is folded; the rows m > 2 of that determinant
+      are incomplete and are dropped.
+
+    The rows m < l are formed too, and must be 0 (the lift's row 0 is
+    sigma_{k-1}(n) c(0), and c(0) = 0 for the cusp forms), as the
+    certificates' layer argument needs on the box.
+    """
+    layer = _LEADING[name][0][0]
+    if name == "X35":
+        lifted = wronskian35(
+            *(maass_lift(_jacobi(g, 4 * bound), bound, rows=1) for g in ("X4", "X6", "X10", "X12"))
+        )
+    elif name == "Y12":
+        lifted = SiegelExpansion(12, bound, {(0, 0, n): c for n, c in delta1(bound).coeffs.items()})
+    else:
+        lifted = maass_lift(_jacobi(name, 4 * layer * bound), bound, rows=layer)
+    below = [key for key in lifted.coeffs if key[0] < layer]
+    if below:
+        raise ConstructionError(f"{name}: lift-formula row {below[0][0]} is not 0 at {below[0]}")
+    row = {key: c for key, c in lifted.coeffs.items() if key[0] == layer}
+    return SiegelExpansion._unchecked(bound, row, GENERATOR_WEIGHTS[name], scale=1, modulus=None)
+
+
+def _build(name: str, precision: int, registry: GeneratorRegistry) -> SiegelExpansion:
+    if name in ("X4", "X6", "X10", "X12"):
+        return maass_lift(_jacobi(name, 4 * precision * precision), precision)
     if name == "Y12":
         x4 = registry.generator("X4", precision)
         x6 = registry.generator("X6", precision)

@@ -18,11 +18,21 @@ complement of the column span.
 The certificate is one argument for every prime.  From above: each
 monomial is an integral weight-k form, and M_k(Z) is a lattice of rank
 dim M_k whose reduction mod p has kernel p M_k(Z), so the monomials' F_p
-rank is at most dim M_k on any box.  From below, by layers: a generator of
-layer l (the m of its leading index: 0 for X4, X6 and Y12, 1 for X10, X12
-and X16, 2 for X35) vanishes wherever min(m, n) < l, so a monomial of
-layer j, the sum of its factors' layers, vanishes there too, and its row
-m = j is the product of its factors' rows m = l.  With rows ordered by
+rank is at most dim M_k on any box.  From below, by layers, on the
+generators' leading Fourier-Jacobi coefficients.  A generator of layer l
+(the m of its leading index: 0 for X4, X6 and Y12, 1 for X10, X12 and
+X16, 2 for X35) has its rows m <= l formed over Z by the lift formula and
+the strip argument (``GeneratorRegistry.generator_row``): X4, X6, X10 and
+X12 are Maass lifts (Eichler-Zagier, Theorem 6.2); Y12's row 0 is Delta
+and X16's row 1 is (E4 phi12 - E6 phi10)/12; and X35's rows m <= 2 are
+those of its determinant over the rows m <= 1 of X4, X6, X10 and X12,
+since row m of a product reads only the rows <= m of its factors, the
+theta operators keep rows, and X10 and X12 have no row 0 (the strip
+argument, ``generators._lifted_row``).  The rows m < l come out 0, and
+the swap symmetry a(n, r, m) = +-a(m, r, n) clears the columns n < l, so the
+generator vanishes wherever min(m, n) < l; a monomial of layer j, the sum
+of its factors' layers, vanishes there too, and its row m = j is the
+product of its factors' rows m = l.  With rows ordered by
 layer and columns by t = min(m, n), the matrix is block upper triangular,
 so its rank on the box b_k is at least the sum over j of the rank of block
 j, the layer-j rows on the columns (j, r, n), j <= n <= b_k.  That sum
@@ -362,19 +372,21 @@ def leading_rows(monomials, bound: int, p: int, registry) -> list:
     """Each monomial's row m = layer, cut to n <= bound, mod p: one
     ``registry.leading_row`` per monomial.
 
-    A monomial's row is the product of its factors' leading rows mod p, each
-    cut from ``registry.generator(name, bound)``.  That truncation holds row
-    l when l <= bound, as at bound = b_k in weight k: there every layer is at
+    A monomial's row is the product of its factors' leading rows mod p, the
+    generators' leading Fourier-Jacobi coefficients, which the registry
+    forms over Z from the lift formula and the strip argument
+    (``GeneratorRegistry.generator_row``, module docstring) and reduces mod
+    p; no generator is built, loaded or read on a whole box.  Row l is held
+    when l <= bound, as at bound = b_k in weight k: there every layer is at
     most k/10, or (k - 15)/10 in odd weight, where X35 brings layer 2 for
-    weight 35 (module docstring).  The rows are the layer rows because the
-    registry serves only pinned generators, which vanish below their layer.
+    weight 35 (module docstring).
 
     At p in {2, 3, 5, 7} the registry forms each row once per unit-free
     monomial.  A factor whose row is the constant 1, as X4's is mod p | 240
     and X6's mod p | 504, leaves the product as it is, so X4^a * M has M's
     row at p = 5, in every weight.  And the row at a bound b is the cut
     n <= b of the row at any larger bound, since every factor row is a cut
-    of the same generator and n adds under products with n >= 0, so a
+    of the same generator row and n adds under products with n >= 0, so a
     certificate at a lower b_k cuts the rows a higher one formed.  A row's
     weight tag there is that of the factors left, not the monomial's
     weight.  The held rows grow with the distinct unit-free monomials
@@ -463,14 +475,18 @@ def verify_theorem1_rank(
     The rows are the weight-k monomials in ``GENSET_C`` (p >= 5) or
     ``GENSET_INTEGRAL`` (p in {2, 3}), times X35 in odd weight, read at
     precision b_k, which holds every layer; B need only reach b_k.  Each is
-    an integral weight-k form that vanishes below its layer, by the
-    registry's pins, so a layer sum (``layered_rank``, over the leading rows
-    from ``registry.leading_row``) of dim M_k proves the rank on the box b_k,
-    and on the box B by the bound from above (module docstring).  A short
-    sum proves nothing: at p >= 5 ``streamed_rank`` eliminates the Z
-    monomials mod p (``registry.monomial``) on the box b_k; at p in {2, 3}, where
-    the integral generators are not known to span M_k mod p, it is a SKIP
-    naming each layer j whose rank differs from ``layer_dimensions(k)[j]``.
+    an integral weight-k form that vanishes below its layer, and its row
+    m = layer is the product of its factors' leading Fourier-Jacobi rows,
+    formed from the lift formula and the strip argument with no whole-box
+    generator (``registry.leading_row``), so a layer sum (``layered_rank``)
+    of dim M_k proves the rank on the box b_k, and on the box B by the
+    bound from above (module docstring); such a certificate reads and
+    writes no cache file.  A short sum proves nothing: at p >= 5
+    ``streamed_rank`` eliminates the Z monomials mod p
+    (``registry.monomial``, from the pinned generators) on the box b_k; at
+    p in {2, 3}, where the integral generators are not known to span M_k
+    mod p, it is a SKIP naming each layer j whose rank differs from
+    ``layer_dimensions(k)[j]``.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

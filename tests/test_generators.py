@@ -3,7 +3,7 @@ import pytest
 import siegel2.generators as gmod
 from siegel2 import qformat
 from siegel2.errors import ConstructionError
-from siegel2.expansion import SiegelExpansion
+from siegel2.expansion import SiegelExpansion, wronskian35
 from siegel2.generators import (
     GENERATOR_WEIGHTS,
     WITT_LAYERS,
@@ -13,7 +13,10 @@ from siegel2.generators import (
     _pin,
     witt_image,
 )
+from siegel2.jacobi import maass_lift
+from siegel2.qexp1 import QSeries1
 from siegel2.verify import (
+    GENSET_C,
     GENSET_INTEGRAL,
     verify_identities,
     verify_theorem1_rank,
@@ -369,6 +372,75 @@ def test_leading_rows_are_formed_anew_where_no_row_is_a_unit(registry):
     row = reg.leading_row(spec, 4, 11)
     assert row.coeffs == {k: c for k, c in whole.coeffs.items() if k[0] == 2 and k[2] <= 4}
     assert row.weight == spec.weight and reg._rows == {}
+
+
+def test_lift_rows_are_the_leading_rows_of_the_pinned_generators(registry):
+    """Each generator's row from the lift formula (``generator_row``) is row
+    m = layer of the pinned whole-box generator, cut to n <= P, formed at
+    every P <= 14 in turn (X35 below 3 as the cut of its row at 3), over Z
+    and, as the head of its chain, mod p; a smaller bound is the cut of the
+    row held at 14."""
+    reg = GeneratorRegistry(registry.cache_dir)
+    for name in ALL_NAMES:
+        layer = MonomialSpec.from_dict({name: 1}).layer
+        whole = reg.generator(name, 14)
+        for P in range(15):
+            cut = {k: c for k, c in whole.coeffs.items() if k[0] == layer and k[2] <= P}
+            row = reg.generator_row(name, P)
+            assert row.coeffs == cut and row.precision == P, (name, P)
+            assert row.weight == GENERATOR_WEIGHTS[name]
+            for p in (2, 3, 5, 7, 11):
+                head = SiegelExpansion(row.weight, P, cut, modulus=p)
+                assert reg.row_power(name, 1, P, p) == head, (name, P, p)
+        held = reg._lifted[name]
+        assert held.precision == 14
+        assert reg.generator_row(name, 5) == held.truncate(5) and reg._lifted[name] is held
+
+
+def test_the_x35_strip_is_the_whole_box_x35_on_its_rows_up_to_2(registry):
+    """The lift forms the strips m <= j of X4, X6, X10 and X12, which equal
+    the whole-box rows m <= j.  Their determinant equals the whole-box X35
+    on its rows m <= 2, rows 0 and 1 being 0, at every P <= 12 where the
+    determinant is normalised (P >= 3): on the strips m <= 2, and on the
+    strips m <= 1 that ``generator_row`` reads, as X10 and X12 have no
+    row 0; both match the row 2 it serves."""
+    reg = GeneratorRegistry(registry.cache_dir)
+    wholes = {name: reg.generator(name, 12) for name in GENSET_C + ("X35",)}
+
+    def rows_to(j, exp, P):
+        return {k: c for k, c in exp.coeffs.items() if k[0] <= j and k[2] <= P}
+
+    for P in range(3, 13):
+        want = rows_to(2, wholes["X35"], P)
+        assert min(k[0] for k in want) == 2
+        for j in (1, 2):
+            strips = [maass_lift(gmod._jacobi(name, 4 * j * P), P, rows=j) for name in GENSET_C]
+            for name, strip in zip(GENSET_C, strips):
+                assert strip.coeffs == rows_to(j, wholes[name], P), (name, P, j)
+            assert rows_to(2, wronskian35(*strips), P) == want, (P, j)
+        assert GeneratorRegistry(reg.cache_dir).generator_row("X35", P).coeffs == want
+
+
+def test_x35_row_2_is_minus_eta_69_theta1(tmp_path):
+    """Row 2 of X35 is -eta(tau)^69 theta1(tau, 2z) to n <= 30, with
+    theta1(tau, 2z) = sum_n (-1)^n q^((2n+1)^2/8) zeta^(2n+1) and zeta^r
+    read as index r: with s = 2n + 1 the term of q^j in
+    prod (1 - q^i)^69 sits at (2, s, 3 + (s^2 - 1)/8 + j)."""
+    N = 30
+    euler = QSeries1(N, {0: 1})
+    for i in range(1, N + 1):
+        euler = euler * QSeries1(N, {0: 1, i: -1})
+    power = euler**69
+    want = {}
+    for s in range(-2 * N - 1, 2 * N + 2, 2):
+        shift = 3 + (s * s - 1) // 8
+        sign = -1 if (s - 1) // 2 % 2 else 1
+        for j, c in power.coeffs.items():
+            if shift + j <= N:
+                want[2, s, shift + j] = -sign * c
+    row = GeneratorRegistry(tmp_path).generator_row("X35", N)
+    assert row.coeffs == want and len(want) == 280
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_slot_keys_are_shared():

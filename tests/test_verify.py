@@ -515,7 +515,8 @@ def test_a_short_layer_sum_at_2_is_a_skip_without_whole_monomials(registry, monk
 
 def test_a_cached_generator_nonzero_below_its_layer_is_rebuilt(tmp_path, registry, gens6):
     """The registry pins what it loads: a cached X10 with a(0, 0, 1) =
-    a(1, 0, 0) = 1 is a miss, and the certificate passes on the rebuilt X10."""
+    a(1, 0, 0) = 1 is a miss and is rebuilt.  A certificate reads no cache
+    file, so it passes and leaves the bad file where it is."""
     x10 = gens6["X10"].truncate(5)
     coeffs = dict(x10.coeffs)
     coeffs[0, 0, 1] = coeffs[1, 0, 0] = 1
@@ -523,62 +524,67 @@ def test_a_cached_generator_nonzero_below_its_layer_is_rebuilt(tmp_path, registr
     assert not bad.symmetry_violations()
     path = tmp_path / "X10.p5.qexp"
     path.write_text(qformat.dump_siegel(bad, "X10"), encoding="utf-8")
-    report = verify_theorem1_rank(20, 5, 5, GeneratorRegistry(tmp_path))
+    reg = GeneratorRegistry(tmp_path)
+    report = verify_theorem1_rank(20, 5, 5, reg)
     assert report.passed
     assert report.render() == verify_theorem1_rank(20, 5, 5, registry).render()
-    # The certificate reads X10 at b_20 = 2: the bad file is deleted and the
-    # rebuild is written at that precision.
+    assert path.exists()
+    # A request for X10 at b_20 = 2 deletes the bad file and writes the
+    # rebuild at that precision.
+    assert reg.generator("X10", 2) == x10.truncate(2)
     assert not path.exists()
     rebuilt = tmp_path / "X10.p2.qexp"
     assert rebuilt.read_text(encoding="utf-8") == qformat.dump_siegel(x10.truncate(2), "X10")
 
 
 def test_certificates_and_witnesses_ask_the_registry_at_b_k(registry, monkeypatch):
-    """Every generator and monomial a certificate or a witness reads is at
-    precision b_k, whatever the box B: on the layer path, on the p >= 5
-    fallback, and for the witness's leading row."""
-    asked = []
-    generator, monomial = GeneratorRegistry.generator, GeneratorRegistry.monomial
+    """A passing certificate and a witness read no generator: they ask only
+    for leading rows from the lift formula (``generator_row``), at b_k,
+    whatever the box B.  The p >= 5 fallback reads generators and monomials
+    at b_k only."""
+    asked = {"generator": [], "generator_row": [], "monomial": []}
+    for method in asked:
+        original = getattr(GeneratorRegistry, method)
 
-    def generator_at(self, name, precision):
-        asked.append(precision)
-        return generator(self, name, precision)
+        def at(self, first, precision, method=method, original=original):
+            asked[method].append(precision)
+            return original(self, first, precision)
 
-    def monomial_at(self, spec, precision):
-        asked.append(precision)
-        return monomial(self, spec, precision)
+        monkeypatch.setattr(GeneratorRegistry, method, at)
 
-    monkeypatch.setattr(GeneratorRegistry, "generator", generator_at)
-    monkeypatch.setattr(GeneratorRegistry, "monomial", monomial_at)
+    def fresh(k, p, run):
+        """The precisions ``run`` asks of a fresh registry over the cache:
+        a registry holds the rows it has formed, and finds them again."""
+        for precisions in asked.values():
+            del precisions[:]
+        assert run(GeneratorRegistry(registry.cache_dir)), (k, p)
+        return {method: set(precisions) for method, precisions in asked.items()}
+
     for k, p in ((20, 2), (51, 3), (40, 5), (41, 7)):
         b = sturm_bound(k)
-        # A registry holds the leading-row chains it has formed, and a call
-        # that finds them reads nothing, so each call gets a fresh registry
-        # over the same cache.
-        del asked[:]
-        assert verify_theorem1_rank(k, p, 9, GeneratorRegistry(registry.cache_dir)).passed
-        assert asked and set(asked) == {b}, (k, p)
-        del asked[:]
-        assert sharpness_witness(k, p, GeneratorRegistry(registry.cache_dir))[1].verdict
-        assert asked and set(asked) == {b}, (k, p)
+        want = {"generator": set(), "generator_row": {b}, "monomial": set()}
+        assert fresh(k, p, lambda reg: verify_theorem1_rank(k, p, 9, reg).passed) == want
+        assert fresh(k, p, lambda reg: sharpness_witness(k, p, reg)[1].verdict) == want
     dropped = weight_monomials(24, GENSET_C)[1:]
     monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: dropped)
-    del asked[:]
-    assert not verify_theorem1_rank(24, 5, 9, GeneratorRegistry(registry.cache_dir)).passed
-    assert asked and set(asked) == {2}
-    del asked[:]
-    assert sharpness_witness(24, 5, GeneratorRegistry(registry.cache_dir))[1].verdict
-    assert asked and set(asked) == {2}
+    got = fresh(24, 5, lambda reg: not verify_theorem1_rank(24, 5, 9, reg).passed)
+    assert got["generator"] == got["monomial"] == got["generator_row"] == {2}
+    got = fresh(24, 5, lambda reg: sharpness_witness(24, 5, reg)[1].verdict)
+    assert got == {"generator": set(), "generator_row": {2}, "monomial": set()}
 
 
 def test_a_certificate_on_an_empty_cache_writes_only_b_k(tmp_path, registry):
-    """A certificate with B = 9 on an empty cache builds each generator at
-    b_40 = 4 and writes nothing above it."""
+    """A cold certificate with B = 9 and cold witnesses up to weight 300
+    read and write no cache file: the directory stays empty."""
     report = verify_theorem1_rank(40, 5, 9, GeneratorRegistry(tmp_path))
     assert report.passed
     assert report.render() == verify_theorem1_rank(40, 5, 9, registry).render()
-    written = sorted(path.name for path in tmp_path.glob("*.qexp"))
-    assert written == ["X10.p4.qexp", "X12.p4.qexp", "X4.p4.qexp", "X6.p4.qexp"]
+    assert list(tmp_path.iterdir()) == []
+    cold = ((300, 5, "X10^30 PASS box<=29 mod 5"), (155, 7, "X10^12*X35 PASS box<=14 mod 7"))
+    for k, p, want in cold:
+        spec, report = sharpness_witness(k, p, GeneratorRegistry(tmp_path))
+        assert f"{spec} {report.render()}" == want
+        assert list(tmp_path.iterdir()) == []
 
 
 def dense_rank(entries, p):
@@ -784,13 +790,13 @@ def test_row_witnesses_match_the_whole_monomial_oracle(registry):
 
 
 class OneGenerator(GeneratorRegistry):
-    """A registry that serves one expansion as every generator."""
+    """A registry that serves one expansion as every generator's leading row."""
 
     def __init__(self, exp):
         super().__init__()
         self.exp = exp
 
-    def generator(self, name, precision):
+    def generator_row(self, name, bound):
         return self.exp
 
 
@@ -812,11 +818,12 @@ def test_sharpness_witness_reads_the_leading_index_mod_p():
 
 
 class LeadingTerms(GeneratorRegistry):
-    """A registry that serves each generator as its leading term alone."""
+    """A registry that serves each generator's leading row as its leading
+    term alone."""
 
-    def generator(self, name, precision):
+    def generator_row(self, name, bound):
         index, coefficient = _LEADING[name]
-        return SiegelExpansion(GENERATOR_WEIGHTS[name], precision, {index: coefficient})
+        return SiegelExpansion(GENERATOR_WEIGHTS[name], bound, {index: coefficient})
 
 
 # The hand-written witness tables and leading-index formulas that the
