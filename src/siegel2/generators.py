@@ -22,28 +22,28 @@ served at lower precision by truncation.  The cache directory defaults to
 $SIEGEL2_CACHE or ./cache.  Monomials in the generators are formed over Z,
 each one packed product of powers from a chain g, g^2, ... per generator.
 
-The certificates and witnesses read no whole box.  Their leading rows mod
-p, row m = layer of a monomial, are products of the generators' leading
-Fourier-Jacobi rows, which ``_lifted_row`` forms over Z from the lift
-formula and, for X35, its determinant over the rows m <= 1: no generator
-is built, loaded, pinned or cached for them.  At p in {2, 3, 5, 7}, where
-X4's or X6's row is 1 mod p, the registry holds each monomial's row, per
-unit-free monomial, at the largest bound asked
-(``GeneratorRegistry.leading_row``).
+The certificates and witnesses read no whole box.  They read the
+generators' leading Fourier-Jacobi rows, which ``_lifted_row`` forms over
+Z from the lift formula and, for X35, its determinant over the rows
+m <= 1: no generator is built, loaded, pinned or cached for them.  A
+certificate reads each row's leading coefficient at zeta = 1, a
+one-variable series (``taylor_lead``); a witness multiplies the rows
+themselves mod p (``GeneratorRegistry.row_power``).
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import chain
+from itertools import count
+from math import comb
 from pathlib import Path
 
 from . import qformat
 from .errors import ConstructionError
-from .expansion import SiegelExpansion, _block_keys, wronskian35
+from .expansion import SiegelExpansion, wronskian35
 from .jacobi import JacobiForm1, jacobi_combine, jacobi_eisenstein, maass_lift
-from .qexp1 import DiagSeries, delta1, diag_builder, eisenstein1
+from .qexp1 import DiagSeries, QSeries1, delta1, diag_builder, eisenstein1
 from .rationals import bernoulli, normalize
 from .records import FrozenRecord
 
@@ -77,14 +77,8 @@ _LEADING = {
 _MIN_PRECISION = {
     name: max(index[0], index[2]) for name, (index, _) in _LEADING.items()
 }
-# The coefficients of a leading row that is the constant 1.
-_UNIT = {(0, 0, 0): 1}
-# The generators whose leading row is 1 mod some p, with the q coefficient c
-# of that row: X4's row m = 0 is the Eisenstein series
-# E4 = 1 + 240 sum sigma_3(n) q^n and X6's is E6 = 1 - 504 sum sigma_5(n) q^n,
-# so mod p the row is the constant 1 at every bound >= 1 exactly when p | c.
-# ``leading_row`` holds rows only at these p.
-_UNIT_ROWS = {"X4": 240, "X6": -504}
+# The leading coefficient at zeta = 1 that is the constant 1 (``taylor_power``).
+_UNIT_LEAD = {0: 1}
 
 # Declared Witt images, in the order the witt-images suite reports them:
 # (generator, Taylor order, image).  An image is a product of diag_builder
@@ -130,6 +124,14 @@ class MonomialSpec(FrozenRecord):
     def from_dict(cls, exponents: dict) -> "MonomialSpec":
         return cls(tuple((k, v) for k, v in exponents.items() if v))
 
+    @classmethod
+    def _canonical(cls, exponents: tuple) -> "MonomialSpec":
+        """A monomial from pairs already valid and in the canonical order,
+        with no check and no sort."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "exponents", exponents)
+        return spec
+
     @property
     def weight(self) -> int:
         return sum(GENERATOR_WEIGHTS[name] * e for name, e in self.exponents)
@@ -166,22 +168,13 @@ class GeneratorRegistry:
     Writes go through a temp file and an atomic rename, so concurrent
     builders of the same entry can race and still leave identical bytes.
 
-    The certificates' rows come from no cached or pinned expansion.  The
-    registry holds each generator's leading row over Z (``generator_row``),
-    formed from the lift formula at the largest bound asked, and the
-    certificates' leading rows mod p (``leading_row``), products of those,
-    at the primes where some generator's row is the constant 1: X4's is
-    mod p | 240 and X6's mod p | 504, so p in {2, 3, 5, 7}.  Such a factor
-    leaves the row as it is, so X4^a * M shares M's row at p = 5, in every
-    weight; and the row at a bound b is the cut n <= b of the row at any
-    larger bound.  One row is held per unit-free monomial and prime, at the
-    largest bound asked, packed as one byte per slot.  Held rows grow with
-    the distinct unit-free monomials asked, not with the weights: one
-    registry certifying k = 150..209 at p in {5, 7} held 10,221 rows with
-    4.75 million slots, 7 MB with their keys.  At other primes no row is
-    shared between weights, and each is formed anew.  ``build``, ``show``,
-    the suites and the certificates' p >= 5 fallback read the pinned
-    generators (``generator``, ``monomial``).
+    The certificates' and witnesses' rows come from no cached or pinned
+    expansion: the registry holds each generator's leading row over Z
+    (``generator_row``) at the largest bound asked, and power chains mod p
+    of that row (``row_power``, for the witnesses) and of its leading
+    coefficient at zeta = 1 (``taylor_power``, for the certificates), but
+    no monomial's row.  ``build``, ``show``, the suites and the p >= 5
+    fallback read the pinned generators (``generator``, ``monomial``).
     """
 
     def __init__(self, cache_dir=None):
@@ -195,11 +188,11 @@ class GeneratorRegistry:
         # Power chains [g, g^2, ...] per (name, precision, p): of generators
         # over Z (p None, ``power``) and of leading rows mod p (``row_power``).
         self._chains: dict[tuple[str, int, int | None], list[SiegelExpansion]] = {}
+        # (valuation, power chain of the leading coefficient at zeta = 1) mod p
+        # per (name, bound, p), or None for a row 0 mod p (``taylor_power``).
+        self._taylor: dict[tuple[str, int, int], tuple[int, list[QSeries1]] | None] = {}
         # Monomials over Z per (spec, precision).
         self._monomials: dict[tuple[MonomialSpec, int], SiegelExpansion] = {}
-        # Leading rows mod p per (unit-free exponents, p), at the largest
-        # bound asked, as (bound, weight, packed slots) (``leading_row``).
-        self._rows: dict[tuple[tuple, int], tuple[int, int, bytes]] = {}
         # The generators' leading rows over Z per name, at the largest bound
         # asked (``generator_row``).
         self._lifted: dict[str, SiegelExpansion] = {}
@@ -293,22 +286,30 @@ class GeneratorRegistry:
 
     def row_power(self, name: str, exponent: int, bound: int, p: int) -> SiegelExpansion:
         """The power r^e mod p, e >= 1, of the generator's leading row r
-        (``generator_row``) reduced mod p (``_chain``).  ``leading_row``
-        multiplies them."""
+        (``generator_row``) reduced mod p (``_chain``).  The witnesses'
+        ``verify.leading_rows`` multiplies them."""
         return self._chain(name, exponent, bound, p)
 
-    def _chain(self, name, e, precision, p):
-        """g^e from the chain [g, g^2, ...] held per (name, precision, p) and
-        grown by one product g^i * g at a time, so each power is formed once.
+    def taylor_power(self, name: str, exponent: int, bound: int, p: int):
+        """(e v, g^e) mod p, e >= 1, for (v, g) = ``taylor_lead`` of the
+        generator's leading row mod p on n <= bound, the head of its
+        ``row_power`` chain, or None when that row is 0 mod p; g^e comes
+        from a chain held per (name, bound, p) (``_grown``)."""
+        key = (name, bound, p)
+        if key not in self._taylor:
+            lead = taylor_lead(self.row_power(name, 1, bound, p), p)
+            self._taylor[key] = lead and (lead[0], [lead[1]])
+        held = self._taylor[key]
+        if held is None:
+            return None
+        v, chain = held
+        if v == 0 and chain[0].coeffs == _UNIT_LEAD:
+            return 0, chain[0]  # X4 mod 2, 3 and 5, X6 mod 2, 3 and 7
+        return exponent * v, _grown(chain, exponent)
 
-        The chain is not replaced by one ``_product`` of e copies of g, as
-        ``**`` forms a lone power: every monomial would form its powers anew,
-        and F_p residues stay narrow only when reduced between multiplies.
-        Without the chain, the k = 140, p = 5 certificate took about 3.5x as
-        long.
-        """
-        if e < 1:
-            raise ValueError("exponents must be >= 1")
+    def _chain(self, name, e, precision, p):
+        """g^e from the chain [g, g^2, ...] held per (name, precision, p)
+        (``_grown``): g is the generator over Z, or its leading row mod p."""
         chain = self._chains.get((name, precision, p))
         if chain is None:
             if p is None:
@@ -316,9 +317,7 @@ class GeneratorRegistry:
             else:
                 g = self.generator_row(name, precision).reduce_mod(p)
             chain = self._chains[name, precision, p] = [g]
-        while len(chain) < e:
-            chain.append(chain[-1] * chain[0])
-        return chain[e - 1]
+        return _grown(chain, e)
 
     def monomial(self, spec: MonomialSpec, precision: int) -> SiegelExpansion:
         """Product expansion of a generator monomial at the given precision."""
@@ -333,70 +332,16 @@ class GeneratorRegistry:
             )
         return held
 
-    def leading_row(self, spec: MonomialSpec, bound: int, p: int) -> SiegelExpansion:
-        """The monomial's row m = layer mod p, cut to n <= bound: the product
-        of its factors' leading rows (``row_power``).
 
-        A factor whose row at (bound, p) is the constant 1 is dropped, read
-        from its ``generator_row`` as every factor row is.  The weight tag is that
-        of the remaining factors, so it is not the monomial's weight when a
-        factor was dropped.  At a prime where no generator's row is the
-        constant 1 at any bound >= 1 (``_UNIT_ROWS``), no row is shared
-        between weights, and the row is formed anew, one ``_product`` of the
-        chain powers.  Elsewhere it is held per unit-free monomial and
-        prime, keyed by the remaining exponents and p, with no weight and no
-        bound in the key.  One row is held per key, at the largest bound
-        asked, as ``generator_row`` holds one row per name, and a smaller
-        bound b is served by its cut: every factor row is a cut of the same
-        generator row, and n adds under products with n >= 0, so the row at b is
-        the cut n <= b of the row at any b' >= b.  A new row is one
-        ``_product``: of its layer-0 and positive-layer parts, each held
-        under its own key, when it has both, else of its chain powers.
-        """
-        exponents = tuple(
-            item for item in spec.exponents
-            if self.row_power(item[0], 1, bound, p).coeffs != _UNIT
-        )
-        if all(c % p for c in _UNIT_ROWS.values()):
-            return self._formed(exponents, bound, p)
-        return self._row(exponents, bound, p)
-
-    def _formed(self, exponents, bound, p):
-        """The product of the chain powers of ``exponents``."""
-        if not exponents:
-            return SiegelExpansion.constant(1, bound, modulus=p)
-        factors = [self.row_power(name, e, bound, p) for name, e in reversed(exponents)]
-        return SiegelExpansion._product(factors)
-
-    def _row(self, exponents, bound, p):
-        """``leading_row`` of the unit-free ``exponents``.
-
-        A held row is packed as one byte per slot (p <= 7) over the blocks
-        (l, n), l <= n <= its bound, l the layer, where the row lives: the
-        factors vanish below their layers.  The slots of the blocks n <= b
-        come first, so the cut to b is a prefix."""
-        layer = sum(_LEADING[name][0][0] * e for name, e in exponents)
-        held = self._rows.get((exponents, p))
-        if held is not None and held[0] >= bound:
-            _, weight, slots = held
-            coeffs = {key: c for key, c in zip(_row_keys(layer, bound), slots) if c}
-            return SiegelExpansion._unchecked(bound, coeffs, weight, scale=1, modulus=p)
-        flat = tuple(item for item in exponents if _LEADING[item[0]][0][0] == 0)
-        raised = tuple(item for item in exponents if _LEADING[item[0]][0][0])
-        if flat and raised:
-            row = SiegelExpansion._product([self._row(raised, bound, p), self._row(flat, bound, p)])
-        else:
-            row = self._formed(exponents, bound, p)
-        get = row.coeffs.get
-        slots = bytes(get(key, 0) for key in _row_keys(layer, bound))
-        assert len(slots) - slots.count(0) == len(row.coeffs)
-        self._rows[exponents, p] = (bound, row.weight, slots)
-        return row
-
-
-def _row_keys(layer, bound):
-    """The keys of the blocks (layer, n), layer <= n <= bound, in slot order."""
-    return chain.from_iterable(_block_keys(layer, n) for n in range(layer, bound + 1))
+def _grown(chain: list, e: int):
+    """g^e, e >= 1, from the power chain [g, g^2, ...], grown by one product
+    g^i * g at a time, so each power is formed once for every monomial, and
+    F_p residues are reduced between multiplies, unlike ``**``."""
+    if e < 1:
+        raise ValueError("exponents must be >= 1")
+    while len(chain) < e:
+        chain.append(chain[-1] * chain[0])
+    return chain[e - 1]
 
 
 _DEFAULT_REGISTRY: GeneratorRegistry | None = None
@@ -480,6 +425,29 @@ def _lifted_row(name: str, bound: int) -> SiegelExpansion:
         raise ConstructionError(f"{name}: lift-formula row {below[0][0]} is not 0 at {below[0]}")
     row = {key: c for key, c in lifted.coeffs.items() if key[0] == layer}
     return SiegelExpansion._unchecked(bound, row, GENERATOR_WEIGHTS[name], scale=1, modulus=None)
+
+
+def taylor_lead(row: SiegelExpansion, p: int | None = None):
+    """(v, h_v), over Z or mod p, for a row m = l on its n <= precision, or
+    None for a row that is 0 there: h_t(n) = sum_r binom(r, t) a(l, r, n) is
+    the u^t coefficient of the row at zeta = 1 + u (``verify`` module
+    docstring), with binom(r, t) = r(r - 1)...(r - t + 1)/t!, an integer
+    for r < 0 too.  v is the least t with h_t != 0, at most twice the
+    largest |r|, and h_v a ``QSeries1`` of weight k + v."""
+    terms = {}
+    for (_, r, n), c in row.coeffs.items():
+        if p is None or c % p:
+            terms.setdefault(n, []).append((r, c))
+    if not terms:
+        return None
+    for t in count():
+        h = {}
+        for n, pairs in terms.items():
+            c = sum((comb(r, t) if r >= 0 else (-1) ** t * comb(t - r - 1, t)) * a for r, a in pairs)
+            if c if p is None else c % p:
+                h[n] = c
+        if h:
+            return t, QSeries1(row.precision, h, row.weight + t, modulus=p)
 
 
 def _build(name: str, precision: int, registry: GeneratorRegistry) -> SiegelExpansion:

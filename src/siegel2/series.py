@@ -55,7 +55,7 @@ class SparseSeries:
     # Attributes naming the ring a series lives in.  Operands of + and *
     # must agree on them, results inherit them and equality compares them.
     _RING = ()
-    # The p of a series of F_p residues; SiegelExpansion sets it per instance.
+    # The p of a series of F_p residues; SiegelExpansion and QSeries1 set it per instance.
     modulus = None
 
     def __init__(self, precision, coeffs=None, weight=0, modulus=None):

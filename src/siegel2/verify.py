@@ -35,15 +35,29 @@ of its factors' layers, vanishes there too, and its row m = j is the
 product of its factors' rows m = l.  With rows ordered by
 layer and columns by t = min(m, n), the matrix is block upper triangular,
 so its rank on the box b_k is at least the sum over j of the rank of block
-j, the layer-j rows on the columns (j, r, n), j <= n <= b_k.  That sum
-needs only leading rows (``layered_rank``), read at precision b_k: a
-generator's layer is at most a tenth of its weight, and X35's 2 is 1.5
-below that, so a layer in weight k is at most k/10, or (k - 15)/10 in odd
-weight, and so at most b_k.  When the sum is dim M_k, so is the rank on
-the box b_k, and on any larger box, whatever integral rows were taken.
-Any other sum proves nothing: at p >= 5 one elimination of the monomials
-on the box b_k gives the exact rank; at p in {2, 3} it is a SKIP naming
-short layers.
+j, the layer-j rows on the columns (j, r, n), j <= n <= b_k, read at
+precision b_k: a generator's layer is at most a tenth of its weight, and
+X35's 2 is 1.5 below that, so a layer in weight k is at most k/10, or
+(k - 15)/10 in odd weight, and so at most b_k.
+
+Each block is bounded from below by the Taylor development at zeta = 1
+(Eichler-Zagier, *The Theory of Jacobi Forms*, section 3).  Put
+zeta = 1 + u in P_n(zeta) = sum_r a(j, r, n) zeta^r: the u^t coefficient
+h_t(n) = sum_r binom(r, t) a(j, r, n) is linear on the columns (j, r, n),
+so the rows' images under the h_t, n <= b_k, have rank at most the
+block's.  zeta -> 1 + u is a ring map, here with coefficients in
+R = F_p[q]/q^(b_k + 1), the cut the block reads.  A factor of valuation v
+(the least t with h_t != 0 in R) maps to u^v (g + u(...)), g = h_v, so a
+monomial's h_s vanish in R for s < t = sum e_i v_i, and its h_t is
+prod g_i^e_i in R.  R is not a domain and that product may vanish, but it
+is still the h_t, as every valuation is taken on the same cut.  So block
+j is block triangular again, by t: its rank is at least the sum over t of
+the ranks of the sub-blocks (j, t) of one-variable products on n <= b_k
+(``layered_rank``).  When that sum is dim M_k, so is the rank on the box
+b_k, and on any larger box, whatever integral rows were taken.  Any other
+sum proves nothing: at p >= 5 one elimination of the monomials on the box
+b_k gives the exact rank (whether the sum always reaches dim M_k there is
+not proved); at p in {2, 3} it is a SKIP naming short layers.
 
 ``verify_identities`` bundles the named suites exercised by the CLI:
 
@@ -60,11 +74,10 @@ short layers.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .errors import PrecisionError
 from .expansion import BeyondPrecision, SiegelExpansion, box_indices
 from .generators import (
+    _UNIT_LEAD,
     GENERATOR_NAMES,
     GENERATOR_WEIGHTS,
     WITT_LAYERS,
@@ -74,7 +87,7 @@ from .generators import (
     default_registry,
     witt_image,
 )
-from .qexp1 import delta1, diag_builder, diag_tensor, eisenstein1
+from .qexp1 import QSeries1, delta1, diag_builder, diag_tensor, eisenstein1
 from .rationals import PrimePower, is_prime, p_valuation, reduce_mod_p
 from .records import Record
 
@@ -201,25 +214,33 @@ _MONOMIALS: dict[tuple[int, tuple], list[MonomialSpec]] = {}
 
 
 def _enumerated(k: int, genset: tuple) -> list[MonomialSpec]:
-    """The monomials of ``weight_monomials``.  The monomials of one call
-    share their (name, exponent) pairs, as ``_MONOMIALS`` holds them all."""
+    """The monomials of ``weight_monomials``, ascending in their exponents
+    in genset order, the last one solved by division.  The monomials of one
+    call share their (name, exponent) pairs, as ``_MONOMIALS`` holds them all."""
     tail = ()
     if k % 2:
         if "X35" not in genset or k < 35:
             return []
         k, tail = k - 35, (("X35", 1),)
     gens = [g for g in genset if g != "X35"]
-    pairs = [[(g, e) for e in range(k // GENERATOR_WEIGHTS[g] + 1)] for g in gens]
+    if not gens:
+        return [] if k else [MonomialSpec._canonical(tail)]
+    weights = [GENERATOR_WEIGHTS[g] for g in gens]
+    pairs = [[(g, e) for e in range(k // w + 1)] for g, w in zip(gens, weights)]
+    # A genset in the canonical order, with no repeats, gives each monomial its pairs in order.
+    ranks = [GENERATOR_NAMES.index(g) for g in gens]
+    make = MonomialSpec._canonical if ranks == sorted(set(ranks)) else MonomialSpec
+    last = len(gens) - 1
     out: list[MonomialSpec] = []
 
     def descend(i: int, remaining: int, acc: tuple) -> None:
-        if remaining == 0:
-            out.append(MonomialSpec(acc + tail))
-            return
-        if i == len(gens):
+        w = weights[i]
+        if i == last:
+            e, rest = divmod(remaining, w)
+            if not rest:
+                out.append(make((acc + (pairs[i][e],) if e else acc) + tail))
             return
         descend(i + 1, remaining, acc)
-        w = GENERATOR_WEIGHTS[gens[i]]
         for e in range(1, remaining // w + 1):
             descend(i + 1, remaining - e * w, acc + (pairs[i][e],))
 
@@ -368,50 +389,49 @@ def span_canonical(vectors, p):
 # -- bound certificates ----------------------------------------------------
 
 
+_UNIT_ROW = {(0, 0, 0): 1}  # the leading row that is the constant 1
+
+
 def leading_rows(monomials, bound: int, p: int, registry) -> list:
-    """Each monomial's row m = layer, cut to n <= bound, mod p: one
-    ``registry.leading_row`` per monomial.
-
-    A monomial's row is the product of its factors' leading rows mod p, the
-    generators' leading Fourier-Jacobi coefficients, which the registry
-    forms over Z from the lift formula and the strip argument
-    (``GeneratorRegistry.generator_row``, module docstring) and reduces mod
-    p; no generator is built, loaded or read on a whole box.  Row l is held
-    when l <= bound, as at bound = b_k in weight k: there every layer is at
-    most k/10, or (k - 15)/10 in odd weight, where X35 brings layer 2 for
-    weight 35 (module docstring).
-
-    At p in {2, 3, 5, 7} the registry forms each row once per unit-free
-    monomial.  A factor whose row is the constant 1, as X4's is mod p | 240
-    and X6's mod p | 504, leaves the product as it is, so X4^a * M has M's
-    row at p = 5, in every weight.  And the row at a bound b is the cut
-    n <= b of the row at any larger bound, since every factor row is a cut
-    of the same generator row and n adds under products with n >= 0, so a
-    certificate at a lower b_k cuts the rows a higher one formed.  A row's
-    weight tag there is that of the factors left, not the monomial's
-    weight.  The held rows grow with the distinct unit-free monomials
-    asked: 10,221 rows, 7 MB with their keys, for one registry certifying
-    k = 150..209 at p in {5, 7} (``GeneratorRegistry``).  At any other p no
-    row is shared between weights, and each is formed anew.
+    """Each monomial's row m = layer, cut to n <= bound, mod p, as
+    ``sharpness_witness`` reads it: one ``_product`` of its factors'
+    leading rows mod p (``registry.row_power``, from the lift formula, with
+    no whole-box generator), less the factors whose row is the constant 1,
+    as X4's is mod p | 240 and X6's mod p | 504.  Row l is held when
+    l <= bound, as at bound = b_k in weight k (module docstring).
     """
-    return [registry.leading_row(spec, bound, p) for spec in monomials]
+    rows = []
+    for spec in monomials:
+        factors = [
+            registry.row_power(name, e, bound, p)
+            for name, e in reversed(spec.exponents)
+            if registry.row_power(name, 1, bound, p).coeffs != _UNIT_ROW
+        ]
+        rows.append(SiegelExpansion._product(factors or [SiegelExpansion.constant(1, bound, modulus=p)]))
+    return rows
 
 
 def layered_rank(monomials, bound: int, p: int, registry) -> dict:
-    """The F_p rank of each block j, ``{j: rank}``, the layer-j leading rows
-    on the columns (j, r, n), j <= n <= bound; their sum is a lower bound on
-    the monomials' F_p rank on the box m, n <= bound (module docstring)."""
-    blocks = {}
-    for spec, row in zip(monomials, leading_rows(monomials, bound, p, registry)):
-        blocks.setdefault(spec.layer, []).append(row.coeffs)
-    ranks = {}
-    for j, rows in blocks.items():
-        columns = [
-            (j, r, n)
-            for n in range(j, bound + 1)
-            for r in range(-isqrt(4 * j * n), isqrt(4 * j * n) + 1)
-        ]
-        ranks[j] = streamed_rank(rows, columns, p)
+    """``{j: rank}``, for each layer j the sum over t of the F_p ranks of
+    the Taylor sub-blocks (j, t) on n <= bound, a lower bound on the rank
+    of block j (module docstring).  A monomial's row there is one
+    ``QSeries1`` product of its factors' leading coefficients at zeta = 1
+    mod p, t the sum of their valuations (``registry.taylor_power``), less
+    the factors (0, 1): X4 mod 2, 3 and 5, X6 mod 2, 3 and 7.  A factor row
+    that is 0 mod p on n <= bound adds no row."""
+    blocks, ranks = {}, {}
+    for spec in monomials:
+        j = spec.layer
+        ranks[j] = 0
+        leads = [registry.taylor_power(name, e, bound, p) for name, e in reversed(spec.exponents)]
+        if None in leads:
+            continue
+        factors = [g for v, g in leads if v or g.coeffs != _UNIT_LEAD]
+        row = QSeries1._product(factors).coeffs if factors else _UNIT_LEAD
+        blocks.setdefault((j, sum(v for v, _ in leads)), []).append(row)
+    for (j, _), rows in blocks.items():
+        # A lone row, of residues with the zeros dropped, has rank 1 if it is not empty.
+        ranks[j] += streamed_rank(rows, range(bound + 1), p) if len(rows) > 1 else min(len(rows[0]), 1)
     return ranks
 
 
@@ -478,10 +498,13 @@ def verify_theorem1_rank(
     an integral weight-k form that vanishes below its layer, and its row
     m = layer is the product of its factors' leading Fourier-Jacobi rows,
     formed from the lift formula and the strip argument with no whole-box
-    generator (``registry.leading_row``), so a layer sum (``layered_rank``)
-    of dim M_k proves the rank on the box b_k, and on the box B by the
-    bound from above (module docstring); such a certificate reads and
-    writes no cache file.  A short sum proves nothing: at p >= 5
+    generator (``registry.generator_row``).  Only the leading coefficients
+    of those rows at zeta = 1 mod p are multiplied, one-variable series on
+    n <= b_k, and a sum of Taylor sub-block ranks (``layered_rank``) of
+    dim M_k proves the rank on the box b_k, and on the box B by the bound
+    from above (module docstring); such a certificate forms no
+    two-variable product and reads and writes no cache file.  A short sum
+    proves nothing: at p >= 5
     ``streamed_rank`` eliminates the Z monomials mod p
     (``registry.monomial``, from the pinned generators) on the box b_k; at
     p in {2, 3}, where the integral generators are not known to span M_k

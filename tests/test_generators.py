@@ -14,7 +14,7 @@ from siegel2.generators import (
     witt_image,
 )
 from siegel2.jacobi import maass_lift
-from siegel2.qexp1 import QSeries1
+from siegel2.qexp1 import QSeries1, delta1, eisenstein1
 from siegel2.verify import (
     GENSET_C,
     GENSET_INTEGRAL,
@@ -295,8 +295,10 @@ def test_monomial_is_the_folded_product_of_its_powers(registry, gens6):
 def test_certificates_leave_no_fp_monomials_held(registry, gens6):
     """Passing certificates at p = 2, 5 and 7, in even and odd weight, form
     no monomial and leave no expansion mod p in any registry memo but the
-    leading-row chains; nor does the borcherds-structure suite, which
-    reduces its generators itself."""
+    heads of the leading-row chains, which they grow no further, and the
+    one-variable chains of the leading coefficients at zeta = 1, mod p.
+    Nor does the borcherds-structure suite, which reduces its generators
+    itself."""
     reg = GeneratorRegistry(registry.cache_dir)
     for k, p in ((24, 5), (16, 2), (45, 7)):
         assert verify_theorem1_rank(k, p, 5, reg).passed
@@ -306,72 +308,10 @@ def test_certificates_leave_no_fp_monomials_held(registry, gens6):
     assert reg._served and all(exp.modulus is None for exp in held)
     chains = reg._chains.items()
     assert any(p for (_, _, p), _ in chains)
-    assert all(g.modulus == p for (_, _, p), chain in chains for g in chain)
-    # The held leading rows are packed slots, not expansions.
-    assert {p for _, p in reg._rows} == {2, 5, 7}
-    assert all(type(slots) is bytes for _, _, slots in reg._rows.values())
-
-
-def test_leading_rows_are_held_once_at_the_largest_bound(registry):
-    """A leading row is keyed by its exponents without the factors whose row
-    is 1 mod p (X4's mod 5), with no weight and no bound; its weight tag is
-    that of the factors left.  It is held at the largest bound asked, and a
-    smaller bound is its cut.  A row with factors of layer 0 and of positive
-    layer is the product of the two parts, each held under its own key."""
-    reg = GeneratorRegistry(registry.cache_dir)
-    p = 5
-    spec = MonomialSpec.from_dict({"X4": 2, "X6": 1, "X10": 2})
-    key = ((("X6", 1), ("X10", 2)), p)
-
-    def want(bound):
-        whole = registry.monomial(spec, 5).reduce_mod(p)
-        return {k: c for k, c in whole.coeffs.items() if k[0] == spec.layer and k[2] <= bound}
-
-    low = reg.leading_row(spec, 3, p)
-    assert low.coeffs == want(3) and low.precision == 3
-    assert low.weight == 26 != spec.weight
-    assert set(reg._rows) == {key, ((("X6", 1),), p), ((("X10", 2),), p)}
-    assert reg._rows[key][:2] == (3, 26)
-    high = reg.leading_row(spec, 5, p)
-    assert high.coeffs == want(5) and high.weight == 26
-    held = reg._rows[key]
-    assert held[:2] == (5, 26)
-    for bound in (3, 4, 5):
-        cut = reg.leading_row(spec, bound, p)
-        assert cut.coeffs == want(bound) and cut.precision == bound and cut.weight == 26
-        assert cut == high.truncate(bound) and reg._rows[key] is held
-    assert reg.leading_row(MonomialSpec.from_dict({"X6": 1, "X10": 2}), 5, p) == high
-    assert reg._rows[key] is held
-    assert reg.leading_row(MonomialSpec.from_dict({"X4": 3}), 5, p) == SiegelExpansion.constant(
-        1, 5, modulus=p
-    )
-
-
-def test_unit_rows_are_the_constant_rows(registry, gens6):
-    """``_UNIT_ROWS`` names exactly the generator rows that are the constant
-    1 mod p, at every bound from 1 to 6 and p up to 13."""
-    reg = GeneratorRegistry(registry.cache_dir)
-    for name in GENERATOR_WEIGHTS:
-        reg.generator(name, 6)  # the top precision first, then truncations
-        for p in (2, 3, 5, 7, 11, 13):
-            unit = name in gmod._UNIT_ROWS and gmod._UNIT_ROWS[name] % p == 0
-            for bound in range(1, 7):
-                row = reg.row_power(name, 1, bound, p)
-                assert (row.coeffs == {(0, 0, 0): 1}) == unit, (name, p, bound)
-
-
-def test_leading_rows_are_formed_anew_where_no_row_is_a_unit(registry):
-    """At p = 11 no generator row is 1, so no row is shared between weights:
-    the registry holds none, and each row is one product of chain powers."""
-    reg = GeneratorRegistry(registry.cache_dir)
-    for k in (24, 45):
-        assert verify_theorem1_rank(k, 11, 5, reg).passed
-    assert reg._rows == {}
-    spec = MonomialSpec.from_dict({"X4": 2, "X6": 1, "X10": 2})
-    whole = registry.monomial(spec, 5).reduce_mod(11)
-    row = reg.leading_row(spec, 4, 11)
-    assert row.coeffs == {k: c for k, c in whole.coeffs.items() if k[0] == 2 and k[2] <= 4}
-    assert row.weight == spec.weight and reg._rows == {}
+    assert all(g.modulus == p and len(chain) == 1 for (_, _, p), chain in chains for g in chain)
+    assert {p for _, _, p in reg._taylor} == {2, 5, 7}
+    leads = reg._taylor.items()
+    assert all(type(g) is QSeries1 and g.modulus == p for (_, _, p), (_, chain) in leads for g in chain)
 
 
 def test_lift_rows_are_the_leading_rows_of_the_pinned_generators(registry):
@@ -395,6 +335,59 @@ def test_lift_rows_are_the_leading_rows_of_the_pinned_generators(registry):
         held = reg._lifted[name]
         assert held.precision == 14
         assert reg.generator_row(name, 5) == held.truncate(5) and reg._lifted[name] is held
+
+
+def test_leading_coefficients_at_zeta_1(tmp_path):
+    """Each generator's (valuation, leading coefficient) at zeta = 1, over Z
+    to n <= 20: X4 (0, E4), X6 (0, E6), X10 (2, Delta), X12 (0, 12 Delta),
+    Y12 (0, Delta), X16 (0, E4 Delta), X35 (1, -2 Delta^3).  Mod p a
+    coefficient that vanishes moves the valuation up: X12's is 2 mod 2 and
+    mod 3, where 12 Delta is 0, and X35's is 2 mod 2; elsewhere the
+    valuation stays and the coefficient is the reduction."""
+    N = 20
+    e4, e6, delta = eisenstein1(4, N), eisenstein1(6, N), delta1(N)
+    table = {
+        "X4": (0, e4),
+        "X6": (0, e6),
+        "X10": (2, delta),
+        "X12": (0, 12 * delta),
+        "Y12": (0, delta),
+        "X16": (0, e4 * delta),
+        "X35": (1, -2 * delta**3),
+    }
+    shifted = {("X12", 2): 2, ("X12", 3): 2, ("X35", 2): 2}
+    reg = GeneratorRegistry(tmp_path)
+    for name, (v, coefficient) in table.items():
+        row = reg.generator_row(name, N)
+        got_v, got = gmod.taylor_lead(row)
+        assert (got_v, got.coeffs) == (v, coefficient.coeffs), name
+        assert got.modulus is None and got.weight == GENERATOR_WEIGHTS[name] + v
+        for p in (2, 3, 5, 7, 11):
+            got_v, got = gmod.taylor_lead(row, p)
+            assert got_v == shifted.get((name, p), v), (name, p)
+            if got_v == v:
+                assert got == QSeries1(N, coefficient.coeffs, got.weight, modulus=p), (name, p)
+    assert gmod.taylor_lead(reg.generator_row("X35", 2)) is None
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_taylor_powers_are_held_in_one_chain(registry):
+    """``taylor_power`` serves (e v, g^e) from one chain per (name, bound,
+    p): a repeat call returns the same object, g^e is the e-th power of the
+    leading coefficient mod p, and exponent 0 raises.  X4's coefficient is
+    1 mod 5, its own power, and its chain is not grown."""
+    reg = GeneratorRegistry(registry.cache_dir)
+    one = QSeries1(6, {0: 1}, 4, modulus=5)
+    assert reg.taylor_power("X4", 3, 6, 5) == (0, one) and reg._taylor["X4", 6, 5] == (0, [one])
+    for name in ("X6", "X10", "X35"):
+        v, g = gmod.taylor_lead(reg.generator_row(name, 6), 5)
+        cube = reg.taylor_power(name, 3, 6, 5)
+        assert cube == (3 * v, g**3) and reg.taylor_power(name, 3, 6, 5)[1] is cube[1]
+        assert reg.taylor_power(name, 1, 6, 5) == (v, g)
+        assert reg._taylor[name, 6, 5][1][2] is cube[1]
+    assert reg.taylor_power("X35", 2, 2, 5) is None
+    with pytest.raises(ValueError):
+        reg.taylor_power("X6", 0, 6, 5)
 
 
 def test_the_x35_strip_is_the_whole_box_x35_on_its_rows_up_to_2(registry):

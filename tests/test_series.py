@@ -375,6 +375,30 @@ def test_fp_product_is_the_reduced_monomial(gens6, registry, data, p, precision)
     assert got == registry.monomial(spec, precision).reduce_mod(p)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 11)),
+    precision=st.integers(0, 12),
+    factors=st.lists(st.dictionaries(st.integers(0, 12), st.integers(-10**6, 10**6)), min_size=1, max_size=4),
+)
+def test_qseries_products_mod_p_are_the_reduced_products(p, precision, factors):
+    """A ``QSeries1`` product mod p, reduced once at decode, is the product
+    over Z reduced mod p; the modulus is part of the ring, so series with
+    different moduli, or mod p and over Z, do not combine."""
+    exact = [QSeries1(precision, {n: c for n, c in f.items() if n <= precision}, 1) for f in factors]
+    reduced = [QSeries1(precision, f.coeffs, 1, modulus=p) for f in exact]
+    got = QSeries1._product(reduced)
+    want = QSeries1._product(exact)
+    assert got == QSeries1(precision, want.coeffs, len(factors), modulus=p)
+    assert got.modulus == p and got.weight == len(factors)
+    assert all(0 < c < p for c in got.coeffs.values())
+    other = QSeries1(precision, exact[0].coeffs, 1, modulus=13)
+    for y in (exact[0], other):
+        for op in (lambda u, v: u + v, lambda u, v: u * v):
+            with pytest.raises(ValueError, match="modulus mismatch"):
+                op(reduced[0], y)
+
+
 @SETTINGS
 @given(data=st.data(), weight=st.integers(-3, 40))
 def test_dump_parse_round_trip(data, weight):

@@ -145,6 +145,39 @@ def test_weight_monomials_are_enumerated_once_into_fresh_lists(monkeypatch):
             weight_monomials(-2, GENSET_C)
 
 
+def test_weight_monomials_keep_the_lexicographic_order():
+    """The monomials of every weight k <= 120, in both gensets, with and
+    without X35, are every exponent vector of weight k (or k - 35 times
+    X35), sorted ascending in genset order, X35 last."""
+
+    def vectors(k, weights):
+        if not weights:
+            return [] if k else [()]
+        return [
+            (e, *rest)
+            for e in range(k // weights[0] + 1)
+            for rest in vectors(k - e * weights[0], weights[1:])
+        ]
+
+    for genset in (GENSET_C, GENSET_INTEGRAL):
+        weights = [GENERATOR_WEIGHTS[g] for g in genset]
+        for odd in ((), ("X35",)):
+            for k in range(121):
+                even = k - 35 * (k % 2)
+                exps = [] if k % 2 and not odd or even < 0 else sorted(vectors(even, weights))
+                want = [
+                    MonomialSpec.from_dict({**dict(zip(genset, e)), "X35": k % 2}).exponents
+                    for e in exps
+                ]
+                got = [spec.exponents for spec in verify._enumerated(k, genset + odd)]
+                assert got == want, (k, genset + odd)
+    shuffled = ("X10", "X4", "X12", "X6")
+    assert verify._enumerated(40, shuffled) == sorted(
+        verify._enumerated(40, GENSET_C),
+        key=lambda spec: [dict(spec.exponents).get(name, 0) for name in shuffled],
+    )
+
+
 def test_fp_rank_examples(gens6):
     identity = CoeffMatrix([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     rank, kernel = fp_rank(identity, 2)
@@ -228,8 +261,8 @@ def test_leading_rows_are_the_layer_rows_of_the_monomials(registry):
     at p = 5 and 7, and at p = 11, where no generator has the constant row;
     in ``GENSET_INTEGRAL`` at p = 2 and 3, where X4 and X6 both have it.
     Each case runs on a fresh registry in ascending weight, and again in
-    descending weight, where most rows at a b_k below the largest are cuts
-    of rows held from above."""
+    descending weight, where the generators' rows at a b_k below the
+    largest are cuts of rows held from above."""
     cases = ((GENSET_C, (5, 7, 11), 535), (GENSET_INTEGRAL, (2, 3), 1336))
     for genset, primes, count in cases:
         for descending in (False, True):
@@ -252,74 +285,6 @@ def test_leading_rows_are_the_layer_rows_of_the_monomials(registry):
                         assert all(min(key[0], key[2]) >= spec.layer for key in whole.coeffs)
                         seen += 1
             assert seen == len(primes) * count
-
-
-def test_leading_rows_hold_their_chains_and_skip_constant_rows(registry, monkeypatch):
-    """X4's row 0 is 1 mod 5, so no product takes it as a factor and X4^2's
-    row is the constant 1; the rows are those of the whole monomials; and a
-    second call on the same registry reads no generator."""
-    reg = GeneratorRegistry(registry.cache_dir)
-    b, p = 4, 5
-    specs = [
-        MonomialSpec.from_dict(exponents)
-        for exponents in ({"X4": 2}, {"X4": 1, "X10": 2}, {"X4": 3, "X6": 1, "X10": 1})
-    ]
-    one = SiegelExpansion.constant(1, b, modulus=p)
-    factors, product = [], SiegelExpansion._product
-
-    def spy(series):
-        factors.extend(series)
-        return product(series)
-
-    monkeypatch.setattr(SiegelExpansion, "_product", staticmethod(spy))
-    rows = leading_rows(specs, b, p, reg)
-    assert factors and one not in factors
-    assert rows[0] == one
-    for spec, row in zip(specs, rows):
-        whole = registry.monomial(spec, b).reduce_mod(p)
-        assert row.coeffs == {k: c for k, c in whole.coeffs.items() if k[0] == spec.layer}
-    asked = []
-    generator = GeneratorRegistry.generator
-    monkeypatch.setattr(
-        GeneratorRegistry, "generator", lambda self, *args: asked.append(args) or generator(self, *args)
-    )
-    assert leading_rows(specs, b, p, reg) == rows
-    assert asked == []
-
-
-def test_a_row_is_formed_once_per_unit_free_monomial(registry, monkeypatch):
-    """X4's row is 1 mod 5, so after k = 60 at p = 5 the k = 64 certificate
-    serves X4 * M the held row of M, for every weight-60 monomial M, and
-    forms no row for it; every product on the row path has at most two
-    operands, and a repeat certificate forms nothing."""
-    reg = GeneratorRegistry(registry.cache_dir)
-    b, p = sturm_bound(64), 5
-    assert sturm_bound(60) == b
-    assert verify_theorem1_rank(60, p, b, reg).passed
-    held = {spec: reg.leading_row(spec, b, p) for spec in weight_monomials(60, GENSET_C)}
-    before = dict(reg._rows)
-    calls, product = [], SiegelExpansion._product
-
-    def spy(series):
-        calls.append(len(series))
-        return product(series)
-
-    monkeypatch.setattr(SiegelExpansion, "_product", staticmethod(spy))
-    assert verify_theorem1_rank(64, p, b, reg).passed
-    assert calls and all(size <= 2 for size in calls)
-    # Each M's held row is the one formed at k = 60, not formed again, and
-    # no row is held under a key with X4.
-    assert all(reg._rows[key] is record for key, record in before.items())
-    assert all(name != "X4" for exponents, _ in reg._rows for name, _ in exponents)
-    del calls[:]
-    for spec, row in held.items():
-        exponents = dict(spec.exponents)
-        exponents["X4"] = exponents.get("X4", 0) + 1
-        served = reg.leading_row(MonomialSpec.from_dict(exponents), b, p)
-        assert served == row and served.weight == row.weight, str(spec)
-    assert calls == []
-    assert verify_theorem1_rank(64, p, b, reg).passed
-    assert calls == []
 
 
 def _grid_ops():
@@ -353,6 +318,66 @@ def test_verdicts_do_not_depend_on_the_order_of_the_ops(registry):
     for order in orders:
         reg = GeneratorRegistry(registry.cache_dir)
         assert {op: _run_op(op, reg) for op in order} == fresh
+
+
+def block_ranks(monomials, bound, p, registry):
+    """The oracle the Taylor ranks bound from below: the F_p rank of each
+    block j of leading rows (``leading_rows``) on its columns (j, r, n),
+    j <= n <= bound."""
+    blocks = {}
+    for spec, row in zip(monomials, leading_rows(monomials, bound, p, registry)):
+        blocks.setdefault(spec.layer, []).append(row.coeffs)
+    return {
+        j: streamed_rank(
+            rows,
+            [(j, r, n) for n in range(j, bound + 1) for r in range(-isqrt(4 * j * n), isqrt(4 * j * n) + 1)],
+            p,
+        )
+        for j, rows in blocks.items()
+    }
+
+
+def test_taylor_ranks_are_the_layer_block_ranks(registry):
+    """Per layer the Taylor rank is at most the block rank, and equal to it
+    on the acceptance grid, at even k = 42..64 for p in {5, 7}, and at
+    p in {2, 3} for even k <= 100 and odd k <= 105 (168 cases).  X16 and
+    X4*X12 share their leading coefficient E4*Delta up to the unit 12 mod 7
+    but not their rows, so there the Taylor rank is the smaller."""
+    cases = {(k, p) for kind, k, p in _grid_ops() if kind == "theorem1"}
+    low = [k for k in range(4, 101, 2)] + [k for k in range(35, 106, 2) if k != 37]
+    cases |= {(k, p) for k in low for p in (2, 3)}
+    assert len(cases) == 108 + 168 - 30  # the grid has 30 of the 168
+    for k, p in sorted(cases):
+        b = sturm_bound(k)
+        odd = ("X35",) if k % 2 else ()
+        specs = weight_monomials(k, (GENSET_C if p >= 5 else GENSET_INTEGRAL) + odd)
+        assert layered_rank(specs, b, p, registry) == block_ranks(specs, b, p, registry), (k, p)
+    pair = [MonomialSpec.from_dict({"X16": 1}), MonomialSpec.from_dict({"X4": 1, "X12": 1})]
+    for b in range(1, 6):
+        taylor, blocks = layered_rank(pair, b, 7, registry), block_ranks(pair, b, 7, registry)
+        assert taylor == {1: 1} and blocks == {1: 2}, b
+
+
+def test_a_row_that_is_zero_on_the_cut_adds_no_rank(registry):
+    """X35's row starts at n = 3: below that it is 0 on n <= bound, so its
+    monomials add nothing, and the layer still has its (zero) rank."""
+    specs = [MonomialSpec.from_dict({"X35": 1}), MonomialSpec.from_dict({"X4": 1, "X35": 1})]
+    for bound, want in ((2, {2: 0}), (3, {2: 1})):
+        assert layered_rank(specs, bound, 5, registry) == want == block_ranks(specs, bound, 5, registry)
+
+
+def test_certificates_form_no_two_variable_product(registry, monkeypatch):
+    """A certificate that passes by layers, or is a SKIP, multiplies only
+    one-variable leading coefficients: no ``SiegelExpansion._product``, on a
+    fresh registry, in even and odd weight and at every kind of prime."""
+
+    def refuse(factors):
+        raise AssertionError("a certificate formed a two-variable product")
+
+    monkeypatch.setattr(SiegelExpansion, "_product", staticmethod(refuse))
+    for k, p in ((18, 2), (20, 2), (51, 3), (64, 5), (41, 7), (60, 11), (99, 13)):
+        report = verify_theorem1_rank(k, p, max(sturm_bound(k), 5), GeneratorRegistry(registry.cache_dir))
+        assert report.passed or not report.certifiable, (k, p)
 
 
 def _box_matrix(registry, specs, precision, b):
