@@ -77,8 +77,8 @@ _LEADING = {
 _MIN_PRECISION = {
     name: max(index[0], index[2]) for name, (index, _) in _LEADING.items()
 }
-# The leading coefficient at zeta = 1 that is the constant 1 (``taylor_power``).
-_UNIT_LEAD = {0: 1}
+# The leading row that is the constant 1 (``GeneratorRegistry.unit_row``).
+_UNIT = {(0, 0, 0): 1}
 
 # Declared Witt images, in the order the witt-images suite reports them:
 # (generator, Taylor order, image).  An image is a product of diag_builder
@@ -126,8 +126,7 @@ class MonomialSpec(FrozenRecord):
 
     @classmethod
     def _canonical(cls, exponents: tuple) -> "MonomialSpec":
-        """A monomial from pairs already valid and in the canonical order,
-        with no check and no sort."""
+        """A monomial from valid pairs in the canonical order, unchecked."""
         spec = object.__new__(cls)
         object.__setattr__(spec, "exponents", exponents)
         return spec
@@ -290,6 +289,12 @@ class GeneratorRegistry:
         ``verify.leading_rows`` multiplies them."""
         return self._chain(name, exponent, bound, p)
 
+    def unit_row(self, name: str, bound: int, p: int) -> bool:
+        """Whether the generator's leading row mod p on n <= bound is the
+        constant 1, as X4's is mod p | 240 and X6's mod p | 504 at bounds
+        >= 1; certificates and witnesses drop such a factor."""
+        return self.row_power(name, 1, bound, p).coeffs == _UNIT
+
     def taylor_power(self, name: str, exponent: int, bound: int, p: int):
         """(e v, g^e) mod p, e >= 1, for (v, g) = ``taylor_lead`` of the
         generator's leading row mod p on n <= bound, the head of its
@@ -297,14 +302,12 @@ class GeneratorRegistry:
         from a chain held per (name, bound, p) (``_grown``)."""
         key = (name, bound, p)
         if key not in self._taylor:
-            lead = taylor_lead(self.row_power(name, 1, bound, p), p)
+            lead = taylor_lead(self.row_power(name, 1, bound, p))
             self._taylor[key] = lead and (lead[0], [lead[1]])
         held = self._taylor[key]
         if held is None:
             return None
         v, chain = held
-        if v == 0 and chain[0].coeffs == _UNIT_LEAD:
-            return 0, chain[0]  # X4 mod 2, 3 and 5, X6 mod 2, 3 and 7
         return exponent * v, _grown(chain, exponent)
 
     def _chain(self, name, e, precision, p):
@@ -427,17 +430,17 @@ def _lifted_row(name: str, bound: int) -> SiegelExpansion:
     return SiegelExpansion._unchecked(bound, row, GENERATOR_WEIGHTS[name], scale=1, modulus=None)
 
 
-def taylor_lead(row: SiegelExpansion, p: int | None = None):
-    """(v, h_v), over Z or mod p, for a row m = l on its n <= precision, or
-    None for a row that is 0 there: h_t(n) = sum_r binom(r, t) a(l, r, n) is
-    the u^t coefficient of the row at zeta = 1 + u (``verify`` module
-    docstring), with binom(r, t) = r(r - 1)...(r - t + 1)/t!, an integer
-    for r < 0 too.  v is the least t with h_t != 0, at most twice the
-    largest |r|, and h_v a ``QSeries1`` of weight k + v."""
-    terms = {}
+def taylor_lead(row: SiegelExpansion):
+    """(v, h_v) for a row m = l on its n <= precision, in the row's ring
+    (over Z, or mod p for a row reduced mod p), or None for a row that is 0
+    there: h_t(n) = sum_r binom(r, t) a(l, r, n) is the u^t coefficient of
+    the row at zeta = 1 + u (``verify`` module docstring), with
+    binom(r, t) = r(r - 1)...(r - t + 1)/t!, an integer for r < 0 too.  v
+    is the least t with h_t != 0, at most twice the largest |r|, and h_v a
+    ``QSeries1`` of weight k + v."""
+    p, terms = row.modulus, {}
     for (_, r, n), c in row.coeffs.items():
-        if p is None or c % p:
-            terms.setdefault(n, []).append((r, c))
+        terms.setdefault(n, []).append((r, c))
     if not terms:
         return None
     for t in count():

@@ -77,7 +77,6 @@ from __future__ import annotations
 from .errors import PrecisionError
 from .expansion import BeyondPrecision, SiegelExpansion, box_indices
 from .generators import (
-    _UNIT_LEAD,
     GENERATOR_NAMES,
     GENERATOR_WEIGHTS,
     WITT_LAYERS,
@@ -194,13 +193,16 @@ def weight_monomials(k: int, genset) -> list[MonomialSpec]:
     """All generator monomials of total weight k, in a fixed order.
 
     Odd weights are exactly X35 times the even monomials of weight k - 35;
-    the X35 exponent never exceeds 1.  Each (k, genset) is enumerated once
+    the X35 exponent never exceeds 1.  The genset names each generator at
+    most once, in the canonical order.  Each (k, genset) is enumerated once
     and the caller gets a fresh list.
     """
     genset = tuple(genset)
     for name in genset:
         if name not in GENERATOR_WEIGHTS:
             raise ValueError(f"unknown generator {name!r}")
+    if genset != tuple(sorted(set(genset), key=GENERATOR_NAMES.index)):
+        raise ValueError(f"genset {genset} is not in the canonical order {GENERATOR_NAMES}")
     if k < 0:
         raise ValueError("weight must be >= 0")
     held = _MONOMIALS.get((k, genset))
@@ -215,8 +217,9 @@ _MONOMIALS: dict[tuple[int, tuple], list[MonomialSpec]] = {}
 
 def _enumerated(k: int, genset: tuple) -> list[MonomialSpec]:
     """The monomials of ``weight_monomials``, ascending in their exponents
-    in genset order, the last one solved by division.  The monomials of one
-    call share their (name, exponent) pairs, as ``_MONOMIALS`` holds them all."""
+    in genset order, the last one solved by division, each built with no
+    re-sort (``MonomialSpec._canonical``).  The monomials of one call share
+    their (name, exponent) pairs, as ``_MONOMIALS`` holds them all."""
     tail = ()
     if k % 2:
         if "X35" not in genset or k < 35:
@@ -227,9 +230,6 @@ def _enumerated(k: int, genset: tuple) -> list[MonomialSpec]:
         return [] if k else [MonomialSpec._canonical(tail)]
     weights = [GENERATOR_WEIGHTS[g] for g in gens]
     pairs = [[(g, e) for e in range(k // w + 1)] for g, w in zip(gens, weights)]
-    # A genset in the canonical order, with no repeats, gives each monomial its pairs in order.
-    ranks = [GENERATOR_NAMES.index(g) for g in gens]
-    make = MonomialSpec._canonical if ranks == sorted(set(ranks)) else MonomialSpec
     last = len(gens) - 1
     out: list[MonomialSpec] = []
 
@@ -238,7 +238,7 @@ def _enumerated(k: int, genset: tuple) -> list[MonomialSpec]:
         if i == last:
             e, rest = divmod(remaining, w)
             if not rest:
-                out.append(make((acc + (pairs[i][e],) if e else acc) + tail))
+                out.append(MonomialSpec._canonical((acc + (pairs[i][e],) if e else acc) + tail))
             return
         descend(i + 1, remaining, acc)
         for e in range(1, remaining // w + 1):
@@ -389,23 +389,20 @@ def span_canonical(vectors, p):
 # -- bound certificates ----------------------------------------------------
 
 
-_UNIT_ROW = {(0, 0, 0): 1}  # the leading row that is the constant 1
-
-
 def leading_rows(monomials, bound: int, p: int, registry) -> list:
     """Each monomial's row m = layer, cut to n <= bound, mod p, as
     ``sharpness_witness`` reads it: one ``_product`` of its factors'
     leading rows mod p (``registry.row_power``, from the lift formula, with
-    no whole-box generator), less the factors whose row is the constant 1,
-    as X4's is mod p | 240 and X6's mod p | 504.  Row l is held when
-    l <= bound, as at bound = b_k in weight k (module docstring).
+    no whole-box generator), less the factors whose row is the constant 1
+    (``registry.unit_row``).  Row l is held when l <= bound, as at
+    bound = b_k in weight k (module docstring).
     """
     rows = []
     for spec in monomials:
         factors = [
             registry.row_power(name, e, bound, p)
             for name, e in reversed(spec.exponents)
-            if registry.row_power(name, 1, bound, p).coeffs != _UNIT_ROW
+            if not registry.unit_row(name, bound, p)
         ]
         rows.append(SiegelExpansion._product(factors or [SiegelExpansion.constant(1, bound, modulus=p)]))
     return rows
@@ -417,17 +414,19 @@ def layered_rank(monomials, bound: int, p: int, registry) -> dict:
     of block j (module docstring).  A monomial's row there is one
     ``QSeries1`` product of its factors' leading coefficients at zeta = 1
     mod p, t the sum of their valuations (``registry.taylor_power``), less
-    the factors (0, 1): X4 mod 2, 3 and 5, X6 mod 2, 3 and 7.  A factor row
-    that is 0 mod p on n <= bound adds no row."""
+    the factors whose row is the constant 1 (``registry.unit_row``).  A
+    factor row that is 0 mod p on n <= bound adds no row."""
     blocks, ranks = {}, {}
+    names = {name for spec in monomials for name, _ in spec.exponents}
+    units = {name for name in names if registry.unit_row(name, bound, p)}
     for spec in monomials:
         j = spec.layer
         ranks[j] = 0
-        leads = [registry.taylor_power(name, e, bound, p) for name, e in reversed(spec.exponents)]
+        kept = [(name, e) for name, e in reversed(spec.exponents) if name not in units]
+        leads = [registry.taylor_power(name, e, bound, p) for name, e in kept]
         if None in leads:
             continue
-        factors = [g for v, g in leads if v or g.coeffs != _UNIT_LEAD]
-        row = QSeries1._product(factors).coeffs if factors else _UNIT_LEAD
+        row = QSeries1._product([g for _, g in leads]).coeffs if leads else {0: 1}  # {0: 1}: all units
         blocks.setdefault((j, sum(v for v, _ in leads)), []).append(row)
     for (j, _), rows in blocks.items():
         # A lone row, of residues with the zeros dropped, has rank 1 if it is not empty.

@@ -363,7 +363,7 @@ def test_leading_coefficients_at_zeta_1(tmp_path):
         assert (got_v, got.coeffs) == (v, coefficient.coeffs), name
         assert got.modulus is None and got.weight == GENERATOR_WEIGHTS[name] + v
         for p in (2, 3, 5, 7, 11):
-            got_v, got = gmod.taylor_lead(row, p)
+            got_v, got = gmod.taylor_lead(row.reduce_mod(p))
             assert got_v == shifted.get((name, p), v), (name, p)
             if got_v == v:
                 assert got == QSeries1(N, coefficient.coeffs, got.weight, modulus=p), (name, p)
@@ -374,13 +374,10 @@ def test_leading_coefficients_at_zeta_1(tmp_path):
 def test_taylor_powers_are_held_in_one_chain(registry):
     """``taylor_power`` serves (e v, g^e) from one chain per (name, bound,
     p): a repeat call returns the same object, g^e is the e-th power of the
-    leading coefficient mod p, and exponent 0 raises.  X4's coefficient is
-    1 mod 5, its own power, and its chain is not grown."""
+    leading coefficient mod p, and exponent 0 raises."""
     reg = GeneratorRegistry(registry.cache_dir)
-    one = QSeries1(6, {0: 1}, 4, modulus=5)
-    assert reg.taylor_power("X4", 3, 6, 5) == (0, one) and reg._taylor["X4", 6, 5] == (0, [one])
-    for name in ("X6", "X10", "X35"):
-        v, g = gmod.taylor_lead(reg.generator_row(name, 6), 5)
+    for name in ("X4", "X6", "X10", "X35"):
+        v, g = gmod.taylor_lead(reg.row_power(name, 1, 6, 5))
         cube = reg.taylor_power(name, 3, 6, 5)
         assert cube == (3 * v, g**3) and reg.taylor_power(name, 3, 6, 5)[1] is cube[1]
         assert reg.taylor_power(name, 1, 6, 5) == (v, g)
@@ -388,6 +385,24 @@ def test_taylor_powers_are_held_in_one_chain(registry):
     assert reg.taylor_power("X35", 2, 2, 5) is None
     with pytest.raises(ValueError):
         reg.taylor_power("X6", 0, 6, 5)
+
+
+def test_unit_row_names_the_constant_leading_rows(registry):
+    """``unit_row`` names the generators whose leading row mod p is the
+    constant 1 at every bound >= 1, X4 mod 2, 3 and 5 and X6 mod 2, 3 and
+    7, whose leading coefficient at zeta = 1 is then (0, 1); at bound 0
+    every layer-0 row is 1 mod p."""
+    reg = GeneratorRegistry(registry.cache_dir)
+    units = {("X4", 2), ("X4", 3), ("X4", 5), ("X6", 2), ("X6", 3), ("X6", 7)}
+    for bound in (1, 6):
+        for name in ALL_NAMES:
+            for p in (2, 3, 5, 7, 11, 13):
+                unit = reg.unit_row(name, bound, p)
+                assert unit == ((name, p) in units), (name, bound, p)
+                if unit:
+                    one = QSeries1(bound, {0: 1}, GENERATOR_WEIGHTS[name], modulus=p)
+                    assert reg.taylor_power(name, 1, bound, p) == (0, one)
+    assert all(reg.unit_row(name, 0, 11) for name in ("X4", "X6"))
 
 
 def test_the_x35_strip_is_the_whole_box_x35_on_its_rows_up_to_2(registry):
