@@ -27,12 +27,14 @@ generators' leading Fourier-Jacobi rows, which ``_lifted_row`` forms over
 Z from the lift formula and, for X35, its determinant over the rows
 m <= 1: no generator is built, loaded, pinned or cached for them.  A
 certificate reads each row's leading coefficient at zeta = 1, a
-one-variable series (``taylor_lead``); a witness multiplies the rows
-themselves mod p (``GeneratorRegistry.row_power``).
+one-variable series (``taylor_lead``), and multiplies those mod p as
+packed integers, one slot per n (``packed_mul``); a witness multiplies the
+rows themselves mod p (``GeneratorRegistry.row_power``).
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from fractions import Fraction
 from itertools import count
@@ -171,9 +173,10 @@ class GeneratorRegistry:
     expansion: the registry holds each generator's leading row over Z
     (``generator_row``) at the largest bound asked, and power chains mod p
     of that row (``row_power``, for the witnesses) and of its leading
-    coefficient at zeta = 1 (``taylor_power``, for the certificates), but
-    no monomial's row.  ``build``, ``show``, the suites and the p >= 5
-    fallback read the pinned generators (``generator``, ``monomial``).
+    coefficient at zeta = 1, as packed rows (``taylor_power`` and
+    ``packed_mul``, for the certificates), but no monomial's row.
+    ``build``, ``show``, the suites and the p >= 5 fallback read the pinned
+    generators (``generator``, ``monomial``).
     """
 
     def __init__(self, cache_dir=None):
@@ -187,9 +190,10 @@ class GeneratorRegistry:
         # Power chains [g, g^2, ...] per (name, precision, p): of generators
         # over Z (p None, ``power``) and of leading rows mod p (``row_power``).
         self._chains: dict[tuple[str, int, int | None], list[SiegelExpansion]] = {}
-        # (valuation, power chain of the leading coefficient at zeta = 1) mod p
-        # per (name, bound, p), or None for a row 0 mod p (``taylor_power``).
-        self._taylor: dict[tuple[str, int, int], tuple[int, list[QSeries1]] | None] = {}
+        # (valuation, power chain of the leading coefficient at zeta = 1 as
+        # packed rows mod p) per (name, bound, p), or None for a row 0 mod p
+        # (``taylor_power``).
+        self._taylor: dict[tuple[str, int, int], tuple[int, list[int]] | None] = {}
         # Monomials over Z per (spec, precision).
         self._monomials: dict[tuple[MonomialSpec, int], SiegelExpansion] = {}
         # The generators' leading rows over Z per name, at the largest bound
@@ -298,17 +302,18 @@ class GeneratorRegistry:
     def taylor_power(self, name: str, exponent: int, bound: int, p: int):
         """(e v, g^e) mod p, e >= 1, for (v, g) = ``taylor_lead`` of the
         generator's leading row mod p on n <= bound, the head of its
-        ``row_power`` chain, or None when that row is 0 mod p; g^e comes
-        from a chain held per (name, bound, p) (``_grown``)."""
+        ``row_power`` chain, or None when that row is 0 mod p; g^e is a
+        packed row (``packed_mul``) from a chain held per (name, bound, p)
+        (``_grown``)."""
         key = (name, bound, p)
         if key not in self._taylor:
             lead = taylor_lead(self.row_power(name, 1, bound, p))
-            self._taylor[key] = lead and (lead[0], [lead[1]])
+            self._taylor[key] = lead and (lead[0], [packed(lead[1].coeffs, bound, p)])
         held = self._taylor[key]
         if held is None:
             return None
         v, chain = held
-        return exponent * v, _grown(chain, exponent)
+        return exponent * v, _grown(chain, exponent, lambda a, b: packed_mul(a, b, bound, p))
 
     def _chain(self, name, e, precision, p):
         """g^e from the chain [g, g^2, ...] held per (name, precision, p)
@@ -336,14 +341,14 @@ class GeneratorRegistry:
         return held
 
 
-def _grown(chain: list, e: int):
+def _grown(chain: list, e: int, mul=operator.mul):
     """g^e, e >= 1, from the power chain [g, g^2, ...], grown by one product
-    g^i * g at a time, so each power is formed once for every monomial, and
-    F_p residues are reduced between multiplies, unlike ``**``."""
+    mul(g^i, g) at a time, so each power is formed once for every monomial,
+    and F_p residues are reduced between multiplies, unlike ``**``."""
     if e < 1:
         raise ValueError("exponents must be >= 1")
     while len(chain) < e:
-        chain.append(chain[-1] * chain[0])
+        chain.append(mul(chain[-1], chain[0]))
     return chain[e - 1]
 
 
@@ -451,6 +456,52 @@ def taylor_lead(row: SiegelExpansion):
                 h[n] = c
         if h:
             return t, QSeries1(row.precision, h, row.weight + t, modulus=p)
+
+
+def _slot_width(bound: int, p: int) -> int:
+    """Bits per slot of a packed row mod p on n <= bound (``packed_mul``)."""
+    return ((bound + 1) * (p - 1) ** 2).bit_length()
+
+
+def packed(coeffs: dict, bound: int, p: int) -> int:
+    """The packed row mod p (``packed_mul``) of residues {n: h(n)}, n <= bound."""
+    w = _slot_width(bound, p)
+    return sum(c << w * n for n, c in coeffs.items())
+
+
+def packed_mul(a: int, b: int, bound: int, p: int) -> int:
+    """The product mod p of two packed rows on n <= bound.
+
+    A packed row is one integer whose slot n, w bits wide, holds h(n) in
+    [0, p), w the bit length of (bound + 1)(p - 1)^2 (``_slot_width``).
+    Slot n of the integer product a * b is sum_{i + j = n} h(i) h'(j), i and
+    j <= bound: at most bound + 1 products of two residues, so at most
+    (bound + 1)(p - 1)^2 < 2^w.  So no slot carries into the next, each
+    holds its coefficient of the product whole, and none is negative, so
+    none needs a signed decode.  The slots above bound are dropped and each
+    kept slot is reduced mod p: one multiply and one reduce per factor."""
+    w = _slot_width(bound, p)
+    mask = (1 << w) - 1
+    x, out = a * b, 0
+    for shift in range(0, w * (bound + 1), w):
+        if not x:
+            break
+        out |= (x & mask) % p << shift
+        x >>= w
+    return out
+
+
+def unpacked(x: int, bound: int, p: int) -> dict:
+    """The nonzero slots {n: h(n)} of a packed row mod p (``packed_mul``)."""
+    w = _slot_width(bound, p)
+    mask, out = (1 << w) - 1, {}
+    for n in range(bound + 1):
+        if not x:
+            break
+        if c := x & mask:
+            out[n] = c
+        x >>= w
+    return out
 
 
 def _build(name: str, precision: int, registry: GeneratorRegistry) -> SiegelExpansion:

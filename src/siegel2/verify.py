@@ -53,11 +53,13 @@ prod g_i^e_i in R.  R is not a domain and that product may vanish, but it
 is still the h_t, as every valuation is taken on the same cut.  So block
 j is block triangular again, by t: its rank is at least the sum over t of
 the ranks of the sub-blocks (j, t) of one-variable products on n <= b_k
-(``layered_rank``).  When that sum is dim M_k, so is the rank on the box
-b_k, and on any larger box, whatever integral rows were taken.  Any other
-sum proves nothing: at p >= 5 one elimination of the monomials on the box
-b_k gives the exact rank (whether the sum always reaches dim M_k there is
-not proved); at p in {2, 3} it is a SKIP naming short layers.
+(``layered_rank``, which multiplies in R on integers packed with one slot
+per n, ``generators.packed_mul``).  When that sum is dim M_k, so is the
+rank on the box b_k, and on any larger box, whatever integral rows were
+taken.  Any other sum proves nothing: at p >= 5 one elimination of the
+monomials on the box b_k gives the exact rank (whether the sum always
+reaches dim M_k there is not proved); at p in {2, 3} it is a SKIP naming
+short layers.
 
 ``verify_identities`` bundles the named suites exercised by the CLI:
 
@@ -74,6 +76,8 @@ not proved); at p in {2, 3} it is a SKIP naming short layers.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import PrecisionError
 from .expansion import BeyondPrecision, SiegelExpansion, box_indices
 from .generators import (
@@ -84,9 +88,11 @@ from .generators import (
     GeneratorRegistry,
     MonomialSpec,
     default_registry,
+    packed_mul,
+    unpacked,
     witt_image,
 )
-from .qexp1 import QSeries1, delta1, diag_builder, diag_tensor, eisenstein1
+from .qexp1 import delta1, diag_builder, diag_tensor, eisenstein1
 from .rationals import PrimePower, is_prime, p_valuation, reduce_mod_p
 from .records import Record
 
@@ -195,7 +201,7 @@ def weight_monomials(k: int, genset) -> list[MonomialSpec]:
     Odd weights are exactly X35 times the even monomials of weight k - 35;
     the X35 exponent never exceeds 1.  The genset names each generator at
     most once, in the canonical order.  Each (k, genset) is enumerated once
-    and the caller gets a fresh list.
+    while it is held (``_MONOMIALS``), and the caller gets a fresh list.
     """
     genset = tuple(genset)
     for name in genset:
@@ -207,19 +213,30 @@ def weight_monomials(k: int, genset) -> list[MonomialSpec]:
         raise ValueError("weight must be >= 0")
     held = _MONOMIALS.get((k, genset))
     if held is None:
-        held = _MONOMIALS[k, genset] = _enumerated(k, genset)
+        held = _enumerated(k, genset)
+        # Evict the oldest lists until this one fits under the cap.
+        total = sum(map(len, _MONOMIALS.values())) + len(held)
+        while total > _MONOMIAL_CAP and _MONOMIALS:
+            total -= len(_MONOMIALS.pop(next(iter(_MONOMIALS))))
+        if total <= _MONOMIAL_CAP:
+            _MONOMIALS[k, genset] = held
     return list(held)
 
 
-# The weight-k monomials per (k, genset), from ``weight_monomials``.
+# The weight-k monomials per (k, genset), from ``weight_monomials``, in the
+# order they were enumerated: at most _MONOMIAL_CAP specs in all, about
+# 13 MB, where every k <= 613 would hold over 4 million.
 _MONOMIALS: dict[tuple[int, tuple], list[MonomialSpec]] = {}
+_MONOMIAL_CAP = 100_000
 
 
 def _enumerated(k: int, genset: tuple) -> list[MonomialSpec]:
     """The monomials of ``weight_monomials``, ascending in their exponents
-    in genset order, the last one solved by division, each built with no
-    re-sort (``MonomialSpec._canonical``).  The monomials of one call share
-    their (name, exponent) pairs, as ``_MONOMIALS`` holds them all."""
+    in genset order, each built with no re-sort (``MonomialSpec._canonical``).
+    The next-to-last exponent runs only through the values that leave the
+    last one whole, one residue class mod step, and the last is a quotient.
+    The monomials of one call share their (name, exponent) pairs, as
+    ``_MONOMIALS`` holds up to ``_MONOMIAL_CAP`` of them."""
     tail = ()
     if k % 2:
         if "X35" not in genset or k < 35:
@@ -230,19 +247,25 @@ def _enumerated(k: int, genset: tuple) -> list[MonomialSpec]:
         return [] if k else [MonomialSpec._canonical(tail)]
     weights = [GENERATOR_WEIGHTS[g] for g in gens]
     pairs = [[(g, e) for e in range(k // w + 1)] for g, w in zip(gens, weights)]
-    last = len(gens) - 1
+    last, w_last = len(gens) - 1, weights[-1]
+    if not last:
+        e, rest = divmod(k, w_last)
+        return [] if rest else [MonomialSpec._canonical(((pairs[0][e],) if e else ()) + tail)]
     out: list[MonomialSpec] = []
+    step = w_last // gcd(weights[-2], w_last)
 
     def descend(i: int, remaining: int, acc: tuple) -> None:
         w = weights[i]
-        if i == last:
-            e, rest = divmod(remaining, w)
-            if not rest:
-                out.append(MonomialSpec._canonical((acc + (pairs[i][e],) if e else acc) + tail))
+        if i + 1 < last:
+            for e in range(remaining // w + 1):
+                descend(i + 1, remaining - e * w, acc + (pairs[i][e],) if e else acc)
             return
-        descend(i + 1, remaining, acc)
-        for e in range(1, remaining // w + 1):
-            descend(i + 1, remaining - e * w, acc + (pairs[i][e],))
+        top = remaining // w + 1
+        first = next((e for e in range(step) if (remaining - e * w) % w_last == 0), top)
+        for e in range(first, top, step):
+            head = acc + (pairs[i][e],) if e else acc
+            q = (remaining - e * w) // w_last
+            out.append(MonomialSpec._canonical((head + (pairs[last][q],) if q else head) + tail))
 
     descend(0, k, ())
     return out
@@ -411,26 +434,32 @@ def leading_rows(monomials, bound: int, p: int, registry) -> list:
 def layered_rank(monomials, bound: int, p: int, registry) -> dict:
     """``{j: rank}``, for each layer j the sum over t of the F_p ranks of
     the Taylor sub-blocks (j, t) on n <= bound, a lower bound on the rank
-    of block j (module docstring).  A monomial's row there is one
-    ``QSeries1`` product of its factors' leading coefficients at zeta = 1
-    mod p, t the sum of their valuations (``registry.taylor_power``), less
-    the factors whose row is the constant 1 (``registry.unit_row``).  A
-    factor row that is 0 mod p on n <= bound adds no row."""
+    of block j (module docstring).  A monomial's row there is the product
+    mod p of its factors' leading coefficients at zeta = 1, t the sum of
+    their valuations (``registry.taylor_power``), less the factors whose
+    row is the constant 1 (``registry.unit_row``).  The rows are packed
+    integers, multiplied one factor at a time (``packed_mul``); with no
+    factor left the row is the packed constant 1.  Each row of a sub-block
+    of two or more is decoded once for its elimination.  A factor row that
+    is 0 mod p on n <= bound adds no row."""
     blocks, ranks = {}, {}
     names = {name for spec in monomials for name, _ in spec.exponents}
     units = {name for name in names if registry.unit_row(name, bound, p)}
     for spec in monomials:
         j = spec.layer
         ranks[j] = 0
-        kept = [(name, e) for name, e in reversed(spec.exponents) if name not in units]
-        leads = [registry.taylor_power(name, e, bound, p) for name, e in kept]
+        leads = [registry.taylor_power(name, e, bound, p) for name, e in spec.exponents if name not in units]
         if None in leads:
             continue
-        row = QSeries1._product([g for _, g in leads]).coeffs if leads else {0: 1}  # {0: 1}: all units
+        row = leads[0][1] if leads else 1
+        for _, g in leads[1:]:
+            row = packed_mul(row, g, bound, p)
         blocks.setdefault((j, sum(v for v, _ in leads)), []).append(row)
     for (j, _), rows in blocks.items():
-        # A lone row, of residues with the zeros dropped, has rank 1 if it is not empty.
-        ranks[j] += streamed_rank(rows, range(bound + 1), p) if len(rows) > 1 else min(len(rows[0]), 1)
+        if len(rows) > 1:
+            ranks[j] += streamed_rank([unpacked(row, bound, p) for row in rows], range(bound + 1), p)
+        else:
+            ranks[j] += rows[0] != 0  # a lone row of residues has rank 1 unless it is 0
     return ranks
 
 

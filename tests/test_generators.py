@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import siegel2.generators as gmod
 from siegel2 import qformat
@@ -296,9 +298,9 @@ def test_certificates_leave_no_fp_monomials_held(registry, gens6):
     """Passing certificates at p = 2, 5 and 7, in even and odd weight, form
     no monomial and leave no expansion mod p in any registry memo but the
     heads of the leading-row chains, which they grow no further, and the
-    one-variable chains of the leading coefficients at zeta = 1, mod p.
-    Nor does the borcherds-structure suite, which reduces its generators
-    itself."""
+    packed chains of the leading coefficients at zeta = 1 mod p, each
+    headed by ``taylor_lead`` of its row mod p.  Nor does the
+    borcherds-structure suite, which reduces its generators itself."""
     reg = GeneratorRegistry(registry.cache_dir)
     for k, p in ((24, 5), (16, 2), (45, 7)):
         assert verify_theorem1_rank(k, p, 5, reg).passed
@@ -310,8 +312,12 @@ def test_certificates_leave_no_fp_monomials_held(registry, gens6):
     assert any(p for (_, _, p), _ in chains)
     assert all(g.modulus == p and len(chain) == 1 for (_, _, p), chain in chains for g in chain)
     assert {p for _, _, p in reg._taylor} == {2, 5, 7}
-    leads = reg._taylor.items()
-    assert all(type(g) is QSeries1 and g.modulus == p for (_, _, p), (_, chain) in leads for g in chain)
+    for (name, bound, p), held in reg._taylor.items():
+        lead = gmod.taylor_lead(reg.row_power(name, 1, bound, p))
+        assert held is not None and lead is not None, (name, bound, p)
+        (v, chain), (lead_v, g) = held, lead
+        assert v == lead_v and gmod.unpacked(chain[0], bound, p) == g.coeffs, (name, bound, p)
+        assert g.modulus == p and all(type(x) is int for x in chain)
 
 
 def test_lift_rows_are_the_leading_rows_of_the_pinned_generators(registry):
@@ -371,16 +377,58 @@ def test_leading_coefficients_at_zeta_1(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@st.composite
+def residue_rows(draw):
+    """(rows, bound, p): one to six rows of residues mod p on n <= bound."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 101)))
+    bound = draw(st.integers(0, 60))
+    row = st.lists(st.integers(0, p - 1), min_size=bound + 1, max_size=bound + 1)
+    return draw(st.lists(row, min_size=1, max_size=6)), bound, p
+
+
+def _packed_product_is_the_qseries1_product(rows, bound, p):
+    series = [QSeries1(bound, dict(enumerate(row)), modulus=p) for row in rows]
+    want = QSeries1._product(series).coeffs
+    got = gmod.packed(series[0].coeffs, bound, p)
+    for f in series[1:]:
+        got = gmod.packed_mul(got, gmod.packed(f.coeffs, bound, p), bound, p)
+    assert gmod.unpacked(got, bound, p) == want
+    assert got == gmod.packed(want, bound, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_rows())
+def test_packed_products_are_the_qseries1_products_mod_p(case):
+    """A fold of ``packed_mul`` over one to six rows of residues mod p, at
+    bound 0..60, decodes to their ``QSeries1`` product mod p."""
+    _packed_product_is_the_qseries1_product(*case)
+
+
+def test_packed_products_hold_the_largest_slot():
+    """Rows whose every residue is p - 1 reach (bound + 1)(p - 1)^2 in the
+    top kept slot of a product of two, the largest value a slot holds, and
+    still decode to the ``QSeries1`` product mod p."""
+    for p in (2, 3, 5, 7, 11, 101):
+        for bound in (0, 1, 2, 7, 60):
+            w, top = gmod._slot_width(bound, p), (bound + 1) * (p - 1) ** 2
+            full = gmod.packed(dict.fromkeys(range(bound + 1), p - 1), bound, p)
+            assert (full * full >> w * bound) & ((1 << w) - 1) == top < 1 << w
+            for count in range(1, 7):
+                _packed_product_is_the_qseries1_product([[p - 1] * (bound + 1)] * count, bound, p)
+
+
 def test_taylor_powers_are_held_in_one_chain(registry):
     """``taylor_power`` serves (e v, g^e) from one chain per (name, bound,
-    p): a repeat call returns the same object, g^e is the e-th power of the
-    leading coefficient mod p, and exponent 0 raises."""
+    p): a repeat call returns the same object, g^e decodes to the e-th
+    power of the leading coefficient mod p, and exponent 0 raises."""
     reg = GeneratorRegistry(registry.cache_dir)
     for name in ("X4", "X6", "X10", "X35"):
         v, g = gmod.taylor_lead(reg.row_power(name, 1, 6, 5))
+        for e in (1, 2, 3):
+            got_v, got = reg.taylor_power(name, e, 6, 5)
+            assert got_v == e * v and gmod.unpacked(got, 6, 5) == (g**e).coeffs, (name, e)
         cube = reg.taylor_power(name, 3, 6, 5)
-        assert cube == (3 * v, g**3) and reg.taylor_power(name, 3, 6, 5)[1] is cube[1]
-        assert reg.taylor_power(name, 1, 6, 5) == (v, g)
+        assert reg.taylor_power(name, 3, 6, 5)[1] is cube[1]
         assert reg._taylor[name, 6, 5][1][2] is cube[1]
     assert reg.taylor_power("X35", 2, 2, 5) is None
     with pytest.raises(ValueError):
@@ -400,8 +448,7 @@ def test_unit_row_names_the_constant_leading_rows(registry):
                 unit = reg.unit_row(name, bound, p)
                 assert unit == ((name, p) in units), (name, bound, p)
                 if unit:
-                    one = QSeries1(bound, {0: 1}, GENERATOR_WEIGHTS[name], modulus=p)
-                    assert reg.taylor_power(name, 1, bound, p) == (0, one)
+                    assert reg.taylor_power(name, 1, bound, p) == (0, 1)  # the packed constant 1
     assert all(reg.unit_row(name, 0, 11) for name in ("X4", "X6"))
 
 

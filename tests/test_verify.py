@@ -150,6 +150,31 @@ def test_weight_monomials_are_enumerated_once_into_fresh_lists(monkeypatch):
             weight_monomials(-2, GENSET_C)
 
 
+def test_held_monomials_stay_under_the_cap(monkeypatch):
+    """Enumerating GENSET_C and X35 at every k <= 613, over 4 million
+    monomials, holds at most ``_MONOMIAL_CAP`` of them at every step: the
+    newest lists, the oldest evicted first, so that the next older one
+    would not fit.  The certify grid's 54 keys fit and all stay held."""
+    monkeypatch.setattr(verify, "_MONOMIALS", {})
+    cap, genset, total = verify._MONOMIAL_CAP, GENSET_C + ("X35",), 0
+    for k in range(614):
+        total += len(weight_monomials(k, genset))
+        assert sum(map(len, verify._MONOMIALS.values())) <= cap, k
+        assert (k, genset) in verify._MONOMIALS, k
+    assert total > 4_000_000
+    held = list(verify._MONOMIALS)
+    oldest = held[0][0]
+    assert held == [(k, genset) for k in range(oldest, 614)]
+    assert sum(map(len, verify._MONOMIALS.values())) + len(verify._enumerated(oldest - 1, genset)) > cap
+    keys = set()
+    for kind, k, p in _grid_ops():
+        if kind == "theorem1":
+            keys.add((k, (GENSET_C if p >= 5 else GENSET_INTEGRAL) + ("X35",) * (k % 2)))
+    for k, grid_genset in sorted(keys):
+        weight_monomials(k, grid_genset)
+    assert len(keys) == 54 and keys <= set(verify._MONOMIALS)
+
+
 def test_weight_monomials_keep_the_lexicographic_order():
     """The monomials of every weight k <= 120, in both gensets, with and
     without X35, are every exponent vector of weight k (or k - 35 times
