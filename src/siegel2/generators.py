@@ -28,8 +28,8 @@ Z from the lift formula and, for X35, its determinant over the rows
 m <= 1: no generator is built, loaded, pinned or cached for them.  A
 certificate reads each row's leading coefficient at zeta = 1, a
 one-variable series (``taylor_lead``), and multiplies those mod p as
-packed integers, one slot per n (``packed_mul``); a witness multiplies the
-rows themselves mod p (``GeneratorRegistry.row_power``).
+packed integers, one slot per n (``packed_mul``); a witness reads only
+each row's leading index mod p, and adds them.
 """
 
 from __future__ import annotations
@@ -79,8 +79,6 @@ _LEADING = {
 _MIN_PRECISION = {
     name: max(index[0], index[2]) for name, (index, _) in _LEADING.items()
 }
-# The leading row that is the constant 1 (``GeneratorRegistry.unit_row``).
-_UNIT = {(0, 0, 0): 1}
 
 # Declared Witt images, in the order the witt-images suite reports them:
 # (generator, Taylor order, image).  An image is a product of diag_builder
@@ -172,11 +170,10 @@ class GeneratorRegistry:
     The certificates' and witnesses' rows come from no cached or pinned
     expansion: the registry holds each generator's leading row over Z
     (``generator_row``) at the largest bound asked, and power chains mod p
-    of that row (``row_power``, for the witnesses) and of its leading
-    coefficient at zeta = 1, as packed rows (``taylor_power`` and
-    ``packed_mul``, for the certificates), but no monomial's row.
-    ``build``, ``show``, the suites and the p >= 5 fallback read the pinned
-    generators (``generator``, ``monomial``).
+    of its leading coefficient at zeta = 1, as packed rows
+    (``taylor_power`` and ``packed_mul``, for the certificates), but no
+    row mod p and no monomial's row.  ``build``, ``show`` and the suites
+    read the pinned generators (``generator``, ``monomial``).
     """
 
     def __init__(self, cache_dir=None):
@@ -187,9 +184,9 @@ class GeneratorRegistry:
         # served per (name, precision), each truncated once.
         self._forms: dict[str, SiegelExpansion] = {}
         self._served: dict[tuple[str, int], SiegelExpansion] = {}
-        # Power chains [g, g^2, ...] per (name, precision, p): of generators
-        # over Z (p None, ``power``) and of leading rows mod p (``row_power``).
-        self._chains: dict[tuple[str, int, int | None], list[SiegelExpansion]] = {}
+        # Power chains [g, g^2, ...] of the generators over Z per (name,
+        # precision) (``power``).
+        self._chains: dict[tuple[str, int], list[SiegelExpansion]] = {}
         # (valuation, power chain of the leading coefficient at zeta = 1 as
         # packed rows mod p) per (name, bound, p), or None for a row 0 mod p
         # (``taylor_power``).
@@ -273,8 +270,12 @@ class GeneratorRegistry:
     # -- monomials ------------------------------------------------------------
 
     def power(self, name: str, exponent: int, precision: int) -> SiegelExpansion:
-        """The generator power g^e over Z, e >= 1; g^1 is the generator (``_chain``)."""
-        return self._chain(name, exponent, precision, None)
+        """The generator power g^e over Z, e >= 1, from the chain [g, g^2, ...]
+        held per (name, precision) (``_grown``); g^1 is the generator."""
+        chain = self._chains.get((name, precision))
+        if chain is None:
+            chain = self._chains[name, precision] = [self.generator(name, precision)]
+        return _grown(chain, exponent)
 
     def generator_row(self, name: str, bound: int) -> SiegelExpansion:
         """The generator's leading row over Z: row m = l, l its layer
@@ -287,45 +288,20 @@ class GeneratorRegistry:
             held = self._lifted[name] = _lifted_row(name, max(bound, _MIN_PRECISION[name]))
         return held if held.precision == bound else held.truncate(bound)
 
-    def row_power(self, name: str, exponent: int, bound: int, p: int) -> SiegelExpansion:
-        """The power r^e mod p, e >= 1, of the generator's leading row r
-        (``generator_row``) reduced mod p (``_chain``).  The witnesses'
-        ``verify.leading_rows`` multiplies them."""
-        return self._chain(name, exponent, bound, p)
-
-    def unit_row(self, name: str, bound: int, p: int) -> bool:
-        """Whether the generator's leading row mod p on n <= bound is the
-        constant 1, as X4's is mod p | 240 and X6's mod p | 504 at bounds
-        >= 1; certificates and witnesses drop such a factor."""
-        return self.row_power(name, 1, bound, p).coeffs == _UNIT
-
     def taylor_power(self, name: str, exponent: int, bound: int, p: int):
         """(e v, g^e) mod p, e >= 1, for (v, g) = ``taylor_lead`` of the
-        generator's leading row mod p on n <= bound, the head of its
-        ``row_power`` chain, or None when that row is 0 mod p; g^e is a
-        packed row (``packed_mul``) from a chain held per (name, bound, p)
-        (``_grown``)."""
+        generator's leading row (``generator_row``) reduced mod p on
+        n <= bound, or None when that row is 0 mod p; g^e is a packed row
+        (``packed_mul``) from a chain held per (name, bound, p) (``_grown``)."""
         key = (name, bound, p)
         if key not in self._taylor:
-            lead = taylor_lead(self.row_power(name, 1, bound, p))
+            lead = taylor_lead(self.generator_row(name, bound).reduce_mod(p))
             self._taylor[key] = lead and (lead[0], [packed(lead[1].coeffs, bound, p)])
         held = self._taylor[key]
         if held is None:
             return None
         v, chain = held
         return exponent * v, _grown(chain, exponent, lambda a, b: packed_mul(a, b, bound, p))
-
-    def _chain(self, name, e, precision, p):
-        """g^e from the chain [g, g^2, ...] held per (name, precision, p)
-        (``_grown``): g is the generator over Z, or its leading row mod p."""
-        chain = self._chains.get((name, precision, p))
-        if chain is None:
-            if p is None:
-                g = self.generator(name, precision)
-            else:
-                g = self.generator_row(name, precision).reduce_mod(p)
-            chain = self._chains[name, precision, p] = [g]
-        return _grown(chain, e)
 
     def monomial(self, spec: MonomialSpec, precision: int) -> SiegelExpansion:
         """Product expansion of a generator monomial at the given precision."""

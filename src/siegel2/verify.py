@@ -10,7 +10,7 @@ divisible by p^nu" on exact expansions; ``verify_theorem1_rank`` certifies
 at desk scale that truncating at the bound loses no mod-p information, by
 showing in F_p that the weight-k monomials have rank dim M_k on the
 truncated box; ``sharpness_witness`` produces a form showing the bound
-cannot be lowered, read from its leading row mod p on the certificate's
+cannot be lowered, read from its leading index mod p on the certificate's
 premise (below).  Every rank, left kernel and canonical span over F_p
 comes from one echelon basis (``Echelon``); a left kernel is the
 complement of the column span.
@@ -56,10 +56,48 @@ the ranks of the sub-blocks (j, t) of one-variable products on n <= b_k
 (``layered_rank``, which multiplies in R on integers packed with one slot
 per n, ``generators.packed_mul``).  When that sum is dim M_k, so is the
 rank on the box b_k, and on any larger box, whatever integral rows were
-taken.  Any other sum proves nothing: at p >= 5 one elimination of the
-monomials on the box b_k gives the exact rank (whether the sum always
-reaches dim M_k there is not proved); at p in {2, 3} it is a SKIP naming
-short layers.
+taken.  Any other sum proves nothing, and is a SKIP naming short layers.
+
+At p >= 5 the sum is always dim M_k.  The rows are the monomials
+X4^a X6^b X10^c X12^d, times X35 (e = 1) in odd weight (e = 0), of layer
+j = c + d + 2e.
+  * The table.  A generator's leading coefficient at zeta = 1 is a
+    level-1 modular form: the least nonzero Taylor coefficient at z = 0 of
+    its leading Fourier-Jacobi coefficient is one (Eichler-Zagier, section
+    3), of weight w + v for a generator of weight w, and u = zeta - 1 =
+    2 pi i z + O(z^2) only scales it.  Over Z, (v, h_v) is (0, E4),
+    (0, E6), (2, Delta), (0, 12 Delta) and (1, -2 Delta^3) for X4, X6, X10,
+    X12 and X35, and (0, Delta), (0, E4 Delta) for Y12 and X16.  Each
+    w + v is at most 36, where the Sturm bound is 3: a form that vanishes
+    on n <= 3 is 0.  So agreement on n <= 3 makes each entry exact, and
+    each valuation too, since a nonzero h_s, s < v, would be the least
+    coefficient and vanish there.  ``test_leading_coefficients_at_zeta_1``
+    checks the table to n <= 20 on the rows from the lift formula, which
+    other tests check against the pinned generators.
+  * Sub-blocks.  At p >= 5 no leading coefficient vanishes mod p on the cut
+    n <= b_k: E4 and E6 start with 1, Delta with q, 12 Delta with 12 q and
+    -2 Delta^3 with -2 q^3, and b_k >= 1 when X10 or X12 appears, b_k >= 3
+    when X35 does.  So the valuations mod p are those over Z, a monomial's
+    is t = 2c + e, and sub-block (j, t) = (c + d + 2e, 2c + e) holds the
+    monomials of one (c, d).
+  * Rows.  A monomial's row there is 12^d (-2)^e E4^a E6^b Delta^J mod p,
+    J = c + d + 3e: a unit times Delta^J times E4^a E6^b, where
+    4a + 6b = w = k - 10c - 12d - 35e.
+  * Rank.  M_*(Z[1/6]) = Z[1/6][E4, E6], so the dim M_w products E4^a E6^b
+    are a basis of M_w(Z_(p)).  M_w(Z) has a basis q^i + O(q^dim M_w),
+    i < dim M_w (Miller), so they stay independent mod p on
+    n <= dim M_w - 1 <= floor(w/12).  Delta^J is q^J times a unit of
+    F_p[[q]], so the sub-block has rank dim M_w on n <= J + floor(w/12).
+    That is within b_k: J + w/12 falls short of k/10 in even weight by
+    (k - 10c)/60, and of (k - 5)/10 in odd weight by (k - 35 - 10c)/60,
+    both >= 0, and J + floor(w/12) is an integer
+    (``test_taylor_sub_blocks_fit_under_b_k``).
+  * Sum.  Summed over (c, d), the ranks dim M_w are the monomial counts
+    ``layer_dimensions(k)``, whose total is dim M_k (Igusa)
+    (``test_taylor_sums_are_the_layer_dimensions_at_p_ge_5``).
+At p in {2, 3} X12's and X35's coefficients may vanish mod p and the
+integral generators are not known to span M_k, so a short sum is a SKIP
+there.
 
 ``verify_identities`` bundles the named suites exercised by the CLI:
 
@@ -412,48 +450,28 @@ def span_canonical(vectors, p):
 # -- bound certificates ----------------------------------------------------
 
 
-def leading_rows(monomials, bound: int, p: int, registry) -> list:
-    """Each monomial's row m = layer, cut to n <= bound, mod p, as
-    ``sharpness_witness`` reads it: one ``_product`` of its factors'
-    leading rows mod p (``registry.row_power``, from the lift formula, with
-    no whole-box generator), less the factors whose row is the constant 1
-    (``registry.unit_row``).  Row l is held when l <= bound, as at
-    bound = b_k in weight k (module docstring).
-    """
-    rows = []
-    for spec in monomials:
-        factors = [
-            registry.row_power(name, e, bound, p)
-            for name, e in reversed(spec.exponents)
-            if not registry.unit_row(name, bound, p)
-        ]
-        rows.append(SiegelExpansion._product(factors or [SiegelExpansion.constant(1, bound, modulus=p)]))
-    return rows
-
-
 def layered_rank(monomials, bound: int, p: int, registry) -> dict:
     """``{j: rank}``, for each layer j the sum over t of the F_p ranks of
     the Taylor sub-blocks (j, t) on n <= bound, a lower bound on the rank
     of block j (module docstring).  A monomial's row there is the product
     mod p of its factors' leading coefficients at zeta = 1, t the sum of
-    their valuations (``registry.taylor_power``), less the factors whose
-    row is the constant 1 (``registry.unit_row``).  The rows are packed
-    integers, multiplied one factor at a time (``packed_mul``); with no
-    factor left the row is the packed constant 1.  Each row of a sub-block
-    of two or more is decoded once for its elimination.  A factor row that
-    is 0 mod p on n <= bound adds no row."""
+    their valuations (``registry.taylor_power``).  The rows are packed
+    integers, multiplied one factor at a time (``packed_mul``) from the
+    packed constant 1, skipping a factor whose packed lead is 1, as X4's
+    is mod 2, 3 and 5 and X6's mod 2, 3 and 7.  Each row of a sub-block of
+    two or more is decoded once for its elimination.  A factor row that is
+    0 mod p on n <= bound adds no row."""
     blocks, ranks = {}, {}
-    names = {name for spec in monomials for name, _ in spec.exponents}
-    units = {name for name in names if registry.unit_row(name, bound, p)}
     for spec in monomials:
         j = spec.layer
         ranks[j] = 0
-        leads = [registry.taylor_power(name, e, bound, p) for name, e in spec.exponents if name not in units]
+        leads = [registry.taylor_power(name, e, bound, p) for name, e in spec.exponents]
         if None in leads:
             continue
-        row = leads[0][1] if leads else 1
-        for _, g in leads[1:]:
-            row = packed_mul(row, g, bound, p)
+        row = 1
+        for _, g in leads:
+            if g != 1:
+                row = g if row == 1 else packed_mul(row, g, bound, p)
         blocks.setdefault((j, sum(v for v, _ in leads)), []).append(row)
     for (j, _), rows in blocks.items():
         if len(rows) > 1:
@@ -522,22 +540,15 @@ def verify_theorem1_rank(
 
     The rows are the weight-k monomials in ``GENSET_C`` (p >= 5) or
     ``GENSET_INTEGRAL`` (p in {2, 3}), times X35 in odd weight, read at
-    precision b_k, which holds every layer; B need only reach b_k.  Each is
-    an integral weight-k form that vanishes below its layer, and its row
-    m = layer is the product of its factors' leading Fourier-Jacobi rows,
-    formed from the lift formula and the strip argument with no whole-box
-    generator (``registry.generator_row``).  Only the leading coefficients
-    of those rows at zeta = 1 mod p are multiplied, one-variable series on
-    n <= b_k, and a sum of Taylor sub-block ranks (``layered_rank``) of
-    dim M_k proves the rank on the box b_k, and on the box B by the bound
-    from above (module docstring); such a certificate forms no
-    two-variable product and reads and writes no cache file.  A short sum
-    proves nothing: at p >= 5
-    ``streamed_rank`` eliminates the Z monomials mod p
-    (``registry.monomial``, from the pinned generators) on the box b_k; at
-    p in {2, 3}, where the integral generators are not known to span M_k
-    mod p, it is a SKIP naming each layer j whose rank differs from
-    ``layer_dimensions(k)[j]``.
+    precision b_k, which holds every layer; B need only reach b_k.  Only the
+    leading coefficients at zeta = 1 mod p of their factors' leading
+    Fourier-Jacobi rows, from the lift formula (``registry.generator_row``),
+    are multiplied, and a sum of Taylor sub-block ranks (``layered_rank``)
+    of dim M_k proves the rank on the box b_k, and on the box B by the bound
+    from above; at p >= 5 the sum is always dim M_k (module docstring).  No
+    two-variable product is formed and no cache file is read or written.  A
+    short sum proves nothing: it is a SKIP naming each layer j whose rank
+    differs from ``layer_dimensions(k)[j]``.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -555,15 +566,11 @@ def verify_theorem1_rank(
     if sum(ranks.values()) == report.dim_c:
         report.rank_truncated = report.dim_c
         return report
-    if p < 5:
-        # Every layer has a target: Y12 and X16 share weight and layer with X6^2 and X6*X10.
-        report.reason = ", ".join(
-            f"layer {j}: rank {ranks.get(j, 0)} of {n}"
-            for j, n in sorted(targets.items()) if ranks.get(j, 0) != n
-        )
-        return report
-    rows = [registry.monomial(spec, b).reduce_mod(p).coeffs for spec in monomials]
-    report.rank_truncated = streamed_rank(rows, box_indices(b), p)
+    # Every layer has a target: Y12 and X16 share weight and layer with X6^2 and X6*X10.
+    report.reason = ", ".join(
+        f"layer {j}: rank {ranks.get(j, 0)} of {n}"
+        for j, n in sorted(targets.items()) if ranks.get(j, 0) != n
+    )
     return report
 
 
@@ -581,10 +588,14 @@ def sharpness_witness(
     a monomial vanishes below its layer j (see the module docstring).  In
     even weight j = b_k, so the box b_k - 1 lies wholly below the layer; in
     odd weight j = b_k - 1, so the leading row m = j is the only row inside
-    the box.  Only that row is computed, n <= b_k, mod p (``leading_rows``):
-    its nonzero entries inside the box are the violations, and its leading
-    term must sit at the expected index, the sum of the factors' leading
-    indices, for a unit leading coefficient mod p.
+    the box.  That row, n <= b_k, mod p is the product of the factors'
+    rows (``registry.generator_row``) mod p, and is not formed: as
+    F_p[zeta, 1/zeta] is a domain, its least (m, n, r) index nonzero mod p
+    is the sum of the factors', times their exponents, and it is 0 only if
+    a factor is or that sum has n > b_k.  The row has an entry inside the
+    box exactly when that index lies inside, a violation, and the index
+    must be the expected one, the sum of the declared leading indices, for
+    a unit leading coefficient mod p.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -602,11 +613,15 @@ def sharpness_witness(
     spec = MonomialSpec.from_dict(exponents)
     assert spec.weight == k
     expected = spec.leading_index
-    row = leading_rows([spec], b, p, registry)[0]
-    if row.is_zero():
+    lead = (0, 0, 0)
+    for name, e in spec.exponents:
+        factor = registry.generator_row(name, b).reduce_mod(p)
+        if factor.is_zero():
+            raise ValueError(f"witness {spec} vanishes mod {p} on its box")
+        lead = tuple(x + e * y for x, y in zip(lead, factor.leading_term().index))
+    if lead[2] > b:
         raise ValueError(f"witness {spec} vanishes mod {p} on its box")
-    violations = [(key, 0) for key in row.support() if key[0] < b and key[2] < b]
-    lead = row.leading_term().index
+    violations = [(lead, 0)] if lead[0] < b and lead[2] < b else []
     unit = lead == expected
     note = None if unit else f"leading term {lead} differs from expected {expected}"
     return spec, SturmReport(b - 1, PrimePower(p), not violations and unit, violations, note)

@@ -238,18 +238,12 @@ def test_each_precision_is_truncated_once(tmp_path, monkeypatch):
     assert reg.generator("X4", 3) is top
 
 
-@pytest.mark.parametrize("p", [None, 5], ids=["Z", "F5"])
-def test_powers_are_held_in_one_chain(registry, gens6, monkeypatch, p):
-    """``power`` (p None) and ``row_power`` serve every g^e from one chain
-    per (name, precision, p): a repeat call returns the same object, each
-    new power is one product, over Z or mod p, and exponent 0 raises.  g^1
-    is the generator over Z and its leading row, reduced, mod p."""
+def test_powers_are_held_in_one_chain(registry, gens6, monkeypatch):
+    """``power`` serves every g^e over Z from one chain per (name,
+    precision): a repeat call returns the same object, each new power is
+    one product, and exponent 0 raises.  g^1 is the generator."""
     reg = GeneratorRegistry(registry.cache_dir)
     names = ("X4", "X10", "X35")
-
-    def power(name, e):
-        return reg.power(name, e, 5) if p is None else reg.row_power(name, e, 5, p)
-
     formed = []
     mul = SiegelExpansion.__mul__
 
@@ -260,22 +254,16 @@ def test_powers_are_held_in_one_chain(registry, gens6, monkeypatch, p):
     monkeypatch.setattr(SiegelExpansion, "__mul__", counted)
     for name in names:
         g = gens6[name].truncate(5)
-        if p is None:
-            assert power(name, 1) is reg.generator(name, 5)
-        else:
-            layer = MonomialSpec.from_dict({name: 1}).layer
-            row = {k: c for k, c in g.reduce_mod(p).coeffs.items() if k[0] == layer}
-            g = SiegelExpansion(g.weight, 5, row, modulus=p)
-        cube = power(name, 3)
-        square = power(name, 2)
-        assert cube is power(name, 3) and square is power(name, 2)
-        assert power(name, 1) == g and square == g**2 and cube == g**3
+        assert reg.power(name, 1, 5) is reg.generator(name, 5)
+        cube = reg.power(name, 3, 5)
+        square = reg.power(name, 2, 5)
+        assert cube is reg.power(name, 3, 5) and square is reg.power(name, 2, 5)
+        assert reg.power(name, 1, 5) == g and square == g**2 and cube == g**3
     # g^2 and g^3 once per name, whatever the order of the requests.
     assert len(formed) == 2 * len(names)
-    assert set(reg._chains) == {(name, 5, p) for name in names}
-    assert all(g.modulus == p for chain in reg._chains.values() for g in chain)
+    assert set(reg._chains) == {(name, 5) for name in names}
     with pytest.raises(ValueError):
-        power("X6", 0)
+        reg.power("X6", 0, 5)
 
 
 def test_monomial_is_the_folded_product_of_its_powers(registry, gens6):
@@ -296,24 +284,21 @@ def test_monomial_is_the_folded_product_of_its_powers(registry, gens6):
 
 def test_certificates_leave_no_fp_monomials_held(registry, gens6):
     """Passing certificates at p = 2, 5 and 7, in even and odd weight, form
-    no monomial and leave no expansion mod p in any registry memo but the
-    heads of the leading-row chains, which they grow no further, and the
-    packed chains of the leading coefficients at zeta = 1 mod p, each
-    headed by ``taylor_lead`` of its row mod p.  Nor does the
+    no monomial and no power and leave no expansion mod p in any registry
+    memo, only the packed chains of the leading coefficients at zeta = 1
+    mod p, each headed by ``taylor_lead`` of its row mod p.  Nor does the
     borcherds-structure suite, which reduces its generators itself."""
     reg = GeneratorRegistry(registry.cache_dir)
     for k, p in ((24, 5), (16, 2), (45, 7)):
         assert verify_theorem1_rank(k, p, 5, reg).passed
-    assert reg._monomials == {}
+    assert reg._monomials == {} and reg._chains == {}
     assert verify_identities("borcherds-structure", 5, 4, reg).passed
-    held = [*reg._forms.values(), *reg._served.values(), *reg._monomials.values()]
+    held = [*reg._forms.values(), *reg._served.values(), *reg._lifted.values()]
     assert reg._served and all(exp.modulus is None for exp in held)
-    chains = reg._chains.items()
-    assert any(p for (_, _, p), _ in chains)
-    assert all(g.modulus == p and len(chain) == 1 for (_, _, p), chain in chains for g in chain)
+    assert reg._monomials == {} and reg._chains == {}
     assert {p for _, _, p in reg._taylor} == {2, 5, 7}
     for (name, bound, p), held in reg._taylor.items():
-        lead = gmod.taylor_lead(reg.row_power(name, 1, bound, p))
+        lead = gmod.taylor_lead(reg.generator_row(name, bound).reduce_mod(p))
         assert held is not None and lead is not None, (name, bound, p)
         (v, chain), (lead_v, g) = held, lead
         assert v == lead_v and gmod.unpacked(chain[0], bound, p) == g.coeffs, (name, bound, p)
@@ -323,9 +308,8 @@ def test_certificates_leave_no_fp_monomials_held(registry, gens6):
 def test_lift_rows_are_the_leading_rows_of_the_pinned_generators(registry):
     """Each generator's row from the lift formula (``generator_row``) is row
     m = layer of the pinned whole-box generator, cut to n <= P, formed at
-    every P <= 14 in turn (X35 below 3 as the cut of its row at 3), over Z
-    and, as the head of its chain, mod p; a smaller bound is the cut of the
-    row held at 14."""
+    every P <= 14 in turn (X35 below 3 as the cut of its row at 3); a
+    smaller bound is the cut of the row held at 14."""
     reg = GeneratorRegistry(registry.cache_dir)
     for name in ALL_NAMES:
         layer = MonomialSpec.from_dict({name: 1}).layer
@@ -335,9 +319,6 @@ def test_lift_rows_are_the_leading_rows_of_the_pinned_generators(registry):
             row = reg.generator_row(name, P)
             assert row.coeffs == cut and row.precision == P, (name, P)
             assert row.weight == GENERATOR_WEIGHTS[name]
-            for p in (2, 3, 5, 7, 11):
-                head = SiegelExpansion(row.weight, P, cut, modulus=p)
-                assert reg.row_power(name, 1, P, p) == head, (name, P, p)
         held = reg._lifted[name]
         assert held.precision == 14
         assert reg.generator_row(name, 5) == held.truncate(5) and reg._lifted[name] is held
@@ -423,7 +404,7 @@ def test_taylor_powers_are_held_in_one_chain(registry):
     power of the leading coefficient mod p, and exponent 0 raises."""
     reg = GeneratorRegistry(registry.cache_dir)
     for name in ("X4", "X6", "X10", "X35"):
-        v, g = gmod.taylor_lead(reg.row_power(name, 1, 6, 5))
+        v, g = gmod.taylor_lead(reg.generator_row(name, 6).reduce_mod(5))
         for e in (1, 2, 3):
             got_v, got = reg.taylor_power(name, e, 6, 5)
             assert got_v == e * v and gmod.unpacked(got, 6, 5) == (g**e).coeffs, (name, e)
@@ -436,20 +417,18 @@ def test_taylor_powers_are_held_in_one_chain(registry):
 
 
 def test_unit_row_names_the_constant_leading_rows(registry):
-    """``unit_row`` names the generators whose leading row mod p is the
-    constant 1 at every bound >= 1, X4 mod 2, 3 and 5 and X6 mod 2, 3 and
-    7, whose leading coefficient at zeta = 1 is then (0, 1); at bound 0
-    every layer-0 row is 1 mod p."""
+    """The generators whose leading coefficient at zeta = 1 mod p is (0, 1),
+    the packed constant 1 that ``layered_rank`` skips, at every bound >= 1:
+    X4 mod 2, 3 and 5 and X6 mod 2, 3 and 7, whose leading rows mod p are
+    the constant 1.  At bound 0 every layer-0 row is 1 mod p."""
     reg = GeneratorRegistry(registry.cache_dir)
     units = {("X4", 2), ("X4", 3), ("X4", 5), ("X6", 2), ("X6", 3), ("X6", 7)}
     for bound in (1, 6):
         for name in ALL_NAMES:
             for p in (2, 3, 5, 7, 11, 13):
-                unit = reg.unit_row(name, bound, p)
+                unit = reg.taylor_power(name, 1, bound, p) == (0, 1)
                 assert unit == ((name, p) in units), (name, bound, p)
-                if unit:
-                    assert reg.taylor_power(name, 1, bound, p) == (0, 1)  # the packed constant 1
-    assert all(reg.unit_row(name, 0, 11) for name in ("X4", "X6"))
+    assert all(reg.taylor_power(name, 1, 0, 11) == (0, 1) for name in ("X4", "X6"))
 
 
 def test_the_x35_strip_is_the_whole_box_x35_on_its_rows_up_to_2(registry):

@@ -357,7 +357,7 @@ def test_reduce_mod_commutes_with_generator_products(gens6):
 @given(data=st.data(), p=st.sampled_from((2, 3, 5, 7)), precision=st.integers(0, 5))
 def test_fp_product_is_the_reduced_monomial(gens6, registry, data, p, precision):
     """The packed F_p product of the generators reduced mod p, the product
-    the certificates form on leading rows, is the Z monomial reduced mod p."""
+    the tests' leading-row oracle forms, is the Z monomial reduced mod p."""
     # gens6 holds every generator at precision 6, so each request below is
     # served by truncation, also under the leading index of X35.
     exponents, budget = {}, 40

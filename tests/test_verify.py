@@ -25,7 +25,6 @@ from siegel2.verify import (
     fp_rank,
     layer_dimensions,
     layered_rank,
-    leading_rows,
     matrix_from_forms,
     sharpness_witness,
     span_canonical,
@@ -280,6 +279,22 @@ def test_layer_dimensions_count_the_classical_monomials():
     assert layer_dimensions(45) == {2: 1, 3: 1}
 
 
+def leading_rows(monomials, bound, p, registry):
+    """The oracle for the certificates' layer blocks and for the witnesses:
+    each monomial's row m = layer, cut to n <= bound, mod p, as one
+    ``_product`` of the powers of its factors' leading rows from the lift
+    formula (``generator_row``) reduced mod p, each power formed once per
+    call."""
+    powers, rows = {}, []
+    for spec in monomials:
+        for name, e in spec.exponents:
+            if (name, e) not in powers:
+                powers[name, e] = registry.generator_row(name, bound).reduce_mod(p) ** e
+        factors = [powers[name, e] for name, e in reversed(spec.exponents)]
+        rows.append(SiegelExpansion._product(factors or [SiegelExpansion.constant(1, bound, modulus=p)]))
+    return rows
+
+
 def test_leading_rows_are_the_layer_rows_of_the_monomials(registry):
     """For every monomial of weight <= 60 in the generators and X35, the
     leading row is row m = layer of the whole monomial mod p: in ``GENSET_C``
@@ -360,6 +375,38 @@ def block_ranks(monomials, bound, p, registry):
         )
         for j, rows in blocks.items()
     }
+
+
+def test_taylor_sub_blocks_fit_under_b_k():
+    """The inequality of the p >= 5 argument (``verify`` module docstring):
+    for every weight k <= 600 and every X10^c X12^d, times X35 (e = 1) in
+    odd weight, that leaves a rest w = k - 10c - 12d - 35e >= 0 for
+    E4^a E6^b, the sub-block's columns n <= J + floor(w/12), J = c + d + 3e,
+    lie within b_k."""
+    count = 0
+    for k in range(601):
+        e, b = k % 2, sturm_bound(k)
+        for c in range(k // 10 + 1):
+            for d in range(k // 12 + 1):
+                w = k - 10 * c - 12 * d - 35 * e
+                if w < 0:
+                    break
+                assert c + d + 3 * e + w // 12 <= b, (k, c, d)
+                count += 1
+    assert count > 100_000
+
+
+def test_taylor_sums_are_the_layer_dimensions_at_p_ge_5(registry):
+    """The p >= 5 argument (``verify`` module docstring): every Taylor
+    sub-block of the ``GENSET_C`` monomials has full rank on n <= b_k, so
+    the sum per layer is ``layer_dimensions(k)``, at p in {5, 7, 11, 13},
+    even k <= 180 and odd k <= 181."""
+    for p in (5, 7, 11, 13):
+        reg = GeneratorRegistry(registry.cache_dir)
+        for k in range(182):
+            odd = ("X35",) if k % 2 else ()
+            specs = weight_monomials(k, GENSET_C + odd)
+            assert layered_rank(specs, sturm_bound(k), p, reg) == layer_dimensions(k), (k, p)
 
 
 def test_taylor_ranks_are_the_layer_block_ranks(registry):
@@ -510,56 +557,39 @@ def test_a_block_kernel_still_passes_by_layers(registry, monkeypatch):
     assert report.rank_full == dense_rank(full, p) == report.dim_c
 
 
-def test_a_short_layer_sum_falls_back_to_the_full_elimination(registry, monkeypatch):
-    """A dropped monomial leaves the layer sum short of dim M_k; the
-    certificate then eliminates the whole monomials on the box b_k, its
-    rank is the dense reference rank there, and it fails."""
-    k, p, precision = 24, 5, 5
-    b = sturm_bound(k)
+@pytest.mark.parametrize(
+    "k, p, short",
+    [
+        pytest.param(16, 2, "layer 1: rank 1 of 2", id="16-2"),
+        pytest.param(24, 5, "layer 2: rank 1 of 2", id="24-5"),
+    ],
+)
+def test_a_short_layer_sum_is_a_skip_naming_the_short_layer(registry, monkeypatch, k, p, short):
+    """A dropped monomial (X16 at k = 16, X12^2 at k = 24) leaves its
+    layer's Taylor sum one short of dim M_k.  A short sum proves nothing, at
+    p = 2, where the integral generators are not known to span M_k, and at
+    p = 5 alike: the certificate is a SKIP naming the short layer, and it
+    forms no monomial on the whole box.  One box below b_k, where the
+    witness vanishes, the dense rank of all the monomials is below dim M_k."""
+    precision, b = 5, sturm_bound(k)
+    monomials = weight_monomials(k, GENSET_C if p >= 5 else GENSET_INTEGRAL)
     dim = sum(layer_dimensions(k).values())
-    dropped = weight_monomials(k, GENSET_C)[1:]
+    truncated, _ = _box_matrix(registry, monomials, precision, b - 1)
+    assert dense_rank(truncated, p) < dim
+    dropped = monomials[1:]
+    assert str(monomials[0]) == ("X16" if p == 2 else "X12^2")
     assert sum(layered_rank(dropped, b, p, registry).values()) == dim - 1
-    monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: dropped)
-    report = verify_theorem1_rank(k, p, precision, registry)
-    truncated, _ = _box_matrix(registry, dropped, precision, b)
-    assert report.rank_truncated == dense_rank(truncated, p) == dim - 1
-    assert not report.passed and report.rank_full is None
-    assert report.render() == (
-        "FAIL theorem1 k=24 p=5 rank<=b_k 7 < dim_C = 8 (7 monomials, b_k=2, B=5)"
-    )
-    # One box below b_k (where the witness X4*X10^2 vanishes) the truncated
-    # rank falls below dim M_k, and it is its dense reference rank.
-    monkeypatch.undo()
-    monkeypatch.setattr(verify, "sturm_bound", lambda k: b - 1)
-    report = verify_theorem1_rank(k, p, precision, registry)
-    truncated, _ = _box_matrix(registry, weight_monomials(k, GENSET_C), precision, b - 1)
-    assert report.rank_truncated == dense_rank(truncated, p) < report.dim_c
-    assert not report.passed and report.rank_full is None
-
-
-def test_a_short_layer_sum_at_2_is_a_skip_without_whole_monomials(registry, monkeypatch):
-    """At p = 2 the integral generators are not known to span M_k, so a
-    short layer sum is no counterexample: with X16 dropped at k = 16 the
-    certificate is a SKIP naming the short layer, and it forms no monomial
-    on the whole box."""
-    k, p, precision = 16, 2, 5
-    dropped = weight_monomials(k, GENSET_INTEGRAL)[1:]
-    assert str(weight_monomials(k, GENSET_INTEGRAL)[0]) == "X16"
 
     def refuse(*args):
-        raise AssertionError("a short layer sum at p = 2 formed a whole-box monomial")
+        raise AssertionError("a short layer sum formed a whole-box monomial")
 
-    def without_x16(k, genset):
-        return dropped if "Y12" in genset else weight_monomials(k, genset)
-
-    monkeypatch.setattr(verify, "weight_monomials", without_x16)
+    monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: dropped)
     monkeypatch.setattr(GeneratorRegistry, "monomial", refuse)
     report = verify_theorem1_rank(k, p, precision, registry)
     assert not report.certifiable and not report.passed
     assert report.rank_truncated is report.rank_full is None
     assert report.render() == (
-        "SKIP theorem1 k=16 p=2: not certifiable with available generators "
-        "(layer 1: rank 1 of 2)"
+        f"SKIP theorem1 k={k} p={p}: not certifiable with available generators ({short})"
     )
 
 
@@ -588,10 +618,9 @@ def test_a_cached_generator_nonzero_below_its_layer_is_rebuilt(tmp_path, registr
 
 
 def test_certificates_and_witnesses_ask_the_registry_at_b_k(registry, monkeypatch):
-    """A passing certificate and a witness read no generator: they ask only
-    for leading rows from the lift formula (``generator_row``), at b_k,
-    whatever the box B.  The p >= 5 fallback reads generators and monomials
-    at b_k only."""
+    """A passing certificate, a SKIP and a witness read no generator: they
+    ask only for leading rows from the lift formula (``generator_row``), at
+    b_k, whatever the box B."""
     asked = {"generator": [], "generator_row": [], "monomial": []}
     for method in asked:
         original = getattr(GeneratorRegistry, method)
@@ -617,8 +646,8 @@ def test_certificates_and_witnesses_ask_the_registry_at_b_k(registry, monkeypatc
         assert fresh(k, p, lambda reg: sharpness_witness(k, p, reg)[1].verdict) == want
     dropped = weight_monomials(24, GENSET_C)[1:]
     monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: dropped)
-    got = fresh(24, 5, lambda reg: not verify_theorem1_rank(24, 5, 9, reg).passed)
-    assert got["generator"] == got["monomial"] == got["generator_row"] == {2}
+    got = fresh(24, 5, lambda reg: not verify_theorem1_rank(24, 5, 9, reg).certifiable)
+    assert got == {"generator": set(), "generator_row": {2}, "monomial": set()}
     got = fresh(24, 5, lambda reg: sharpness_witness(24, 5, reg)[1].verdict)
     assert got == {"generator": set(), "generator_row": {2}, "monomial": set()}
 
@@ -789,8 +818,8 @@ def test_sharpness_witness_examples(registry):
 
 
 def test_witnesses_form_no_monomial_and_no_power(registry, monkeypatch):
-    """A witness is read from one leading row mod p: it forms no whole-box
-    monomial and no Z power, up to X10^20 at weight 200."""
+    """A witness is read from its factors' leading indices mod p: it forms
+    no whole-box monomial and no Z power, up to X10^20 at weight 200."""
 
     def refuse(*args):
         raise AssertionError("a witness formed a Z monomial or power")
@@ -835,6 +864,36 @@ def test_row_witnesses_match_the_whole_monomial_oracle(registry):
         for p in (2, 3, 5, 7, 11):
             spec, report = sharpness_witness(k, p, registry)
             want_spec, want = whole_monomial_witness(k, p, registry)
+            assert spec == want_spec and report == want, (k, p)
+            assert report.render() == want.render(), (k, p)
+
+
+def row_witness(k, p, registry):
+    """The oracle: the witness of ``reference_witness`` with its leading row
+    formed (``leading_rows``), scanned for nonzero entries inside the box
+    b_k - 1, and read for its leading term."""
+    spec, _ = reference_witness(k)
+    b = sturm_bound(k)
+    row = leading_rows([spec], b, p, registry)[0]
+    if row.is_zero():
+        raise ValueError(f"witness {spec} vanishes mod {p} on its box")
+    violations = [(key, 0) for key in row.support() if key[0] < b and key[2] < b]
+    lead = row.leading_term().index
+    unit = lead == spec.leading_index
+    note = None if unit else f"leading term {lead} differs from expected {spec.leading_index}"
+    return spec, SturmReport(b - 1, PrimePower(p), not violations and unit, violations, note)
+
+
+def test_witnesses_match_the_formed_row_oracle(registry):
+    """The summed leading indices give the witness of the formed leading
+    row, report and render, at every weight <= 201 and p in {2, 3, 5, 7,
+    11, 13}."""
+    for k in range(4, 202):
+        if k % 2 and (k < 35 or k == 37):
+            continue
+        for p in (2, 3, 5, 7, 11, 13):
+            spec, report = sharpness_witness(k, p, registry)
+            want_spec, want = row_witness(k, p, registry)
             assert spec == want_spec and report == want, (k, p)
             assert report.render() == want.render(), (k, p)
 
