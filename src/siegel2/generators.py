@@ -170,10 +170,11 @@ class GeneratorRegistry:
     The certificates' and witnesses' rows come from no cached or pinned
     expansion: the registry holds each generator's leading row over Z
     (``generator_row``) at the largest bound asked, and power chains mod p
-    of its leading coefficient at zeta = 1, as packed rows
-    (``taylor_power`` and ``packed_mul``, for the certificates), but no
-    row mod p and no monomial's row.  ``build``, ``show`` and the suites
-    read the pinned generators (``generator``, ``monomial``).
+    of its leading coefficient at zeta = 1, as packed rows, the packed 0
+    for a row 0 mod p (``taylor_power`` and ``packed_mul``, for the
+    certificates), but no row mod p and no monomial's row.  ``build``,
+    ``show`` and the suites read the pinned generators (``generator``,
+    ``monomial``).
     """
 
     def __init__(self, cache_dir=None):
@@ -188,9 +189,8 @@ class GeneratorRegistry:
         # precision) (``power``).
         self._chains: dict[tuple[str, int], list[SiegelExpansion]] = {}
         # (valuation, power chain of the leading coefficient at zeta = 1 as
-        # packed rows mod p) per (name, bound, p), or None for a row 0 mod p
-        # (``taylor_power``).
-        self._taylor: dict[tuple[str, int, int], tuple[int, list[int]] | None] = {}
+        # packed rows mod p) per (name, bound, p) (``taylor_power``).
+        self._taylor: dict[tuple[str, int, int], tuple[int, list[int]]] = {}
         # Monomials over Z per (spec, precision).
         self._monomials: dict[tuple[MonomialSpec, int], SiegelExpansion] = {}
         # The generators' leading rows over Z per name, at the largest bound
@@ -288,19 +288,18 @@ class GeneratorRegistry:
             held = self._lifted[name] = _lifted_row(name, max(bound, _MIN_PRECISION[name]))
         return held if held.precision == bound else held.truncate(bound)
 
-    def taylor_power(self, name: str, exponent: int, bound: int, p: int):
+    def taylor_power(self, name: str, exponent: int, bound: int, p: int) -> tuple[int, int]:
         """(e v, g^e) mod p, e >= 1, for (v, g) = ``taylor_lead`` of the
         generator's leading row (``generator_row``) reduced mod p on
-        n <= bound, or None when that row is 0 mod p; g^e is a packed row
-        (``packed_mul``) from a chain held per (name, bound, p) (``_grown``)."""
+        n <= bound, and (0, 0) when that row is 0 mod p: the packed 0, whose
+        every product is 0.  g^e is a packed row (``packed_mul``) from a
+        chain held per (name, bound, p) (``_grown``)."""
         key = (name, bound, p)
         if key not in self._taylor:
             lead = taylor_lead(self.generator_row(name, bound).reduce_mod(p))
-            self._taylor[key] = lead and (lead[0], [packed(lead[1].coeffs, bound, p)])
-        held = self._taylor[key]
-        if held is None:
-            return None
-        v, chain = held
+            v, coeffs = (lead[0], lead[1].coeffs) if lead else (0, {})
+            self._taylor[key] = v, [packed(coeffs, bound, p)]
+        v, chain = self._taylor[key]
         return exponent * v, _grown(chain, exponent, lambda a, b: packed_mul(a, b, bound, p))
 
     def monomial(self, spec: MonomialSpec, precision: int) -> SiegelExpansion:
@@ -455,7 +454,11 @@ def packed_mul(a: int, b: int, bound: int, p: int) -> int:
     (bound + 1)(p - 1)^2 < 2^w.  So no slot carries into the next, each
     holds its coefficient of the product whole, and none is negative, so
     none needs a signed decode.  The slots above bound are dropped and each
-    kept slot is reduced mod p: one multiply and one reduce per factor."""
+    kept slot is reduced mod p: one multiply and one reduce per factor.
+    The packed 1 is an identity: every packed row is already reduced and
+    cut, so a product with 1 is the other factor, with no reduce."""
+    if a == 1 or b == 1:
+        return a * b
     w = _slot_width(bound, p)
     mask = (1 << w) - 1
     x, out = a * b, 0
@@ -467,17 +470,11 @@ def packed_mul(a: int, b: int, bound: int, p: int) -> int:
     return out
 
 
-def unpacked(x: int, bound: int, p: int) -> dict:
-    """The nonzero slots {n: h(n)} of a packed row mod p (``packed_mul``)."""
+def unpacked(x: int, bound: int, p: int) -> list:
+    """The bound + 1 slots [h(0), ..., h(bound)] of a packed row mod p (``packed_mul``)."""
     w = _slot_width(bound, p)
-    mask, out = (1 << w) - 1, {}
-    for n in range(bound + 1):
-        if not x:
-            break
-        if c := x & mask:
-            out[n] = c
-        x >>= w
-    return out
+    mask = (1 << w) - 1
+    return [x >> w * n & mask for n in range(bound + 1)]
 
 
 def _build(name: str, precision: int, registry: GeneratorRegistry) -> SiegelExpansion:

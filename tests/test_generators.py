@@ -301,7 +301,7 @@ def test_certificates_leave_no_fp_monomials_held(registry, gens6):
         lead = gmod.taylor_lead(reg.generator_row(name, bound).reduce_mod(p))
         assert held is not None and lead is not None, (name, bound, p)
         (v, chain), (lead_v, g) = held, lead
-        assert v == lead_v and gmod.unpacked(chain[0], bound, p) == g.coeffs, (name, bound, p)
+        assert v == lead_v and gmod.unpacked(chain[0], bound, p) == _slots(g, bound), (name, bound, p)
         assert g.modulus == p and all(type(x) is int for x in chain)
 
 
@@ -358,30 +358,43 @@ def test_leading_coefficients_at_zeta_1(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def _slots(series, bound):
+    """The slot list ``unpacked`` gives for a series of residues on n <= bound."""
+    return [series.coeffs.get(n, 0) for n in range(bound + 1)]
+
+
 @st.composite
 def residue_rows(draw):
-    """(rows, bound, p): one to six rows of residues mod p on n <= bound."""
+    """(rows, bound, p): one to six rows of residues mod p on n <= bound,
+    each drawn as the packed 1, the packed 0 or any row."""
     p = draw(st.sampled_from((2, 3, 5, 7, 11, 101)))
     bound = draw(st.integers(0, 60))
-    row = st.lists(st.integers(0, p - 1), min_size=bound + 1, max_size=bound + 1)
+    one, zero = [1] + [0] * bound, [0] * (bound + 1)
+    row = st.one_of(
+        st.just(one),
+        st.just(zero),
+        st.lists(st.integers(0, p - 1), min_size=bound + 1, max_size=bound + 1),
+    )
     return draw(st.lists(row, min_size=1, max_size=6)), bound, p
 
 
 def _packed_product_is_the_qseries1_product(rows, bound, p):
     series = [QSeries1(bound, dict(enumerate(row)), modulus=p) for row in rows]
-    want = QSeries1._product(series).coeffs
+    want = QSeries1._product(series)
     got = gmod.packed(series[0].coeffs, bound, p)
     for f in series[1:]:
         got = gmod.packed_mul(got, gmod.packed(f.coeffs, bound, p), bound, p)
-    assert gmod.unpacked(got, bound, p) == want
-    assert got == gmod.packed(want, bound, p)
+    assert gmod.unpacked(got, bound, p) == _slots(want, bound)
+    assert got == gmod.packed(want.coeffs, bound, p)
 
 
 @settings(max_examples=200, deadline=None)
 @given(residue_rows())
 def test_packed_products_are_the_qseries1_products_mod_p(case):
     """A fold of ``packed_mul`` over one to six rows of residues mod p, at
-    bound 0..60, decodes to their ``QSeries1`` product mod p."""
+    bound 0..60, decodes to their ``QSeries1`` product mod p.  A factor may
+    be the packed 1, the identity ``packed_mul`` returns the other factor
+    for, or the packed 0, whose every product is 0."""
     _packed_product_is_the_qseries1_product(*case)
 
 
@@ -401,24 +414,25 @@ def test_packed_products_hold_the_largest_slot():
 def test_taylor_powers_are_held_in_one_chain(registry):
     """``taylor_power`` serves (e v, g^e) from one chain per (name, bound,
     p): a repeat call returns the same object, g^e decodes to the e-th
-    power of the leading coefficient mod p, and exponent 0 raises."""
+    power of the leading coefficient mod p, a row 0 mod p is the packed 0
+    with valuation 0, and exponent 0 raises."""
     reg = GeneratorRegistry(registry.cache_dir)
     for name in ("X4", "X6", "X10", "X35"):
         v, g = gmod.taylor_lead(reg.generator_row(name, 6).reduce_mod(5))
         for e in (1, 2, 3):
             got_v, got = reg.taylor_power(name, e, 6, 5)
-            assert got_v == e * v and gmod.unpacked(got, 6, 5) == (g**e).coeffs, (name, e)
+            assert got_v == e * v and gmod.unpacked(got, 6, 5) == _slots(g**e, 6), (name, e)
         cube = reg.taylor_power(name, 3, 6, 5)
         assert reg.taylor_power(name, 3, 6, 5)[1] is cube[1]
         assert reg._taylor[name, 6, 5][1][2] is cube[1]
-    assert reg.taylor_power("X35", 2, 2, 5) is None
+    assert reg.taylor_power("X35", 2, 2, 5) == (0, 0)
     with pytest.raises(ValueError):
         reg.taylor_power("X6", 0, 6, 5)
 
 
 def test_unit_row_names_the_constant_leading_rows(registry):
     """The generators whose leading coefficient at zeta = 1 mod p is (0, 1),
-    the packed constant 1 that ``layered_rank`` skips, at every bound >= 1:
+    the packed constant 1, the identity of ``packed_mul``, at every bound >= 1:
     X4 mod 2, 3 and 5 and X6 mod 2, 3 and 7, whose leading rows mod p are
     the constant 1.  At bound 0 every layer-0 row is 1 mod p."""
     reg = GeneratorRegistry(registry.cache_dir)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from siegel2 import qformat, verify
 from siegel2.errors import NotPIntegral
 from siegel2.expansion import SiegelExpansion
-from siegel2.generators import _LEADING, GENERATOR_WEIGHTS, GeneratorRegistry, MonomialSpec
+from siegel2.generators import _LEADING, GENERATOR_WEIGHTS, GeneratorRegistry, MonomialSpec, taylor_lead
+from siegel2.qexp1 import QSeries1
 from siegel2.rationals import PrimePower, p_valuation
 from siegel2.verify import (
     GENSET_C,
@@ -28,7 +29,6 @@ from siegel2.verify import (
     matrix_from_forms,
     sharpness_witness,
     span_canonical,
-    streamed_rank,
     sturm_bound,
     verify_identities,
     verify_theorem1_rank,
@@ -227,21 +227,22 @@ def test_theorem1_rank_examples(registry):
 
 
 def test_theorem1_pass_needs_the_dimension():
-    # A rank below dim M_k is not a certificate, and says nothing of the box B.
-    report = Theorem1Report(12, 5, 1, 5, dim_c=3, rank_truncated=2)
-    assert report.certifiable and not report.passed and report.rank_full is None
-    assert report.render() == (
-        "FAIL theorem1 k=12 p=5 rank<=b_k 2 < dim_C = 3 (0 monomials, b_k=1, B=5)"
-    )
-    # Rank dim M_k on the box b_k is a PASS, and the bound from above caps the box B.
-    report.rank_truncated = 3
-    assert report.passed and report.rank_full == 3
+    # With no reason the rank on the box b_k is dim M_k, a PASS, and the
+    # bound from above caps the box B; the ranks are read from dim_c.
+    report = Theorem1Report(12, 5, 1, 5, dim_c=3)
+    assert report.certifiable and report.passed
+    assert report.rank_truncated == 3 == report.rank_full
     assert report.render() == (
         "PASS theorem1 k=12 p=5 rank<=b_k 3 == rank<=B 3 (0 monomials, dim_C = 3, b_k=1, B=5)"
     )
-    # A reason is what makes a report a SKIP.
+    for name in ("passed", "rank_truncated", "rank_full"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, 2)
+    # A reason, a short sum, is what makes a report a SKIP, and says
+    # nothing of either box.
     report.reason = "layer 1: rank 1 of 2"
     assert not report.certifiable and not report.passed
+    assert report.rank_truncated is report.rank_full is None
     assert report.render() == (
         "SKIP theorem1 k=12 p=5: not certifiable with available generators (layer 1: rank 1 of 2)"
     )
@@ -366,13 +367,15 @@ def block_ranks(monomials, bound, p, registry):
     j <= n <= bound."""
     blocks = {}
     for spec, row in zip(monomials, leading_rows(monomials, bound, p, registry)):
-        blocks.setdefault(spec.layer, []).append(row.coeffs)
+        blocks.setdefault(spec.layer, []).append(row)
     return {
-        j: streamed_rank(
-            rows,
-            [(j, r, n) for n in range(j, bound + 1) for r in range(-isqrt(4 * j * n), isqrt(4 * j * n) + 1)],
+        j: fp_rank(
+            matrix_from_forms(
+                rows,
+                [(j, r, n) for n in range(j, bound + 1) for r in range(-isqrt(4 * j * n), isqrt(4 * j * n) + 1)],
+            ),
             p,
-        )
+        )[0]
         for j, rows in blocks.items()
     }
 
@@ -436,6 +439,44 @@ def test_a_row_that_is_zero_on_the_cut_adds_no_rank(registry):
     specs = [MonomialSpec.from_dict({"X35": 1}), MonomialSpec.from_dict({"X4": 1, "X35": 1})]
     for bound, want in ((2, {2: 0}), (3, {2: 1})):
         assert layered_rank(specs, bound, 5, registry) == want == block_ranks(specs, bound, 5, registry)
+
+
+def taylor_ranks(monomials, bound, p, registry):
+    """The oracle for ``layered_rank``: each monomial's ``QSeries1`` product
+    mod p of its factors' ``taylor_lead`` series, none for a factor 0 mod p
+    on n <= bound, grouped by (layer, sum of e v), and each group's
+    ``dense_rank`` summed per layer."""
+    groups, ranks, held = {}, {}, {}
+    for spec in monomials:
+        ranks[spec.layer] = 0
+        for name, _ in spec.exponents:
+            if name not in held:
+                held[name] = taylor_lead(registry.generator_row(name, bound).reduce_mod(p))
+        leads = [(held[name], e) for name, e in spec.exponents]
+        if any(lead is None for lead, _ in leads):
+            continue
+        series = [g for (_, g), e in leads for _ in range(e)] or [QSeries1(bound, {0: 1}, modulus=p)]
+        row = QSeries1._product(series).coeffs
+        t = sum(v * e for (v, _), e in leads)
+        groups.setdefault((spec.layer, t), []).append([row.get(n, 0) for n in range(bound + 1)])
+    for (j, _), rows in groups.items():
+        ranks[j] += dense_rank(rows, p)
+    return ranks
+
+
+def test_layered_ranks_are_the_taylor_sub_block_oracle(registry):
+    """``layered_rank`` equals ``taylor_ranks`` for every weight k <= 70 and
+    p in {2, 3, 5, 7, 11}, on the certificates' monomials, at every bound
+    0..b_k.  Below b_k the rows of X10, X12 and X35 vanish on the cut, so
+    this covers zero rows, unit factors (X4 at p in {2, 3, 5}, X6 at p in
+    {2, 3, 7}) and lone rows."""
+    for p in (2, 3, 5, 7, 11):
+        for k in range(71):
+            odd = ("X35",) if k % 2 else ()
+            specs = weight_monomials(k, (GENSET_C if p >= 5 else GENSET_INTEGRAL) + odd)
+            for bound in range(sturm_bound(k) + 1):
+                want = taylor_ranks(specs, bound, p, registry)
+                assert layered_rank(specs, bound, p, registry) == want, (k, p, bound)
 
 
 def test_certificates_form_no_two_variable_product(registry, monkeypatch):
@@ -697,13 +738,6 @@ def _ranks_by_fp_rank(entries, split, p):
     return fp_rank(truncated, p)[0], fp_rank(full, p)[0]
 
 
-def _streamed(entries, split, p):
-    """``streamed_rank`` on the first ``split`` columns and on all columns."""
-    rows = [dict(enumerate(row)) for row in entries]
-    ncols = len(entries[0]) if entries else 0
-    return streamed_rank(rows, range(split), p), streamed_rank(rows, range(ncols), p)
-
-
 @st.composite
 def matrices(draw):
     """(entries, split, p), with zero rows, repeated rows and tall shapes."""
@@ -730,7 +764,7 @@ def test_streamed_ranks_match_fp_rank(case, data):
     entries, split, p = case
     ncols = len(entries[0]) if entries else 0
     want = dense_rank([row[:split] for row in entries], p), dense_rank(entries, p)
-    assert _streamed(entries, split, p) == want == _ranks_by_fp_rank(entries, split, p)
+    assert want == _ranks_by_fp_rank(entries, split, p)
     # Left kernel: nrows - rank independent vectors v with v * M = 0 mod p.
     rank, kernel = fp_rank(matrix_from_forms(_forms(entries), range(ncols)), p)
     assert len(kernel) == len(entries) - rank
@@ -755,14 +789,13 @@ def test_streamed_ranks_match_fp_rank(case, data):
 def test_streamed_ranks_examples():
     # p = 2, a zero row, a repeated row, and more rows than columns.
     entries = [[1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]]
-    assert _streamed(entries, 1, 2) == (1, 2) == _ranks_by_fp_rank(entries, 1, 2)
-    assert _streamed(entries, 3, 3) == (3, 3)
-    assert _streamed([], 0, 5) == (0, 0)
-    assert _streamed([[0, 0], [0, 0]], 1, 7) == (0, 0)
-    # Full rank inside the split stops the elimination early.
-    assert _streamed([[1, 0, 5], [0, 1, 6]], 2, 5) == (2, 2)
+    assert _ranks_by_fp_rank(entries, 1, 2) == (1, 2)
+    assert _ranks_by_fp_rank(entries, 3, 3) == (3, 3)
+    assert _ranks_by_fp_rank([], 0, 5) == (0, 0)
+    assert _ranks_by_fp_rank([[0, 0], [0, 0]], 1, 7) == (0, 0)
+    assert _ranks_by_fp_rank([[1, 0, 5], [0, 1, 6]], 2, 5) == (2, 2)
     with pytest.raises(ValueError):
-        _streamed(entries, 1, 4)
+        _ranks_by_fp_rank(entries, 1, 4)
 
 
 def test_theorem1_rank_refuses_uncovered_cases(registry):
