@@ -166,8 +166,8 @@ class SiegelExpansion(SparseSeries):
         """The swap sign s, a(n, r, m) = s a(m, r, n) at every index (mod p
         over F_p), read from the coefficients: +1, -1 (+1 when both hold,
         as for zero or at p = 2) or None.  Rows cut from a form, such as
-        ``GeneratorRegistry.generator_row``'s, and the strips m <= 1 that
-        X35's row is formed from (``generators._lifted_row``) have none
+        ``GeneratorRegistry.generator_row``'s and the four that X35's row
+        is the determinant of (``generators._lifted_row``), have none
         whatever their weight tag.  One pass tests both signs and stops at
         the first index that fails both.
         It runs from the last key: a row m = l, n <= b, read in (m, n, r)

@@ -24,12 +24,13 @@ each one packed product of powers from a chain g, g^2, ... per generator.
 
 The certificates and witnesses read no whole box.  They read the
 generators' leading Fourier-Jacobi rows, which ``_lifted_row`` forms over
-Z from the lift formula and, for X35, its determinant over the rows
-m <= 1: no generator is built, loaded, pinned or cached for them.  A
-certificate reads each row's leading coefficient at zeta = 1, a
-one-variable series (``taylor_lead``), and multiplies those mod p as
-packed integers, one slot per n (``packed_mul``); a witness reads only
-each row's leading index mod p, and adds them.
+Z each from its own formula: E4, E6 or Delta for a row 0, the Jacobi
+coefficients c(4n - r^2) for a row 1, and for X35 the determinant of the
+rows of X4, X6, X10 and X12.  No generator is built, loaded, pinned or
+cached for them.  A certificate reads each row's leading coefficient at
+zeta = 1, a one-variable series (``taylor_lead``), and multiplies those
+mod p as packed integers, one slot per n (``packed_mul``); a witness
+reads only each row's leading index mod p, and adds them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import operator
 import os
 from fractions import Fraction
 from itertools import count
-from math import comb
+from math import comb, isqrt
 from pathlib import Path
 
 from . import qformat
@@ -279,7 +280,7 @@ class GeneratorRegistry:
 
     def generator_row(self, name: str, bound: int) -> SiegelExpansion:
         """The generator's leading row over Z: row m = l, l its layer
-        (``_LEADING``), to n <= bound, formed from the lift formula
+        (``_LEADING``), to n <= bound, formed from its own formula
         (``_lifted_row``), with no whole box built, loaded or pinned.  One
         row is held per name, at the largest bound asked, floored at
         ``_MIN_PRECISION`` as ``generator`` is; a smaller bound is its cut."""
@@ -364,49 +365,45 @@ def _jacobi(name: str, dmax: int) -> JacobiForm1:
 
 
 def _lifted_row(name: str, bound: int) -> SiegelExpansion:
-    """The generator's row m = l over Z, l its layer, to n <= bound, from
-    the lift formula: no whole box is built.
+    """The generator's row m = l over Z, l its layer, to n <= bound, each
+    from its own formula: no whole box is built.
 
-    * X4, X6, X10 and X12 are Maass lifts, and their row l is row l of the
-      lift (``maass_lift`` with ``rows`` = l).  Row 0 of X4 and X6 is
-      sigma_{k-1}(n) c(0), the Eisenstein series E4 or E6; row 1 of X10
-      and X12 is a(1, r, n) = c(4n - r^2), as gcd(1, r, n) = 1.
+    * X4 and X6 are Maass lifts, whose row 0 is sigma_{k-1}(n) c(0), the
+      Eisenstein series E4 or E6 (``eisenstein1``).
     * Y12 = (X4^3 - X6^2)/1728 + 144 X12, and X12's row 0 is 0, so Y12's
       row 0 is (E4^3 - E6^2)/1728 = Delta.
-    * X16 = (X4 X12 - X6 X10)/12 has row 1 (E4 phi12 - E6 phi10)/12
-      (``_jacobi``), lifted as row 1 above.
+    * X10 and X12 are Maass lifts, and X16 = (X4 X12 - X6 X10)/12 has row 1
+      (E4 phi12 - E6 phi10)/12 (``_jacobi``), so each row 1 is that of the
+      lift of its Jacobi form: a(1, r, n) = c(4n - r^2), as gcd(1, r, n) = 1
+      leaves one term of the divisor sum, read from c(D), D <= 4 bound.
+      The lift's row 0 is sigma_{k-1}(n) c(0), so row 1 leads only when
+      c(0) = 0, as the certificates' layer argument needs on the box: any
+      other form is refused.
     * X35, of layer 2, is the determinant ``wronskian35`` of X4, X6, X10
       and X12: a sum of products of one entry per column, each entry
       k f, theta_1 f, theta_12 f or theta_2 f of that column's form f.
       The theta operators scale each coefficient in place, and m adds
-      under products and is never negative, so row m of such a product
-      is a sum of products of the rows m_c of the columns, with
-      m_1 + ... + m_4 = m.  The columns X10 and X12 have no row 0, so
-      m_c >= 1 for both: the rows m < 2 of the determinant are 0, and row
-      2 reads only row 0 of X4 and X6 and row 1 of X10 and X12.  So row 2
-      is that of the same determinant over the strips m <= 1 of the four
-      lifts, formed from c(D), D <= 4 bound, as for X10 and X12 (the strip
-      argument).  A strip has rows without mirrors, so ``_parity`` finds no
-      swap sign and nothing is folded; the rows m > 2 of that determinant
-      are incomplete and are dropped.
-
-    The rows m < l are formed too, and must be 0 (the lift's row 0 is
-    sigma_{k-1}(n) c(0), and c(0) = 0 for the cusp forms), as the
-    certificates' layer argument needs on the box.
+      under products, so row m of such a product is a sum of products of
+      the rows m_c of the columns, m_1 + ... + m_4 = m.  X10 and X12 have
+      no row 0, so row 2 reads only row 0 of X4 and X6 and row 1 of X10
+      and X12, and the determinant of those four rows is row 2 and nothing
+      else.  A row has no mirrors, so ``_parity`` finds no swap sign and
+      nothing is folded.
     """
-    layer = _LEADING[name][0][0]
     if name == "X35":
-        lifted = wronskian35(
-            *(maass_lift(_jacobi(g, 4 * bound), bound, rows=1) for g in ("X4", "X6", "X10", "X12"))
-        )
-    elif name == "Y12":
-        lifted = SiegelExpansion(12, bound, {(0, 0, n): c for n, c in delta1(bound).coeffs.items()})
+        return wronskian35(*(_lifted_row(g, bound) for g in ("X4", "X6", "X10", "X12")))
+    if name in ("X4", "X6", "Y12"):
+        f = delta1(bound) if name == "Y12" else eisenstein1(GENERATOR_WEIGHTS[name], bound)
+        row = {(0, 0, n): c for n, c in f.coeffs.items()}
     else:
-        lifted = maass_lift(_jacobi(name, 4 * layer * bound), bound, rows=layer)
-    below = [key for key in lifted.coeffs if key[0] < layer]
-    if below:
-        raise ConstructionError(f"{name}: lift-formula row {below[0][0]} is not 0 at {below[0]}")
-    row = {key: c for key, c in lifted.coeffs.items() if key[0] == layer}
+        phi = _jacobi(name, 4 * bound)
+        if phi.coeff(0):
+            raise ConstructionError(f"{name}: c(0) = {phi.coeff(0)}, so the lift has a row 0")
+        row = {}
+        for n in range(bound + 1):
+            for r in range(isqrt(4 * n) + 1):
+                if c := phi.coeff(4 * n - r * r):
+                    row[1, r, n] = row[1, -r, n] = c
     return SiegelExpansion._unchecked(bound, row, GENERATOR_WEIGHTS[name], scale=1, modulus=None)
 
 

@@ -336,7 +336,7 @@ def jacobi_combine(terms) -> JacobiForm1:
     return JacobiForm1(weights.pop(), dmax, total.coeffs)
 
 
-def maass_lift(phi: JacobiForm1, precision: int, rows: int | None = None) -> SiegelExpansion:
+def maass_lift(phi: JacobiForm1, precision: int) -> SiegelExpansion:
     """The Maass lift V of an index-1 Jacobi form to a degree-2 expansion.
 
     Eichler-Zagier, *The Theory of Jacobi Forms*, section 6, Theorem 6.2:
@@ -348,19 +348,12 @@ def maass_lift(phi: JacobiForm1, precision: int, rows: int | None = None) -> Sie
     The sum reads only 4mn - r^2 and gcd(m, r, n), which m <-> n and
     r -> -r both keep, so it is formed once per orbit, at m <= n and
     r >= 0, and written to the up to four indices of the orbit.
-
-    With ``rows`` = j only the rows m <= j are formed, n <= precision: the
-    strip that the leading Fourier-Jacobi rows of the generators are cut
-    from (``generators._lifted_row``).  It reads c(D) for D <= 4 j
-    precision only, and an orbit's indices n <-> m outside it are not
-    written.
     """
     k = phi.weight
-    top = precision if rows is None else min(rows, precision)
-    if phi.dmax < 4 * top * precision:
-        raise PrecisionError(f"need discriminants up to {4 * top * precision}, have {phi.dmax}")
+    if phi.dmax < 4 * precision * precision:
+        raise PrecisionError(f"need discriminants up to {4 * precision * precision}, have {phi.dmax}")
     coeffs = {(0, 0, 0): normalize(-Fraction(bernoulli(k), 2 * k) * phi.coeff(0))}
-    for m in range(top + 1):
+    for m in range(precision + 1):
         for n in range(max(m, 1), precision + 1):
             g_mn = gcd(m, n)
             for r in range(isqrt(4 * m * n) + 1):
@@ -368,7 +361,5 @@ def maass_lift(phi: JacobiForm1, precision: int, rows: int | None = None) -> Sie
                 total = 0
                 for d in divisors(gcd(g_mn, r)):
                     total += d ** (k - 1) * phi.coeff(disc // (d * d))
-                coeffs[m, r, n] = coeffs[m, -r, n] = total
-                if n <= top:
-                    coeffs[n, r, m] = coeffs[n, -r, m] = total
+                coeffs[m, r, n] = coeffs[m, -r, n] = coeffs[n, r, m] = coeffs[n, -r, m] = total
     return SiegelExpansion(k, precision, coeffs)

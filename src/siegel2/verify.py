@@ -21,15 +21,18 @@ dim M_k whose reduction mod p has kernel p M_k(Z), so the monomials' F_p
 rank is at most dim M_k on any box.  From below, by layers, on the
 generators' leading Fourier-Jacobi coefficients.  A generator of layer l
 (the m of its leading index: 0 for X4, X6 and Y12, 1 for X10, X12 and
-X16, 2 for X35) has its rows m <= l formed over Z by the lift formula and
-the strip argument (``GeneratorRegistry.generator_row``): X4, X6, X10 and
-X12 are Maass lifts (Eichler-Zagier, Theorem 6.2); Y12's row 0 is Delta
-and X16's row 1 is (E4 phi12 - E6 phi10)/12; and X35's rows m <= 2 are
-those of its determinant over the rows m <= 1 of X4, X6, X10 and X12,
-since row m of a product reads only the rows <= m of its factors, the
-theta operators keep rows, and X10 and X12 have no row 0 (the strip
-argument, ``generators._lifted_row``).  The rows m < l come out 0, and
-the swap symmetry a(n, r, m) = +-a(m, r, n) clears the columns n < l, so the
+X16, 2 for X35) has its row m = l formed over Z, each from its own
+formula (``GeneratorRegistry.generator_row``, ``generators._lifted_row``):
+X4, X6, X10 and X12 are Maass lifts (Eichler-Zagier, Theorem 6.2), so
+row 0 of X4 and X6 is E4 or E6 and row 1 of X10 and X12 is
+a(1, r, n) = c(4n - r^2); Y12's row 0 is Delta and X16's row 1 is that of
+the lift of (E4 phi12 - E6 phi10)/12; and X35's row 2 is its determinant
+over those rows of X4, X6, X10 and X12, since row m of a product reads
+only the rows <= m of its factors, the theta operators keep rows, and X10
+and X12 have no row 0.  The rows m < l are 0: a lift's row 0 is
+sigma_{k-1}(n) c(0), and a row 1 is refused unless c(0) = 0; each term
+of X35's rows 0 and 1 has a factor in row 0 of X10 or X12.  The swap
+symmetry a(n, r, m) = +-a(m, r, n) clears the columns n < l, so the
 generator vanishes wherever min(m, n) < l; a monomial of layer j, the sum
 of its factors' layers, vanishes there too, and its row m = j is the
 product of its factors' rows m = l.  With rows ordered by
@@ -72,8 +75,8 @@ j = c + d + 2e.
     on n <= 3 is 0.  So agreement on n <= 3 makes each entry exact, and
     each valuation too, since a nonzero h_s, s < v, would be the least
     coefficient and vanish there.  ``test_leading_coefficients_at_zeta_1``
-    checks the table to n <= 20 on the rows from the lift formula, which
-    other tests check against the pinned generators.
+    checks the table to n <= 20 on the rows ``generator_row`` forms,
+    which other tests check against the pinned generators.
   * Sub-blocks.  At p >= 5 no leading coefficient vanishes mod p on the cut
     n <= b_k: E4 and E6 start with 1, Delta with q, 12 Delta with 12 q and
     -2 Delta^3 with -2 q^3, and b_k >= 1 when X10 or X12 appears, b_k >= 3
@@ -479,11 +482,6 @@ class Theorem1Report(Record):
         self.dim_c = dim_c
 
     @property
-    def certifiable(self) -> bool:
-        """No reason to skip: the generators can certify this weight and prime."""
-        return self.reason is None
-
-    @property
     def passed(self) -> bool:
         """The rank on the box b_k is dim M_k: ``verify_theorem1_rank`` gives
         a reason to every sum short of dim M_k, so no reason is a PASS."""
@@ -517,7 +515,7 @@ def verify_theorem1_rank(
     ``GENSET_INTEGRAL`` (p in {2, 3}), times X35 in odd weight, read at
     precision b_k, which holds every layer; B need only reach b_k.  Only the
     leading coefficients at zeta = 1 mod p of their factors' leading
-    Fourier-Jacobi rows, from the lift formula (``registry.generator_row``),
+    Fourier-Jacobi rows, each from its own formula (``registry.generator_row``),
     are multiplied, and a sum of Taylor sub-block ranks (``layered_rank``)
     of dim M_k proves the rank on the box b_k, and on the box B by the bound
     from above; at p >= 5 the sum is always dim M_k (module docstring).  No

@@ -15,7 +15,7 @@ from siegel2.generators import (
     _pin,
     witt_image,
 )
-from siegel2.jacobi import maass_lift
+from siegel2.jacobi import JacobiForm1
 from siegel2.qexp1 import QSeries1, delta1, eisenstein1
 from siegel2.verify import (
     GENSET_C,
@@ -445,28 +445,48 @@ def test_unit_row_names_the_constant_leading_rows(registry):
     assert all(reg.taylor_power(name, 1, 0, 11) == (0, 1) for name in ("X4", "X6"))
 
 
-def test_the_x35_strip_is_the_whole_box_x35_on_its_rows_up_to_2(registry):
-    """The lift forms the strips m <= j of X4, X6, X10 and X12, which equal
-    the whole-box rows m <= j.  Their determinant equals the whole-box X35
-    on its rows m <= 2, rows 0 and 1 being 0, at every P <= 12 where the
-    determinant is normalised (P >= 3): on the strips m <= 2, and on the
-    strips m <= 1 that ``generator_row`` reads, as X10 and X12 have no
-    row 0; both match the row 2 it serves."""
+def test_x35_row_2_is_wronskian35_of_the_whole_box_leading_rows(registry):
+    """``wronskian35`` of the leading rows cut from the pinned whole-box
+    generators, X4 and X6 at row 0 and X10 and X12 at row 1, to n <= P,
+    equals the whole-box X35 on its rows m <= 2, rows 0 and 1 being 0, at
+    every P <= 12 where the determinant is normalised (P >= 3); so does
+    the row ``generator_row`` serves."""
     reg = GeneratorRegistry(registry.cache_dir)
     wholes = {name: reg.generator(name, 12) for name in GENSET_C + ("X35",)}
 
-    def rows_to(j, exp, P):
-        return {k: c for k, c in exp.coeffs.items() if k[0] <= j and k[2] <= P}
+    def rows_to(j, exp, P, low=0):
+        return {k: c for k, c in exp.coeffs.items() if low <= k[0] <= j and k[2] <= P}
 
+    layers = (0, 0, 1, 1)
     for P in range(3, 13):
         want = rows_to(2, wholes["X35"], P)
         assert min(k[0] for k in want) == 2
-        for j in (1, 2):
-            strips = [maass_lift(gmod._jacobi(name, 4 * j * P), P, rows=j) for name in GENSET_C]
-            for name, strip in zip(GENSET_C, strips):
-                assert strip.coeffs == rows_to(j, wholes[name], P), (name, P, j)
-            assert rows_to(2, wronskian35(*strips), P) == want, (P, j)
+        rows = [
+            SiegelExpansion(GENERATOR_WEIGHTS[name], P, rows_to(l, wholes[name], P, l))
+            for name, l in zip(GENSET_C, layers)
+        ]
+        assert wronskian35(*rows).coeffs == want, P
         assert GeneratorRegistry(reg.cache_dir).generator_row("X35", P).coeffs == want
+
+
+def test_a_row_1_of_a_jacobi_form_with_a_constant_term_is_refused(tmp_path, monkeypatch):
+    """A row 1 is a(1, r, n) = c(4n - r^2) and leads only when the lift's
+    row 0, sigma_{k-1}(n) c(0), is 0.  With c(0) = 1 in X10's Jacobi form,
+    X10's row is refused naming X10, and so is X35's, the determinant over
+    it; X16's form, which reads X10's, has c(0) = -1/12 and is refused
+    naming X16.  Nothing is written to the cache."""
+    jacobi = gmod._jacobi
+
+    def x10_with_constant_term_1(name, dmax):
+        phi = jacobi(name, dmax)
+        return JacobiForm1(phi.weight, dmax, {**phi.c, 0: 1}) if name == "X10" else phi
+
+    monkeypatch.setattr(gmod, "_jacobi", x10_with_constant_term_1)
+    for name, named in (("X10", "X10"), ("X35", "X10"), ("X16", "X16")):
+        with pytest.raises(ConstructionError, match=f"^{named}: c\\(0\\) = "):
+            GeneratorRegistry(tmp_path).generator_row(name, 3)
+    assert GeneratorRegistry(tmp_path).generator_row("X12", 3).coeffs
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_x35_row_2_is_minus_eta_69_theta1(tmp_path):

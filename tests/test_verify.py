@@ -230,7 +230,7 @@ def test_theorem1_pass_needs_the_dimension():
     # With no reason the rank on the box b_k is dim M_k, a PASS, and the
     # bound from above caps the box B; the ranks are read from dim_c.
     report = Theorem1Report(12, 5, 1, 5, dim_c=3)
-    assert report.certifiable and report.passed
+    assert report.reason is None and report.passed
     assert report.rank_truncated == 3 == report.rank_full
     assert report.render() == (
         "PASS theorem1 k=12 p=5 rank<=b_k 3 == rank<=B 3 (0 monomials, dim_C = 3, b_k=1, B=5)"
@@ -241,7 +241,7 @@ def test_theorem1_pass_needs_the_dimension():
     # A reason, a short sum, is what makes a report a SKIP, and says
     # nothing of either box.
     report.reason = "layer 1: rank 1 of 2"
-    assert not report.certifiable and not report.passed
+    assert report.reason is not None and not report.passed
     assert report.rank_truncated is report.rank_full is None
     assert report.render() == (
         "SKIP theorem1 k=12 p=5: not certifiable with available generators (layer 1: rank 1 of 2)"
@@ -490,7 +490,7 @@ def test_certificates_form_no_two_variable_product(registry, monkeypatch):
     monkeypatch.setattr(SiegelExpansion, "_product", staticmethod(refuse))
     for k, p in ((18, 2), (20, 2), (51, 3), (64, 5), (41, 7), (60, 11), (99, 13)):
         report = verify_theorem1_rank(k, p, max(sturm_bound(k), 5), GeneratorRegistry(registry.cache_dir))
-        assert report.passed or not report.certifiable, (k, p)
+        assert report.passed == (report.reason is None), (k, p)
 
 
 def _box_matrix(registry, specs, precision, b):
@@ -562,7 +562,7 @@ def test_layer_ranks_decide_coverage_at_2_and_3(registry):
                 assert not short and report.passed, (k, p)
                 assert report.rank_truncated == report.rank_full == report.dim_c
             else:
-                assert short and not report.certifiable and not report.passed, (k, p)
+                assert short and report.reason is not None and not report.passed, (k, p)
                 assert report.reason == ", ".join(short), (k, p)
 
 
@@ -627,7 +627,7 @@ def test_a_short_layer_sum_is_a_skip_naming_the_short_layer(registry, monkeypatc
     monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: dropped)
     monkeypatch.setattr(GeneratorRegistry, "monomial", refuse)
     report = verify_theorem1_rank(k, p, precision, registry)
-    assert not report.certifiable and not report.passed
+    assert report.reason is not None and not report.passed
     assert report.rank_truncated is report.rank_full is None
     assert report.render() == (
         f"SKIP theorem1 k={k} p={p}: not certifiable with available generators ({short})"
@@ -687,7 +687,7 @@ def test_certificates_and_witnesses_ask_the_registry_at_b_k(registry, monkeypatc
         assert fresh(k, p, lambda reg: sharpness_witness(k, p, reg)[1].verdict) == want
     dropped = weight_monomials(24, GENSET_C)[1:]
     monkeypatch.setattr(verify, "weight_monomials", lambda k, genset: dropped)
-    got = fresh(24, 5, lambda reg: not verify_theorem1_rank(24, 5, 9, reg).certifiable)
+    got = fresh(24, 5, lambda reg: verify_theorem1_rank(24, 5, 9, reg).reason is not None)
     assert got == {"generator": set(), "generator_row": {2}, "monomial": set()}
     got = fresh(24, 5, lambda reg: sharpness_witness(24, 5, reg)[1].verdict)
     assert got == {"generator": set(), "generator_row": {2}, "monomial": set()}
@@ -803,7 +803,7 @@ def test_theorem1_rank_refuses_uncovered_cases(registry):
     assert report.passed and report.render().startswith("PASS theorem1 k=20 p=2")
     for k, p, reason in ((18, 3, "layer 1: rank 1 of 2"), (53, 2, "layer 3: rank 1 of 2")):
         report = verify_theorem1_rank(k, p, 5, registry)
-        assert not report.certifiable
+        assert report.reason is not None
         assert not report.passed
         assert report.render() == (
             f"SKIP theorem1 k={k} p={p}: not certifiable with available generators ({reason})"
@@ -812,7 +812,7 @@ def test_theorem1_rank_refuses_uncovered_cases(registry):
     # space passes vacuously
     for k, p in ((37, 5), (33, 5), (31, 2)):
         report = verify_theorem1_rank(k, p, 5, registry)
-        assert report.certifiable and report.passed and report.dim_c == 0
+        assert report.reason is None and report.passed and report.dim_c == 0
     with pytest.raises(ValueError):
         verify_theorem1_rank(12, 4, 5, registry)
     with pytest.raises(ValueError):
