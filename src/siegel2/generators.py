@@ -8,8 +8,12 @@ even part.  This module builds pinned normalisations of all seven:
 * X4, X6   -- Maass lifts of (-2k/B_k) E_{k,1}, whose constant term is 1,
 * X10, X12 -- Maass lifts of the index-1 cusp forms with c(3) = 1,
 * Y12      -- (X4^3 - X6^2)/1728 + 144 X12,
-* X16      -- (X4 X12 - X6 X10)/12,
+* X16      -- (X4 X12 - X6 X10)/12, the Maass lift of Delta E_{4,1},
 * X35      -- the normalised theta-derivative determinant of X4, X6, X10, X12.
+
+X4, X6, X10, X12 and X16 are built from their Jacobi forms alone (``_jacobi``)
+and read no other generator; Y12 is formed from the pinned X4, X6 and X12,
+and X35 from the pinned X4, X6, X10 and X12.
 
 Each generator fact is written once: the leading terms in ``_LEADING``,
 from which ``MonomialSpec.leading_index`` gives every monomial's, and the
@@ -190,7 +194,8 @@ class GeneratorRegistry:
         # precision) (``power``).
         self._chains: dict[tuple[str, int], list[SiegelExpansion]] = {}
         # (valuation, power chain of the leading coefficient at zeta = 1 as
-        # packed rows mod p) per (name, bound, p) (``taylor_power``).
+        # packed rows mod p) per (name, bound, p) (``taylor_power``); the
+        # chain of a packed 0 or 1 holds it alone.
         self._taylor: dict[tuple[str, int, int], tuple[int, list[int]]] = {}
         # Monomials over Z per (spec, precision).
         self._monomials: dict[tuple[MonomialSpec, int], SiegelExpansion] = {}
@@ -283,10 +288,26 @@ class GeneratorRegistry:
         (``_LEADING``), to n <= bound, formed from its own formula
         (``_lifted_row``), with no whole box built, loaded or pinned.  One
         row is held per name, at the largest bound asked, floored at
-        ``_MIN_PRECISION`` as ``generator`` is; a smaller bound is its cut."""
+        ``_MIN_PRECISION`` as ``generator`` is; a smaller bound is its cut.
+
+        X35's row 2 is ``wronskian35`` of the rows held for X4, X6, X10 and
+        X12: a sum of products of one entry per column, each entry k f,
+        theta_1 f, theta_12 f or theta_2 f of that column's form f.  The
+        theta operators scale each coefficient in place, and m adds under
+        products, so row m of such a product is a sum of products of the
+        rows m_c of the columns, m_1 + ... + m_4 = m.  X10 and X12 have no
+        row 0, so row 2 reads only row 0 of X4 and X6 and row 1 of X10 and
+        X12, and the determinant of those four rows is row 2 and nothing
+        else.  A row has no mirrors, so ``_parity`` finds no swap sign and
+        nothing is folded."""
         held = self._lifted.get(name)
         if held is None or held.precision < bound:
-            held = self._lifted[name] = _lifted_row(name, max(bound, _MIN_PRECISION[name]))
+            floor = max(bound, _MIN_PRECISION[name])
+            if name == "X35":
+                held = wronskian35(*(self.generator_row(g, floor) for g in ("X4", "X6", "X10", "X12")))
+            else:
+                held = _lifted_row(name, floor)
+            self._lifted[name] = held
         return held if held.precision == bound else held.truncate(bound)
 
     def taylor_power(self, name: str, exponent: int, bound: int, p: int) -> tuple[int, int]:
@@ -294,14 +315,19 @@ class GeneratorRegistry:
         generator's leading row (``generator_row``) reduced mod p on
         n <= bound, and (0, 0) when that row is 0 mod p: the packed 0, whose
         every product is 0.  g^e is a packed row (``packed_mul``) from a
-        chain held per (name, bound, p) (``_grown``)."""
+        chain held per (name, bound, p) (``_grown``); the packed 0 and the
+        packed 1 are their own powers, and grow no chain."""
+        if exponent < 1:
+            raise ValueError("exponents must be >= 1")
         key = (name, bound, p)
         if key not in self._taylor:
             lead = taylor_lead(self.generator_row(name, bound).reduce_mod(p))
             v, coeffs = (lead[0], lead[1].coeffs) if lead else (0, {})
             self._taylor[key] = v, [packed(coeffs, bound, p)]
         v, chain = self._taylor[key]
-        return exponent * v, _grown(chain, exponent, lambda a, b: packed_mul(a, b, bound, p))
+        if chain[0] in (0, 1):
+            return exponent * v, chain[0]
+        return exponent * v, _grown(chain, exponent, packed_mul, bound, p)
 
     def monomial(self, spec: MonomialSpec, precision: int) -> SiegelExpansion:
         """Product expansion of a generator monomial at the given precision."""
@@ -317,14 +343,14 @@ class GeneratorRegistry:
         return held
 
 
-def _grown(chain: list, e: int, mul=operator.mul):
+def _grown(chain: list, e: int, mul=operator.mul, *args):
     """g^e, e >= 1, from the power chain [g, g^2, ...], grown by one product
-    mul(g^i, g) at a time, so each power is formed once for every monomial,
-    and F_p residues are reduced between multiplies, unlike ``**``."""
+    mul(g^i, g, *args) at a time, so each power is formed once for every
+    monomial, and F_p residues are reduced between multiplies, unlike ``**``."""
     if e < 1:
         raise ValueError("exponents must be >= 1")
     while len(chain) < e:
-        chain.append(mul(chain[-1], chain[0]))
+        chain.append(mul(chain[-1], chain[0], *args))
     return chain[e - 1]
 
 
@@ -343,20 +369,31 @@ def default_registry() -> GeneratorRegistry:
 
 
 def _jacobi(name: str, dmax: int) -> JacobiForm1:
-    """The index-1 Jacobi form of X4, X6, X10, X12 or X16 to dmax: the form
-    whose Maass lift the generator is, or for X16 its row m = 1,
-    (E4 phi12 - E6 phi10)/12, which is row 1 of (X4 X12 - X6 X10)/12, since
-    the rows 0 of X10 and X12 are 0."""
+    """The index-1 Jacobi form to dmax whose Maass lift V (Eichler-Zagier,
+    *The Theory of Jacobi Forms*, Theorem 6.2) is X4, X6, X10, X12 or X16.
+
+    X16 = (X4 X12 - X6 X10)/12 is V(Delta E_{4,1}).  With
+    phi10 = (E6 E_{4,1} - E4 E_{6,1})/144 and
+    phi12 = (E4^2 E_{4,1} - E6 E_{6,1})/144, the forms of X10 and X12,
+    E4 phi12 - E6 phi10 = (E4^3 - E6^2) E_{4,1}/144 = 12 Delta E_{4,1}.  The
+    rows 0 of X10 and X12 are 0, so row 1 of (X4 X12 - X6 X10)/12 is
+    (E4 phi12 - E6 phi10)/12 = Delta E_{4,1}, which is row 1 of its lift;
+    Delta E_{4,1} has c(0) = 0, so the lift's row 0 is 0, as is X16's.  So
+    X16 - V(Delta E_{4,1}) is a weight-16 form whose rows 0 and 1 vanish,
+    and by the swap symmetry so do its columns 0 and 1: it vanishes on the
+    box b_16 = 1.  Theorem 1 at k = 16, which ``verify_theorem1_rank``
+    certifies at p = 5 with GENSET_C, which has no X16, then makes it 0: a
+    nonzero rational difference, scaled to a primitive integral form,
+    would be nonzero mod 5."""
     if name in ("X4", "X6"):
         k = GENERATOR_WEIGHTS[name]
         scale = normalize(Fraction(-2 * k) / bernoulli(k))
         return JacobiForm1(k, dmax, {d: scale * c for d, c in jacobi_eisenstein(k, dmax).c.items()})
+    e41 = jacobi_eisenstein(4, dmax)
+    if name == "X16":
+        return jacobi_combine([(1, delta1(dmax // 4), e41)])
     e4 = eisenstein1(4, dmax // 4)
     e6 = eisenstein1(6, dmax // 4)
-    if name == "X16":
-        c = Fraction(1, 12)
-        return jacobi_combine([(c, e4, _jacobi("X12", dmax)), (-c, e6, _jacobi("X10", dmax))])
-    e41 = jacobi_eisenstein(4, dmax)
     e61 = jacobi_eisenstein(6, dmax)
     c = Fraction(1, 144)
     if name == "X10":
@@ -366,32 +403,21 @@ def _jacobi(name: str, dmax: int) -> JacobiForm1:
 
 def _lifted_row(name: str, bound: int) -> SiegelExpansion:
     """The generator's row m = l over Z, l its layer, to n <= bound, each
-    from its own formula: no whole box is built.
+    from its own formula: no whole box is built.  X35's row 2 is formed
+    from the rows of X4, X6, X10 and X12 (``GeneratorRegistry.generator_row``).
 
     * X4 and X6 are Maass lifts, whose row 0 is sigma_{k-1}(n) c(0), the
       Eisenstein series E4 or E6 (``eisenstein1``).
     * Y12 = (X4^3 - X6^2)/1728 + 144 X12, and X12's row 0 is 0, so Y12's
       row 0 is (E4^3 - E6^2)/1728 = Delta.
-    * X10 and X12 are Maass lifts, and X16 = (X4 X12 - X6 X10)/12 has row 1
-      (E4 phi12 - E6 phi10)/12 (``_jacobi``), so each row 1 is that of the
-      lift of its Jacobi form: a(1, r, n) = c(4n - r^2), as gcd(1, r, n) = 1
-      leaves one term of the divisor sum, read from c(D), D <= 4 bound.
-      The lift's row 0 is sigma_{k-1}(n) c(0), so row 1 leads only when
-      c(0) = 0, as the certificates' layer argument needs on the box: any
-      other form is refused.
-    * X35, of layer 2, is the determinant ``wronskian35`` of X4, X6, X10
-      and X12: a sum of products of one entry per column, each entry
-      k f, theta_1 f, theta_12 f or theta_2 f of that column's form f.
-      The theta operators scale each coefficient in place, and m adds
-      under products, so row m of such a product is a sum of products of
-      the rows m_c of the columns, m_1 + ... + m_4 = m.  X10 and X12 have
-      no row 0, so row 2 reads only row 0 of X4 and X6 and row 1 of X10
-      and X12, and the determinant of those four rows is row 2 and nothing
-      else.  A row has no mirrors, so ``_parity`` finds no swap sign and
-      nothing is folded.
+    * X10, X12 and X16 = V(Delta E_{4,1}) are Maass lifts (``_jacobi``), so
+      each row 1 is that of the lift of its Jacobi form:
+      a(1, r, n) = c(4n - r^2), as gcd(1, r, n) = 1 leaves one term of the
+      divisor sum, read from c(D), D <= 4 bound.  The lift's row 0 is
+      sigma_{k-1}(n) c(0), so row 1 leads only when c(0) = 0, as the
+      certificates' layer argument needs on the box: any other form is
+      refused.
     """
-    if name == "X35":
-        return wronskian35(*(_lifted_row(g, bound) for g in ("X4", "X6", "X10", "X12")))
     if name in ("X4", "X6", "Y12"):
         f = delta1(bound) if name == "Y12" else eisenstein1(GENERATOR_WEIGHTS[name], bound)
         row = {(0, 0, n): c for n, c in f.coeffs.items()}
@@ -475,19 +501,13 @@ def unpacked(x: int, bound: int, p: int) -> list:
 
 
 def _build(name: str, precision: int, registry: GeneratorRegistry) -> SiegelExpansion:
-    if name in ("X4", "X6", "X10", "X12"):
+    if name in ("X4", "X6", "X10", "X12", "X16"):
         return maass_lift(_jacobi(name, 4 * precision * precision), precision)
     if name == "Y12":
         x4 = registry.generator("X4", precision)
         x6 = registry.generator("X6", precision)
         x12 = registry.generator("X12", precision)
         return (x4**3 - x6**2) * Fraction(1, 1728) + 144 * x12
-    if name == "X16":
-        x4 = registry.generator("X4", precision)
-        x6 = registry.generator("X6", precision)
-        x10 = registry.generator("X10", precision)
-        x12 = registry.generator("X12", precision)
-        return (x4 * x12 - x6 * x10) * Fraction(1, 12)
     if name == "X35":
         return wronskian35(
             registry.generator("X4", precision),

@@ -23,13 +23,12 @@ generators' leading Fourier-Jacobi coefficients.  A generator of layer l
 (the m of its leading index: 0 for X4, X6 and Y12, 1 for X10, X12 and
 X16, 2 for X35) has its row m = l formed over Z, each from its own
 formula (``GeneratorRegistry.generator_row``, ``generators._lifted_row``):
-X4, X6, X10 and X12 are Maass lifts (Eichler-Zagier, Theorem 6.2), so
-row 0 of X4 and X6 is E4 or E6 and row 1 of X10 and X12 is
-a(1, r, n) = c(4n - r^2); Y12's row 0 is Delta and X16's row 1 is that of
-the lift of (E4 phi12 - E6 phi10)/12; and X35's row 2 is its determinant
-over those rows of X4, X6, X10 and X12, since row m of a product reads
-only the rows <= m of its factors, the theta operators keep rows, and X10
-and X12 have no row 0.  The rows m < l are 0: a lift's row 0 is
+X4, X6, X10, X12 and X16 = V(Delta E_{4,1}) are Maass lifts
+(Eichler-Zagier, Theorem 6.2), so row 0 of X4 and X6 is E4 or E6 and
+row 1 of X10, X12 and X16 is a(1, r, n) = c(4n - r^2); Y12's row 0 is
+Delta; and X35's row 2 is its determinant over those rows of X4, X6,
+X10 and X12, since row m of a product reads only the rows <= m of its
+factors, the theta operators keep rows, and X10 and X12 have no row 0.  The rows m < l are 0: a lift's row 0 is
 sigma_{k-1}(n) c(0), and a row 1 is refused unless c(0) = 0; each term
 of X35's rows 0 and 1 has a factor in row 0 of X10 or X12.  The swap
 symmetry a(n, r, m) = +-a(m, r, n) clears the columns n < l, so the

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from siegel2.generators import (
     _pin,
     witt_image,
 )
-from siegel2.jacobi import JacobiForm1
+from siegel2.jacobi import JacobiForm1, jacobi_combine
 from siegel2.qexp1 import QSeries1, delta1, eisenstein1
 from siegel2.verify import (
     GENSET_C,
@@ -415,7 +417,8 @@ def test_taylor_powers_are_held_in_one_chain(registry):
     """``taylor_power`` serves (e v, g^e) from one chain per (name, bound,
     p): a repeat call returns the same object, g^e decodes to the e-th
     power of the leading coefficient mod p, a row 0 mod p is the packed 0
-    with valuation 0, and exponent 0 raises."""
+    with valuation 0, and exponent 0 raises.  The packed 1 (X4 mod 5) and
+    the packed 0 are their own powers and grow no chain."""
     reg = GeneratorRegistry(registry.cache_dir)
     for name in ("X4", "X6", "X10", "X35"):
         v, g = gmod.taylor_lead(reg.generator_row(name, 6).reduce_mod(5))
@@ -424,10 +427,16 @@ def test_taylor_powers_are_held_in_one_chain(registry):
             assert got_v == e * v and gmod.unpacked(got, 6, 5) == _slots(g**e, 6), (name, e)
         cube = reg.taylor_power(name, 3, 6, 5)
         assert reg.taylor_power(name, 3, 6, 5)[1] is cube[1]
-        assert reg._taylor[name, 6, 5][1][2] is cube[1]
+        chain = reg._taylor[name, 6, 5][1]
+        if name == "X4":
+            assert chain == [1] and cube == (0, 1)
+        else:
+            assert len(chain) == 3 and chain[2] is cube[1]
     assert reg.taylor_power("X35", 2, 2, 5) == (0, 0)
-    with pytest.raises(ValueError):
-        reg.taylor_power("X6", 0, 6, 5)
+    assert reg._taylor["X35", 2, 5] == (0, [0])
+    for name in ("X4", "X6"):
+        with pytest.raises(ValueError):
+            reg.taylor_power(name, 0, 6, 5)
 
 
 def test_unit_row_names_the_constant_leading_rows(registry):
@@ -471,22 +480,51 @@ def test_x35_row_2_is_wronskian35_of_the_whole_box_leading_rows(registry):
 
 def test_a_row_1_of_a_jacobi_form_with_a_constant_term_is_refused(tmp_path, monkeypatch):
     """A row 1 is a(1, r, n) = c(4n - r^2) and leads only when the lift's
-    row 0, sigma_{k-1}(n) c(0), is 0.  With c(0) = 1 in X10's Jacobi form,
-    X10's row is refused naming X10, and so is X35's, the determinant over
-    it; X16's form, which reads X10's, has c(0) = -1/12 and is refused
-    naming X16.  Nothing is written to the cache."""
+    row 0, sigma_{k-1}(n) c(0), is 0.  With c(0) = 1 in X10's and in X16's
+    Jacobi forms, X10's row is refused naming X10, and so is X35's, the
+    determinant over it; X16's is refused naming X16.  X12's form is kept,
+    and its row is served.  Nothing is written to the cache."""
     jacobi = gmod._jacobi
 
-    def x10_with_constant_term_1(name, dmax):
+    def with_constant_term_1(name, dmax):
         phi = jacobi(name, dmax)
-        return JacobiForm1(phi.weight, dmax, {**phi.c, 0: 1}) if name == "X10" else phi
+        return JacobiForm1(phi.weight, dmax, {**phi.c, 0: 1}) if name in ("X10", "X16") else phi
 
-    monkeypatch.setattr(gmod, "_jacobi", x10_with_constant_term_1)
+    monkeypatch.setattr(gmod, "_jacobi", with_constant_term_1)
     for name, named in (("X10", "X10"), ("X35", "X10"), ("X16", "X16")):
         with pytest.raises(ConstructionError, match=f"^{named}: c\\(0\\) = "):
             GeneratorRegistry(tmp_path).generator_row(name, 3)
     assert GeneratorRegistry(tmp_path).generator_row("X12", 3).coeffs
     assert list(tmp_path.iterdir()) == []
+
+
+def test_x16_jacobi_form_is_delta_times_e41():
+    """X16's Jacobi form, the one term Delta E_{4,1}, has integer
+    coefficients and equals (E4 phi12 - E6 phi10)/12 from the forms of X12
+    and X10, the row 1 of (X4 X12 - X6 X10)/12, at every D <= 3600, and so
+    does its cut to any smaller dmax."""
+    dmax = 3600
+    twelfth = Fraction(1, 12)
+    e4, e6 = eisenstein1(4, dmax // 4), eisenstein1(6, dmax // 4)
+    phi10, phi12 = gmod._jacobi("X10", dmax), gmod._jacobi("X12", dmax)
+    want = jacobi_combine([(twelfth, e4, phi12), (-twelfth, e6, phi10)])
+    got = gmod._jacobi("X16", dmax)
+    assert got == want and got.weight == 16 and got.coeff(0) == 0
+    assert all(type(c) is int for c in got.c.values())
+    for d in (0, 3, 4, 7, 64, 400):
+        assert gmod._jacobi("X16", d) == JacobiForm1(16, d, {D: c for D, c in want.c.items() if D <= d})
+
+
+def test_x16_lift_equals_the_four_generator_product(registry):
+    """X16's build, the Maass lift of Delta E_{4,1}, equals the product
+    (X4 X12 - X6 X10)/12 of the pinned generators at every P <= 12.  It
+    is given no registry, so it reads no other generator."""
+    reg = GeneratorRegistry(registry.cache_dir)
+    x4, x6, x10, x12 = (reg.generator(name, 12) for name in GENSET_C)
+    product = (x4 * x12 - x6 * x10) * Fraction(1, 12)
+    for P in range(13):
+        lift = gmod._build("X16", P, None)
+        assert lift == product.truncate(P) and lift.weight == 16, P
 
 
 def test_x35_row_2_is_minus_eta_69_theta1(tmp_path):

@@ -98,3 +98,11 @@ def test_verify_all_stdout_digest(capsys, tmp_path, gens6):
     out = capsys.readouterr().out
     assert code == 0
     assert sha256(out) == VERIFY_ALL_SHA256
+
+
+def test_a_cold_x16_build_writes_only_its_own_file(tmp_path):
+    """X16 is built from its Jacobi form alone: a cold build on an empty
+    cache writes X16.p6.qexp, with the pinned bytes, and no other file."""
+    assert main(["build", "--name", "X16", "--prec", "6", "--cache-dir", str(tmp_path)]) == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["X16.p6.qexp"]
+    assert hashlib.sha256((tmp_path / "X16.p6.qexp").read_bytes()).hexdigest() == DUMP_SHA256["X16"]

@@ -760,7 +760,7 @@ def matrices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=matrices(), data=st.data())
-def test_streamed_ranks_match_fp_rank(case, data):
+def test_fp_rank_kernel_and_span_match_dense_rank(case, data):
     entries, split, p = case
     ncols = len(entries[0]) if entries else 0
     want = dense_rank([row[:split] for row in entries], p), dense_rank(entries, p)
@@ -786,7 +786,7 @@ def test_streamed_ranks_match_fp_rank(case, data):
     assert len(canonical) == want[1]
 
 
-def test_streamed_ranks_examples():
+def test_fp_ranks_of_column_splits_examples():
     # p = 2, a zero row, a repeated row, and more rows than columns.
     entries = [[1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]]
     assert _ranks_by_fp_rank(entries, 1, 2) == (1, 2)
