@@ -240,8 +240,8 @@ def weight_monomials(k: int, genset) -> list[MonomialSpec]:
 
     Odd weights are exactly X35 times the even monomials of weight k - 35;
     the X35 exponent never exceeds 1.  The genset names each generator at
-    most once, in the canonical order.  Each (k, genset) is enumerated once
-    while it is held (``_MONOMIALS``), and the caller gets a fresh list.
+    most once, in the canonical order.  Every call enumerates afresh into a
+    new list; nothing is held between calls.
     """
     genset = tuple(genset)
     for name in genset:
@@ -251,64 +251,44 @@ def weight_monomials(k: int, genset) -> list[MonomialSpec]:
         raise ValueError(f"genset {genset} is not in the canonical order {GENERATOR_NAMES}")
     if k < 0:
         raise ValueError("weight must be >= 0")
-    held = _MONOMIALS.get((k, genset))
-    if held is None:
-        held = _enumerated(k, genset)
-        # Evict the oldest lists until this one fits under the cap.
-        total = sum(map(len, _MONOMIALS.values())) + len(held)
-        while total > _MONOMIAL_CAP and _MONOMIALS:
-            total -= len(_MONOMIALS.pop(next(iter(_MONOMIALS))))
-        if total <= _MONOMIAL_CAP:
-            _MONOMIALS[k, genset] = held
-    return list(held)
-
-
-# The weight-k monomials per (k, genset), from ``weight_monomials``, in the
-# order they were enumerated: at most _MONOMIAL_CAP specs in all, about
-# 13 MB, where every k <= 613 would hold over 4 million.
-_MONOMIALS: dict[tuple[int, tuple], list[MonomialSpec]] = {}
-_MONOMIAL_CAP = 100_000
+    return _enumerated(k, genset)
 
 
 def _enumerated(k: int, genset: tuple) -> list[MonomialSpec]:
     """The monomials of ``weight_monomials``, ascending in their exponents
-    in genset order, each built with no re-sort (``MonomialSpec._canonical``).
-    The next-to-last exponent runs only through the values that leave the
-    last one whole, one residue class mod step, and the last is a quotient.
-    The monomials of one call share their (name, exponent) pairs, as
-    ``_MONOMIALS`` holds up to ``_MONOMIAL_CAP`` of them."""
+    in genset order, each built with no re-sort (``MonomialSpec._canonical``)
+    in one flat pass over (weight left, pairs so far).  Every generator but
+    the last two takes each exponent that fits.  With a, b the last two
+    weights and g = gcd(a, b), the next-to-last exponent e solves
+    e a = left (mod b): none unless g divides left, else the one class
+    (left/g)(a/g)^-1 mod b/g.  The last exponent is a quotient.  Each
+    ((name, e),) is made once per call and shared, () for e = 0."""
     tail = ()
     if k % 2:
         if "X35" not in genset or k < 35:
             return []
         k, tail = k - 35, (("X35", 1),)
-    gens = [g for g in genset if g != "X35"]
+    gens = [(g, GENERATOR_WEIGHTS[g]) for g in genset if g != "X35"]
     if not gens:
         return [] if k else [MonomialSpec._canonical(tail)]
-    weights = [GENERATOR_WEIGHTS[g] for g in gens]
-    pairs = [[(g, e) for e in range(k // w + 1)] for g, w in zip(gens, weights)]
-    last, w_last = len(gens) - 1, weights[-1]
-    if not last:
-        e, rest = divmod(k, w_last)
-        return [] if rest else [MonomialSpec._canonical(((pairs[0][e],) if e else ()) + tail)]
-    out: list[MonomialSpec] = []
-    step = w_last // gcd(weights[-2], w_last)
-
-    def descend(i: int, remaining: int, acc: tuple) -> None:
-        w = weights[i]
-        if i + 1 < last:
-            for e in range(remaining // w + 1):
-                descend(i + 1, remaining - e * w, acc + (pairs[i][e],) if e else acc)
-            return
-        top = remaining // w + 1
-        first = next((e for e in range(step) if (remaining - e * w) % w_last == 0), top)
-        for e in range(first, top, step):
-            head = acc + (pairs[i][e],) if e else acc
-            q = (remaining - e * w) // w_last
-            out.append(MonomialSpec._canonical((head + (pairs[last][q],) if q else head) + tail))
-
-    descend(0, k, ())
-    return out
+    pairs = [[((g, e),) if e else () for e in range(k // w + 1)] for g, w in gens]
+    heads = [(k, ())]
+    for (_, w), pair in zip(gens[:-2], pairs):
+        heads = [(left - e * w, acc + pair[e]) for left, acc in heads for e in range(left // w + 1)]
+    b = gens[-1][1]
+    if len(gens) > 1:
+        a, pair = gens[-2][1], pairs[-2]
+        d = gcd(a, b)
+        step = b // d
+        inverse = pow(a // d, -1, step)
+        heads = [
+            (left - e * a, acc + pair[e])
+            for left, acc in heads
+            if left % d == 0
+            for e in range(left // d * inverse % step, left // a + 1, step)
+        ]
+    last = [pair + tail for pair in pairs[-1]]
+    return [MonomialSpec._canonical(acc + last[left // b]) for left, acc in heads if left % b == 0]
 
 
 def layer_dimensions(k: int) -> dict:
@@ -464,7 +444,8 @@ def layered_rank(monomials, bound: int, p: int, registry) -> dict:
 
 
 class Theorem1Report(Record):
-    """Desk-scale injectivity certificate for truncation at the bound."""
+    """Desk-scale injectivity certificate for truncation at the bound;
+    ``monomials`` holds the ``MonomialSpec`` rows it ranked."""
 
     __slots__ = ("weight", "prime", "bound", "precision", "reason", "monomials", "dim_c")
 
@@ -530,8 +511,7 @@ def verify_theorem1_rank(
         raise ValueError(f"precision {precision} is below the bound {b}")
     odd = ("X35",) if k % 2 else ()
     monomials = weight_monomials(k, (GENSET_C if p >= 5 else GENSET_INTEGRAL) + odd)
-    report = Theorem1Report(k, p, b, precision)
-    report.monomials = [str(m) for m in monomials]
+    report = Theorem1Report(k, p, b, precision, monomials=monomials)
     targets = layer_dimensions(k)
     report.dim_c = sum(targets.values())
     ranks = layered_rank(monomials, b, p, registry)
@@ -638,14 +618,16 @@ def verify_identities(
 ) -> SuiteReport:
     """Run one of the named identity suites; see the module docstring.
 
-    A prime is checked before any suite runs, also for the suites that do
-    not read it.  A suite stated only for its default primes reports any
-    other prime as one SKIP that names them.
+    A prime and a precision are checked before any suite runs, also for
+    the suites that do not read them.  A suite stated only for its default
+    primes reports any other prime as one SKIP that names them.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     if p is not None and not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if precision is not None and precision < 0:
+        raise ValueError("precision must be >= 0")
     default_precision, primes, stated, runner = _SUITES[suite]
     report = SuiteReport(suite)
     if p is not None and stated and p not in primes:

@@ -206,6 +206,18 @@ def test_verify_refuses_a_composite_prime_before_any_suite_runs(capsys, cache, s
     assert err == "error: 4 is not prime\n"
 
 
+@pytest.mark.parametrize(
+    "suite, precision", [("lemma12", "-3"), ("all", "-1")], ids=["lemma12", "all"]
+)
+def test_verify_refuses_a_negative_precision_before_any_suite_runs(capsys, cache, suite, precision):
+    """lemma12 reads no precision, yet a negative one is refused like every other suite's."""
+    code, out, err = run(
+        capsys, "verify", "--suite", suite, "--prec", precision, "--cache-dir", str(cache),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: precision must be >= 0\n"
+
+
 def test_verify_all_aggregates(capsys, cache):
     code, out, _ = run(
         capsys, "verify", "--suite", "all", "--output", "summary",
