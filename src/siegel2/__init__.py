@@ -6,7 +6,7 @@ congruences against sharp truncation bounds, and certifies both the bounds
 and their sharpness at desk scale.
 """
 
-from .expansion import BeyondPrecision, LeadingTerm, SiegelExpansion, wronskian35
+from .expansion import LeadingTerm, SiegelExpansion, wronskian35
 from .generators import (
     GENERATOR_NAMES,
     GENERATOR_WEIGHTS,
@@ -16,7 +16,7 @@ from .generators import (
 )
 from .jacobi import JacobiForm1, cohen_h, jacobi_combine, jacobi_eisenstein, kronecker, maass_lift
 from .qexp1 import DiagSeries, QSeries1, delta1, diag_builder, diag_tensor, divisor_sigma, eisenstein1
-from .rationals import INFINITY, PrimePower, bernoulli, p_valuation, reduce_mod_p
+from .rationals import PrimePower, bernoulli, p_valuation, reduce_mod_p
 from .verify import (
     CoeffMatrix,
     SturmReport,

@@ -27,7 +27,7 @@ from .errors import ConstructionError, NotPIntegral, PrecisionError
 from .qexp1 import DiagSeries
 from .rationals import normalize, reduce_mod_p
 from .records import FrozenRecord
-from .series import SCALARS, SparseSeries, _accumulate, _bits, _decoded
+from .series import SparseSeries, _accumulate, _bits, _decoded
 from .series import _operands, _rational, _slot_width
 
 
@@ -57,54 +57,6 @@ class LeadingTerm(FrozenRecord):
     @property
     def index(self):
         return (self.m, self.r, self.n)
-
-
-class BeyondPrecision:
-    """Diagonal vanishing order known only to exceed the computed box.
-
-    Represents the exact statement "the order is > bound".  Comparisons
-    against values within the box are decided; anything else raises,
-    because the truncation cannot answer it.
-    """
-
-    __slots__ = ("bound",)
-
-    def __init__(self, bound):
-        self.bound = bound
-
-    def _decidable(self, other):
-        if isinstance(other, BeyondPrecision):
-            raise PrecisionError("cannot order two beyond-precision values")
-        if other > self.bound:
-            raise PrecisionError(
-                f"comparison with {other} undecidable: only '> {self.bound}' is known"
-            )
-
-    def __gt__(self, other):
-        if isinstance(other, SCALARS) and other <= self.bound:
-            return True
-        self._decidable(other)
-        return True
-
-    def __ge__(self, other):
-        return self.__gt__(other)
-
-    def __lt__(self, other):
-        self._decidable(other)
-        return False
-
-    def __le__(self, other):
-        self._decidable(other)
-        return False
-
-    def __eq__(self, other):
-        return isinstance(other, BeyondPrecision) and other.bound == self.bound
-
-    def __hash__(self):
-        return hash(("BeyondPrecision", self.bound))
-
-    def __repr__(self):
-        return f"> {self.bound}"
 
 
 class SiegelExpansion(SparseSeries):
@@ -237,14 +189,15 @@ class SiegelExpansion(SparseSeries):
     def diagonal_vanishing_order(self):
         """Size of the largest vanishing box of a reduced expansion.
 
-        Returns min over the F_p support of max(m, n)/scale, or a
-        ``BeyondPrecision`` sentinel when the expansion vanishes on the
-        whole computed box.  An exact expansion is refused: reduce it first.
+        Returns min over the F_p support of max(m, n)/scale, or None when
+        the expansion vanishes on the whole computed box, where the order is
+        known only to exceed its precision.  An exact expansion is refused:
+        reduce it first.
         """
         if self.modulus is None:
             raise ValueError("the vanishing order needs an expansion reduced mod p")
         if not self.coeffs:
-            return BeyondPrecision(self.precision)
+            return None
         smallest = min(max(m, n) for (m, r, n) in self.coeffs)
         return normalize(Fraction(smallest, self.scale))
 

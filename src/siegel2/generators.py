@@ -31,10 +31,12 @@ generators' leading Fourier-Jacobi rows, which ``_lifted_row`` forms over
 Z each from its own formula: E4, E6 or Delta for a row 0, the Jacobi
 coefficients c(4n - r^2) for a row 1, and for X35 the determinant of the
 rows of X4, X6, X10 and X12.  No generator is built, loaded, pinned or
-cached for them.  A certificate reads each row's leading coefficient at
-zeta = 1, a one-variable series (``taylor_lead``), and multiplies those
-mod p as packed integers, one slot per n (``packed_mul``); a witness
-reads only each row's leading index mod p, and adds them.
+cached for them, but each row is checked integral as it is formed
+(``_integral``, the check ``_pin`` starts with).  A certificate reads
+each row's leading coefficient at zeta = 1, a one-variable series
+(``taylor_lead``), and multiplies those mod p as packed integers, one
+slot per n (``packed_mul``); a witness reads only each row's leading
+index mod p, and adds them.
 """
 
 from __future__ import annotations
@@ -299,7 +301,8 @@ class GeneratorRegistry:
         row 0, so row 2 reads only row 0 of X4 and X6 and row 1 of X10 and
         X12, and the determinant of those four rows is row 2 and nothing
         else.  A row has no mirrors, so ``_parity`` finds no swap sign and
-        nothing is folded."""
+        nothing is folded.  Every row formed is checked integral, as ``_pin``
+        checks a generator, and refused with ``ConstructionError``."""
         held = self._lifted.get(name)
         if held is None or held.precision < bound:
             floor = max(bound, _MIN_PRECISION[name])
@@ -307,6 +310,7 @@ class GeneratorRegistry:
                 held = wronskian35(*(self.generator_row(g, floor) for g in ("X4", "X6", "X10", "X12")))
             else:
                 held = _lifted_row(name, floor)
+            _integral(name, held)
             self._lifted[name] = held
         return held if held.precision == bound else held.truncate(bound)
 
@@ -518,15 +522,20 @@ def _build(name: str, precision: int, registry: GeneratorRegistry) -> SiegelExpa
     raise ValueError(f"unknown generator {name!r}")
 
 
+def _integral(name: str, exp: SiegelExpansion) -> None:
+    """Refuse an expansion or row of the generator with a non-integer coefficient."""
+    for key, c in exp.coeffs.items():
+        if not isinstance(c, int):
+            raise ConstructionError(f"{name}: non-integral coefficient {c} at {key}")
+
+
 def _pin(name: str, exp: SiegelExpansion) -> None:
     """Fail loudly unless the build satisfies every pinned identity.
 
     The symmetry and leading-term pins together also pin the layer: the
     build vanishes wherever min(m, n) is below its leading m (see ``_LEADING``).
     """
-    for key, c in exp.coeffs.items():
-        if not isinstance(c, int):
-            raise ConstructionError(f"{name}: non-integral coefficient {c} at {key}")
+    _integral(name, exp)
     bad = exp.symmetry_violations()
     if bad:
         raise ConstructionError(f"{name}: sign symmetry fails at {bad[0]}")

@@ -16,7 +16,6 @@ from .errors import NotPIntegral
 from .records import FrozenRecord
 
 __all__ = [
-    "INFINITY",
     "PrimePower",
     "bernoulli",
     "bernoulli_polynomial",
@@ -27,41 +26,6 @@ __all__ = [
     "p_valuation",
     "reduce_mod_p",
 ]
-
-
-class _Infinity:
-    """Sentinel for the valuation of zero, ordered above every rational."""
-
-    __slots__ = ()
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("siegel2.INFINITY")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "+Infinity"
-
-
-INFINITY = _Infinity()
 
 
 def normalize(x):
@@ -186,7 +150,7 @@ def _int_valuation(n: int, p: int) -> int:
 
 
 def p_valuation(x, p: int):
-    """Exact p-adic valuation of a rational; INFINITY for x = 0.
+    """Exact p-adic valuation of a nonzero rational; 0 is refused.
 
     Negative values signal a denominator divisible by p, i.e. x is not
     p-integral.
@@ -194,7 +158,7 @@ def p_valuation(x, p: int):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if x == 0:
-        return INFINITY
+        raise ValueError("0 has no finite valuation")
     if isinstance(x, Fraction):
         return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
     return _int_valuation(x, p)

@@ -119,9 +119,13 @@ class SparseSeries:
     # -- access -------------------------------------------------------------
 
     def coeff(self, *index):
+        """The coefficient at an index, 0 where none is stored; a key past the
+        box, or one the constructor refuses (``_check_indices``), raises."""
         key = index[0] if len(index) == 1 else index
-        if not self._kept({key: None}, self._box(self.precision)):
+        box = self._box(self.precision)
+        if not self._kept({key: None}, box):
             raise ValueError(f"index {key} is beyond precision {self.precision}")
+        self._check_indices({key: None}, box)
         return self.coeffs.get(key, 0)
 
     def truncate(self, precision: int):

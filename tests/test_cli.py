@@ -44,6 +44,25 @@ def test_show_at(capsys, cache):
     assert code == 0 and out.strip() == "30240"
 
 
+@pytest.mark.parametrize(
+    "index, refusal",
+    [
+        ("0,5,0", "index (0, 5, 0) is not positive semi-definite"),
+        ("1,5,1", "index (1, 5, 1) is not positive semi-definite"),
+        ("6,0,0", "index (6, 0, 0) is beyond precision 5"),
+    ],
+)
+def test_show_at_refuses_an_index_outside_the_stored_set(capsys, cache, index, refusal):
+    """A coefficient is read only at a semi-definite index in the box: any
+    other is refused with the constructor's message, not printed as 0."""
+    code, out, err = run(
+        capsys, "show", "--name", "X10", "--prec", "5", "--at", index,
+        "--cache-dir", str(cache),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {refusal}\n"
+
+
 def test_show_dump_is_byte_identical_on_warm_cache(capsys, cache):
     args = ("show", "--name", "X12", "--prec", "4", "--cache-dir", str(cache))
     code1, out1, _ = run(capsys, *args)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from siegel2.errors import NotPIntegral, PrecisionError
 from siegel2.expansion import (
-    BeyondPrecision,
     SiegelExpansion,
     box_indices,
     theta_determinant,
@@ -236,12 +235,7 @@ def test_vanishing_order_examples(gens6):
     with pytest.raises(ValueError):
         gens6["X10"].diagonal_vanishing_order()
     zero = gens6["X4"].reduce_mod(5) * 0
-    sentinel = zero.diagonal_vanishing_order()
-    assert isinstance(sentinel, BeyondPrecision)
-    assert sentinel > 6
-    assert sentinel >= 2
-    with pytest.raises(PrecisionError):
-        sentinel < 100
+    assert zero.diagonal_vanishing_order() is None
 
 
 def test_vanishing_order_product_properties(gens6):
@@ -300,14 +294,3 @@ def test_wronskian_matches_registry(registry, gens6):
     assert built.weight == 35
     assert all(built.coeff(1, r, n) == 0 for n in range(7) for r in range(-5, 6) if 4 * n >= r * r)
     assert all(built.coeff(m, r, m) == 0 for (m, r, n) in built.coeffs if m == n)
-
-
-def test_beyond_precision_semantics():
-    sentinel = BeyondPrecision(4)
-    assert sentinel > 4
-    assert sentinel >= 4
-    assert not sentinel < 3
-    assert sentinel != 17
-    assert sentinel == BeyondPrecision(4)
-    with pytest.raises(PrecisionError):
-        sentinel > 5

@@ -22,6 +22,7 @@ from siegel2.qexp1 import QSeries1, delta1, eisenstein1
 from siegel2.verify import (
     GENSET_C,
     GENSET_INTEGRAL,
+    sharpness_witness,
     verify_identities,
     verify_theorem1_rank,
     weight_monomials,
@@ -495,6 +496,36 @@ def test_a_row_1_of_a_jacobi_form_with_a_constant_term_is_refused(tmp_path, monk
         with pytest.raises(ConstructionError, match=f"^{named}: c\\(0\\) = "):
             GeneratorRegistry(tmp_path).generator_row(name, 3)
     assert GeneratorRegistry(tmp_path).generator_row("X12", 3).coeffs
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_row_with_a_non_integer_coefficient_is_refused(tmp_path, monkeypatch):
+    """Every row ``generator_row`` forms is checked integral, as ``_pin``
+    checks a generator.  With c(4) raised by 1/5 in X10's Jacobi form, X10's
+    row is refused naming X10, and the certificates and the witness that
+    read it raise instead of passing on a non-integral premise.  X35's
+    determinant row is checked too: scaled by 1/5 over integral rows, it is
+    refused naming X35.  Nothing is written to the cache."""
+    jacobi, wronskian = gmod._jacobi, gmod.wronskian35
+
+    def with_c4_raised(name, dmax):
+        phi = jacobi(name, dmax)
+        if name != "X10":
+            return phi
+        return JacobiForm1(phi.weight, dmax, {**phi.c, 4: phi.c[4] + Fraction(1, 5)})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gmod, "_jacobi", with_c4_raised)
+        with pytest.raises(ConstructionError, match=r"^X10: non-integral coefficient -9/5 at \(1, 0, 1\)$"):
+            GeneratorRegistry(tmp_path).generator_row("X10", 3)
+        for k, p, B in ((10, 7, 1), (20, 7, 2)):
+            with pytest.raises(ConstructionError, match="^X10: non-integral"):
+                verify_theorem1_rank(k, p, B, GeneratorRegistry(tmp_path))
+        with pytest.raises(ConstructionError, match="^X10: non-integral"):
+            sharpness_witness(20, 7, GeneratorRegistry(tmp_path))
+    monkeypatch.setattr(gmod, "wronskian35", lambda *rows: wronskian(*rows) * Fraction(1, 5))
+    with pytest.raises(ConstructionError, match="^X35: non-integral"):
+        GeneratorRegistry(tmp_path).generator_row("X35", 3)
     assert list(tmp_path.iterdir()) == []
 
 

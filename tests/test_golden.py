@@ -9,8 +9,11 @@ builds that preceded the integer Cohen numbers and the row-indexed product
 kernel; at precision 10 the products of the builds reach 83-bit
 coefficients.  The precision-12 digest of X35 was computed with the
 Laplace determinant of 30 two-factor products that preceded the shared
-block passes of ``theta_determinant``.  A mismatch means a change altered
-output; these digests must not be re-pinned to make a refactoring pass.
+block passes of ``theta_determinant``.  The ``borcherds-structure``
+digests were pinned while a vanishing order past the box was a sentinel
+object that decided each step's comparison itself.  A mismatch means a
+change altered output; these digests must not be re-pinned to make a
+refactoring pass.
 """
 
 import hashlib
@@ -20,6 +23,7 @@ import pytest
 from siegel2 import GeneratorRegistry
 from siegel2.cli import main
 from siegel2.qformat import dump_siegel, save_atomic
+from siegel2.verify import verify_identities
 
 DUMP_SHA256 = {
     "X4": "efeca2307a61aecf1aea2b86788289d61bf2ab0d8854d549bbade76bfed5e634",
@@ -52,6 +56,21 @@ DUMP12_SHA256 = {
     "X35": "63b3117a6f4b9ca4ec24889abcba7107c6a8e366c624f653d3c39634049f820b",
 }
 VERIFY_ALL_SHA256 = "0d17ca2462f94dd9093d9369735b71ecdf1e1e0cfb224f795573b4aa8c097680"
+# stdout of ``verify --suite borcherds-structure --prec B`` per B: PASS steps,
+# and SKIPs of products that vanish on a box B below the order checked.
+BORCHERDS_SHA256 = {
+    0: "bfd76df08337e609266d9637db8ef5edc74c290b08f446aaece96934b7c2e0ed",
+    1: "4bbb177934af9be0490789a064e7ddd1e9c741c3f06c82ecd23d6ef7a1c06d4b",
+    2: "278954730badf4e3ff22a4637ca40a0619903ce3c7517b6a5c645cf3d8abd166",
+    3: "ecb3f68e8c318194c61669cdc4996de3d0dffdfbb7258287396dad754038bee5",
+    4: "9bd1f706af55cc26ff4d63d854640e936226d46fb981214f3d9ed0cc8cb8a916",
+    5: "5109af0b5342ca730a2c870e4e88df904e2143e0063efee6682c80415d22b1ca",
+    6: "73a0abef4e1a20d30bc43ab21b4411cf5d1ca8affe36d8216127a60ea6370b02",
+}
+# ``render()`` of the suite at p = 5, B = 3 with X10 and X35 replaced by 5 X10
+# and 5 X35: the steps past the box that the truncation decides, FAIL for X10
+# and PASS for X35.
+BORCHERDS_VANISHING_SHA256 = "64c056dce4208eedb23df368ea308f7c357573b2fedda09d403308eacf9a53a9"
 
 
 def sha256(text: str) -> str:
@@ -98,6 +117,36 @@ def test_verify_all_stdout_digest(capsys, tmp_path, gens6):
     out = capsys.readouterr().out
     assert code == 0
     assert sha256(out) == VERIFY_ALL_SHA256
+
+
+@pytest.fixture(scope="module")
+def cache6(tmp_path_factory, gens6):
+    cache = tmp_path_factory.mktemp("qexp-cache-6")
+    for name, exp in gens6.items():
+        save_atomic(cache / f"{name}.p6.qexp", dump_siegel(exp, name))
+    return cache
+
+
+@pytest.mark.parametrize("B", sorted(BORCHERDS_SHA256))
+def test_borcherds_structure_stdout_digest(capsys, cache6, B):
+    code = main(["verify", "--suite", "borcherds-structure", "--prec", str(B), "--cache-dir", str(cache6)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert sha256(out) == BORCHERDS_SHA256[B]
+
+
+class _FiveTimesX10AndX35(GeneratorRegistry):
+    def generator(self, name, precision):
+        g = super().generator(name, precision)
+        return 5 * g if name in ("X10", "X35") else g
+
+
+def test_borcherds_structure_decides_the_steps_past_the_box(cache6):
+    """5 X10 and 5 X35 vanish mod 5, so every product with them vanishes on
+    the box: at B = 3 each x10-step is checked against v + 1 <= 3 and fails,
+    and each x35-step against v + 2 <= 3 and passes."""
+    report = verify_identities("borcherds-structure", 5, 3, _FiveTimesX10AndX35(cache6))
+    assert sha256(report.render()) == BORCHERDS_VANISHING_SHA256
 
 
 def test_a_cold_x16_build_writes_only_its_own_file(tmp_path):
