@@ -26,7 +26,6 @@ from math import isqrt
 from .errors import ConstructionError, NotPIntegral, PrecisionError
 from .qexp1 import DiagSeries
 from .rationals import normalize, reduce_mod_p
-from .records import FrozenRecord
 from .series import SparseSeries, _accumulate, _bits, _decoded
 from .series import _operands, _rational, _slot_width
 
@@ -44,19 +43,6 @@ def _block_keys(m: int, n: int) -> list:
         top = isqrt(4 * m * n)
         keys = _SLOTS[m, n] = [(m, r, n) for r in range(-top, top + 1)]
     return keys
-
-
-class LeadingTerm(FrozenRecord):
-    """Minimal-index nonzero coefficient under lexicographic (m, n, r) order."""
-
-    __slots__ = ("m", "r", "n", "coefficient")
-
-    def __init__(self, m: int, r: int, n: int, coefficient):
-        self._set(m, r, n, coefficient)
-
-    @property
-    def index(self):
-        return (self.m, self.r, self.n)
 
 
 class SiegelExpansion(SparseSeries):
@@ -179,12 +165,13 @@ class SiegelExpansion(SparseSeries):
                 bad.append((m, r, n))
         return sorted(bad, key=lambda k: (k[0], k[2], k[1]))
 
-    def leading_term(self) -> LeadingTerm:
-        """Nonzero coefficient at the minimal index, ordering by m, then n, then r."""
+    def leading_term(self) -> tuple:
+        """((m, r, n), a(m, r, n)) at the minimal index of the support,
+        ordering by m, then n, then r."""
         if not self.coeffs:
             raise ValueError("the zero expansion has no leading term")
         m, n, r = min((m, n, r) for (m, r, n) in self.coeffs)
-        return LeadingTerm(m, r, n, self.coeffs[(m, r, n)])
+        return (m, r, n), self.coeffs[m, r, n]
 
     def diagonal_vanishing_order(self):
         """Size of the largest vanishing box of a reduced expansion.

@@ -33,10 +33,10 @@ coefficients c(4n - r^2) for a row 1, and for X35 the determinant of the
 rows of X4, X6, X10 and X12.  No generator is built, loaded, pinned or
 cached for them, but each row is checked integral as it is formed
 (``_integral``, the check ``_pin`` starts with).  A certificate reads
-each row's leading coefficient at zeta = 1, a one-variable series
-(``taylor_lead``), and multiplies those mod p as packed integers, one
-slot per n (``packed_mul``); a witness reads only each row's leading
-index mod p, and adds them.
+each row's leading coefficient at zeta = 1 mod p, a dict of residues per
+n (``taylor_lead``), and multiplies those as packed integers, one slot
+per n (``packed_mul``); a witness reads only each row's leading index
+mod p, and adds them.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from . import qformat
 from .errors import ConstructionError
 from .expansion import SiegelExpansion, wronskian35
 from .jacobi import JacobiForm1, jacobi_combine, jacobi_eisenstein, maass_lift
-from .qexp1 import DiagSeries, QSeries1, delta1, diag_builder, eisenstein1
+from .qexp1 import DiagSeries, delta1, diag_builder, eisenstein1
 from .rationals import bernoulli, normalize
 from .records import FrozenRecord
 
@@ -315,19 +315,19 @@ class GeneratorRegistry:
         return held if held.precision == bound else held.truncate(bound)
 
     def taylor_power(self, name: str, exponent: int, bound: int, p: int) -> tuple[int, int]:
-        """(e v, g^e) mod p, e >= 1, for (v, g) = ``taylor_lead`` of the
+        """(e v, g^e) mod p, e >= 1, for (v, h) = ``taylor_lead`` of the
         generator's leading row (``generator_row``) reduced mod p on
-        n <= bound, and (0, 0) when that row is 0 mod p: the packed 0, whose
-        every product is 0.  g^e is a packed row (``packed_mul``) from a
-        chain held per (name, bound, p) (``_grown``); the packed 0 and the
-        packed 1 are their own powers, and grow no chain."""
+        n <= bound and g the packed row of h (``packed``), and (0, 0) when
+        that row is 0 mod p: the packed 0, whose every product is 0.  g^e is
+        a packed row (``packed_mul``) from a chain held per (name, bound, p)
+        (``_grown``); the packed 0 and the packed 1 are their own powers,
+        and grow no chain."""
         if exponent < 1:
             raise ValueError("exponents must be >= 1")
         key = (name, bound, p)
         if key not in self._taylor:
-            lead = taylor_lead(self.generator_row(name, bound).reduce_mod(p))
-            v, coeffs = (lead[0], lead[1].coeffs) if lead else (0, {})
-            self._taylor[key] = v, [packed(coeffs, bound, p)]
+            v, h = taylor_lead(self.generator_row(name, bound).reduce_mod(p)) or (0, {})
+            self._taylor[key] = v, [packed(h, bound, p)]
         v, chain = self._taylor[key]
         if chain[0] in (0, 1):
             return exponent * v, chain[0]
@@ -356,17 +356,6 @@ def _grown(chain: list, e: int, mul=operator.mul, *args):
     while len(chain) < e:
         chain.append(mul(chain[-1], chain[0], *args))
     return chain[e - 1]
-
-
-_DEFAULT_REGISTRY: GeneratorRegistry | None = None
-
-
-def default_registry() -> GeneratorRegistry:
-    """Process-wide registry honouring $SIEGEL2_CACHE."""
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        _DEFAULT_REGISTRY = GeneratorRegistry()
-    return _DEFAULT_REGISTRY
 
 
 # -- builders ----------------------------------------------------------------
@@ -438,13 +427,13 @@ def _lifted_row(name: str, bound: int) -> SiegelExpansion:
 
 
 def taylor_lead(row: SiegelExpansion):
-    """(v, h_v) for a row m = l on its n <= precision, in the row's ring
-    (over Z, or mod p for a row reduced mod p), or None for a row that is 0
-    there: h_t(n) = sum_r binom(r, t) a(l, r, n) is the u^t coefficient of
-    the row at zeta = 1 + u (``verify`` module docstring), with
+    """(v, h) for a row m = l on its n <= precision, or None for a row that
+    is 0 there: h_t(n) = sum_r binom(r, t) a(l, r, n) is the u^t coefficient
+    of the row at zeta = 1 + u (``verify`` module docstring), with
     binom(r, t) = r(r - 1)...(r - t + 1)/t!, an integer for r < 0 too.  v
-    is the least t with h_t != 0, at most twice the largest |r|, and h_v a
-    ``QSeries1`` of weight k + v."""
+    is the least t with h_t != 0, at most twice the largest |r|, and h the
+    dict {n: h_v(n)} of its nonzero values: integers for a row over Z,
+    residues in [0, p) for a row reduced mod p."""
     p, terms = row.modulus, {}
     for (_, r, n), c in row.coeffs.items():
         terms.setdefault(n, []).append((r, c))
@@ -454,10 +443,10 @@ def taylor_lead(row: SiegelExpansion):
         h = {}
         for n, pairs in terms.items():
             c = sum((comb(r, t) if r >= 0 else (-1) ** t * comb(t - r - 1, t)) * a for r, a in pairs)
-            if c if p is None else c % p:
+            if c := (c if p is None else c % p):
                 h[n] = c
         if h:
-            return t, QSeries1(row.precision, h, row.weight + t, modulus=p)
+            return t, h
 
 
 def _slot_width(bound: int, p: int) -> int:
@@ -539,13 +528,10 @@ def _pin(name: str, exp: SiegelExpansion) -> None:
     bad = exp.symmetry_violations()
     if bad:
         raise ConstructionError(f"{name}: sign symmetry fails at {bad[0]}")
-    index, value = _LEADING[name]
-    lt = exp.leading_term()
-    if lt.index != index or lt.coefficient != value:
-        raise ConstructionError(
-            f"{name}: leading term {lt.index} -> {lt.coefficient}, "
-            f"expected {index} -> {value}"
-        )
+    lead = exp.leading_term()
+    if lead != _LEADING[name]:
+        (got, c), (index, value) = lead, _LEADING[name]
+        raise ConstructionError(f"{name}: leading term {got} -> {c}, expected {index} -> {value}")
     for pinned, order, image in WITT_PINS:
         if pinned != name:
             continue

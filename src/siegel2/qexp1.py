@@ -31,18 +31,11 @@ def divisor_sigma(n: int, t: int = 1) -> int:
 class QSeries1(SparseSeries):
     """Truncated one-variable q-expansion with exact coefficients.
 
-    ``coeffs`` maps n in [0..precision] to a nonzero rational, or to an F_p
-    residue under a ``modulus`` of p, which is part of the ring as a
-    ``SiegelExpansion``'s is; absent keys are zero.  ``weight`` is an
-    informational tag (None when mixed).
+    ``coeffs`` maps n in [0..precision] to a nonzero rational; absent keys
+    are zero.  ``weight`` is an informational tag (None when mixed).
     """
 
-    __slots__ = ("modulus",)
-    _RING = ("modulus",)
-
-    def __init__(self, precision, coeffs=None, weight=0, modulus=None):
-        self.modulus = modulus
-        super().__init__(precision, coeffs, weight, modulus)
+    __slots__ = ()
 
     def _kept(self, coeffs, box):
         return {n: c for n, c in coeffs.items() if 0 <= n <= box}

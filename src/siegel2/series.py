@@ -55,7 +55,7 @@ class SparseSeries:
     # Attributes naming the ring a series lives in.  Operands of + and *
     # must agree on them, results inherit them and equality compares them.
     _RING = ()
-    # The p of a series of F_p residues; SiegelExpansion and QSeries1 set it per instance.
+    # The p of a series of F_p residues; SiegelExpansion sets it per instance.
     modulus = None
 
     def __init__(self, precision, coeffs=None, weight=0, modulus=None):
@@ -119,11 +119,17 @@ class SparseSeries:
     # -- access -------------------------------------------------------------
 
     def coeff(self, *index):
-        """The coefficient at an index, 0 where none is stored; a key past the
-        box, or one the constructor refuses (``_check_indices``), raises."""
+        """The coefficient at an index, 0 where none is stored.  An index of
+        the wrong length or with a part that is not an integer, a key past
+        the box, or one the constructor refuses (``_check_indices``), such
+        as a key with a part below 0, raises."""
         key = index[0] if len(index) == 1 else index
+        origin = self._slots(0, 0, 0)[0]
+        arity = len(origin) if type(origin) is tuple else 1
+        if len(index) != arity or any(type(i) is not int for i in index):
+            raise ValueError(f"index {key} is not a {type(self).__name__} key like {origin}")
         box = self._box(self.precision)
-        if not self._kept({key: None}, box):
+        if min(index) >= 0 and not self._kept({key: None}, box):
             raise ValueError(f"index {key} is beyond precision {self.precision}")
         self._check_indices({key: None}, box)
         return self.coeffs.get(key, 0)

@@ -126,7 +126,6 @@ from .generators import (
     WITT_PINS,
     GeneratorRegistry,
     MonomialSpec,
-    default_registry,
     packed_mul,
     unpacked,
     witt_image,
@@ -500,11 +499,13 @@ def verify_theorem1_rank(
     from above; at p >= 5 the sum is always dim M_k (module docstring).  No
     two-variable product is formed and no cache file is read or written.  A
     short sum proves nothing: it is a SKIP naming each layer j whose rank
-    differs from ``layer_dimensions(k)[j]``.
+    differs from ``layer_dimensions(k)[j]``.  Without a ``registry``, a
+    new ``GeneratorRegistry()`` serves the rows, on ``$SIEGEL2_CACHE`` as
+    it stands at the call.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    registry = registry or default_registry()
+    registry = registry or GeneratorRegistry()
     b = sturm_bound(k)
     if precision < b:
         raise ValueError(f"precision {precision} is below the bound {b}")
@@ -545,11 +546,13 @@ def sharpness_witness(
     a factor is or that sum has n > b_k.  The row has an entry inside the
     box exactly when that index lies inside, a violation, and the index
     must be the expected one, the sum of the declared leading indices, for
-    a unit leading coefficient mod p.
+    a unit leading coefficient mod p.  Without a ``registry``, a new
+    ``GeneratorRegistry()`` serves the rows, on ``$SIEGEL2_CACHE`` as it
+    stands at the call.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    registry = registry or default_registry()
+    registry = registry or GeneratorRegistry()
     if k < (35 if k % 2 else 4) or k == 37:
         raise ValueError(f"no nonzero forms of weight {k}")
     even = k - 35 if k % 2 else k
@@ -568,7 +571,7 @@ def sharpness_witness(
         factor = registry.generator_row(name, b).reduce_mod(p)
         if factor.is_zero():
             raise ValueError(f"witness {spec} vanishes mod {p} on its box")
-        lead = tuple(x + e * y for x, y in zip(lead, factor.leading_term().index))
+        lead = tuple(x + e * y for x, y in zip(lead, factor.leading_term()[0]))
     if lead[2] > b:
         raise ValueError(f"witness {spec} vanishes mod {p} on its box")
     violations = [(lead, 0)] if lead[0] < b and lead[2] < b else []
@@ -619,7 +622,9 @@ def verify_identities(
 
     A prime and a precision are checked before any suite runs, also for
     the suites that do not read them.  A suite stated only for its default
-    primes reports any other prime as one SKIP that names them.
+    primes reports any other prime as one SKIP that names them.  Without a
+    ``registry``, a new ``GeneratorRegistry()`` serves the generators and
+    caches them under ``$SIEGEL2_CACHE`` as it stands at the call.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
@@ -635,7 +640,7 @@ def verify_identities(
     runner(
         list(primes) if p is None else [p],
         default_precision if precision is None else precision,
-        registry or default_registry(),
+        registry or GeneratorRegistry(),
         report,
     )
     return report

@@ -50,13 +50,15 @@ def test_show_at(capsys, cache):
         ("0,5,0", "index (0, 5, 0) is not positive semi-definite"),
         ("1,5,1", "index (1, 5, 1) is not positive semi-definite"),
         ("6,0,0", "index (6, 0, 0) is beyond precision 5"),
+        ("-1,0,0", "index (-1, 0, 0) outside box [0..5]^2"),
     ],
 )
 def test_show_at_refuses_an_index_outside_the_stored_set(capsys, cache, index, refusal):
     """A coefficient is read only at a semi-definite index in the box: any
-    other is refused with the constructor's message, not printed as 0."""
+    other is refused with the constructor's message, not printed as 0, and
+    an index below the box is not said to lie past the precision."""
     code, out, err = run(
-        capsys, "show", "--name", "X10", "--prec", "5", "--at", index,
+        capsys, "show", "--name", "X10", "--prec", "5", f"--at={index}",
         "--cache-dir", str(cache),
     )
     assert code == 2 and out == ""

@@ -101,8 +101,7 @@ def test_ring_examples(registry, gens6):
     x4, x10, x12 = gens6["X4"], gens6["X10"], gens6["X12"]
     assert (x4 * x12).coeff(1, 0, 1) == 10
     lt = (x10 * x12).leading_term()
-    assert lt.index == (2, -2, 2) and lt.coefficient == 1
-    assert (lt.m, lt.r, lt.n) == lt.index
+    assert lt[0] == (2, -2, 2) and lt[1] == 1
     assert lt == (x12 * x10).leading_term() and hash(lt) == hash((x12 * x10).leading_term())
     assert lt != x10.leading_term()
     assert (x4 * 0).is_zero()
@@ -210,10 +209,10 @@ def test_witt_product_rules(gens6):
 
 
 def test_leading_term_examples(gens6):
-    assert gens6["X35"].leading_term().index == (2, -1, 3)
+    assert gens6["X35"].leading_term()[0] == (2, -1, 3)
     f47 = gens6["X12"] * gens6["X35"]
-    assert f47.leading_term().index == (3, -2, 4)
-    assert gens6["Y12"].leading_term() .index == (0, 0, 1)
+    assert f47.leading_term()[0] == (3, -2, 4)
+    assert gens6["Y12"].leading_term()[0] == (0, 0, 1)
     with pytest.raises(ValueError):
         (gens6["X4"] * 0).leading_term()
 
@@ -222,10 +221,8 @@ def test_leading_term_multiplicative(gens6):
     for a, b in itertools.combinations_with_replacement(GEN_NAMES, 2):
         la, lb = gens6[a].leading_term(), gens6[b].leading_term()
         lab = (gens6[a] * gens6[b]).leading_term()
-        assert lab.m == la.m + lb.m
-        assert lab.r == la.r + lb.r
-        assert lab.n == la.n + lb.n
-        assert lab.coefficient == la.coefficient * lb.coefficient
+        assert lab[0] == tuple(x + y for x, y in zip(la[0], lb[0]))
+        assert lab[1] == la[1] * lb[1]
 
 
 def test_vanishing_order_examples(gens6):
@@ -264,8 +261,8 @@ def test_leading_terms_of_reduced_monomials(registry):
                     spec = MonomialSpec.from_dict({"X10": a, "Y12": b, "X16": c})
                     exp = registry.monomial(spec, 5).reduce_mod(p)
                     lt = exp.leading_term()
-                    assert lt.index == (a + c, -a, a + b + c), (p, a, b, c)
-                    assert lt.coefficient % p != 0
+                    assert lt[0] == (a + c, -a, a + b + c), (p, a, b, c)
+                    assert lt[1] % p != 0
 
 
 def test_wronskian35_of_the_generators_folds_every_pass(registry, accumulate_folds):

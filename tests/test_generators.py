@@ -46,7 +46,7 @@ def test_witt_pins_agree_on_the_parallel_weight(gens6):
 
 def test_known_coefficients(gens6):
     assert gens6["X4"].coeff(1, 0, 1) == 30240
-    assert gens6["X10"].leading_term().index == (1, -1, 1)
+    assert gens6["X10"].leading_term()[0] == (1, -1, 1)
     assert gens6["X12"].coeff(1, 0, 1) == 10
     assert gens6["Y12"].coeff(0, 0, 1) == 1
     assert gens6["X16"].coeff(1, 0, 1) == 1
@@ -97,9 +97,9 @@ def test_monomial_eval(registry):
     spec = MonomialSpec.from_dict({"X10": 1, "X12": 1})
     exp = registry.monomial(spec, 6)
     assert exp.weight == 22
-    assert exp.leading_term().index == (2, -2, 2)
+    assert exp.leading_term()[0] == (2, -2, 2)
     f39 = registry.monomial(MonomialSpec.from_dict({"X4": 1, "X35": 1}), 6)
-    assert f39.leading_term().index == (2, -1, 3)
+    assert f39.leading_term()[0] == (2, -1, 3)
     one = registry.monomial(MonomialSpec(), 4)
     assert one.weight == 0 and one.coeffs == {(0, 0, 0): 1}
 
@@ -180,6 +180,12 @@ def test_pins_reject_a_symmetric_build_nonzero_below_its_layer(gens6, name, laye
     assert not bad.symmetry_violations()
     with pytest.raises(ConstructionError, match=f"^{name}: leading term"):
         _pin(name, bad)
+
+
+def test_the_leading_term_pin_names_the_built_and_the_pinned_term(gens6):
+    with pytest.raises(ConstructionError) as refusal:
+        _pin("X10", 2 * gens6["X10"])
+    assert str(refusal.value) == "X10: leading term (1, -1, 1) -> 2, expected (1, -1, 1) -> 1"
 
 
 def test_pin_suite_rejects_corrupted_cache(tmp_path):
@@ -303,9 +309,9 @@ def test_certificates_leave_no_fp_monomials_held(registry, gens6):
     for (name, bound, p), held in reg._taylor.items():
         lead = gmod.taylor_lead(reg.generator_row(name, bound).reduce_mod(p))
         assert held is not None and lead is not None, (name, bound, p)
-        (v, chain), (lead_v, g) = held, lead
-        assert v == lead_v and gmod.unpacked(chain[0], bound, p) == _slots(g, bound), (name, bound, p)
-        assert g.modulus == p and all(type(x) is int for x in chain)
+        (v, chain), (lead_v, h) = held, lead
+        assert v == lead_v and gmod.unpacked(chain[0], bound, p) == _slots(h, bound), (name, bound, p)
+        assert all(0 < c < p for c in h.values()) and all(type(x) is int for x in chain)
 
 
 def test_lift_rows_are_the_leading_rows_of_the_pinned_generators(registry):
@@ -349,21 +355,24 @@ def test_leading_coefficients_at_zeta_1(tmp_path):
     reg = GeneratorRegistry(tmp_path)
     for name, (v, coefficient) in table.items():
         row = reg.generator_row(name, N)
-        got_v, got = gmod.taylor_lead(row)
-        assert (got_v, got.coeffs) == (v, coefficient.coeffs), name
-        assert got.modulus is None and got.weight == GENERATOR_WEIGHTS[name] + v
+        assert gmod.taylor_lead(row) == (v, coefficient.coeffs), name
         for p in (2, 3, 5, 7, 11):
             got_v, got = gmod.taylor_lead(row.reduce_mod(p))
             assert got_v == shifted.get((name, p), v), (name, p)
             if got_v == v:
-                assert got == QSeries1(N, coefficient.coeffs, got.weight, modulus=p), (name, p)
+                assert got == _reduced(coefficient, p), (name, p)
     assert gmod.taylor_lead(reg.generator_row("X35", 2)) is None
     assert list(tmp_path.iterdir()) == []
 
 
-def _slots(series, bound):
-    """The slot list ``unpacked`` gives for a series of residues on n <= bound."""
-    return [series.coeffs.get(n, 0) for n in range(bound + 1)]
+def _slots(residues, bound):
+    """The slot list ``unpacked`` gives for residues {n: h(n)} on n <= bound."""
+    return [residues.get(n, 0) for n in range(bound + 1)]
+
+
+def _reduced(series, p):
+    """The nonzero residues mod p of a series over Z, as {n: h(n)}."""
+    return {n: r for n, c in series.coeffs.items() if (r := c % p)}
 
 
 @st.composite
@@ -382,20 +391,20 @@ def residue_rows(draw):
 
 
 def _packed_product_is_the_qseries1_product(rows, bound, p):
-    series = [QSeries1(bound, dict(enumerate(row)), modulus=p) for row in rows]
-    want = QSeries1._product(series)
-    got = gmod.packed(series[0].coeffs, bound, p)
-    for f in series[1:]:
-        got = gmod.packed_mul(got, gmod.packed(f.coeffs, bound, p), bound, p)
+    residues = [dict(enumerate(row)) for row in rows]
+    want = _reduced(QSeries1._product([QSeries1(bound, h) for h in residues]), p)
+    got = gmod.packed(residues[0], bound, p)
+    for h in residues[1:]:
+        got = gmod.packed_mul(got, gmod.packed(h, bound, p), bound, p)
     assert gmod.unpacked(got, bound, p) == _slots(want, bound)
-    assert got == gmod.packed(want.coeffs, bound, p)
+    assert got == gmod.packed(want, bound, p)
 
 
 @settings(max_examples=200, deadline=None)
 @given(residue_rows())
 def test_packed_products_are_the_qseries1_products_mod_p(case):
     """A fold of ``packed_mul`` over one to six rows of residues mod p, at
-    bound 0..60, decodes to their ``QSeries1`` product mod p.  A factor may
+    bound 0..60, decodes to their ``QSeries1`` product over Z reduced mod p.  A factor may
     be the packed 1, the identity ``packed_mul`` returns the other factor
     for, or the packed 0, whose every product is 0."""
     _packed_product_is_the_qseries1_product(*case)
@@ -404,7 +413,7 @@ def test_packed_products_are_the_qseries1_products_mod_p(case):
 def test_packed_products_hold_the_largest_slot():
     """Rows whose every residue is p - 1 reach (bound + 1)(p - 1)^2 in the
     top kept slot of a product of two, the largest value a slot holds, and
-    still decode to the ``QSeries1`` product mod p."""
+    still decode to the ``QSeries1`` product over Z reduced mod p."""
     for p in (2, 3, 5, 7, 11, 101):
         for bound in (0, 1, 2, 7, 60):
             w, top = gmod._slot_width(bound, p), (bound + 1) * (p - 1) ** 2
@@ -422,10 +431,11 @@ def test_taylor_powers_are_held_in_one_chain(registry):
     the packed 0 are their own powers and grow no chain."""
     reg = GeneratorRegistry(registry.cache_dir)
     for name in ("X4", "X6", "X10", "X35"):
-        v, g = gmod.taylor_lead(reg.generator_row(name, 6).reduce_mod(5))
+        v, h = gmod.taylor_lead(reg.generator_row(name, 6).reduce_mod(5))
         for e in (1, 2, 3):
             got_v, got = reg.taylor_power(name, e, 6, 5)
-            assert got_v == e * v and gmod.unpacked(got, 6, 5) == _slots(g**e, 6), (name, e)
+            power = _reduced(QSeries1(6, h) ** e, 5)
+            assert got_v == e * v and gmod.unpacked(got, 6, 5) == _slots(power, 6), (name, e)
         cube = reg.taylor_power(name, 3, 6, 5)
         assert reg.taylor_power(name, 3, 6, 5)[1] is cube[1]
         chain = reg._taylor[name, 6, 5][1]

@@ -375,30 +375,6 @@ def test_fp_product_is_the_reduced_monomial(gens6, registry, data, p, precision)
     assert got == registry.monomial(spec, precision).reduce_mod(p)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    p=st.sampled_from((2, 3, 5, 7, 11)),
-    precision=st.integers(0, 12),
-    factors=st.lists(st.dictionaries(st.integers(0, 12), st.integers(-10**6, 10**6)), min_size=1, max_size=4),
-)
-def test_qseries_products_mod_p_are_the_reduced_products(p, precision, factors):
-    """A ``QSeries1`` product mod p, reduced once at decode, is the product
-    over Z reduced mod p; the modulus is part of the ring, so series with
-    different moduli, or mod p and over Z, do not combine."""
-    exact = [QSeries1(precision, {n: c for n, c in f.items() if n <= precision}, 1) for f in factors]
-    reduced = [QSeries1(precision, f.coeffs, 1, modulus=p) for f in exact]
-    got = QSeries1._product(reduced)
-    want = QSeries1._product(exact)
-    assert got == QSeries1(precision, want.coeffs, len(factors), modulus=p)
-    assert got.modulus == p and got.weight == len(factors)
-    assert all(0 < c < p for c in got.coeffs.values())
-    other = QSeries1(precision, exact[0].coeffs, 1, modulus=13)
-    for y in (exact[0], other):
-        for op in (lambda u, v: u + v, lambda u, v: u * v):
-            with pytest.raises(ValueError, match="modulus mismatch"):
-                op(reduced[0], y)
-
-
 @SETTINGS
 @given(data=st.data(), weight=st.integers(-3, 40))
 def test_dump_parse_round_trip(data, weight):
@@ -429,6 +405,58 @@ def test_mixed_series_types_do_not_combine():
     with pytest.raises(TypeError):
         _ = q * d
     assert q != d
+
+
+@pytest.mark.parametrize(
+    "series, stored, refusals",
+    [
+        (
+            QSeries1(3, {0: 1}),
+            {(0,): 1, (3,): 0},
+            {
+                (1, 2): "index (1, 2) is not a QSeries1 key like 0",
+                (1.0,): "index 1.0 is not a QSeries1 key like 0",
+                (-1,): "index -1 outside the box [0..3]",
+                (4,): "index 4 is beyond precision 3",
+            },
+        ),
+        (
+            DiagSeries(2, {(0, 1): 1}),
+            {(0, 1): 1, (2, 2): 0},
+            {
+                (1,): "index 1 is not a DiagSeries key like (0, 0)",
+                (0, 1, 2): "index (0, 1, 2) is not a DiagSeries key like (0, 0)",
+                (0.5, 1): "index (0.5, 1) is not a DiagSeries key like (0, 0)",
+                (-1, 0): "index (-1, 0) outside the box [0..2]",
+                (3, 0): "index (3, 0) is beyond precision 2",
+            },
+        ),
+        (
+            SiegelExpansion(10, 5, {(1, -1, 1): 1}),
+            {(1, -1, 1): 1, (5, 10, 5): 0},
+            {
+                (1, 2): "index (1, 2) is not a SiegelExpansion key like (0, 0, 0)",
+                (1, 2, 3, 4): "index (1, 2, 3, 4) is not a SiegelExpansion key like (0, 0, 0)",
+                (1.5, 0, 1): "index (1.5, 0, 1) is not a SiegelExpansion key like (0, 0, 0)",
+                (-1, 0, 0): "index (-1, 0, 0) outside box [0..5]^2",
+                (1, 0, 6): "index (1, 0, 6) is beyond precision 5",
+                (0, 5, 0): "index (0, 5, 0) is not positive semi-definite",
+            },
+        ),
+    ],
+    ids=("QSeries1", "DiagSeries", "SiegelExpansion"),
+)
+def test_coeff_reads_only_the_keys_of_its_box(series, stored, refusals):
+    """A key of the series' shape in its box reads its coefficient; any
+    other key raises a ValueError that names it: a wrong length or a part
+    that is not an integer, a part below 0 with the constructor's message,
+    a key past the box as beyond the precision."""
+    for index, value in stored.items():
+        assert series.coeff(*index) == value
+    for index, refusal in refusals.items():
+        with pytest.raises(ValueError) as info:
+            series.coeff(*index)
+        assert str(info.value) == refusal, index
 
 
 def test_mod_p_series_reduce_rational_coefficients():

@@ -414,9 +414,9 @@ def test_a_row_that_is_zero_on_the_cut_adds_no_rank(registry):
 
 def taylor_ranks(monomials, bound, p, registry):
     """The oracle for ``layered_rank``: each monomial's ``QSeries1`` product
-    mod p of its factors' ``taylor_lead`` series, none for a factor 0 mod p
-    on n <= bound, grouped by (layer, sum of e v), and each group's
-    ``dense_rank`` summed per layer."""
+    over Z of its factors' ``taylor_lead`` residues, reduced mod p, none for
+    a factor 0 mod p on n <= bound, grouped by (layer, sum of e v), and each
+    group's ``dense_rank`` summed per layer."""
     groups, ranks, held = {}, {}, {}
     for spec in monomials:
         ranks[spec.layer] = 0
@@ -426,10 +426,10 @@ def taylor_ranks(monomials, bound, p, registry):
         leads = [(held[name], e) for name, e in spec.exponents]
         if any(lead is None for lead, _ in leads):
             continue
-        series = [g for (_, g), e in leads for _ in range(e)] or [QSeries1(bound, {0: 1}, modulus=p)]
+        series = [QSeries1(bound, h) for (_, h), e in leads for _ in range(e)] or [QSeries1(bound, {0: 1})]
         row = QSeries1._product(series).coeffs
         t = sum(v * e for (v, _), e in leads)
-        groups.setdefault((spec.layer, t), []).append([row.get(n, 0) for n in range(bound + 1)])
+        groups.setdefault((spec.layer, t), []).append([row.get(n, 0) % p for n in range(bound + 1)])
     for (j, _), rows in groups.items():
         ranks[j] += dense_rank(rows, p)
     return ranks
@@ -854,7 +854,7 @@ def whole_monomial_witness(k, p, registry):
     reduced = exp.reduce_mod(p)
     if reduced.is_zero():
         raise ValueError(f"witness {spec} vanishes mod {p} on its box")
-    lead = reduced.leading_term().index
+    lead = reduced.leading_term()[0]
     unit = lead == spec.leading_index
     note = None if unit else f"leading term {lead} differs from expected {spec.leading_index}"
     return spec, SturmReport(b - 1, PrimePower(p), not violations and unit, violations, note)
@@ -882,7 +882,7 @@ def row_witness(k, p, registry):
     if row.is_zero():
         raise ValueError(f"witness {spec} vanishes mod {p} on its box")
     violations = [(key, 0) for key in row.support() if key[0] < b and key[2] < b]
-    lead = row.leading_term().index
+    lead = row.leading_term()[0]
     unit = lead == spec.leading_index
     note = None if unit else f"leading term {lead} differs from expected {spec.leading_index}"
     return spec, SturmReport(b - 1, PrimePower(p), not violations and unit, violations, note)
@@ -988,6 +988,18 @@ def test_sharpness_witness_rejects_empty_spaces(registry):
 def test_verify_identities_unknown_suite(registry):
     with pytest.raises(ValueError):
         verify_identities("lemma99", registry=registry)
+
+
+def test_a_call_without_a_registry_caches_under_siegel2_cache_as_set_at_the_call(tmp_path, monkeypatch):
+    """No registry outlives a call: each call without one reads
+    $SIEGEL2_CACHE anew, so a second directory set between two calls gets
+    the same files as the first."""
+    held = []
+    for cache in (tmp_path / "first", tmp_path / "second"):
+        monkeypatch.setenv("SIEGEL2_CACHE", str(cache))
+        assert verify_identities("witt-images", precision=1).passed
+        held.append(sorted(f.name for f in cache.iterdir()) if cache.is_dir() else [])
+    assert held[0] and held[1] == held[0]
 
 
 def test_reports_are_deterministic(registry):
