@@ -250,62 +250,122 @@ def box_indices(precision: int) -> list:
 
 # -- the odd-weight determinant construction --------------------------------
 
-def _cross(m1, n1, m2, n2):
-    """The block weight of the (theta_1, theta_2) minor."""
-    return m1 * n2 - m2 * n1
+def _m2(m1, n1, m2, n2):
+    """The block weight of theta_1 on the second factor."""
+    return m2
+
+
+def _n2(m1, n1, m2, n2):
+    """The block weight of theta_2 on the second factor."""
+    return n2
+
+
+def _column_minors(fa, fc, ka, kc, box, pack, slots, swap):
+    """The six 2x2 minors of the theta matrix on the columns (a, c), over
+    the whole box, for the row pairs (0, 1), (0, 2), (0, 3), (1, 2), (1, 3)
+    and (2, 3): (k, theta_1), (k, theta_12), (k, theta_2), (theta_1,
+    theta_12), (theta_1, theta_2) and (theta_12, theta_2).  ``fa`` and
+    ``fc`` hold the columns' integer coefficients and ``ka``, ``kc`` their
+    weight tags; ``swap`` is s_a s_c, or None when the passes run the whole
+    box.  See ``theta_determinant``."""
+    width = _slot_width([_bits(fa), _bits(fc)], [len(fa), len(fc)]) + (2 * box).bit_length()
+    Fa = pack(fa, width)
+    fold = swap is not None
+    S, Sm, Sn, T = {}, {}, {}, {}
+    _accumulate(Fa, pack(fc, width), box, width, [(S, None), (Sm, _m2), (Sn, _n2)], fold)
+    Qc = pack({key: key[1] * c for key, c in fc.items() if key[1]}, width)
+    _accumulate(Fa, Qc, box, width, [(T, None)], fold)
+    S = _decoded(S, width, slots, box, swap)
+    T = _decoded(T, width, slots, box, swap)
+    Sm = _decoded(Sm, width, slots, box)
+    Sn = _decoded(Sn, width, slots, box)
+    if fold:
+        Sm, Sn = (
+            {**Sm, **{(n, r, m): swap * v for (m, r, n), v in Sn.items() if m < n}},
+            {**Sn, **{(n, r, m): swap * v for (m, r, n), v in Sm.items() if m < n}},
+        )
+    k = ka + kc
+    minors = ({}, {}, {}, {}, {}, {})
+    for key in {**S, **Sm, **Sn, **T}:
+        m, r, n = key
+        s, sm, sn, t = S.get(key, 0), Sm.get(key, 0), Sn.get(key, 0), T.get(key, 0)
+        values = (
+            k * sm - kc * m * s,
+            k * t - kc * r * s,
+            k * sn - kc * n * s,
+            m * t - r * sm,
+            m * sn - n * sm,
+            r * sn - n * t,
+        )
+        for minor, v in zip(minors, values):
+            if v:
+                minor[key] = v
+    return minors
 
 
 def theta_determinant(forms) -> SiegelExpansion:
     """det of the 4x4 matrix with rows (k f), (theta_1 f), (theta_12 f),
-    (theta_2 f) over four exact scale-1 expansions f, k being each weight tag.
+    (theta_2 f) over four exact scale-1 expansions f, k being each weight
+    tag.  Any other number of columns, or a column with no weight tag, is
+    refused with ValueError.
 
-    Laplace expansion on the row pairs (0, 2) and (1, 3): with {b, d} the
-    complement of the columns {a, c},
+    Laplace expansion on the column pairs (0, 1) and (2, 3): with R running
+    over the six row pairs (i, j), i < j, and R' its complement,
 
-        det = sum_{a<c} (-1)^(a+c) A_ac W_bd,
+        det = sum_R (-1)^(i+j+1) M_R(0, 1) M_R'(2, 3),
 
-    A_ac the (k, theta_12) minor of columns a, c and W_bd the (theta_1,
-    theta_2) minor of columns b, d.  Both come from shared block passes
-    (``series._accumulate``) over each column's packed rows F_c and
-    Q_c = theta_12 F_c.  One pass over F_a x F_c feeds S_ac = f_a f_c with
-    weight 1 and W_ac with the block weight m1 n2 - m2 n1, which is that
-    minor exactly, since theta_1 multiplies a block (m, n) by m and theta_2
-    by n.  One pass over F_a x Q_c gives T_ac = f_a theta_12 f_c, and the
-    product rule theta_12(f g) = f theta_12 g + g theta_12 f gives
+    M_R(a, c) the minor of rows R and columns a, c.  For a column pair
+    (a, c), theta_1, theta_12 and theta_2 multiply a(m, r, n) by m, r and
+    n, and the indices of a product add, so every minor is a sum over the
+    products of one coefficient of f_a, at (m1, r1, n1), and one of f_c, at
+    (m2, r2, n2), weighted by a polynomial in their indices.  Two shared
+    block passes (``series._accumulate``) over the columns' packed rows F_a,
+    F_c and Q_c = theta_12 F_c give every weight needed: F_a x F_c gives
 
-        A_ac = k_a f_a theta_12 f_c - k_c f_c theta_12 f_a
-             = (k_a + k_c) T_ac - k_c theta_12(S_ac).
+        S = f_a f_c,  S_m = f_a theta_1 f_c,  S_n = f_a theta_2 f_c,
 
-    The six products A_ac W_bd go into one packed accumulator, decoded once:
-    18 passes where a Laplace expansion by products takes 30.  Forms with
+    with the block weights 1, m2 and n2, and F_a x Q_c gives
+    T = f_a theta_12 f_c.  With m = m1 + m2, r = r1 + r2 and n = n1 + n2,
+    the minors follow coefficient by coefficient at each output key
+    (m, r, n):
+
+        (k, theta_1)          (k_a + k_c) S_m - k_c m S
+        (k, theta_2)          (k_a + k_c) S_n - k_c n S
+        (theta_1, theta_2)    m S_n - n S_m
+        (k, theta_12)         (k_a + k_c) T - k_c r S
+        (theta_1, theta_12)   m T - r S_m
+        (theta_12, theta_2)   r S_n - n T
+
+    Two column pairs take four passes, and the six products M_R M_R' go
+    into one packed accumulator, decoded once: 10 passes.  Forms with
     denominators are scaled to integers as ``_product`` scales its factors
     (``_operands``), and the product of the lcms is divided out at the end
     (``_rational``).
 
     When all four columns have a swap sign s_c, a(n, r, m) = s_c a(m, r, n)
     (``_parity``), every pass forms only the blocks m <= n, and the blocks
-    m > n follow by the swap, which fixes r, exchanges theta_1 and theta_2,
-    and so negates W:
+    m > n follow by the swap, which fixes r and exchanges theta_1 and
+    theta_2.  So S and T mirror into themselves with s_a s_c, block (m, n)
+    of S_m mirrors into block (n, m) of S_n with s_a s_c, and S_n into S_m
+    likewise.  The minors are then formed on the whole box, which the last
+    stage reads, and the determinant mirrors with -s_0 s_1 s_2 s_3: -1 for
+    X4, X6, X10 and X12, as weight 35 requires.  If any column has no sign,
+    every pass runs the whole box.
 
-        S_ac, T_ac, A_ac    s_a s_c
-        W_ac                -s_a s_c
-        det                 -s_1 s_2 s_3 s_4
-
-    The last is -1 for X4, X6, X10 and X12, as weight 35 requires.  A and W
-    are mirrored to the whole box before the last stage, whose slot width
-    reads their whole supports.  If any column has no sign, every pass
-    runs the whole box.
-
-    Slot widths follow ``_slot_width``.  The first stage adds bits(2 box^2)
-    to the width of a product of two columns, counted from the two largest
-    supports: it bounds the W weight |m1 n2 - m2 n1| <= box^2, and the
-    theta_12 factor |r| <= 2 box of T.  The final stage adds bits(6) for its
-    six terms to the widest of the six products A_ac W_bd.
+    Slot widths follow ``_slot_width``.  Each column pair has its own: the
+    two columns' bits and the smaller support, plus bits(2 box) for the
+    weights m2, n2 <= box and the theta_12 factor |r2| <= 2 box.  The final
+    stage adds bits(6) for its six terms to the widest of the six products
+    M_R M_R'.
     """
     forms = tuple(forms)
+    if len(forms) != 4:
+        raise ValueError(f"the theta determinant needs four columns, got {len(forms)}")
     for f in forms:
         if f.scale != 1 or f.modulus is not None:
             raise ValueError("the determinant needs exact scale-1 expansions")
+        if f.weight is None:
+            raise ValueError("every column of the theta determinant needs a weight tag")
     box = prec = min(f.precision for f in forms)
     weights = [f.weight for f in forms]
     ints, signs, index, den = _operands(forms)
@@ -313,31 +373,17 @@ def theta_determinant(forms) -> SiegelExpansion:
     fold = signs is not None
     ints = [ints[i] for i in index]
     signs = [signs[i] for i in index] if fold else None
-    top = max(map(_bits, ints))
-    width = _slot_width([top, top], sorted(map(len, ints))[-2:]) + (2 * box * box).bit_length()
-    F = [pack(scaled, width) for scaled in ints]
-    Q = [pack({k: k[1] * c for k, c in scaled.items() if k[1]}, width) for scaled in ints]
-    pairs = list(itertools.combinations(range(4), 2))
-    A, W = {}, {}
-    for a, c in pairs:
-        S_acc, W_acc, T_acc = {}, {}, {}
-        _accumulate(F[a], F[c], box, width, [(S_acc, None), (W_acc, _cross)], fold)
-        _accumulate(F[a], Q[c], box, width, [(T_acc, None)], fold)
-        S = _decoded(S_acc, width, slots, box)
-        T = _decoded(T_acc, width, slots, box)
-        ka, kc = weights[a], weights[c]
-        sign = -1 if (a + c) % 2 else 1
-        swap = signs[a] * signs[c] if fold else None
-        minor = {}
-        for key in S.keys() | T.keys():
-            if (v := sign * ((ka + kc) * T.get(key, 0) - kc * key[1] * S.get(key, 0))):
-                minor[key] = v
-                m, r, n = key
-                if fold and m < n:
-                    minor[n, r, m] = swap * v
-        A[a, c] = minor
-        W[a, c] = _decoded(W_acc, width, slots, box, -swap if fold else None)
-    terms = [(A[a, c], W[tuple(j for j in range(4) if j not in (a, c))]) for a, c in pairs]
+    left, right = (
+        _column_minors(ints[a], ints[c], weights[a], weights[c], box, pack, slots,
+                       signs[a] * signs[c] if fold else None)
+        for a, c in ((0, 1), (2, 3))
+    )
+    # The row pairs R = (i, j) in combinations order: their complements R'
+    # run backwards.
+    terms = [
+        ({key: -v for key, v in x.items()} if (i + j) % 2 == 0 else x, y)
+        for (i, j), x, y in zip(itertools.combinations(range(4), 2), left, reversed(right))
+    ]
     width = max(_slot_width([_bits(x), _bits(y)], [len(x), len(y)]) for x, y in terms)
     width += (6).bit_length()
     acc = {}

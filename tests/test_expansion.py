@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siegel2.errors import NotPIntegral, PrecisionError
@@ -12,7 +12,7 @@ from siegel2.expansion import (
     theta_determinant,
     wronskian35,
 )
-from siegel2.generators import MonomialSpec
+from siegel2.generators import GeneratorRegistry, MonomialSpec
 from siegel2.qexp1 import DiagSeries, QSeries1, diag_builder
 
 GEN_NAMES = ("X4", "X6", "X10", "X12", "Y12", "X16", "X35")
@@ -91,10 +91,39 @@ def theta_columns(draw):
     return forms
 
 
+def example_column(weight, sign, salt, den=1):
+    """A full box of distinct coefficients at precision 3, over ``den``,
+    swap-symmetric with ``sign`` unless it is None."""
+    coeffs = {k: Fraction((7 * i + salt) ** 3 - 500, den) for i, k in enumerate(box_indices(3))}
+    return SiegelExpansion(weight, 3, coeffs if sign is None else swap_symmetric(coeffs, sign))
+
+
 @settings(max_examples=60, deadline=None)
 @given(forms=theta_columns())
+# Opposite signs and distinct weights inside each column pair: the
+# S_m <-> S_n cross-mirror of the folded passes.
+@example(forms=[example_column(4, 1, 1), example_column(7, -1, 2),
+                example_column(10, -1, 3), example_column(-3, 1, 4)])
+# The last column has no swap sign: every pass runs the whole box.
+@example(forms=[example_column(4, 1, 1), example_column(6, 1, 2),
+                example_column(10, 1, 3), example_column(12, None, 4)])
+# A Fraction column in each pair.
+@example(forms=[example_column(4, 1, 1, den=3), example_column(5, -1, 2),
+                example_column(10, 1, 3), example_column(-7, -1, 4, den=10)])
 def test_theta_determinant_against_permutation_oracle(forms):
     assert theta_determinant(forms) == permutation_det(theta_matrix(forms))
+
+
+def test_theta_determinant_refuses_bad_columns(gens6):
+    """Four columns, each with a weight tag: no other count and no untagged
+    column is taken."""
+    columns = [gens6[name].truncate(3) for name in ("X4", "X6", "X10", "X12")]
+    for forms in ([], columns[:3], columns + columns[:1]):
+        with pytest.raises(ValueError, match="needs four columns"):
+            theta_determinant(forms)
+    untagged = SiegelExpansion(None, 3, {(1, 0, 1): 1})
+    with pytest.raises(ValueError, match="needs a weight tag"):
+        theta_determinant(columns[:3] + [untagged])
 
 
 def test_ring_examples(registry, gens6):
@@ -266,12 +295,24 @@ def test_leading_terms_of_reduced_monomials(registry):
 
 
 def test_wronskian35_of_the_generators_folds_every_pass(registry, accumulate_folds):
-    """X4-X12 are swap-symmetric, so all 18 block passes form half the box."""
+    """X4-X12 are swap-symmetric, so all 10 block passes form half the box."""
     forms = [registry.generator(name, 5) for name in ("X4", "X6", "X10", "X12")]
     x35 = registry.generator("X35", 5)
     accumulate_folds.clear()
     assert wronskian35(*forms) == x35
-    assert accumulate_folds == [True] * 18
+    assert accumulate_folds == [True] * 10
+
+
+def test_x35_certificate_row_folds_no_pass(tmp_path, accumulate_folds):
+    """X35's leading row is the determinant of the rows of X4-X12, which have
+    no mirrors and so no swap sign: all 10 block passes run the whole box."""
+    reg = GeneratorRegistry(tmp_path)
+    for name in ("X4", "X6", "X10", "X12"):
+        reg.generator_row(name, 6)
+    accumulate_folds.clear()
+    row = reg.generator_row("X35", 6)
+    assert accumulate_folds == [False] * 10
+    assert min(key[0] for key in row.coeffs) == 2
 
 
 def test_wronskian_validation(gens6):

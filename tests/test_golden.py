@@ -9,9 +9,12 @@ builds that preceded the integer Cohen numbers and the row-indexed product
 kernel; at precision 10 the products of the builds reach 83-bit
 coefficients.  The precision-12 digest of X35 was computed with the
 Laplace determinant of 30 two-factor products that preceded the shared
-block passes of ``theta_determinant``.  The ``borcherds-structure``
-digests were pinned while a vanishing order past the box was a sentinel
-object that decided each step's comparison itself.  A mismatch means a
+block passes of ``theta_determinant``.  The precision-16 digests
+(``DUMP16_SHA256``, checked by CI) were computed with its 18 block passes
+along the row pairs (k, theta_12 | theta_1, theta_2), before the 10 along
+the column pairs (X4, X6 | X10, X12).  The ``borcherds-structure`` digests
+were pinned while a vanishing order past the box was a sentinel object
+that decided each step's comparison itself.  A mismatch means a
 change altered output; these digests must not be re-pinned to make a
 refactoring pass.
 """
@@ -51,6 +54,15 @@ DUMP10_SHA256 = {
     "Y12": "3c063125ea4e39293565e7fe37bfe3f351939d62ae535006c5da992e45f31c3f",
     "X16": "4f89f50e29bb39e53c55267dffc3a3230549894ff1514993518b5be266a2e5b3",
     "X35": "744f45e408a68317ea9342c21b62308b102a9f2d7ba01aa31b2a32d3f134ccaa",
+}
+# The cache files of a cold ``siegel2 build --name X35 --prec 16``, checked
+# by a CI step outside the tier-1 tests.
+DUMP16_SHA256 = {
+    "X4": "c00d42e5f13582a9c8d700d5816244b4380679f6f48490315ff1bdf70082cda6",
+    "X6": "1f1d89597b500dcb0d27750dcce18eb585a14a0f7aab6fd8137ea0c41e4a17a3",
+    "X10": "ce36118dff3eea6e0259d6e9e6e58a22fc8466f9ad323f7479c8e7a9d77c92bc",
+    "X12": "aa366aa73bcf9fca9b0eded356f5e6aa5b40a3ad51c60334bac24e36fa3bf659",
+    "X35": "a65cf560da77ca9af572d5f70187437582ad9a8ab2dd988704e3ccb158b51d22",
 }
 DUMP12_SHA256 = {
     "X35": "63b3117a6f4b9ca4ec24889abcba7107c6a8e366c624f653d3c39634049f820b",
