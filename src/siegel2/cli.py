@@ -2,14 +2,16 @@
 
 Subcommands: build, show, sturm-bound, check, congruent, witness, verify.
 Exit codes: 0 for pass/true, 1 for a mathematical failure (congruence
-violated, rank deficient), 2 for usage or data errors.  All output is
-exact; coefficients print as ``numerator/denominator`` with the
+violated, rank deficient), 2 for usage or data errors, and 141, as for a
+writer ended by SIGPIPE, when the reader of stdout has closed it.  All
+output is exact; coefficients print as ``numerator/denominator`` with the
 denominator suppressed when it is 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -31,13 +33,6 @@ def _fmt(value) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     return str(value)
-
-
-def _parse_bound(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad bound {text!r}; use an integer or num/den") from None
 
 
 def _load_file(path: str):
@@ -76,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("sturm-bound", parents=[common], help="print the truncation bound")
     p_bound.add_argument("--weight", type=int, required=True)
-    p_bound.add_argument("--index", type=int, default=1)
 
     p_check = sub.add_parser(
         "check", parents=[common], help="check mod-p^nu vanishing of a file on a box"
@@ -84,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--file", required=True)
     p_check.add_argument("--prime", type=int, required=True)
     p_check.add_argument("--nu", type=int, default=1)
-    p_check.add_argument("--bound", default=None, help="box size (rational; default b_k)")
+    p_check.add_argument("--bound", type=int, default=None, help="box size (default b_k)")
 
     p_cong = sub.add_parser(
         "congruent", parents=[common], help="check two files agree mod p^nu"
@@ -145,13 +139,13 @@ def _run(args) -> int:
         return 0
 
     if args.command == "sturm-bound":
-        print(sturm_bound(args.weight, args.index))
+        print(sturm_bound(args.weight))
         return 0
 
     if args.command == "check":
         name, exp = _load_file(args.file)
         pp = PrimePower(args.prime, args.nu)
-        bound = _parse_bound(args.bound) if args.bound else sturm_bound(exp.weight)
+        bound = sturm_bound(exp.weight) if args.bound is None else args.bound
         report = check_vanishing(exp, pp, bound)
         print(f"{name}: {report.render()}")
         if report.exceeds_precision:
@@ -188,7 +182,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        # Output held in the buffer meets a closed stdout here, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone.  With fd 1 on the null device the
+        # interpreter's last flush is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
     except FormatError as exc:
         print(f"error: malformed file: {exc}", file=sys.stderr)
         return 2

@@ -1,17 +1,16 @@
 """Truncated Fourier expansions of degree-2 Siegel modular forms.
 
-An expansion stores exact coefficients a(m, r, n) for the index box
-0 <= m, n <= scale * precision with 4mn - r^2 >= 0.  Both signs of r are
-stored explicitly; the weight tag k drives the sign symmetries
+An expansion of a level-1 form stores exact coefficients a(m, r, n) for
+the integer index box 0 <= m, n <= precision with 4mn - r^2 >= 0.  Both
+signs of r are stored explicitly; the weight tag k drives the sign
+symmetries
 
     a(m, -r, n) = (-1)^k a(m, r, n),      a(n, r, m) = (-1)^k a(m, r, n),
 
 which every honestly constructed form satisfies and ``symmetry_violations``
 checks.  Products and the theta determinant do not trust the tag: they
 read the swap sign from the coefficients (``_parity``), and when every
-operand has one they form only the blocks m <= n.  Indices live in
-(1/scale)Z and are stored premultiplied by scale, so level-N expansions
-with fractional indices use scale = N.
+operand has one they form only the blocks m <= n.
 
 A ``modulus`` of p marks an expansion whose coefficients have been reduced
 to F_p residues; ring operations (from ``siegel2.series``) then stay in F_p.
@@ -48,20 +47,20 @@ def _block_keys(m: int, n: int) -> list:
 class SiegelExpansion(SparseSeries):
     """Exact truncated Fourier expansion of a degree-2 form."""
 
-    __slots__ = ("scale", "modulus")
-    _RING = ("scale", "modulus")
+    __slots__ = ("modulus",)
+    _RING = ("modulus",)
+    # Every expansion is of level 1.  perfbench/tracer.py reads the box of
+    # a product as scale * precision, so the name stays bound.
+    scale = 1
 
-    def __init__(self, weight, precision, coeffs=None, scale=1, modulus=None):
-        if scale < 1:
-            raise ValueError("scale must be >= 1")
-        self.scale = scale
+    def __init__(self, weight, precision, coeffs=None, modulus=None):
         self.modulus = modulus
         super().__init__(precision, coeffs, weight, modulus)
 
     @classmethod
-    def constant(cls, value, precision, weight=0, scale=1, modulus=None):
+    def constant(cls, value, precision, weight=0, modulus=None):
         """The constant expansion value * q^0."""
-        return cls(weight, precision, {(0, 0, 0): value}, scale, modulus)
+        return cls(weight, precision, {(0, 0, 0): value}, modulus)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -71,9 +70,6 @@ class SiegelExpansion(SparseSeries):
         return sorted(self.coeffs, key=lambda k: (k[0], k[2], k[1]))
 
     # -- the key shape ----------------------------------------------------
-
-    def _box(self, precision):
-        return self.scale * precision
 
     def _kept(self, coeffs, box):
         return {k: c for k, c in coeffs.items() if 0 <= k[0] <= box and 0 <= k[2] <= box}
@@ -128,8 +124,8 @@ class SiegelExpansion(SparseSeries):
     def __repr__(self):
         mod = f", mod {self.modulus}" if self.modulus else ""
         return (
-            f"SiegelExpansion(weight={self.weight}, precision={self.precision}, "
-            f"scale={self.scale}{mod}, {len(self.coeffs)} terms)"
+            f"SiegelExpansion(weight={self.weight}, precision={self.precision}"
+            f"{mod}, {len(self.coeffs)} terms)"
         )
 
     # -- reductions and invariants ----------------------------------------
@@ -145,9 +141,7 @@ class SiegelExpansion(SparseSeries):
                     out[key] = v
             except NotPIntegral:
                 raise NotPIntegral(f"coefficient at {key} = {c} is not {p}-integral") from None
-        return SiegelExpansion._unchecked(
-            self.precision, out, self.weight, scale=self.scale, modulus=p
-        )
+        return SiegelExpansion._unchecked(self.precision, out, self.weight, modulus=p)
 
     def symmetry_violations(self) -> list:
         """Indices violating the weight-driven sign symmetries (empty = pass)."""
@@ -176,7 +170,7 @@ class SiegelExpansion(SparseSeries):
     def diagonal_vanishing_order(self):
         """Size of the largest vanishing box of a reduced expansion.
 
-        Returns min over the F_p support of max(m, n)/scale, or None when
+        Returns min over the F_p support of max(m, n), or None when
         the expansion vanishes on the whole computed box, where the order is
         known only to exceed its precision.  An exact expansion is refused:
         reduce it first.
@@ -185,8 +179,7 @@ class SiegelExpansion(SparseSeries):
             raise ValueError("the vanishing order needs an expansion reduced mod p")
         if not self.coeffs:
             return None
-        smallest = min(max(m, n) for (m, r, n) in self.coeffs)
-        return normalize(Fraction(smallest, self.scale))
+        return min(max(m, n) for (m, r, n) in self.coeffs)
 
     # -- operators ----------------------------------------------------------
 
@@ -194,14 +187,12 @@ class SiegelExpansion(SparseSeries):
         """Diagonal restriction and its first two normalised Taylor layers.
 
         order 0 sums a(m, r, n) over r; order 1 takes (1/2) sum r a(m, r, n);
-        order 2 takes (1/2) sum r^2 a(m, r, n).  Requires scale 1 and exact
+        order 2 takes (1/2) sum r^2 a(m, r, n).  Requires exact
         coefficients.  The image has parallel weight k + order; the sign
         symmetries of weight k make it satisfy a(n, m) = (-1)^k a(m, n).
         """
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
-        if self.scale != 1:
-            raise ValueError("diagonal restriction requires scale 1")
         if self.modulus is not None:
             raise ValueError("diagonal restriction requires exact coefficients")
         sums = {}
@@ -225,8 +216,6 @@ class SiegelExpansion(SparseSeries):
         """
         if direction not in (1, 12, 2):
             raise ValueError("direction must be 1, 12 or 2")
-        if self.scale != 1:
-            raise ValueError("theta derivatives require scale 1")
         pick = {1: 0, 12: 1, 2: 2}[direction]
         out = {}
         for (m, r, n), c in self.coeffs.items():
@@ -234,7 +223,7 @@ class SiegelExpansion(SparseSeries):
             if factor:
                 out[(m, r, n)] = factor * c
         weight = None if self.weight is None else self.weight + 2
-        return SiegelExpansion(weight, self.precision, out, self.scale, self.modulus)
+        return SiegelExpansion(weight, self.precision, out, self.modulus)
 
 
 def box_indices(precision: int) -> list:
@@ -305,7 +294,7 @@ def _column_minors(fa, fc, ka, kc, box, pack, slots, swap):
 
 def theta_determinant(forms) -> SiegelExpansion:
     """det of the 4x4 matrix with rows (k f), (theta_1 f), (theta_12 f),
-    (theta_2 f) over four exact scale-1 expansions f, k being each weight
+    (theta_2 f) over four exact expansions f, k being each weight
     tag.  Any other number of columns, or a column with no weight tag, is
     refused with ValueError.
 
@@ -362,8 +351,8 @@ def theta_determinant(forms) -> SiegelExpansion:
     if len(forms) != 4:
         raise ValueError(f"the theta determinant needs four columns, got {len(forms)}")
     for f in forms:
-        if f.scale != 1 or f.modulus is not None:
-            raise ValueError("the determinant needs exact scale-1 expansions")
+        if f.modulus is not None:
+            raise ValueError("the determinant needs exact expansions")
         if f.weight is None:
             raise ValueError("every column of the theta determinant needs a weight tag")
     box = prec = min(f.precision for f in forms)
@@ -391,7 +380,7 @@ def theta_determinant(forms) -> SiegelExpansion:
         _accumulate(pack(x, width), pack(y, width), box, width, [(acc, None)], fold)
     swap = -signs[0] * signs[1] * signs[2] * signs[3] if fold else None
     det = _rational(_decoded(acc, width, slots, box, swap), den, None)
-    return SiegelExpansion._unchecked(prec, det, sum(weights) + 6, scale=1, modulus=None)
+    return SiegelExpansion._unchecked(prec, det, sum(weights) + 6, modulus=None)
 
 
 def wronskian35(f4, f6, f10, f12) -> SiegelExpansion:

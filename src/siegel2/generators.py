@@ -265,8 +265,8 @@ class GeneratorRegistry:
                     _pin(name, exp)
                     return exp
             except (ValueError, ConstructionError):
-                # A FormatError is a ValueError, and so are the pins' refusals
-                # of the zero expansion and of a scale other than 1.
+                # A FormatError is a ValueError, and so is the pins' refusal
+                # of the zero expansion.
                 pass
             path.unlink(missing_ok=True)
         return None
@@ -423,7 +423,7 @@ def _lifted_row(name: str, bound: int) -> SiegelExpansion:
             for r in range(isqrt(4 * n) + 1):
                 if c := phi.coeff(4 * n - r * r):
                     row[1, r, n] = row[1, -r, n] = c
-    return SiegelExpansion._unchecked(bound, row, GENERATOR_WEIGHTS[name], scale=1, modulus=None)
+    return SiegelExpansion._unchecked(bound, row, GENERATOR_WEIGHTS[name], modulus=None)
 
 
 def taylor_lead(row: SiegelExpansion):

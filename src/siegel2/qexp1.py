@@ -8,8 +8,8 @@ operators acting on degree-2 expansions.  Tensor squares of one-variable
 forms land there via q ⊗ 1 -> q1 and 1 ⊗ q -> q2.  A diagonal series is
 weight-tagged with its parallel weight: the k of a form of weight (k, k).
 Invariance (+1) or anti-invariance (-1) under swapping q1 and q2 is a
-property of the coefficients, checked by ``symmetry_violations``, not a
-tag.  Both take their ring operations from ``siegel2.series``.
+property of the coefficients, a(n, m) = ±a(m, n), not a tag.  Both take
+their ring operations from ``siegel2.series``.
 """
 
 from __future__ import annotations
@@ -96,14 +96,6 @@ class DiagSeries(SparseSeries):
 
     def _slots(self, m, n, box):
         return [(m, j) for j in range(box + 1)]
-
-    def symmetry_violations(self, sign: int) -> list:
-        """Index pairs (m, n) where a(n, m) = sign * a(m, n) fails (empty = pass)."""
-        bad = []
-        for (m, n), c in sorted(self.coeffs.items()):
-            if self.coeffs.get((n, m), 0) != sign * c:
-                bad.append((m, n))
-        return bad
 
     def __repr__(self):
         return f"DiagSeries(precision={self.precision}, weight={self.weight}, {len(self.coeffs)} terms)"

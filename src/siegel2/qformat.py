@@ -11,6 +11,8 @@ An expansion file (magic ``%SIEGEL2-QEXP 1``) reads::
     m r n numerator denominator
     ...
 
+Every expansion is of level 1, so its indices are integers and the
+header line ``scale 1`` is fixed: a file with another scale is refused.
 Entry lines are sorted strictly ascending by (m, n, r), fractions are in
 lowest terms with denominator >= 1, zero entries are omitted.  Files are
 UTF-8 with LF line endings; identical data serialises to identical bytes.
@@ -26,7 +28,7 @@ from .errors import FormatError
 from .expansion import SiegelExpansion
 
 _MAGIC = "%SIEGEL2-QEXP 1"
-_MINIMUM = {"scale": 1, "precision": 0, "entries": 0}
+_MINIMUM = {"precision": 0, "entries": 0}
 
 
 def decode(data: bytes) -> str:
@@ -51,7 +53,7 @@ def dump_siegel(exp: SiegelExpansion, name: str) -> str:
         _MAGIC,
         f"name {name}",
         f"weight {exp.weight}",
-        f"scale {exp.scale}",
+        "scale 1",
         f"precision {exp.precision}",
         f"entries {len(keys)}",
     ]
@@ -86,11 +88,13 @@ def parse_siegel(text: str) -> tuple[str, SiegelExpansion]:
                 value = int(value)
             except ValueError:
                 raise FormatError(lineno, f"{field} must be an integer") from None
+            if field == "scale" and value != 1:
+                raise FormatError(lineno, "scale must be 1: every expansion is of level 1")
             low = _MINIMUM.get(field)
             if low is not None and value < low:
                 raise FormatError(lineno, f"{field} must be >= {low}")
         head[field] = value
-    box = head["scale"] * head["precision"]
+    box = head["precision"]
     entries = head["entries"]
     body = lines[6 : 6 + entries]
     coeffs = {}
@@ -127,9 +131,7 @@ def parse_siegel(text: str) -> tuple[str, SiegelExpansion]:
     for lineno, line in enumerate(lines[6 + entries :], 7 + entries):
         if line.strip():
             raise FormatError(lineno, "trailing data after the declared entries")
-    exp = SiegelExpansion._unchecked(
-        head["precision"], coeffs, head["weight"], scale=head["scale"], modulus=None
-    )
+    exp = SiegelExpansion._unchecked(head["precision"], coeffs, head["weight"], modulus=None)
     return head["name"], exp
 
 

@@ -2,13 +2,15 @@
 
 A series stores its nonzero coefficients in a dict from index keys to
 exact rationals, or to F_p residues when it carries a modulus, for the
-indices in a box fixed by its precision.  ``SparseSeries`` owns what does
-not depend on the key shape: coefficient cleaning, truncation, the ring
-operations and the weight-tag rules (a sum keeps a common weight and is
-untagged otherwise; a product adds weights).  A series carries no other
-tag than its weight and the attributes naming its ring.  Operations never
-extrapolate: results carry the minimum precision of their operands, which
-is exact because indices add componentwise and stay nonnegative.
+integer indices in a box: the precision is the largest index part kept
+(the m and n of a degree-2 key, whose r is bounded by 4mn - r^2 >= 0).
+``SparseSeries`` owns what does not depend on the key shape: coefficient
+cleaning, truncation, the ring operations and the weight-tag rules (a sum
+keeps a common weight and is untagged otherwise; a product adds weights).
+A series carries no other tag than its weight and the attributes naming
+its ring.  Operations never extrapolate: results carry the minimum
+precision of their operands, which is exact because indices add
+componentwise and stay nonnegative.
 
 Products of swap-symmetric series form half the box.  The swap
 (m, r, n) -> (n, r, m) of a degree-2 index is additive and maps the box to
@@ -36,7 +38,6 @@ class SparseSeries:
     A subclass fixes the key shape by providing the hooks below.  Hooks that
     touch coefficients take a whole dict, so the hot loops stay inline.
 
-    * ``_box(precision)``: the largest index component kept at a precision;
     * ``_kept(coeffs, box)``: the entries of a dict inside the box;
     * ``_check_indices(coeffs, box)``: raise ValueError on an invalid key
       (by default, on a key outside the box);
@@ -64,7 +65,7 @@ class SparseSeries:
         self.precision = precision
         self.weight = weight
         coeffs = coeffs or {}
-        self._check_indices(coeffs, self._box(precision))
+        self._check_indices(coeffs, precision)
         if modulus is None:
             self.coeffs = {k: v for k, c in coeffs.items() if (v := normalize(c))}
         else:
@@ -73,9 +74,6 @@ class SparseSeries:
                 for k, c in coeffs.items()
                 if (v := c % modulus if type(c) is int else reduce_mod_p(c, modulus))
             }
-
-    def _box(self, precision):
-        return precision
 
     def _parity(self, ints):
         return None
@@ -128,10 +126,9 @@ class SparseSeries:
         arity = len(origin) if type(origin) is tuple else 1
         if len(index) != arity or any(type(i) is not int for i in index):
             raise ValueError(f"index {key} is not a {type(self).__name__} key like {origin}")
-        box = self._box(self.precision)
-        if min(index) >= 0 and not self._kept({key: None}, box):
+        if min(index) >= 0 and not self._kept({key: None}, self.precision):
             raise ValueError(f"index {key} is beyond precision {self.precision}")
-        self._check_indices({key: None}, box)
+        self._check_indices({key: None}, self.precision)
         return self.coeffs.get(key, 0)
 
     def truncate(self, precision: int):
@@ -139,7 +136,7 @@ class SparseSeries:
             raise PrecisionError(
                 f"cannot extend precision {self.precision} to {precision}"
             )
-        kept = self._kept(self.coeffs, self._box(precision))
+        kept = self._kept(self.coeffs, precision)
         return self._unchecked(precision, kept, self.weight, **self._ring())
 
     # -- ring structure ---------------------------------------------------
@@ -148,9 +145,8 @@ class SparseSeries:
         if not isinstance(other, type(self)):
             return NotImplemented
         prec = self._merged([other])
-        box = self._box(prec)
-        out = self._kept(self.coeffs, box)
-        for k, c in other._kept(other.coeffs, box).items():
+        out = self._kept(self.coeffs, prec)
+        for k, c in other._kept(other.coeffs, prec).items():
             out[k] = out.get(k, 0) + c
         weight = self.weight if self.weight == other.weight else None
         return self._new(prec, out, weight)
@@ -206,7 +202,6 @@ class SparseSeries:
         prec = first._merged(factors[1:])
         weights = [f.weight for f in factors]
         weight = None if None in weights else sum(weights)
-        box = first._box(prec)
         ints, signs, index, den = _operands(factors)
         bits = list(map(_bits, ints))
         width = _slot_width([bits[i] for i in index], [len(ints[i]) for i in index])
@@ -216,12 +211,12 @@ class SparseSeries:
         acc, sign = packed[index[0]], signs[index[0]] if fold else None
         for step, i in enumerate(index[1:], 2):
             partial, acc = acc, {}
-            _accumulate(partial, packed[i], box, width, [(acc, None)], fold)
+            _accumulate(partial, packed[i], prec, width, [(acc, None)], fold)
             if fold:
                 sign *= signs[i]
                 if step < len(index):
                     _mirror(acc, sign)
-        out = _decoded(acc, width, first._slots, box, sign)
+        out = _decoded(acc, width, first._slots, prec, sign)
         return first._unchecked(prec, _rational(out, den, first.modulus), weight, **first._ring())
 
     def __pow__(self, e: int):

@@ -1,9 +1,9 @@
 """Sturm bounds, congruence checks, exact linear algebra, and identity suites.
 
-The truncation bound for weight k at level index i is
+The truncation bound of level-1 forms of weight k is
 
-    floor(k*i / 10)        for even k*i,
-    floor((k*i - 5) / 10)  for odd k*i.
+    b_k = floor(k / 10)        for even k,
+    b_k = floor((k - 5) / 10)  for odd k.
 
 ``check_vanishing`` tests the hypothesis "every coefficient in the box is
 divisible by p^nu" on exact expansions; ``verify_theorem1_rank`` certifies
@@ -137,14 +137,13 @@ from .records import Record
 GENSET_C = ("X4", "X6", "X10", "X12")
 GENSET_INTEGRAL = ("X4", "X6", "X10", "X12", "Y12", "X16")
 
-def sturm_bound(k: int, index_i: int = 1) -> int:
-    """Truncation bound for weight k and level index i (default level 1)."""
-    if k < 0 or index_i < 1:
-        raise ValueError("need weight >= 0 and index >= 1")
-    ki = k * index_i
-    if ki % 2 == 0:
-        return ki // 10
-    return (ki - 5) // 10
+def sturm_bound(k: int) -> int:
+    """The truncation bound b_k of level-1 forms of weight k."""
+    if k < 0:
+        raise ValueError("need weight >= 0")
+    if k % 2 == 0:
+        return k // 10
+    return (k - 5) // 10
 
 
 class SturmReport(Record):
@@ -183,15 +182,16 @@ class SturmReport(Record):
         return "\n".join(lines)
 
 
-def check_vanishing(f: SiegelExpansion, pp: PrimePower, bound) -> SturmReport:
-    """Check p^nu | a(m, r, n) for every index with m/s, n/s <= bound.
+def check_vanishing(f: SiegelExpansion, pp: PrimePower, bound: int) -> SturmReport:
+    """Check p^nu | a(m, r, n) for every index with m, n <= bound, an integer.
 
-    The bound may be rational (fractional indices at higher level).  If it
-    exceeds the expansion's precision the report flags the insufficiency;
-    the verdict then only covers the available box.
+    If the bound exceeds the expansion's precision the report flags the
+    insufficiency; the verdict then only covers the available box.
     """
     if f.modulus is not None:
         raise ValueError("vanishing checks need exact coefficients")
+    if not isinstance(bound, int):
+        raise ValueError(f"bound {bound!r} is not an integer")
     if bound < 0:
         raise ValueError(f"bound {bound} is below 0")
     note = None
@@ -201,11 +201,10 @@ def check_vanishing(f: SiegelExpansion, pp: PrimePower, bound) -> SturmReport:
             f"bound {bound} exceeds precision {f.precision}; "
             "the verdict only covers the computed box"
         )
-    limit = bound * f.scale
     violations = []
     for key in f.support():
         m, _, n = key
-        if m <= limit and n <= limit:
+        if m <= bound and n <= bound:
             val = p_valuation(f.coeffs[key], pp.p)
             if val < pp.nu:
                 violations.append((key, val))
@@ -215,9 +214,10 @@ def check_vanishing(f: SiegelExpansion, pp: PrimePower, bound) -> SturmReport:
 def check_congruence(f: SiegelExpansion, g: SiegelExpansion, pp: PrimePower) -> SturmReport:
     """Check f = g coefficientwise mod p^nu over the full common box.
 
-    Weights may differ (mod-p comparisons across weights are meaningful);
-    the report notes the truncation bound for the larger weight, so a
-    passing check with enough precision is a theorem-backed verdict.
+    Weights may differ (mod-p comparisons across weights are meaningful).
+    The report notes b_k of the larger weight and whether the precision
+    covers it.  Theorem 1 speaks of forms of one weight at level 1, so for
+    mixed weights the note names a box, not a theorem-backed verdict.
     """
     diff = f - g
     prec = diff.precision

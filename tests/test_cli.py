@@ -27,8 +27,11 @@ def run(capsys, *argv):
 def test_sturm_bound_command(capsys):
     code, out, _ = run(capsys, "sturm-bound", "--weight", "35")
     assert code == 0 and out.strip() == "3"
-    code, out, _ = run(capsys, "sturm-bound", "--weight", "10", "--index", "2")
-    assert code == 0 and out.strip() == "2"
+    # b_k is the bound of level 1: there is no index to scale it by.
+    with pytest.raises(SystemExit) as info:
+        main(["sturm-bound", "--weight", "10", "--index", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --index 2" in capsys.readouterr().err
 
 
 def test_show_at(capsys, cache):
@@ -252,18 +255,58 @@ def test_verify_all_aggregates(capsys, cache):
     ]
 
 
-def test_check_fractional_bound_on_level_two_file(capsys, tmp_path, cache):
-    from siegel2.expansion import SiegelExpansion
+def test_check_refuses_a_fractional_bound(capsys, cache):
+    with pytest.raises(SystemExit) as info:
+        main(["check", "--file", str(cache / "X10.p6.qexp"), "--prime", "2",
+              "--bound", "1/2", "--cache-dir", str(cache)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --bound: invalid int value: '1/2'\n")
 
-    exp = SiegelExpansion(0, 1, {(1, 0, 1): 2, (2, 0, 2): 9}, scale=2)
+
+def test_check_refuses_a_file_of_scale_two(capsys, tmp_path, cache):
+    """Theorem 1 bounds level-1 forms, so a file whose header says its
+    indices lie in (1/2)Z is refused before any verdict."""
+    lines = (cache / "X4.p6.qexp").read_text(encoding="utf-8").split("\n")
+    lines[3] = "scale 2"
     path = tmp_path / "level2.qexp"
-    save_atomic(path, dump_siegel(exp, "level2"))
-    code, _, _ = run(capsys, "check", "--file", str(path), "--prime", "3",
-                     "--bound", "1/4", "--cache-dir", str(cache))
-    assert code == 0
-    code, out, _ = run(capsys, "check", "--file", str(path), "--prime", "3",
-                       "--bound", "1/2", "--cache-dir", str(cache))
-    assert code == 1 and "(1,0,1)" in out
+    path.write_text("\n".join(lines), encoding="utf-8")
+    code, out, err = run(capsys, "check", "--file", str(path), "--prime", "3",
+                         "--cache-dir", str(cache))
+    assert code == 2 and out == ""
+    assert err == f"error: malformed file: {path}: line 4: scale must be 1: every expansion is of level 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, buffered",
+    [
+        pytest.param(["sturm-bound", "--weight", "12"], True, id="sturm-bound"),
+        pytest.param(["sturm-bound", "--weight", "12"], False, id="sturm-bound-unbuffered"),
+        pytest.param(["verify", "--suite", "witt-images"], True, id="witt-images"),
+    ],
+)
+def test_a_closed_stdout_exits_141_and_prints_nothing(cache, argv, buffered):
+    """The read end of the pipe is closed before the process starts, so
+    every write to stdout fails with EPIPE.  sturm-bound's one line fits the
+    buffer, so buffered it fails only at the flush that ``main`` makes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "siegel2", *argv, "--cache-dir", str(cache)],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_malformed_file_reports_line(capsys, tmp_path, cache):

@@ -26,12 +26,6 @@ def test_siegel_round_trip():
     assert text.endswith("\n") and "\r" not in text
 
 
-def test_siegel_round_trip_with_scale():
-    exp = SiegelExpansion(4, 1, {(2, 1, 2): 5}, scale=2)
-    name, back = parse_siegel(dump_siegel(exp, "level2"))
-    assert back.scale == 2 and back == exp
-
-
 def test_entries_are_sorted_canonically():
     text = dump_siegel(sample_expansion(), "s")
     rows = [line for line in text.strip().split("\n")[6:]]
@@ -53,6 +47,7 @@ def test_entries_are_sorted_canonically():
         (lambda lines: lines.__setitem__(7, "2 9 2 1 1"), 8),
         (lambda lines: lines.append("1 0 1 3 1"), 11),
         pytest.param(lambda lines: lines.__setitem__(3, "scale 0"), 4, id="tag-zero"),
+        pytest.param(lambda lines: lines.__setitem__(3, "scale 2"), 4, id="scale-two"),
         pytest.param(
             lambda lines: lines.__setitem__(4, "precision -1"), 5, id="negative-precision"
         ),

@@ -2,7 +2,7 @@
 
 Each test runs per kind: QSeries1, DiagSeries, and SiegelExpansion exact
 or reduced mod 5.  An example draws two or three series of that kind in
-one ring (SiegelExpansion at scale 1 or 2).  Sizes stay tiny so the whole
+one ring.  Sizes stay tiny so the whole
 module runs in a few seconds.  Exact SiegelExpansions are also checked
 against their mod-p reductions and their text format.
 """
@@ -41,13 +41,13 @@ def box_keys(kind, box):
     return keys
 
 
-def make(kind, precision, coeffs, weight, scale):
+def make(kind, precision, coeffs, weight):
     if kind == "q":
         return QSeries1(precision, coeffs, weight)
     if kind == "diag":
         return DiagSeries(precision, coeffs, weight)
     modulus = MODULUS if kind == "siegel-mod" else None
-    return SiegelExpansion(weight, precision, coeffs, scale, modulus)
+    return SiegelExpansion(weight, precision, coeffs, modulus)
 
 
 exact_scalars = st.one_of(
@@ -58,18 +58,17 @@ exact_scalars = st.one_of(
 
 @st.composite
 def families(draw, kind, size=3):
-    """(scale, [series, ...]): series of one kind in one ring."""
-    scale = draw(st.sampled_from((1, 2))) if kind.startswith("siegel") else 1
-    top = {"q": 6, "diag": 3}.get(kind, 2 // scale)
+    """[series, ...]: series of one kind in one ring."""
+    top = {"q": 6, "diag": 3}.get(kind, 2)
     coeff = st.integers(0, MODULUS - 1) if kind == "siegel-mod" else exact_scalars
     members = []
     for _ in range(size):
         precision = draw(st.integers(0, top))
-        keys = box_keys(kind, scale * precision)
+        keys = box_keys(kind, precision)
         coeffs = draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=6))
         weight = draw(st.sampled_from((None, 0, 1, 4)))
-        members.append(make(kind, precision, coeffs, weight, scale))
-    return scale, members
+        members.append(make(kind, precision, coeffs, weight))
+    return members
 
 
 def assert_canonical(kind, series):
@@ -88,9 +87,9 @@ def add_keys(k1, k2):
     return tuple(a + b for a, b in zip(k1, k2))
 
 
-def naive_product(kind, scale, a, b):
+def naive_product(kind, a, b):
     """Pairwise convolution: every pair of terms whose index sum stays in the box."""
-    inside = set(box_keys(kind, scale * min(a.precision, b.precision)))
+    inside = set(box_keys(kind, min(a.precision, b.precision)))
     out = {}
     for k1, c1 in a.coeffs.items():
         for k2, c2 in b.coeffs.items():
@@ -110,7 +109,7 @@ by_kind = pytest.mark.parametrize("kind", KINDS)
 @SETTINGS
 @given(data=st.data())
 def test_ring_laws(kind, data):
-    _, (a, b, c) = data.draw(families(kind))
+    a, b, c = data.draw(families(kind))
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
@@ -129,7 +128,7 @@ def test_ring_laws(kind, data):
 @SETTINGS
 @given(data=st.data())
 def test_truncation_commutes_with_sum_and_product(kind, data):
-    _, (a, b) = data.draw(families(kind, size=2))
+    a, b = data.draw(families(kind, size=2))
     q = data.draw(st.integers(0, min(a.precision, b.precision)))
     assert (a + b).truncate(q) == a.truncate(q) + b.truncate(q)
     assert (a * b).truncate(q) == a.truncate(q) * b.truncate(q)
@@ -139,9 +138,9 @@ def test_truncation_commutes_with_sum_and_product(kind, data):
 @SETTINGS
 @given(data=st.data())
 def test_product_matches_naive_convolution(kind, data):
-    scale, (a, b) = data.draw(families(kind, size=2))
+    a, b = data.draw(families(kind, size=2))
     got = a * b
-    assert got.coeffs == naive_product(kind, scale, a, b)
+    assert got.coeffs == naive_product(kind, a, b)
     assert got.precision == min(a.precision, b.precision)
 
 
@@ -153,11 +152,11 @@ M61 = 2**61 - 1
 PACKED_KINDS = ("q", "diag", "siegel")
 
 
-def packed_operand(kind, precision, coeffs, scale=1, modulus=None):
-    """A weight-4 operand; only SiegelExpansion takes a scale or a modulus."""
+def packed_operand(kind, precision, coeffs, modulus=None):
+    """A weight-4 operand; only SiegelExpansion takes a modulus."""
     if kind == "siegel":
-        return SiegelExpansion(4, precision, coeffs, scale, modulus)
-    return make(kind, precision, coeffs, 4, scale)
+        return SiegelExpansion(4, precision, coeffs, modulus)
+    return make(kind, precision, coeffs, 4)
 
 
 def swap_symmetric(coeffs, sign):
@@ -173,7 +172,7 @@ def swap_symmetric(coeffs, sign):
 
 @st.composite
 def wide_factors(draw, counts=st.just(2)):
-    """(kind, scale, factors): sparse operands with wide entries, or full
+    """(kind, factors): sparse operands with wide entries, or full
     boxes at the largest magnitude of a bit length, so the slot sums are as
     large as the box allows.  Half the Siegel families are swap-symmetric,
     each factor with its own sign, save at most one factor with none; their
@@ -182,7 +181,6 @@ def wide_factors(draw, counts=st.just(2)):
     mirrored, are seldom zero off the diagonal."""
     kind = draw(st.sampled_from(PACKED_KINDS))
     siegel = kind == "siegel"
-    scale = draw(st.sampled_from((1, 2))) if siegel else 1
     modulus = draw(st.sampled_from((None, M61))) if siegel else None
     if modulus is None:
         coeff = st.one_of(
@@ -191,14 +189,14 @@ def wide_factors(draw, counts=st.just(2)):
         )
     else:
         coeff = st.integers(0, modulus - 1)
-    largest = {"q": 6, "diag": 3}.get(kind, 3 // scale)
+    largest = {"q": 6, "diag": 3}.get(kind, 3)
     count = draw(counts)
     symmetric = siegel and draw(st.booleans())
     unsigned = draw(st.one_of(st.none(), st.integers(0, count - 1))) if symmetric else None
     members = []
     for i in range(count):
         precision = draw(st.integers(int(symmetric), largest))
-        keys = box_keys(kind, scale * precision)
+        keys = box_keys(kind, precision)
         if draw(st.booleans()) or symmetric and draw(st.booleans()):
             top = modulus - 1 if modulus else 2 ** draw(st.integers(1, 200)) - 1
             sign = draw(st.sampled_from((1, -1, None)))
@@ -207,36 +205,36 @@ def wide_factors(draw, counts=st.just(2)):
             coeffs = draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=8))
         if symmetric and i != unsigned:
             coeffs = swap_symmetric(coeffs, draw(st.sampled_from((1, -1))))
-        members.append(packed_operand(kind, precision, coeffs, scale, modulus))
-    return kind, scale, members
+        members.append(packed_operand(kind, precision, coeffs, modulus))
+    return kind, members
 
 
 @SETTINGS
 @given(pair=wide_factors())
 def test_wide_siegel_products_match_naive_convolution(pair):
-    kind, scale, (a, b) = pair
+    kind, (a, b) = pair
     got = a * b
-    assert got.coeffs == naive_product(kind, scale, a, b)
+    assert got.coeffs == naive_product(kind, a, b)
     for v in got.coeffs.values():
         assert not (isinstance(v, Fraction) and v.denominator == 1)
 
 
-def folded_product(kind, scale, factors):
+def folded_product(kind, factors):
     """The left fold of naive convolutions, each partial product cut to the box."""
     folded = factors[0]
     for factor in factors[1:]:
-        coeffs = naive_product(kind, scale, folded, factor)
+        coeffs = naive_product(kind, folded, factor)
         precision = min(folded.precision, factor.precision)
-        folded = packed_operand(kind, precision, coeffs, scale, getattr(factor, "modulus", None))
+        folded = packed_operand(kind, precision, coeffs, getattr(factor, "modulus", None))
     return folded
 
 
 @settings(max_examples=200, deadline=None)
 @given(family=wide_factors(st.integers(1, 5)))
 def test_products_of_one_to_five_factors_match_folded_convolution(family):
-    kind, scale, factors = family
+    kind, factors = family
     got = SparseSeries._product(factors)
-    assert got == folded_product(kind, scale, factors)
+    assert got == folded_product(kind, factors)
     assert got.weight == 4 * len(factors)
     for v in got.coeffs.values():
         assert not (isinstance(v, Fraction) and v.denominator == 1)
@@ -258,7 +256,7 @@ def test_long_qseries_products_past_the_box_match_folded_convolution():
             factors.append(QSeries1(precision, coeffs, weight=4))
         got = SparseSeries._product(factors)
         assert got.precision == min(f.precision for f in factors)
-        assert got == folded_product("q", 1, factors)
+        assert got == folded_product("q", factors)
 
 
 def test_products_fold_only_when_every_factor_has_a_swap_sign(
@@ -274,26 +272,27 @@ def test_products_fold_only_when_every_factor_has_a_swap_sign(
         SiegelExpansion, "_parity", lambda self, ints: reads.append(ints) or parity(self, ints)
     )
     accumulate_folds.clear()
-    assert (row * x4).coeffs == naive_product("siegel", 1, row, x4)
+    assert (row * x4).coeffs == naive_product("siegel", row, x4)
     assert accumulate_folds == [False] and len(reads) == 1
-    assert (x10 * x4).coeffs == naive_product("siegel", 1, x10, x4)
+    assert (x10 * x4).coeffs == naive_product("siegel", x10, x4)
     assert accumulate_folds == [False, True] and len(reads) == 3
-    assert (x10**3).coeffs == naive_product("siegel", 1, x10 * x10, x10)
+    assert (x10**3).coeffs == naive_product("siegel", x10 * x10, x10)
     assert len(reads) == 5  # x10**3 and x10 * x10 each read X10's sign once
 
 
 @pytest.mark.parametrize(
-    "kind, scale, modulus",
-    [("q", 1, None), ("diag", 1, None), ("siegel", 1, None), ("siegel", 2, None), ("siegel", 1, M61)],
+    "kind, sign, modulus",
+    [("q", 1, None), ("diag", 1, None), ("siegel", 1, None), ("siegel", -1, None), ("siegel", 1, M61)],
 )
-def test_five_full_boxes_of_one_sign(kind, scale, modulus):
+def test_five_full_boxes_of_one_sign(kind, sign, modulus):
     """As many products per slot as five factors allow: on a Siegel box of 3,
-    2285 of them, more than a width with one count term for all of them holds."""
-    precision = {"q": 6, "diag": 3}.get(kind, 3 // scale)
-    value = M61 - 1 if modulus else 2**64 - 1
-    full = {k: value for k in box_keys(kind, scale * precision)}
-    factors = [packed_operand(kind, precision, full, scale, modulus) for _ in range(5)]
-    assert SparseSeries._product(factors) == folded_product(kind, scale, factors)
+    2285 of them, more than a width with one count term for all of them holds.
+    With sign -1 every entry and every slot of the product is negative."""
+    precision = {"q": 6, "diag": 3}.get(kind, 3)
+    value = M61 - 1 if modulus else sign * (2**64 - 1)
+    full = {k: value for k in box_keys(kind, precision)}
+    factors = [packed_operand(kind, precision, full, modulus) for _ in range(5)]
+    assert SparseSeries._product(factors) == folded_product(kind, factors)
 
 
 @pytest.mark.parametrize("modulus", (None, MODULUS, M61))
@@ -303,19 +302,19 @@ def test_siegel_products_at_box_zero_and_with_zero(modulus):
     kinds = PACKED_KINDS if modulus is None else ("siegel",)
     for kind in kinds:
         a = packed_operand(kind, 0, {box_keys(kind, 0)[0]: value}, modulus=modulus)
-        assert (a * a).coeffs == naive_product(kind, 1, a, a) != {}
+        assert (a * a).coeffs == naive_product(kind, a, a) != {}
         zero = packed_operand(kind, 2, {}, modulus=modulus)
         full = packed_operand(kind, 2, {k: value for k in box_keys(kind, 2)}, modulus=modulus)
         assert (zero * full).coeffs == (full * zero).coeffs == {}
-        assert (full * a).coeffs == naive_product(kind, 1, full, a)
-        assert (full * full).coeffs == naive_product(kind, 1, full, full)
+        assert (full * a).coeffs == naive_product(kind, full, a)
+        assert (full * full).coeffs == naive_product(kind, full, full)
 
 
 @by_kind
 @SETTINGS
 @given(data=st.data(), scalar=exact_scalars)
 def test_weight_tags(kind, data, scalar):
-    _, (a, b) = data.draw(families(kind, size=2))
+    a, b = data.draw(families(kind, size=2))
     assert (a + b).weight == (a.weight if a.weight == b.weight else None)
     assert (a - b).weight == (a.weight if a.weight == b.weight else None)
     expected = None if a.weight is None or b.weight is None else a.weight + b.weight
@@ -330,19 +329,19 @@ def test_weight_tags(kind, data, scalar):
 @given(data=st.data())
 def test_type_tags(kind, data):
     """Results keep the operands' type and ring, the only tags besides the weight."""
-    scale, (a, b) = data.draw(families(kind, size=2))
+    a, b = data.draw(families(kind, size=2))
     modulus = MODULUS if kind == "siegel-mod" else None
     for result in (a + b, a * b, a * 2, -a, a.truncate(0), a**0, a**2):
         assert type(result) is type(a)
         if kind.startswith("siegel"):
-            assert (result.scale, result.modulus) == (scale, modulus)
+            assert result.modulus == modulus
 
 
 @SETTINGS
 @given(data=st.data(), p=st.sampled_from((5, 7)))
 def test_reduce_mod_is_a_ring_homomorphism(data, p):
     # Drawn denominators are at most 3, so every coefficient is p-integral.
-    _, (a, b) = data.draw(families("siegel", size=2))
+    a, b = data.draw(families("siegel", size=2))
     assert (a * b).reduce_mod(p) == a.reduce_mod(p) * b.reduce_mod(p)
     assert (a + b).reduce_mod(p) == a.reduce_mod(p) + b.reduce_mod(p)
 
@@ -378,23 +377,21 @@ def test_fp_product_is_the_reduced_monomial(gens6, registry, data, p, precision)
 @SETTINGS
 @given(data=st.data(), weight=st.integers(-3, 40))
 def test_dump_parse_round_trip(data, weight):
-    _, (a,) = data.draw(families("siegel", size=1))
-    a = SiegelExpansion(weight, a.precision, a.coeffs, a.scale, a.modulus)
+    (a,) = data.draw(families("siegel", size=1))
+    a = SiegelExpansion(weight, a.precision, a.coeffs, a.modulus)
     name, parsed = parse_siegel(dump_siegel(a, "F"))
     assert name == "F" and parsed == a and parsed.weight == weight
 
 
 def test_siegel_ring_mismatches_raise():
     x = SiegelExpansion(4, 2, {(0, 0, 0): 1, (1, 1, 1): 2})
-    other_scale = SiegelExpansion(4, 1, {(0, 0, 0): 1}, scale=2)
     reduced = x.reduce_mod(MODULUS)
-    for y in (other_scale, reduced):
-        for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
-            with pytest.raises(ValueError, match="mismatch"):
-                op(x, y)
-            with pytest.raises(ValueError, match="mismatch"):
-                op(y, x)
-    assert x != other_scale and x != reduced
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+        with pytest.raises(ValueError, match="mismatch"):
+            op(x, reduced)
+        with pytest.raises(ValueError, match="mismatch"):
+            op(reduced, x)
+    assert x != reduced
 
 
 def test_mixed_series_types_do_not_combine():

@@ -43,7 +43,6 @@ def test_sturm_bound_values():
     assert sturm_bound(83) == 7
     assert sturm_bound(4) == 0
     assert sturm_bound(47) == 4
-    assert sturm_bound(10, index_i=2) == 2
     with pytest.raises(ValueError):
         sturm_bound(-2)
 
@@ -66,6 +65,13 @@ def test_check_vanishing_examples(gens6):
     assert ((1, 1, 1), 0) in report.violations
     diff = gens6["X12"] - gens6["X10"]
     assert check_vanishing(diff, pp, 1).verdict
+
+
+def test_check_vanishing_takes_an_integer_box(gens6):
+    """Indices are integers at level 1, so a box of 1/2 is refused, not
+    read as the box of 0."""
+    with pytest.raises(ValueError, match=r"bound Fraction\(1, 2\) is not an integer"):
+        check_vanishing(gens6["X10"], PrimePower(2), Fraction(1, 2))
 
 
 def test_check_vanishing_flags_insufficient_precision(gens6):
