@@ -46,6 +46,17 @@ def _load_file(path: str):
         raise FormatError(exc.lineno, exc.message, path) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of help to stdout
+    raises, where argparse drops it, so a closed stdout reaches ``main``."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -53,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="generator cache directory (default: $SIEGEL2_CACHE or ./cache)",
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="siegel2",
         description="Exact degree-2 Siegel modular form expansions, "
         "congruence checks, and truncation-bound certificates.",
@@ -180,8 +191,12 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        finally:
+            # --help writes to stdout, then exits: flush it inside the try.
+            sys.stdout.flush()
         code = _run(args)
         # Output held in the buffer meets a closed stdout here, not at exit.
         sys.stdout.flush()

@@ -7,13 +7,14 @@ even part.  This module builds pinned normalisations of all seven:
 
 * X4, X6   -- Maass lifts of (-2k/B_k) E_{k,1}, whose constant term is 1,
 * X10, X12 -- Maass lifts of the index-1 cusp forms with c(3) = 1,
-* Y12      -- (X4^3 - X6^2)/1728 + 144 X12,
+* Y12      -- (X4^3 - X6^2)/1728 + 144 X12, built as (V(psi) - 691 X6^2)/762048,
 * X16      -- (X4 X12 - X6 X10)/12, the Maass lift of Delta E_{4,1},
 * X35      -- the normalised theta-derivative determinant of X4, X6, X10, X12.
 
-X4, X6, X10, X12 and X16 are built from their Jacobi forms alone (``_jacobi``)
-and read no other generator; Y12 is formed from the pinned X4, X6 and X12,
-and X35 from the pinned X4, X6, X10 and X12.
+X4, X6, X10, X12 and X16 are built from their Jacobi forms alone (``_jacobi``),
+and Y12 from X6's Jacobi form and psi's (``_build``, which proves the
+identity); none of them reads another generator.  X35 is formed from
+the pinned X4, X6, X10 and X12.
 
 Each generator fact is written once: the leading terms in ``_LEADING``,
 from which ``MonomialSpec.leading_index`` gives every monomial's, and the
@@ -494,13 +495,78 @@ def unpacked(x: int, bound: int, p: int) -> list:
 
 
 def _build(name: str, precision: int, registry: GeneratorRegistry) -> SiegelExpansion:
+    """The named generator's whole box at the precision, before its pins.
+
+    X4, X6, X10, X12 and X16 are the Maass lifts V of their Jacobi forms
+    (``_jacobi``), and X35 is ``wronskian35`` of the pinned X4, X6, X10 and
+    X12 the registry serves.  Y12 = (X4^3 - X6^2)/1728 + 144 X12 is built
+    as (V(psi) - 691 X6^2)/762048, 762048 = 441 * 1728, from one square of
+    the lift X6 and the lift of
+
+        psi = 1079568 E4^2 E_{4,1} - 1014048 E6 E_{6,1},
+
+    and reads no other generator.  The facts used: the row 0 (Siegel Phi)
+    of V(phi) is -(B_k/2k) c(0) E_k, with B_12 = -691/2730, and its row 1
+    is phi (``maass_lift``: gcd(1, r, n) = 1 leaves one term of the divisor
+    sum); X4 and X6 are V(240 E_{4,1}) and V(-504 E_{6,1}) (``_jacobi``,
+    -2k/B_k), with rows 0 E4 = 1 + 240 q + ... and E6 = 1 - 504 q + ...;
+    X12 = V(phi12), phi12 = (E4^2 E_{4,1} - E6 E_{6,1})/144, has row 0
+    equal to 0; and rows add under products, while a row 0 holds only
+    r = 0, so row 1 of F G is F_0 G_1 + F_1 G_0.
+
+    * beta = -691/762048 in Y12 = V(psi)/762048 + beta X6^2 comes from
+      Phi.  Phi(Y12) = (E4^3 - E6^2)/1728 = Delta and Phi(X6^2) = E6^2, so
+      Phi of Y12 - beta X6^2 is E4^3/1728 - (1/1728 + beta) E6^2.  The row
+      0 of a weight-12 lift is a multiple of E12 = (441 E4^3 + 250 E6^2)/691:
+      M_12 of SL_2(Z) is 2-dimensional with basis E4^3 = 1 + 720 q + ...
+      and E6^2 = 1 - 1008 q + ..., so two coefficients fix a form, and both
+      sides have q^0 coefficient 1 = (441 + 250)/691 and q^1 coefficient
+      65520/691 = -24/B_12, as 441 * 720 - 250 * 1008 = 65520.  So
+      441 : 250 = 1 : -(1 + 1728 beta), beta = -691/(441 * 1728), and
+      762048 Y12 + 691 X6^2 has row 0 441 E4^3 + 250 E6^2 = 691 E12.
+    * psi is the row 1 of 762048 Y12 + 691 X6^2.  Row 1 of Y12 is
+      (3 E4^2 240 E_{4,1} + 2 E6 504 E_{6,1})/1728 + 144 phi12 =
+      (17/12) E4^2 E_{4,1} - (5/12) E6 E_{6,1}, and row 1 of X6^2 is
+      2 E6 (-504 E_{6,1}); 762048 * 17/12 = 1079568 and
+      762048 * 5/12 + 691 * 1008 = 317520 + 696528 = 1014048.  Its
+      c(0) = 1079568 - 1014048 = 65520 makes the lift's row 0
+      -(B_12/24) 65520 E12 = 691 E12, the row 0 above.  Equivalently, psi
+      is the form in J_{12,1}, spanned by E4^2 E_{4,1} and E6 E_{6,1}
+      (c(0) = 1 and 1, c(3) = 56 and -88), fitted at a(0, 0, 0) = 691 and
+      a(1, 1, 1) = 762048 * 116 + 691 * 88704 = 56 * 1079568 + 88 * 1014048.
+    * The difference is 0.  V(psi) - 691 X6^2 - 762048 Y12 has row 0
+      691 E12 - 691 E12 = 0 and row 1 psi - psi = 0, and by the swap
+      symmetry its columns 0 and 1 vanish too: it vanishes on the box
+      b_12 = 1.  Theorem 1 at k = 12, which ``verify_theorem1_rank``
+      certifies at p = 5 with GENSET_C, which has no Y12 (its monomials are
+      X4^3, X6^2 and X12), then makes it 0: a nonzero rational difference,
+      scaled to a primitive integral form, would be nonzero mod 5.  (So
+      does dim S_12 = 1: the difference is a cusp form, S_12 is spanned by
+      X12, and its a(1, 1, 1) is 0 where X12's is 1.)
+
+    So V(psi) - 691 X6^2 = 762048 Y12 coefficient by coefficient, and each
+    numerator divides exactly as Y12 is integral; a remainder is refused
+    with a ``ConstructionError`` naming its index.
+    """
     if name in ("X4", "X6", "X10", "X12", "X16"):
         return maass_lift(_jacobi(name, 4 * precision * precision), precision)
     if name == "Y12":
-        x4 = registry.generator("X4", precision)
-        x6 = registry.generator("X6", precision)
-        x12 = registry.generator("X12", precision)
-        return (x4**3 - x6**2) * Fraction(1, 1728) + 144 * x12
+        dmax = 4 * precision * precision
+        e4, e6 = eisenstein1(4, dmax // 4), eisenstein1(6, dmax // 4)
+        psi = jacobi_combine(
+            [(1079568, e4 * e4, jacobi_eisenstein(4, dmax)), (-1014048, e6, jacobi_eisenstein(6, dmax))]
+        )
+        lift = maass_lift(psi, precision).coeffs
+        x6 = maass_lift(_jacobi("X6", dmax), precision)
+        square = (x6 * x6).coeffs
+        coeffs = {}
+        for key in lift.keys() | square.keys():
+            y, rest = divmod(lift.get(key, 0) - 691 * square.get(key, 0), 762048)
+            if rest:
+                raise ConstructionError(f"Y12: numerator at {key} is not divisible by 762048")
+            if y:
+                coeffs[key] = y
+        return SiegelExpansion._unchecked(precision, coeffs, 12, modulus=None)
     if name == "X35":
         return wronskian35(
             registry.generator("X4", precision),

@@ -10,7 +10,8 @@ in q^(1/4), the one packed product of ``siegel2.series``.  ``maass_lift``
 is the linear Maass lift V of Eichler-Zagier, which turns an index-1 form
 into a degree-2 expansion by divisor sums over gcd(m, r, n); it lifts the
 Eisenstein forms to the weight-4 and weight-6 generators, the cusp
-forms to the weight-10 and weight-12 ones, and Delta E_{4,1} to X16.
+forms to the weight-10 and weight-12 ones, Delta E_{4,1} to X16, and one
+more weight-12 form to 762048 Y12 + 691 X6^2.
 
 Cohen's numbers H(r, N) (Eichler-Zagier, *The Theory of Jacobi Forms*,
 section 2) give the same Eisenstein coefficients as H(k-1, D) / H(k-1, 0),

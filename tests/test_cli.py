@@ -284,12 +284,33 @@ def test_check_refuses_a_file_of_scale_two(capsys, tmp_path, cache):
         pytest.param(["sturm-bound", "--weight", "12"], True, id="sturm-bound"),
         pytest.param(["sturm-bound", "--weight", "12"], False, id="sturm-bound-unbuffered"),
         pytest.param(["verify", "--suite", "witt-images"], True, id="witt-images"),
+        pytest.param(["--help"], True, id="help"),
+        pytest.param(["--help"], False, id="help-unbuffered"),
+        pytest.param(["build", "--help"], True, id="build-help"),
     ],
 )
 def test_a_closed_stdout_exits_141_and_prints_nothing(cache, argv, buffered):
     """The read end of the pipe is closed before the process starts, so
     every write to stdout fails with EPIPE.  sturm-bound's one line fits the
-    buffer, so buffered it fails only at the flush that ``main`` makes."""
+    buffer, so buffered it fails only at the flush that ``main`` makes; so
+    does argparse's help text, which ``main`` flushes before the exit that
+    follows it, and whose failed write unbuffered ``main`` sees too."""
+    proc = _on_a_closed_stdout(cache, argv, buffered)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_a_usage_error_on_a_closed_stdout_still_exits_2(cache):
+    """argparse writes a usage error to stderr, so a closed stdout leaves
+    its exit code 2 and its message as they are."""
+    proc = _on_a_closed_stdout(cache, ["sturm-bound", "--weight", "ten"], True)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().endswith(
+        "siegel2 sturm-bound: error: argument --weight: invalid int value: 'ten'\n"
+    )
+
+
+def _on_a_closed_stdout(cache, argv, buffered):
+    """``python -m siegel2 ARGV`` with stdout a pipe whose read end is closed."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(src)
@@ -306,7 +327,7 @@ def test_a_closed_stdout_exits_141_and_prints_nothing(cache, argv, buffered):
         )
     finally:
         os.close(write)
-    assert (proc.returncode, proc.stderr) == (141, b"")
+    return proc
 
 
 def test_malformed_file_reports_line(capsys, tmp_path, cache):

@@ -568,6 +568,48 @@ def test_x16_lift_equals_the_four_generator_product(registry):
         assert lift == product.truncate(P) and lift.weight == 16, P
 
 
+def test_y12_build_equals_the_three_generator_formula(registry):
+    """Y12's build, (V(psi) - 691 X6^2)/762048, equals its defining formula
+    (X4^3 - X6^2)/1728 + 144 X12 of the pinned generators on the whole box
+    at every P <= 12.  It is given no registry, so it reads no other
+    generator."""
+    reg = GeneratorRegistry(registry.cache_dir)
+    x4, x6, x12 = (reg.generator(name, 12) for name in ("X4", "X6", "X12"))
+    formula = (x4**3 - x6**2) * Fraction(1, 1728) + 144 * x12
+    for P in range(1, 13):
+        built = gmod._build("Y12", P, None)
+        assert built == formula.truncate(P) and built.weight == 12, P
+        assert all(type(c) is int for c in built.coeffs.values()), P
+
+
+@pytest.mark.parametrize("k, lifted", [(12, "Y12"), (16, "X16")])
+def test_the_certificates_that_prove_the_lifts_read_no_lift(registry, k, lifted):
+    """``_build`` proves Y12 = (V(psi) - 691 X6^2)/762048 and ``_jacobi``
+    proves X16 = V(Delta E_{4,1}) by Theorem 1 at (k, 5): both certificates
+    pass on the GENSET_C monomials, which hold neither form."""
+    report = verify_theorem1_rank(k, 5, 5, registry)
+    assert report.passed and report.bound == 1
+    assert all(lifted not in str(spec) for spec in report.monomials)
+    assert sorted(map(str, report.monomials)) == sorted(map(str, weight_monomials(k, GENSET_C)))
+
+
+def test_an_indivisible_y12_numerator_is_refused(tmp_path, monkeypatch):
+    """A numerator V(psi) - 691 X6^2 that 762048 does not divide is refused
+    naming its index, and nothing is cached."""
+    lift = gmod.maass_lift
+
+    def perturbed(phi, precision):
+        exp = lift(phi, precision)
+        if phi.weight == 12:
+            exp.coeffs[1, 0, 1] += 1
+        return exp
+
+    monkeypatch.setattr(gmod, "maass_lift", perturbed)
+    with pytest.raises(ConstructionError, match=r"^Y12: numerator at \(1, 0, 1\) is not divisible by 762048$"):
+        GeneratorRegistry(tmp_path).generator("Y12", 2)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_x35_row_2_is_minus_eta_69_theta1(tmp_path):
     """Row 2 of X35 is -eta(tau)^69 theta1(tau, 2z) to n <= 30, with
     theta1(tau, 2z) = sum_n (-1)^n q^((2n+1)^2/8) zeta^(2n+1) and zeta^r

@@ -64,6 +64,10 @@ DUMP16_SHA256 = {
     "X12": "aa366aa73bcf9fca9b0eded356f5e6aa5b40a3ad51c60334bac24e36fa3bf659",
     "X35": "a65cf560da77ca9af572d5f70187437582ad9a8ab2dd988704e3ccb158b51d22",
 }
+# The cache file of a cold ``siegel2 build --name Y12 --prec 16``, checked by
+# a CI step outside the tier-1 tests; pinned from the build that formed Y12
+# as (X4^3 - X6^2)/1728 + 144 X12 of the pinned X4, X6 and X12.
+Y12_DUMP16_SHA256 = "fc7d2ae5da2ee54d3b7a12bf626e718317d76a3207b7228088f1796042071346"
 DUMP12_SHA256 = {
     "X35": "63b3117a6f4b9ca4ec24889abcba7107c6a8e366c624f653d3c39634049f820b",
 }
@@ -159,6 +163,15 @@ def test_borcherds_structure_decides_the_steps_past_the_box(cache6):
     and each x35-step against v + 2 <= 3 and passes."""
     report = verify_identities("borcherds-structure", 5, 3, _FiveTimesX10AndX35(cache6))
     assert sha256(report.render()) == BORCHERDS_VANISHING_SHA256
+
+
+def test_a_cold_y12_build_writes_only_its_own_file(tmp_path):
+    """Y12 is built from the lifts of X6's Jacobi form and of psi alone: a
+    cold build on an empty cache writes Y12.p6.qexp, with the pinned bytes,
+    and no other file."""
+    assert main(["build", "--name", "Y12", "--prec", "6", "--cache-dir", str(tmp_path)]) == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["Y12.p6.qexp"]
+    assert hashlib.sha256((tmp_path / "Y12.p6.qexp").read_bytes()).hexdigest() == DUMP_SHA256["Y12"]
 
 
 def test_a_cold_x16_build_writes_only_its_own_file(tmp_path):
