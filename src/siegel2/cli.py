@@ -169,6 +169,8 @@ def _run(args) -> int:
         pp = PrimePower(args.prime, args.nu)
         report = check_congruence(exp_a, exp_b, pp)
         print(f"{name_a} vs {name_b}: {report.render()}")
+        if report.exceeds_precision:
+            return 2
         return 0 if report.verdict else 1
 
     if args.command == "witness":

@@ -12,8 +12,9 @@ checks.  Products and the theta determinant do not trust the tag: they
 read the swap sign from the coefficients (``_parity``), and when every
 operand has one they form only the blocks m <= n.
 
-A ``modulus`` of p marks an expansion whose coefficients have been reduced
-to F_p residues; ring operations (from ``siegel2.series``) then stay in F_p.
+The ring operations, over Q, come from ``siegel2.series``.  ``reduce_mod``
+gives F_p residues to be read (vanishing order, leading term or row), not
+computed with.
 """
 
 from __future__ import annotations
@@ -47,20 +48,18 @@ def _block_keys(m: int, n: int) -> list:
 class SiegelExpansion(SparseSeries):
     """Exact truncated Fourier expansion of a degree-2 form."""
 
-    __slots__ = ("modulus",)
-    _RING = ("modulus",)
+    __slots__ = ()
     # Every expansion is of level 1.  perfbench/tracer.py reads the box of
     # a product as scale * precision, so the name stays bound.
     scale = 1
 
-    def __init__(self, weight, precision, coeffs=None, modulus=None):
-        self.modulus = modulus
-        super().__init__(precision, coeffs, weight, modulus)
+    def __init__(self, weight, precision, coeffs=None):
+        super().__init__(precision, coeffs, weight)
 
     @classmethod
-    def constant(cls, value, precision, weight=0, modulus=None):
+    def constant(cls, value, precision, weight=0):
         """The constant expansion value * q^0."""
-        return cls(weight, precision, {(0, 0, 0): value}, modulus)
+        return cls(weight, precision, {(0, 0, 0): value})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -97,9 +96,9 @@ class SiegelExpansion(SparseSeries):
         return _block_keys(m, n)
 
     def _parity(self, ints):
-        """The swap sign s, a(n, r, m) = s a(m, r, n) at every index (mod p
-        over F_p), read from the coefficients: +1, -1 (+1 when both hold,
-        as for zero or at p = 2) or None.  Rows cut from a form, such as
+        """The swap sign s, a(n, r, m) = s a(m, r, n) at every index, read
+        from the coefficients: +1, -1 (+1 when both hold, as for zero) or
+        None.  Rows cut from a form, such as
         ``GeneratorRegistry.generator_row``'s and the four that X35's row
         is the determinant of (``generators._lifted_row``), have none
         whatever their weight tag.  One pass tests both signs and stops at
@@ -107,16 +106,12 @@ class SiegelExpansion(SparseSeries):
         It runs from the last key: a row m = l, n <= b, read in (m, n, r)
         order or decoded from a product, ends off the diagonal, where its
         mirror is missing, so a row fails at the first step."""
-        get, p = ints.get, self.modulus
+        get = ints.get
         plus = minus = True
         for (m, r, n), c in reversed(ints.items()):
             d = get((n, r, m), 0)
-            if p is None:
-                plus = plus and d == c
-                minus = minus and d == -c
-            else:
-                plus = plus and (d - c) % p == 0
-                minus = minus and (d + c) % p == 0
+            plus = plus and d == c
+            minus = minus and d == -c
             if not (plus or minus):
                 return None
         return 1 if plus else -1
@@ -131,7 +126,8 @@ class SiegelExpansion(SparseSeries):
     # -- reductions and invariants ----------------------------------------
 
     def reduce_mod(self, p: int) -> "SiegelExpansion":
-        """Coefficientwise reduction to F_p; rejects non-p-integral entries."""
+        """Coefficientwise reduction to F_p, to be read; rejects
+        non-p-integral entries."""
         if self.modulus is not None:
             raise ValueError("expansion is already reduced")
         out = {}
@@ -141,20 +137,19 @@ class SiegelExpansion(SparseSeries):
                     out[key] = v
             except NotPIntegral:
                 raise NotPIntegral(f"coefficient at {key} = {c} is not {p}-integral") from None
-        return SiegelExpansion._unchecked(self.precision, out, self.weight, modulus=p)
+        return SiegelExpansion._unchecked(self.precision, out, self.weight, p)
 
     def symmetry_violations(self) -> list:
         """Indices violating the weight-driven sign symmetries (empty = pass)."""
         if self.weight is None:
             raise ValueError("symmetry check needs a weight tag")
+        if self.modulus is not None:
+            raise ValueError("the symmetry check requires exact coefficients")
         sign = -1 if self.weight % 2 else 1
         bad = []
         for (m, r, n), c in self.coeffs.items():
             mirror = sign * self.coeffs.get((m, -r, n), 0)
             swap = sign * self.coeffs.get((n, r, m), 0)
-            if self.modulus is not None:
-                mirror %= self.modulus
-                swap %= self.modulus
             if mirror != c or swap != c:
                 bad.append((m, r, n))
         return sorted(bad, key=lambda k: (k[0], k[2], k[1]))
@@ -212,10 +207,12 @@ class SiegelExpansion(SparseSeries):
         """Normalised derivative along tau_1 (1), tau_12 (12) or tau_2 (2).
 
         Acts as multiplication of a(m, r, n) by m, r or n; the weight tag
-        moves up by 2 (informational only).
+        moves up by 2 (informational only).  Requires exact coefficients.
         """
         if direction not in (1, 12, 2):
             raise ValueError("direction must be 1, 12 or 2")
+        if self.modulus is not None:
+            raise ValueError("the theta operator requires exact coefficients")
         pick = {1: 0, 12: 1, 2: 2}[direction]
         out = {}
         for (m, r, n), c in self.coeffs.items():
@@ -223,7 +220,7 @@ class SiegelExpansion(SparseSeries):
             if factor:
                 out[(m, r, n)] = factor * c
         weight = None if self.weight is None else self.weight + 2
-        return SiegelExpansion(weight, self.precision, out, self.modulus)
+        return SiegelExpansion(weight, self.precision, out)
 
 
 def box_indices(precision: int) -> list:
@@ -379,8 +376,8 @@ def theta_determinant(forms) -> SiegelExpansion:
     for x, y in terms:
         _accumulate(pack(x, width), pack(y, width), box, width, [(acc, None)], fold)
     swap = -signs[0] * signs[1] * signs[2] * signs[3] if fold else None
-    det = _rational(_decoded(acc, width, slots, box, swap), den, None)
-    return SiegelExpansion._unchecked(prec, det, sum(weights) + 6, modulus=None)
+    det = _rational(_decoded(acc, width, slots, box, swap), den)
+    return SiegelExpansion._unchecked(prec, det, sum(weights) + 6)
 
 
 def wronskian35(f4, f6, f10, f12) -> SiegelExpansion:

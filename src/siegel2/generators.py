@@ -424,7 +424,7 @@ def _lifted_row(name: str, bound: int) -> SiegelExpansion:
             for r in range(isqrt(4 * n) + 1):
                 if c := phi.coeff(4 * n - r * r):
                     row[1, r, n] = row[1, -r, n] = c
-    return SiegelExpansion._unchecked(bound, row, GENERATOR_WEIGHTS[name], modulus=None)
+    return SiegelExpansion._unchecked(bound, row, GENERATOR_WEIGHTS[name])
 
 
 def taylor_lead(row: SiegelExpansion):
@@ -566,7 +566,7 @@ def _build(name: str, precision: int, registry: GeneratorRegistry) -> SiegelExpa
                 raise ConstructionError(f"Y12: numerator at {key} is not divisible by 762048")
             if y:
                 coeffs[key] = y
-        return SiegelExpansion._unchecked(precision, coeffs, 12, modulus=None)
+        return SiegelExpansion._unchecked(precision, coeffs, 12)
     if name == "X35":
         return wronskian35(
             registry.generator("X4", precision),

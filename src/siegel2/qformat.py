@@ -131,7 +131,7 @@ def parse_siegel(text: str) -> tuple[str, SiegelExpansion]:
     for lineno, line in enumerate(lines[6 + entries :], 7 + entries):
         if line.strip():
             raise FormatError(lineno, "trailing data after the declared entries")
-    exp = SiegelExpansion._unchecked(head["precision"], coeffs, head["weight"], modulus=None)
+    exp = SiegelExpansion._unchecked(head["precision"], coeffs, head["weight"])
     return head["name"], exp
 
 

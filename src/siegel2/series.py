@@ -1,16 +1,18 @@
 """The sparse truncated-series core shared by every series type.
 
 A series stores its nonzero coefficients in a dict from index keys to
-exact rationals, or to F_p residues when it carries a modulus, for the
-integer indices in a box: the precision is the largest index part kept
-(the m and n of a degree-2 key, whose r is bounded by 4mn - r^2 >= 0).
-``SparseSeries`` owns what does not depend on the key shape: coefficient
-cleaning, truncation, the ring operations and the weight-tag rules (a sum
-keeps a common weight and is untagged otherwise; a product adds weights).
-A series carries no other tag than its weight and the attributes naming
-its ring.  Operations never extrapolate: results carry the minimum
-precision of their operands, which is exact because indices add
+exact rationals, for the integer indices in a box: the precision is the
+largest index part kept (the m and n of a degree-2 key, whose r is bounded
+by 4mn - r^2 >= 0).  ``SparseSeries`` owns what does not depend on the key
+shape: coefficient cleaning, truncation, the ring operations and the
+weight-tag rules (a sum keeps a common weight and is untagged otherwise; a
+product adds weights).  Operations never extrapolate: results carry the
+minimum precision of their operands, which is exact because indices add
 componentwise and stay nonnegative.
+
+The ring is Q.  ``SiegelExpansion.reduce_mod(p)`` gives residues tagged
+with ``modulus`` p, to be read; every operation refuses them.  Reduction is
+a ring homomorphism on p-integral series: form a product over Q, reduce it.
 
 Products of swap-symmetric series form half the box.  The swap
 (m, r, n) -> (n, r, m) of a degree-2 index is additive and maps the box to
@@ -27,7 +29,7 @@ from fractions import Fraction
 from math import isqrt, lcm, prod
 
 from .errors import PrecisionError
-from .rationals import normalize, reduce_mod_p
+from .rationals import normalize
 
 SCALARS = (int, Fraction)
 
@@ -48,32 +50,20 @@ class SparseSeries:
       key of a dict of integer coefficients, or None (the default).
 
     Subclass constructors accept ``precision``, ``coeffs`` and ``weight``
-    as keywords, and the names in ``_RING`` too.
+    as keywords.  ``modulus`` is None but on a ``reduce_mod`` result.
     """
 
-    __slots__ = ("precision", "coeffs", "weight")
+    __slots__ = ("precision", "coeffs", "weight", "modulus")
 
-    # Attributes naming the ring a series lives in.  Operands of + and *
-    # must agree on them, results inherit them and equality compares them.
-    _RING = ()
-    # The p of a series of F_p residues; SiegelExpansion sets it per instance.
-    modulus = None
-
-    def __init__(self, precision, coeffs=None, weight=0, modulus=None):
+    def __init__(self, precision, coeffs=None, weight=0):
         if precision < 0:
             raise ValueError("precision must be >= 0")
         self.precision = precision
         self.weight = weight
+        self.modulus = None
         coeffs = coeffs or {}
         self._check_indices(coeffs, precision)
-        if modulus is None:
-            self.coeffs = {k: v for k, c in coeffs.items() if (v := normalize(c))}
-        else:
-            self.coeffs = {
-                k: v
-                for k, c in coeffs.items()
-                if (v := c % modulus if type(c) is int else reduce_mod_p(c, modulus))
-            }
+        self.coeffs = {k: v for k, c in coeffs.items() if (v := normalize(c))}
 
     def _parity(self, ints):
         return None
@@ -84,35 +74,30 @@ class SparseSeries:
             bad = next(k for k in coeffs if k not in kept)
             raise ValueError(f"index {bad} outside the box [0..{box}]")
 
-    def _ring(self):
-        return {name: getattr(self, name) for name in self._RING}
-
     def _new(self, precision, coeffs, weight):
-        """A series of this type and ring."""
-        return type(self)(precision=precision, coeffs=coeffs, weight=weight, **self._ring())
+        """A series of this type."""
+        return type(self)(precision=precision, coeffs=coeffs, weight=weight)
 
     @classmethod
-    def _unchecked(cls, precision, coeffs, weight, **attrs):
+    def _unchecked(cls, precision, coeffs, weight, modulus=None):
         """A series built without the constructor's checks, for coefficients
-        known to be clean on keys known to be valid: products, truncations
-        and parsed files.  ``attrs`` sets every name in ``_RING``."""
+        known to be clean on keys known to be valid: products, truncations,
+        parsed files and ``reduce_mod``, which alone passes a modulus."""
         series = object.__new__(cls)
         series.precision = precision
         series.coeffs = coeffs
         series.weight = weight
-        for name, value in attrs.items():
-            setattr(series, name, value)
+        series.modulus = modulus
         return series
 
     def _merged(self, others):
-        """Precision of a sum or product of this series and ``others``; the
-        rings must agree."""
-        for other in others:
-            for name in self._RING:
-                mine, theirs = getattr(self, name), getattr(other, name)
-                if mine != theirs:
-                    raise ValueError(f"{name} mismatch: {mine} vs {theirs}")
-        return min(self.precision, *(other.precision for other in others))
+        """Precision of a sum or product of this series and ``others``, or
+        with none of a scalar multiple or power 0; a series reduced mod p
+        is refused."""
+        for series in (self, *others):
+            if series.modulus is not None:
+                raise ValueError(f"a series reduced mod {series.modulus} is read, not computed with")
+        return min(series.precision for series in (self, *others))
 
     # -- access -------------------------------------------------------------
 
@@ -137,7 +122,7 @@ class SparseSeries:
                 f"cannot extend precision {self.precision} to {precision}"
             )
         kept = self._kept(self.coeffs, precision)
-        return self._unchecked(precision, kept, self.weight, **self._ring())
+        return self._unchecked(precision, kept, self.weight, self.modulus)
 
     # -- ring structure ---------------------------------------------------
 
@@ -162,7 +147,7 @@ class SparseSeries:
     def __mul__(self, other):
         if isinstance(other, SCALARS):
             coeffs = {k: c * other for k, c in self.coeffs.items()}
-            return self._new(self.precision, coeffs, self.weight)
+            return self._new(self._merged(()), coeffs, self.weight)
         if not isinstance(other, type(self)):
             return NotImplemented
         return self._product((self, other))
@@ -171,8 +156,8 @@ class SparseSeries:
 
     @staticmethod
     def _product(factors):
-        """The product of one or more series of one type and ring; one
-        factor is its own product.  Every product of series is formed here.
+        """The product of one or more exact series of one type; one factor
+        is its own product.  Every product of series is formed here.
 
         ``_rows`` packs a series into rows keyed (m, n), each one integer
         with ``width`` bits per slot, as [integer, isqrt(4mn)].  Slot j of
@@ -186,20 +171,19 @@ class SparseSeries:
         the last factor is in; only then are the signed slots decoded
         (``_decoded``).  Fractions are scaled to integers by the lcm of
         their denominators (``_operands``); the product of the lcms is
-        divided out at decode, and F_p residues are reduced there
-        (``_rational``).
+        divided out at decode (``_rational``).
 
         When every factor has a swap sign (``_parity``) and some factor has
         a block off the diagonal, each pass forms only the blocks m <= n, and the partial product is mirrored while
         still packed: rows (m, n) and (n, m) share their slot layout, as
         isqrt(4mn) is symmetric, so row (n, m) is row (m, n) times the
         running sign.  The final decode writes each block m < n to its
-        mirror keys too, and F_p reduces a mirrored -c there.
+        mirror keys too.
         """
         first = factors[0]
+        prec = first._merged(factors[1:])
         if len(factors) == 1:
             return first
-        prec = first._merged(factors[1:])
         weights = [f.weight for f in factors]
         weight = None if None in weights else sum(weights)
         ints, signs, index, den = _operands(factors)
@@ -217,7 +201,7 @@ class SparseSeries:
                 if step < len(index):
                     _mirror(acc, sign)
         out = _decoded(acc, width, first._slots, prec, sign)
-        return first._unchecked(prec, _rational(out, den, first.modulus), weight, **first._ring())
+        return first._unchecked(prec, _rational(out, den), weight)
 
     def __pow__(self, e: int):
         """self^e as one ``_product`` of e copies: packed once and decoded
@@ -228,7 +212,7 @@ class SparseSeries:
 
     def _one(self):
         """The identity of this series' ring at its precision, of weight 0."""
-        return self._new(self.precision, {self._slots(0, 0, 0)[0]: 1}, 0)
+        return self._new(self._merged(()), {self._slots(0, 0, 0)[0]: 1}, 0)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -236,7 +220,7 @@ class SparseSeries:
         return (
             self.precision == other.precision
             and self.coeffs == other.coeffs
-            and all(getattr(self, name) == getattr(other, name) for name in self._RING)
+            and self.modulus == other.modulus
         )
 
 
@@ -244,8 +228,8 @@ def _operands(factors):
     """The integer operands of a product, each distinct factor read once.
 
     Returns (ints, signs, index, den).  ``ints`` holds each distinct factor's
-    coefficients times L, as integers, L the lcm of its denominators; F_p
-    residues are integers already.  ``signs`` holds each distinct factor's
+    coefficients times L, as integers, L the lcm of its denominators.
+    ``signs`` holds each distinct factor's
     swap sign (``_parity``), or is None from the first factor that has none,
     whose successors are not read.  ``index`` gives each position's factor in
     ``ints``, and ``den`` is the product of the L over the positions, repeats
@@ -257,7 +241,7 @@ def _operands(factors):
         i = seen.get(id(f))
         if i is None:
             i = seen[id(f)] = len(ints)
-            d = 1 if f.modulus is not None else lcm(*{c.denominator for c in f.coeffs.values()})
+            d = lcm(*{c.denominator for c in f.coeffs.values()})
             ints.append(
                 f.coeffs if d == 1 else {k: c.numerator * (d // c.denominator) for k, c in f.coeffs.items()}
             )
@@ -271,10 +255,8 @@ def _operands(factors):
     return ints, signs, index, den
 
 
-def _rational(out, den, modulus):
-    """Decoded integer coefficients over ``den``, or reduced mod ``modulus``."""
-    if modulus is not None:
-        return {k: v for k, c in out.items() if (v := c % modulus)}
+def _rational(out, den):
+    """Decoded integer coefficients over ``den``."""
     if den != 1:
         return {k: normalize(Fraction(c, den)) for k, c in out.items()}
     return out

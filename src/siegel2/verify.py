@@ -216,8 +216,9 @@ def check_congruence(f: SiegelExpansion, g: SiegelExpansion, pp: PrimePower) -> 
 
     Weights may differ (mod-p comparisons across weights are meaningful).
     The report notes b_k of the larger weight and whether the precision
-    covers it.  Theorem 1 speaks of forms of one weight at level 1, so for
-    mixed weights the note names a box, not a theorem-backed verdict.
+    covers it; ``exceeds_precision`` is set when it does not.  Theorem 1
+    speaks of forms of one weight at level 1, so for mixed weights the note
+    names a box, not a theorem-backed verdict.
     """
     diff = f - g
     prec = diff.precision
@@ -226,7 +227,8 @@ def check_congruence(f: SiegelExpansion, g: SiegelExpansion, pp: PrimePower) -> 
     if weights:
         k = max(weights)
         b = sturm_bound(k)
-        coverage = "covers" if prec >= b else "does NOT cover"
+        report.exceeds_precision = prec < b
+        coverage = "does NOT cover" if report.exceeds_precision else "covers"
         report.precision_note = (
             f"truncation bound for weight {k} is {b}; precision {prec} {coverage} it"
         )
@@ -808,16 +810,20 @@ def _suite_borcherds(ps, B: int, registry, report: SuiteReport) -> None:
     is a SKIP "(insufficient precision)" when the value it is checked
     against, v(f) + 1 or v(f) + 2, lies past B; otherwise the truncation
     decides it: the x10-step is a FAIL and the x35-step a PASS.
+
+    The 14 products X10 f and X35 f are formed once over Z and reduced per
+    prime: reduction mod p is a ring homomorphism on p-integral expansions,
+    (g f) mod p = (g mod p)(f mod p), so these are the orders mod p.
     """
+    forms = {name: registry.generator(name, B) for name in GENERATOR_NAMES}
+    products = {name: (forms["X10"] * f, forms["X35"] * f) for name, f in forms.items()}
     for p in ps:
-        reduced = {name: registry.generator(name, B).reduce_mod(p) for name in GENERATOR_NAMES}
         for name in GENERATOR_NAMES:
-            v = reduced[name].diagonal_vanishing_order()
+            v = forms[name].reduce_mod(p).diagonal_vanishing_order()
             if v is None:
                 report.skip(f"borcherds.p{p}.{name}", "generator vanishes on the box")
                 continue
-            v10 = (reduced["X10"] * reduced[name]).diagonal_vanishing_order()
-            v35 = (reduced["X35"] * reduced[name]).diagonal_vanishing_order()
+            v10, v35 = (g.reduce_mod(p).diagonal_vanishing_order() for g in products[name])
             shown10, shown35 = (f"> {B}" if order is None else order for order in (v10, v35))
             steps = (
                 ("x10", v10, v + 1, v10 == v + 1,

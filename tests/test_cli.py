@@ -136,6 +136,29 @@ def test_congruent_command(capsys, cache):
     assert code == 1 and "FAIL" in out
 
 
+def test_congruent_below_b_k_exits_2_as_check_does(capsys, tmp_path, gens6):
+    """X10 against X12, both cut to precision 0 below b_12 = 1: the PASS
+    covers only the computed box, so ``congruent`` exits 2, as ``check``
+    does on a bound past the precision; stdout is the report as before."""
+    files = []
+    for name in ("X10", "X12"):
+        files.append(tmp_path / f"{name}.p0.qexp")
+        save_atomic(files[-1], dump_siegel(gens6[name].truncate(0), name))
+    code, out, _ = run(
+        capsys, "congruent", "--a", str(files[0]), "--b", str(files[1]), "--prime", "2",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert out == (
+        "X10 vs X12: PASS box<=0 mod 2\n"
+        "  note: truncation bound for weight 12 is 1; precision 0 does NOT cover it\n"
+    )
+    code, out, _ = run(
+        capsys, "check", "--file", str(files[0]), "--prime", "2", "--cache-dir", str(tmp_path)
+    )
+    assert code == 2 and "exceeds precision 0" in out
+
+
 def test_witness_command(capsys, cache):
     code, out, _ = run(
         capsys, "witness", "--weight", "22", "--prime", "3", "--cache-dir", str(cache)

@@ -156,11 +156,10 @@ def test_precision_and_scale_rules(gens6):
 
 def test_constructor_validation():
     # Products and parsed files skip these checks; the constructor keeps them.
-    for modulus in (None, 5):
-        with pytest.raises(ValueError, match="not positive semi-definite"):
-            SiegelExpansion(4, 2, {(1, 3, 1): 1}, modulus=modulus)
-        with pytest.raises(ValueError, match="outside box"):
-            SiegelExpansion(4, 2, {(3, 0, 1): 1}, modulus=modulus)
+    with pytest.raises(ValueError, match="not positive semi-definite"):
+        SiegelExpansion(4, 2, {(1, 3, 1): 1})
+    with pytest.raises(ValueError, match="outside box"):
+        SiegelExpansion(4, 2, {(3, 0, 1): 1})
     with pytest.raises(ValueError, match="outside the box"):
         DiagSeries(2, {(0, 3): 1})
     with pytest.raises(ValueError, match="outside the box"):
@@ -189,6 +188,8 @@ def test_symmetry_check(gens6):
     lopsided = SiegelExpansion(4, 2, {(1, 1, 1): 1, (1, -1, 1): 2})
     bad = lopsided.symmetry_violations()
     assert bad and bad[0] == (1, -1, 1)
+    with pytest.raises(ValueError, match="exact coefficients"):
+        gens6["X4"].reduce_mod(5).symmetry_violations()
 
 
 def test_theta_derivatives(gens6):
@@ -206,6 +207,8 @@ def test_theta_derivatives(gens6):
     assert all(key[2] != 0 for key in t2.coeffs)
     with pytest.raises(ValueError):
         x10.theta(3)
+    with pytest.raises(ValueError, match="exact coefficients"):
+        x10.reduce_mod(5).theta(1)
 
 
 def test_witt_examples(gens6):
@@ -260,22 +263,22 @@ def test_vanishing_order_examples(gens6):
         assert gens6["X35"].reduce_mod(p).diagonal_vanishing_order() == 3
     with pytest.raises(ValueError):
         gens6["X10"].diagonal_vanishing_order()
-    zero = gens6["X4"].reduce_mod(5) * 0
+    zero = (gens6["X4"] * 0).reduce_mod(5)
     assert zero.diagonal_vanishing_order() is None
 
 
 def test_vanishing_order_product_properties(gens6):
+    """Products formed once over Z, then read mod each p."""
+    pairs = list(itertools.combinations_with_replacement(GEN_NAMES, 2))
+    products = {(a, b): gens6[a] * gens6[b] for a, b in pairs}
     for p in (2, 3, 5):
-        reduced = {n: gens6[n].reduce_mod(p) for n in GEN_NAMES}
-        x10 = reduced["X10"]
-        for a, b in itertools.combinations_with_replacement(GEN_NAMES, 2):
-            v = (reduced[a] * reduced[b]).diagonal_vanishing_order()
-            va = reduced[a].diagonal_vanishing_order()
-            vb = reduced[b].diagonal_vanishing_order()
-            assert v >= max(va, vb), (a, b, p)
+        order = {n: gens6[n].reduce_mod(p).diagonal_vanishing_order() for n in GEN_NAMES}
+        for (a, b), fg in products.items():
+            v = fg.reduce_mod(p).diagonal_vanishing_order()
+            assert v >= max(order[a], order[b]), (a, b, p)
         for name in GEN_NAMES:
-            stepped = (x10 * reduced[name]).diagonal_vanishing_order()
-            assert stepped == reduced[name].diagonal_vanishing_order() + 1
+            stepped = products[tuple(sorted(("X10", name), key=GEN_NAMES.index))]
+            assert stepped.reduce_mod(p).diagonal_vanishing_order() == order[name] + 1
 
 
 def test_leading_terms_of_reduced_monomials(registry):

@@ -13,8 +13,10 @@ block passes of ``theta_determinant``.  The precision-16 digests
 (``DUMP16_SHA256``, checked by CI) were computed with its 18 block passes
 along the row pairs (k, theta_12 | theta_1, theta_2), before the 10 along
 the column pairs (X4, X6 | X10, X12).  The ``borcherds-structure`` digests
-were pinned while a vanishing order past the box was a sentinel object
-that decided each step's comparison itself.  A mismatch means a
+at B = 0..6 were pinned while a vanishing order past the box was a sentinel
+object that decided each step's comparison itself, and those at B = 7 and 8
+while the suite multiplied generators reduced mod p, before it reduced
+products formed over Z.  A mismatch means a
 change altered output; these digests must not be re-pinned to make a
 refactoring pass.
 """
@@ -82,6 +84,10 @@ BORCHERDS_SHA256 = {
     4: "9bd1f706af55cc26ff4d63d854640e936226d46fb981214f3d9ed0cc8cb8a916",
     5: "5109af0b5342ca730a2c870e4e88df904e2143e0063efee6682c80415d22b1ca",
     6: "73a0abef4e1a20d30bc43ab21b4411cf5d1ca8affe36d8216127a60ea6370b02",
+    # Every order is at most 6, read inside the box from B = 6 on, so a
+    # larger box changes no line.
+    7: "73a0abef4e1a20d30bc43ab21b4411cf5d1ca8affe36d8216127a60ea6370b02",
+    8: "73a0abef4e1a20d30bc43ab21b4411cf5d1ca8affe36d8216127a60ea6370b02",
 }
 # ``render()`` of the suite at p = 5, B = 3 with X10 and X35 replaced by 5 X10
 # and 5 X35: the steps past the box that the truncation decides, FAIL for X10

@@ -1,10 +1,10 @@
 """Property tests of the sparse series core over all three series types.
 
-Each test runs per kind: QSeries1, DiagSeries, and SiegelExpansion exact
-or reduced mod 5.  An example draws two or three series of that kind in
-one ring.  Sizes stay tiny so the whole
-module runs in a few seconds.  Exact SiegelExpansions are also checked
-against their mod-p reductions and their text format.
+Each test runs per kind: QSeries1, DiagSeries and SiegelExpansion.  An
+example draws two or three series of that kind.  Sizes stay tiny so the
+whole module runs in a few seconds.  SiegelExpansions are also checked
+against their mod-p reductions, which are read and never computed with, and
+their text format.
 """
 
 import random
@@ -23,7 +23,7 @@ from siegel2.qexp1 import DiagSeries, QSeries1
 from siegel2.qformat import dump_siegel, parse_siegel
 from siegel2.series import SparseSeries
 
-KINDS = ("q", "diag", "siegel", "siegel-mod")
+KINDS = ("q", "diag", "siegel")
 MODULUS = 5
 SETTINGS = settings(max_examples=20, deadline=None)
 
@@ -46,8 +46,7 @@ def make(kind, precision, coeffs, weight):
         return QSeries1(precision, coeffs, weight)
     if kind == "diag":
         return DiagSeries(precision, coeffs, weight)
-    modulus = MODULUS if kind == "siegel-mod" else None
-    return SiegelExpansion(weight, precision, coeffs, modulus)
+    return SiegelExpansion(weight, precision, coeffs)
 
 
 exact_scalars = st.one_of(
@@ -58,27 +57,22 @@ exact_scalars = st.one_of(
 
 @st.composite
 def families(draw, kind, size=3):
-    """[series, ...]: series of one kind in one ring."""
+    """[series, ...]: series of one kind."""
     top = {"q": 6, "diag": 3}.get(kind, 2)
-    coeff = st.integers(0, MODULUS - 1) if kind == "siegel-mod" else exact_scalars
     members = []
     for _ in range(size):
         precision = draw(st.integers(0, top))
         keys = box_keys(kind, precision)
-        coeffs = draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=6))
+        coeffs = draw(st.dictionaries(st.sampled_from(keys), exact_scalars, max_size=6))
         weight = draw(st.sampled_from((None, 0, 1, 4)))
         members.append(make(kind, precision, coeffs, weight))
     return members
 
 
-def assert_canonical(kind, series):
-    """Stored coefficients are nonzero residues mod p, or rationals with
-    integral values stored as int."""
+def assert_canonical(series):
+    """Stored coefficients are nonzero rationals, integral values stored as int."""
     for v in series.coeffs.values():
-        if kind == "siegel-mod":
-            assert isinstance(v, int) and 0 < v < MODULUS
-        else:
-            assert v and not (isinstance(v, Fraction) and v.denominator == 1)
+        assert v and not (isinstance(v, Fraction) and v.denominator == 1)
 
 
 def add_keys(k1, k2):
@@ -88,7 +82,8 @@ def add_keys(k1, k2):
 
 
 def naive_product(kind, a, b):
-    """Pairwise convolution: every pair of terms whose index sum stays in the box."""
+    """Pairwise convolution: every pair of terms whose index sum stays in the
+    box, reduced mod p when a is a reduction mod p."""
     inside = set(box_keys(kind, min(a.precision, b.precision)))
     out = {}
     for k1, c1 in a.coeffs.items():
@@ -121,7 +116,7 @@ def test_ring_laws(kind, data):
     assert a**3 == a * a * a
     assert a**5 == a**2 * a**3
     for result in (a + b, a - b, a * b, a * 3, a**2):
-        assert_canonical(kind, result)
+        assert_canonical(result)
 
 
 @by_kind
@@ -145,17 +140,15 @@ def test_product_matches_naive_convolution(kind, data):
 
 
 # Products whose coefficients are far wider than the drawn ones above: the
-# packed product must size its slots for every coefficient width,
-# denominator and modulus, in the row layout of every series type.
+# packed product must size its slots for every coefficient width and
+# denominator, in the row layout of every series type.
 BIG = 2**200
 M61 = 2**61 - 1
 PACKED_KINDS = ("q", "diag", "siegel")
 
 
-def packed_operand(kind, precision, coeffs, modulus=None):
-    """A weight-4 operand; only SiegelExpansion takes a modulus."""
-    if kind == "siegel":
-        return SiegelExpansion(4, precision, coeffs, modulus)
+def packed_operand(kind, precision, coeffs):
+    """A weight-4 operand."""
     return make(kind, precision, coeffs, 4)
 
 
@@ -181,14 +174,10 @@ def wide_factors(draw, counts=st.just(2)):
     mirrored, are seldom zero off the diagonal."""
     kind = draw(st.sampled_from(PACKED_KINDS))
     siegel = kind == "siegel"
-    modulus = draw(st.sampled_from((None, M61))) if siegel else None
-    if modulus is None:
-        coeff = st.one_of(
-            st.integers(-BIG, BIG),
-            st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, 10**6)),
-        )
-    else:
-        coeff = st.integers(0, modulus - 1)
+    coeff = st.one_of(
+        st.integers(-BIG, BIG),
+        st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, 10**6)),
+    )
     largest = {"q": 6, "diag": 3}.get(kind, 3)
     count = draw(counts)
     symmetric = siegel and draw(st.booleans())
@@ -198,14 +187,14 @@ def wide_factors(draw, counts=st.just(2)):
         precision = draw(st.integers(int(symmetric), largest))
         keys = box_keys(kind, precision)
         if draw(st.booleans()) or symmetric and draw(st.booleans()):
-            top = modulus - 1 if modulus else 2 ** draw(st.integers(1, 200)) - 1
+            top = 2 ** draw(st.integers(1, 200)) - 1
             sign = draw(st.sampled_from((1, -1, None)))
             coeffs = {k: (sign or draw(st.sampled_from((1, -1)))) * top for k in keys}
         else:
             coeffs = draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=8))
         if symmetric and i != unsigned:
             coeffs = swap_symmetric(coeffs, draw(st.sampled_from((1, -1))))
-        members.append(packed_operand(kind, precision, coeffs, modulus))
+        members.append(packed_operand(kind, precision, coeffs))
     return kind, members
 
 
@@ -225,7 +214,7 @@ def folded_product(kind, factors):
     for factor in factors[1:]:
         coeffs = naive_product(kind, folded, factor)
         precision = min(folded.precision, factor.precision)
-        folded = packed_operand(kind, precision, coeffs, getattr(factor, "modulus", None))
+        folded = packed_operand(kind, precision, coeffs)
     return folded
 
 
@@ -287,27 +276,48 @@ def test_products_fold_only_when_every_factor_has_a_swap_sign(
 def test_five_full_boxes_of_one_sign(kind, sign, modulus):
     """As many products per slot as five factors allow: on a Siegel box of 3,
     2285 of them, more than a width with one count term for all of them holds.
-    With sign -1 every entry and every slot of the product is negative."""
+    With sign -1 every entry and every slot of the product is negative.
+    With a modulus p the entries are p - 1, and the product, formed over Z,
+    is read mod p."""
     precision = {"q": 6, "diag": 3}.get(kind, 3)
     value = M61 - 1 if modulus else sign * (2**64 - 1)
     full = {k: value for k in box_keys(kind, precision)}
-    factors = [packed_operand(kind, precision, full, modulus) for _ in range(5)]
-    assert SparseSeries._product(factors) == folded_product(kind, factors)
+    factors = [packed_operand(kind, precision, full) for _ in range(5)]
+    got, want = SparseSeries._product(factors), folded_product(kind, factors)
+    assert got == want
+    if modulus:
+        assert got.reduce_mod(modulus).coeffs == reduced(want.coeffs, modulus) != {}
+
+
+def reduced(coeffs, p):
+    """The nonzero residues mod p of a dict of integers."""
+    return {k: v for k, c in coeffs.items() if (v := c % p)}
 
 
 @pytest.mark.parametrize("modulus", (None, MODULUS, M61))
 def test_siegel_products_at_box_zero_and_with_zero(modulus):
+    """Products at box 0, with the zero series and of full boxes; with a
+    modulus p, of integral Siegel expansions, formed over Z and read mod p
+    as the convolution of their reductions."""
     value = Fraction(-BIG + 1, 999983) if modulus is None else M61 - 2
-    # Only SiegelExpansion carries a modulus; the exact case runs every kind.
     kinds = PACKED_KINDS if modulus is None else ("siegel",)
+
+    def read(series):
+        return series.coeffs if modulus is None else series.reduce_mod(modulus).coeffs
+
+    def convolution(kind, x, y):
+        if modulus is None:
+            return naive_product(kind, x, y)
+        return naive_product(kind, x.reduce_mod(modulus), y.reduce_mod(modulus))
+
     for kind in kinds:
-        a = packed_operand(kind, 0, {box_keys(kind, 0)[0]: value}, modulus=modulus)
-        assert (a * a).coeffs == naive_product(kind, a, a) != {}
-        zero = packed_operand(kind, 2, {}, modulus=modulus)
-        full = packed_operand(kind, 2, {k: value for k in box_keys(kind, 2)}, modulus=modulus)
-        assert (zero * full).coeffs == (full * zero).coeffs == {}
-        assert (full * a).coeffs == naive_product(kind, full, a)
-        assert (full * full).coeffs == naive_product(kind, full, full)
+        a = packed_operand(kind, 0, {box_keys(kind, 0)[0]: value})
+        assert read(a * a) == convolution(kind, a, a) != {}
+        zero = packed_operand(kind, 2, {})
+        full = packed_operand(kind, 2, {k: value for k in box_keys(kind, 2)})
+        assert read(zero * full) == read(full * zero) == {}
+        assert read(full * a) == convolution(kind, full, a)
+        assert read(full * full) == convolution(kind, full, full)
 
 
 @by_kind
@@ -328,35 +338,46 @@ def test_weight_tags(kind, data, scalar):
 @SETTINGS
 @given(data=st.data())
 def test_type_tags(kind, data):
-    """Results keep the operands' type and ring, the only tags besides the weight."""
+    """Results keep the operands' type and are not reduced: the only tags
+    besides the weight."""
     a, b = data.draw(families(kind, size=2))
-    modulus = MODULUS if kind == "siegel-mod" else None
     for result in (a + b, a * b, a * 2, -a, a.truncate(0), a**0, a**2):
         assert type(result) is type(a)
-        if kind.startswith("siegel"):
-            assert result.modulus == modulus
+        assert result.modulus is None
 
 
 @SETTINGS
 @given(data=st.data(), p=st.sampled_from((5, 7)))
 def test_reduce_mod_is_a_ring_homomorphism(data, p):
+    """The reduction of a sum or a product is the sum or the convolution of
+    the reductions, mod p: what lets a product mod p be formed over Q."""
     # Drawn denominators are at most 3, so every coefficient is p-integral.
     a, b = data.draw(families("siegel", size=2))
-    assert (a * b).reduce_mod(p) == a.reduce_mod(p) * b.reduce_mod(p)
-    assert (a + b).reduce_mod(p) == a.reduce_mod(p) + b.reduce_mod(p)
+    ra, rb = a.reduce_mod(p), b.reduce_mod(p)
+    prec = min(a.precision, b.precision)
+    product = (a * b).reduce_mod(p)
+    assert (product.precision, product.modulus) == (prec, p)
+    assert product.coeffs == naive_product("siegel", ra, rb)
+    sums = {}
+    for x in (ra, rb):
+        for k, c in x.truncate(prec).coeffs.items():
+            sums[k] = sums.get(k, 0) + c
+    assert (a + b).reduce_mod(p).coeffs == reduced(sums, p)
 
 
 def test_reduce_mod_commutes_with_generator_products(gens6):
     f, g = gens6["X10"], gens6["X35"]
+    product = f * g
     for p in (2, 3, 7):
-        assert (f * g).reduce_mod(p) == f.reduce_mod(p) * g.reduce_mod(p)
+        want = naive_product("siegel", f.reduce_mod(p), g.reduce_mod(p))
+        assert product.reduce_mod(p).coeffs == want
 
 
 @SETTINGS
 @given(data=st.data(), p=st.sampled_from((2, 3, 5, 7)), precision=st.integers(0, 5))
 def test_fp_product_is_the_reduced_monomial(gens6, registry, data, p, precision):
-    """The packed F_p product of the generators reduced mod p, the product
-    the tests' leading-row oracle forms, is the Z monomial reduced mod p."""
+    """The packed product of the generators over Z, read mod p as the
+    tests' leading-row oracle reads it, is the Z monomial reduced mod p."""
     # gens6 holds every generator at precision 6, so each request below is
     # served by truncation, also under the leading index of X35.
     exponents, budget = {}, 40
@@ -365,12 +386,12 @@ def test_fp_product_is_the_reduced_monomial(gens6, registry, data, p, precision)
         budget -= e * weight
     spec = MonomialSpec.from_dict(exponents)
     factors = [
-        registry.generator(name, precision).reduce_mod(p)
+        registry.generator(name, precision)
         for name, e in spec.exponents
         for _ in range(e)
     ]
-    one = SiegelExpansion.constant(1, precision, modulus=p)
-    got = SiegelExpansion._product(factors or [one])
+    one = SiegelExpansion.constant(1, precision)
+    got = SiegelExpansion._product(factors or [one]).reduce_mod(p)
     assert got == registry.monomial(spec, precision).reduce_mod(p)
 
 
@@ -378,20 +399,62 @@ def test_fp_product_is_the_reduced_monomial(gens6, registry, data, p, precision)
 @given(data=st.data(), weight=st.integers(-3, 40))
 def test_dump_parse_round_trip(data, weight):
     (a,) = data.draw(families("siegel", size=1))
-    a = SiegelExpansion(weight, a.precision, a.coeffs, a.modulus)
+    a = SiegelExpansion(weight, a.precision, a.coeffs)
     name, parsed = parse_siegel(dump_siegel(a, "F"))
     assert name == "F" and parsed == a and parsed.weight == weight
 
 
 def test_siegel_ring_mismatches_raise():
     x = SiegelExpansion(4, 2, {(0, 0, 0): 1, (1, 1, 1): 2})
-    reduced = x.reduce_mod(MODULUS)
+    reduction = x.reduce_mod(MODULUS)
     for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
-        with pytest.raises(ValueError, match="mismatch"):
-            op(x, reduced)
-        with pytest.raises(ValueError, match="mismatch"):
-            op(reduced, x)
-    assert x != reduced
+        with pytest.raises(ValueError, match=f"reduced mod {MODULUS}"):
+            op(x, reduction)
+        with pytest.raises(ValueError, match=f"reduced mod {MODULUS}"):
+            op(reduction, x)
+    assert x != reduction
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda r: r + r,
+        lambda r: r - r,
+        lambda r: r * r,
+        lambda r: r * 2,
+        lambda r: 2 * r,
+        lambda r: r * Fraction(1, 2),
+        lambda r: r**0,
+        lambda r: r**1,
+        lambda r: r**2,
+        lambda r: -r,
+    ],
+    ids=("add", "sub", "mul", "scalar-mul", "scalar-rmul", "fraction-mul", "pow0", "pow1", "pow2", "neg"),
+)
+@pytest.mark.parametrize("p", (2, 7))
+def test_every_operator_refuses_a_reduction_mod_p(op, p):
+    """A reduce_mod result is read, never computed with: each operator on
+    it raises a ValueError that names p."""
+    reduction = SiegelExpansion(4, 2, {(0, 0, 0): 1, (1, 1, 1): 3}).reduce_mod(p)
+    with pytest.raises(ValueError, match=f"reduced mod {p}\\b"):
+        op(reduction)
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda: QSeries1(5, {0: 7}, modulus=5),
+        lambda: DiagSeries(5, {(0, 0): 7}, modulus=5),
+        lambda: SiegelExpansion(4, 5, {(0, 0, 0): 7}, modulus=5),
+        lambda: SiegelExpansion.constant(7, 5, modulus=5),
+    ],
+    ids=("QSeries1", "DiagSeries", "SiegelExpansion", "constant"),
+)
+def test_no_series_constructor_takes_a_modulus(construct):
+    """Residues do not pass for a series over Q: no constructor reduces
+    7 to 2 mod 5 and drops the modulus; each refuses it."""
+    with pytest.raises(TypeError, match="modulus"):
+        construct()
 
 
 def test_mixed_series_types_do_not_combine():
@@ -457,9 +520,10 @@ def test_coeff_reads_only_the_keys_of_its_box(series, stored, refusals):
 
 
 def test_mod_p_series_reduce_rational_coefficients():
-    half = SiegelExpansion(4, 2, {(0, 0, 0): Fraction(1, 2)}, modulus=5)
-    assert half.coeffs == {(0, 0, 0): 3}
-    assert (half * 2).coeffs == {(0, 0, 0): 1}
-    assert (half * Fraction(2, 3)).coeffs == {(0, 0, 0): 2}
+    """Rational coefficients reduce mod p, the scalar products formed over Q."""
+    half = SiegelExpansion(4, 2, {(0, 0, 0): Fraction(1, 2)})
+    assert half.reduce_mod(5).coeffs == {(0, 0, 0): 3}
+    assert (half * 2).reduce_mod(5).coeffs == {(0, 0, 0): 1}
+    assert (half * Fraction(2, 3)).reduce_mod(5).coeffs == {(0, 0, 0): 2}
     with pytest.raises(NotPIntegral):
-        SiegelExpansion(4, 2, {(0, 0, 0): Fraction(1, 5)}, modulus=5)
+        SiegelExpansion(4, 2, {(0, 0, 0): Fraction(1, 5)}).reduce_mod(5)

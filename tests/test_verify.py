@@ -86,6 +86,14 @@ def test_exceeds_precision_is_a_structured_field(gens6):
     assert not check_congruence(x10, gens6["X12"], PrimePower(2)).exceeds_precision
 
 
+def test_a_congruence_on_a_box_below_b_k_exceeds_precision(gens6):
+    """X10 and X12 cut to precision 0 agree mod 2 on a box below b_12 = 1:
+    the PASS covers only that box, and the report says so."""
+    report = check_congruence(gens6["X10"].truncate(0), gens6["X12"].truncate(0), PrimePower(2))
+    assert report.verdict and report.exceeds_precision
+    assert report.precision_note == "truncation bound for weight 12 is 1; precision 0 does NOT cover it"
+
+
 def test_check_vanishing_higher_powers(gens6):
     x4 = gens6["X4"]
     # every positive-index coefficient of X4 is divisible by 48
@@ -257,19 +265,19 @@ def test_layer_dimensions_count_the_classical_monomials():
     assert layer_dimensions(45) == {2: 1, 3: 1}
 
 
-def leading_rows(monomials, bound, p, registry):
+def leading_rows(monomials, bound, registry):
     """The oracle for the certificates' layer blocks and for the witnesses:
-    each monomial's row m = layer, cut to n <= bound, mod p, as one
+    each monomial's row m = layer, cut to n <= bound, over Z, as one
     ``_product`` of the powers of its factors' leading rows from the lift
-    formula (``generator_row``) reduced mod p, each power formed once per
-    call."""
+    formula (``generator_row``), each power formed once per call.  A row
+    over Z serves every prime: its reduction mod p is the row mod p."""
     powers, rows = {}, []
     for spec in monomials:
         for name, e in spec.exponents:
             if (name, e) not in powers:
-                powers[name, e] = registry.generator_row(name, bound).reduce_mod(p) ** e
+                powers[name, e] = registry.generator_row(name, bound) ** e
         factors = [powers[name, e] for name, e in reversed(spec.exponents)]
-        rows.append(SiegelExpansion._product(factors or [SiegelExpansion.constant(1, bound, modulus=p)]))
+        rows.append(SiegelExpansion._product(factors or [SiegelExpansion.constant(1, bound)]))
     return rows
 
 
@@ -290,9 +298,9 @@ def test_leading_rows_are_the_layer_rows_of_the_monomials(registry):
                 b = sturm_bound(k)
                 precision = max(b, 5)
                 specs = weight_monomials(k, genset + ("X35",))
+                rows = leading_rows(specs, b, reg)
                 for p in primes:
-                    rows = leading_rows(specs, b, p, reg)
-                    for spec, row in zip(specs, rows):
+                    for spec, row in zip(specs, (row.reduce_mod(p) for row in rows)):
                         whole = registry.monomial(spec, precision).reduce_mod(p)
                         want = {
                             key: c
@@ -343,8 +351,8 @@ def block_ranks(monomials, bound, p, registry):
     block j of leading rows (``leading_rows``) on its columns (j, r, n),
     j <= n <= bound."""
     blocks = {}
-    for spec, row in zip(monomials, leading_rows(monomials, bound, p, registry)):
-        blocks.setdefault(spec.layer, []).append(row)
+    for spec, row in zip(monomials, leading_rows(monomials, bound, registry)):
+        blocks.setdefault(spec.layer, []).append(row.reduce_mod(p))
     return {
         j: fp_rank(
             matrix_from_forms(
@@ -514,7 +522,7 @@ def test_layer_ranks_decide_coverage_at_2_and_3(registry):
             precision = max(b, 5)
             odd = ("X35",) if k % 2 else ()
             specs = weight_monomials(k, GENSET_INTEGRAL + odd)
-            rows = leading_rows(specs, b, p, registry)
+            rows = [row.reduce_mod(p) for row in leading_rows(specs, b, registry)]
             targets = Counter(spec.layer for spec in weight_monomials(k, GENSET_C + odd))
             # Y12 and X16 share weight and layer with X6^2 and X6*X10.
             assert {spec.layer for spec in specs} == targets.keys(), (k, p)
@@ -884,7 +892,7 @@ def row_witness(k, p, registry):
     b_k - 1, and read for its leading term."""
     spec, _ = reference_witness(k)
     b = sturm_bound(k)
-    row = leading_rows([spec], b, p, registry)[0]
+    row = leading_rows([spec], b, registry)[0].reduce_mod(p)
     if row.is_zero():
         raise ValueError(f"witness {spec} vanishes mod {p} on its box")
     violations = [(key, 0) for key in row.support() if key[0] < b and key[2] < b]
