@@ -13,8 +13,8 @@ read the swap sign from the coefficients (``_parity``), and when every
 operand has one they form only the blocks m <= n.
 
 The ring operations, over Q, come from ``siegel2.series``.  ``reduce_mod``
-gives F_p residues to be read (vanishing order, leading term or row), not
-computed with.
+gives the F_p residues as a plain dict {(m, r, n): residue}, which is read
+(``leading_index``, ``diagonal_vanishing_order``), never computed with.
 """
 
 from __future__ import annotations
@@ -25,9 +25,29 @@ from math import isqrt
 
 from .errors import ConstructionError, NotPIntegral, PrecisionError
 from .qexp1 import DiagSeries
-from .rationals import normalize, reduce_mod_p
+from .rationals import is_prime, normalize, reduce_mod_p
 from .series import SparseSeries, _accumulate, _bits, _decoded
 from .series import _operands, _rational, _slot_width
+
+
+def _monomial_order(key):
+    """The (m, n, r) monomial order of an index (m, r, n)."""
+    m, r, n = key
+    return m, n, r
+
+
+def leading_index(keys):
+    """The least index (m, r, n) of ``keys`` in the (m, n, r) monomial
+    order, or None when there is none."""
+    return min(keys, key=_monomial_order, default=None)
+
+
+def diagonal_vanishing_order(residues):
+    """min over the keys (m, r, n) of max(m, n): the size of the largest box
+    on which an expansion whose residues mod p these are vanishes mod p.
+    None when there are none, as the order is then known only to exceed
+    the precision."""
+    return min((max(m, n) for m, _, n in residues), default=None)
 
 
 # The slot keys per block (m, n), from ``_block_keys``.
@@ -61,12 +81,9 @@ class SiegelExpansion(SparseSeries):
         """The constant expansion value * q^0."""
         return cls(weight, precision, {(0, 0, 0): value})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def support(self):
         """Stored indices sorted by the (m, n, r) monomial order."""
-        return sorted(self.coeffs, key=lambda k: (k[0], k[2], k[1]))
+        return sorted(self.coeffs, key=_monomial_order)
 
     # -- the key shape ----------------------------------------------------
 
@@ -117,19 +134,19 @@ class SiegelExpansion(SparseSeries):
         return 1 if plus else -1
 
     def __repr__(self):
-        mod = f", mod {self.modulus}" if self.modulus else ""
         return (
-            f"SiegelExpansion(weight={self.weight}, precision={self.precision}"
-            f"{mod}, {len(self.coeffs)} terms)"
+            f"SiegelExpansion(weight={self.weight}, precision={self.precision}, "
+            f"{len(self.coeffs)} terms)"
         )
 
     # -- reductions and invariants ----------------------------------------
 
-    def reduce_mod(self, p: int) -> "SiegelExpansion":
-        """Coefficientwise reduction to F_p, to be read; rejects
-        non-p-integral entries."""
-        if self.modulus is not None:
-            raise ValueError("expansion is already reduced")
+    def reduce_mod(self, p: int) -> dict:
+        """{(m, r, n): a(m, r, n) mod p} of the nonzero residues, p prime;
+        a coefficient that is not p-integral raises NotPIntegral naming its
+        index."""
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         out = {}
         for key, c in self.coeffs.items():
             try:
@@ -137,14 +154,12 @@ class SiegelExpansion(SparseSeries):
                     out[key] = v
             except NotPIntegral:
                 raise NotPIntegral(f"coefficient at {key} = {c} is not {p}-integral") from None
-        return SiegelExpansion._unchecked(self.precision, out, self.weight, p)
+        return out
 
     def symmetry_violations(self) -> list:
         """Indices violating the weight-driven sign symmetries (empty = pass)."""
         if self.weight is None:
             raise ValueError("symmetry check needs a weight tag")
-        if self.modulus is not None:
-            raise ValueError("the symmetry check requires exact coefficients")
         sign = -1 if self.weight % 2 else 1
         bad = []
         for (m, r, n), c in self.coeffs.items():
@@ -152,29 +167,15 @@ class SiegelExpansion(SparseSeries):
             swap = sign * self.coeffs.get((n, r, m), 0)
             if mirror != c or swap != c:
                 bad.append((m, r, n))
-        return sorted(bad, key=lambda k: (k[0], k[2], k[1]))
+        return sorted(bad, key=_monomial_order)
 
     def leading_term(self) -> tuple:
         """((m, r, n), a(m, r, n)) at the minimal index of the support,
         ordering by m, then n, then r."""
-        if not self.coeffs:
+        lead = leading_index(self.coeffs)
+        if lead is None:
             raise ValueError("the zero expansion has no leading term")
-        m, n, r = min((m, n, r) for (m, r, n) in self.coeffs)
-        return (m, r, n), self.coeffs[m, r, n]
-
-    def diagonal_vanishing_order(self):
-        """Size of the largest vanishing box of a reduced expansion.
-
-        Returns min over the F_p support of max(m, n), or None when
-        the expansion vanishes on the whole computed box, where the order is
-        known only to exceed its precision.  An exact expansion is refused:
-        reduce it first.
-        """
-        if self.modulus is None:
-            raise ValueError("the vanishing order needs an expansion reduced mod p")
-        if not self.coeffs:
-            return None
-        return min(max(m, n) for (m, r, n) in self.coeffs)
+        return lead, self.coeffs[lead]
 
     # -- operators ----------------------------------------------------------
 
@@ -182,14 +183,12 @@ class SiegelExpansion(SparseSeries):
         """Diagonal restriction and its first two normalised Taylor layers.
 
         order 0 sums a(m, r, n) over r; order 1 takes (1/2) sum r a(m, r, n);
-        order 2 takes (1/2) sum r^2 a(m, r, n).  Requires exact
-        coefficients.  The image has parallel weight k + order; the sign
-        symmetries of weight k make it satisfy a(n, m) = (-1)^k a(m, n).
+        order 2 takes (1/2) sum r^2 a(m, r, n).  The image has parallel
+        weight k + order; the sign symmetries of weight k make it satisfy
+        a(n, m) = (-1)^k a(m, n).
         """
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
-        if self.modulus is not None:
-            raise ValueError("diagonal restriction requires exact coefficients")
         sums = {}
         for (m, r, n), c in self.coeffs.items():
             if order == 1:
@@ -207,12 +206,10 @@ class SiegelExpansion(SparseSeries):
         """Normalised derivative along tau_1 (1), tau_12 (12) or tau_2 (2).
 
         Acts as multiplication of a(m, r, n) by m, r or n; the weight tag
-        moves up by 2 (informational only).  Requires exact coefficients.
+        moves up by 2 (informational only).
         """
         if direction not in (1, 12, 2):
             raise ValueError("direction must be 1, 12 or 2")
-        if self.modulus is not None:
-            raise ValueError("the theta operator requires exact coefficients")
         pick = {1: 0, 12: 1, 2: 2}[direction]
         out = {}
         for (m, r, n), c in self.coeffs.items():
@@ -348,8 +345,6 @@ def theta_determinant(forms) -> SiegelExpansion:
     if len(forms) != 4:
         raise ValueError(f"the theta determinant needs four columns, got {len(forms)}")
     for f in forms:
-        if f.modulus is not None:
-            raise ValueError("the determinant needs exact expansions")
         if f.weight is None:
             raise ValueError("every column of the theta determinant needs a weight tag")
     box = prec = min(f.precision for f in forms)

@@ -327,7 +327,7 @@ class GeneratorRegistry:
             raise ValueError("exponents must be >= 1")
         key = (name, bound, p)
         if key not in self._taylor:
-            v, h = taylor_lead(self.generator_row(name, bound).reduce_mod(p)) or (0, {})
+            v, h = taylor_lead(self.generator_row(name, bound).reduce_mod(p), p) or (0, {})
             self._taylor[key] = v, [packed(h, bound, p)]
         v, chain = self._taylor[key]
         if chain[0] in (0, 1):
@@ -427,16 +427,17 @@ def _lifted_row(name: str, bound: int) -> SiegelExpansion:
     return SiegelExpansion._unchecked(bound, row, GENERATOR_WEIGHTS[name])
 
 
-def taylor_lead(row: SiegelExpansion):
-    """(v, h) for a row m = l on its n <= precision, or None for a row that
-    is 0 there: h_t(n) = sum_r binom(r, t) a(l, r, n) is the u^t coefficient
-    of the row at zeta = 1 + u (``verify`` module docstring), with
-    binom(r, t) = r(r - 1)...(r - t + 1)/t!, an integer for r < 0 too.  v
-    is the least t with h_t != 0, at most twice the largest |r|, and h the
-    dict {n: h_v(n)} of its nonzero values: integers for a row over Z,
-    residues in [0, p) for a row reduced mod p."""
-    p, terms = row.modulus, {}
-    for (_, r, n), c in row.coeffs.items():
+def taylor_lead(coeffs: dict, p: int | None = None):
+    """(v, h) for the coefficients {(l, r, n): a(l, r, n)} of a row m = l,
+    or None for a row that is 0: h_t(n) = sum_r binom(r, t) a(l, r, n) is
+    the u^t coefficient of the row at zeta = 1 + u (``verify`` module
+    docstring), with binom(r, t) = r(r - 1)...(r - t + 1)/t!, an integer
+    for r < 0 too.  v is the least t with h_t != 0, at most twice the
+    largest |r|, and h the dict {n: h_v(n)} of its nonzero values: integers
+    for a row over Z, residues in [0, p) with a prime p, for a row's
+    residues mod p (``SiegelExpansion.reduce_mod``)."""
+    terms = {}
+    for (_, r, n), c in coeffs.items():
         terms.setdefault(n, []).append((r, c))
     if not terms:
         return None

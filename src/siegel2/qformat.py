@@ -44,8 +44,6 @@ def decode(data: bytes) -> str:
 
 def dump_siegel(exp: SiegelExpansion, name: str) -> str:
     """Serialise an exact expansion to the canonical text form."""
-    if exp.modulus is not None:
-        raise ValueError("mod-p expansions are not serialised")
     if exp.weight is None:
         raise ValueError("cannot serialise a series without a weight tag")
     keys = exp.support()

@@ -39,19 +39,34 @@ def normalize(x):
     return x
 
 
+# The first 13 primes: as Miller-Rabin bases they decide every n below
+# _MR_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic Miller-Rabin primality test for n < 3.3 * 10^24, the
+    range its bases decide; a larger n raises ValueError.  A 61-bit prime
+    takes microseconds, where trial division takes minutes."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is past the range the primality test decides")
+    for q in _MR_BASES:
+        if n % q == 0 or n < q:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

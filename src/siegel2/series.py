@@ -10,9 +10,9 @@ product adds weights).  Operations never extrapolate: results carry the
 minimum precision of their operands, which is exact because indices add
 componentwise and stay nonnegative.
 
-The ring is Q.  ``SiegelExpansion.reduce_mod(p)`` gives residues tagged
-with ``modulus`` p, to be read; every operation refuses them.  Reduction is
-a ring homomorphism on p-integral series: form a product over Q, reduce it.
+The ring is Q.  ``SiegelExpansion.reduce_mod(p)`` gives a plain dict of
+residues, to be read, not a series.  Reduction is a ring homomorphism on
+p-integral series: form a product over Q, reduce it.
 
 Products of swap-symmetric series form half the box.  The swap
 (m, r, n) -> (n, r, m) of a degree-2 index is additive and maps the box to
@@ -50,17 +50,16 @@ class SparseSeries:
       key of a dict of integer coefficients, or None (the default).
 
     Subclass constructors accept ``precision``, ``coeffs`` and ``weight``
-    as keywords.  ``modulus`` is None but on a ``reduce_mod`` result.
+    as keywords.
     """
 
-    __slots__ = ("precision", "coeffs", "weight", "modulus")
+    __slots__ = ("precision", "coeffs", "weight")
 
     def __init__(self, precision, coeffs=None, weight=0):
         if precision < 0:
             raise ValueError("precision must be >= 0")
         self.precision = precision
         self.weight = weight
-        self.modulus = None
         coeffs = coeffs or {}
         self._check_indices(coeffs, precision)
         self.coeffs = {k: v for k, c in coeffs.items() if (v := normalize(c))}
@@ -79,25 +78,15 @@ class SparseSeries:
         return type(self)(precision=precision, coeffs=coeffs, weight=weight)
 
     @classmethod
-    def _unchecked(cls, precision, coeffs, weight, modulus=None):
+    def _unchecked(cls, precision, coeffs, weight):
         """A series built without the constructor's checks, for coefficients
-        known to be clean on keys known to be valid: products, truncations,
-        parsed files and ``reduce_mod``, which alone passes a modulus."""
+        known to be clean on keys known to be valid: products, truncations
+        and parsed files."""
         series = object.__new__(cls)
         series.precision = precision
         series.coeffs = coeffs
         series.weight = weight
-        series.modulus = modulus
         return series
-
-    def _merged(self, others):
-        """Precision of a sum or product of this series and ``others``, or
-        with none of a scalar multiple or power 0; a series reduced mod p
-        is refused."""
-        for series in (self, *others):
-            if series.modulus is not None:
-                raise ValueError(f"a series reduced mod {series.modulus} is read, not computed with")
-        return min(series.precision for series in (self, *others))
 
     # -- access -------------------------------------------------------------
 
@@ -117,19 +106,21 @@ class SparseSeries:
         return self.coeffs.get(key, 0)
 
     def truncate(self, precision: int):
+        if precision < 0:
+            raise ValueError("precision must be >= 0")
         if precision > self.precision:
             raise PrecisionError(
                 f"cannot extend precision {self.precision} to {precision}"
             )
         kept = self._kept(self.coeffs, precision)
-        return self._unchecked(precision, kept, self.weight, self.modulus)
+        return self._unchecked(precision, kept, self.weight)
 
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        prec = self._merged([other])
+        prec = min(self.precision, other.precision)
         out = self._kept(self.coeffs, prec)
         for k, c in other._kept(other.coeffs, prec).items():
             out[k] = out.get(k, 0) + c
@@ -147,7 +138,7 @@ class SparseSeries:
     def __mul__(self, other):
         if isinstance(other, SCALARS):
             coeffs = {k: c * other for k, c in self.coeffs.items()}
-            return self._new(self._merged(()), coeffs, self.weight)
+            return self._new(self.precision, coeffs, self.weight)
         if not isinstance(other, type(self)):
             return NotImplemented
         return self._product((self, other))
@@ -174,14 +165,14 @@ class SparseSeries:
         divided out at decode (``_rational``).
 
         When every factor has a swap sign (``_parity``) and some factor has
-        a block off the diagonal, each pass forms only the blocks m <= n, and the partial product is mirrored while
-        still packed: rows (m, n) and (n, m) share their slot layout, as
-        isqrt(4mn) is symmetric, so row (n, m) is row (m, n) times the
-        running sign.  The final decode writes each block m < n to its
-        mirror keys too.
+        a block off the diagonal, each pass forms only the blocks m <= n,
+        and the partial product is mirrored while still packed: rows (m, n)
+        and (n, m) share their slot layout, as isqrt(4mn) is symmetric, so
+        row (n, m) is row (m, n) times the running sign.  The final decode
+        writes each block m < n to its mirror keys too.
         """
         first = factors[0]
-        prec = first._merged(factors[1:])
+        prec = min(f.precision for f in factors)
         if len(factors) == 1:
             return first
         weights = [f.weight for f in factors]
@@ -212,16 +203,12 @@ class SparseSeries:
 
     def _one(self):
         """The identity of this series' ring at its precision, of weight 0."""
-        return self._new(self._merged(()), {self._slots(0, 0, 0)[0]: 1}, 0)
+        return self._new(self.precision, {self._slots(0, 0, 0)[0]: 1}, 0)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return (
-            self.precision == other.precision
-            and self.coeffs == other.coeffs
-            and self.modulus == other.modulus
-        )
+        return self.precision == other.precision and self.coeffs == other.coeffs
 
 
 def _operands(factors):
@@ -243,7 +230,8 @@ def _operands(factors):
             i = seen[id(f)] = len(ints)
             d = lcm(*{c.denominator for c in f.coeffs.values()})
             ints.append(
-                f.coeffs if d == 1 else {k: c.numerator * (d // c.denominator) for k, c in f.coeffs.items()}
+                f.coeffs if d == 1
+                else {k: c.numerator * (d // c.denominator) for k, c in f.coeffs.items()}
             )
             lcms.append(d)
             if signs is not None and (sign := f._parity(ints[-1])) is not None:

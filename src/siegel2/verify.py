@@ -28,9 +28,10 @@ X4, X6, X10, X12 and X16 = V(Delta E_{4,1}) are Maass lifts
 row 1 of X10, X12 and X16 is a(1, r, n) = c(4n - r^2); Y12's row 0 is
 Delta; and X35's row 2 is its determinant over those rows of X4, X6,
 X10 and X12, since row m of a product reads only the rows <= m of its
-factors, the theta operators keep rows, and X10 and X12 have no row 0.  The rows m < l are 0: a lift's row 0 is
-sigma_{k-1}(n) c(0), and a row 1 is refused unless c(0) = 0; each term
-of X35's rows 0 and 1 has a factor in row 0 of X10 or X12.  The swap
+factors, the theta operators keep rows, and X10 and X12 have no row 0.
+The rows m < l are 0: a lift's row 0 is sigma_{k-1}(n) c(0), and a row 1
+is refused unless c(0) = 0; each term of X35's rows 0 and 1 has a factor
+in row 0 of X10 or X12.  The swap
 symmetry a(n, r, m) = +-a(m, r, n) clears the columns n < l, so the
 generator vanishes wherever min(m, n) < l; a monomial of layer j, the sum
 of its factors' layers, vanishes there too, and its row m = j is the
@@ -118,7 +119,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .expansion import SiegelExpansion, box_indices
+from .expansion import SiegelExpansion, box_indices, diagonal_vanishing_order, leading_index
 from .generators import (
     GENERATOR_NAMES,
     GENERATOR_WEIGHTS,
@@ -188,8 +189,6 @@ def check_vanishing(f: SiegelExpansion, pp: PrimePower, bound: int) -> SturmRepo
     If the bound exceeds the expansion's precision the report flags the
     insufficiency; the verdict then only covers the available box.
     """
-    if f.modulus is not None:
-        raise ValueError("vanishing checks need exact coefficients")
     if not isinstance(bound, int):
         raise ValueError(f"bound {bound!r} is not an integer")
     if bound < 0:
@@ -570,10 +569,10 @@ def sharpness_witness(
     expected = spec.leading_index
     lead = (0, 0, 0)
     for name, e in spec.exponents:
-        factor = registry.generator_row(name, b).reduce_mod(p)
-        if factor.is_zero():
+        residues = registry.generator_row(name, b).reduce_mod(p)
+        if not residues:
             raise ValueError(f"witness {spec} vanishes mod {p} on its box")
-        lead = tuple(x + e * y for x, y in zip(lead, factor.leading_term()[0]))
+        lead = tuple(x + e * y for x, y in zip(lead, leading_index(residues)))
     if lead[2] > b:
         raise ValueError(f"witness {spec} vanishes mod {p} on its box")
     violations = [(lead, 0)] if lead[0] < b and lead[2] < b else []
@@ -819,11 +818,11 @@ def _suite_borcherds(ps, B: int, registry, report: SuiteReport) -> None:
     products = {name: (forms["X10"] * f, forms["X35"] * f) for name, f in forms.items()}
     for p in ps:
         for name in GENERATOR_NAMES:
-            v = forms[name].reduce_mod(p).diagonal_vanishing_order()
+            v = diagonal_vanishing_order(forms[name].reduce_mod(p))
             if v is None:
                 report.skip(f"borcherds.p{p}.{name}", "generator vanishes on the box")
                 continue
-            v10, v35 = (g.reduce_mod(p).diagonal_vanishing_order() for g in products[name])
+            v10, v35 = (diagonal_vanishing_order(g.reduce_mod(p)) for g in products[name])
             shown10, shown35 = (f"> {B}" if order is None else order for order in (v10, v35))
             steps = (
                 ("x10", v10, v + 1, v10 == v + 1,

@@ -295,19 +295,19 @@ def test_certificates_leave_no_fp_monomials_held(registry, gens6):
     """Passing certificates at p = 2, 5 and 7, in even and odd weight, form
     no monomial and no power and leave no expansion mod p in any registry
     memo, only the packed chains of the leading coefficients at zeta = 1
-    mod p, each headed by ``taylor_lead`` of its row mod p.  Nor does the
-    borcherds-structure suite, which reduces its generators itself."""
+    mod p, each headed by ``taylor_lead`` of its row's residues mod p.  Nor
+    does the borcherds-structure suite, which reduces its generators itself."""
     reg = GeneratorRegistry(registry.cache_dir)
     for k, p in ((24, 5), (16, 2), (45, 7)):
         assert verify_theorem1_rank(k, p, 5, reg).passed
     assert reg._monomials == {} and reg._chains == {}
     assert verify_identities("borcherds-structure", 5, 4, reg).passed
     held = [*reg._forms.values(), *reg._served.values(), *reg._lifted.values()]
-    assert reg._served and all(exp.modulus is None for exp in held)
+    assert reg._served and all(type(exp) is SiegelExpansion for exp in held)
     assert reg._monomials == {} and reg._chains == {}
     assert {p for _, _, p in reg._taylor} == {2, 5, 7}
     for (name, bound, p), held in reg._taylor.items():
-        lead = gmod.taylor_lead(reg.generator_row(name, bound).reduce_mod(p))
+        lead = gmod.taylor_lead(reg.generator_row(name, bound).reduce_mod(p), p)
         assert held is not None and lead is not None, (name, bound, p)
         (v, chain), (lead_v, h) = held, lead
         assert v == lead_v and gmod.unpacked(chain[0], bound, p) == _slots(h, bound), (name, bound, p)
@@ -355,13 +355,13 @@ def test_leading_coefficients_at_zeta_1(tmp_path):
     reg = GeneratorRegistry(tmp_path)
     for name, (v, coefficient) in table.items():
         row = reg.generator_row(name, N)
-        assert gmod.taylor_lead(row) == (v, coefficient.coeffs), name
+        assert gmod.taylor_lead(row.coeffs) == (v, coefficient.coeffs), name
         for p in (2, 3, 5, 7, 11):
-            got_v, got = gmod.taylor_lead(row.reduce_mod(p))
+            got_v, got = gmod.taylor_lead(row.reduce_mod(p), p)
             assert got_v == shifted.get((name, p), v), (name, p)
             if got_v == v:
                 assert got == _reduced(coefficient, p), (name, p)
-    assert gmod.taylor_lead(reg.generator_row("X35", 2)) is None
+    assert gmod.taylor_lead(reg.generator_row("X35", 2).coeffs) is None
     assert list(tmp_path.iterdir()) == []
 
 
@@ -431,7 +431,7 @@ def test_taylor_powers_are_held_in_one_chain(registry):
     the packed 0 are their own powers and grow no chain."""
     reg = GeneratorRegistry(registry.cache_dir)
     for name in ("X4", "X6", "X10", "X35"):
-        v, h = gmod.taylor_lead(reg.generator_row(name, 6).reduce_mod(5))
+        v, h = gmod.taylor_lead(reg.generator_row(name, 6).reduce_mod(5), 5)
         for e in (1, 2, 3):
             got_v, got = reg.taylor_power(name, e, 6, 5)
             power = _reduced(QSeries1(6, h) ** e, 5)

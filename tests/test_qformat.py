@@ -116,11 +116,6 @@ def test_truncated_file_rejected():
         parse_siegel("\n".join(lines[:-1]) + "\n")
 
 
-def test_mod_p_expansions_are_not_serialised(gens6):
-    with pytest.raises(ValueError):
-        dump_siegel(gens6["X4"].reduce_mod(2), "X4mod2")
-
-
 def test_save_atomic(tmp_path):
     target = tmp_path / "deep" / "file.qexp"
     save_atomic(target, "hello\n")

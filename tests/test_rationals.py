@@ -125,6 +125,25 @@ def test_prime_power_validation():
         pp.nu = 3
 
 
+def test_is_prime_decides_large_inputs():
+    """Miller-Rabin on the first 13 prime bases: Mersenne primes and their
+    neighbours, Carmichael numbers and the least strong pseudoprimes to the
+    first 7, 9 and 12 prime bases are decided, and against trial division
+    on a range; past 3.3 * 10^24, where the bases decide nothing proven, n
+    is refused."""
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1) and is_prime(2**13 - 1)
+    assert not any(is_prime(n) for n in (2**61 + 1, 2**61 - 3, 2**62 - 1))
+    pseudoprimes = (561, 1105, 3215031751, 341550071728321, 3825123056546413051,
+                    318665857834031151167461)
+    assert not any(is_prime(n) for n in pseudoprimes)
+    assert [n for n in range(10**6, 10**6 + 200) if is_prime(n)] == [
+        n for n in range(10**6, 10**6 + 200) if all(n % f for f in range(2, 1001))
+    ]
+    for n in (3317044064679887385961981, 10**30):
+        with pytest.raises(ValueError, match="past the range"):
+            is_prime(n)
+
+
 def test_small_number_theory_helpers():
     assert [n for n in range(60) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,

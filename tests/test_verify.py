@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from siegel2 import qformat, verify
 from siegel2.errors import NotPIntegral
-from siegel2.expansion import SiegelExpansion
+from siegel2.expansion import SiegelExpansion, leading_index
 from siegel2.generators import _LEADING, GENERATOR_WEIGHTS, GeneratorRegistry, MonomialSpec, taylor_lead
 from siegel2.qexp1 import QSeries1
 from siegel2.rationals import PrimePower, p_valuation
@@ -300,15 +300,15 @@ def test_leading_rows_are_the_layer_rows_of_the_monomials(registry):
                 specs = weight_monomials(k, genset + ("X35",))
                 rows = leading_rows(specs, b, reg)
                 for p in primes:
-                    for spec, row in zip(specs, (row.reduce_mod(p) for row in rows)):
+                    for spec, row in zip(specs, rows):
                         whole = registry.monomial(spec, precision).reduce_mod(p)
                         want = {
                             key: c
-                            for key, c in whole.coeffs.items()
+                            for key, c in whole.items()
                             if key[0] == spec.layer and key[2] <= b
                         }
-                        assert row.coeffs == want and row.precision == b, (str(spec), p)
-                        assert all(min(key[0], key[2]) >= spec.layer for key in whole.coeffs)
+                        assert row.reduce_mod(p) == want and row.precision == b, (str(spec), p)
+                        assert all(min(key[0], key[2]) >= spec.layer for key in whole)
                         seen += 1
             assert seen == len(primes) * count
 
@@ -352,7 +352,7 @@ def block_ranks(monomials, bound, p, registry):
     j <= n <= bound."""
     blocks = {}
     for spec, row in zip(monomials, leading_rows(monomials, bound, registry)):
-        blocks.setdefault(spec.layer, []).append(row.reduce_mod(p))
+        blocks.setdefault(spec.layer, []).append(row)
     return {
         j: fp_rank(
             matrix_from_forms(
@@ -436,7 +436,7 @@ def taylor_ranks(monomials, bound, p, registry):
         ranks[spec.layer] = 0
         for name, _ in spec.exponents:
             if name not in held:
-                held[name] = taylor_lead(registry.generator_row(name, bound).reduce_mod(p))
+                held[name] = taylor_lead(registry.generator_row(name, bound).reduce_mod(p), p)
         leads = [(held[name], e) for name, e in spec.exponents]
         if any(lead is None for lead, _ in leads):
             continue
@@ -534,7 +534,7 @@ def test_layer_ranks_decide_coverage_at_2_and_3(registry):
                     for r in range(-isqrt(4 * j * n), isqrt(4 * j * n) + 1)
                 ]
                 block = [
-                    [row.coeffs.get(key, 0) for key in columns]
+                    [row.get(key, 0) for key in columns]
                     for spec, row in zip(specs, rows)
                     if spec.layer == j
                 ]
@@ -811,7 +811,7 @@ def test_truncation_below_bound_is_not_injective(registry):
     for k, p in ((10, 2), (22, 5), (12, 3)):
         b = sturm_bound(k)
         monomials = weight_monomials(k, GENSET_C if p >= 5 else GENSET_INTEGRAL)
-        forms = [registry.monomial(spec, 5).reduce_mod(p) for spec in monomials]
+        forms = [registry.monomial(spec, 5) for spec in monomials]
         indices = box_indices(5)
         full = matrix_from_forms(forms, indices)
         small = matrix_from_forms(
@@ -866,9 +866,9 @@ def whole_monomial_witness(k, p, registry):
         if key[0] < b and key[2] < b
     ]
     reduced = exp.reduce_mod(p)
-    if reduced.is_zero():
+    if not reduced:
         raise ValueError(f"witness {spec} vanishes mod {p} on its box")
-    lead = reduced.leading_term()[0]
+    lead = leading_index(reduced)
     unit = lead == spec.leading_index
     note = None if unit else f"leading term {lead} differs from expected {spec.leading_index}"
     return spec, SturmReport(b - 1, PrimePower(p), not violations and unit, violations, note)
@@ -892,11 +892,12 @@ def row_witness(k, p, registry):
     b_k - 1, and read for its leading term."""
     spec, _ = reference_witness(k)
     b = sturm_bound(k)
-    row = leading_rows([spec], b, registry)[0].reduce_mod(p)
-    if row.is_zero():
+    exact = leading_rows([spec], b, registry)[0]
+    row = exact.reduce_mod(p)
+    if not row:
         raise ValueError(f"witness {spec} vanishes mod {p} on its box")
-    violations = [(key, 0) for key in row.support() if key[0] < b and key[2] < b]
-    lead = row.leading_term()[0]
+    violations = [(key, 0) for key in exact.support() if key in row and key[0] < b and key[2] < b]
+    lead = leading_index(row)
     unit = lead == spec.leading_index
     note = None if unit else f"leading term {lead} differs from expected {spec.leading_index}"
     return spec, SturmReport(b - 1, PrimePower(p), not violations and unit, violations, note)
