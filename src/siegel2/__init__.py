@@ -8,7 +8,7 @@ and their sharpness at desk scale.
 
 from .expansion import SiegelExpansion, wronskian35
 from .generators import GENERATOR_NAMES, GENERATOR_WEIGHTS, GeneratorRegistry, MonomialSpec
-from .jacobi import JacobiForm1, cohen_h, jacobi_combine, jacobi_eisenstein, kronecker, maass_lift
+from .jacobi import cohen_h, jacobi_combine, jacobi_eisenstein, kronecker, maass_lift
 from .qexp1 import DiagSeries, QSeries1, delta1, diag_builder, diag_tensor, divisor_sigma, eisenstein1
 from .rationals import PrimePower, bernoulli, p_valuation, reduce_mod_p
 from .verify import (

@@ -169,14 +169,6 @@ class SiegelExpansion(SparseSeries):
                 bad.append((m, r, n))
         return sorted(bad, key=_monomial_order)
 
-    def leading_term(self) -> tuple:
-        """((m, r, n), a(m, r, n)) at the minimal index of the support,
-        ordering by m, then n, then r."""
-        lead = leading_index(self.coeffs)
-        if lead is None:
-            raise ValueError("the zero expansion has no leading term")
-        return lead, self.coeffs[lead]
-
     # -- operators ----------------------------------------------------------
 
     def witt(self, order: int = 0) -> DiagSeries:

@@ -51,9 +51,9 @@ from pathlib import Path
 
 from . import qformat
 from .errors import ConstructionError
-from .expansion import SiegelExpansion, wronskian35
-from .jacobi import JacobiForm1, jacobi_combine, jacobi_eisenstein, maass_lift
-from .qexp1 import DiagSeries, delta1, diag_builder, eisenstein1
+from .expansion import SiegelExpansion, leading_index, wronskian35
+from .jacobi import jacobi_combine, jacobi_eisenstein, maass_lift
+from .qexp1 import DiagSeries, QSeries1, delta1, diag_builder, eisenstein1
 from .rationals import bernoulli, normalize
 from .records import FrozenRecord
 
@@ -266,8 +266,8 @@ class GeneratorRegistry:
                     _pin(name, exp)
                     return exp
             except (ValueError, ConstructionError):
-                # A FormatError is a ValueError, and so is the pins' refusal
-                # of the zero expansion.
+                # A FormatError is a ValueError; a failed pin, the zero
+                # expansion's included, is a ConstructionError.
                 pass
             path.unlink(missing_ok=True)
         return None
@@ -362,7 +362,7 @@ def _grown(chain: list, e: int, mul=operator.mul, *args):
 # -- builders ----------------------------------------------------------------
 
 
-def _jacobi(name: str, dmax: int) -> JacobiForm1:
+def _jacobi(name: str, dmax: int) -> QSeries1:
     """The index-1 Jacobi form to dmax whose Maass lift V (Eichler-Zagier,
     *The Theory of Jacobi Forms*, Theorem 6.2) is X4, X6, X10, X12 or X16.
 
@@ -382,7 +382,7 @@ def _jacobi(name: str, dmax: int) -> JacobiForm1:
     if name in ("X4", "X6"):
         k = GENERATOR_WEIGHTS[name]
         scale = normalize(Fraction(-2 * k) / bernoulli(k))
-        return JacobiForm1(k, dmax, {d: scale * c for d, c in jacobi_eisenstein(k, dmax).c.items()})
+        return jacobi_eisenstein(k, dmax) * scale
     e41 = jacobi_eisenstein(4, dmax)
     if name == "X16":
         return jacobi_combine([(1, delta1(dmax // 4), e41)])
@@ -417,12 +417,12 @@ def _lifted_row(name: str, bound: int) -> SiegelExpansion:
         row = {(0, 0, n): c for n, c in f.coeffs.items()}
     else:
         phi = _jacobi(name, 4 * bound)
-        if phi.coeff(0):
-            raise ConstructionError(f"{name}: c(0) = {phi.coeff(0)}, so the lift has a row 0")
+        if c0 := phi.coeffs.get(0):
+            raise ConstructionError(f"{name}: c(0) = {c0}, so the lift has a row 0")
         row = {}
         for n in range(bound + 1):
             for r in range(isqrt(4 * n) + 1):
-                if c := phi.coeff(4 * n - r * r):
+                if c := phi.coeffs.get(4 * n - r * r):
                     row[1, r, n] = row[1, -r, n] = c
     return SiegelExpansion._unchecked(bound, row, GENERATOR_WEIGHTS[name])
 
@@ -595,9 +595,11 @@ def _pin(name: str, exp: SiegelExpansion) -> None:
     bad = exp.symmetry_violations()
     if bad:
         raise ConstructionError(f"{name}: sign symmetry fails at {bad[0]}")
-    lead = exp.leading_term()
-    if lead != _LEADING[name]:
-        (got, c), (index, value) = lead, _LEADING[name]
+    got = leading_index(exp.coeffs)
+    if got is None:
+        raise ConstructionError(f"{name}: the expansion is 0, so it has no leading term")
+    (index, value), c = _LEADING[name], exp.coeffs[got]
+    if (got, c) != (index, value):
         raise ConstructionError(f"{name}: leading term {got} -> {c}, expected {index} -> {value}")
     for pinned, order, image in WITT_PINS:
         if pinned != name:

@@ -2,16 +2,19 @@
 
 A holomorphic index-1 Jacobi form of even weight is determined by one
 coefficient c(D) per discriminant D = 4n - r^2 >= 0 with D = 0 or 3 mod 4,
-which is how ``JacobiForm1`` stores it.  The Eisenstein members come from
-short integer q-series products: E_{4,1} is the theta series of E8 along a
-root, and the heat operator takes it to E_{6,1} (``jacobi_eisenstein``).
-``jacobi_combine`` multiplies a form by f(tau) as one ``QSeries1`` product
-in q^(1/4), the one packed product of ``siegel2.series``.  ``maass_lift``
-is the linear Maass lift V of Eichler-Zagier, which turns an index-1 form
-into a degree-2 expansion by divisor sums over gcd(m, r, n); it lifts the
-Eisenstein forms to the weight-4 and weight-6 generators, the cusp
-forms to the weight-10 and weight-12 ones, Delta E_{4,1} to X16, and one
-more weight-12 form to 762048 Y12 + 691 X6^2.
+so it is held as the ``QSeries1`` sum_D c(D) x^D in x = q^(1/4): its keys
+are the D, its precision is dmax and its weight tag is k, and every form
+built here has keys D = 0 or 3 mod 4 only.  The Eisenstein members come
+from short integer q-series products: E_{4,1} is the theta series of E8
+along a root, and the heat operator takes it to E_{6,1}
+(``jacobi_eisenstein``).  ``jacobi_combine`` multiplies a form by f(tau)
+as one ``QSeries1`` product per term, the one packed product of
+``siegel2.series``.  ``maass_lift`` is the linear Maass lift V of
+Eichler-Zagier, which turns an index-1 form into a degree-2 expansion by
+divisor sums over gcd(m, r, n); it lifts the Eisenstein forms to the
+weight-4 and weight-6 generators, the cusp forms to the weight-10 and
+weight-12 ones, Delta E_{4,1} to X16, and one more weight-12 form to
+762048 Y12 + 691 X6^2.
 
 Cohen's numbers H(r, N) (Eichler-Zagier, *The Theory of Jacobi Forms*,
 section 2) give the same Eisenstein coefficients as H(k-1, D) / H(k-1, 0),
@@ -41,7 +44,6 @@ from .rationals import (
 )
 
 __all__ = [
-    "JacobiForm1",
     "cohen_h",
     "jacobi_combine",
     "jacobi_eisenstein",
@@ -183,55 +185,8 @@ def cohen_h(r: int, N: int):
     return normalize(_l_value(r, D) * total)
 
 
-class JacobiForm1:
-    """Index-1 Jacobi form stored by discriminant: D -> c(D), 0 <= D <= dmax.
-
-    Keys satisfy D = 0 or 3 mod 4; c(D) = 0 for D < 0 (holomorphy) and on
-    the complementary classes.
-    """
-
-    __slots__ = ("weight", "dmax", "c")
-
-    def __init__(self, weight: int, dmax: int, c=None):
-        if weight % 2:
-            raise ValueError("only even weights are supported")
-        if dmax < 0:
-            raise ValueError("dmax must be >= 0")
-        self.weight = weight
-        self.dmax = dmax
-        clean = {}
-        for d, value in (c or {}).items():
-            if d < 0 or d > dmax:
-                raise ValueError(f"discriminant {d} outside [0..{dmax}]")
-            if d % 4 not in (0, 3):
-                raise ValueError(f"discriminant {d} is not 0 or 3 mod 4")
-            value = normalize(value)
-            if value:
-                clean[d] = value
-        self.c = clean
-
-    def coeff(self, d: int):
-        if d > self.dmax:
-            raise PrecisionError(f"discriminant {d} beyond stored bound {self.dmax}")
-        if d < 0 or d % 4 not in (0, 3):
-            return 0
-        return self.c.get(d, 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, JacobiForm1):
-            return NotImplemented
-        return (
-            self.weight == other.weight
-            and self.dmax == other.dmax
-            and self.c == other.c
-        )
-
-    def __repr__(self):
-        return f"JacobiForm1(weight={self.weight}, dmax={self.dmax}, {len(self.c)} terms)"
-
-
 @cache
-def jacobi_eisenstein(k: int, dmax: int) -> JacobiForm1:
+def jacobi_eisenstein(k: int, dmax: int) -> QSeries1:
     """Index-1 Eisenstein Jacobi form E_{k,1} of weight k in {4, 6}, c(0) = 1.
 
     E_{4,1} is the theta series of E8 along a root (``_e8_theta``): it is a
@@ -254,13 +209,13 @@ def jacobi_eisenstein(k: int, dmax: int) -> JacobiForm1:
     e41 = _e8_theta(dmax)
     if k == 4:
         return e41
-    first = jacobi_combine([(1, eisenstein1(2, dmax // 4), e41)])
-    c = {d: first.coeff(d) - Fraction(6 * d * c4, 7) for d, c4 in e41.c.items()}
-    return JacobiForm1(6, dmax, c)
+    first = jacobi_combine([(1, eisenstein1(2, dmax // 4), e41)]).coeffs
+    c = {d: first.get(d, 0) - Fraction(6 * d * c4, 7) for d, c4 in e41.coeffs.items()}
+    return QSeries1(dmax, c, 6)
 
 
 @cache
-def _e8_theta(dmax: int) -> JacobiForm1:
+def _e8_theta(dmax: int) -> QSeries1:
     """E_{4,1} to dmax, as the theta series of E8 along a root.
 
     In the D8+ model of E8 take the root v = e1 + e2; then
@@ -306,39 +261,40 @@ def _e8_theta(dmax: int) -> JacobiForm1:
             c[4 * n] = even0.get(2 * n, 0) + 32 * odd0.get(n - 1, 0)
         if n:
             c[4 * n - 1] = even1.get(2 * n, 0) + 32 * odd1.get(n - 1, 0)
-    return JacobiForm1(4, dmax, c)
+    return QSeries1(dmax, c, 4)
 
 
-def jacobi_combine(terms) -> JacobiForm1:
+def jacobi_combine(terms) -> QSeries1:
     """Exact linear combination sum coeff * (f * phi) of index-1 forms.
 
     Each term is (coefficient, f, phi) with f a one-variable expansion in q
-    and phi an index-1 Jacobi form; multiplying by f(tau) preserves the
-    index, and c(D) = sum_j f_j c(D - 4j) makes each term one ``QSeries1``
-    product f(x^4) * sum_D c(D) x^D in x = q^(1/4), every phi cut to the
-    smallest dmax of the terms.  All terms must produce the same weight,
-    and every f must reach q-precision floor(dmax/4), the last f_j read.
+    and phi an index-1 Jacobi form, a ``QSeries1`` in x = q^(1/4);
+    multiplying by f(tau) preserves the index, and c(D) = sum_j f_j c(D - 4j)
+    makes each term one product f(x^4) * phi, with phi cut to the smallest
+    dmax of the terms and f(x^4) carrying f's weight tag.  All terms must
+    produce the same weight, and every f must reach q-precision
+    floor(dmax/4), the last f_j read.
     """
     if not terms:
         raise ValueError("need at least one term")
     weights = {coeff_f_phi[1].weight + coeff_f_phi[2].weight for coeff_f_phi in terms}
     if len(weights) > 1:
         raise ValueError(f"mixed result weights {sorted(weights)}")
-    dmax = min(phi.dmax for _, _, phi in terms)
+    dmax = min(phi.precision for _, _, phi in terms)
     need = dmax // 4
     for _, f, _ in terms:
         if f.precision < need:
             raise PrecisionError(f"series precision {f.precision} < {need} required for dmax {dmax}")
-    total = QSeries1(dmax)
+    products = []
     for coeff, f, phi in terms:
-        fx = QSeries1(dmax, {4 * j: c for j, c in f.coeffs.items() if 4 * j <= dmax})
-        cut = QSeries1(dmax, {d: c for d, c in phi.c.items() if d <= dmax})
-        total = total + fx * cut * coeff
-    return JacobiForm1(weights.pop(), dmax, total.coeffs)
+        fx = QSeries1(dmax, {4 * j: c for j, c in f.coeffs.items() if 4 * j <= dmax}, f.weight)
+        products.append(fx * phi.truncate(dmax) * coeff)
+    return sum(products[1:], products[0])
 
 
-def maass_lift(phi: JacobiForm1, precision: int) -> SiegelExpansion:
-    """The Maass lift V of an index-1 Jacobi form to a degree-2 expansion.
+def maass_lift(phi: QSeries1, precision: int) -> SiegelExpansion:
+    """The Maass lift V of an index-1 Jacobi form of even weight, the
+    ``QSeries1`` sum_D c(D) x^D, to a degree-2 expansion.
 
     Eichler-Zagier, *The Theory of Jacobi Forms*, section 6, Theorem 6.2:
     a(0, 0, 0) = -(B_k/2k) c(0), and every other coefficient is the divisor
@@ -348,12 +304,16 @@ def maass_lift(phi: JacobiForm1, precision: int) -> SiegelExpansion:
 
     The sum reads only 4mn - r^2 and gcd(m, r, n), which m <-> n and
     r -> -r both keep, so it is formed once per orbit, at m <= n and
-    r >= 0, and written to the up to four indices of the orbit.
+    r >= 0, and written to the up to four indices of the orbit.  Every D
+    read is (4mn - r^2)/d^2 >= 0, which is 0 or 3 mod 4, up to 4 P^2.
     """
     k = phi.weight
-    if phi.dmax < 4 * precision * precision:
-        raise PrecisionError(f"need discriminants up to {4 * precision * precision}, have {phi.dmax}")
-    coeffs = {(0, 0, 0): normalize(-Fraction(bernoulli(k), 2 * k) * phi.coeff(0))}
+    if k is None or k % 2:
+        raise ValueError(f"the Maass lift needs an even weight, got {k}")
+    if phi.precision < 4 * precision * precision:
+        raise PrecisionError(f"need discriminants up to {4 * precision * precision}, have {phi.precision}")
+    c = phi.coeffs
+    coeffs = {(0, 0, 0): normalize(-Fraction(bernoulli(k), 2 * k) * c.get(0, 0))}
     for m in range(precision + 1):
         for n in range(max(m, 1), precision + 1):
             g_mn = gcd(m, n)
@@ -361,6 +321,6 @@ def maass_lift(phi: JacobiForm1, precision: int) -> SiegelExpansion:
                 disc = 4 * m * n - r * r
                 total = 0
                 for d in divisors(gcd(g_mn, r)):
-                    total += d ** (k - 1) * phi.coeff(disc // (d * d))
+                    total += d ** (k - 1) * c.get(disc // (d * d), 0)
                 coeffs[m, r, n] = coeffs[m, -r, n] = coeffs[n, r, m] = coeffs[n, -r, m] = total
     return SiegelExpansion(k, precision, coeffs)

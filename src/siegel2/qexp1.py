@@ -2,7 +2,8 @@
 
 ``QSeries1`` is a truncated expansion sum_{n <= P} a(n) q^n with exact
 coefficients: the home of the classical Eisenstein series e2, e4, e6 and of
-the discriminant cusp form.  ``DiagSeries`` is a truncated two-variable
+the discriminant cusp form, and, in x = q^(1/4), of every index-1 Jacobi
+form (``siegel2.jacobi``).  ``DiagSeries`` is a truncated two-variable
 series sum a(m, n) q1^m q2^n, the codomain of the diagonal-restriction
 operators acting on degree-2 expansions.  Tensor squares of one-variable
 forms land there via q ⊗ 1 -> q1 and 1 ⊗ q -> q2.  A diagonal series is

@@ -28,7 +28,7 @@ from .errors import FormatError
 from .expansion import SiegelExpansion
 
 _MAGIC = "%SIEGEL2-QEXP 1"
-_MINIMUM = {"precision": 0, "entries": 0}
+_MINIMUM = {"weight": 0, "precision": 0, "entries": 0}
 
 
 def decode(data: bytes) -> str:

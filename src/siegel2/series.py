@@ -92,16 +92,17 @@ class SparseSeries:
 
     def coeff(self, *index):
         """The coefficient at an index, 0 where none is stored.  An index of
-        the wrong length or with a part that is not an integer, a key past
-        the box, or one the constructor refuses (``_check_indices``), such
-        as a key with a part below 0, raises."""
+        the wrong length or with a part that is not an integer, or one the
+        constructor refuses (``_check_indices``), such as a key with a part
+        below 0, raises ValueError; a key past the box raises
+        ``PrecisionError``, a ValueError too."""
         key = index[0] if len(index) == 1 else index
         origin = self._slots(0, 0, 0)[0]
         arity = len(origin) if type(origin) is tuple else 1
         if len(index) != arity or any(type(i) is not int for i in index):
             raise ValueError(f"index {key} is not a {type(self).__name__} key like {origin}")
         if min(index) >= 0 and not self._kept({key: None}, self.precision):
-            raise ValueError(f"index {key} is beyond precision {self.precision}")
+            raise PrecisionError(f"index {key} is beyond precision {self.precision}")
         self._check_indices({key: None}, self.precision)
         return self.coeffs.get(key, 0)
 

@@ -353,6 +353,22 @@ def _on_a_closed_stdout(cache, argv, buffered):
     return proc
 
 
+def test_a_negative_weight_header_is_refused_at_line_3(capsys, tmp_path, cache):
+    """check and congruent refuse a file whose weight header is below 0 at
+    its line, naming the file, before any verdict."""
+    lines = (cache / "X4.p6.qexp").read_text(encoding="utf-8").split("\n")
+    lines[2] = "weight -4"
+    path = tmp_path / "negative.qexp"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    for argv in (
+        ["check", "--file", str(path), "--prime", "2"],
+        ["congruent", "--a", str(cache / "X4.p6.qexp"), "--b", str(path), "--prime", "2"],
+    ):
+        code, out, err = run(capsys, *argv, "--cache-dir", str(cache))
+        assert code == 2 and out == ""
+        assert err == f"error: malformed file: {path}: line 3: weight must be >= 0\n"
+
+
 def test_malformed_file_reports_line(capsys, tmp_path, cache):
     bad = tmp_path / "bad.qexp"
     text = (cache / "X4.p6.qexp").read_text(encoding="utf-8")

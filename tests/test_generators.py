@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import siegel2.generators as gmod
 from siegel2 import qformat
 from siegel2.errors import ConstructionError
-from siegel2.expansion import SiegelExpansion, wronskian35
+from siegel2.expansion import SiegelExpansion, leading_index, wronskian35
 from siegel2.generators import (
     GENERATOR_WEIGHTS,
     WITT_LAYERS,
@@ -17,7 +17,7 @@ from siegel2.generators import (
     _pin,
     witt_image,
 )
-from siegel2.jacobi import JacobiForm1, jacobi_combine
+from siegel2.jacobi import jacobi_combine
 from siegel2.qexp1 import QSeries1, delta1, eisenstein1
 from siegel2.verify import (
     GENSET_C,
@@ -46,7 +46,7 @@ def test_witt_pins_agree_on_the_parallel_weight(gens6):
 
 def test_known_coefficients(gens6):
     assert gens6["X4"].coeff(1, 0, 1) == 30240
-    assert gens6["X10"].leading_term()[0] == (1, -1, 1)
+    assert leading_index(gens6["X10"].coeffs) == (1, -1, 1)
     assert gens6["X12"].coeff(1, 0, 1) == 10
     assert gens6["Y12"].coeff(0, 0, 1) == 1
     assert gens6["X16"].coeff(1, 0, 1) == 1
@@ -97,9 +97,9 @@ def test_monomial_eval(registry):
     spec = MonomialSpec.from_dict({"X10": 1, "X12": 1})
     exp = registry.monomial(spec, 6)
     assert exp.weight == 22
-    assert exp.leading_term()[0] == (2, -2, 2)
+    assert leading_index(exp.coeffs) == (2, -2, 2)
     f39 = registry.monomial(MonomialSpec.from_dict({"X4": 1, "X35": 1}), 6)
-    assert f39.leading_term()[0] == (2, -1, 3)
+    assert leading_index(f39.coeffs) == (2, -1, 3)
     one = registry.monomial(MonomialSpec(), 4)
     assert one.weight == 0 and one.coeffs == {(0, 0, 0): 1}
 
@@ -156,7 +156,8 @@ def test_each_witt_pin_rejects_a_build_that_moves_its_image(registry, name, orde
         coeffs[key] = coeffs.get(key, 0) + delta
     bad = SiegelExpansion(exp.weight, exp.precision, coeffs)
     assert not bad.symmetry_violations()
-    assert bad.leading_term() == exp.leading_term()
+    lead = leading_index(exp.coeffs)
+    assert leading_index(bad.coeffs) == lead and bad.coeffs[lead] == exp.coeffs[lead]
     for layer in range(3):
         assert (bad.witt(layer) != exp.witt(layer)) == (layer == order)
     with pytest.raises(ConstructionError, match=f"^{name}: {WITT_LAYERS[order]} image"):
@@ -186,6 +187,14 @@ def test_the_leading_term_pin_names_the_built_and_the_pinned_term(gens6):
     with pytest.raises(ConstructionError) as refusal:
         _pin("X10", 2 * gens6["X10"])
     assert str(refusal.value) == "X10: leading term (1, -1, 1) -> 2, expected (1, -1, 1) -> 1"
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_the_leading_term_pin_refuses_the_zero_expansion_naming_the_generator(name):
+    zero = SiegelExpansion(GENERATOR_WEIGHTS[name], 4, {})
+    with pytest.raises(ConstructionError) as refusal:
+        _pin(name, zero)
+    assert str(refusal.value) == f"{name}: the expansion is 0, so it has no leading term"
 
 
 def test_pin_suite_rejects_corrupted_cache(tmp_path):
@@ -499,7 +508,7 @@ def test_a_row_1_of_a_jacobi_form_with_a_constant_term_is_refused(tmp_path, monk
 
     def with_constant_term_1(name, dmax):
         phi = jacobi(name, dmax)
-        return JacobiForm1(phi.weight, dmax, {**phi.c, 0: 1}) if name in ("X10", "X16") else phi
+        return QSeries1(dmax, {**phi.coeffs, 0: 1}, phi.weight) if name in ("X10", "X16") else phi
 
     monkeypatch.setattr(gmod, "_jacobi", with_constant_term_1)
     for name, named in (("X10", "X10"), ("X35", "X10"), ("X16", "X16")):
@@ -522,7 +531,7 @@ def test_a_row_with_a_non_integer_coefficient_is_refused(tmp_path, monkeypatch):
         phi = jacobi(name, dmax)
         if name != "X10":
             return phi
-        return JacobiForm1(phi.weight, dmax, {**phi.c, 4: phi.c[4] + Fraction(1, 5)})
+        return QSeries1(dmax, {**phi.coeffs, 4: phi.coeffs[4] + Fraction(1, 5)}, phi.weight)
 
     with monkeypatch.context() as patch:
         patch.setattr(gmod, "_jacobi", with_c4_raised)
@@ -551,9 +560,9 @@ def test_x16_jacobi_form_is_delta_times_e41():
     want = jacobi_combine([(twelfth, e4, phi12), (-twelfth, e6, phi10)])
     got = gmod._jacobi("X16", dmax)
     assert got == want and got.weight == 16 and got.coeff(0) == 0
-    assert all(type(c) is int for c in got.c.values())
+    assert all(type(c) is int for c in got.coeffs.values())
     for d in (0, 3, 4, 7, 64, 400):
-        assert gmod._jacobi("X16", d) == JacobiForm1(16, d, {D: c for D, c in want.c.items() if D <= d})
+        assert gmod._jacobi("X16", d) == QSeries1(d, {D: c for D, c in want.coeffs.items() if D <= d}, 16)
 
 
 def test_x16_lift_equals_the_four_generator_product(registry):
@@ -672,8 +681,8 @@ def _double_the_leading_coefficient(coeffs):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [None, _flip_one_sign, _nonzero_below_the_layer, _double_the_leading_coefficient],
-    ids=["clean", "flipped-sign", "below-layer", "leading-doubled"],
+    [None, _flip_one_sign, _nonzero_below_the_layer, _double_the_leading_coefficient, dict.clear],
+    ids=["clean", "flipped-sign", "below-layer", "leading-doubled", "zero"],
 )
 def test_a_cache_file_that_fails_its_pins_is_deleted_and_rebuilt(
     tmp_path, gens6, monkeypatch, corrupt

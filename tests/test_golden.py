@@ -70,6 +70,11 @@ DUMP16_SHA256 = {
 # a CI step outside the tier-1 tests; pinned from the build that formed Y12
 # as (X4^3 - X6^2)/1728 + 144 X12 of the pinned X4, X6 and X12.
 Y12_DUMP16_SHA256 = "fc7d2ae5da2ee54d3b7a12bf626e718317d76a3207b7228088f1796042071346"
+# The cache file of a cold ``siegel2 build --name X16 --prec 16``, checked by
+# a CI step outside the tier-1 tests; pinned from the build that held each
+# index-1 Jacobi form in a class of its own and converted every
+# ``jacobi_combine`` term into and out of a one-variable series.
+X16_DUMP16_SHA256 = "068862c187e3f3a1c5830c48306d56c566487bb6ae2362c129ddc16798f659bc"
 DUMP12_SHA256 = {
     "X35": "63b3117a6f4b9ca4ec24889abcba7107c6a8e366c624f653d3c39634049f820b",
 }

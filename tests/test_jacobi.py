@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import siegel2.generators as gmod
 from siegel2 import jacobi
 from siegel2.e8 import e8_pair_counts
 from siegel2.errors import PrecisionError
-from siegel2.generators import GeneratorRegistry, MonomialSpec
+from siegel2.generators import GENERATOR_WEIGHTS, GeneratorRegistry, MonomialSpec
 from siegel2.jacobi import (
-    JacobiForm1,
     _character,
     _l_value,
     cohen_h,
@@ -23,6 +23,7 @@ from siegel2.jacobi import (
 )
 from siegel2.qexp1 import QSeries1, diag_builder, divisor_sigma, eisenstein1
 from siegel2.rationals import bernoulli, bernoulli_polynomial, divisors, factorize, is_prime
+from siegel2.verify import GENSET_C
 
 
 def legendre_oracle(a, p):
@@ -188,7 +189,7 @@ def test_jacobi_eisenstein_coefficients():
     assert e41.coeff(3) == 56 and e41.coeff(4) == 126
     assert e41.coeff(7) == 576 and e41.coeff(8) == 756
     assert e61.coeff(3) == -88 and e61.coeff(4) == -330
-    assert e41.coeff(-4) == 0 and e41.coeff(2) == 0
+    assert e41.coeff(2) == 0
     with pytest.raises(PrecisionError):
         e41.coeff(21)
     with pytest.raises(ValueError):
@@ -201,8 +202,8 @@ def test_eisenstein_series_are_the_cohen_ratios(k):
     got = jacobi_eisenstein(k, 784)
     h0 = cohen_h(k - 1, 0)
     want = {d: Fraction(cohen_h(k - 1, d)) / h0 for d in range(785) if d % 4 in (0, 3)}
-    assert got.weight == k and got.dmax == 784
-    assert got.c == want
+    assert got.weight == k and got.precision == 784
+    assert got.coeffs == want
 
 
 def test_e41_counts_e8_vectors_along_a_root():
@@ -296,13 +297,11 @@ def combine_oracle(terms, dmax):
     for d in range(dmax + 1):
         if d % 4 not in (0, 3):
             continue
-        r = 0 if d % 4 == 0 else 1
-        n = (d + r * r) // 4
         total = 0
         for coeff, f, phi in terms:
             inner = 0
             for j, fj in f.coeffs.items():
-                if j <= n:
+                if 4 * j <= d:
                     inner += fj * phi.coeff(d - 4 * j)
             total += coeff * inner
         c[d] = total
@@ -324,8 +323,8 @@ def combine_terms(draw):
         dmax = draw(st.integers(0, 40))
         classes = [d for d in range(dmax + 1) if d % 4 in (0, 3)]
         c = draw(st.dictionaries(st.sampled_from(classes), scalars, max_size=12))
-        phis.append(JacobiForm1(draw(st.sampled_from((4, 6, 8))), dmax, c))
-    need = min(phi.dmax for phi in phis) // 4
+        phis.append(QSeries1(dmax, c, draw(st.sampled_from((4, 6, 8)))))
+    need = min(phi.precision for phi in phis) // 4
     terms = []
     for phi in phis:
         prec = draw(st.integers(need, need + 3))
@@ -337,10 +336,10 @@ def combine_terms(draw):
 @settings(max_examples=200, deadline=None)
 @given(terms=combine_terms())
 def test_jacobi_combine_matches_the_per_discriminant_convolution(terms):
-    dmax = min(phi.dmax for _, _, phi in terms)
+    dmax = min(phi.precision for _, _, phi in terms)
     got = jacobi_combine(terms)
-    assert got.weight == 12 and got.dmax == dmax
-    assert got == JacobiForm1(12, dmax, combine_oracle(terms, dmax))
+    assert got.weight == 12 and got.precision == dmax
+    assert got == QSeries1(dmax, combine_oracle(terms, dmax), 12)
 
 
 def test_maass_lift_cusp_examples():
@@ -390,19 +389,42 @@ def test_maass_lift_errors():
         maass_lift(e41, 4)
 
 
-def test_jacobi_form_validation():
-    with pytest.raises(ValueError):
-        JacobiForm1(4, 8, {5: 1})
-    with pytest.raises(ValueError):
-        JacobiForm1(4, 8, {12: 1, -3: 2})
-    form = JacobiForm1(4, 8, {0: 1, 3: Fraction(4, 2)})
-    assert form.coeff(3) == 2
+@pytest.mark.parametrize("k", [5, 35, None])
+def test_maass_lift_refuses_an_odd_weight(k):
+    """An odd weight, or no weight tag (a sum of mixed weights), is refused."""
+    phi = QSeries1(36, {0: 1, 3: 56}, k)
+    with pytest.raises(ValueError, match=f"^the Maass lift needs an even weight, got {k}$"):
+        maass_lift(phi, 3)
+
+
+def held_discriminants(phi):
+    """The keys of a Jacobi form that lie outside [0..dmax] or in the classes
+    1 and 2 mod 4, which no index-1 form has."""
+    return sorted(d for d in phi.coeffs if not 0 <= d <= phi.precision or d % 4 not in (0, 3))
+
+
+def test_every_built_jacobi_form_holds_only_discriminants(monkeypatch):
+    """Each index-1 form the program builds has keys D <= dmax with D = 0 or
+    3 mod 4 only: E_{4,1} from the E8 theta series, E_{4,1} and E_{6,1} at
+    several dmax, the forms of X4, X6, X10, X12 and X16, and Y12's psi."""
+    forms = []
+    for dmax in (0, 3, 12, 400):
+        forms += [(4, jacobi._e8_theta(dmax))] + [(k, jacobi_eisenstein(k, dmax)) for k in (4, 6)]
+        forms += [(GENERATOR_WEIGHTS[name], gmod._jacobi(name, dmax)) for name in GENSET_C + ("X16",)]
+    lifted, lift = [], gmod.maass_lift
+    monkeypatch.setattr(gmod, "maass_lift", lambda phi, P: lifted.append(phi) or lift(phi, P))
+    gmod._build("Y12", 4, None)
+    psi, x6 = lifted
+    assert psi.coeff(0) == 65520 and x6 == gmod._jacobi("X6", 64)
+    forms += [(12, psi)]
+    for k, phi in forms:
+        assert phi.weight == k and held_discriminants(phi) == [], phi
 
 
 def test_maass_lift_is_linear():
     """V(2 E_{4,1}) = 2 V(E_{4,1}), the constant term included."""
     e41 = jacobi_eisenstein(4, 36)
-    doubled = JacobiForm1(4, 36, {d: 2 * c for d, c in e41.c.items()})
+    doubled = 2 * e41
     assert maass_lift(doubled, 3) == 2 * maass_lift(e41, 3)
 
 

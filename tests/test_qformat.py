@@ -52,6 +52,7 @@ def test_entries_are_sorted_canonically():
             lambda lines: lines.__setitem__(4, "precision -1"), 5, id="negative-precision"
         ),
         pytest.param(lambda lines: lines.__setitem__(5, "entries -1"), 6, id="negative-entries"),
+        pytest.param(lambda lines: lines.__setitem__(2, "weight -4"), 3, id="negative-weight"),
     ],
 )
 def test_malformed_files_carry_line_numbers(mutate, lineno):

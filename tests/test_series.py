@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegel2.errors import NotPIntegral
+from siegel2.errors import FormatError, NotPIntegral, PrecisionError
 from siegel2.expansion import SiegelExpansion
 from siegel2.generators import GENERATOR_WEIGHTS, MonomialSpec
 from siegel2.qexp1 import DiagSeries, QSeries1
@@ -387,9 +387,16 @@ def test_fp_product_is_the_reduced_monomial(gens6, registry, data, p, precision)
 @SETTINGS
 @given(data=st.data(), weight=st.integers(-3, 40))
 def test_dump_parse_round_trip(data, weight):
+    """A file round-trips at every weight >= 0; a negative weight header is
+    refused at its line."""
     (a,) = data.draw(families("siegel", size=1))
     a = SiegelExpansion(weight, a.precision, a.coeffs)
-    name, parsed = parse_siegel(dump_siegel(a, "F"))
+    text = dump_siegel(a, "F")
+    if weight < 0:
+        with pytest.raises(FormatError, match="^line 3: weight must be >= 0$"):
+            parse_siegel(text)
+        return
+    name, parsed = parse_siegel(text)
     assert name == "F" and parsed == a and parsed.weight == weight
 
 
@@ -501,13 +508,14 @@ def test_coeff_reads_only_the_keys_of_its_box(series, stored, refusals):
     """A key of the series' shape in its box reads its coefficient; any
     other key raises a ValueError that names it: a wrong length or a part
     that is not an integer, a part below 0 with the constructor's message,
-    a key past the box as beyond the precision."""
+    a key past the box as beyond the precision, a ``PrecisionError``."""
     for index, value in stored.items():
         assert series.coeff(*index) == value
     for index, refusal in refusals.items():
         with pytest.raises(ValueError) as info:
             series.coeff(*index)
         assert str(info.value) == refusal, index
+        assert isinstance(info.value, PrecisionError) == ("beyond precision" in refusal), index
 
 
 def test_mod_p_series_reduce_rational_coefficients():
